@@ -31,7 +31,13 @@ from .expressions import (
     build_projector,
     embed,
 )
-from .linalg import ReducedConstraints, nullspace_basis, pseudo_inverse, rrqr_reduce
+from .linalg import (
+    ConstraintFactorization,
+    ReducedConstraints,
+    nullspace_basis,
+    pseudo_inverse,
+    rrqr_reduce,
+)
 from .nlp import (
     ConvergenceConstants,
     IterationBound,
@@ -64,6 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComputationError",
+    "ConstraintFactorization",
     "ConvergenceConstants",
     "DivergenceError",
     "EqoptError",

@@ -6,7 +6,7 @@ class EqoptError(Exception):
 
 
 class ComputationError(EqoptError):
-    """A dense factorization (SVD/QR) failed to converge."""
+    """A dense factorization (SVD, QR or eigendecomposition) failed to converge."""
 
 
 class InfeasibleConstraintsError(EqoptError):

@@ -8,8 +8,13 @@ ones over ``g``:
   ``D = I - H (A H)^{-1} A``; ``g`` lives in the full space and ``D``
   projects it onto ker(A) along range(H).
 * null-space form: ``x = x0 + N g`` with the minimum-norm particular
-  solution ``x0 = A^T (A A^T)^{-1} b`` and an orthonormal basis ``N`` of
-  ker(A); ``g`` has the intrinsic dimension ``n - m``.
+  solution ``x0`` and an orthonormal basis ``N`` of ker(A); ``g`` has the
+  intrinsic dimension ``n - m``.
+
+Both are read off one :class:`~eqopt.linalg.ConstraintFactorization`
+(a pivoted QR of the row-equilibrated ``A^T``): ``x0 = Q_1 y``,
+``N = Q_2`` and, for the default ``H = A^T``, ``D = I - Q_1 Q_1^T``.
+Only another choice of ``H`` factorizes ``A H`` as well.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidHMatrixError, RankDeficiencyError
-from .linalg import EPS, as_matrix, as_vector, nullspace_basis, rrqr_reduce
+from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector
 
 
 @dataclass
@@ -52,9 +57,13 @@ class EqualityConstraints:
         return float(np.max(np.abs(self.a @ x - self.b)))
 
     def reduced(self, eps=None):
-        """Equivalent full-row-rank system (may raise InfeasibleConstraintsError)."""
-        red = rrqr_reduce(self.a, self.b, eps)
-        return EqualityConstraints(red.a_tilde, red.b_tilde)
+        """Equivalent full-row-rank system (may raise InfeasibleConstraintsError).
+
+        Its rows are the independent rows of ``(A, b)``, each divided by its
+        largest coefficient magnitude.
+        """
+        f = ConstraintFactorization(self.a, self.b, eps)
+        return EqualityConstraints(f.a[f.selected], f.b[f.selected])
 
 
 @dataclass
@@ -94,6 +103,55 @@ class NullspaceExpression:
         return self.x0 + self.n_basis @ g
 
 
+def _check_nonsingular(sv, p):
+    """Reject ``A H`` whose singular values ``sv`` (descending) make it singular."""
+    if sv[0] == 0.0 or sv[-1] <= EPS * p * sv[0]:
+        raise InvalidHMatrixError(
+            "the m-by-m matrix A H is singular at tolerance; choose an H whose "
+            "range is complementary to ker(A) (H = A^T always works)"
+        )
+
+
+def projector_from(factorization, h_choice="transpose_of_a"):
+    """Projector-form expression on the independent rows of a factorization.
+
+    ``h_choice`` is as in :func:`build_projector`, with ``m`` the rank. For
+    ``H = A^T`` no further factorization is needed: ``A H = R_11^T R_11``
+    on the scaled rows, so its singular values are those of ``R_11``
+    squared, ``x0`` is the minimum-norm solution and ``D = I - Q_1 Q_1^T``
+    is the orthogonal projector onto ker(A). Any other H is checked and
+    applied through an LU factorization of ``A H``.
+    """
+    f = factorization
+    n, p = f.q.shape[0], f.rank
+    if p == 0:
+        return ProjectorExpression(x0=np.zeros(n), d=np.eye(n), h=np.zeros((n, 0)))
+    a = f.a[f.selected]
+    if isinstance(h_choice, str) and h_choice == "transpose_of_a":
+        _check_nonsingular(scipy.linalg.svdvals(f.r11) ** 2, p)
+        q1 = f.range_basis
+        return ProjectorExpression(x0=f.x0, d=np.eye(n) - q1 @ q1.T, h=a.T)
+    if isinstance(h_choice, str):
+        if h_choice != "identity_block":
+            raise ValueError(
+                f"unknown h_choice {h_choice!r}; use 'transpose_of_a', "
+                f"'identity_block' or pass an (n, m) matrix"
+            )
+        h = np.zeros((n, p))
+        h[:p, :p] = np.eye(p)
+    else:
+        h = as_matrix(h_choice, "H")
+        if h.shape != (n, p):
+            raise ValueError(f"H has shape {h.shape}, expected ({n}, {p})")
+
+    ah = a @ h
+    _check_nonsingular(scipy.linalg.svdvals(ah), p)
+    lu = scipy.linalg.lu_factor(ah)
+    x0 = h @ scipy.linalg.lu_solve(lu, f.b[f.selected])
+    d = np.eye(n) - h @ scipy.linalg.lu_solve(lu, a)
+    return ProjectorExpression(x0=x0, d=d, h=h)
+
+
 def build_projector(constraints, h_choice="transpose_of_a"):
     """Build the projector-form expression for a full-row-rank system.
 
@@ -110,40 +168,16 @@ def build_projector(constraints, h_choice="transpose_of_a"):
     Raises
     ------
     InvalidHMatrixError
-        If A H is singular at tolerance.
+        If A H is singular at tolerance, which includes every H when A
+        lacks full row rank.
     """
-    a, b = constraints.a, constraints.b
-    m, n = a.shape
-    if m == 0:
-        return ProjectorExpression(x0=np.zeros(n), d=np.eye(n), h=np.zeros((n, 0)))
-
-    if isinstance(h_choice, str):
-        if h_choice == "transpose_of_a":
-            h = a.T.copy()
-        elif h_choice == "identity_block":
-            h = np.zeros((n, m))
-            h[:m, :m] = np.eye(m)
-        else:
-            raise ValueError(
-                f"unknown h_choice {h_choice!r}; use 'transpose_of_a', "
-                f"'identity_block' or pass an (n, m) matrix"
-            )
-    else:
-        h = as_matrix(h_choice, "H")
-        if h.shape != (n, m):
-            raise ValueError(f"H has shape {h.shape}, expected ({n}, {m})")
-
-    ah = a @ h
-    sv = scipy.linalg.svdvals(ah)
-    if sv[0] == 0.0 or sv[-1] <= EPS * m * sv[0]:
+    f = ConstraintFactorization(constraints.a, constraints.b)
+    if f.rank < constraints.m:
         raise InvalidHMatrixError(
-            "the m-by-m matrix A H is singular at tolerance; choose an H whose "
-            "range is complementary to ker(A) (H = A^T always works)"
+            f"A has numerical row rank {f.rank} < {constraints.m}, so A H is "
+            f"singular for every H; reduce the system first"
         )
-    lu = scipy.linalg.lu_factor(ah)
-    x0 = h @ scipy.linalg.lu_solve(lu, b)
-    d = np.eye(n) - h @ scipy.linalg.lu_solve(lu, a)
-    return ProjectorExpression(x0=x0, d=d, h=h)
+    return projector_from(f, h_choice)
 
 
 def build_nullspace(constraints, eps=None):
@@ -154,17 +188,12 @@ def build_nullspace(constraints, eps=None):
     RankDeficiencyError
         If A does not have full row rank at tolerance.
     """
-    a, b = constraints.a, constraints.b
-    m, n = a.shape
-    if m == 0:
-        return NullspaceExpression(x0=np.zeros(n), n_basis=np.eye(n))
-    n_basis = nullspace_basis(a, eps)
-    try:
-        cf = scipy.linalg.cho_factor(a @ a.T)
-    except np.linalg.LinAlgError as exc:  # full rank was just verified; belt and braces
-        raise RankDeficiencyError("A A^T is not positive definite") from exc
-    x0 = a.T @ scipy.linalg.cho_solve(cf, b)
-    return NullspaceExpression(x0=x0, n_basis=n_basis)
+    f = ConstraintFactorization(constraints.a, constraints.b, eps)
+    if f.rank < constraints.m:
+        raise RankDeficiencyError(
+            f"A has numerical row rank {f.rank} < {constraints.m}; reduce the system first"
+        )
+    return NullspaceExpression(x0=f.x0, n_basis=f.null_basis)
 
 
 def embed(expression, g):

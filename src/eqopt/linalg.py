@@ -1,9 +1,15 @@
 """Dense linear-algebra kernels.
 
-SVD-based Moore-Penrose pseudo-inverse, rank-revealing QR reduction of
-linear systems to full row rank, and orthonormal null-space bases. These
-are the primitives everything above (constrained expressions, solvers)
-is built on.
+The constraint system ``A x = b`` is factorized once per solve: one
+column-pivoted QR of the row-equilibrated ``A^T``
+(:class:`ConstraintFactorization`) yields the rank, the redundant rows,
+the consistency check, the minimum-norm particular solution and
+orthonormal bases of the row space and of ker(A). Reduced symmetric
+systems that need not be positive definite are solved with one ``eigh``
+(:func:`symmetric_solve`), which also gives their inertia.
+:func:`rrqr_reduce` and :func:`nullspace_basis` are views of that one
+factorization; the SVD-based :func:`pseudo_inverse` remains a standalone
+primitive.
 """
 
 from dataclasses import dataclass
@@ -85,21 +91,18 @@ def pseudo_inverse(m, tol=None):
 class ReducedConstraints:
     """Equivalent full-row-rank constraint system produced by :func:`rrqr_reduce`."""
 
-    a_tilde: np.ndarray  # (p, n) full-row-rank coefficient matrix
-    b_tilde: np.ndarray  # (p,) right-hand side
+    a_tilde: np.ndarray  # (p, n) kept rows of A, each scaled to max-abs 1
+    b_tilde: np.ndarray  # (p,) their right-hand sides, scaled alike
     rank: int  # p, the numerical row rank of the original A
-    permutation: np.ndarray  # (n,) column pivot order chosen by the QR
+    permutation: np.ndarray  # (n,) column order of a_tilde: the identity
 
 
 def rrqr_reduce(a, b, eps=None):
     """Replace ``A x = b`` with an equivalent full-row-rank system.
 
-    Column-pivoted QR gives ``A P = Q R``. With ``e = |diag(R)|`` the
-    numerical rank is the largest ``k`` such that
-    ``e[k-1] > eps * max(m, n) * e[0]``, and the reduced system is the
-    first ``p`` rows of ``R P^T x = Q^T b``. The discarded rows have a
-    numerically zero left-hand side; a nonzero right-hand side there
-    means the original system is contradictory.
+    A view of :class:`ConstraintFactorization`: the reduced system is the
+    rows it keeps, in the row-equilibrated form it factorizes. The
+    columns are not reordered, so ``permutation`` is the identity.
 
     Parameters
     ----------
@@ -116,68 +119,179 @@ def rrqr_reduce(a, b, eps=None):
     Raises
     ------
     InfeasibleConstraintsError
-        If a discarded row leaves a residual above
-        ``eps * max(m, n) * (1 + ||b||_inf)``.
+        If a redundant row contradicts the kept ones (see
+        :class:`ConstraintFactorization` for the tolerance).
     """
-    a = as_matrix(a, "A")
-    b = as_vector(b, "b")
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise ValueError(f"b has length {b.shape[0]}, expected {m}")
-    if eps is None:
-        eps = EPS
-    elif eps <= 0:
-        raise ValueError("eps must be positive")
-    if m == 0:
-        return ReducedConstraints(
-            a_tilde=a.copy(),
-            b_tilde=b.copy(),
-            rank=0,
-            permutation=np.arange(n, dtype=np.intp),
-        )
-    try:
-        q, r, piv = scipy.linalg.qr(a, pivoting=True)  # full Q: all m rows of Q^T b
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise ComputationError("pivoted QR factorization failed") from exc
+    f = ConstraintFactorization(a, b, eps)
+    return ReducedConstraints(
+        a_tilde=f.a[f.selected],
+        b_tilde=f.b[f.selected],
+        rank=f.rank,
+        permutation=np.arange(f.a.shape[1], dtype=np.intp),
+    )
 
-    e = np.abs(np.diag(r))
-    if e.size == 0 or e[0] == 0.0:
-        p = 0
-    else:
-        satisfied = np.nonzero(e > eps * max(m, n) * e[0])[0]
-        p = int(satisfied[-1]) + 1 if satisfied.size else 0
 
-    qtb = q.T @ b
-    if p < m:
-        drop = float(np.max(np.abs(qtb[p:])))
-        bound = eps * max(m, n) * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-        if drop > bound:
+class ConstraintFactorization:
+    """One column-pivoted QR of the row-equilibrated ``A^T``.
+
+    Row ``i`` of ``(A, b)`` is divided by ``max_j |A[i, j]|`` (an all-zero
+    row is left as it is), so the units of a constraint decide neither its
+    rank nor its consistency. With ``A_s`` the scaled matrix, the one
+    factorization ``A_s^T P = Q R`` gives everything the elimination
+    paths need:
+
+    * ``rank`` p: the largest k with
+      ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``;
+    * ``selected``, the rows ``P[:p]`` kept, and ``dropped``, the
+      redundant rows ``P[p:]``;
+    * ``x0 = Q_1 y`` with ``R_11^T y = b_s[selected]``: the minimum-norm
+      solution, since it lies in the row space ``range(Q_1)``;
+    * consistency: with ``c = R_11^-1 R_12``, dropped row ``j`` is
+      ``sum_k c[k, j] * (kept row k)``, so its residual ``r_j`` at ``x0``
+      must be that combination of the kept rows' residuals:
+      ``|r_j - (c^T r_kept)_j| <= eps * max(m, n) * (1 + s_j + (|c|^T s_kept)_j)``
+      with ``s = |b_s| + |A_s| |x0|``, the rounding error of the residuals.
+      The bound is per row, so no other row's ``b`` loosens it;
+    * orthonormal bases ``Q_1 = Q[:, :p]`` of the row space of A and
+      ``N = Q[:, p:]`` of ker(A).
+
+    Attributes ``a`` and ``b`` hold the scaled system; residuals of a
+    solution belong on the original one.
+
+    Parameters
+    ----------
+    a : (m, n) array_like
+    b : (m,) array_like
+    eps : float, optional
+        Relative tolerance for both the rank decision and the
+        consistency check. Defaults to machine epsilon. Must be positive.
+
+    Raises
+    ------
+    InfeasibleConstraintsError
+        If a dropped row is not satisfied at ``x0``.
+    ComputationError
+        If the QR factorization fails.
+    """
+
+    def __init__(self, a, b, eps=None):
+        a = as_matrix(a, "A")
+        b = as_vector(b, "b")
+        m, n = a.shape
+        if b.shape[0] != m:
+            raise ValueError(f"b has length {b.shape[0]}, expected {m}")
+        if eps is None:
+            eps = EPS
+        elif eps <= 0:
+            raise ValueError("eps must be positive")
+        scale = np.max(np.abs(a), axis=1, initial=0.0)
+        scale[scale == 0.0] = 1.0
+        self.a = a / scale[:, None]
+        self.b = b / scale
+        try:
+            q, r, piv = scipy.linalg.qr(self.a.T, pivoting=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise ComputationError("pivoted QR factorization failed") from exc
+        e = np.abs(np.diag(r))  # non-increasing: the QR pivots on column norms
+        kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
+        p = int(kept[-1]) + 1 if kept.size else 0
+        self.rank = p
+        self.selected = piv[:p]
+        self.dropped = piv[p:]
+        self.q = q
+        self.r11 = r[:p, :p]
+        y = scipy.linalg.solve_triangular(self.r11, self.b[self.selected], trans="T")
+        self.x0 = q[:, :p] @ y
+        if p < m:
+            self._check_consistency(scipy.linalg.solve_triangular(self.r11, r[:p, p:]), eps)
+
+    def _check_consistency(self, c, eps):
+        """Raise InfeasibleConstraintsError if a dropped row fails at ``x0``.
+
+        ``c = R_11^-1 R_12`` writes each dropped row as a combination of
+        the kept ones, so a consistent system leaves it the same
+        combination of their residuals. An error in ``c`` then multiplies
+        only those residuals, never a large ``b``, and each row is judged
+        by the rounding error of its own residual.
+        """
+        m, n = self.a.shape
+        resid = self.a @ self.x0 - self.b
+        size = np.abs(self.b) + np.abs(self.a) @ np.abs(self.x0)
+        leftover = np.abs(resid[self.dropped] - c.T @ resid[self.selected])
+        bound = eps * max(m, n) * (1.0 + size[self.dropped] + np.abs(c).T @ size[self.selected])
+        worst = int(np.argmax(leftover / bound))
+        if leftover[worst] > bound[worst]:
             raise InfeasibleConstraintsError(
-                f"constraints are inconsistent: a redundant row leaves residual "
-                f"{drop:.6e} (tolerance {bound:.6e})"
+                f"constraints are inconsistent: redundant row {int(self.dropped[worst])} "
+                f"leaves residual {leftover[worst]:.6e} (tolerance {bound[worst]:.6e})"
             )
 
-    inv_piv = np.empty(n, dtype=np.intp)
-    inv_piv[piv] = np.arange(n, dtype=np.intp)
-    a_tilde = r[:p][:, inv_piv]  # first p rows of R P^T
-    return ReducedConstraints(
-        a_tilde=a_tilde, b_tilde=qtb[:p].copy(), rank=p, permutation=piv
-    )
+    @property
+    def range_basis(self):
+        """``Q_1``: orthonormal basis of the row space of A, shape (n, p)."""
+        return self.q[:, : self.rank]
+
+    @property
+    def null_basis(self):
+        """``N``: orthonormal basis of ker(A), shape (n, n - p)."""
+        return self.q[:, self.rank :]
+
+
+def symmetric_solve(m, rhs, tol=None):
+    """Minimum-norm solution of a symmetric system, and its eigenvalues.
+
+    One ``eigh`` gives both: eigenvalues ``w[i]`` with
+    ``|w[i]| <= tol * k * max|w|`` are treated as zero (the cutoff of
+    :func:`pseudo_inverse`, since ``|w|`` are the singular values), and
+    ``w`` carries the inertia of ``m``.
+
+    Parameters
+    ----------
+    m : (k, k) ndarray
+        Symmetric matrix; only its lower triangle is read.
+    rhs : (k,) ndarray
+    tol : float, optional
+        Relative cutoff. Defaults to machine epsilon.
+
+    Returns
+    -------
+    x : (k,) ndarray
+        ``m^+ rhs``.
+    w : (k,) ndarray
+        Eigenvalues of ``m`` in ascending order.
+
+    Raises
+    ------
+    ComputationError
+        If the eigendecomposition fails to converge.
+    """
+    if tol is None:
+        tol = EPS
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(
+            f"eigendecomposition did not converge for a {m.shape[0]}x{m.shape[0]} matrix"
+        ) from exc
+    inv = np.zeros_like(w)
+    keep = np.abs(w) > tol * w.shape[0] * float(np.max(np.abs(w), initial=0.0))
+    inv[keep] = 1.0 / w[keep]
+    return (v * inv) @ (v.T @ rhs), w
 
 
 def nullspace_basis(a, eps=None):
     """Orthonormal basis of ker(A) for a full-row-rank A.
 
-    The columns are the right singular vectors belonging to the zero part
-    of the spectrum, so ``N^T N = I`` and ``A N = 0`` up to rounding.
+    The columns are ``N`` of :class:`ConstraintFactorization`, so
+    ``N^T N = I`` and ``A N = 0`` up to rounding.
 
     Parameters
     ----------
     a : (m, n) array_like
         Must have full row rank at tolerance; reduce first otherwise.
     eps : float, optional
-        Relative singular-value cutoff used to verify the rank.
-        Defaults to machine epsilon.
+        Relative rank cutoff of the factorization. Defaults to machine
+        epsilon.
 
     Returns
     -------
@@ -189,29 +303,10 @@ def nullspace_basis(a, eps=None):
         If the numerical row rank of ``a`` is below ``m``.
     """
     a = as_matrix(a, "A")
-    m, n = a.shape
-    if eps is None:
-        eps = EPS
-    elif eps <= 0:
-        raise ValueError("eps must be positive")
-    if m == 0:
-        return np.eye(n)
-    if m > n:
+    m = a.shape[0]
+    factorization = ConstraintFactorization(a, np.zeros(m), eps)
+    if factorization.rank < m:
         raise RankDeficiencyError(
-            f"A is {m}x{n} with m > n, so it cannot have full row rank"
+            f"A has numerical row rank {factorization.rank} < {m}; reduce the system first"
         )
-    try:
-        _, s, vt = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"SVD did not converge for a {m}x{n} matrix"
-        ) from exc
-    if s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > eps * max(m, n) * s[0]))
-    if rank < m:
-        raise RankDeficiencyError(
-            f"A has numerical row rank {rank} < {m}; reduce the system first"
-        )
-    return vt[m:].T.copy()
+    return factorization.null_basis

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, LineSearchError, NonConvexError
-from .expressions import build_nullspace
-from .linalg import as_vector
+from .expressions import NullspaceExpression
+from .linalg import ConstraintFactorization, as_vector
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -90,15 +90,16 @@ class ReducedObjective:
 def reduce_problem(oracle, constraints, eps=None):
     """Eliminate the constraints: build x = x0 + N g and wrap the oracle.
 
-    The constraint system is first reduced to full row rank, so redundant
-    rows are fine and contradictory ones raise
-    InfeasibleConstraintsError.
+    The constraints are factorized once
+    (:class:`~eqopt.linalg.ConstraintFactorization`), so redundant rows
+    are dropped and contradictory ones raise InfeasibleConstraintsError.
     """
     if oracle.dim != constraints.n:
         raise ValueError(
             f"objective dimension {oracle.dim} != constraint columns {constraints.n}"
         )
-    expr = build_nullspace(constraints.reduced(eps), eps)
+    f = ConstraintFactorization(constraints.a, constraints.b, eps)
+    expr = NullspaceExpression(x0=f.x0, n_basis=f.null_basis)
     if expr.free_dim == 0:
         raise ValueError(
             "the feasible set is a single point; nothing to optimize"
@@ -208,13 +209,17 @@ def newton_decrement(reduced, g):
 
 
 def _armijo(reduced, g, direction, h0, slope, alpha, beta):
-    """Largest t in {1, beta, beta^2, ...} with sufficient decrease."""
+    """Largest t in {1, beta, beta^2, ...} with sufficient decrease.
+
+    Returns ``(t, h(g + t direction))``; the value is that of the point
+    ``g + t * direction`` the caller steps to, bit for bit.
+    """
     t = 1.0
     while True:
         h_t = reduced.value(g + t * direction)
         # written so that nan/inf trial values shrink t rather than pass
         if h_t <= h0 + alpha * t * slope:
-            return t
+            return t, h_t
         t *= beta
         if t < 1e-300:
             raise LineSearchError(
@@ -238,7 +243,7 @@ def backtracking_line_search(reduced, g, direction, alpha=0.25, beta=0.5):
     slope = float(reduced.gradient(g) @ direction)
     if not slope < 0.0:
         raise ValueError("direction is not a descent direction (grad^T d >= 0)")
-    return _armijo(reduced, g, direction, reduced.value(g), slope, alpha, beta)
+    return _armijo(reduced, g, direction, reduced.value(g), slope, alpha, beta)[0]
 
 
 def newton_solve(reduced, config=None):
@@ -267,15 +272,15 @@ def newton_solve(reduced, config=None):
                 f"g0 has length {g.shape[0]}, expected {reduced.free_dim}"
             )
     trace = NewtonTrace()
+    h_g = reduced.value(g)
     while True:
         e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
-        h_g = reduced.value(g)
         if dec_sq / 2.0 <= config.epsilon:
             trace.converged = True
             break
         if len(trace.iterations) >= config.max_iter:
             break
-        t = _armijo(reduced, g, step, h_g, -dec_sq, config.alpha, config.beta)
+        t, h_next = _armijo(reduced, g, step, h_g, -dec_sq, config.alpha, config.beta)
         trace.iterations.append(
             NewtonIteration(
                 g=g.copy(),
@@ -288,6 +293,7 @@ def newton_solve(reduced, config=None):
             )
         )
         g = g + t * step
+        h_g = h_next
     trace.final_g = g
     trace.final_x = reduced.point(g)
     trace.final_h = h_g

@@ -3,16 +3,21 @@
 Three independent routes to a stationary point of
 ``1/2 x^T Q x + c^T x`` on ``{x : A x = b}``:
 
-* :func:`solve_projector` — projector-form reduction, solved with a
-  pseudo-inverse so singular reduced systems still yield the
-  minimum-norm stationary point;
+* :func:`solve_projector` — projector-form reduction; the n-by-n reduced
+  system is solved with one ``eigh``, so singular reduced systems still
+  yield the minimum-norm stationary point;
 * :func:`solve_nullspace` — null-space reduction to an (n - m)-sized
-  positive-definite solve (with an eigenvalue fallback otherwise);
+  positive-definite solve with one Cholesky factorization (one ``eigh``
+  instead for indefinite or singular reduced Hessians);
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
-  unreduced so it can serve as an independent verification oracle.
+  unreduced so it can serve as an independent verification oracle; one
+  LDL^T factorization gives both its inertia and its solution.
 
-Every solution carries the feasibility and stationarity residuals plus a
-classification of the stationary point from reduced-Hessian inertia.
+The two elimination routes factorize the constraints once, with one
+pivoted QR of the row-equilibrated ``A^T``
+(:class:`~eqopt.linalg.ConstraintFactorization`). Every solution carries
+the feasibility and stationarity residuals plus a classification of the
+stationary point from reduced-Hessian inertia.
 """
 
 from dataclasses import dataclass
@@ -21,8 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import OracleUnavailableError
-from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import EPS, as_matrix, as_vector, pseudo_inverse
+from .expressions import EqualityConstraints, NullspaceExpression, projector_from
+from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector, symmetric_solve
 
 
 @dataclass
@@ -112,11 +117,12 @@ def _classify(eigs, expected_zeros):
 def solve_projector(problem, h_choice="transpose_of_a", eps=None):
     """Stationary point via the projector form.
 
-    The constraints are reduced to full row rank, the expression
-    ``x = x0 + D g`` is built, and the stationary system
-    ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved with the
-    pseudo-inverse — so indefinite and even singular reduced Hessians are
-    handled, returning the minimum-norm free vector.
+    The constraints are factorized once (their redundant rows dropped),
+    the expression ``x = x0 + D g`` is built, and the stationary system
+    ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved with one
+    eigendecomposition, which also classifies the point — so indefinite
+    and even singular reduced Hessians are handled, returning the
+    minimum-norm free vector.
 
     Raises
     ------
@@ -125,10 +131,11 @@ def solve_projector(problem, h_choice="transpose_of_a", eps=None):
     InvalidHMatrixError
         If ``h_choice`` leaves A H singular.
     """
-    reduced = problem.constraints.reduced(eps)
+    cons = problem.constraints
+    factorization = ConstraintFactorization(cons.a, cons.b, eps)
     n = problem.n
-    expr = build_projector(reduced, h_choice)
-    p = reduced.m
+    expr = projector_from(factorization, h_choice)
+    p = factorization.rank
     if p == n:
         x = expr.x0
         sol_class = "point"
@@ -136,9 +143,9 @@ def solve_projector(problem, h_choice="transpose_of_a", eps=None):
         aa = expr.d.T @ problem.q @ expr.d
         aa = 0.5 * (aa + aa.T)
         rhs = expr.d.T @ (problem.q @ expr.x0 + problem.c)
-        g = -(pseudo_inverse(aa, eps) @ rhs)
-        x = expr.embed(g)
-        sol_class = _classify(np.linalg.eigvalsh(aa), expected_zeros=p)
+        g, eigs = symmetric_solve(aa, rhs, eps)
+        x = expr.embed(-g)
+        sol_class = _classify(eigs, expected_zeros=p)
     grad = problem.q @ x + problem.c
     stationarity = float(np.max(np.abs(expr.d.T @ grad), initial=0.0))
     return QpSolution(
@@ -160,11 +167,12 @@ def solve_nullspace(problem, eps=None):
     back to an eigendecomposition for indefinite or singular reduced
     Hessians, where zero modes are dropped pseudo-inverse style.
     """
-    reduced = problem.constraints.reduced(eps)
+    cons = problem.constraints
+    factorization = ConstraintFactorization(cons.a, cons.b, eps)
     n = problem.n
-    expr = build_nullspace(reduced, eps)
+    expr = NullspaceExpression(x0=factorization.x0, n_basis=factorization.null_basis)
     nb = expr.n_basis
-    p = reduced.m
+    p = factorization.rank
     if nb.shape[1] == 0:
         x = expr.x0
         sol_class = "point"
@@ -174,16 +182,12 @@ def solve_nullspace(problem, eps=None):
         rhs = nb.T @ (problem.q @ expr.x0 + problem.c)
         try:
             cf = scipy.linalg.cho_factor(bmat)
-            g = -scipy.linalg.cho_solve(cf, rhs)
+            g = scipy.linalg.cho_solve(cf, rhs)
             sol_class = "min"
         except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(bmat)
+            g, w = symmetric_solve(bmat, rhs)
             sol_class = _classify(w, expected_zeros=0)
-            inv = np.zeros_like(w)
-            keep = np.abs(w) > EPS * w.shape[0] * float(np.max(np.abs(w), initial=0.0))
-            inv[keep] = 1.0 / w[keep]
-            g = -((v * inv) @ (v.T @ rhs))
-        x = expr.embed(g)
+        x = expr.embed(-g)
     grad = problem.q @ x + problem.c
     stationarity = float(np.max(np.abs(nb.T @ grad), initial=0.0))
     return QpSolution(
@@ -197,33 +201,48 @@ def solve_nullspace(problem, eps=None):
     )
 
 
-def _block_diag_eigs(d):
+def _ldl_blocks(d):
+    """Indices of the 1x1 blocks, and of the first rows of the 2x2 blocks,
+    of the block-diagonal factor of an LDL^T (its 2x2 blocks never overlap)."""
+    pairs = np.flatnonzero(np.diagonal(d, -1))
+    single = np.ones(d.shape[0], dtype=bool)
+    single[pairs] = False
+    single[pairs + 1] = False
+    return np.flatnonzero(single), pairs
+
+
+def _block_diag_eigs(d, single, pairs):
     """Eigenvalues of the 1x1/2x2 block-diagonal factor of an LDL^T."""
-    k = d.shape[0]
-    eigs = []
-    i = 0
-    while i < k:
-        if i + 1 < k and d[i + 1, i] != 0.0:
-            t = d[i, i] + d[i + 1, i + 1]
-            det = d[i, i] * d[i + 1, i + 1] - d[i + 1, i] * d[i, i + 1]
-            disc = np.sqrt(max(t * t - 4.0 * det, 0.0))
-            eigs.extend([0.5 * (t - disc), 0.5 * (t + disc)])
-            i += 2
-        else:
-            eigs.append(d[i, i])
-            i += 1
-    return np.asarray(eigs)
+    a, c, e = d[pairs, pairs], d[pairs + 1, pairs], d[pairs + 1, pairs + 1]
+    t = a + e
+    disc = np.sqrt(np.maximum(t * t - 4.0 * (a * e - c * c), 0.0))
+    return np.concatenate([d[single, single], 0.5 * (t - disc), 0.5 * (t + disc)])
+
+
+def _block_diag_solve(d, single, pairs, u):
+    """Solve ``d v = u`` block by block; 2x2 blocks are scaled by their
+    off-diagonal entry first, as LAPACK's ``sytrs`` does."""
+    v = np.empty_like(u)
+    v[single] = u[single] / d[single, single]
+    c = d[pairs + 1, pairs]
+    a, e = d[pairs, pairs] / c, d[pairs + 1, pairs + 1] / c
+    u1, u2 = u[pairs] / c, u[pairs + 1] / c
+    denom = a * e - 1.0
+    v[pairs] = (e * u1 - u2) / denom
+    v[pairs + 1] = (a * u2 - u1) / denom
+    return v
 
 
 def solve_kkt(problem):
     """Independent oracle: solve the saddle-point system directly.
 
     Assembles ``[[Q, A^T], [A, 0]] [x; lam] = [-c; b]`` and solves it
-    densely. The constraints are *not* reduced: a singular system (rank
-    deficiency, singular reduced Hessian) raises
-    :class:`OracleUnavailableError` instead of guessing. The
-    classification comes from the inertia of the saddle matrix (LDL^T),
-    which exceeds that of the reduced Hessian by exactly (m, m).
+    densely with one LDL^T (Bunch-Kaufman) factorization. The constraints
+    are *not* reduced: a singular system (rank deficiency, singular
+    reduced Hessian) raises :class:`OracleUnavailableError` instead of
+    guessing. The classification comes from the inertia of the saddle
+    matrix, read off the same LDL^T, which exceeds that of the reduced
+    Hessian by exactly (m, m).
 
     Returns the Lagrange multipliers alongside the point; the
     stationarity residual is ``||Q x + c + A^T lam||_inf``.
@@ -235,29 +254,13 @@ def solve_kkt(problem):
     kkt[:n, n:] = a.T
     kkt[n:, :n] = a
     rhs = np.concatenate([-problem.c, b])
-    try:
-        z = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise OracleUnavailableError(
-            "the saddle-point system is singular; the direct oracle cannot "
-            "certify this problem (reduce the constraints or use the "
-            "projector/null-space solvers)"
-        ) from exc
-    resid = float(np.max(np.abs(kkt @ z - rhs), initial=0.0))
-    scale = float(np.max(np.abs(kkt)) * max(1.0, np.max(np.abs(z), initial=0.0)) + np.max(np.abs(rhs), initial=0.0))
-    if not np.all(np.isfinite(z)) or resid > 1e-8 * max(scale, 1.0):
-        raise OracleUnavailableError(
-            f"the saddle-point system is numerically singular "
-            f"(residual {resid:.3e} at scale {scale:.3e})"
-        )
-    x, lam = z[:n], z[n:]
 
     # LDL^T is a congruence, so it preserves inertia: zero eigenvalues of the
-    # block-diagonal factor mean the saddle matrix is singular at tolerance
-    # even when the LU solve above happened to produce a small residual
-    # (consistent rank-deficient systems do exactly that).
-    _, d, _ = scipy.linalg.ldl(kkt)
-    eigs = _block_diag_eigs(d)
+    # block-diagonal factor mean the saddle matrix is singular at tolerance,
+    # and the system is not solved at all.
+    lu, d, perm = scipy.linalg.ldl(kkt)
+    single, pairs = _ldl_blocks(d)
+    eigs = _block_diag_eigs(d, single, pairs)
     scale_e = float(np.max(np.abs(eigs), initial=0.0))
     cut = EPS * (n + m) * scale_e
     pos = int(np.sum(eigs > cut))
@@ -268,6 +271,25 @@ def solve_kkt(problem):
             "constraints or a singular reduced Hessian); the direct oracle "
             "cannot certify this problem"
         )
+
+    # kkt = L D L^T with L[perm] unit lower triangular, so
+    # (L[perm]) D (L[perm])^T z[perm] = rhs[perm].
+    tri = lu[perm]
+    u = scipy.linalg.solve_triangular(tri, rhs[perm], lower=True, unit_diagonal=True)
+    w = scipy.linalg.solve_triangular(
+        tri, _block_diag_solve(d, single, pairs, u), trans="T", lower=True, unit_diagonal=True
+    )
+    z = np.empty_like(w)
+    z[perm] = w
+    resid = float(np.max(np.abs(kkt @ z - rhs), initial=0.0))
+    scale = float(np.max(np.abs(kkt)) * max(1.0, np.max(np.abs(z), initial=0.0)) + np.max(np.abs(rhs), initial=0.0))
+    if not np.all(np.isfinite(z)) or resid > 1e-8 * max(scale, 1.0):
+        raise OracleUnavailableError(
+            f"the saddle-point system is numerically singular "
+            f"(residual {resid:.3e} at scale {scale:.3e})"
+        )
+    x, lam = z[:n], z[n:]
+
     pos -= m
     neg -= m
     free = n - m

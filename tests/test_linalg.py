@@ -7,6 +7,7 @@ from eqopt.errors import (
     RankDeficiencyError,
 )
 from eqopt.linalg import (
+    ConstraintFactorization,
     as_matrix,
     as_vector,
     nullspace_basis,
@@ -216,6 +217,35 @@ def test_nullspace_rejects_rank_deficient():
         nullspace_basis([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(RankDeficiencyError):
         nullspace_basis(np.ones((3, 2)))  # m > n can never have full row rank
+
+
+# ---------------------------------------------------------------------------
+# ConstraintFactorization
+
+
+def test_constraint_factorization_parts():
+    rng = np.random.default_rng(401)
+    n, m = 12, 5
+    a = rng.uniform(-1, 1, (m, n))
+    # two redundant rows: row 1 in other units, and a combination of rows 0 and 2
+    a = np.vstack([a, 1e6 * a[1], a[0] - 3.0 * a[2]])
+    b = a @ rng.uniform(-1, 1, n)
+    f = ConstraintFactorization(a, b)
+    assert f.rank == m
+    assert sorted([*f.selected, *f.dropped]) == list(range(m + 2))
+    assert np.linalg.matrix_rank(a[f.selected]) == m
+    assert np.max(np.abs(a @ f.x0 - b) / np.max(np.abs(a), axis=1)) < 1e-12
+    # x0 is the minimum-norm solution: it lies in the row space
+    nb, q1 = f.null_basis, f.range_basis
+    assert nb.shape == (n, n - m) and q1.shape == (n, m)
+    assert np.max(np.abs(nb.T @ f.x0)) < 1e-12
+    assert np.max(np.abs(np.hstack([q1, nb]).T @ np.hstack([q1, nb]) - np.eye(n))) < 1e-12
+    assert np.max(np.abs(f.a @ nb)) < 1e-12
+    # the same redundant row one part in a million off is a contradiction
+    b_bad = b.copy()
+    b_bad[m] *= 1.0 + 1e-6
+    with pytest.raises(InfeasibleConstraintsError):
+        ConstraintFactorization(a, b_bad)
 
 
 # ---------------------------------------------------------------------------

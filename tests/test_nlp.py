@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqopt.errors import DivergenceError, LineSearchError, NonConvexError
@@ -367,3 +368,54 @@ def test_termination_implies_true_gap_for_quadratics():
         assert trace.converged
         gap = trace.final_h - solve_nullspace(problem).objective
         assert gap <= epsilon + 1e-12
+
+
+def reference_damped_newton(reduced, config):
+    """Damped Newton that evaluates h afresh at every iterate.
+
+    Same arithmetic as newton_solve; returns the (g, h, t) of each step
+    and the final (g, h).
+    """
+    g = np.zeros(reduced.free_dim)
+    steps = []
+    while True:
+        e = reduced.gradient(g)
+        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g)), e)
+        dec_sq = max(float(-(e @ step)), 0.0)
+        h = reduced.value(g)
+        if dec_sq / 2.0 <= config.epsilon:
+            return steps, (g, h)
+        t = 1.0
+        while not reduced.value(g + t * step) <= h + config.alpha * t * -dec_sq:
+            t *= config.beta
+        steps.append((g, h, t))
+        g = g + t * step
+
+
+def test_newton_reuses_the_accepted_line_search_value():
+    rng = np.random.default_rng(1)
+    lse = log_sum_exp(20.0 * rng.uniform(-1, 1, (120, 30)))
+    cons = EqualityConstraints(rng.uniform(-1, 1, (10, 30)), rng.uniform(-0.3, 0.3, 10))
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return lse.value(x)
+
+    reduced = reduce_problem(ObjectiveOracle(30, value, lse.gradient, lse.hessian), cons)
+    config = NewtonConfig()
+    trace = newton_solve(reduced, config)
+    assert trace.converged and len(trace.iterations) == 6
+    trials = sum(round(math.log2(1.0 / it.step_size)) + 1 for it in trace.iterations)
+    assert len(calls) == 1 + trials == 12  # the start, then line-search trials only
+
+    calls.clear()
+    steps, (g_final, h_final) = reference_damped_newton(reduced, config)
+    assert len(calls) == 18  # 7 iterates + 11 trials
+    assert len(steps) == len(trace.iterations)
+    for it, (g, h, t) in zip(trace.iterations, steps):
+        assert np.array_equal(it.g, g)
+        assert it.h_value == h
+        assert it.step_size == t
+    assert np.array_equal(trace.final_g, g_final)
+    assert trace.final_h == h_final

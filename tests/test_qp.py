@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints
+from eqopt.nlp import reduce_problem
+from eqopt.objectives import sum_exp
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
@@ -180,3 +183,131 @@ def test_problem_validation():
         QpProblem(np.eye(2), np.zeros(3), EqualityConstraints([[1.0, 0.0]], [1.0]))
     with pytest.raises(ValueError):
         QpProblem(np.eye(3), np.zeros(3), EqualityConstraints([[1.0, 0.0]], [1.0]))
+
+
+def test_row_scaling_does_not_make_feasible_constraints_infeasible():
+    # rows 18 orders of magnitude apart: both are needed, and x1, x2 are pinned
+    a = [[1e10, 0.0, 0.0], [0.0, 1e-8, 0.0]]
+    problem = QpProblem(np.eye(3), np.zeros(3), EqualityConstraints(a, [1.0, 1e-8]))
+    for solve in (solve_projector, solve_nullspace):
+        sol = solve(problem)
+        assert_allclose(sol.x, [1e-10, 1.0, 0.0], rtol=1e-14, atol=0.0)
+        assert sol.classification == "min"
+        assert sol.constraint_residual == problem.constraints.residual(sol.x)
+        assert sol.constraint_residual <= 1e-9 * (1 + 1.0)
+    # the oracle stays strict and unscaled, so it still refuses this system
+    with pytest.raises(OracleUnavailableError):
+        solve_kkt(problem)
+
+
+def test_row_scaling_and_order_leave_solution_unchanged():
+    rng = np.random.default_rng(45)
+    for trial in range(20):
+        n = int(rng.integers(3, 40))
+        m = int(rng.integers(1, n))
+        q_class = "spd" if trial % 2 == 0 else "symmetric_indefinite"
+        base = generate(
+            GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class=q_class,
+                          rank_deficiency=int(rng.integers(0, 3)))
+        )
+        rows = base.constraints.m
+        scale = 10.0 ** rng.uniform(-8, 8, rows)
+        order = rng.permutation(rows)
+        a = (scale[:, None] * base.constraints.a)[order]
+        b = (scale * base.constraints.b)[order]
+        scaled = QpProblem(base.q, base.c, EqualityConstraints(a, b))
+        for solve in (solve_projector, solve_nullspace):
+            x = solve(base).x
+            gap = np.max(np.abs(solve(scaled).x - x))
+            assert gap <= 1e-9 * (1 + np.max(np.abs(x))), (trial, solve.__name__, gap)
+
+
+def tiny_row_system(rng, n, m, zero_first_column, contradiction):
+    """Row 0 has coefficient 1e-8, which puts about 1e8 into x0. The
+    other m rows are O(1), and the last one repeats row 1 with its right-
+    hand side moved by ``contradiction``."""
+    rows = rng.uniform(-1, 1, (m, n))
+    if zero_first_column:
+        rows[:, 0] = 0.0
+    b_rows = rows @ rng.uniform(-1, 1, n)
+    a = np.vstack([np.eye(1, n) * 1e-8, rows, rows[1]])
+    b = np.concatenate([[1.0], b_rows, [b_rows[1] + contradiction]])
+    return EqualityConstraints(a, b)
+
+
+def eliminations(constraints):
+    n = constraints.n
+    problem = QpProblem(np.eye(n), np.zeros(n), constraints)
+    return (
+        lambda: solve_projector(problem),
+        lambda: solve_nullspace(problem),
+        lambda: reduce_problem(sum_exp(dim=n), constraints),
+    )
+
+
+def test_a_tiny_row_does_not_hide_a_contradiction():
+    # once scaled, row 0 has b = 1e14; rows 1 and 2 still contradict by 0.01
+    exact = EqualityConstraints([[1e-14, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
+                                [1.0, 1.0, 1.01])
+    rng = np.random.default_rng(47)
+    dense = tiny_row_system(rng, 200, 40, zero_first_column=True, contradiction=1e-6)
+    for constraints in (exact, dense):
+        for run in eliminations(constraints):
+            with pytest.raises(InfeasibleConstraintsError):
+                run()
+
+
+def test_a_tiny_row_does_not_make_a_consistent_system_infeasible():
+    rng = np.random.default_rng(48)
+    for trial in range(10):
+        n = int(rng.integers(10, 120))
+        m = int(rng.integers(2, n - 2))
+        constraints = tiny_row_system(rng, n, m, zero_first_column=trial % 2 == 0,
+                                      contradiction=0.0)
+        for run in eliminations(constraints):
+            run()
+
+
+# The dense factorizations a solve may call, with the name it is counted under.
+FACTORIZATIONS = [
+    (np.linalg, "svd"),
+    (np.linalg, "eigh"),
+    (np.linalg, "eigvalsh"),
+    (scipy.linalg, "svdvals"),
+    (scipy.linalg, "qr"),
+    (scipy.linalg, "cho_factor"),
+    (scipy.linalg, "eigh"),
+    (scipy.linalg, "eigvalsh"),
+    (scipy.linalg, "lu_factor"),
+    (scipy.linalg, "ldl"),
+    (scipy.linalg, "solve"),
+]
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Names of the factorizations called, in order."""
+    calls = []
+    for module, attr in FACTORIZATIONS:
+        def counted(*args, _fn=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_matrix_is_factorized_once_per_solve(factorizations):
+    spd = generate(GeneratorSpec(n=30, m=12, seed=46))
+    indefinite = generate(GeneratorSpec(n=30, m=12, seed=46, q_class="symmetric_indefinite"))
+    expected = [
+        (solve_projector, spd, ["scipy.linalg.qr", "scipy.linalg.svdvals", "numpy.linalg.eigh"]),
+        (solve_nullspace, spd, ["scipy.linalg.qr", "scipy.linalg.cho_factor"]),
+        (solve_nullspace, indefinite,
+         ["scipy.linalg.qr", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
+        (solve_kkt, spd, ["scipy.linalg.ldl"]),
+    ]
+    for solve, problem, names in expected:
+        factorizations.clear()
+        solve(problem)
+        assert factorizations == names, solve.__name__
