@@ -13,6 +13,7 @@ from .errors import (
     DivergenceError,
     EqoptError,
     InfeasibleConstraintsError,
+    InfeasibleStartError,
     InvalidHMatrixError,
     LineSearchError,
     NonConvexError,
@@ -78,6 +79,7 @@ __all__ = [
     "FORMAT_VERSION",
     "GeneratorSpec",
     "InfeasibleConstraintsError",
+    "InfeasibleStartError",
     "InvalidHMatrixError",
     "IterationBound",
     "LineSearchError",

@@ -6,21 +6,26 @@ stdout, JSON report on disk), ``eqopt check`` runs the invariant /
 oracle / convergence self-check suites.
 
 Exit codes: 0 success, 1 self-check violation, 2 infeasible constraints,
-3 non-convergence or numerical failure, 4 input error.
+3 non-convergence or numerical failure, 4 input error, 5 start point
+outside the objective's domain.
 """
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import objectives
 from .errors import (
     ComputationError,
     DivergenceError,
     InfeasibleConstraintsError,
+    InfeasibleStartError,
     InvalidHMatrixError,
     LineSearchError,
     NonConvexError,
@@ -47,6 +52,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INPUT = 4
+EXIT_INFEASIBLE_START = 5
 
 DEFAULT_SIZES = "10:2,10:4,10:8,20:4,20:8,20:16,40:8,40:16,40:32,80:16,80:32,80:64"
 
@@ -285,6 +291,20 @@ def _rel_gap(x, y):
     return float(np.max(np.abs(x - y))) / scale
 
 
+def _environment():
+    """What the timings depend on besides the code: versions, CPUs and the
+    BLAS thread settings (thread count alone moves them severalfold)."""
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpuCount": os.cpu_count(),
+    }
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = os.environ.get(name)
+    return env
+
+
 def cmd_bench(args):
     sizes = _parse_sizes(args.sizes)
     methods = _parse_methods(args.methods)
@@ -349,6 +369,7 @@ def cmd_bench(args):
         "trials": args.trials,
         "qClass": args.q_class,
         "methods": methods,
+        "environment": _environment(),
         "rows": rows,
     }
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -806,6 +827,9 @@ def main(argv=None):
     except InfeasibleConstraintsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except InfeasibleStartError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE_START
     except (NonConvexError, DivergenceError, LineSearchError, OracleUnavailableError, ComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -6,7 +6,7 @@ class EqoptError(Exception):
 
 
 class ComputationError(EqoptError):
-    """A dense factorization (SVD, QR or eigendecomposition) failed to converge."""
+    """A dense factorization failed to converge, or an oracle returned non-finite derivatives."""
 
 
 class InfeasibleConstraintsError(EqoptError):
@@ -23,6 +23,10 @@ class InvalidHMatrixError(EqoptError):
 
 class OracleUnavailableError(EqoptError):
     """The saddle-point (KKT) system is singular; the direct oracle cannot certify this problem."""
+
+
+class InfeasibleStartError(EqoptError):
+    """The objective is not finite at the start point, e.g. outside a barrier's domain."""
 
 
 class NonConvexError(EqoptError):

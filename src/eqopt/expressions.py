@@ -103,24 +103,16 @@ class NullspaceExpression:
         return self.x0 + self.n_basis @ g
 
 
-def _check_nonsingular(sv, p):
-    """Reject ``A H`` whose singular values ``sv`` (descending) make it singular."""
-    if sv[0] == 0.0 or sv[-1] <= EPS * p * sv[0]:
-        raise InvalidHMatrixError(
-            "the m-by-m matrix A H is singular at tolerance; choose an H whose "
-            "range is complementary to ker(A) (H = A^T always works)"
-        )
-
-
 def projector_from(factorization, h_choice="transpose_of_a"):
     """Projector-form expression on the independent rows of a factorization.
 
     ``h_choice`` is as in :func:`build_projector`, with ``m`` the rank. For
-    ``H = A^T`` no further factorization is needed: ``A H = R_11^T R_11``
-    on the scaled rows, so its singular values are those of ``R_11``
-    squared, ``x0`` is the minimum-norm solution and ``D = I - Q_1 Q_1^T``
-    is the orthogonal projector onto ker(A). Any other H is checked and
-    applied through an LU factorization of ``A H``.
+    ``H = A^T`` no further factorization is needed: ``x0 = Q_1 y`` is the
+    minimum-norm solution and ``D = I - Q_1 Q_1^T`` is the orthogonal
+    projector onto ker(A). Neither forms ``(A H)^{-1}``, and the rank was
+    already decided by the pivoted QR, so no ``A H`` is checked. Any other
+    H is checked through the singular values of ``A H`` and applied
+    through its LU factorization.
     """
     f = factorization
     n, p = f.q.shape[0], f.rank
@@ -128,7 +120,6 @@ def projector_from(factorization, h_choice="transpose_of_a"):
         return ProjectorExpression(x0=np.zeros(n), d=np.eye(n), h=np.zeros((n, 0)))
     a = f.a[f.selected]
     if isinstance(h_choice, str) and h_choice == "transpose_of_a":
-        _check_nonsingular(scipy.linalg.svdvals(f.r11) ** 2, p)
         q1 = f.range_basis
         return ProjectorExpression(x0=f.x0, d=np.eye(n) - q1 @ q1.T, h=a.T)
     if isinstance(h_choice, str):
@@ -145,7 +136,12 @@ def projector_from(factorization, h_choice="transpose_of_a"):
             raise ValueError(f"H has shape {h.shape}, expected ({n}, {p})")
 
     ah = a @ h
-    _check_nonsingular(scipy.linalg.svdvals(ah), p)
+    sv = scipy.linalg.svdvals(ah)
+    if sv[0] == 0.0 or sv[-1] <= EPS * p * sv[0]:
+        raise InvalidHMatrixError(
+            "the m-by-m matrix A H is singular at tolerance; choose an H whose "
+            "range is complementary to ker(A) (H = A^T always works)"
+        )
     lu = scipy.linalg.lu_factor(ah)
     x0 = h @ scipy.linalg.lu_solve(lu, f.b[f.selected])
     d = np.eye(n) - h @ scipy.linalg.lu_solve(lu, a)

@@ -199,11 +199,11 @@ class ConstraintFactorization:
         self.selected = piv[:p]
         self.dropped = piv[p:]
         self.q = q
-        self.r11 = r[:p, :p]
-        y = scipy.linalg.solve_triangular(self.r11, self.b[self.selected], trans="T")
+        r11 = r[:p, :p]
+        y = scipy.linalg.solve_triangular(r11, self.b[self.selected], trans="T")
         self.x0 = q[:, :p] @ y
         if p < m:
-            self._check_consistency(scipy.linalg.solve_triangular(self.r11, r[:p, p:]), eps)
+            self._check_consistency(scipy.linalg.solve_triangular(r11, r[:p, p:]), eps)
 
     def _check_consistency(self, c, eps):
         """Raise InfeasibleConstraintsError if a dropped row fails at ``x0``.

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DivergenceError, LineSearchError, NonConvexError
+from .errors import (
+    ComputationError,
+    DivergenceError,
+    InfeasibleStartError,
+    LineSearchError,
+    NonConvexError,
+)
 from .expressions import NullspaceExpression
 from .linalg import ConstraintFactorization, as_vector
 
@@ -178,20 +184,25 @@ class NewtonTrace:
 def _newton_step(reduced, g, iteration):
     """Gradient, Newton direction and squared decrement at g.
 
-    Raises NonConvexError when the reduced Hessian fails its Cholesky
+    Raises ComputationError when the gradient or Hessian is not finite and
+    NonConvexError when the reduced Hessian fails its Cholesky
     factorization.
     """
     e = reduced.gradient(g)
     f = reduced.hessian(g)
+    if not (np.isfinite(e).all() and np.isfinite(f).all()):
+        raise ComputationError(
+            f"the oracle returned a non-finite gradient or Hessian at iteration {iteration}"
+        )
     try:
-        cf = scipy.linalg.cho_factor(f)
+        cf = scipy.linalg.cho_factor(f, check_finite=False)
     except np.linalg.LinAlgError:
         raise NonConvexError(
             f"reduced Hessian is not positive definite at iteration {iteration}",
             g=g.copy(),
             iteration=iteration,
         ) from None
-    step = -scipy.linalg.cho_solve(cf, e)
+    step = -scipy.linalg.cho_solve(cf, e, check_finite=False)
     dec_sq = max(float(-(e @ step)), 0.0)  # E^T F^{-1} E, clamped against rounding
     return e, step, dec_sq
 
@@ -206,6 +217,17 @@ def newton_decrement(reduced, g):
     g = as_vector(g, "g")
     _, step, dec_sq = _newton_step(reduced, g, iteration=0)
     return math.sqrt(dec_sq), step
+
+
+def _start_value(reduced, g):
+    """``h(g)`` at the start point; raises InfeasibleStartError unless finite."""
+    h = reduced.value(g)
+    if not math.isfinite(h):
+        raise InfeasibleStartError(
+            f"the objective is {h} at the start point (outside its domain, e.g. "
+            f"a barrier row is violated); give a start point strictly inside it"
+        )
+    return h
 
 
 def _armijo(reduced, g, direction, h0, slope, alpha, beta):
@@ -257,6 +279,10 @@ def newton_solve(reduced, config=None):
 
     Raises
     ------
+    InfeasibleStartError
+        If the objective is not finite at the start point.
+    ComputationError
+        If the oracle returns a non-finite gradient or Hessian.
     NonConvexError
         If a reduced Hessian fails its Cholesky factorization.
     LineSearchError
@@ -272,7 +298,7 @@ def newton_solve(reduced, config=None):
                 f"g0 has length {g.shape[0]}, expected {reduced.free_dim}"
             )
     trace = NewtonTrace()
-    h_g = reduced.value(g)
+    h_g = _start_value(reduced, g)
     while True:
         e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
         if dec_sq / 2.0 <= config.epsilon:
@@ -309,7 +335,9 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     below ``tol_g`` in the 2-norm. Converges quadratically close to the
     solution but has no global safeguard: three consecutive increases of
     the objective raise :class:`DivergenceError` (carrying the partial
-    trace); :func:`newton_solve` is the damped alternative.
+    trace); :func:`newton_solve` is the damped alternative. A start point
+    where the objective is not finite raises :class:`InfeasibleStartError`
+    and a non-finite gradient or Hessian :class:`ComputationError`.
     """
     if not tol_g > 0.0:
         raise ValueError("tol_g must be positive")
@@ -322,9 +350,9 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     rises = 0
     prev_h = None
     step_converged = False
+    h_g = _start_value(reduced, g)
     while True:
         e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
-        h_g = reduced.value(g)
         grad_norm = float(np.linalg.norm(e))
         if prev_h is not None and not h_g <= prev_h:
             rises += 1
@@ -361,6 +389,7 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
         if float(np.linalg.norm(step)) < tol_g:
             step_converged = True  # record the arrival point, then stop
         g = g + step
+        h_g = reduced.value(g)
     trace.final_g = g
     trace.final_x = reduced.point(g)
     trace.final_h = h_g

@@ -11,7 +11,8 @@ Three independent routes to a stationary point of
   instead for indefinite or singular reduced Hessians);
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
-  LDL^T factorization gives both its inertia and its solution.
+  Bunch-Kaufman factorization (LAPACK ``dsytrf``) gives both its inertia
+  and, through ``dsytrs``, its solution.
 
 The two elimination routes factorize the constraints once, with one
 pivoted QR of the row-equilibrated ``A^T``
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import OracleUnavailableError
 from .expressions import EqualityConstraints, NullspaceExpression, projector_from
@@ -201,48 +203,29 @@ def solve_nullspace(problem, eps=None):
     )
 
 
-def _ldl_blocks(d):
-    """Indices of the 1x1 blocks, and of the first rows of the 2x2 blocks,
-    of the block-diagonal factor of an LDL^T (its 2x2 blocks never overlap)."""
-    pairs = np.flatnonzero(np.diagonal(d, -1))
-    single = np.ones(d.shape[0], dtype=bool)
-    single[pairs] = False
-    single[pairs + 1] = False
-    return np.flatnonzero(single), pairs
-
-
-def _block_diag_eigs(d, single, pairs):
-    """Eigenvalues of the 1x1/2x2 block-diagonal factor of an LDL^T."""
-    a, c, e = d[pairs, pairs], d[pairs + 1, pairs], d[pairs + 1, pairs + 1]
+def _bunch_kaufman_eigs(ldu, ipiv):
+    """Eigenvalues of the block-diagonal factor D of LAPACK's ``dsytrf``
+    (lower storage). Rows with ``ipiv < 0`` come in consecutive pairs, one
+    pair per 2x2 block; every other row is a 1x1 block."""
+    pairs = np.flatnonzero(ipiv < 0)[::2]
+    single = np.flatnonzero(ipiv > 0)
+    a, c, e = ldu[pairs, pairs], ldu[pairs + 1, pairs], ldu[pairs + 1, pairs + 1]
     t = a + e
     disc = np.sqrt(np.maximum(t * t - 4.0 * (a * e - c * c), 0.0))
-    return np.concatenate([d[single, single], 0.5 * (t - disc), 0.5 * (t + disc)])
-
-
-def _block_diag_solve(d, single, pairs, u):
-    """Solve ``d v = u`` block by block; 2x2 blocks are scaled by their
-    off-diagonal entry first, as LAPACK's ``sytrs`` does."""
-    v = np.empty_like(u)
-    v[single] = u[single] / d[single, single]
-    c = d[pairs + 1, pairs]
-    a, e = d[pairs, pairs] / c, d[pairs + 1, pairs + 1] / c
-    u1, u2 = u[pairs] / c, u[pairs + 1] / c
-    denom = a * e - 1.0
-    v[pairs] = (e * u1 - u2) / denom
-    v[pairs + 1] = (a * u2 - u1) / denom
-    return v
+    return np.concatenate([ldu[single, single], 0.5 * (t - disc), 0.5 * (t + disc)])
 
 
 def solve_kkt(problem):
     """Independent oracle: solve the saddle-point system directly.
 
     Assembles ``[[Q, A^T], [A, 0]] [x; lam] = [-c; b]`` and solves it
-    densely with one LDL^T (Bunch-Kaufman) factorization. The constraints
+    densely with LAPACK's Bunch-Kaufman kernels: one ``dsytrf``
+    factorization ``L D L^T`` and one ``dsytrs`` solve. The constraints
     are *not* reduced: a singular system (rank deficiency, singular
     reduced Hessian) raises :class:`OracleUnavailableError` instead of
     guessing. The classification comes from the inertia of the saddle
-    matrix, read off the same LDL^T, which exceeds that of the reduced
-    Hessian by exactly (m, m).
+    matrix, read off the 1x1/2x2 blocks of the same ``D``, which exceeds
+    that of the reduced Hessian by exactly (m, m).
 
     Returns the Lagrange multipliers alongside the point; the
     stationarity residual is ``||Q x + c + A^T lam||_inf``.
@@ -255,12 +238,13 @@ def solve_kkt(problem):
     kkt[n:, :n] = a
     rhs = np.concatenate([-problem.c, b])
 
-    # LDL^T is a congruence, so it preserves inertia: zero eigenvalues of the
-    # block-diagonal factor mean the saddle matrix is singular at tolerance,
-    # and the system is not solved at all.
-    lu, d, perm = scipy.linalg.ldl(kkt)
-    single, pairs = _ldl_blocks(d)
-    eigs = _block_diag_eigs(d, single, pairs)
+    # One Bunch-Kaufman factorization kkt = L D L^T (LAPACK dsytrf) gives
+    # both the inertia and the solve. It is a congruence, so it preserves
+    # inertia: zero eigenvalues of D mean the saddle matrix is singular at
+    # tolerance, and the system is not solved at all.
+    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(n + m, lower=1)
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=int(lwork))
+    eigs = _bunch_kaufman_eigs(ldu, ipiv)
     scale_e = float(np.max(np.abs(eigs), initial=0.0))
     cut = EPS * (n + m) * scale_e
     pos = int(np.sum(eigs > cut))
@@ -271,16 +255,7 @@ def solve_kkt(problem):
             "constraints or a singular reduced Hessian); the direct oracle "
             "cannot certify this problem"
         )
-
-    # kkt = L D L^T with L[perm] unit lower triangular, so
-    # (L[perm]) D (L[perm])^T z[perm] = rhs[perm].
-    tri = lu[perm]
-    u = scipy.linalg.solve_triangular(tri, rhs[perm], lower=True, unit_diagonal=True)
-    w = scipy.linalg.solve_triangular(
-        tri, _block_diag_solve(d, single, pairs, u), trans="T", lower=True, unit_diagonal=True
-    )
-    z = np.empty_like(w)
-    z[perm] = w
+    z, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
     resid = float(np.max(np.abs(kkt @ z - rhs), initial=0.0))
     scale = float(np.max(np.abs(kkt)) * max(1.0, np.max(np.abs(z), initial=0.0)) + np.max(np.abs(rhs), initial=0.0))
     if not np.all(np.isfinite(z)) or resid > 1e-8 * max(scale, 1.0):

@@ -124,6 +124,32 @@ def test_solve_unknown_objective_exits_4(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_solve_barrier_start_outside_the_domain_exits_5(tmp_path, capsys):
+    # the minimum-norm point (1, 1) of x1 + x2 = 2 violates the barrier x1 < 0.5
+    doc = {
+        "formatVersion": 1,
+        "kind": "nlp",
+        "n": 2,
+        "m": 1,
+        "objective": {
+            "name": "neg_log_barrier_quadratic",
+            "params": {
+                "q": [[1.0, 0.0], [0.0, 1.0]],
+                "c": [0.0, 0.0],
+                "barrier_a": [[1.0, 0.0]],
+                "barrier_b": [0.5],
+                "mu": 1.0,
+            },
+        },
+        "A": [[1.0, 1.0]],
+        "b": [2.0],
+    }
+    path = _write_doc(tmp_path / "barrier.json", doc)
+    for method in ("newton", "sqp"):
+        assert cli.main(["solve", "--input", path, "--method", method]) == 5, method
+        assert "start point" in capsys.readouterr().err
+
+
 def test_solve_newton_with_trace(tmp_path):
     out = tmp_path / "sol.json"
     trace_path = tmp_path / "trace.json"
@@ -246,6 +272,23 @@ def test_bench_report_structure(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "mean-ms" in table
     assert "report written" in table
+
+
+def test_bench_report_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    report_path = tmp_path / "report.json"
+    code = cli.main(["bench", "--sizes", "6:2", "--trials", "1", "--output", str(report_path)])
+    assert code == 0
+    env = json.loads(report_path.read_text())["environment"]
+    assert set(env) == {
+        "python", "numpy", "scipy", "cpuCount",
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    }
+    assert env["numpy"] == np.__version__
+    assert env["cpuCount"] >= 1
+    assert env["OMP_NUM_THREADS"] == "3"
+    assert env["MKL_NUM_THREADS"] is None
 
 
 def test_bench_zero_trials_gives_empty_rows(tmp_path):

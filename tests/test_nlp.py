@@ -5,7 +5,13 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from eqopt.errors import DivergenceError, LineSearchError, NonConvexError
+from eqopt.errors import (
+    ComputationError,
+    DivergenceError,
+    InfeasibleStartError,
+    LineSearchError,
+    NonConvexError,
+)
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import (
     ConvergenceConstants,
@@ -20,7 +26,7 @@ from eqopt.nlp import (
     sqp_iterate,
     suboptimality_bound,
 )
-from eqopt.objectives import log_sum_exp, quadratic, sum_exp
+from eqopt.objectives import log_sum_exp, neg_log_barrier_quadratic, quadratic, sum_exp
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import solve_nullspace
 from helpers import fd_gradient, fd_hessian
@@ -419,3 +425,30 @@ def test_newton_reuses_the_accepted_line_search_value():
         assert it.step_size == t
     assert np.array_equal(trace.final_g, g_final)
     assert trace.final_h == h_final
+
+
+def test_nan_hessian_is_a_computation_error():
+    oracle = ObjectiveOracle(
+        3,
+        lambda x: float(x @ x),
+        lambda x: 2.0 * x,
+        lambda x: np.full((3, 3), np.nan),
+    )
+    reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0, 1.0]], [1.0]))
+    for run in (newton_solve, sqp_iterate):
+        with pytest.raises(ComputationError, match="iteration 0"):
+            run(reduced)
+
+
+def test_start_outside_the_barrier_domain_is_refused():
+    # the minimum-norm point of x1 + x2 = 2 is (1, 1), which violates x1 < 0.5
+    oracle = neg_log_barrier_quadratic(np.eye(2), barrier_a=[[1.0, 0.0]], barrier_b=[0.5])
+    reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0]], [2.0]))
+    for run in (newton_solve, sqp_iterate):
+        with pytest.raises(InfeasibleStartError, match="start point"):
+            run(reduced)
+    # a start strictly inside the domain solves
+    g0 = reduced.expr.n_basis.T @ (np.array([0.0, 2.0]) - reduced.expr.x0)  # x = (0, 2)
+    assert abs(reduced.point(g0)[0]) < 1e-12
+    trace = newton_solve(reduced, NewtonConfig(g0=g0))
+    assert trace.converged and trace.final_x[0] < 0.5

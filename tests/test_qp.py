@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
-from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
+from eqopt.errors import (
+    InfeasibleConstraintsError,
+    InvalidHMatrixError,
+    OracleUnavailableError,
+)
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import reduce_problem
 from eqopt.objectives import sum_exp
@@ -281,6 +286,7 @@ FACTORIZATIONS = [
     (scipy.linalg, "lu_factor"),
     (scipy.linalg, "ldl"),
     (scipy.linalg, "solve"),
+    (scipy.linalg.lapack, "dsytrf"),
 ]
 
 
@@ -301,13 +307,89 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
     spd = generate(GeneratorSpec(n=30, m=12, seed=46))
     indefinite = generate(GeneratorSpec(n=30, m=12, seed=46, q_class="symmetric_indefinite"))
     expected = [
-        (solve_projector, spd, ["scipy.linalg.qr", "scipy.linalg.svdvals", "numpy.linalg.eigh"]),
+        (solve_projector, spd, ["scipy.linalg.qr", "numpy.linalg.eigh"]),
         (solve_nullspace, spd, ["scipy.linalg.qr", "scipy.linalg.cho_factor"]),
         (solve_nullspace, indefinite,
          ["scipy.linalg.qr", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
-        (solve_kkt, spd, ["scipy.linalg.ldl"]),
+        (solve_kkt, spd, ["scipy.linalg.lapack.dsytrf"]),
     ]
     for solve, problem, names in expected:
         factorizations.clear()
         solve(problem)
         assert factorizations == names, solve.__name__
+
+
+def _nearly_dependent_rows_problem(seed, n=10, m=4):
+    """Full-rank A whose last row is its third plus 1e-8 noise, with SPD Q."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, n))
+    a[-1] = a[-2] + 1e-8 * rng.uniform(-1, 1, n)
+    b = a @ rng.uniform(-1, 1, n)
+    r = rng.uniform(-1, 1, (n, n))
+    return QpProblem(r @ r.T + n * np.eye(n), rng.uniform(-1, 1, n), EqualityConstraints(a, b))
+
+
+def test_projector_solves_nearly_dependent_full_rank_rows():
+    # A H = A A^T has condition ~1e16 here, which once made the default
+    # H = A^T be rejected; the projector never inverts A H, so it must agree
+    # with the null-space solve.
+    for seed in range(5):
+        problem = _nearly_dependent_rows_problem(seed)
+        ref = solve_nullspace(problem)
+        sol = solve_projector(problem)
+        gap = np.max(np.abs(sol.x - ref.x)) / (
+            1.0 + max(np.max(np.abs(sol.x)), np.max(np.abs(ref.x)))
+        )
+        assert gap < 1e-8, seed
+        assert sol.classification == ref.classification == "min"
+        assert sol.constraint_residual < 1e-12
+        # a custom H that leaves A H singular is still refused
+        h = np.random.default_rng(seed).uniform(-1, 1, (problem.n, problem.constraints.m))
+        h[:, 1] = h[:, 0]
+        with pytest.raises(InvalidHMatrixError):
+            solve_projector(problem, h_choice=h)
+
+
+def _inertia_problems():
+    """Seeded SPD, indefinite and Q = 0 problems; Q = 0 forces 2x2 pivots."""
+    for seed in range(8):
+        yield generate(GeneratorSpec(n=20, m=8, seed=seed))
+        yield generate(GeneratorSpec(n=20, m=8, seed=seed, q_class="symmetric_indefinite"))
+        # Q = 0 on a square A: nonsingular, every pivot a 2x2 block
+        square = np.random.default_rng(seed).uniform(-1, 1, (6, 6))
+        yield QpProblem(np.zeros((6, 6)), np.ones(6), EqualityConstraints(square, np.ones(6)))
+        # Q = 0 with n > m: the reduced Hessian vanishes, so the system is singular
+        zero_q = generate(GeneratorSpec(n=12, m=5, seed=seed))
+        yield QpProblem(np.zeros((12, 12)), zero_q.c, zero_q.constraints)
+
+
+def test_kkt_inertia_matches_eigenvalue_count(monkeypatch):
+    pivots = []
+    dsytrf = scipy.linalg.lapack.dsytrf
+
+    def recorded(*args, **kwargs):
+        out = dsytrf(*args, **kwargs)
+        pivots.append(out[1])
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
+    seen = set()
+    for problem in _inertia_problems():
+        n, m = problem.n, problem.constraints.m
+        kkt = np.block([[problem.q, problem.constraints.a.T],
+                        [problem.constraints.a, np.zeros((m, m))]])
+        w = np.linalg.eigvalsh(kkt)
+        scale = np.max(np.abs(w))
+        if np.min(np.abs(w)) < 1e-12 * scale:
+            with pytest.raises(OracleUnavailableError):
+                solve_kkt(problem)
+            seen.add("singular")
+            continue
+        assert np.min(np.abs(w)) > 1e-8 * scale  # far from the tolerance either way
+        pos, neg = int(np.sum(w > 0)) - m, int(np.sum(w < 0)) - m
+        expected = ("point" if n == m else "min" if neg == 0 else "max" if pos == 0
+                    else "saddle")
+        assert solve_kkt(problem).classification == expected
+        seen.add(expected)
+    assert seen == {"singular", "point", "min", "saddle"}
+    assert any(np.any(ipiv < 0) for ipiv in pivots)  # 2x2 blocks were exercised
