@@ -47,7 +47,8 @@ class NonConvexError(EqoptError):
 
 
 class DivergenceError(EqoptError):
-    """Pure Newton iterates increased the objective three times in a row.
+    """Pure Newton iterates increased the objective three times in a row,
+    or a full step left the objective's domain.
 
     Carries the partial ``trace`` so the caller can inspect the blow-up.
     """

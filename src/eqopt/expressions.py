@@ -12,9 +12,11 @@ ones over ``g``:
   intrinsic dimension ``n - m``.
 
 Both are read off one :class:`~eqopt.linalg.ConstraintFactorization`
-(a pivoted QR of the row-equilibrated ``A^T``): ``x0 = Q_1 y``,
-``N = Q_2`` and, for the default ``H = A^T``, ``D = I - Q_1 Q_1^T``.
-Only another choice of ``H`` factorizes ``A H`` as well.
+(a pivoted QR of the row-equilibrated ``A^T``, kept in Householder form):
+``x0 = Q_1 y``, ``N = Q_2`` and, for the default ``H = A^T``,
+``D = I - Q_1 Q_1^T``. The projector forms only ``Q_1`` and the
+null-space form only ``N``. Only another choice of ``H`` factorizes
+``A H`` as well.
 """
 
 from dataclasses import dataclass
@@ -115,7 +117,7 @@ def projector_from(factorization, h_choice="transpose_of_a"):
     through its LU factorization.
     """
     f = factorization
-    n, p = f.q.shape[0], f.rank
+    n, p = f.a.shape[1], f.rank
     if p == 0:
         return ProjectorExpression(x0=np.zeros(n), d=np.eye(n), h=np.zeros((n, 0)))
     a = f.a[f.selected]

@@ -2,9 +2,11 @@
 
 The constraint system ``A x = b`` is factorized once per solve: one
 column-pivoted QR of the row-equilibrated ``A^T``
-(:class:`ConstraintFactorization`) yields the rank, the redundant rows,
-the consistency check, the minimum-norm particular solution and
-orthonormal bases of the row space and of ker(A). Reduced symmetric
+(:class:`ConstraintFactorization`, LAPACK ``dgeqp3``) yields the rank,
+the redundant rows, the consistency check and the minimum-norm
+particular solution. Q stays in Householder form; orthonormal bases of
+the row space and of ker(A) are formed from the reflectors (``dormqr``)
+only when a caller asks for them, so no n-by-n Q is built. Reduced symmetric
 systems that need not be positive definite are solved with one ``eigh``
 (:func:`symmetric_solve`), which also gives their inertia.
 :func:`rrqr_reduce` and :func:`nullspace_basis` are views of that one
@@ -13,9 +15,11 @@ primitive.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import ComputationError, InfeasibleConstraintsError, RankDeficiencyError
 
@@ -137,14 +141,14 @@ class ConstraintFactorization:
     Row ``i`` of ``(A, b)`` is divided by ``max_j |A[i, j]|`` (an all-zero
     row is left as it is), so the units of a constraint decide neither its
     rank nor its consistency. With ``A_s`` the scaled matrix, the one
-    factorization ``A_s^T P = Q R`` gives everything the elimination
-    paths need:
+    factorization ``A_s^T P = Q R`` (LAPACK ``dgeqp3``) gives everything
+    the elimination paths need:
 
     * ``rank`` p: the largest k with
       ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``;
     * ``selected``, the rows ``P[:p]`` kept, and ``dropped``, the
       redundant rows ``P[p:]``;
-    * ``x0 = Q_1 y`` with ``R_11^T y = b_s[selected]``: the minimum-norm
+    * ``x0 = Q [y; 0]`` with ``R_11^T y = b_s[selected]``: the minimum-norm
       solution, since it lies in the row space ``range(Q_1)``;
     * consistency: with ``c = R_11^-1 R_12``, dropped row ``j`` is
       ``sum_k c[k, j] * (kept row k)``, so its residual ``r_j`` at ``x0``
@@ -153,7 +157,12 @@ class ConstraintFactorization:
       with ``s = |b_s| + |A_s| |x0|``, the rounding error of the residuals.
       The bound is per row, so no other row's ``b`` loosens it;
     * orthonormal bases ``Q_1 = Q[:, :p]`` of the row space of A and
-      ``N = Q[:, p:]`` of ker(A).
+      ``N = Q[:, p:]`` of ker(A), each formed from the Householder
+      reflectors the first time it is asked for.
+
+    Q itself is never formed: it stays the product of the reflectors
+    ``dgeqp3`` leaves below the diagonal of R, and ``x0``, ``Q_1`` and
+    ``N`` are applications of it (``dormqr``).
 
     Attributes ``a`` and ``b`` hold the scaled system; residuals of a
     solution belong on the original one.
@@ -188,22 +197,46 @@ class ConstraintFactorization:
         scale[scale == 0.0] = 1.0
         self.a = a / scale[:, None]
         self.b = b / scale
-        try:
-            q, r, piv = scipy.linalg.qr(self.a.T, pivoting=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise ComputationError("pivoted QR factorization failed") from exc
-        e = np.abs(np.diag(r))  # non-increasing: the QR pivots on column norms
+        if min(m, n) == 0:  # LAPACK rejects these shapes; there is nothing to factorize
+            qr, piv, tau = np.zeros((n, m), order="F"), np.arange(m), np.zeros(0)
+        else:
+            # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
+            work, _ = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=-1)[3:]
+            qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=int(work[0]))
+            if info != 0:
+                raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
+            piv = jpvt - 1
+        self._qr = qr[:, : tau.size]  # Householder vectors, with R above them
+        self._tau = tau
+        e = np.abs(np.diag(qr))  # non-increasing: the QR pivots on column norms
         kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
         p = int(kept[-1]) + 1 if kept.size else 0
         self.rank = p
         self.selected = piv[:p]
         self.dropped = piv[p:]
-        self.q = q
-        r11 = r[:p, :p]
-        y = scipy.linalg.solve_triangular(r11, self.b[self.selected], trans="T")
-        self.x0 = q[:, :p] @ y
+        r11 = qr[:p, :p]  # solve_triangular reads only its upper triangle
+        z = np.zeros((n, 1))
+        z[:p, 0] = scipy.linalg.solve_triangular(r11, self.b[self.selected], trans="T")
+        self.x0 = self._apply_q(z, p)[:, 0]
         if p < m:
-            self._check_consistency(scipy.linalg.solve_triangular(r11, r[:p, p:]), eps)
+            self._check_consistency(scipy.linalg.solve_triangular(r11, qr[:p, p:]), eps)
+
+    def _apply_q(self, c, reflectors):
+        """``H_1 ... H_k c`` for the first ``k = reflectors`` Householder reflectors.
+
+        Columns ``j < k`` of Q depend on the first k reflectors only, so
+        ``k = p`` suffices for anything in the row space.
+        """
+        if reflectors == 0:  # dormqr rejects an empty set of reflectors
+            return c
+        v, tau = self._qr[:, :reflectors], self._tau[:reflectors]
+        work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
+        out, _, info = scipy.linalg.lapack.dormqr(
+            "L", "N", v, tau, c, lwork=int(work[0]), overwrite_c=1
+        )
+        if info != 0:
+            raise ComputationError(f"applying the QR reflectors failed (dormqr info={info})")
+        return out
 
     def _check_consistency(self, c, eps):
         """Raise InfeasibleConstraintsError if a dropped row fails at ``x0``.
@@ -226,15 +259,17 @@ class ConstraintFactorization:
                 f"leaves residual {leftover[worst]:.6e} (tolerance {bound[worst]:.6e})"
             )
 
-    @property
+    @cached_property
     def range_basis(self):
         """``Q_1``: orthonormal basis of the row space of A, shape (n, p)."""
-        return self.q[:, : self.rank]
+        n, p = self.a.shape[1], self.rank
+        return self._apply_q(np.eye(n, p, order="F"), p)
 
-    @property
+    @cached_property
     def null_basis(self):
         """``N``: orthonormal basis of ker(A), shape (n, n - p)."""
-        return self.q[:, self.rank :]
+        n, p = self.a.shape[1], self.rank
+        return self._apply_q(np.eye(n, n - p, -p, order="F"), self._tau.size)
 
 
 def symmetric_solve(m, rhs, tol=None):

@@ -180,6 +180,15 @@ class NewtonTrace:
         """||E||_2 at every visited iterate, final included."""
         return [it.grad_norm for it in self.iterations] + [self.final_grad_norm]
 
+    def _finish(self, reduced, g, h, grad_norm, decrement_sq):
+        """Record ``g`` as the last iterate and return the trace."""
+        self.final_g = g
+        self.final_x = reduced.point(g)
+        self.final_h = h
+        self.final_grad_norm = grad_norm
+        self.final_decrement_sq = decrement_sq
+        return self
+
 
 def _newton_step(reduced, g, iteration):
     """Gradient, Newton direction and squared decrement at g.
@@ -320,12 +329,7 @@ def newton_solve(reduced, config=None):
         )
         g = g + t * step
         h_g = h_next
-    trace.final_g = g
-    trace.final_x = reduced.point(g)
-    trace.final_h = h_g
-    trace.final_grad_norm = float(np.linalg.norm(e))
-    trace.final_decrement_sq = dec_sq
-    return trace
+    return trace._finish(reduced, g, h_g, float(np.linalg.norm(e)), dec_sq)
 
 
 def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
@@ -334,8 +338,10 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     ``g <- g - F^{-1} E`` until either the step or the gradient drops
     below ``tol_g`` in the 2-norm. Converges quadratically close to the
     solution but has no global safeguard: three consecutive increases of
-    the objective raise :class:`DivergenceError` (carrying the partial
-    trace); :func:`newton_solve` is the damped alternative. A start point
+    the objective, or a step to a point where it is not finite (outside
+    a barrier's domain), raise :class:`DivergenceError` (carrying the
+    partial trace, which ends at the last finite iterate);
+    :func:`newton_solve` is the damped alternative. A start point
     where the objective is not finite raises :class:`InfeasibleStartError`
     and a non-finite gradient or Hessian :class:`ComputationError`.
     """
@@ -357,15 +363,10 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
         if prev_h is not None and not h_g <= prev_h:
             rises += 1
             if rises >= 3:
-                trace.final_g = g
-                trace.final_x = reduced.point(g)
-                trace.final_h = h_g
-                trace.final_grad_norm = grad_norm
-                trace.final_decrement_sq = dec_sq
                 raise DivergenceError(
                     "pure Newton increased the objective three times in a row; "
                     "use the damped newton_solve instead",
-                    trace=trace,
+                    trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
                 )
         else:
             rises = 0
@@ -375,6 +376,14 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
             break
         if len(trace.iterations) >= max_iter:
             break
+        g_next = g + step
+        h_next = reduced.value(g_next)
+        if not math.isfinite(h_next):
+            raise DivergenceError(
+                f"the full Newton step of iteration {len(trace.iterations)} left the "
+                f"objective's domain (h = {h_next}); use the damped newton_solve instead",
+                trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
+            )
         trace.iterations.append(
             NewtonIteration(
                 g=g.copy(),
@@ -388,14 +397,8 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
         )
         if float(np.linalg.norm(step)) < tol_g:
             step_converged = True  # record the arrival point, then stop
-        g = g + step
-        h_g = reduced.value(g)
-    trace.final_g = g
-    trace.final_x = reduced.point(g)
-    trace.final_h = h_g
-    trace.final_grad_norm = grad_norm
-    trace.final_decrement_sq = dec_sq
-    return trace
+        g, h_g = g_next, h_next
+    return trace._finish(reduced, g, h_g, grad_norm, dec_sq)
 
 
 @dataclass

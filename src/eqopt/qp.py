@@ -4,11 +4,10 @@ Three independent routes to a stationary point of
 ``1/2 x^T Q x + c^T x`` on ``{x : A x = b}``:
 
 * :func:`solve_projector` — projector-form reduction; the n-by-n reduced
-  system is solved with one ``eigh``, so singular reduced systems still
-  yield the minimum-norm stationary point;
+  system, shifted on the row space of A so that its p structural zero
+  eigenvalues become positive, is solved with one Cholesky factorization;
 * :func:`solve_nullspace` — null-space reduction to an (n - m)-sized
-  positive-definite solve with one Cholesky factorization (one ``eigh``
-  instead for indefinite or singular reduced Hessians);
+  positive-definite solve with one Cholesky factorization;
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
   Bunch-Kaufman factorization (LAPACK ``dsytrf``) gives both its inertia
@@ -16,9 +15,14 @@ Three independent routes to a stationary point of
 
 The two elimination routes factorize the constraints once, with one
 pivoted QR of the row-equilibrated ``A^T``
-(:class:`~eqopt.linalg.ConstraintFactorization`). Every solution carries
-the feasibility and stationarity residuals plus a classification of the
-stationary point from reduced-Hessian inertia.
+(:class:`~eqopt.linalg.ConstraintFactorization`), and decide their
+reduced solve by one rule (:func:`_solve_reduced`): the Cholesky solve
+certifies a minimum when LAPACK's condition estimate clears a margin
+above the classification cut; an indefinite, singular or ill-conditioned
+reduced system is solved with one ``eigh`` instead, which yields the
+minimum-norm stationary point and its classification. Every solution
+carries the feasibility and stationarity residuals plus a classification
+of the stationary point from reduced-Hessian inertia.
 """
 
 from dataclasses import dataclass
@@ -116,15 +120,60 @@ def _classify(eigs, expected_zeros):
     return "saddle"
 
 
+def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
+    """Solve a reduced stationary system ``aa g = rhs`` and classify the point.
+
+    ``aa`` is symmetric, with ``expected_zeros`` structural zero
+    eigenvalues; ``shift``, if given, is the orthogonal projector onto
+    their eigenvectors. Cholesky first: ``M = aa + sigma * shift`` with
+    ``sigma = max|diag(aa)|`` (1 if that is 0) has the eigenvalues of the
+    reduced Hessian plus ``expected_zeros`` copies of ``sigma``, and the
+    same solution, since ``rhs`` and the minimum-norm ``g`` lie where
+    ``shift`` vanishes. With structural zeros and no shift, ``aa`` is
+    singular and Cholesky is skipped. The Cholesky solve is accepted, and the
+    point called a minimum, only when LAPACK's ``dpocon`` estimate of
+    ``rcond_1(M)`` exceeds ``10 k^2 EPS``: as ``kappa_2 <= k kappa_1``,
+    every eigenvalue of ``M`` then clears the :func:`_classify` cut
+    ``EPS k max|eig|`` with a factor of 10 to spare. Otherwise one
+    ``eigh`` gives the minimum-norm solution (eigenvalues below ``tol``
+    relative dropped) and the classification.
+
+    Returns
+    -------
+    g : (k,) ndarray
+    classification : str
+    """
+    k = aa.shape[0]
+    if shift is not None or expected_zeros == 0:
+        m = aa
+        if shift is not None:
+            sigma = float(np.max(np.abs(np.diag(aa)))) or 1.0
+            m = aa + sigma * shift
+        try:
+            chol = scipy.linalg.cho_factor(m)
+        except np.linalg.LinAlgError:
+            pass  # not positive definite
+        else:
+            rcond, info = scipy.linalg.lapack.dpocon(chol[0], np.linalg.norm(m, 1))
+            if info == 0 and rcond > 10.0 * k * k * EPS:
+                return scipy.linalg.cho_solve(chol, rhs), "min"
+    g, eigs = symmetric_solve(aa, rhs, tol)
+    return g, _classify(eigs, expected_zeros)
+
+
 def solve_projector(problem, h_choice="transpose_of_a", eps=None):
     """Stationary point via the projector form.
 
     The constraints are factorized once (their redundant rows dropped),
     the expression ``x = x0 + D g`` is built, and the stationary system
-    ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved with one
-    eigendecomposition, which also classifies the point — so indefinite
-    and even singular reduced Hessians are handled, returning the
-    minimum-norm free vector.
+    ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved by
+    :func:`_solve_reduced`. For the default ``H = A^T``,
+    ``D = I - Q_1 Q_1^T`` is an orthogonal projector, so a shift on
+    ``I - D`` lifts the p structural zero eigenvalues and a
+    positive-definite, well-conditioned reduced Hessian is solved by one
+    Cholesky factorization. Other choices of H make D oblique and keep
+    the eigendecomposition, as do indefinite and even singular reduced
+    Hessians, which yields the minimum-norm free vector.
 
     Raises
     ------
@@ -145,9 +194,11 @@ def solve_projector(problem, h_choice="transpose_of_a", eps=None):
         aa = expr.d.T @ problem.q @ expr.d
         aa = 0.5 * (aa + aa.T)
         rhs = expr.d.T @ (problem.q @ expr.x0 + problem.c)
-        g, eigs = symmetric_solve(aa, rhs, eps)
+        shift = None
+        if isinstance(h_choice, str) and h_choice == "transpose_of_a":
+            shift = np.eye(n) - expr.d  # Q_1 Q_1^T
+        g, sol_class = _solve_reduced(aa, rhs, expected_zeros=p, shift=shift, tol=eps)
         x = expr.embed(-g)
-        sol_class = _classify(eigs, expected_zeros=p)
     grad = problem.q @ x + problem.c
     stationarity = float(np.max(np.abs(expr.d.T @ grad), initial=0.0))
     return QpSolution(
@@ -164,10 +215,11 @@ def solve_projector(problem, h_choice="transpose_of_a", eps=None):
 def solve_nullspace(problem, eps=None):
     """Stationary point via the null-space form.
 
-    Solves ``(N^T Q N) g = -(N^T Q x0 + N^T c)`` with a Cholesky
-    factorization (certifying a minimizer when it succeeds) and falls
-    back to an eigendecomposition for indefinite or singular reduced
-    Hessians, where zero modes are dropped pseudo-inverse style.
+    Solves ``(N^T Q N) g = -(N^T Q x0 + N^T c)`` by :func:`_solve_reduced`:
+    a Cholesky factorization, certifying a minimizer when it succeeds
+    and its condition estimate clears the margin, and an
+    eigendecomposition for indefinite, singular or ill-conditioned
+    reduced Hessians, where zero modes are dropped pseudo-inverse style.
     """
     cons = problem.constraints
     factorization = ConstraintFactorization(cons.a, cons.b, eps)
@@ -182,13 +234,7 @@ def solve_nullspace(problem, eps=None):
         bmat = nb.T @ problem.q @ nb
         bmat = 0.5 * (bmat + bmat.T)
         rhs = nb.T @ (problem.q @ expr.x0 + problem.c)
-        try:
-            cf = scipy.linalg.cho_factor(bmat)
-            g = scipy.linalg.cho_solve(cf, rhs)
-            sol_class = "min"
-        except np.linalg.LinAlgError:
-            g, w = symmetric_solve(bmat, rhs)
-            sol_class = _classify(w, expected_zeros=0)
+        g, sol_class = _solve_reduced(bmat, rhs, expected_zeros=0)
         x = expr.embed(-g)
     grad = problem.q @ x + problem.c
     stationarity = float(np.max(np.abs(nb.T @ grad), initial=0.0))

@@ -150,6 +150,32 @@ def test_solve_barrier_start_outside_the_domain_exits_5(tmp_path, capsys):
         assert "start point" in capsys.readouterr().err
 
 
+def test_solve_sqp_step_out_of_the_barrier_domain_exits_3(tmp_path, capsys):
+    # the full Newton step from (0, 0) leaves the barrier's domain x1 < 1
+    doc = {
+        "formatVersion": 1,
+        "kind": "nlp",
+        "n": 2,
+        "m": 1,
+        "objective": {
+            "name": "neg_log_barrier_quadratic",
+            "params": {
+                "q": [[1.0, 0.0], [0.0, 1.0]],
+                "c": [-10.0, 0.0],
+                "barrier_a": [[1.0, 0.0]],
+                "barrier_b": [1.0],
+                "mu": 1e-3,
+            },
+        },
+        "A": [[1.0, 1.0]],
+        "b": [0.0],
+    }
+    path = _write_doc(tmp_path / "barrier.json", doc)
+    assert cli.main(["solve", "--input", path, "--method", "sqp"]) == 3
+    assert "domain" in capsys.readouterr().err
+    assert cli.main(["solve", "--input", path, "--method", "newton"]) == 0
+
+
 def test_solve_newton_with_trace(tmp_path):
     out = tmp_path / "sol.json"
     trace_path = tmp_path / "trace.json"

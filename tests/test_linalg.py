@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqopt.errors import (
@@ -246,6 +247,22 @@ def test_constraint_factorization_parts():
     b_bad[m] *= 1.0 + 1e-6
     with pytest.raises(InfeasibleConstraintsError):
         ConstraintFactorization(a, b_bad)
+
+    # the bases formed from the reflectors span the spaces of an explicit Q:
+    # m > n (rank 7 of 12), p = 0 (no rows, all-zero rows) and p = n
+    rank7 = rng.uniform(-1, 1, (20, 7)) @ rng.uniform(-1, 1, (7, n))
+    for a, p in [(a, m), (rank7, 7), (np.zeros((0, n)), 0), (np.zeros((3, n)), 0),
+                 (rng.uniform(-1, 1, (n, n)), n)]:
+        f = ConstraintFactorization(a, a @ np.ones(n))
+        assert f.rank == p
+        q1, nb = f.range_basis, f.null_basis
+        assert q1.shape == (n, p) and nb.shape == (n, n - p)
+        assert np.max(np.abs(np.hstack([q1, nb]).T @ np.hstack([q1, nb]) - np.eye(n)), initial=0.0) < 1e-12
+        ref = scipy.linalg.qr(f.a.T, pivoting=True)[0] if a.shape[0] else np.eye(n)
+        assert np.max(np.abs(q1 @ q1.T - ref[:, :p] @ ref[:, :p].T)) < 1e-12
+        assert np.max(np.abs(nb @ nb.T - ref[:, p:] @ ref[:, p:].T)) < 1e-12
+        assert np.max(np.abs(a @ f.x0 - a @ np.ones(n)), initial=0.0) < 1e-12
+        assert np.max(np.abs(nb.T @ f.x0), initial=0.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

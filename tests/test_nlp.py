@@ -452,3 +452,20 @@ def test_start_outside_the_barrier_domain_is_refused():
     assert abs(reduced.point(g0)[0]) < 1e-12
     trace = newton_solve(reduced, NewtonConfig(g0=g0))
     assert trace.converged and trace.final_x[0] < 0.5
+
+
+def test_sqp_step_out_of_the_barrier_domain_is_divergence():
+    # from x = (0, 0) on x1 + x2 = 0 the full Newton step of the mu = 1e-3
+    # barrier lands beyond x1 < 1, where the barrier is infinite
+    oracle = neg_log_barrier_quadratic(
+        np.eye(2), c=[-10.0, 0.0], barrier_a=[[1.0, 0.0]], barrier_b=[1.0], mu=1e-3
+    )
+    reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0]], [0.0]))
+    with pytest.raises(DivergenceError, match="domain") as info:
+        sqp_iterate(reduced)
+    trace = info.value.trace
+    assert math.isfinite(trace.final_h) and trace.final_x[0] < 1.0
+    assert trace.h_values() == [it.h_value for it in trace.iterations] + [trace.final_h]
+    # the damped loop stays inside and converges
+    damped = newton_solve(reduced)
+    assert damped.converged and damped.final_x[0] < 1.0

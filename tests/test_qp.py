@@ -287,16 +287,22 @@ FACTORIZATIONS = [
     (scipy.linalg, "ldl"),
     (scipy.linalg, "solve"),
     (scipy.linalg.lapack, "dsytrf"),
+    (scipy.linalg.lapack, "dgeqp3"),
 ]
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Names of the factorizations called, in order."""
+    """Names of the factorizations called, in order.
+
+    A LAPACK workspace query (``lwork=-1``) factorizes nothing and is not
+    listed.
+    """
     calls = []
     for module, attr in FACTORIZATIONS:
         def counted(*args, _fn=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
-            calls.append(_name)
+            if kwargs.get("lwork") != -1:
+                calls.append(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
@@ -307,16 +313,50 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
     spd = generate(GeneratorSpec(n=30, m=12, seed=46))
     indefinite = generate(GeneratorSpec(n=30, m=12, seed=46, q_class="symmetric_indefinite"))
     expected = [
-        (solve_projector, spd, ["scipy.linalg.qr", "numpy.linalg.eigh"]),
-        (solve_nullspace, spd, ["scipy.linalg.qr", "scipy.linalg.cho_factor"]),
+        (solve_projector, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor"]),
+        (solve_projector, indefinite,
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
+        (solve_nullspace, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor"]),
         (solve_nullspace, indefinite,
-         ["scipy.linalg.qr", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
         (solve_kkt, spd, ["scipy.linalg.lapack.dsytrf"]),
     ]
     for solve, problem, names in expected:
         factorizations.clear()
         solve(problem)
         assert factorizations == names, solve.__name__
+
+
+def _reduced_hessian_problem(seed, smallest, n=40, m=10):
+    """QP whose reduced Hessian N^T Q N has eigenvalues 1, ..., 1, ``smallest``."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, n))
+    null = scipy.linalg.null_space(a)
+    row = scipy.linalg.orth(a.T)
+    lam = np.ones(n - m)
+    lam[0] = smallest
+    q = (null * lam) @ null.T + row @ row.T
+    return QpProblem(q, rng.uniform(-1, 1, n), EqualityConstraints(a, a @ rng.uniform(-1, 1, n)))
+
+
+def test_minimum_needs_a_well_conditioned_cholesky(factorizations):
+    # The null-space cut of the classification is EPS (n - m) max|eig|; the
+    # projector's, EPS n max|eig|, is larger. Cholesky is accepted only when
+    # rcond clears 10 k^2 EPS: 2e-12 (null-space) and 4e-12 (projector) here.
+    eps = np.finfo(float).eps
+    cases = [
+        (0.5 * eps * 30, "non_unique", True),  # below both cuts: flat direction
+        (1e-13, "min", True),  # above the cut, below the guard: eigh decides
+        (1e-6, "min", False),  # clearly above the guard: Cholesky decides
+    ]
+    for seed in range(3):
+        for smallest, label, needs_eigh in cases:
+            problem = _reduced_hessian_problem(seed, smallest)
+            for solve in (solve_projector, solve_nullspace):
+                factorizations.clear()
+                sol = solve(problem)
+                assert sol.classification == label, (seed, smallest, solve.__name__)
+                assert ("numpy.linalg.eigh" in factorizations) == needs_eigh
 
 
 def _nearly_dependent_rows_problem(seed, n=10, m=4):
