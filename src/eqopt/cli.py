@@ -306,6 +306,8 @@ def _environment():
 
 
 def cmd_bench(args):
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
     sizes = _parse_sizes(args.sizes)
     methods = _parse_methods(args.methods)
     master = np.random.default_rng(args.seed)

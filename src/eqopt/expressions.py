@@ -74,7 +74,6 @@ class ProjectorExpression:
 
     x0: np.ndarray
     d: np.ndarray
-    h: np.ndarray
 
     @property
     def free_dim(self):
@@ -119,11 +118,10 @@ def projector_from(factorization, h_choice="transpose_of_a"):
     f = factorization
     n, p = f.a.shape[1], f.rank
     if p == 0:
-        return ProjectorExpression(x0=np.zeros(n), d=np.eye(n), h=np.zeros((n, 0)))
-    a = f.a[f.selected]
+        return ProjectorExpression(x0=np.zeros(n), d=np.eye(n))
     if isinstance(h_choice, str) and h_choice == "transpose_of_a":
         q1 = f.range_basis
-        return ProjectorExpression(x0=f.x0, d=np.eye(n) - q1 @ q1.T, h=a.T)
+        return ProjectorExpression(x0=f.x0, d=np.eye(n) - q1 @ q1.T)
     if isinstance(h_choice, str):
         if h_choice != "identity_block":
             raise ValueError(
@@ -137,6 +135,7 @@ def projector_from(factorization, h_choice="transpose_of_a"):
         if h.shape != (n, p):
             raise ValueError(f"H has shape {h.shape}, expected ({n}, {p})")
 
+    a = f.a[f.selected]
     ah = a @ h
     sv = scipy.linalg.svdvals(ah)
     if sv[0] == 0.0 or sv[-1] <= EPS * p * sv[0]:
@@ -147,7 +146,7 @@ def projector_from(factorization, h_choice="transpose_of_a"):
     lu = scipy.linalg.lu_factor(ah)
     x0 = h @ scipy.linalg.lu_solve(lu, f.b[f.selected])
     d = np.eye(n) - h @ scipy.linalg.lu_solve(lu, a)
-    return ProjectorExpression(x0=x0, d=d, h=h)
+    return ProjectorExpression(x0=x0, d=d)
 
 
 def build_projector(constraints, h_choice="transpose_of_a"):

@@ -3,11 +3,14 @@
 The constraints are eliminated by the null-space parameterization
 ``x = x0 + N g``, leaving the unconstrained reduced problem
 ``h(g) = f(x0 + N g)`` with gradient ``N^T grad f`` and Hessian
-``N^T (hess f) N``. On top of the damped-Newton and pure-Newton loops
-this module provides the a-priori convergence certificates: the
-gradient-based suboptimality bound, the damped/pure phase constants and
-the iteration cap they imply, and the quadratic contraction factor of
-the pure phase.
+``N^T (hess f) N``. Damped Newton (:func:`newton_solve`) and pure Newton
+(:func:`sqp_iterate`) are the two phases of one Newton iteration and run
+the same loop, which differs only in its step rule (Armijo backtracking
+or the full step) and its stop rule (the Newton decrement or the
+gradient and step norms). On top of it this module provides the
+a-priori convergence certificates: the gradient-based suboptimality
+bound, the damped/pure phase constants and the iteration cap they imply,
+and the quadratic contraction factor of the pure phase.
 """
 
 import math
@@ -277,6 +280,67 @@ def backtracking_line_search(reduced, g, direction, alpha=0.25, beta=0.5):
     return _armijo(reduced, g, direction, reduced.value(g), slope, alpha, beta)[0]
 
 
+def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
+    """The Newton iteration behind :func:`newton_solve` and :func:`sqp_iterate`.
+
+    Damped (``armijo = (alpha, beta)``): Armijo steps, stop when half the
+    squared decrement drops to ``tol``. Pure (``armijo = None``): full
+    steps, stop once the gradient or the last step is shorter than ``tol``,
+    and raise :class:`DivergenceError` on three rises in a row or a step
+    out of the objective's domain.
+    """
+    g = np.zeros(reduced.free_dim) if g0 is None else as_vector(g0, "g0").copy()
+    if g.shape[0] != reduced.free_dim:
+        raise ValueError(f"g0 has length {g.shape[0]}, expected {reduced.free_dim}")
+    trace = NewtonTrace()
+    h_g = _start_value(reduced, g)
+    rises = 0
+    arrived = False
+    while True:
+        e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
+        grad_norm = float(np.linalg.norm(e))
+        if armijo is None:
+            rose = trace.iterations and not h_g <= trace.iterations[-1].h_value
+            rises = rises + 1 if rose else 0
+            if rises >= 3:
+                raise DivergenceError(
+                    "pure Newton increased the objective three times in a row; "
+                    "use the damped newton_solve instead",
+                    trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
+                )
+            done = arrived or grad_norm < tol
+        else:
+            done = dec_sq / 2.0 <= tol
+        trace.converged = done
+        if done or len(trace.iterations) >= max_iter:
+            break
+        if armijo is None:
+            t, h_next = 1.0, reduced.value(g + step)
+            if not math.isfinite(h_next):
+                raise DivergenceError(
+                    f"the full Newton step of iteration {len(trace.iterations)} left the "
+                    f"objective's domain (h = {h_next}); use the damped newton_solve instead",
+                    trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
+                )
+            arrived = float(np.linalg.norm(step)) < tol  # record the arrival point, then stop
+        else:
+            t, h_next = _armijo(reduced, g, step, h_g, -dec_sq, *armijo)
+        trace.iterations.append(
+            NewtonIteration(
+                g=g.copy(),
+                x=reduced.point(g),
+                h_value=h_g,
+                grad_norm=grad_norm,
+                decrement_sq=dec_sq,
+                step_size=t,
+                phase="pure" if t == 1.0 else "damped",
+            )
+        )
+        g = g + t * step
+        h_g = h_next
+    return trace._finish(reduced, g, h_g, grad_norm, dec_sq)
+
+
 def newton_solve(reduced, config=None):
     """Damped Newton with backtracking on the reduced objective.
 
@@ -298,38 +362,9 @@ def newton_solve(reduced, config=None):
         If backtracking underflows (gradient/value inconsistency).
     """
     config = config if config is not None else NewtonConfig()
-    if config.g0 is None:
-        g = np.zeros(reduced.free_dim)
-    else:
-        g = config.g0.copy()
-        if g.shape[0] != reduced.free_dim:
-            raise ValueError(
-                f"g0 has length {g.shape[0]}, expected {reduced.free_dim}"
-            )
-    trace = NewtonTrace()
-    h_g = _start_value(reduced, g)
-    while True:
-        e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
-        if dec_sq / 2.0 <= config.epsilon:
-            trace.converged = True
-            break
-        if len(trace.iterations) >= config.max_iter:
-            break
-        t, h_next = _armijo(reduced, g, step, h_g, -dec_sq, config.alpha, config.beta)
-        trace.iterations.append(
-            NewtonIteration(
-                g=g.copy(),
-                x=reduced.point(g),
-                h_value=h_g,
-                grad_norm=float(np.linalg.norm(e)),
-                decrement_sq=dec_sq,
-                step_size=t,
-                phase="pure" if t == 1.0 else "damped",
-            )
-        )
-        g = g + t * step
-        h_g = h_next
-    return trace._finish(reduced, g, h_g, float(np.linalg.norm(e)), dec_sq)
+    return _newton_loop(
+        reduced, config.g0, config.max_iter, config.epsilon, (config.alpha, config.beta)
+    )
 
 
 def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
@@ -349,56 +384,7 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
         raise ValueError("tol_g must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    g = np.zeros(reduced.free_dim) if g0 is None else as_vector(g0, "g0").copy()
-    if g.shape[0] != reduced.free_dim:
-        raise ValueError(f"g0 has length {g.shape[0]}, expected {reduced.free_dim}")
-    trace = NewtonTrace()
-    rises = 0
-    prev_h = None
-    step_converged = False
-    h_g = _start_value(reduced, g)
-    while True:
-        e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
-        grad_norm = float(np.linalg.norm(e))
-        if prev_h is not None and not h_g <= prev_h:
-            rises += 1
-            if rises >= 3:
-                raise DivergenceError(
-                    "pure Newton increased the objective three times in a row; "
-                    "use the damped newton_solve instead",
-                    trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
-                )
-        else:
-            rises = 0
-        prev_h = h_g
-        if step_converged or grad_norm < tol_g:
-            trace.converged = True
-            break
-        if len(trace.iterations) >= max_iter:
-            break
-        g_next = g + step
-        h_next = reduced.value(g_next)
-        if not math.isfinite(h_next):
-            raise DivergenceError(
-                f"the full Newton step of iteration {len(trace.iterations)} left the "
-                f"objective's domain (h = {h_next}); use the damped newton_solve instead",
-                trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
-            )
-        trace.iterations.append(
-            NewtonIteration(
-                g=g.copy(),
-                x=reduced.point(g),
-                h_value=h_g,
-                grad_norm=grad_norm,
-                decrement_sq=dec_sq,
-                step_size=1.0,
-                phase="pure",
-            )
-        )
-        if float(np.linalg.norm(step)) < tol_g:
-            step_converged = True  # record the arrival point, then stop
-        g, h_g = g_next, h_next
-    return trace._finish(reduced, g, h_g, grad_norm, dec_sq)
+    return _newton_loop(reduced, g0, max_iter, tol_g)
 
 
 @dataclass

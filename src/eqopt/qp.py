@@ -15,14 +15,18 @@ Three independent routes to a stationary point of
 
 The two elimination routes factorize the constraints once, with one
 pivoted QR of the row-equilibrated ``A^T``
-(:class:`~eqopt.linalg.ConstraintFactorization`), and decide their
-reduced solve by one rule (:func:`_solve_reduced`): the Cholesky solve
-certifies a minimum when LAPACK's condition estimate clears a margin
-above the classification cut; an indefinite, singular or ill-conditioned
-reduced system is solved with one ``eigh`` instead, which yields the
-minimum-norm stationary point and its classification. Every solution
-carries the feasibility and stationarity residuals plus a classification
-of the stationary point from reduced-Hessian inertia.
+(:class:`~eqopt.linalg.ConstraintFactorization`), and share one body
+(:func:`_solve_eliminated`) that differs only in the basis ``B`` (``D`` or
+``N``), its structural zeros and the projector's shift. It forms
+``B^T Q B`` and decides the reduced solve by one rule
+(:func:`_solve_reduced`), with ``eps`` as the minimum-norm cutoff on both
+routes: the Cholesky solve certifies a minimum when LAPACK's condition
+estimate clears a margin above the classification cut; an indefinite,
+singular or ill-conditioned reduced system is solved with one ``eigh``
+instead, which yields the minimum-norm stationary point and its
+classification. Every solution carries the feasibility and stationarity
+residuals plus a classification of the stationary point from
+reduced-Hessian inertia.
 """
 
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import OracleUnavailableError
-from .expressions import EqualityConstraints, NullspaceExpression, projector_from
+from .expressions import EqualityConstraints, projector_from
 from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector, symmetric_solve
 
 
@@ -161,6 +165,36 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     return g, _classify(eigs, expected_zeros)
 
 
+def _solve_eliminated(problem, x0, basis, method, expected_zeros, shift=None, eps=None):
+    """Stationary point on ``x = x0 + B g``: the body of both eliminations.
+
+    Forms the reduced Hessian ``B^T Q B`` and gradient ``B^T (Q x0 + c)``,
+    solves by :func:`_solve_reduced` (``eps`` is its minimum-norm cutoff),
+    embeds ``x = x0 - B g`` and reports the stationarity residual
+    ``||B^T (Q x + c)||_inf``. ``B`` has ``expected_zeros`` structural null
+    directions; when that is all its columns the feasible set is one point.
+    """
+    if basis.shape[1] == expected_zeros:
+        x = x0
+        sol_class = "point"
+    else:
+        aa = basis.T @ problem.q @ basis
+        aa = 0.5 * (aa + aa.T)
+        rhs = basis.T @ (problem.q @ x0 + problem.c)
+        g, sol_class = _solve_reduced(aa, rhs, expected_zeros, shift=shift, tol=eps)
+        x = x0 - basis @ g
+    grad = problem.q @ x + problem.c
+    return QpSolution(
+        x=x,
+        objective=problem.objective_value(x),
+        method=method,
+        constraint_residual=problem.constraints.residual(x),
+        stationarity_residual=float(np.max(np.abs(basis.T @ grad), initial=0.0)),
+        classification=sol_class,
+        degenerate=(sol_class == "point"),
+    )
+
+
 def solve_projector(problem, h_choice="transpose_of_a", eps=None):
     """Stationary point via the projector form.
 
@@ -184,31 +218,12 @@ def solve_projector(problem, h_choice="transpose_of_a", eps=None):
     """
     cons = problem.constraints
     factorization = ConstraintFactorization(cons.a, cons.b, eps)
-    n = problem.n
     expr = projector_from(factorization, h_choice)
-    p = factorization.rank
-    if p == n:
-        x = expr.x0
-        sol_class = "point"
-    else:
-        aa = expr.d.T @ problem.q @ expr.d
-        aa = 0.5 * (aa + aa.T)
-        rhs = expr.d.T @ (problem.q @ expr.x0 + problem.c)
-        shift = None
-        if isinstance(h_choice, str) and h_choice == "transpose_of_a":
-            shift = np.eye(n) - expr.d  # Q_1 Q_1^T
-        g, sol_class = _solve_reduced(aa, rhs, expected_zeros=p, shift=shift, tol=eps)
-        x = expr.embed(-g)
-    grad = problem.q @ x + problem.c
-    stationarity = float(np.max(np.abs(expr.d.T @ grad), initial=0.0))
-    return QpSolution(
-        x=x,
-        objective=problem.objective_value(x),
-        method="projector",
-        constraint_residual=problem.constraints.residual(x),
-        stationarity_residual=stationarity,
-        classification=sol_class,
-        degenerate=(p == n),
+    shift = None
+    if isinstance(h_choice, str) and h_choice == "transpose_of_a":
+        shift = np.eye(problem.n) - expr.d  # Q_1 Q_1^T
+    return _solve_eliminated(
+        problem, expr.x0, expr.d, "projector", factorization.rank, shift, eps
     )
 
 
@@ -223,29 +238,8 @@ def solve_nullspace(problem, eps=None):
     """
     cons = problem.constraints
     factorization = ConstraintFactorization(cons.a, cons.b, eps)
-    n = problem.n
-    expr = NullspaceExpression(x0=factorization.x0, n_basis=factorization.null_basis)
-    nb = expr.n_basis
-    p = factorization.rank
-    if nb.shape[1] == 0:
-        x = expr.x0
-        sol_class = "point"
-    else:
-        bmat = nb.T @ problem.q @ nb
-        bmat = 0.5 * (bmat + bmat.T)
-        rhs = nb.T @ (problem.q @ expr.x0 + problem.c)
-        g, sol_class = _solve_reduced(bmat, rhs, expected_zeros=0)
-        x = expr.embed(-g)
-    grad = problem.q @ x + problem.c
-    stationarity = float(np.max(np.abs(nb.T @ grad), initial=0.0))
-    return QpSolution(
-        x=x,
-        objective=problem.objective_value(x),
-        method="nullspace",
-        constraint_residual=problem.constraints.residual(x),
-        stationarity_residual=stationarity,
-        classification=sol_class,
-        degenerate=(p == n),
+    return _solve_eliminated(
+        problem, factorization.x0, factorization.null_basis, "nullspace", 0, eps=eps
     )
 
 

@@ -326,6 +326,16 @@ def test_bench_zero_trials_gives_empty_rows(tmp_path):
     assert json.loads(report_path.read_text())["rows"] == []
 
 
+def test_bench_negative_trials_exit_4(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code = cli.main(
+        ["bench", "--sizes", "6:2", "--trials", "-3", "--output", str(report_path)]
+    )
+    assert code == 4
+    assert "trials" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_bench_seed_reproduces_everything_but_times(tmp_path):
     def run(name):
         path = tmp_path / name

@@ -427,6 +427,59 @@ def test_newton_reuses_the_accepted_line_search_value():
     assert trace.final_h == h_final
 
 
+def reference_pure_newton(reduced, tol_g, max_iter):
+    """Full-step Newton that evaluates h afresh at every iterate.
+
+    Same arithmetic and stop rule as sqp_iterate: stop at an iterate whose
+    gradient norm is below tol_g or that a step shorter than tol_g reached.
+    Returns the (g, h, t) of each step, the final (g, h) and whether it
+    stopped by that rule rather than by max_iter.
+    """
+    g = np.zeros(reduced.free_dim)
+    steps = []
+    arrived = False
+    while True:
+        e = reduced.gradient(g)
+        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g)), e)
+        h = reduced.value(g)
+        if arrived or float(np.linalg.norm(e)) < tol_g:
+            return steps, (g, h), True
+        if len(steps) >= max_iter:
+            return steps, (g, h), False
+        steps.append((g, h, 1.0))
+        arrived = float(np.linalg.norm(step)) < tol_g
+        g = g + step
+
+
+def test_sqp_matches_a_reference_pure_newton_loop():
+    rng = np.random.default_rng(27)
+    steep = reduce_problem(
+        log_sum_exp(3.0 * rng.uniform(-1, 1, (40, 10))),
+        EqualityConstraints(rng.uniform(-1, 1, (3, 10)), rng.uniform(-0.3, 0.3, 3)),
+    )
+    stiff = generate(GeneratorSpec(n=12, m=4, seed=0, entry_scale=1e4))
+    cases = [
+        (lse_reduced(22)[0], 1e-10, 100),
+        (lse_reduced(22)[0], 1e-4, 100),
+        (lse_reduced(22)[0], 1e-10, 3),  # stopped by max_iter
+        (steep, 1e-10, 100),  # Armijo would shorten one of its full steps
+        # stopped by a step shorter than tol_g, the gradient still above it
+        (reduce_problem(quadratic(stiff.q, stiff.c), stiff.constraints), 1e-10, 100),
+    ]
+    for reduced, tol_g, max_iter in cases:
+        trace = sqp_iterate(reduced, tol_g=tol_g, max_iter=max_iter)
+        steps, (g_final, h_final), converged = reference_pure_newton(reduced, tol_g, max_iter)
+        assert trace.converged == converged
+        assert len(steps) == len(trace.iterations) >= 2
+        for it, (g, h, t) in zip(trace.iterations, steps):
+            assert np.array_equal(it.g, g)
+            assert it.h_value == h
+            assert it.step_size == t
+            assert it.phase == "pure"
+        assert np.array_equal(trace.final_g, g_final)
+        assert trace.final_h == h_final
+
+
 def test_nan_hessian_is_a_computation_error():
     oracle = ObjectiveOracle(
         3,

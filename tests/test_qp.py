@@ -106,6 +106,21 @@ def test_classification_non_unique_flat_direction():
         solve_kkt(problem)  # singular saddle system: strict oracle refuses
 
 
+def test_eps_sets_the_minimum_norm_cutoff_on_both_eliminations():
+    # the free block diag(-1, 1, 1e-9) is indefinite, so both paths take the
+    # eigendecomposition; eps = 1e-6 treats the 1e-9 mode as flat and leaves
+    # its coordinate at zero, the default cutoff inverts it
+    cons = EqualityConstraints([[0.0, 0.0, 0.0, 1.0]], [1.0])
+    problem = QpProblem(np.diag([-1.0, 1.0, 1e-9, 2.0]), np.array([0.0, 0.0, 1.0, 0.0]), cons)
+    for solve in (solve_projector, solve_nullspace):
+        coarse = solve(problem, eps=1e-6)
+        assert_allclose(coarse.x, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+        assert coarse.classification == "saddle"
+        fine = solve(problem)
+        assert_allclose(fine.x, [0.0, 0.0, -1e9, 1.0], rtol=1e-9)
+        assert fine.classification == "saddle"
+
+
 def test_degenerate_single_point():
     problem = QpProblem(
         np.diag([1.0, 2.0]), np.ones(2), EqualityConstraints(np.eye(2), [3.0, 4.0])
