@@ -21,24 +21,10 @@ from .errors import (
     ProblemFormatError,
     ProblemParseError,
     ProblemSchemaError,
-    RankDeficiencyError,
     UnknownObjectiveError,
 )
-from .expressions import (
-    EqualityConstraints,
-    NullspaceExpression,
-    ProjectorExpression,
-    build_nullspace,
-    build_projector,
-    embed,
-)
-from .linalg import (
-    ConstraintFactorization,
-    ReducedConstraints,
-    nullspace_basis,
-    pseudo_inverse,
-    rrqr_reduce,
-)
+from .expressions import ConstrainedExpression, EqualityConstraints, build_projector
+from .linalg import ConstraintFactorization, pseudo_inverse
 from .nlp import (
     ConvergenceConstants,
     IterationBound,
@@ -71,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComputationError",
+    "ConstrainedExpression",
     "ConstraintFactorization",
     "ConvergenceConstants",
     "DivergenceError",
@@ -88,23 +75,17 @@ __all__ = [
     "NewtonTrace",
     "NlpProblem",
     "NonConvexError",
-    "NullspaceExpression",
     "ObjectiveOracle",
     "OracleUnavailableError",
     "ProblemFormatError",
     "ProblemParseError",
     "ProblemSchemaError",
-    "ProjectorExpression",
     "QpProblem",
     "QpSolution",
-    "RankDeficiencyError",
-    "ReducedConstraints",
     "ReducedObjective",
     "UnknownObjectiveError",
     "backtracking_line_search",
-    "build_nullspace",
     "build_projector",
-    "embed",
     "estimate_convergence_constants",
     "generate",
     "iteration_bound",
@@ -113,13 +94,11 @@ __all__ = [
     "neg_log_barrier_quadratic",
     "newton_decrement",
     "newton_solve",
-    "nullspace_basis",
     "objective_names",
     "objective_registry",
     "pseudo_inverse",
     "quadratic",
     "reduce_problem",
-    "rrqr_reduce",
     "save",
     "solve_kkt",
     "solve_nullspace",

@@ -3,7 +3,7 @@
 ``eqopt solve`` solves a problem file with any of the five methods,
 ``eqopt bench`` runs seeded Monte Carlo timing benchmarks (table on
 stdout, JSON report on disk), ``eqopt check`` runs the invariant /
-oracle / convergence self-check suites.
+oracle / convergence self-check suites of :mod:`eqopt.selfcheck`.
 
 Exit codes: 0 success, 1 self-check violation, 2 infeasible constraints,
 3 non-convergence or numerical failure, 4 input error, 5 start point
@@ -20,7 +20,7 @@ import time
 import numpy as np
 import scipy
 
-from . import objectives
+from . import objectives, selfcheck
 from .errors import (
     ComputationError,
     DivergenceError,
@@ -31,20 +31,10 @@ from .errors import (
     NonConvexError,
     OracleUnavailableError,
     ProblemFormatError,
-    RankDeficiencyError,
     UnknownObjectiveError,
 )
-from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import nullspace_basis, pseudo_inverse, rrqr_reduce
-from .nlp import (
-    NewtonConfig,
-    estimate_convergence_constants,
-    iteration_bound,
-    newton_solve,
-    reduce_problem,
-    sqp_iterate,
-)
-from .problems import GeneratorSpec, NlpProblem, generate, load
+from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
+from .problems import GeneratorSpec, generate, load
 from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 EXIT_OK = 0
@@ -69,7 +59,6 @@ _FAILURE_KINDS = {
     LineSearchError: "non_converged",
     OracleUnavailableError: "ill_conditioned",
     ComputationError: "ill_conditioned",
-    RankDeficiencyError: "ill_conditioned",
 }
 
 
@@ -286,11 +275,6 @@ def _parse_methods(text):
     return methods
 
 
-def _rel_gap(x, y):
-    scale = 1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    return float(np.max(np.abs(x - y))) / scale
-
-
 def _environment():
     """What the timings depend on besides the code: versions, CPUs and the
     BLAS thread settings (thread count alone moves them severalfold)."""
@@ -342,7 +326,7 @@ def cmd_bench(args):
                 xs.append(sol.x)
             for i in range(len(xs)):
                 for j in range(i + 1, len(xs)):
-                    max_disagree = max(max_disagree, _rel_gap(xs[i], xs[j]))
+                    max_disagree = max(max_disagree, selfcheck._rel_gap(xs[i], xs[j]))
         for name in methods:
             entry = stats[name]
             mean_ms = (
@@ -413,380 +397,6 @@ def cmd_bench(args):
 # check
 
 
-def _check_rng(seed, salt):
-    return np.random.default_rng([seed, salt])
-
-
-def _check_pinv_penrose(seed, trials):
-    rng = _check_rng(seed, 1)
-    for t in range(trials):
-        r = int(rng.integers(1, 30))
-        c = int(rng.integers(1, 30))
-        if rng.random() < 0.5:
-            k = int(rng.integers(1, min(r, c) + 1))
-            mat = rng.uniform(-1, 1, (r, k)) @ rng.uniform(-1, 1, (k, c))
-        else:
-            mat = rng.uniform(-1, 1, (r, c))
-        plus = pseudo_inverse(mat)
-        scale = max(float(np.linalg.norm(mat)), 1e-30)
-        scale_p = max(float(np.linalg.norm(plus)), 1e-30)
-        checks = [
-            float(np.linalg.norm(mat @ plus @ mat - mat)) / scale,
-            float(np.linalg.norm(plus @ mat @ plus - plus)) / scale_p,
-            float(np.linalg.norm((mat @ plus).T - mat @ plus)) / max(float(np.linalg.norm(mat @ plus)), 1e-30),
-            float(np.linalg.norm((plus @ mat).T - plus @ mat)) / max(float(np.linalg.norm(plus @ mat)), 1e-30),
-        ]
-        if max(checks) > 1e-10:
-            return t, {"shape": [r, c], "penroseResiduals": checks}
-    return trials, None
-
-
-def _check_rrqr_rank(seed, trials):
-    rng = _check_rng(seed, 2)
-    for t in range(trials):
-        n = int(rng.integers(2, 40))
-        m = int(rng.integers(1, n + 5))
-        r = int(rng.integers(1, min(m, n) + 1))
-        a = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n))
-        x_true = rng.uniform(-1, 1, n)
-        b = a @ x_true
-        red = rrqr_reduce(a, b)
-        rank_oracle = int(np.linalg.matrix_rank(a))
-        x_min = pseudo_inverse(red.a_tilde) @ red.b_tilde
-        resid = float(np.max(np.abs(a @ x_min - b)))
-        if red.rank != rank_oracle or resid > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
-            return t, {
-                "n": n,
-                "m": m,
-                "expectedRank": rank_oracle,
-                "reportedRank": red.rank,
-                "residual": resid,
-            }
-        if red.rank < m:
-            # perturb one right-hand side entry; the reducer's verdict must
-            # match the augmented-rank oracle's
-            b_bad = b.copy()
-            b_bad[int(rng.integers(0, m))] += 1.0
-            truly_bad = (
-                int(np.linalg.matrix_rank(np.column_stack([a, b_bad]))) > rank_oracle
-            )
-            try:
-                rrqr_reduce(a, b_bad)
-                flagged = False
-            except InfeasibleConstraintsError:
-                flagged = True
-            if flagged != truly_bad:
-                return t, {"n": n, "m": m, "flaggedInfeasible": flagged, "trulyInfeasible": truly_bad}
-    return trials, None
-
-
-def _check_nullspace_basis(seed, trials):
-    rng = _check_rng(seed, 3)
-    for t in range(trials):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(1, n))
-        a = rng.uniform(-1, 1, (m, n))
-        nb = nullspace_basis(a)
-        gram = float(np.max(np.abs(nb.T @ nb - np.eye(n - m))))
-        ann = float(np.max(np.abs(a @ nb), initial=0.0))
-        if nb.shape != (n, n - m) or gram > 1e-12 or ann > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-            return t, {"n": n, "m": m, "gramDefect": gram, "annihilationDefect": ann}
-    return trials, None
-
-
-def _check_projector_algebra(seed, trials):
-    rng = _check_rng(seed, 4)
-    for t in range(trials):
-        n = int(rng.integers(2, 50))
-        m = int(rng.integers(1, n))
-        a = rng.uniform(-1, 1, (m, n))
-        b = rng.uniform(-1, 1, m)
-        expr = build_projector(EqualityConstraints(a, b))
-        a_scale = float(np.max(np.abs(a)))
-        ad = float(np.max(np.abs(a @ expr.d)))
-        idem = float(np.max(np.abs(expr.d @ expr.d - expr.d)))
-        feas = float(np.max(np.abs(a @ expr.x0 - b)))
-        if ad > 1e-10 * a_scale or idem > 1e-10 or feas > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
-            return t, {"n": n, "m": m, "AD": ad, "idempotencyDefect": idem, "x0Residual": feas}
-    return trials, None
-
-
-def _check_embed_feasibility(seed, trials):
-    rng = _check_rng(seed, 5)
-    for t in range(trials):
-        n = int(rng.integers(2, 50))
-        m = int(rng.integers(1, n))
-        a = rng.uniform(-1, 1, (m, n))
-        b = rng.uniform(-1, 1, m)
-        if rng.random() < 0.5 and m >= 1:
-            # redundant rows: expressions are built on the reduced system
-            pick = rng.integers(0, m, size=int(rng.integers(1, 4)))
-            a = np.vstack([a, a[pick]])
-            b = np.concatenate([b, b[pick]])
-        original = EqualityConstraints(a, b)
-        reduced = original.reduced()
-        for expr in (build_projector(reduced), build_nullspace(reduced)):
-            g = rng.uniform(-2, 2, expr.free_dim)
-            resid = original.residual(expr.embed(g))
-            if resid > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
-                return t, {"n": n, "m": int(a.shape[0]), "kind": type(expr).__name__, "residual": resid}
-    return trials, None
-
-
-def _check_spd_agreement(seed, trials):
-    rng = _check_rng(seed, 6)
-    for t in range(trials):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        sols = [solve_projector(problem), solve_nullspace(problem), solve_kkt(problem)]
-        xs = [s.x for s in sols]
-        x_gap = max(
-            _rel_gap(xs[i], xs[j]) for i in range(3) for j in range(i + 1, 3)
-        )
-        f_kkt = sols[2].objective
-        f_gap = max(abs(s.objective - f_kkt) for s in sols) / (1.0 + abs(f_kkt))
-        stat = max(s.stationarity_residual for s in sols)
-        c_scale = 1.0 + float(np.max(np.abs(problem.c)))
-        if x_gap > 1e-8 or f_gap > 1e-10 or stat > 1e-8 * c_scale:
-            return t, {
-                "n": n,
-                "m": m,
-                "xDisagreement": x_gap,
-                "objectiveDisagreement": f_gap,
-                "stationarity": stat,
-            }
-    return trials, None
-
-
-def _check_indefinite_agreement(seed, trials):
-    rng = _check_rng(seed, 7)
-    for t in range(trials):
-        n = int(rng.integers(3, 40))
-        m = int(rng.integers(1, n))
-        problem = generate(
-            GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class="symmetric_indefinite")
-        )
-        try:
-            ref = solve_kkt(problem)
-        except OracleUnavailableError:
-            continue  # legitimately singular reduced Hessian; nothing to compare
-        for sol in (solve_projector(problem), solve_nullspace(problem)):
-            if _rel_gap(sol.x, ref.x) > 1e-8:
-                return t, {
-                    "n": n,
-                    "m": m,
-                    "method": sol.method,
-                    "xDisagreement": _rel_gap(sol.x, ref.x),
-                    "classification": sol.classification,
-                }
-    return trials, None
-
-
-def _check_redundant_rows(seed, trials):
-    rng = _check_rng(seed, 8)
-    for t in range(trials):
-        n = int(rng.integers(3, 40))
-        m = int(rng.integers(1, n))
-        base_seed = int(rng.integers(2**63))
-        base = generate(GeneratorSpec(n=n, m=m, seed=base_seed))
-        x_proj = solve_projector(base).x
-        x_null = solve_nullspace(base).x
-        for k in (1, 2, 4):
-            padded = generate(GeneratorSpec(n=n, m=m, seed=base_seed, rank_deficiency=k))
-            for name, solver, ref in (
-                ("projector", solve_projector, x_proj),
-                ("nullspace", solve_nullspace, x_null),
-            ):
-                gap = float(np.max(np.abs(solver(padded).x - ref)))
-                if gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
-                    return t, {"n": n, "m": m, "extraRows": k, "method": name, "gap": gap}
-    return trials, None
-
-
-def _check_quadratic_one_step(seed, trials):
-    rng = _check_rng(seed, 9)
-    for t in range(trials):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        trace = newton_solve(reduced)
-        if not trace.iterations:
-            continue  # started at the optimum
-        ref = solve_nullspace(problem).x
-        gap = float(np.max(np.abs(trace.final_x - ref)))
-        ok = (
-            trace.converged
-            and len(trace.iterations) == 1
-            and trace.iterations[0].step_size == 1.0
-            and gap <= 1e-10 * (1.0 + float(np.max(np.abs(ref))))
-        )
-        if not ok:
-            return t, {
-                "n": n,
-                "m": m,
-                "iterations": len(trace.iterations),
-                "converged": trace.converged,
-                "gap": gap,
-            }
-    return trials, None
-
-
-def _check_sqp_quadratic(seed, trials):
-    rng = _check_rng(seed, 10)
-    for t in range(trials):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        trace = sqp_iterate(reduced)
-        ref = solve_nullspace(problem).x
-        gap = float(np.max(np.abs(trace.final_x - ref)))
-        if not trace.converged or len(trace.iterations) > 2 or gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
-            return t, {"n": n, "m": m, "iterations": len(trace.iterations), "gap": gap}
-    return trials, None
-
-
-def _random_lse_instance(rng, n, m):
-    # 4n rows and a small right-hand side keep the optimum where many
-    # softmax terms are active, i.e. the reduced Hessian stays uniformly
-    # positive definite on the relevant sublevel set
-    k = 4 * n
-    oracle = objectives.log_sum_exp(rng.uniform(-1, 1, (k, n)))
-    a = rng.uniform(-1, 1, (m, n))
-    b = rng.uniform(-0.3, 0.3, m)
-    return oracle, EqualityConstraints(a, b)
-
-
-def _random_sum_exp_instance(rng, n, m):
-    oracle = objectives.sum_exp(dim=n)
-    a = rng.uniform(-1, 1, (m, n))
-    a[0, :] = 1.0  # fixing sum(x) bounds every null-space ray, so a minimum exists
-    b = rng.uniform(-1, 1, m)
-    b[0] = rng.uniform(-0.3, 0.3) * n
-    return oracle, EqualityConstraints(a, b)
-
-
-def _check_newton_descent(seed, trials):
-    rng = _check_rng(seed, 11)
-    for t in range(trials):
-        n = int(rng.integers(4, 30))
-        m = int(rng.integers(1, min(n - 1, 10) + 1))
-        oracle, constraints = _random_lse_instance(rng, n, m)
-        reduced = reduce_problem(oracle, constraints)
-        g0 = rng.uniform(-1.5, 1.5, reduced.free_dim)
-        trace = newton_solve(reduced, NewtonConfig(max_iter=200, g0=g0))
-        hs = trace.h_values()
-        slack = 1e-12 * (1.0 + abs(hs[0]))
-        monotone = all(hs[i + 1] <= hs[i] + slack for i in range(len(hs) - 1))
-        if not trace.converged or not monotone:
-            return t, {
-                "n": n,
-                "m": m,
-                "converged": trace.converged,
-                "hValues": hs,
-            }
-    return trials, None
-
-
-def _check_contraction_bound(seed, trials):
-    rng = _check_rng(seed, 12)
-    for t in range(trials):
-        n = int(rng.integers(4, 30))
-        m = int(rng.integers(1, min(n - 1, 10) + 1))
-        if rng.random() < 0.5:
-            oracle, constraints = _random_lse_instance(rng, n, m)
-        else:
-            oracle, constraints = _random_sum_exp_instance(rng, n, m)
-        reduced = reduce_problem(oracle, constraints)
-        config = NewtonConfig(max_iter=200, g0=rng.uniform(-1.5, 1.5, reduced.free_dim))
-        trace = newton_solve(reduced, config)
-        if not trace.converged or not trace.iterations:
-            return t, {"n": n, "m": m, "converged": trace.converged}
-        samples = [it.g for it in trace.iterations] + [trace.final_g]
-        constants = estimate_convergence_constants(reduced, samples)
-        bound = iteration_bound(
-            constants, config, trace.iterations[0].h_value - trace.final_h
-        )
-        norms = trace.grad_norms()
-        cs = [bound.contraction * v for v in norms[-3:]]
-        tail_ok = all(cs[i + 1] <= 2.0 * cs[i] ** 2 for i in range(len(cs) - 1))
-        if len(trace.iterations) > bound.d_max or not tail_ok:
-            return t, {
-                "n": n,
-                "m": m,
-                "iterations": len(trace.iterations),
-                "dMax": bound.d_max,
-                "tail": cs,
-            }
-    return trials, None
-
-
-def _check_suboptimality(seed, trials):
-    rng = _check_rng(seed, 13)
-    for t in range(trials):
-        n = int(rng.integers(2, 40))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        h_star = solve_nullspace(problem).objective
-        w = np.linalg.eigvalsh(reduced.hessian(np.zeros(reduced.free_dim)))
-        constants_m = float(w[0])
-        for _ in range(10):
-            g = rng.uniform(-3, 3, reduced.free_dim)
-            gap = reduced.value(g) - h_star
-            bound = float(np.linalg.norm(reduced.gradient(g))) ** 2 / (2.0 * constants_m)
-            if gap > bound + 1e-9 * (1.0 + abs(bound)):
-                return t, {"n": n, "m": m, "gap": gap, "bound": bound}
-    return trials, None
-
-
-def _check_termination_gap(seed, trials):
-    rng = _check_rng(seed, 14)
-    for t in range(trials):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        epsilon = 10.0 ** rng.uniform(-12, -6)
-        trace = newton_solve(reduced, NewtonConfig(epsilon=epsilon))
-        if not trace.converged:
-            return t, {"n": n, "m": m, "epsilon": epsilon, "converged": False}
-        gap = trace.final_h - solve_nullspace(problem).objective
-        if gap > epsilon + 1e-12:
-            return t, {"n": n, "m": m, "epsilon": epsilon, "gap": gap}
-    return trials, None
-
-
-_SUITES = {
-    "invariants": [
-        ("pinv_penrose", _check_pinv_penrose),
-        ("rrqr_rank", _check_rrqr_rank),
-        ("nullspace_basis", _check_nullspace_basis),
-        ("projector_algebra", _check_projector_algebra),
-        ("embed_feasibility", _check_embed_feasibility),
-    ],
-    "oracle": [
-        ("spd_agreement", _check_spd_agreement),
-        ("indefinite_agreement", _check_indefinite_agreement),
-        ("redundant_rows", _check_redundant_rows),
-    ],
-    "convergence": [
-        ("quadratic_one_step", _check_quadratic_one_step),
-        ("sqp_quadratic", _check_sqp_quadratic),
-        ("newton_descent", _check_newton_descent),
-        ("contraction_bound", _check_contraction_bound),
-        ("suboptimality", _check_suboptimality),
-        ("termination_gap", _check_termination_gap),
-    ],
-}
-
-
 def cmd_check(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -794,7 +404,7 @@ def cmd_check(args):
     any_failed = False
     first_cx = None
     for suite in suites:
-        for name, fn in _SUITES[suite]:
+        for name, fn in selfcheck._SUITES[suite]:
             passed, cx = fn(args.seed, args.trials)
             if cx is None:
                 print(f"PASS {suite}/{name} ({passed}/{args.trials})")
@@ -835,7 +445,7 @@ def main(argv=None):
     except (NonConvexError, DivergenceError, LineSearchError, OracleUnavailableError, ComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ProblemFormatError, UnknownObjectiveError, InvalidHMatrixError, RankDeficiencyError) as exc:
+    except (ProblemFormatError, UnknownObjectiveError, InvalidHMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, OSError) as exc:

@@ -13,10 +13,6 @@ class InfeasibleConstraintsError(EqoptError):
     """The equality constraints A x = b admit no solution."""
 
 
-class RankDeficiencyError(EqoptError):
-    """A matrix required to have full row rank does not; reduce the system first."""
-
-
 class InvalidHMatrixError(EqoptError):
     """The chosen H matrix leaves A H singular, so the projector cannot be built."""
 

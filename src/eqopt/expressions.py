@@ -1,21 +1,21 @@
 """Feasible-set parameterizations for linear equality constraints.
 
-Both forms map a free vector ``g`` to a point ``x(g)`` that satisfies
-``A x = b`` identically, turning constrained problems into unconstrained
-ones over ``g``:
+Both forms are one :class:`ConstrainedExpression` ``x = x0 + B g``: every
+free vector ``g`` gives a point with ``A x = b``, turning constrained
+problems into unconstrained ones over ``g``:
 
-* projector form: ``x = x0 + D g`` with ``x0 = H (A H)^{-1} b`` and
-  ``D = I - H (A H)^{-1} A``; ``g`` lives in the full space and ``D``
-  projects it onto ker(A) along range(H).
-* null-space form: ``x = x0 + N g`` with the minimum-norm particular
-  solution ``x0`` and an orthonormal basis ``N`` of ker(A); ``g`` has the
-  intrinsic dimension ``n - m``.
+* projector form: ``B = D = I - H (A H)^{-1} A`` and
+  ``x0 = H (A H)^{-1} b``; ``g`` lives in the full space and ``D``
+  projects it onto ker(A) along range(H) (:func:`build_projector`).
+* null-space form: ``B = N``, an orthonormal basis of ker(A), with the
+  minimum-norm particular solution ``x0``; ``g`` has the intrinsic
+  dimension ``n - rank(A)``.
 
 Both are read off one :class:`~eqopt.linalg.ConstraintFactorization`
 (a pivoted QR of the row-equilibrated ``A^T``, kept in Householder form):
-``x0 = Q_1 y``, ``N = Q_2`` and, for the default ``H = A^T``,
-``D = I - Q_1 Q_1^T``. The projector forms only ``Q_1`` and the
-null-space form only ``N``. Only another choice of ``H`` factorizes
+``x0 = Q_1 y``, ``N = Q_2`` (its ``null_basis``) and, for the default
+``H = A^T``, ``D = I - Q_1 Q_1^T``. The projector forms only ``Q_1`` and
+the null-space form only ``N``. Only another choice of ``H`` factorizes
 ``A H`` as well.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidHMatrixError, RankDeficiencyError
+from .errors import InvalidHMatrixError
 from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector
 
 
@@ -58,50 +58,28 @@ class EqualityConstraints:
             return 0.0
         return float(np.max(np.abs(self.a @ x - self.b)))
 
-    def reduced(self, eps=None):
-        """Equivalent full-row-rank system (may raise InfeasibleConstraintsError).
-
-        Its rows are the independent rows of ``(A, b)``, each divided by its
-        largest coefficient magnitude.
-        """
-        f = ConstraintFactorization(self.a, self.b, eps)
-        return EqualityConstraints(f.a[f.selected], f.b[f.selected])
-
 
 @dataclass
-class ProjectorExpression:
-    """Projector-form parameterization ``x(g) = x0 + D g`` (g of length n)."""
+class ConstrainedExpression:
+    """Parameterization ``x(g) = x0 + B g`` of the feasible set.
+
+    ``basis`` is the projector ``D`` (g of length n) or the null-space
+    basis ``N`` (g of length n - rank).
+    """
 
     x0: np.ndarray
-    d: np.ndarray
+    basis: np.ndarray
 
     @property
     def free_dim(self):
-        return self.d.shape[1]
+        return self.basis.shape[1]
 
     def embed(self, g):
+        """The point ``x0 + B g``; it satisfies ``A x = b`` for every g."""
         g = as_vector(g, "g")
         if g.shape[0] != self.free_dim:
             raise ValueError(f"g has length {g.shape[0]}, expected {self.free_dim}")
-        return self.x0 + self.d @ g
-
-
-@dataclass
-class NullspaceExpression:
-    """Null-space parameterization ``x(g) = x0 + N g`` (g of length n - m)."""
-
-    x0: np.ndarray
-    n_basis: np.ndarray
-
-    @property
-    def free_dim(self):
-        return self.n_basis.shape[1]
-
-    def embed(self, g):
-        g = as_vector(g, "g")
-        if g.shape[0] != self.free_dim:
-            raise ValueError(f"g has length {g.shape[0]}, expected {self.free_dim}")
-        return self.x0 + self.n_basis @ g
+        return self.x0 + self.basis @ g
 
 
 def projector_from(factorization, h_choice="transpose_of_a"):
@@ -118,10 +96,10 @@ def projector_from(factorization, h_choice="transpose_of_a"):
     f = factorization
     n, p = f.a.shape[1], f.rank
     if p == 0:
-        return ProjectorExpression(x0=np.zeros(n), d=np.eye(n))
+        return ConstrainedExpression(x0=np.zeros(n), basis=np.eye(n))
     if isinstance(h_choice, str) and h_choice == "transpose_of_a":
         q1 = f.range_basis
-        return ProjectorExpression(x0=f.x0, d=np.eye(n) - q1 @ q1.T)
+        return ConstrainedExpression(x0=f.x0, basis=np.eye(n) - q1 @ q1.T)
     if isinstance(h_choice, str):
         if h_choice != "identity_block":
             raise ValueError(
@@ -146,7 +124,7 @@ def projector_from(factorization, h_choice="transpose_of_a"):
     lu = scipy.linalg.lu_factor(ah)
     x0 = h @ scipy.linalg.lu_solve(lu, f.b[f.selected])
     d = np.eye(n) - h @ scipy.linalg.lu_solve(lu, a)
-    return ProjectorExpression(x0=x0, d=d)
+    return ConstrainedExpression(x0=x0, basis=d)
 
 
 def build_projector(constraints, h_choice="transpose_of_a"):
@@ -155,7 +133,9 @@ def build_projector(constraints, h_choice="transpose_of_a"):
     Parameters
     ----------
     constraints : EqualityConstraints
-        Must already have full row rank (reduce first if unsure).
+        Must already have full row rank; the rows ``f.a[f.selected]``,
+        ``f.b[f.selected]`` of a :class:`~eqopt.linalg.ConstraintFactorization`
+        ``f`` are an equivalent system that has.
     h_choice : str or (n, m) array_like
         ``"transpose_of_a"`` uses H = A^T, which always makes A H
         nonsingular for full-row-rank A. ``"identity_block"`` uses
@@ -172,30 +152,6 @@ def build_projector(constraints, h_choice="transpose_of_a"):
     if f.rank < constraints.m:
         raise InvalidHMatrixError(
             f"A has numerical row rank {f.rank} < {constraints.m}, so A H is "
-            f"singular for every H; reduce the system first"
+            f"singular for every H; drop the redundant rows first"
         )
     return projector_from(f, h_choice)
-
-
-def build_nullspace(constraints, eps=None):
-    """Build the null-space expression with the minimum-norm particular solution.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If A does not have full row rank at tolerance.
-    """
-    f = ConstraintFactorization(constraints.a, constraints.b, eps)
-    if f.rank < constraints.m:
-        raise RankDeficiencyError(
-            f"A has numerical row rank {f.rank} < {constraints.m}; reduce the system first"
-        )
-    return NullspaceExpression(x0=f.x0, n_basis=f.null_basis)
-
-
-def embed(expression, g):
-    """Evaluate a constrained expression at the free vector g.
-
-    The result satisfies ``A x = b`` for every g by construction.
-    """
-    return expression.embed(g)

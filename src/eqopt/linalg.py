@@ -8,20 +8,18 @@ particular solution. Q stays in Householder form; orthonormal bases of
 the row space and of ker(A) are formed from the reflectors (``dormqr``)
 only when a caller asks for them, so no n-by-n Q is built. Reduced symmetric
 systems that need not be positive definite are solved with one ``eigh``
-(:func:`symmetric_solve`), which also gives their inertia.
-:func:`rrqr_reduce` and :func:`nullspace_basis` are views of that one
-factorization; the SVD-based :func:`pseudo_inverse` remains a standalone
-primitive.
+(:func:`symmetric_solve`), which also gives their inertia. The
+SVD-based :func:`pseudo_inverse` is a standalone primitive that the
+solvers do not call.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import ComputationError, InfeasibleConstraintsError, RankDeficiencyError
+from .errors import ComputationError, InfeasibleConstraintsError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -91,50 +89,6 @@ def pseudo_inverse(m, tol=None):
     return (vt.T * inv) @ u.T
 
 
-@dataclass
-class ReducedConstraints:
-    """Equivalent full-row-rank constraint system produced by :func:`rrqr_reduce`."""
-
-    a_tilde: np.ndarray  # (p, n) kept rows of A, each scaled to max-abs 1
-    b_tilde: np.ndarray  # (p,) their right-hand sides, scaled alike
-    rank: int  # p, the numerical row rank of the original A
-    permutation: np.ndarray  # (n,) column order of a_tilde: the identity
-
-
-def rrqr_reduce(a, b, eps=None):
-    """Replace ``A x = b`` with an equivalent full-row-rank system.
-
-    A view of :class:`ConstraintFactorization`: the reduced system is the
-    rows it keeps, in the row-equilibrated form it factorizes. The
-    columns are not reordered, so ``permutation`` is the identity.
-
-    Parameters
-    ----------
-    a : (m, n) array_like
-    b : (m,) array_like
-    eps : float, optional
-        Relative tolerance for both the rank decision and the
-        consistency check. Defaults to machine epsilon. Must be positive.
-
-    Returns
-    -------
-    ReducedConstraints
-
-    Raises
-    ------
-    InfeasibleConstraintsError
-        If a redundant row contradicts the kept ones (see
-        :class:`ConstraintFactorization` for the tolerance).
-    """
-    f = ConstraintFactorization(a, b, eps)
-    return ReducedConstraints(
-        a_tilde=f.a[f.selected],
-        b_tilde=f.b[f.selected],
-        rank=f.rank,
-        permutation=np.arange(f.a.shape[1], dtype=np.intp),
-    )
-
-
 class ConstraintFactorization:
     """One column-pivoted QR of the row-equilibrated ``A^T``.
 
@@ -147,7 +101,8 @@ class ConstraintFactorization:
     * ``rank`` p: the largest k with
       ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``;
     * ``selected``, the rows ``P[:p]`` kept, and ``dropped``, the
-      redundant rows ``P[p:]``;
+      redundant rows ``P[p:]``; ``a[selected] x = b[selected]`` is an
+      equivalent full-row-rank system;
     * ``x0 = Q [y; 0]`` with ``R_11^T y = b_s[selected]``: the minimum-norm
       solution, since it lies in the row space ``range(Q_1)``;
     * consistency: with ``c = R_11^-1 R_12``, dropped row ``j`` is
@@ -230,9 +185,13 @@ class ConstraintFactorization:
         if reflectors == 0:  # dormqr rejects an empty set of reflectors
             return c
         v, tau = self._qr[:, :reflectors], self._tau[:reflectors]
-        work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
+        if c.shape[1] == 1:  # lwork=1 runs the unblocked code, faster for one column
+            lwork = 1
+        else:
+            work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
+            lwork = int(work[0])
         out, _, info = scipy.linalg.lapack.dormqr(
-            "L", "N", v, tau, c, lwork=int(work[0]), overwrite_c=1
+            "L", "N", v, tau, c, lwork=lwork, overwrite_c=1
         )
         if info != 0:
             raise ComputationError(f"applying the QR reflectors failed (dormqr info={info})")
@@ -312,36 +271,3 @@ def symmetric_solve(m, rhs, tol=None):
     keep = np.abs(w) > tol * w.shape[0] * float(np.max(np.abs(w), initial=0.0))
     inv[keep] = 1.0 / w[keep]
     return (v * inv) @ (v.T @ rhs), w
-
-
-def nullspace_basis(a, eps=None):
-    """Orthonormal basis of ker(A) for a full-row-rank A.
-
-    The columns are ``N`` of :class:`ConstraintFactorization`, so
-    ``N^T N = I`` and ``A N = 0`` up to rounding.
-
-    Parameters
-    ----------
-    a : (m, n) array_like
-        Must have full row rank at tolerance; reduce first otherwise.
-    eps : float, optional
-        Relative rank cutoff of the factorization. Defaults to machine
-        epsilon.
-
-    Returns
-    -------
-    (n, n - m) ndarray
-
-    Raises
-    ------
-    RankDeficiencyError
-        If the numerical row rank of ``a`` is below ``m``.
-    """
-    a = as_matrix(a, "A")
-    m = a.shape[0]
-    factorization = ConstraintFactorization(a, np.zeros(m), eps)
-    if factorization.rank < m:
-        raise RankDeficiencyError(
-            f"A has numerical row rank {factorization.rank} < {m}; reduce the system first"
-        )
-    return factorization.null_basis

@@ -26,7 +26,7 @@ from .errors import (
     LineSearchError,
     NonConvexError,
 )
-from .expressions import NullspaceExpression
+from .expressions import ConstrainedExpression
 from .linalg import ConstraintFactorization, as_vector
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
@@ -73,7 +73,7 @@ class ObjectiveOracle:
 class ReducedObjective:
     """A full-space objective pulled back through a null-space expression."""
 
-    expr: object  # NullspaceExpression
+    expr: ConstrainedExpression  # basis N
     oracle: ObjectiveOracle
 
     @property
@@ -88,10 +88,10 @@ class ReducedObjective:
         return float(self.oracle.value(self.point(g)))
 
     def gradient(self, g):
-        return self.expr.n_basis.T @ self.oracle.gradient(self.point(g))
+        return self.expr.basis.T @ self.oracle.gradient(self.point(g))
 
     def hessian(self, g):
-        nb = self.expr.n_basis
+        nb = self.expr.basis
         f = nb.T @ self.oracle.hessian(self.point(g)) @ nb
         return 0.5 * (f + f.T)
 
@@ -108,7 +108,7 @@ def reduce_problem(oracle, constraints, eps=None):
             f"objective dimension {oracle.dim} != constraint columns {constraints.n}"
         )
     f = ConstraintFactorization(constraints.a, constraints.b, eps)
-    expr = NullspaceExpression(x0=f.x0, n_basis=f.null_basis)
+    expr = ConstrainedExpression(x0=f.x0, basis=f.null_basis)
     if expr.free_dim == 0:
         raise ValueError(
             "the feasible set is a single point; nothing to optimize"
@@ -527,5 +527,5 @@ def estimate_convergence_constants(reduced, points):
         m_strong=m_lo,
         m_upper=m_hi,
         lipschitz=lip,
-        norm_n=float(np.linalg.norm(reduced.expr.n_basis, 2)),
+        norm_n=float(np.linalg.norm(reduced.expr.basis, 2)),
     )

@@ -15,18 +15,20 @@ Three independent routes to a stationary point of
 
 The two elimination routes factorize the constraints once, with one
 pivoted QR of the row-equilibrated ``A^T``
-(:class:`~eqopt.linalg.ConstraintFactorization`), and share one body
-(:func:`_solve_eliminated`) that differs only in the basis ``B`` (``D`` or
-``N``), its structural zeros and the projector's shift. It forms
-``B^T Q B`` and decides the reduced solve by one rule
-(:func:`_solve_reduced`), with ``eps`` as the minimum-norm cutoff on both
-routes: the Cholesky solve certifies a minimum when LAPACK's condition
-estimate clears a margin above the classification cut; an indefinite,
-singular or ill-conditioned reduced system is solved with one ``eigh``
-instead, which yields the minimum-norm stationary point and its
-classification. Every solution carries the feasibility and stationarity
-residuals plus a classification of the stationary point from
-reduced-Hessian inertia.
+(:class:`~eqopt.linalg.ConstraintFactorization`), build one
+:class:`~eqopt.expressions.ConstrainedExpression` ``x = x0 + B g``
+(``B = D`` or ``N``) from it and share one body
+(:func:`_solve_eliminated`) that differs only in that expression, its
+structural zeros and the projector's shift. It forms ``B^T Q B`` and
+decides the reduced solve by one rule (:func:`_solve_reduced`), with
+``eps`` as the one cut on both routes: a reduced-Hessian eigenvalue below
+it is neither inverted nor counted as curved. The Cholesky solve
+certifies a minimum when LAPACK's condition estimate clears a margin
+above that cut; an indefinite, singular or ill-conditioned reduced system
+is solved with one ``eigh`` instead, which yields the minimum-norm
+stationary point and its classification. Every solution carries the
+feasibility and stationarity residuals plus a classification of the
+stationary point from reduced-Hessian inertia.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import OracleUnavailableError
-from .expressions import EqualityConstraints, projector_from
+from .expressions import ConstrainedExpression, EqualityConstraints, projector_from
 from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector, symmetric_solve
 
 
@@ -98,12 +100,14 @@ class QpSolution:
     lagrange_multipliers: np.ndarray | None = None
 
 
-def _classify(eigs, expected_zeros):
+def _classify(eigs, expected_zeros, tol):
     """Label a stationary point from reduced-Hessian eigenvalues.
 
-    ``expected_zeros`` eigenvalues are structurally zero (the projector
-    form embeds the reduced Hessian in the full space); any zero beyond
-    those means flat directions, i.e. a non-unique stationary point.
+    An eigenvalue with ``|w| <= tol * k * max|w|`` counts as zero: the cut
+    :func:`~eqopt.linalg.symmetric_solve` uses to decide which eigenvalues
+    it inverts. ``expected_zeros`` eigenvalues are structurally zero (the
+    projector form embeds the reduced Hessian in the full space); any zero
+    beyond those means flat directions, i.e. a non-unique stationary point.
     """
     k = eigs.shape[0]
     if k == expected_zeros:
@@ -111,7 +115,7 @@ def _classify(eigs, expected_zeros):
     scale = float(np.max(np.abs(eigs), initial=0.0))
     if scale == 0.0:
         return "non_unique"  # reduced Hessian vanishes: every direction is flat
-    cut = EPS * k * scale
+    cut = tol * k * scale
     pos = int(np.sum(eigs > cut))
     neg = int(np.sum(eigs < -cut))
     zero = k - pos - neg
@@ -134,13 +138,14 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     reduced Hessian plus ``expected_zeros`` copies of ``sigma``, and the
     same solution, since ``rhs`` and the minimum-norm ``g`` lie where
     ``shift`` vanishes. With structural zeros and no shift, ``aa`` is
-    singular and Cholesky is skipped. The Cholesky solve is accepted, and the
+    singular and Cholesky is skipped. ``tol`` (machine epsilon by default)
+    sets one cut, ``tol k max|eig|``, below which an eigenvalue is neither
+    inverted nor counted as curved. The Cholesky solve is accepted, and the
     point called a minimum, only when LAPACK's ``dpocon`` estimate of
-    ``rcond_1(M)`` exceeds ``10 k^2 EPS``: as ``kappa_2 <= k kappa_1``,
-    every eigenvalue of ``M`` then clears the :func:`_classify` cut
-    ``EPS k max|eig|`` with a factor of 10 to spare. Otherwise one
-    ``eigh`` gives the minimum-norm solution (eigenvalues below ``tol``
-    relative dropped) and the classification.
+    ``rcond_1(M)`` exceeds ``10 k^2 tol``: as ``kappa_2 <= k kappa_1``,
+    every eigenvalue of ``M`` then clears that cut with a factor of 10 to
+    spare. Otherwise one ``eigh`` gives the minimum-norm solution
+    (eigenvalues below the cut dropped) and the classification.
 
     Returns
     -------
@@ -148,6 +153,8 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     classification : str
     """
     k = aa.shape[0]
+    if tol is None:
+        tol = EPS
     if shift is not None or expected_zeros == 0:
         m = aa
         if shift is not None:
@@ -159,22 +166,24 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
             pass  # not positive definite
         else:
             rcond, info = scipy.linalg.lapack.dpocon(chol[0], np.linalg.norm(m, 1))
-            if info == 0 and rcond > 10.0 * k * k * EPS:
+            if info == 0 and rcond > 10.0 * k * k * tol:
                 return scipy.linalg.cho_solve(chol, rhs), "min"
     g, eigs = symmetric_solve(aa, rhs, tol)
-    return g, _classify(eigs, expected_zeros)
+    return g, _classify(eigs, expected_zeros, tol)
 
 
-def _solve_eliminated(problem, x0, basis, method, expected_zeros, shift=None, eps=None):
-    """Stationary point on ``x = x0 + B g``: the body of both eliminations.
+def _solve_eliminated(problem, expr, method, expected_zeros, shift=None, eps=None):
+    """Stationary point on the expression ``x = x0 + B g``: the body of both
+    eliminations.
 
     Forms the reduced Hessian ``B^T Q B`` and gradient ``B^T (Q x0 + c)``,
-    solves by :func:`_solve_reduced` (``eps`` is its minimum-norm cutoff),
+    solves by :func:`_solve_reduced` (``eps`` is its cut),
     embeds ``x = x0 - B g`` and reports the stationarity residual
     ``||B^T (Q x + c)||_inf``. ``B`` has ``expected_zeros`` structural null
     directions; when that is all its columns the feasible set is one point.
     """
-    if basis.shape[1] == expected_zeros:
+    x0, basis = expr.x0, expr.basis
+    if expr.free_dim == expected_zeros:
         x = x0
         sol_class = "point"
     else:
@@ -221,10 +230,8 @@ def solve_projector(problem, h_choice="transpose_of_a", eps=None):
     expr = projector_from(factorization, h_choice)
     shift = None
     if isinstance(h_choice, str) and h_choice == "transpose_of_a":
-        shift = np.eye(problem.n) - expr.d  # Q_1 Q_1^T
-    return _solve_eliminated(
-        problem, expr.x0, expr.d, "projector", factorization.rank, shift, eps
-    )
+        shift = np.eye(problem.n) - expr.basis  # Q_1 Q_1^T
+    return _solve_eliminated(problem, expr, "projector", factorization.rank, shift, eps)
 
 
 def solve_nullspace(problem, eps=None):
@@ -237,10 +244,9 @@ def solve_nullspace(problem, eps=None):
     reduced Hessians, where zero modes are dropped pseudo-inverse style.
     """
     cons = problem.constraints
-    factorization = ConstraintFactorization(cons.a, cons.b, eps)
-    return _solve_eliminated(
-        problem, factorization.x0, factorization.null_basis, "nullspace", 0, eps=eps
-    )
+    f = ConstraintFactorization(cons.a, cons.b, eps)
+    expr = ConstrainedExpression(x0=f.x0, basis=f.null_basis)
+    return _solve_eliminated(problem, expr, "nullspace", 0, eps=eps)
 
 
 def _bunch_kaufman_eigs(ldu, ipiv):

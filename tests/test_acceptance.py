@@ -25,14 +25,10 @@ from eqopt.nlp import (
 )
 from eqopt.objectives import objective_names, objective_registry
 from eqopt.problems import GeneratorSpec, generate
+from eqopt.selfcheck import _rel_gap
 from eqopt.qp import solve_kkt, solve_nullspace, solve_projector
 
 ALL_QP_SOLVERS = (solve_projector, solve_nullspace, solve_kkt)
-
-
-def _rel_gap(x, y):
-    scale = 1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) / scale
 
 
 def test_criterion_01_feasibility_1000_random_qps():
@@ -124,8 +120,8 @@ def test_criterion_04_projector_algebra_200_matrices():
         a = rng.uniform(-1, 1, (m, n))
         b = rng.uniform(-1, 1, m)
         expr = build_projector(EqualityConstraints(a, b))
-        ad = float(np.max(np.abs(a @ expr.d)))
-        idem = float(np.max(np.abs(expr.d @ expr.d - expr.d)))
+        ad = float(np.max(np.abs(a @ expr.basis)))
+        idem = float(np.max(np.abs(expr.basis @ expr.basis - expr.basis)))
         a_scale = float(np.max(np.abs(a)))
         assert ad <= 1e-10 * a_scale, f"trial {trial}: |AD| {ad:.3e}"
         assert idem <= 1e-10, f"trial {trial}: |D^2 - D| {idem:.3e}"

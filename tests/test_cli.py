@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from eqopt import cli
+from eqopt import cli, selfcheck
 
 
 def _write_doc(path, doc):
@@ -414,12 +414,24 @@ def test_check_invariants_smoke(tmp_path, capsys):
     assert not cx.exists()
 
 
+def test_check_all_suites_pass(tmp_path, capsys):
+    cx = tmp_path / "cx.json"
+    code = cli.main(
+        ["check", "--suite", "all", "--trials", "50", "--seed", "0", "--counterexample", str(cx)]
+    )
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
+    assert code == 0, lines
+    assert len(lines) == 14
+    assert all(ln.startswith("PASS ") and ln.endswith("(50/50)") for ln in lines)
+    assert not cx.exists()
+
+
 def test_check_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     def broken(seed, trials):
         return 2, {"witness": [1.0, 2.0]}
 
     monkeypatch.setattr(
-        cli, "_SUITES", {"oracle": [("always_breaks", broken)]}
+        selfcheck, "_SUITES", {"oracle": [("always_breaks", broken)]}
     )
     cx = tmp_path / "cx.json"
     code = cli.main(

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqopt.errors import InvalidHMatrixError, RankDeficiencyError
-from eqopt.expressions import (
-    EqualityConstraints,
-    build_nullspace,
-    build_projector,
-    embed,
-)
+from eqopt.errors import InvalidHMatrixError
+from eqopt.expressions import ConstrainedExpression, EqualityConstraints, build_projector
+from eqopt.linalg import ConstraintFactorization
+
+
+def nullspace_expression(cons):
+    f = ConstraintFactorization(cons.a, cons.b)
+    return ConstrainedExpression(x0=f.x0, basis=f.null_basis)
 
 
 def test_constraints_validation():
@@ -21,7 +22,9 @@ def test_constraints_validation():
 
 def test_constraints_reduced_drops_redundant_rows():
     c = EqualityConstraints([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-    red = c.reduced()
+    f = ConstraintFactorization(c.a, c.b)
+    red = EqualityConstraints(f.a[f.selected], f.b[f.selected])
+    assert f.rank == 1
     assert red.m == 1 and red.n == 2
 
 
@@ -30,7 +33,7 @@ def test_projector_hand_example():
     # onto the line x1 + x2 = 0
     expr = build_projector(EqualityConstraints([[1.0, 1.0]], [2.0]))
     assert_allclose(expr.x0, [1.0, 1.0], atol=1e-15)
-    assert_allclose(expr.d, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    assert_allclose(expr.basis, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_projector_algebra_randomized():
@@ -41,8 +44,8 @@ def test_projector_algebra_randomized():
         a = rng.uniform(-1, 1, (m, n))
         b = rng.uniform(-1, 1, m)
         expr = build_projector(EqualityConstraints(a, b))
-        assert np.max(np.abs(a @ expr.d)) < 1e-10 * np.max(np.abs(a))
-        assert np.max(np.abs(expr.d @ expr.d - expr.d)) < 1e-10
+        assert np.max(np.abs(a @ expr.basis)) < 1e-10 * np.max(np.abs(a))
+        assert np.max(np.abs(expr.basis @ expr.basis - expr.basis)) < 1e-10
         assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9 * (1 + np.max(np.abs(b)))
 
 
@@ -51,7 +54,7 @@ def test_projector_identity_block_choice():
     a = rng.uniform(-1, 1, (3, 7))
     b = rng.uniform(-1, 1, 3)
     expr = build_projector(EqualityConstraints(a, b), h_choice="identity_block")
-    assert np.max(np.abs(a @ expr.d)) < 1e-9 * np.max(np.abs(a))
+    assert np.max(np.abs(a @ expr.basis)) < 1e-9 * np.max(np.abs(a))
     assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9
 
 
@@ -61,7 +64,7 @@ def test_projector_custom_h():
     b = rng.uniform(-1, 1, 2)
     h = rng.uniform(-1, 1, (5, 2))
     expr = build_projector(EqualityConstraints(a, b), h_choice=h)
-    assert np.max(np.abs(a @ expr.d)) < 1e-9
+    assert np.max(np.abs(a @ expr.basis)) < 1e-9
     assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9
     with pytest.raises(ValueError):
         build_projector(EqualityConstraints(a, b), h_choice=np.ones((4, 2)))
@@ -84,16 +87,20 @@ def test_nullspace_expression_minimum_norm_particular_solution():
         m = int(rng.integers(1, n))
         a = rng.uniform(-1, 1, (m, n))
         b = rng.uniform(-1, 1, m)
-        expr = build_nullspace(EqualityConstraints(a, b))
+        expr = nullspace_expression(EqualityConstraints(a, b))
         assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9 * (1 + np.max(np.abs(b)))
         # minimum-norm solutions are orthogonal to the null space
-        assert np.max(np.abs(expr.n_basis.T @ expr.x0), initial=0.0) < 1e-10
+        assert np.max(np.abs(expr.basis.T @ expr.x0), initial=0.0) < 1e-10
         assert expr.free_dim == n - m
 
 
 def test_nullspace_build_rejects_rank_deficiency():
-    with pytest.raises(RankDeficiencyError):
-        build_nullspace(EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]))
+    # rank-deficient rows are not an error: the null-space expression has
+    # n - rank free entries, not n - m
+    cons = EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
+    f = ConstraintFactorization(cons.a, cons.b)
+    assert f.rank < cons.m
+    assert f.null_basis.shape == (cons.n, cons.n - f.rank)
 
 
 def test_embed_feasibility_both_forms():
@@ -102,16 +109,16 @@ def test_embed_feasibility_both_forms():
         n = int(rng.integers(2, 30))
         m = int(rng.integers(1, n))
         cons = EqualityConstraints(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
-        for expr in (build_projector(cons), build_nullspace(cons)):
+        for expr in (build_projector(cons), nullspace_expression(cons)):
             g = rng.uniform(-3, 3, expr.free_dim)
-            x = embed(expr, g)
+            x = expr.embed(g)
             assert cons.residual(x) < 1e-9 * (1 + np.max(np.abs(cons.b)))
 
 
 def test_embed_dimension_mismatch():
     cons = EqualityConstraints([[1.0, 1.0, 0.0]], [1.0])
     proj = build_projector(cons)
-    null = build_nullspace(cons)
+    null = nullspace_expression(cons)
     with pytest.raises(ValueError):
         proj.embed([1.0])  # projector form wants the full n-vector
     with pytest.raises(ValueError):
@@ -121,18 +128,18 @@ def test_embed_dimension_mismatch():
 def test_no_constraints_edge_case():
     cons = EqualityConstraints(np.zeros((0, 4)), np.zeros(0))
     proj = build_projector(cons)
-    null = build_nullspace(cons)
-    assert_allclose(proj.d, np.eye(4))
+    null = nullspace_expression(cons)
+    assert_allclose(proj.basis, np.eye(4))
     assert_allclose(proj.x0, np.zeros(4))
-    assert_allclose(null.n_basis, np.eye(4))
+    assert_allclose(null.basis, np.eye(4))
     assert null.free_dim == 4
 
 
 def test_single_point_feasible_set():
     cons = EqualityConstraints(np.eye(3), [1.0, 2.0, 3.0])
     proj = build_projector(cons)
-    null = build_nullspace(cons)
+    null = nullspace_expression(cons)
     assert_allclose(proj.x0, [1.0, 2.0, 3.0], atol=1e-12)
-    assert np.max(np.abs(proj.d)) < 1e-12
+    assert np.max(np.abs(proj.basis)) < 1e-12
     assert null.free_dim == 0
     assert_allclose(null.embed(np.zeros(0)), [1.0, 2.0, 3.0], atol=1e-12)

@@ -3,18 +3,17 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from eqopt.errors import (
-    InfeasibleConstraintsError,
-    RankDeficiencyError,
-)
-from eqopt.linalg import (
-    ConstraintFactorization,
-    as_matrix,
-    as_vector,
-    nullspace_basis,
-    pseudo_inverse,
-    rrqr_reduce,
-)
+from eqopt.errors import InfeasibleConstraintsError
+from eqopt.linalg import ConstraintFactorization, as_matrix, as_vector, pseudo_inverse
+
+
+def kept_rows(f):
+    """The equivalent full-row-rank system ``(A, b)`` a factorization keeps."""
+    return f.a[f.selected], f.b[f.selected]
+
+
+def null_basis(a):
+    return ConstraintFactorization(a, np.zeros(np.shape(a)[0])).null_basis
 
 
 def random_matrix(rng, rows, cols, rank=None):
@@ -92,20 +91,21 @@ def test_pinv_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# rrqr_reduce
+# ConstraintFactorization: rank and redundant rows (rank-revealing QR)
 
 
 def test_rrqr_duplicated_row_consistent():
-    red = rrqr_reduce([[1.0, 2.0], [2.0, 4.0]], [3.0, 6.0])
-    assert red.rank == 1
-    assert red.a_tilde.shape == (1, 2)
+    f = ConstraintFactorization([[1.0, 2.0], [2.0, 4.0]], [3.0, 6.0])
+    a_kept, b_kept = kept_rows(f)
+    assert f.rank == 1
+    assert a_kept.shape == (1, 2)
     # the reduced row stays proportional to (1, 2) and keeps x = (3, 0) feasible
-    assert_allclose(red.a_tilde @ [3.0, 0.0], red.b_tilde, atol=1e-12)
+    assert_allclose(a_kept @ [3.0, 0.0], b_kept, atol=1e-12)
 
 
 def test_rrqr_duplicated_row_contradiction():
     with pytest.raises(InfeasibleConstraintsError):
-        rrqr_reduce([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0])
+        ConstraintFactorization([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0])
 
 
 def test_rrqr_rank_matches_reference_oracle():
@@ -116,13 +116,12 @@ def test_rrqr_rank_matches_reference_oracle():
         rank = int(rng.integers(1, min(m, n) + 1))
         a = random_matrix(rng, m, rank, None) @ random_matrix(rng, rank, n, None)
         b = a @ rng.uniform(-1, 1, n)  # consistent by construction
-        red = rrqr_reduce(a, b)
-        assert red.rank == np.linalg.matrix_rank(a)
-        assert red.a_tilde.shape == (red.rank, n)
-        assert sorted(red.permutation) == list(range(n))
+        f = ConstraintFactorization(a, b)
+        assert f.rank == np.linalg.matrix_rank(a)
+        assert kept_rows(f)[0].shape == (f.rank, n)
 
 
-def test_rrqr_reduced_system_is_equivalent():
+def test_rrqr_kept_rows_are_equivalent():
     rng = np.random.default_rng(202)
     for _ in range(30):
         n = int(rng.integers(2, 30))
@@ -130,22 +129,23 @@ def test_rrqr_reduced_system_is_equivalent():
         m = rank + int(rng.integers(0, 5))
         a = random_matrix(rng, m, rank, None) @ random_matrix(rng, rank, n, None)
         b = a @ rng.uniform(-1, 1, n)
-        red = rrqr_reduce(a, b)
+        f = ConstraintFactorization(a, b)
+        a_kept, b_kept = kept_rows(f)
         # any solution of the reduced system solves the original one
-        x = np.linalg.lstsq(red.a_tilde, red.b_tilde, rcond=None)[0]
+        x = np.linalg.lstsq(a_kept, b_kept, rcond=None)[0]
         assert np.max(np.abs(a @ x - b)) < 1e-8 * (1 + np.max(np.abs(b)))
         # and the reduced matrix has full row rank
-        assert np.linalg.matrix_rank(red.a_tilde) == red.rank
+        assert np.linalg.matrix_rank(a_kept) == f.rank
 
 
 def test_rrqr_full_rank_input_is_preserved_up_to_equivalence():
     rng = np.random.default_rng(203)
     a = rng.uniform(-1, 1, (4, 9))
     b = rng.uniform(-1, 1, 4)
-    red = rrqr_reduce(a, b)
-    assert red.rank == 4
+    f = ConstraintFactorization(a, b)
+    assert f.rank == 4
     # same solution set: row spaces and particular solutions agree
-    x = np.linalg.lstsq(red.a_tilde, red.b_tilde, rcond=None)[0]
+    x = np.linalg.lstsq(*kept_rows(f), rcond=None)[0]
     assert_allclose(a @ x, b, atol=1e-12)
 
 
@@ -153,44 +153,44 @@ def test_rrqr_reduction_is_idempotent():
     rng = np.random.default_rng(204)
     a = np.vstack([rng.uniform(-1, 1, (3, 8))] * 2)
     b = a @ rng.uniform(-1, 1, 8)
-    once = rrqr_reduce(a, b)
-    twice = rrqr_reduce(once.a_tilde, once.b_tilde)
+    once = ConstraintFactorization(a, b)
+    twice = ConstraintFactorization(*kept_rows(once))
     assert once.rank == twice.rank == 3
-    assert twice.a_tilde.shape == once.a_tilde.shape
+    assert kept_rows(twice)[0].shape == kept_rows(once)[0].shape
 
 
 def test_rrqr_zero_matrix():
-    red = rrqr_reduce(np.zeros((3, 4)), np.zeros(3))
-    assert red.rank == 0
-    assert red.a_tilde.shape == (0, 4)
+    f = ConstraintFactorization(np.zeros((3, 4)), np.zeros(3))
+    assert f.rank == 0
+    assert kept_rows(f)[0].shape == (0, 4)
     with pytest.raises(InfeasibleConstraintsError):
-        rrqr_reduce(np.zeros((3, 4)), [0.0, 1.0, 0.0])
+        ConstraintFactorization(np.zeros((3, 4)), [0.0, 1.0, 0.0])
 
 
 def test_rrqr_empty_system():
-    red = rrqr_reduce(np.zeros((0, 5)), np.zeros(0))
-    assert red.rank == 0
-    assert red.a_tilde.shape == (0, 5)
+    f = ConstraintFactorization(np.zeros((0, 5)), np.zeros(0))
+    assert f.rank == 0
+    assert kept_rows(f)[0].shape == (0, 5)
 
 
 def test_rrqr_validation():
     with pytest.raises(ValueError):
-        rrqr_reduce(np.eye(2), [1.0, 2.0, 3.0])
+        ConstraintFactorization(np.eye(2), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        rrqr_reduce(np.eye(2), [1.0, 2.0], eps=0.0)
+        ConstraintFactorization(np.eye(2), [1.0, 2.0], eps=0.0)
 
 
 # ---------------------------------------------------------------------------
-# nullspace_basis
+# ConstraintFactorization: null-space basis
 
 
-def test_nullspace_basis_properties():
+def test_null_basis_properties():
     rng = np.random.default_rng(301)
     for _ in range(40):
         n = int(rng.integers(2, 50))
         m = int(rng.integers(1, n))
         a = rng.uniform(-1, 1, (m, n))
-        nb = nullspace_basis(a)
+        nb = null_basis(a)
         assert nb.shape == (n, n - m)
         assert np.max(np.abs(nb.T @ nb - np.eye(n - m))) < 1e-12
         assert np.max(np.abs(a @ nb)) < 1e-12 * max(1.0, np.max(np.abs(a)))
@@ -198,30 +198,32 @@ def test_nullspace_basis_properties():
 
 def test_nullspace_known_plane():
     # ker of (1, 1) is spanned by (1, -1)/sqrt(2)
-    nb = nullspace_basis([[1.0, 1.0]])
+    nb = null_basis([[1.0, 1.0]])
     assert nb.shape == (2, 1)
     assert_allclose(np.abs(nb[:, 0]), np.full(2, np.sqrt(0.5)), atol=1e-15)
     assert abs(nb[0, 0] + nb[1, 0]) < 1e-15
 
 
 def test_nullspace_square_full_rank_is_empty():
-    nb = nullspace_basis(np.eye(4))
+    nb = null_basis(np.eye(4))
     assert nb.shape == (4, 0)
 
 
 def test_nullspace_no_constraints_is_identity():
-    assert_allclose(nullspace_basis(np.zeros((0, 3))), np.eye(3))
+    assert_allclose(null_basis(np.zeros((0, 3))), np.eye(3))
 
 
 def test_nullspace_rejects_rank_deficient():
-    with pytest.raises(RankDeficiencyError):
-        nullspace_basis([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(RankDeficiencyError):
-        nullspace_basis(np.ones((3, 2)))  # m > n can never have full row rank
+    # rank-deficient rows are not an error: the basis has n - rank columns
+    for a in ([[1.0, 2.0], [2.0, 4.0]], np.ones((3, 2))):  # m > n: never full row rank
+        m, n = np.shape(a)
+        f = ConstraintFactorization(a, np.zeros(m))
+        assert f.rank < m
+        assert f.null_basis.shape == (n, n - f.rank)
 
 
 # ---------------------------------------------------------------------------
-# ConstraintFactorization
+# ConstraintFactorization: all parts together
 
 
 def test_constraint_factorization_parts():

@@ -501,7 +501,7 @@ def test_start_outside_the_barrier_domain_is_refused():
         with pytest.raises(InfeasibleStartError, match="start point"):
             run(reduced)
     # a start strictly inside the domain solves
-    g0 = reduced.expr.n_basis.T @ (np.array([0.0, 2.0]) - reduced.expr.x0)  # x = (0, 2)
+    g0 = reduced.expr.basis.T @ (np.array([0.0, 2.0]) - reduced.expr.x0)  # x = (0, 2)
     assert abs(reduced.point(g0)[0]) < 1e-12
     trace = newton_solve(reduced, NewtonConfig(g0=g0))
     assert trace.converged and trace.final_x[0] < 0.5

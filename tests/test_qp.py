@@ -115,10 +115,34 @@ def test_eps_sets_the_minimum_norm_cutoff_on_both_eliminations():
     for solve in (solve_projector, solve_nullspace):
         coarse = solve(problem, eps=1e-6)
         assert_allclose(coarse.x, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
-        assert coarse.classification == "saddle"
+        assert coarse.classification == "non_unique"
         fine = solve(problem)
         assert_allclose(fine.x, [0.0, 0.0, -1e9, 1.0], rtol=1e-9)
         assert fine.classification == "saddle"
+
+
+def test_eps_is_also_the_classification_cut():
+    # one cut, eps * k * max|eig|, decides both whether the 1e-9 mode is
+    # inverted and whether it counts as curved: a dropped mode is a flat
+    # direction (non-unique, x3 = 0, stationarity residual |c3| = 1), a kept
+    # one leaves a stationary point (x3 = -1e9) labelled by the other modes
+    cons = EqualityConstraints([[0.0, 0.0, 0.0, 1.0]], [1.0])
+    c = np.array([0.0, 0.0, 1.0, 0.0])
+    for first, curved_label in ((-1.0, "saddle"), (1.0, "min")):
+        problem = QpProblem(np.diag([first, 1.0, 1e-9, 2.0]), c, cons)
+        for eps, dropped in ((None, False), (1e-12, False), (1e-10, False),
+                             (1e-8, True), (1e-6, True)):
+            for solve in (solve_projector, solve_nullspace):
+                sol = solve(problem, eps=eps)
+                where = (first, eps, solve.__name__)
+                if dropped:
+                    assert sol.classification == "non_unique", where
+                    assert sol.x[2] == 0.0, where
+                    assert_allclose(sol.stationarity_residual, 1.0, rtol=1e-12)
+                else:
+                    assert sol.classification == curved_label, where
+                    assert_allclose(sol.x[2], -1e9, rtol=1e-6)
+                    assert sol.stationarity_residual < 1e-6, where
 
 
 def test_degenerate_single_point():
