@@ -14,7 +14,6 @@ from .errors import (
     EqoptError,
     InfeasibleConstraintsError,
     InfeasibleStartError,
-    InvalidHMatrixError,
     LineSearchError,
     NonConvexError,
     OracleUnavailableError,
@@ -24,7 +23,7 @@ from .errors import (
     UnknownObjectiveError,
 )
 from .expressions import ConstrainedExpression, EqualityConstraints, build_projector
-from .linalg import ConstraintFactorization, pseudo_inverse
+from .linalg import ConstraintFactorization
 from .nlp import (
     ConvergenceConstants,
     IterationBound,
@@ -67,7 +66,6 @@ __all__ = [
     "GeneratorSpec",
     "InfeasibleConstraintsError",
     "InfeasibleStartError",
-    "InvalidHMatrixError",
     "IterationBound",
     "LineSearchError",
     "NewtonConfig",
@@ -96,7 +94,6 @@ __all__ = [
     "newton_solve",
     "objective_names",
     "objective_registry",
-    "pseudo_inverse",
     "quadratic",
     "reduce_problem",
     "save",

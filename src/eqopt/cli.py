@@ -26,7 +26,6 @@ from .errors import (
     DivergenceError,
     InfeasibleConstraintsError,
     InfeasibleStartError,
-    InvalidHMatrixError,
     LineSearchError,
     NonConvexError,
     OracleUnavailableError,
@@ -86,9 +85,9 @@ def _build_parser():
         "--tol",
         type=float,
         default=None,
-        help="rank/pinv tolerance for direct methods; termination tolerance "
-        "for newton (epsilon on half the squared decrement) and sqp (step/"
-        "gradient norm)",
+        help="rank and minimum-norm cutoff for direct methods (0 < tol < 1); "
+        "termination tolerance for newton (epsilon on half the squared "
+        "decrement) and sqp (step/gradient norm)",
     )
     p_solve.add_argument("--alpha", type=float, default=0.25, help="Armijo slope fraction")
     p_solve.add_argument("--beta", type=float, default=0.5, help="backtracking shrink factor")
@@ -445,10 +444,7 @@ def main(argv=None):
     except (NonConvexError, DivergenceError, LineSearchError, OracleUnavailableError, ComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ProblemFormatError, UnknownObjectiveError, InvalidHMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ProblemFormatError, UnknownObjectiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,10 +13,6 @@ class InfeasibleConstraintsError(EqoptError):
     """The equality constraints A x = b admit no solution."""
 
 
-class InvalidHMatrixError(EqoptError):
-    """The chosen H matrix leaves A H singular, so the projector cannot be built."""
-
-
 class OracleUnavailableError(EqoptError):
     """The saddle-point (KKT) system is singular; the direct oracle cannot certify this problem."""
 

@@ -8,9 +8,8 @@ particular solution. Q stays in Householder form; orthonormal bases of
 the row space and of ker(A) are formed from the reflectors (``dormqr``)
 only when a caller asks for them, so no n-by-n Q is built. Reduced symmetric
 systems that need not be positive definite are solved with one ``eigh``
-(:func:`symmetric_solve`), which also gives their inertia. The
-SVD-based :func:`pseudo_inverse` is a standalone primitive that the
-solvers do not call.
+(:func:`symmetric_solve`), which also gives their inertia. No solver
+computes an SVD.
 """
 
 from functools import cached_property
@@ -42,51 +41,6 @@ def as_vector(v, name="vector"):
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
-
-
-def pseudo_inverse(m, tol=None):
-    """Moore-Penrose pseudo-inverse via singular value decomposition.
-
-    A singular value ``s[i]`` is inverted only when
-    ``s[i] > tol * max(rows, cols) * s[0]``; smaller ones are treated as
-    zero, which makes the result well defined for rank-deficient input.
-
-    Parameters
-    ----------
-    m : (r, c) array_like
-        Matrix to invert. May be rectangular or rank deficient.
-    tol : float, optional
-        Relative cutoff for singular values. Defaults to machine epsilon.
-        Must be nonnegative.
-
-    Returns
-    -------
-    (c, r) ndarray
-        The pseudo-inverse ``m^+``.
-
-    Raises
-    ------
-    ComputationError
-        If the SVD fails to converge.
-    """
-    m = as_matrix(m, "m")
-    if tol is None:
-        tol = EPS
-    elif tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
-        ) from exc
-    cutoff = tol * max(m.shape) * s[0]
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
 
 
 class ConstraintFactorization:
@@ -128,7 +82,9 @@ class ConstraintFactorization:
     b : (m,) array_like
     eps : float, optional
         Relative tolerance for both the rank decision and the
-        consistency check. Defaults to machine epsilon. Must be positive.
+        consistency check. Defaults to machine epsilon. Must satisfy
+        ``0 < eps < 1``: at ``eps >= 1`` (or NaN) the rank cut would call
+        every pivot negligible and drop every row.
 
     Raises
     ------
@@ -146,8 +102,8 @@ class ConstraintFactorization:
             raise ValueError(f"b has length {b.shape[0]}, expected {m}")
         if eps is None:
             eps = EPS
-        elif eps <= 0:
-            raise ValueError("eps must be positive")
+        elif not 0.0 < eps < 1.0:  # also rejects NaN
+            raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps!r}")
         scale = np.max(np.abs(a), axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
         self.a = a / scale[:, None]
@@ -235,9 +191,9 @@ def symmetric_solve(m, rhs, tol=None):
     """Minimum-norm solution of a symmetric system, and its eigenvalues.
 
     One ``eigh`` gives both: eigenvalues ``w[i]`` with
-    ``|w[i]| <= tol * k * max|w|`` are treated as zero (the cutoff of
-    :func:`pseudo_inverse`, since ``|w|`` are the singular values), and
-    ``w`` carries the inertia of ``m``.
+    ``|w[i]| <= tol * k * max|w|`` are treated as zero (``|w|`` are the
+    singular values, so this is the usual relative cutoff of a
+    pseudo-inverse), and ``w`` carries the inertia of ``m``.
 
     Parameters
     ----------

@@ -394,16 +394,13 @@ class ConvergenceConstants:
     ``m_strong`` and ``m_upper`` sandwich the reduced Hessian
     (``m I <= F <= M I``) on the initial sublevel set; ``lipschitz`` is
     the Lipschitz constant of the full-space Hessian there; ``norm_n``
-    is ``||N||_2`` (exactly 1 for an orthonormal basis). ``kappa``, the
-    conditioning of the saddle system, may be recorded but enters no
-    bound.
+    is ``||N||_2`` (exactly 1 for an orthonormal basis).
     """
 
     m_strong: float
     m_upper: float
     lipschitz: float
     norm_n: float = 1.0
-    kappa: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.m_strong <= self.m_upper:
@@ -412,8 +409,6 @@ class ConvergenceConstants:
             raise ValueError("lipschitz must be positive")
         if not self.norm_n > 0.0:
             raise ValueError("norm_n must be positive")
-        if self.kappa is not None and not self.kappa > 0.0:
-            raise ValueError("kappa must be positive when given")
 
 
 @dataclass

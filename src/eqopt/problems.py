@@ -107,7 +107,7 @@ def load(path):
         raise ProblemSchemaError(f"{where}: top level must be an object")
 
     version = _require(doc, "formatVersion", int, where)
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ProblemSchemaError(
             f"{where}: unsupported formatVersion {version} (expected {FORMAT_VERSION})"
         )
@@ -140,7 +140,10 @@ def load(path):
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ProblemSchemaError(f"{where}: objective params must be an object")
-    oracle = objective_registry(name, params)  # UnknownObjectiveError passes through
+    try:
+        oracle = objective_registry(name, params)  # UnknownObjectiveError passes through
+    except TypeError as exc:  # e.g. a missing or unknown keyword
+        raise ProblemSchemaError(f"{where}: objective {name!r} params: {exc}") from None
     if oracle.dim != n:
         raise ProblemSchemaError(
             f"{where}: objective dimension {oracle.dim} does not match n={n}"

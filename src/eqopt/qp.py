@@ -3,9 +3,10 @@
 Three independent routes to a stationary point of
 ``1/2 x^T Q x + c^T x`` on ``{x : A x = b}``:
 
-* :func:`solve_projector` — projector-form reduction; the n-by-n reduced
-  system, shifted on the row space of A so that its p structural zero
-  eigenvalues become positive, is solved with one Cholesky factorization;
+* :func:`solve_projector` — projector-form reduction with ``H = A^T``
+  (``D = I - Q_1 Q_1^T``); the n-by-n reduced system, shifted on the row
+  space of A so that its p structural zero eigenvalues become positive,
+  is solved with one Cholesky factorization;
 * :func:`solve_nullspace` — null-space reduction to an (n - m)-sized
   positive-definite solve with one Cholesky factorization;
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
@@ -132,20 +133,20 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     """Solve a reduced stationary system ``aa g = rhs`` and classify the point.
 
     ``aa`` is symmetric, with ``expected_zeros`` structural zero
-    eigenvalues; ``shift``, if given, is the orthogonal projector onto
-    their eigenvectors. Cholesky first: ``M = aa + sigma * shift`` with
-    ``sigma = max|diag(aa)|`` (1 if that is 0) has the eigenvalues of the
-    reduced Hessian plus ``expected_zeros`` copies of ``sigma``, and the
-    same solution, since ``rhs`` and the minimum-norm ``g`` lie where
-    ``shift`` vanishes. With structural zeros and no shift, ``aa`` is
-    singular and Cholesky is skipped. ``tol`` (machine epsilon by default)
-    sets one cut, ``tol k max|eig|``, below which an eigenvalue is neither
-    inverted nor counted as curved. The Cholesky solve is accepted, and the
-    point called a minimum, only when LAPACK's ``dpocon`` estimate of
-    ``rcond_1(M)`` exceeds ``10 k^2 tol``: as ``kappa_2 <= k kappa_1``,
-    every eigenvalue of ``M`` then clears that cut with a factor of 10 to
-    spare. Otherwise one ``eigh`` gives the minimum-norm solution
-    (eigenvalues below the cut dropped) and the classification.
+    eigenvalues; ``shift``, given whenever there are any, is the
+    orthogonal projector onto their eigenvectors. Cholesky first:
+    ``M = aa + sigma * shift`` with ``sigma = max|diag(aa)|`` (1 if that
+    is 0) has the eigenvalues of the reduced Hessian plus
+    ``expected_zeros`` copies of ``sigma``, and the same solution, since
+    ``rhs`` and the minimum-norm ``g`` lie where ``shift`` vanishes.
+    ``tol`` (machine epsilon by default) sets one cut, ``tol k max|eig|``,
+    below which an eigenvalue is neither inverted nor counted as curved.
+    The Cholesky solve is accepted, and the point called a minimum, only
+    when LAPACK's ``dpocon`` estimate of ``rcond_1(M)`` exceeds
+    ``10 k^2 tol``: as ``kappa_2 <= k kappa_1``, every eigenvalue of ``M``
+    then clears that cut with a factor of 10 to spare. Otherwise one
+    ``eigh`` gives the minimum-norm solution (eigenvalues below the cut
+    dropped) and the classification.
 
     Returns
     -------
@@ -155,19 +156,18 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     k = aa.shape[0]
     if tol is None:
         tol = EPS
-    if shift is not None or expected_zeros == 0:
-        m = aa
-        if shift is not None:
-            sigma = float(np.max(np.abs(np.diag(aa)))) or 1.0
-            m = aa + sigma * shift
-        try:
-            chol = scipy.linalg.cho_factor(m)
-        except np.linalg.LinAlgError:
-            pass  # not positive definite
-        else:
-            rcond, info = scipy.linalg.lapack.dpocon(chol[0], np.linalg.norm(m, 1))
-            if info == 0 and rcond > 10.0 * k * k * tol:
-                return scipy.linalg.cho_solve(chol, rhs), "min"
+    m = aa
+    if shift is not None:
+        sigma = float(np.max(np.abs(np.diag(aa)))) or 1.0
+        m = aa + sigma * shift
+    try:
+        chol = scipy.linalg.cho_factor(m)
+    except np.linalg.LinAlgError:
+        pass  # not positive definite
+    else:
+        rcond, info = scipy.linalg.lapack.dpocon(chol[0], np.linalg.norm(m, 1))
+        if info == 0 and rcond > 10.0 * k * k * tol:
+            return scipy.linalg.cho_solve(chol, rhs), "min"
     g, eigs = symmetric_solve(aa, rhs, tol)
     return g, _classify(eigs, expected_zeros, tol)
 
@@ -204,33 +204,28 @@ def _solve_eliminated(problem, expr, method, expected_zeros, shift=None, eps=Non
     )
 
 
-def solve_projector(problem, h_choice="transpose_of_a", eps=None):
+def solve_projector(problem, eps=None):
     """Stationary point via the projector form.
 
     The constraints are factorized once (their redundant rows dropped),
-    the expression ``x = x0 + D g`` is built, and the stationary system
-    ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved by
-    :func:`_solve_reduced`. For the default ``H = A^T``,
-    ``D = I - Q_1 Q_1^T`` is an orthogonal projector, so a shift on
-    ``I - D`` lifts the p structural zero eigenvalues and a
-    positive-definite, well-conditioned reduced Hessian is solved by one
-    Cholesky factorization. Other choices of H make D oblique and keep
-    the eigendecomposition, as do indefinite and even singular reduced
-    Hessians, which yields the minimum-norm free vector.
+    the expression ``x = x0 + D g`` with ``H = A^T`` is built, and the
+    stationary system ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved by
+    :func:`_solve_reduced`. ``D = I - Q_1 Q_1^T`` is an orthogonal
+    projector, so a shift on ``I - D`` lifts the p structural zero
+    eigenvalues and a positive-definite, well-conditioned reduced Hessian
+    is solved by one Cholesky factorization. Indefinite and even singular
+    reduced Hessians take the eigendecomposition, which yields the
+    minimum-norm free vector.
 
     Raises
     ------
     InfeasibleConstraintsError
         If the constraints are contradictory.
-    InvalidHMatrixError
-        If ``h_choice`` leaves A H singular.
     """
     cons = problem.constraints
     factorization = ConstraintFactorization(cons.a, cons.b, eps)
-    expr = projector_from(factorization, h_choice)
-    shift = None
-    if isinstance(h_choice, str) and h_choice == "transpose_of_a":
-        shift = np.eye(problem.n) - expr.basis  # Q_1 Q_1^T
+    expr = projector_from(factorization)
+    shift = np.eye(problem.n) - expr.basis  # Q_1 Q_1^T
     return _solve_eliminated(problem, expr, "projector", factorization.rank, shift, eps)
 
 

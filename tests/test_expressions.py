@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqopt.errors import InvalidHMatrixError
 from eqopt.expressions import ConstrainedExpression, EqualityConstraints, build_projector
 from eqopt.linalg import ConstraintFactorization
 
@@ -49,35 +48,21 @@ def test_projector_algebra_randomized():
         assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9 * (1 + np.max(np.abs(b)))
 
 
-def test_projector_identity_block_choice():
-    rng = np.random.default_rng(12)
-    a = rng.uniform(-1, 1, (3, 7))
-    b = rng.uniform(-1, 1, 3)
-    expr = build_projector(EqualityConstraints(a, b), h_choice="identity_block")
-    assert np.max(np.abs(a @ expr.basis)) < 1e-9 * np.max(np.abs(a))
-    assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9
-
-
-def test_projector_custom_h():
-    rng = np.random.default_rng(13)
-    a = rng.uniform(-1, 1, (2, 5))
-    b = rng.uniform(-1, 1, 2)
-    h = rng.uniform(-1, 1, (5, 2))
-    expr = build_projector(EqualityConstraints(a, b), h_choice=h)
-    assert np.max(np.abs(a @ expr.basis)) < 1e-9
-    assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9
-    with pytest.raises(ValueError):
-        build_projector(EqualityConstraints(a, b), h_choice=np.ones((4, 2)))
-    with pytest.raises(ValueError):
-        build_projector(EqualityConstraints(a, b), h_choice="nonsense")
-
-
-def test_projector_rejects_singular_ah():
-    # identity-block H hits only the first coordinate, which A ignores
-    with pytest.raises(InvalidHMatrixError):
-        build_projector(
-            EqualityConstraints([[0.0, 1.0]], [1.0]), h_choice="identity_block"
-        )
+def test_projector_drops_redundant_rows():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        m = int(rng.integers(1, n))
+        a = rng.uniform(-1, 1, (m, n))
+        b = rng.uniform(-1, 1, m)
+        pick = rng.integers(0, m, size=int(rng.integers(1, 4)))
+        a_dup, b_dup = np.vstack([a, a[pick]]), np.concatenate([b, b[pick]])
+        expr = build_projector(EqualityConstraints(a_dup, b_dup))
+        assert np.max(np.abs(a_dup @ expr.basis)) < 1e-10 * np.max(np.abs(a))
+        assert np.max(np.abs(a_dup @ expr.x0 - b_dup)) < 1e-9 * (1 + np.max(np.abs(b)))
+        f = ConstraintFactorization(a_dup, b_dup)
+        kept = build_projector(EqualityConstraints(f.a[f.selected], f.b[f.selected]))
+        assert_allclose(expr.basis, kept.basis, atol=1e-12)
 
 
 def test_nullspace_expression_minimum_norm_particular_solution():

@@ -4,7 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqopt.errors import InfeasibleConstraintsError
-from eqopt.linalg import ConstraintFactorization, as_matrix, as_vector, pseudo_inverse
+from eqopt.linalg import ConstraintFactorization, as_matrix, as_vector
 
 
 def kept_rows(f):
@@ -20,74 +20,6 @@ def random_matrix(rng, rows, cols, rank=None):
     if rank is None:
         return rng.uniform(-1, 1, (rows, cols))
     return rng.uniform(-1, 1, (rows, rank)) @ rng.uniform(-1, 1, (rank, cols))
-
-
-# ---------------------------------------------------------------------------
-# pseudo_inverse
-
-
-def penrose_defects(mat, plus):
-    """Max relative defect over the four Moore-Penrose conditions."""
-    def rel(a, b):
-        return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
-
-    return max(
-        rel(mat @ plus @ mat, mat),
-        rel(plus @ mat @ plus, plus),
-        rel((mat @ plus).T, mat @ plus),
-        rel((plus @ mat).T, plus @ mat),
-    )
-
-
-def test_pinv_hand_examples():
-    # diagonal with a zero: invert the nonzero entry, keep the zero
-    assert_allclose(
-        pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-15
-    )
-    # column vector: a+ = a^T / ||a||^2
-    a = np.array([[3.0], [4.0]])
-    assert_allclose(pseudo_inverse(a), a.T / 25.0, atol=1e-15)
-
-
-def test_pinv_penrose_conditions():
-    rng = np.random.default_rng(101)
-    for _ in range(40):
-        rows = int(rng.integers(1, 25))
-        cols = int(rng.integers(1, 25))
-        rank = int(rng.integers(1, min(rows, cols) + 1)) if rng.random() < 0.5 else None
-        mat = random_matrix(rng, rows, cols, rank)
-        assert penrose_defects(mat, pseudo_inverse(mat)) < 1e-10
-
-
-def test_pinv_matches_numpy_reference():
-    rng = np.random.default_rng(102)
-    for _ in range(20):
-        mat = random_matrix(rng, 12, 7, rank=int(rng.integers(1, 8)))
-        assert_allclose(
-            pseudo_inverse(mat), np.linalg.pinv(mat), rtol=1e-9, atol=1e-11
-        )
-
-
-def test_pinv_tolerance_drops_small_singular_values():
-    # sigma = (1, 1e-9): default eps keeps both, tol=1e-6 treats the small one as zero
-    u = np.eye(2)
-    mat = u @ np.diag([1.0, 1e-9]) @ u
-    assert_allclose(pseudo_inverse(mat)[1, 1], 1e9, rtol=1e-6)
-    assert pseudo_inverse(mat, tol=1e-6)[1, 1] == 0.0
-
-
-def test_pinv_zero_and_empty():
-    assert_allclose(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
-    assert pseudo_inverse(np.zeros((0, 4))).shape == (4, 0)
-
-
-def test_pinv_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pseudo_inverse(np.ones((2, 2)), tol=-1.0)
-    with pytest.raises(ValueError):
-        pseudo_inverse([1.0, 2.0])
-    with pytest.raises(ValueError):
-        pseudo_inverse([[np.inf, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +108,10 @@ def test_rrqr_empty_system():
 def test_rrqr_validation():
     with pytest.raises(ValueError):
         ConstraintFactorization(np.eye(2), [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        ConstraintFactorization(np.eye(2), [1.0, 2.0], eps=0.0)
+    # eps >= 1 or NaN would call every pivot negligible and drop every row
+    for eps in (0.0, np.nan, np.inf, 1.0):
+        with pytest.raises(ValueError):
+            ConstraintFactorization(np.eye(2), [1.0, 2.0], eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -343,8 +343,6 @@ def test_constants_validation():
     with pytest.raises(ValueError):
         ConvergenceConstants(m_strong=1.0, m_upper=1.0, lipschitz=0.0)
     with pytest.raises(ValueError):
-        ConvergenceConstants(m_strong=1.0, m_upper=1.0, lipschitz=1.0, kappa=-1.0)
-    with pytest.raises(ValueError):
         iteration_bound(
             ConvergenceConstants(m_strong=1.0, m_upper=1.0, lipschitz=1.0),
             NewtonConfig(),

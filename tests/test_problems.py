@@ -138,8 +138,9 @@ def test_load_ragged_matrix_rejected(tmp_path):
 def test_load_bad_kind_and_version(tmp_path):
     with pytest.raises(ProblemSchemaError, match="kind"):
         load(_write(tmp_path / "p.json", _qp_doc(kind="lp")))
-    with pytest.raises(ProblemSchemaError, match="formatVersion"):
-        load(_write(tmp_path / "p.json", _qp_doc(formatVersion=2)))
+    for version in (2, True):
+        with pytest.raises(ProblemSchemaError, match="formatVersion"):
+            load(_write(tmp_path / "p.json", _qp_doc(formatVersion=version)))
 
 
 def test_load_bad_dimensions(tmp_path):
@@ -191,6 +192,23 @@ def test_load_objective_dimension_mismatch(tmp_path):
     }
     with pytest.raises(ProblemSchemaError, match="dimension"):
         load(_write(tmp_path / "p.json", doc))
+
+
+def test_load_objective_params_that_do_not_fit_the_builder(tmp_path):
+    # an unknown and a missing keyword: schema errors naming the objective,
+    # not a bare TypeError from the builder
+    for name, params in (("sum_exp", {"dim": 2, "bogus": 1.0}), ("log_sum_exp", {})):
+        doc = {
+            "formatVersion": FORMAT_VERSION,
+            "kind": "nlp",
+            "n": 2,
+            "m": 1,
+            "objective": {"name": name, "params": params},
+            "A": [[1.0, 1.0]],
+            "b": [1.0],
+        }
+        with pytest.raises(ProblemSchemaError, match=name):
+            load(_write(tmp_path / "p.json", doc))
 
 
 def test_load_asymmetric_q_warns_and_symmetrizes(tmp_path):
