@@ -3,7 +3,10 @@
 The constraints are eliminated by the null-space parameterization
 ``x = x0 + N g``, leaving the unconstrained reduced problem
 ``h(g) = f(x0 + N g)`` with gradient ``N^T grad f`` and Hessian
-``N^T (hess f) N``. Damped Newton (:func:`newton_solve`) and pure Newton
+``N^T (hess f) N``. :meth:`ObjectiveOracle.restrict` builds the oracle of
+``h`` once per solve: a registry objective pulls its own data back through
+``N`` (so no step forms an n x n Hessian), any other oracle is composed by
+the chain rule. Damped Newton (:func:`newton_solve`) and pure Newton
 (:func:`sqp_iterate`) are the two phases of one Newton iteration and run
 the same loop, which differs only in its step rule (Armijo backtracking
 or the full step) and its stop rule (the Newton decrement or the
@@ -48,15 +51,22 @@ class ObjectiveOracle:
         ``x -> (dim, dim) ndarray``. When omitted, a central
         finite-difference of the gradient is used with per-coordinate
         step ``cbrt(eps) * (1 + |x_i|)``.
+    pullback : callable, optional
+        ``(x0, basis) -> ObjectiveOracle``: the oracle of
+        ``g -> f(x0 + B g)`` on ``R^k`` (``k`` = columns of ``B``), built
+        from the objective's data rather than from these callbacks. Every
+        registry objective (:mod:`eqopt.objectives`) supplies one;
+        :meth:`restrict` uses it.
     """
 
-    def __init__(self, dim, value, gradient, hessian=None):
+    def __init__(self, dim, value, gradient, hessian=None, pullback=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.value = value
         self.gradient = gradient
         self.hessian = hessian if hessian is not None else self._fd_hessian
+        self.pullback = pullback
 
     def _fd_hessian(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -68,32 +78,67 @@ class ObjectiveOracle:
             out[:, i] = (self.gradient(x + e) - self.gradient(x - e)) / (2.0 * step)
         return 0.5 * (out + out.T)
 
+    def restrict(self, x0, basis):
+        """The oracle of ``g -> f(x0 + B g)`` on ``R^k``, ``k = basis.shape[1]``.
+
+        Returns ``pullback(x0, basis)`` when the oracle has one. Otherwise
+        composes this oracle's callbacks by the chain rule: the value
+        ``f(x0 + B g)``, the gradient ``B^T grad f`` and the symmetrized
+        Hessian ``B^T (hess f) B``, which evaluates the full n x n Hessian
+        at every call.
+        """
+        if self.pullback is not None:
+            return self.pullback(x0, basis)
+
+        def value(g):
+            return self.value(x0 + basis @ g)
+
+        def gradient(g):
+            return basis.T @ self.gradient(x0 + basis @ g)
+
+        def hessian(g):
+            f = basis.T @ self.hessian(x0 + basis @ g) @ basis
+            return 0.5 * (f + f.T)
+
+        return ObjectiveOracle(basis.shape[1], value, gradient, hessian)
+
 
 @dataclass
 class ReducedObjective:
-    """A full-space objective pulled back through a null-space expression."""
+    """A full-space objective pulled back through a null-space expression.
+
+    ``value``, ``gradient`` and ``hessian`` take a free vector ``g`` and
+    evaluate ``oracle.restrict(expr.x0, expr.basis)``, built once here.
+    """
 
     expr: ConstrainedExpression  # basis N
     oracle: ObjectiveOracle
 
+    def __post_init__(self):
+        self._restricted = self.oracle.restrict(self.expr.x0, self.expr.basis)
+
     @property
     def free_dim(self):
         return self.expr.free_dim
+
+    def _checked(self, g):
+        g = as_vector(g, "g")
+        if g.shape[0] != self.free_dim:
+            raise ValueError(f"g has length {g.shape[0]}, expected {self.free_dim}")
+        return g
 
     def point(self, g):
         """The full-space point x(g) = x0 + N g."""
         return self.expr.embed(g)
 
     def value(self, g):
-        return float(self.oracle.value(self.point(g)))
+        return float(self._restricted.value(self._checked(g)))
 
     def gradient(self, g):
-        return self.expr.basis.T @ self.oracle.gradient(self.point(g))
+        return self._restricted.gradient(self._checked(g))
 
     def hessian(self, g):
-        nb = self.expr.basis
-        f = nb.T @ self.oracle.hessian(self.point(g)) @ nb
-        return 0.5 * (f + f.T)
+        return self._restricted.hessian(self._checked(g))
 
 
 def reduce_problem(oracle, constraints, eps=None):
@@ -102,6 +147,10 @@ def reduce_problem(oracle, constraints, eps=None):
     The constraints are factorized once
     (:class:`~eqopt.linalg.ConstraintFactorization`), so redundant rows
     are dropped and contradictory ones raise InfeasibleConstraintsError.
+    The oracle is restricted to ``x0 + N g`` once
+    (:meth:`ObjectiveOracle.restrict`): a registry objective pulls its data
+    back through ``N`` here, and the pulled-back data lives as long as the
+    returned :class:`ReducedObjective`.
     """
     if oracle.dim != constraints.n:
         raise ValueError(
@@ -137,8 +186,8 @@ class NewtonConfig:
             raise ValueError("alpha must lie in (0, 1/2)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.g0 is not None:
@@ -380,8 +429,8 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     where the objective is not finite raises :class:`InfeasibleStartError`
     and a non-finite gradient or Hessian :class:`ComputationError`.
     """
-    if not tol_g > 0.0:
-        raise ValueError("tol_g must be positive")
+    if not (math.isfinite(tol_g) and tol_g > 0.0):
+        raise ValueError("tol_g must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     return _newton_loop(reduced, g0, max_iter, tol_g)

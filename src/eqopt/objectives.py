@@ -2,7 +2,16 @@
 
 Each builder returns an :class:`~eqopt.nlp.ObjectiveOracle`; the string
 registry exists so problem files and the CLI can name objectives.
+
+Every objective here has the form ``phi(C x + s) + 1/2 x^T Q x + c^T x``,
+so each supplies a ``pullback``: restricted to ``x = x0 + N g`` it is an
+objective of the same form on the data ``C N``, ``C x0 + s``, ``N^T Q N``
+and ``N^T (Q x0 + c)``. :func:`~eqopt.nlp.reduce_problem` computes that
+data once per solve, and the reduced value, gradient and Hessian then
+cost O(r k) and O(r k^2) for r rows of C and k free variables.
 """
+
+import math
 
 import numpy as np
 
@@ -11,8 +20,8 @@ from .linalg import as_matrix, as_vector
 from .nlp import ObjectiveOracle
 
 
-def quadratic(q, c=None):
-    """``f(x) = 1/2 x^T Q x + c^T x`` (Q symmetrized)."""
+def _quadratic_data(q, c):
+    """Validate ``(Q, c)``; returns the symmetrized Q and c (zeros if None)."""
     q = as_matrix(q, "q")
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"q must be square, got shape {q.shape}")
@@ -21,11 +30,59 @@ def quadratic(q, c=None):
     c = np.zeros(n) if c is None else as_vector(c, "c")
     if c.shape[0] != n:
         raise ValueError(f"c has length {c.shape[0]}, expected {n}")
+    return q, c
+
+
+def _pull_back_quadratic(q, c, const, x0, basis):
+    """``1/2 x^T Q x + c^T x + const`` at ``x = x0 + N g``, as data in g.
+
+    Returns ``(N^T Q N, N^T (Q x0 + c), const + 1/2 x0^T Q x0 + c^T x0)``.
+    """
+    qx0 = q @ x0
+    qn = basis.T @ (q @ basis)
+    return (
+        0.5 * (qn + qn.T),
+        basis.T @ (qx0 + c),
+        const + float(0.5 * x0 @ qx0 + c @ x0),
+    )
+
+
+def _quadratic(q, c, const):
+    def pullback(x0, basis):
+        return _quadratic(*_pull_back_quadratic(q, c, const, x0, basis))
+
     return ObjectiveOracle(
-        dim=n,
-        value=lambda x: 0.5 * x @ q @ x + c @ x,
+        dim=q.shape[0],
+        value=lambda x: 0.5 * x @ q @ x + c @ x + const,
         gradient=lambda x: q @ x + c,
         hessian=lambda x: q.copy(),
+        pullback=pullback,
+    )
+
+
+def quadratic(q, c=None):
+    """``f(x) = 1/2 x^T Q x + c^T x`` (Q symmetrized)."""
+    return _quadratic(*_quadratic_data(q, c), 0.0)
+
+
+def _affine_sum_exp(a, s):
+    """``g -> sum_i exp(a_i . g + s_i)``: :func:`sum_exp` after a pull-back."""
+
+    def value(g):
+        return float(np.sum(np.exp(a @ g + s)))
+
+    def gradient(g):
+        return a.T @ np.exp(a @ g + s)
+
+    def hessian(g):
+        w = np.exp(0.5 * (a @ g + s))[:, None] * a
+        return w.T @ w  # a^T diag(e) a
+
+    def pullback(x0, basis):
+        return _affine_sum_exp(a @ basis, a @ x0 + s)
+
+    return ObjectiveOracle(
+        dim=a.shape[1], value=value, gradient=gradient, hessian=hessian, pullback=pullback
     )
 
 
@@ -49,23 +106,15 @@ def sum_exp(dim=None, rates=None):
     def hessian(x):
         return np.diag(r * r * np.exp(r * x))
 
-    return ObjectiveOracle(dim=r.shape[0], value=value, gradient=gradient, hessian=hessian)
+    def pullback(x0, basis):
+        return _affine_sum_exp(r[:, None] * basis, r * x0)
+
+    return ObjectiveOracle(
+        dim=r.shape[0], value=value, gradient=gradient, hessian=hessian, pullback=pullback
+    )
 
 
-def log_sum_exp(a, shift=None):
-    """``f(x) = log sum_i exp(a_i . x + s_i)``, max-shifted for stability.
-
-    Strictly convex on the reduced space when the rows of ``a`` span it;
-    use k >= a few times n rows for a well-conditioned reduced Hessian.
-    """
-    a = as_matrix(a, "a")
-    k, n = a.shape
-    if k < 1:
-        raise ValueError("a needs at least one row")
-    s = np.zeros(k) if shift is None else as_vector(shift, "shift")
-    if s.shape[0] != k:
-        raise ValueError(f"shift has length {s.shape[0]}, expected {k}")
-
+def _log_sum_exp(a, s):
     def _weights(x):
         z = a @ x + s
         zmax = float(np.max(z))
@@ -85,40 +134,34 @@ def log_sum_exp(a, shift=None):
         w, _ = _weights(x)
         p = w / np.sum(w)
         grad = a.T @ p
-        return a.T @ (p[:, None] * a) - np.outer(grad, grad)
+        ap = np.sqrt(p)[:, None] * a
+        return ap.T @ ap - np.outer(grad, grad)  # a^T diag(p) a - grad grad^T
 
-    return ObjectiveOracle(dim=n, value=value, gradient=gradient, hessian=hessian)
+    def pullback(x0, basis):
+        return _log_sum_exp(a @ basis, a @ x0 + s)
+
+    return ObjectiveOracle(
+        dim=a.shape[1], value=value, gradient=gradient, hessian=hessian, pullback=pullback
+    )
 
 
-def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0):
-    """Quadratic plus log-barrier: ``1/2 x^T Q x + c^T x - mu sum_i log(u_i - a_i . x)``.
+def log_sum_exp(a, shift=None):
+    """``f(x) = log sum_i exp(a_i . x + s_i)``, max-shifted for stability.
 
-    The value is ``+inf`` outside the open domain ``barrier_a x < barrier_b``,
-    which makes backtracking reject infeasible trial points; gradient and
-    Hessian require a strictly interior point.
+    Strictly convex on the reduced space when the rows of ``a`` span it;
+    use k >= a few times n rows for a well-conditioned reduced Hessian.
     """
-    q = as_matrix(q, "q")
-    if q.shape[0] != q.shape[1]:
-        raise ValueError(f"q must be square, got shape {q.shape}")
-    q = 0.5 * (q + q.T)
-    n = q.shape[0]
-    c = np.zeros(n) if c is None else as_vector(c, "c")
-    if c.shape[0] != n:
-        raise ValueError(f"c has length {c.shape[0]}, expected {n}")
-    if barrier_a is None or barrier_b is None:
-        raise ValueError("neg_log_barrier_quadratic needs barrier_a and barrier_b")
-    ba = as_matrix(barrier_a, "barrier_a")
-    bb = as_vector(barrier_b, "barrier_b")
-    if ba.shape[1] != n:
-        raise ValueError(f"barrier_a has {ba.shape[1]} columns, expected {n}")
-    if bb.shape[0] != ba.shape[0]:
-        raise ValueError(
-            f"barrier_b has length {bb.shape[0]}, expected {ba.shape[0]}"
-        )
-    mu = float(mu)
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    a = as_matrix(a, "a")
+    k = a.shape[0]
+    if k < 1:
+        raise ValueError("a needs at least one row")
+    s = np.zeros(k) if shift is None else as_vector(shift, "shift")
+    if s.shape[0] != k:
+        raise ValueError(f"shift has length {s.shape[0]}, expected {k}")
+    return _log_sum_exp(a, s)
 
+
+def _barrier(q, c, const, ba, bb, mu):
     def _slack(x):
         return bb - ba @ x
 
@@ -126,7 +169,7 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
         s = _slack(x)
         if np.min(s, initial=np.inf) <= 0.0:
             return np.inf
-        return float(0.5 * x @ q @ x + c @ x - mu * np.sum(np.log(s)))
+        return float(0.5 * x @ q @ x + c @ x + const - mu * np.sum(np.log(s)))
 
     def gradient(x):
         s = _slack(x)
@@ -138,9 +181,41 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
         s = _slack(x)
         if np.min(s, initial=np.inf) <= 0.0:
             raise ValueError("hessian requested outside the barrier domain")
-        return q + mu * (ba.T @ ((1.0 / s**2)[:, None] * ba))
+        w = (1.0 / s)[:, None] * ba
+        return q + mu * (w.T @ w)  # Q + mu a^T diag(1/s^2) a
 
-    return ObjectiveOracle(dim=n, value=value, gradient=gradient, hessian=hessian)
+    def pullback(x0, basis):
+        q_g, c_g, const_g = _pull_back_quadratic(q, c, const, x0, basis)
+        return _barrier(q_g, c_g, const_g, ba @ basis, bb - ba @ x0, mu)
+
+    return ObjectiveOracle(
+        dim=q.shape[0], value=value, gradient=gradient, hessian=hessian, pullback=pullback
+    )
+
+
+def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0):
+    """Quadratic plus log-barrier: ``1/2 x^T Q x + c^T x - mu sum_i log(u_i - a_i . x)``.
+
+    The value is ``+inf`` outside the open domain ``barrier_a x < barrier_b``,
+    which makes backtracking reject infeasible trial points; gradient and
+    Hessian require a strictly interior point.
+    """
+    q, c = _quadratic_data(q, c)
+    n = q.shape[0]
+    if barrier_a is None or barrier_b is None:
+        raise ValueError("neg_log_barrier_quadratic needs barrier_a and barrier_b")
+    ba = as_matrix(barrier_a, "barrier_a")
+    bb = as_vector(barrier_b, "barrier_b")
+    if ba.shape[1] != n:
+        raise ValueError(f"barrier_a has {ba.shape[1]} columns, expected {n}")
+    if bb.shape[0] != ba.shape[0]:
+        raise ValueError(
+            f"barrier_b has length {bb.shape[0]}, expected {ba.shape[0]}"
+        )
+    mu = float(mu)
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError("mu must be finite and positive")
+    return _barrier(q, c, 0.0, ba, bb, mu)
 
 
 _REGISTRY = {

@@ -6,6 +6,13 @@ fallback: central differences with a per-coordinate relative step.
 
 import numpy as np
 
+from eqopt.nlp import ObjectiveOracle
+
+
+def chain_rule_oracle(oracle):
+    """The same callbacks without a pull-back, so ``restrict`` composes them."""
+    return ObjectiveOracle(oracle.dim, oracle.value, oracle.gradient, oracle.hessian)
+
 
 def fd_gradient(value, x, h=1e-6):
     x = np.asarray(x, dtype=float)

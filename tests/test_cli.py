@@ -149,6 +149,26 @@ def test_solve_nan_tolerance_exits_4(tmp_path, capsys):
         assert "eps" in capsys.readouterr().err
 
 
+def test_solve_infinite_tolerance_exits_4(tmp_path, capsys):
+    # an infinite tolerance would stop Newton before its first step and
+    # report convergence at the start point
+    doc = {
+        "formatVersion": 1,
+        "kind": "nlp",
+        "n": 2,
+        "m": 1,
+        "objective": {"name": "sum_exp", "params": {"rates": [1.0, 3.0]}},
+        "A": [[1.0, 1.0]],
+        "b": [1.0],
+    }
+    path = _write_doc(tmp_path / "sum_exp.json", doc)
+    for method in ("newton", "sqp"):
+        code = cli.main(["solve", "--input", path, "--method", method, "--tol", "inf"])
+        assert code == 4, method
+        assert "finite" in capsys.readouterr().err
+    assert cli.main(["solve", "--input", path, "--method", "newton"]) == 0
+
+
 def test_solve_barrier_start_outside_the_domain_exits_5(tmp_path, capsys):
     # the minimum-norm point (1, 1) of x1 + x2 = 2 violates the barrier x1 < 0.5
     doc = {

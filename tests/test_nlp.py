@@ -29,7 +29,7 @@ from eqopt.nlp import (
 from eqopt.objectives import log_sum_exp, neg_log_barrier_quadratic, quadratic, sum_exp
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import solve_nullspace
-from helpers import fd_gradient, fd_hessian
+from helpers import chain_rule_oracle, fd_gradient, fd_hessian
 
 
 def lse_reduced(seed, n=10, m=3):
@@ -217,8 +217,9 @@ def test_newton_config_validation():
         NewtonConfig(alpha=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(beta=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(epsilon=0.0)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NewtonConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
     with pytest.raises(ValueError):
@@ -268,8 +269,9 @@ def test_sqp_converges_near_solution_where_damped_not_needed():
 
 def test_sqp_validation():
     reduced, _ = lse_reduced(23)
-    with pytest.raises(ValueError):
-        sqp_iterate(reduced, tol_g=0.0)
+    for tol_g in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sqp_iterate(reduced, tol_g=tol_g)
     with pytest.raises(ValueError):
         sqp_iterate(reduced, max_iter=0)
     with pytest.raises(ValueError):
@@ -520,3 +522,61 @@ def test_sqp_step_out_of_the_barrier_domain_is_divergence():
     # the damped loop stays inside and converges
     damped = newton_solve(reduced)
     assert damped.converged and damped.final_x[0] < 1.0
+
+
+def newton_shaped_inputs(seed, n=30, m=8):
+    """Constraints and the three registry objectives of one Newton instance.
+
+    Row 0 of A fixes sum(x), which bounds sum_exp; the log-sum-exp rows
+    come in +/- pairs; the barrier rows leave the start g = 0 inside. The
+    steep log-sum-exp makes damped Newton backtrack in its first steps.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, n))
+    a[0] = 1.0
+    b = rng.uniform(-1, 1, m)
+    cons = EqualityConstraints(a, b)
+    half = rng.uniform(-1, 1, (2 * n, n))
+    r = rng.uniform(-1, 1, (n, n))
+    barrier_a = rng.uniform(-1, 1, (2 * n, n))
+    x_start = np.linalg.lstsq(a, b, rcond=None)[0]
+    objectives = {
+        "log_sum_exp": log_sum_exp(np.vstack([half, -half])),
+        "steep_log_sum_exp": log_sum_exp(10.0 * np.vstack([half, -half])),
+        "sum_exp": sum_exp(rates=rng.uniform(0.5, 1.5, n)),
+        "barrier": neg_log_barrier_quadratic(
+            r.T @ r / n + np.eye(n),
+            rng.uniform(-1, 1, n),
+            barrier_a,
+            barrier_a @ x_start + rng.uniform(0.5, 1.5, 2 * n),
+        ),
+    }
+    return cons, objectives
+
+
+def test_pulled_back_newton_traces_match_the_chain_rule_path():
+    runs = {
+        "log_sum_exp": [newton_solve],
+        "steep_log_sum_exp": [newton_solve],
+        "sum_exp": [newton_solve, sqp_iterate],
+        "barrier": [newton_solve],
+    }
+    for seed in range(3):
+        cons, objectives = newton_shaped_inputs(seed)
+        for name, oracle in objectives.items():
+            for run in runs[name]:
+                fast = run(reduce_problem(oracle, cons))
+                slow = run(reduce_problem(chain_rule_oracle(oracle), cons))
+                label = (seed, name, run.__name__)
+                assert fast.converged and slow.converged, label
+                assert len(fast.iterations) == len(slow.iterations) >= 2, label
+                assert [it.step_size for it in fast.iterations] == [
+                    it.step_size for it in slow.iterations
+                ], label
+                fast_g = [it.g for it in fast.iterations] + [fast.final_g]
+                slow_g = [it.g for it in slow.iterations] + [slow.final_g]
+                for g, ref in zip(fast_g, slow_g):
+                    assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), label
+                assert abs(fast.final_h - slow.final_h) <= 1e-12 * max(1.0, abs(slow.final_h)), label
+                if name == "steep_log_sum_exp":
+                    assert fast.iterations[0].step_size < 1.0, label

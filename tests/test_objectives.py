@@ -11,7 +11,7 @@ from eqopt.objectives import (
     quadratic,
     sum_exp,
 )
-from helpers import fd_gradient, fd_hessian
+from helpers import chain_rule_oracle, fd_gradient, fd_hessian
 
 
 def test_registry_names_and_lookup():
@@ -90,10 +90,11 @@ def test_barrier_parameter_validation():
         neg_log_barrier_quadratic(
             np.eye(2), barrier_a=[[1.0, 0.0]], barrier_b=[1.0, 2.0]
         )
-    with pytest.raises(ValueError):
-        neg_log_barrier_quadratic(
-            np.eye(2), barrier_a=[[1.0, 0.0]], barrier_b=[1.0], mu=0.0
-        )
+    for mu in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            neg_log_barrier_quadratic(
+                np.eye(2), barrier_a=[[1.0, 0.0]], barrier_b=[1.0], mu=mu
+            )
 
 
 def test_parameter_shape_validation():
@@ -148,3 +149,59 @@ def test_all_registry_oracles_pass_derivative_checks():
             hess = oracle.hessian(x)
             hess_fd = fd_hessian(oracle.gradient, x)
             assert np.max(np.abs(hess - hess_fd)) < 1e-4 * (1 + np.max(np.abs(hess_fd))), name
+
+
+def test_every_registry_objective_pulls_back():
+    rng = np.random.default_rng(8)
+    built = {name: objective_registry(name, params) for name, params in registry_test_cases(rng)}
+    assert sorted(built) == objective_names()
+    for name, oracle in built.items():
+        assert oracle.pullback is not None, name
+
+
+def test_pull_back_equals_composition_for_every_registry_objective():
+    rng = np.random.default_rng(31)
+    n, k = 5, 3
+    for name, params in registry_test_cases(rng, n):
+        oracle = objective_registry(name, params)
+        x0 = 0.1 * rng.uniform(-1, 1, n)  # inside the barrier's domain
+        basis = np.linalg.qr(rng.uniform(-1, 1, (n, k)))[0]
+        pulled = oracle.restrict(x0, basis)
+        composed = chain_rule_oracle(oracle).restrict(x0, basis)
+        assert pulled.dim == composed.dim == k
+        assert pulled.pullback is not None, name
+        for _ in range(5):
+            g = 0.1 * rng.uniform(-1, 1, k)
+            value = composed.value(g)
+            assert abs(pulled.value(g) - value) <= 1e-12 * max(1.0, abs(value)), name
+            for part in ("gradient", "hessian"):
+                got, want = getattr(pulled, part)(g), getattr(composed, part)(g)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, part)
+        if name == "neg_log_barrier_quadratic":
+            # a free vector that moves x = x0 + N g past a barrier row
+            row = np.asarray(params["barrier_a"])[0] @ basis
+            g = 10.0 * float(params["barrier_b"][0]) * row / (row @ row)
+            assert composed.value(g) == np.inf
+            assert pulled.value(g) == np.inf
+            with pytest.raises(ValueError):
+                pulled.gradient(g)
+            with pytest.raises(ValueError):
+                pulled.hessian(g)
+
+
+def test_pull_back_composes():
+    # restricting twice equals restricting once through the product basis
+    rng = np.random.default_rng(32)
+    for name, params in registry_test_cases(rng, 6):
+        oracle = objective_registry(name, params)
+        x0 = 0.05 * rng.uniform(-1, 1, 6)
+        b1 = np.linalg.qr(rng.uniform(-1, 1, (6, 4)))[0]
+        y0 = 0.05 * rng.uniform(-1, 1, 4)
+        b2 = np.linalg.qr(rng.uniform(-1, 1, (4, 2)))[0]
+        twice = oracle.restrict(x0, b1).restrict(y0, b2)
+        once = chain_rule_oracle(oracle).restrict(x0 + b1 @ y0, b1 @ b2)
+        g = 0.05 * rng.uniform(-1, 1, 2)
+        assert abs(twice.value(g) - once.value(g)) <= 1e-12 * max(1.0, abs(once.value(g))), name
+        assert_allclose(twice.gradient(g), once.gradient(g), rtol=1e-12, atol=1e-12)
+        assert_allclose(twice.hessian(g), once.hessian(g), rtol=1e-12, atol=1e-12)
