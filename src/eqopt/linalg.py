@@ -7,9 +7,13 @@ the redundant rows, the consistency check and the minimum-norm
 particular solution. Q stays in Householder form; orthonormal bases of
 the row space and of ker(A) are formed from the reflectors (``dormqr``)
 only when a caller asks for them, so no n-by-n Q is built. Reduced symmetric
-systems that need not be positive definite are solved with one ``eigh``
-(:func:`symmetric_solve`), which also gives their inertia. No solver
-computes an SVD.
+systems are solved by one Cholesky factorization (:func:`cholesky`, LAPACK
+``dpotrf``/``dpotrs``) when they are positive definite and otherwise with
+one ``eigh`` (:func:`symmetric_solve`), which also gives their inertia. No
+solver computes an SVD. A quadratic ``1/2 x^T Q x + c^T x`` is validated
+once (:func:`quadratic_data`) and restricted to ``x = x0 + B g`` by one
+kernel (:func:`pull_back_quadratic`) that the QP eliminations and the
+registry objectives share.
 """
 
 from functools import cached_property
@@ -41,6 +45,51 @@ def as_vector(v, name="vector"):
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def quadratic_data(q, c=None):
+    """Validate ``(Q, c)`` (c defaults to zeros); returns ``(Q + Q^T) / 2``,
+    the only part of Q a quadratic form senses, and c."""
+    q = as_matrix(q, "Q")
+    if q.shape[0] != q.shape[1]:
+        raise ValueError(f"Q must be square, got shape {q.shape}")
+    q = 0.5 * (q + q.T)
+    n = q.shape[0]
+    c = np.zeros(n) if c is None else as_vector(c, "c")
+    if c.shape[0] != n:
+        raise ValueError(f"c has length {c.shape[0]}, expected {n}")
+    return q, c
+
+
+def pull_back_quadratic(q, c, x0, basis):
+    """``1/2 x^T Q x + c^T x`` at ``x = x0 + B g``, as data in g.
+
+    Returns ``(B^T Q B, B^T (Q x0 + c), 1/2 x0^T Q x0 + c^T x0)``; the first
+    is formed as ``(B^T Q) B`` and symmetrized, so it is exactly symmetric.
+    """
+    qx0 = q @ x0
+    qb = basis.T @ q @ basis
+    return 0.5 * (qb + qb.T), basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
+
+
+def cholesky(m):
+    """Upper Cholesky factor of the symmetric ``m`` (LAPACK ``dpotrf``; its
+    strict lower triangle is garbage), or None if ``m`` is not positive
+    definite. Raises ComputationError if LAPACK rejects an argument."""
+    u, info = scipy.linalg.lapack.dpotrf(m, lower=0, clean=0)
+    if info > 0:
+        return None
+    if info < 0:
+        raise ComputationError(f"Cholesky factorization failed (dpotrf info={info})")
+    return u
+
+
+def cholesky_solve(u, rhs):
+    """``m^-1 rhs`` from the upper factor ``u`` of :func:`cholesky` (``dpotrs``)."""
+    x, info = scipy.linalg.lapack.dpotrs(u, rhs, lower=0)
+    if info != 0:
+        raise ComputationError(f"Cholesky solve failed (dpotrs info={info})")
+    return x
 
 
 class ConstraintFactorization:

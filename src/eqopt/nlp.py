@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ComputationError,
@@ -30,7 +29,7 @@ from .errors import (
     NonConvexError,
 )
 from .expressions import ConstrainedExpression
-from .linalg import ConstraintFactorization, as_vector
+from .linalg import ConstraintFactorization, as_vector, cholesky, cholesky_solve
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -255,15 +254,14 @@ def _newton_step(reduced, g, iteration):
         raise ComputationError(
             f"the oracle returned a non-finite gradient or Hessian at iteration {iteration}"
         )
-    try:
-        cf = scipy.linalg.cho_factor(f, check_finite=False)
-    except np.linalg.LinAlgError:
+    u = cholesky(f)
+    if u is None:
         raise NonConvexError(
             f"reduced Hessian is not positive definite at iteration {iteration}",
             g=g.copy(),
             iteration=iteration,
-        ) from None
-    step = -scipy.linalg.cho_solve(cf, e, check_finite=False)
+        )
+    step = -cholesky_solve(u, e)
     dec_sq = max(float(-(e @ step)), 0.0)  # E^T F^{-1} E, clamped against rounding
     return e, step, dec_sq
 

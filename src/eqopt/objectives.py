@@ -3,12 +3,24 @@
 Each builder returns an :class:`~eqopt.nlp.ObjectiveOracle`; the string
 registry exists so problem files and the CLI can name objectives.
 
-Every objective here has the form ``phi(C x + s) + 1/2 x^T Q x + c^T x``,
-so each supplies a ``pullback``: restricted to ``x = x0 + N g`` it is an
-objective of the same form on the data ``C N``, ``C x0 + s``, ``N^T Q N``
-and ``N^T (Q x0 + c)``. :func:`~eqopt.nlp.reduce_problem` computes that
-data once per solve, and the reduced value, gradient and Hessian then
-cost O(r k) and O(r k^2) for r rows of C and k free variables.
+Every objective here is one composite
+``f(x) = phi(C x + s) + 1/2 x^T Q x + c^T x + const`` with a separable
+``phi`` on ``z = C x + s``, and one body (:func:`_composite`) writes its
+value, gradient ``C^T phi'(z) + Q x + c``, Hessian and pull-back:
+
+* :func:`quadratic` has no rows in C;
+* :func:`log_sum_exp` and :func:`sum_exp` have no quadratic part;
+* :func:`neg_log_barrier_quadratic` is ``phi(z) = -mu sum_i log(-z_i)`` on
+  ``z = barrier_a x - barrier_b`` plus its quadratic.
+
+With ``hess phi(z) = diag(w^2) - p p^T`` (``p`` only for log-sum-exp) and
+``W = diag(w) C``, the Hessian is formed once as
+``W^T W - (C^T p)(C^T p)^T + Q``, exactly symmetric. Restricted to
+``x = x0 + N g``, f is the same composite on ``C N``, ``C x0 + s`` and the
+quadratic pulled back by :func:`~eqopt.linalg.pull_back_quadratic`.
+:func:`~eqopt.nlp.reduce_problem` computes that data once per solve, and
+the reduced value, gradient and Hessian then cost O(r k) and O(r k^2) for
+r rows of C and k free variables.
 """
 
 import math
@@ -16,74 +28,110 @@ import math
 import numpy as np
 
 from .errors import UnknownObjectiveError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, pull_back_quadratic, quadratic_data
 from .nlp import ObjectiveOracle
 
 
-def _quadratic_data(q, c):
-    """Validate ``(Q, c)``; returns the symmetrized Q and c (zeros if None)."""
-    q = as_matrix(q, "q")
-    if q.shape[0] != q.shape[1]:
-        raise ValueError(f"q must be square, got shape {q.shape}")
-    q = 0.5 * (q + q.T)
-    n = q.shape[0]
-    c = np.zeros(n) if c is None else as_vector(c, "c")
-    if c.shape[0] != n:
-        raise ValueError(f"c has length {c.shape[0]}, expected {n}")
-    return q, c
+def _composite(phi, cmat, s, quad=None):
+    """The oracle of ``f(x) = phi(C x + s) + 1/2 x^T Q x + c^T x + const``.
 
-
-def _pull_back_quadratic(q, c, const, x0, basis):
-    """``1/2 x^T Q x + c^T x + const`` at ``x = x0 + N g``, as data in g.
-
-    Returns ``(N^T Q N, N^T (Q x0 + c), const + 1/2 x0^T Q x0 + c^T x0)``.
+    ``phi = (value, slope, curvature)`` acts on ``z = C x + s``: ``slope(z)``
+    is ``phi'(z)`` and ``curvature(z)`` is ``(w, p)`` with
+    ``hess phi(z) = diag(w^2) - p p^T``, ``p`` None when that term is absent.
+    ``quad`` is ``(Q, c, const)`` with Q symmetric, or None for no quadratic
+    part. The pull-back through ``x = x0 + B g`` is this body again.
     """
-    qx0 = q @ x0
-    qn = basis.T @ (q @ basis)
-    return (
-        0.5 * (qn + qn.T),
-        basis.T @ (qx0 + c),
-        const + float(0.5 * x0 @ qx0 + c @ x0),
+    phi_value, slope, curvature = phi
+
+    def value(x):
+        v = phi_value(cmat @ x + s)
+        if quad is None:
+            return v
+        q, c, const = quad
+        return float(0.5 * x @ q @ x + c @ x + const + v)
+
+    def gradient(x):
+        grad = cmat.T @ slope(cmat @ x + s)
+        if quad is None:
+            return grad
+        q, c, _ = quad
+        return q @ x + c + grad
+
+    def hessian(x):
+        w, p = curvature(cmat @ x + s)
+        wc = w[:, None] * cmat
+        h = wc.T @ wc
+        if p is not None:
+            cp = cmat.T @ p
+            h -= np.outer(cp, cp)
+        if quad is not None:
+            h += quad[0]
+        return h
+
+    def pullback(x0, basis):
+        pulled = None
+        if quad is not None:
+            q, c, const = quad
+            qb, cb, const_b = pull_back_quadratic(q, c, x0, basis)
+            pulled = (qb, cb, const + const_b)
+        return _composite(phi, cmat @ basis, cmat @ x0 + s, pulled)
+
+    return ObjectiveOracle(
+        dim=cmat.shape[1], value=value, gradient=gradient, hessian=hessian, pullback=pullback
     )
 
 
-def _quadratic(q, c, const):
-    def pullback(x0, basis):
-        return _quadratic(*_pull_back_quadratic(q, c, const, x0, basis))
+_SUM_EXP = (
+    lambda z: float(np.sum(np.exp(z))),
+    np.exp,
+    lambda z: (np.exp(0.5 * z), None),
+)
 
-    return ObjectiveOracle(
-        dim=q.shape[0],
-        value=lambda x: 0.5 * x @ q @ x + c @ x + const,
-        gradient=lambda x: q @ x + c,
-        hessian=lambda x: q.copy(),
-        pullback=pullback,
+
+def _log_sum_exp_value(z):
+    zmax = float(np.max(z))
+    return float(np.log(np.sum(np.exp(z - zmax))) + zmax)
+
+
+def _softmax(z):
+    w = np.exp(z - float(np.max(z)))
+    return w / np.sum(w)
+
+
+def _log_sum_exp_curvature(z):
+    p = _softmax(z)
+    return np.sqrt(p), p
+
+
+_LOG_SUM_EXP = (_log_sum_exp_value, _softmax, _log_sum_exp_curvature)
+
+
+def _neg_log(mu):
+    """``phi(z) = -mu sum_i log(-z_i)``. Unless every ``z_i < 0`` its value is
+    ``+inf`` and its slope and curvature raise ValueError."""
+
+    def inside(z, part):
+        if np.max(z, initial=-np.inf) >= 0.0:
+            raise ValueError(f"{part} requested outside the barrier domain")
+        return z
+
+    def value(z):
+        if np.max(z, initial=-np.inf) >= 0.0:
+            return np.inf
+        return -mu * float(np.sum(np.log(-z)))
+
+    return (
+        value,
+        lambda z: -mu / inside(z, "gradient"),
+        lambda z: (math.sqrt(mu) / -inside(z, "hessian"), None),
     )
 
 
 def quadratic(q, c=None):
     """``f(x) = 1/2 x^T Q x + c^T x`` (Q symmetrized)."""
-    return _quadratic(*_quadratic_data(q, c), 0.0)
-
-
-def _affine_sum_exp(a, s):
-    """``g -> sum_i exp(a_i . g + s_i)``: :func:`sum_exp` after a pull-back."""
-
-    def value(g):
-        return float(np.sum(np.exp(a @ g + s)))
-
-    def gradient(g):
-        return a.T @ np.exp(a @ g + s)
-
-    def hessian(g):
-        w = np.exp(0.5 * (a @ g + s))[:, None] * a
-        return w.T @ w  # a^T diag(e) a
-
-    def pullback(x0, basis):
-        return _affine_sum_exp(a @ basis, a @ x0 + s)
-
-    return ObjectiveOracle(
-        dim=a.shape[1], value=value, gradient=gradient, hessian=hessian, pullback=pullback
-    )
+    q, c = quadratic_data(q, c)
+    n = q.shape[0]  # C has no rows, so phi adds nothing
+    return _composite(_SUM_EXP, np.zeros((0, n)), np.zeros(0), (q, c, 0.0))
 
 
 def sum_exp(dim=None, rates=None):
@@ -96,52 +144,13 @@ def sum_exp(dim=None, rates=None):
         r = np.ones(int(dim))
     else:
         raise ValueError("sum_exp needs dim or rates")
-
-    def value(x):
-        return float(np.sum(np.exp(r * x)))
-
-    def gradient(x):
-        return r * np.exp(r * x)
-
-    def hessian(x):
-        return np.diag(r * r * np.exp(r * x))
-
-    def pullback(x0, basis):
-        return _affine_sum_exp(r[:, None] * basis, r * x0)
-
+    # Separable in full space (C = diag(r)), so no r x r matrix is stored.
     return ObjectiveOracle(
-        dim=r.shape[0], value=value, gradient=gradient, hessian=hessian, pullback=pullback
-    )
-
-
-def _log_sum_exp(a, s):
-    def _weights(x):
-        z = a @ x + s
-        zmax = float(np.max(z))
-        w = np.exp(z - zmax)
-        return w, zmax
-
-    def value(x):
-        w, zmax = _weights(x)
-        return float(np.log(np.sum(w)) + zmax)
-
-    def gradient(x):
-        w, _ = _weights(x)
-        p = w / np.sum(w)
-        return a.T @ p
-
-    def hessian(x):
-        w, _ = _weights(x)
-        p = w / np.sum(w)
-        grad = a.T @ p
-        ap = np.sqrt(p)[:, None] * a
-        return ap.T @ ap - np.outer(grad, grad)  # a^T diag(p) a - grad grad^T
-
-    def pullback(x0, basis):
-        return _log_sum_exp(a @ basis, a @ x0 + s)
-
-    return ObjectiveOracle(
-        dim=a.shape[1], value=value, gradient=gradient, hessian=hessian, pullback=pullback
+        dim=r.shape[0],
+        value=lambda x: float(np.sum(np.exp(r * x))),
+        gradient=lambda x: r * np.exp(r * x),
+        hessian=lambda x: np.diag(r * r * np.exp(r * x)),
+        pullback=lambda x0, basis: _composite(_SUM_EXP, r[:, None] * basis, r * x0),
     )
 
 
@@ -158,39 +167,7 @@ def log_sum_exp(a, shift=None):
     s = np.zeros(k) if shift is None else as_vector(shift, "shift")
     if s.shape[0] != k:
         raise ValueError(f"shift has length {s.shape[0]}, expected {k}")
-    return _log_sum_exp(a, s)
-
-
-def _barrier(q, c, const, ba, bb, mu):
-    def _slack(x):
-        return bb - ba @ x
-
-    def value(x):
-        s = _slack(x)
-        if np.min(s, initial=np.inf) <= 0.0:
-            return np.inf
-        return float(0.5 * x @ q @ x + c @ x + const - mu * np.sum(np.log(s)))
-
-    def gradient(x):
-        s = _slack(x)
-        if np.min(s, initial=np.inf) <= 0.0:
-            raise ValueError("gradient requested outside the barrier domain")
-        return q @ x + c + mu * (ba.T @ (1.0 / s))
-
-    def hessian(x):
-        s = _slack(x)
-        if np.min(s, initial=np.inf) <= 0.0:
-            raise ValueError("hessian requested outside the barrier domain")
-        w = (1.0 / s)[:, None] * ba
-        return q + mu * (w.T @ w)  # Q + mu a^T diag(1/s^2) a
-
-    def pullback(x0, basis):
-        q_g, c_g, const_g = _pull_back_quadratic(q, c, const, x0, basis)
-        return _barrier(q_g, c_g, const_g, ba @ basis, bb - ba @ x0, mu)
-
-    return ObjectiveOracle(
-        dim=q.shape[0], value=value, gradient=gradient, hessian=hessian, pullback=pullback
-    )
+    return _composite(_LOG_SUM_EXP, a, s)
 
 
 def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0):
@@ -200,7 +177,7 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
     which makes backtracking reject infeasible trial points; gradient and
     Hessian require a strictly interior point.
     """
-    q, c = _quadratic_data(q, c)
+    q, c = quadratic_data(q, c)
     n = q.shape[0]
     if barrier_a is None or barrier_b is None:
         raise ValueError("neg_log_barrier_quadratic needs barrier_a and barrier_b")
@@ -215,7 +192,7 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
     mu = float(mu)
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError("mu must be finite and positive")
-    return _barrier(q, c, 0.0, ba, bb, mu)
+    return _composite(_neg_log(mu), ba, -bb, (q, c, 0.0))
 
 
 _REGISTRY = {

@@ -50,24 +50,8 @@ def _require(doc, field, kinds, where):
     return value
 
 
-def _vector_field(doc, field, length, where):
-    raw = _require(doc, field, list, where)
-    try:
-        out = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ProblemSchemaError(
-            f"{where}: field '{field}' is not a numeric array"
-        ) from None
-    if out.shape != (length,):
-        raise ProblemSchemaError(
-            f"{where}: field '{field}' has shape {out.shape}, expected ({length},)"
-        )
-    if not np.all(np.isfinite(out)):
-        raise ProblemSchemaError(f"{where}: field '{field}' contains non-finite values")
-    return out
-
-
-def _matrix_field(doc, field, rows, cols, where):
+def _array_field(doc, field, shape, where):
+    """A finite float64 array of the given shape; JSON ``[]`` is an empty matrix."""
     raw = _require(doc, field, list, where)
     try:
         out = np.asarray(raw, dtype=np.float64)
@@ -75,11 +59,11 @@ def _matrix_field(doc, field, rows, cols, where):
         raise ProblemSchemaError(
             f"{where}: field '{field}' is not a rectangular numeric array"
         ) from None
-    if out.ndim == 1 and out.size == 0:
-        out = out.reshape(0, cols)  # JSON [] for an empty matrix
-    if out.shape != (rows, cols):
+    if out.shape == (0,) and len(shape) == 2:
+        out = out.reshape(0, shape[1])
+    if out.shape != shape:
         raise ProblemSchemaError(
-            f"{where}: field '{field}' has shape {out.shape}, expected ({rows}, {cols})"
+            f"{where}: field '{field}' has shape {out.shape}, expected {shape}"
         )
     if not np.all(np.isfinite(out)):
         raise ProblemSchemaError(f"{where}: field '{field}' contains non-finite values")
@@ -119,13 +103,13 @@ def load(path):
     if isinstance(n, bool) or isinstance(m, bool) or n < 1 or m < 0:
         raise ProblemSchemaError(f"{where}: need n >= 1 and m >= 0, got n={n}, m={m}")
 
-    a = _matrix_field(doc, "A", m, n, where)
-    b = _vector_field(doc, "b", m, where)
+    a = _array_field(doc, "A", (m, n), where)
+    b = _array_field(doc, "b", (m,), where)
     constraints = EqualityConstraints(a, b)
 
     if kind == "qp":
-        q = _matrix_field(doc, "Q", n, n, where)
-        c = _vector_field(doc, "c", n, where)
+        q = _array_field(doc, "Q", (n, n), where)
+        c = _array_field(doc, "c", (n,), where)
         skew = float(np.max(np.abs(q - q.T), initial=0.0))
         if skew > 1e-12 * (1.0 + float(np.max(np.abs(q), initial=0.0))):
             warnings.warn(

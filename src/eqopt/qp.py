@@ -35,20 +35,20 @@ stationary point from reduced-Hessian inertia.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import OracleUnavailableError
 from .expressions import ConstrainedExpression, EqualityConstraints, projector_from
-from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector, symmetric_solve
+from .linalg import EPS, ConstraintFactorization, as_vector, cholesky, cholesky_solve
+from .linalg import pull_back_quadratic, quadratic_data, symmetric_solve
 
 
 @dataclass
 class QpProblem:
     """``min 1/2 x^T Q x + c^T x  s.t.  A x = b``.
 
-    Q is symmetrized on construction: the quadratic form only senses
-    ``(Q + Q^T) / 2``.
+    Q is symmetrized on construction (:func:`~eqopt.linalg.quadratic_data`):
+    the quadratic form only senses ``(Q + Q^T) / 2``.
     """
 
     q: np.ndarray
@@ -56,19 +56,9 @@ class QpProblem:
     constraints: EqualityConstraints
 
     def __post_init__(self):
-        q = as_matrix(self.q, "Q")
-        if q.shape[0] != q.shape[1]:
-            raise ValueError(f"Q must be square, got shape {q.shape}")
-        self.q = 0.5 * (q + q.T)
-        self.c = as_vector(self.c, "c")
-        if self.c.shape[0] != q.shape[0]:
-            raise ValueError(
-                f"c has length {self.c.shape[0]}, expected {q.shape[0]}"
-            )
-        if self.constraints.n != q.shape[0]:
-            raise ValueError(
-                f"A has {self.constraints.n} columns, expected {q.shape[0]}"
-            )
+        self.q, self.c = quadratic_data(self.q, self.c)
+        if self.constraints.n != self.n:
+            raise ValueError(f"A has {self.constraints.n} columns, expected {self.n}")
 
     @property
     def n(self):
@@ -160,14 +150,11 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     if shift is not None:
         sigma = float(np.max(np.abs(np.diag(aa)))) or 1.0
         m = aa + sigma * shift
-    try:
-        chol = scipy.linalg.cho_factor(m)
-    except np.linalg.LinAlgError:
-        pass  # not positive definite
-    else:
-        rcond, info = scipy.linalg.lapack.dpocon(chol[0], np.linalg.norm(m, 1))
+    u = cholesky(m)
+    if u is not None:  # else not positive definite
+        rcond, info = scipy.linalg.lapack.dpocon(u, np.linalg.norm(m, 1))
         if info == 0 and rcond > 10.0 * k * k * tol:
-            return scipy.linalg.cho_solve(chol, rhs), "min"
+            return cholesky_solve(u, rhs), "min"
     g, eigs = symmetric_solve(aa, rhs, tol)
     return g, _classify(eigs, expected_zeros, tol)
 
@@ -176,8 +163,10 @@ def _solve_eliminated(problem, expr, method, expected_zeros, shift=None, eps=Non
     """Stationary point on the expression ``x = x0 + B g``: the body of both
     eliminations.
 
-    Forms the reduced Hessian ``B^T Q B`` and gradient ``B^T (Q x0 + c)``,
-    solves by :func:`_solve_reduced` (``eps`` is its cut),
+    Forms the reduced Hessian ``B^T Q B`` and gradient ``B^T (Q x0 + c)``
+    with :func:`~eqopt.linalg.pull_back_quadratic`, the kernel the registry
+    objectives pull back through too, solves by :func:`_solve_reduced`
+    (``eps`` is its cut),
     embeds ``x = x0 - B g`` and reports the stationarity residual
     ``||B^T (Q x + c)||_inf``. ``B`` has ``expected_zeros`` structural null
     directions; when that is all its columns the feasible set is one point.
@@ -187,9 +176,7 @@ def _solve_eliminated(problem, expr, method, expected_zeros, shift=None, eps=Non
         x = x0
         sol_class = "point"
     else:
-        aa = basis.T @ problem.q @ basis
-        aa = 0.5 * (aa + aa.T)
-        rhs = basis.T @ (problem.q @ x0 + problem.c)
+        aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, basis)
         g, sol_class = _solve_reduced(aa, rhs, expected_zeros, shift=shift, tol=eps)
         x = x0 - basis @ g
     grad = problem.q @ x + problem.c

@@ -580,3 +580,21 @@ def test_pulled_back_newton_traces_match_the_chain_rule_path():
                 assert abs(fast.final_h - slow.final_h) <= 1e-12 * max(1.0, abs(slow.final_h)), label
                 if name == "steep_log_sum_exp":
                     assert fast.iterations[0].step_size < 1.0, label
+
+
+def test_a_newton_step_factorizes_once_and_never_forms_the_full_hessian(factorizations):
+    cons, objectives = newton_shaped_inputs(3)
+    del objectives["steep_log_sum_exp"]  # log_sum_exp again, too steep for pure Newton
+    objectives["quadratic"] = quadratic(np.eye(30), np.linspace(-1.0, 1.0, 30))
+
+    def refuse(x):
+        raise AssertionError("the full-space Hessian was formed")
+
+    for name, oracle in objectives.items():
+        oracle.hessian = refuse
+        for run in (newton_solve, sqp_iterate):
+            reduced = reduce_problem(oracle, cons)
+            factorizations.clear()
+            trace = run(reduced)
+            assert trace.converged, (name, run.__name__)
+            assert factorizations == ["scipy.linalg.lapack.dpotrf"] * (len(trace.iterations) + 1)

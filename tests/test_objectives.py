@@ -190,6 +190,17 @@ def test_pull_back_equals_composition_for_every_registry_objective():
                 pulled.hessian(g)
 
 
+def test_every_registry_hessian_is_exactly_symmetric():
+    rng = np.random.default_rng(33)
+    for name, params in registry_test_cases(rng, 6):
+        oracle = objective_registry(name, params)
+        once = oracle.restrict(0.05 * rng.uniform(-1, 1, 6), np.linalg.qr(rng.uniform(-1, 1, (6, 4)))[0])
+        twice = once.restrict(0.05 * rng.uniform(-1, 1, 4), np.linalg.qr(rng.uniform(-1, 1, (4, 2)))[0])
+        for f in (oracle, once, twice):
+            h = f.hessian(0.05 * rng.uniform(-1, 1, f.dim))
+            assert np.array_equal(h, h.T), (name, f.dim)
+
+
 def test_pull_back_composes():
     # restricting twice equals restricting once through the product basis
     rng = np.random.default_rng(32)

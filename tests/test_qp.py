@@ -308,52 +308,16 @@ def test_a_tiny_row_does_not_make_a_consistent_system_infeasible():
             run()
 
 
-# The dense factorizations a solve may call, with the name it is counted under.
-FACTORIZATIONS = [
-    (np.linalg, "svd"),
-    (np.linalg, "eigh"),
-    (np.linalg, "eigvalsh"),
-    (scipy.linalg, "svdvals"),
-    (scipy.linalg, "qr"),
-    (scipy.linalg, "cho_factor"),
-    (scipy.linalg, "eigh"),
-    (scipy.linalg, "eigvalsh"),
-    (scipy.linalg, "lu_factor"),
-    (scipy.linalg, "ldl"),
-    (scipy.linalg, "solve"),
-    (scipy.linalg.lapack, "dsytrf"),
-    (scipy.linalg.lapack, "dgeqp3"),
-]
-
-
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Names of the factorizations called, in order.
-
-    A LAPACK workspace query (``lwork=-1``) factorizes nothing and is not
-    listed.
-    """
-    calls = []
-    for module, attr in FACTORIZATIONS:
-        def counted(*args, _fn=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
-            if kwargs.get("lwork") != -1:
-                calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 def test_each_matrix_is_factorized_once_per_solve(factorizations):
     spd = generate(GeneratorSpec(n=30, m=12, seed=46))
     indefinite = generate(GeneratorSpec(n=30, m=12, seed=46, q_class="symmetric_indefinite"))
     expected = [
-        (solve_projector, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor"]),
+        (solve_projector, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf"]),
         (solve_projector, indefinite,
-         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
-        (solve_nullspace, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor"]),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf", "numpy.linalg.eigh"]),
+        (solve_nullspace, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf"]),
         (solve_nullspace, indefinite,
-         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.cho_factor", "numpy.linalg.eigh"]),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf", "numpy.linalg.eigh"]),
         (solve_kkt, spd, ["scipy.linalg.lapack.dsytrf"]),
     ]
     for solve, problem, names in expected:
