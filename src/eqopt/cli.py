@@ -85,9 +85,10 @@ def _build_parser():
         "--tol",
         type=float,
         default=None,
-        help="rank and minimum-norm cutoff for direct methods (0 < tol < 1); "
-        "termination tolerance for newton (epsilon on half the squared "
-        "decrement) and sqp (step/gradient norm)",
+        help="rank and minimum-norm cutoff for projector and nullspace "
+        "(0 < tol < 1); termination tolerance for newton (epsilon on half "
+        "the squared decrement) and sqp (step/gradient norm); the kkt oracle "
+        "takes no tolerance and ignores it",
     )
     p_solve.add_argument("--alpha", type=float, default=0.25, help="Armijo slope fraction")
     p_solve.add_argument("--beta", type=float, default=0.5, help="backtracking shrink factor")
@@ -195,6 +196,8 @@ def cmd_solve(args):
             )
         if args.trace is not None:
             print("note: --trace is only produced by newton/sqp; ignoring", file=sys.stderr)
+        if args.method == "kkt" and args.tol is not None:
+            print("note: the kkt oracle takes no tolerance; ignoring --tol", file=sys.stderr)
         sol = _QP_SOLVERS[args.method](problem, eps=args.tol)
         _emit(_qp_solution_doc(sol), args.output)
         return EXIT_OK
@@ -265,7 +268,8 @@ def _parse_sizes(text):
 
 
 def _parse_methods(text):
-    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
+    """Method names in first-seen order, each once."""
+    methods = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
     for name in methods:
         if name not in _QP_SOLVERS:
             raise ValueError(f"unknown method {name!r}; choose from projector,nullspace,kkt")

@@ -72,11 +72,16 @@ def pull_back_quadratic(q, c, x0, basis):
     return 0.5 * (qb + qb.T), basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
 
 
-def cholesky(m):
+def cholesky(m, overwrite=False):
     """Upper Cholesky factor of the symmetric ``m`` (LAPACK ``dpotrf``; its
     strict lower triangle is garbage), or None if ``m`` is not positive
-    definite. Raises ComputationError if LAPACK rejects an argument."""
-    u, info = scipy.linalg.lapack.dpotrf(m, lower=0, clean=0)
+    definite. Raises ComputationError if LAPACK rejects an argument.
+
+    With ``overwrite``, an F-contiguous ``m`` is factored in place (also
+    when the factorization fails partway) and no copy is made; give it a
+    buffer the caller owns. Any other ``m`` is copied first and left intact.
+    """
+    u, info = scipy.linalg.lapack.dpotrf(m, lower=0, clean=0, overwrite_a=int(overwrite))
     if info > 0:
         return None
     if info < 0:

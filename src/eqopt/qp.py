@@ -11,8 +11,11 @@ Three independent routes to a stationary point of
   positive-definite solve with one Cholesky factorization;
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
-  Bunch-Kaufman factorization (LAPACK ``dsytrf``) gives both its inertia
-  and, through ``dsytrs``, its solution.
+  Bunch-Kaufman factorization (LAPACK ``dsytrf``), run in place on the
+  lower triangle it assembles, gives both its inertia and, through
+  ``dsytrs``, its solution. It refuses a solution whose two reported
+  residuals, stationarity and feasibility, are large at the scale of
+  the system; nothing reads the saddle matrix after the factorization.
 
 The two elimination routes factorize the constraints once, with one
 pivoted QR of the row-equilibrated ``A^T``
@@ -27,7 +30,9 @@ it is neither inverted nor counted as curved. The Cholesky solve
 certifies a minimum when LAPACK's condition estimate clears a margin
 above that cut; an indefinite, singular or ill-conditioned reduced system
 is solved with one ``eigh`` instead, which yields the minimum-norm
-stationary point and its classification. Every solution carries the
+stationary point and its classification. The Cholesky factorization runs
+in place on a matrix the reduced solve allocates itself, so no caller's
+array is overwritten. Every solution carries the
 feasibility and stationarity residuals plus a classification of the
 stationary point from reduced-Hessian inertia.
 """
@@ -138,6 +143,12 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     ``eigh`` gives the minimum-norm solution (eigenvalues below the cut
     dropped) and the classification.
 
+    ``M`` (without a shift, a copy of ``aa``) is a buffer this function
+    owns: its 1-norm is taken first, and ``dpotrf`` then factors it in
+    place through its F-ordered view ``M^T = M``. ``aa`` and ``shift`` are
+    left intact, so the ``eigh`` fallback sees ``aa`` even after a
+    Cholesky factorization that failed partway.
+
     Returns
     -------
     g : (k,) ndarray
@@ -146,13 +157,15 @@ def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
     k = aa.shape[0]
     if tol is None:
         tol = EPS
-    m = aa
-    if shift is not None:
+    if shift is None:
+        m = aa.copy()  # dpotrf overwrites m, and eigh below must see aa intact
+    else:
         sigma = float(np.max(np.abs(np.diag(aa)))) or 1.0
         m = aa + sigma * shift
-    u = cholesky(m)
+    norm_1 = np.linalg.norm(m, 1)
+    u = cholesky(m.T, overwrite=True)  # m is symmetric: m.T is its F-ordered view
     if u is not None:  # else not positive definite
-        rcond, info = scipy.linalg.lapack.dpocon(u, np.linalg.norm(m, 1))
+        rcond, info = scipy.linalg.lapack.dpocon(u, norm_1)
         if info == 0 and rcond > 10.0 * k * k * tol:
             return cholesky_solve(u, rhs), "min"
     g, eigs = symmetric_solve(aa, rhs, tol)
@@ -248,30 +261,42 @@ def solve_kkt(problem):
 
     Assembles ``[[Q, A^T], [A, 0]] [x; lam] = [-c; b]`` and solves it
     densely with LAPACK's Bunch-Kaufman kernels: one ``dsytrf``
-    factorization ``L D L^T`` and one ``dsytrs`` solve. The constraints
+    factorization ``L D L^T`` and one ``dsytrs`` solve. Only the lower
+    triangle that ``dsytrf`` reads (the Q and A blocks) is filled, in a
+    Fortran-ordered buffer that it factors in place. The constraints
     are *not* reduced: a singular system (rank deficiency, singular
     reduced Hessian) raises :class:`OracleUnavailableError` instead of
     guessing. The classification comes from the inertia of the saddle
     matrix, read off the 1x1/2x2 blocks of the same ``D``, which exceeds
     that of the reduced Hessian by exactly (m, m).
 
+    A finite solution is accepted only when ``||K z - rhs||_inf``, which
+    is ``max(||Q x + c + A^T lam||_inf, ||A x - b||_inf)``, the two
+    residuals the solution reports, is at most ``1e-8`` times
+    ``max(1, max|K| max(1, ||z||_inf) + ||rhs||_inf)``, with
+    ``max|K| = max(max|Q|, max|A|)``; otherwise the system is numerically
+    singular and :class:`OracleUnavailableError` is raised. No step
+    reads the saddle matrix again after it is factored.
+
     Returns the Lagrange multipliers alongside the point; the
     stationarity residual is ``||Q x + c + A^T lam||_inf``.
     """
+    q, c = problem.q, problem.c
     a, b = problem.constraints.a, problem.constraints.b
     n, m = problem.n, problem.constraints.m
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = problem.q
-    kkt[:n, n:] = a.T
+    # dsytrf(lower=1) reads the lower triangle only: Q and the A block below
+    # it. Fortran order lets it factor this buffer in place.
+    kkt = np.zeros((n + m, n + m), order="F")
+    kkt[:n, :n] = q
     kkt[n:, :n] = a
-    rhs = np.concatenate([-problem.c, b])
+    rhs = np.concatenate([-c, b])
 
     # One Bunch-Kaufman factorization kkt = L D L^T (LAPACK dsytrf) gives
     # both the inertia and the solve. It is a congruence, so it preserves
     # inertia: zero eigenvalues of D mean the saddle matrix is singular at
     # tolerance, and the system is not solved at all.
     lwork, _ = scipy.linalg.lapack.dsytrf_lwork(n + m, lower=1)
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=int(lwork))
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=int(lwork), overwrite_a=1)
     eigs = _bunch_kaufman_eigs(ldu, ipiv)
     scale_e = float(np.max(np.abs(eigs), initial=0.0))
     cut = EPS * (n + m) * scale_e
@@ -284,14 +309,22 @@ def solve_kkt(problem):
             "cannot certify this problem"
         )
     z, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
-    resid = float(np.max(np.abs(kkt @ z - rhs), initial=0.0))
-    scale = float(np.max(np.abs(kkt)) * max(1.0, np.max(np.abs(z), initial=0.0)) + np.max(np.abs(rhs), initial=0.0))
-    if not np.all(np.isfinite(z)) or resid > 1e-8 * max(scale, 1.0):
+    if not np.all(np.isfinite(z)):
+        raise OracleUnavailableError(
+            "the saddle-point system is numerically singular (its solution is not finite)"
+        )
+    x, lam = z[:n], z[n:]
+    # K z - rhs is (Q x + c + A^T lam, A x - b): the two residuals reported.
+    stationarity = float(np.max(np.abs(q @ x + c + a.T @ lam), initial=0.0))
+    feasibility = problem.constraints.residual(x)
+    resid = max(stationarity, feasibility)
+    max_k = max(np.max(np.abs(q)), np.max(np.abs(a), initial=0.0))  # max|K|
+    scale = float(max_k * max(1.0, np.max(np.abs(z))) + np.max(np.abs(rhs), initial=0.0))
+    if resid > 1e-8 * max(scale, 1.0):
         raise OracleUnavailableError(
             f"the saddle-point system is numerically singular "
             f"(residual {resid:.3e} at scale {scale:.3e})"
         )
-    x, lam = z[:n], z[n:]
 
     pos -= m
     neg -= m
@@ -305,12 +338,11 @@ def solve_kkt(problem):
     else:
         sol_class = "saddle"
 
-    stationarity = float(np.max(np.abs(problem.q @ x + problem.c + a.T @ lam), initial=0.0))
     return QpSolution(
         x=x,
         objective=problem.objective_value(x),
         method="kkt",
-        constraint_residual=problem.constraints.residual(x),
+        constraint_residual=feasibility,
         stationarity_residual=stationarity,
         classification=sol_class,
         degenerate=(free <= 0),

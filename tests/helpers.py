@@ -1,10 +1,13 @@
-"""Finite-difference oracles shared by the test modules.
+"""Reference computations shared by the test modules.
 
-Deliberately independent of the library's own finite-difference
-fallback: central differences with a per-coordinate relative step.
+The finite-difference oracles are deliberately independent of the
+library's own finite-difference fallback: central differences with a
+per-coordinate relative step. :func:`full_saddle_solve` is the dense
+saddle-point solve on the full matrix.
 """
 
 import numpy as np
+import scipy.linalg.lapack
 
 from eqopt.nlp import ObjectiveOracle
 
@@ -32,3 +35,26 @@ def fd_hessian(gradient, x, h=1e-6):
         e[i] = h * (1 + abs(x[i]))
         out[:, i] = (gradient(x + e) - gradient(x - e)) / (2 * e[i])
     return 0.5 * (out + out.T)
+
+
+def full_saddle_solve(problem):
+    """Solve ``[[Q, A^T], [A, 0]] z = [-c; b]`` on the full C-ordered matrix.
+
+    Both triangles are assembled and LAPACK's wrapper gets its own copy for
+    ``dsytrf``/``dsytrs`` (lower storage). Returns ``(x, lam, kkt, resid)``
+    with ``resid = kkt @ z - rhs`` taken on the whole matrix.
+    """
+    q, c = problem.q, problem.c
+    a, b = problem.constraints.a, problem.constraints.b
+    n, m = q.shape[0], a.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = q
+    kkt[:n, n:] = a.T
+    kkt[n:, :n] = a
+    rhs = np.concatenate([-c, b])
+    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(n + m, lower=1)
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=int(lwork))
+    assert info == 0
+    z, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+    assert info == 0
+    return z[:n], z[n:], kkt, kkt @ z - rhs

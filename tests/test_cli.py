@@ -169,6 +169,17 @@ def test_solve_infinite_tolerance_exits_4(tmp_path, capsys):
     assert cli.main(["solve", "--input", path, "--method", "newton"]) == 0
 
 
+def test_solve_kkt_notes_that_it_ignores_tol(tmp_path, capsys):
+    path = _qp_file(tmp_path)
+    code = cli.main(["solve", "--input", path, "--method", "kkt", "--tol", "0.5"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "kkt oracle takes no tolerance" in captured.err
+    np.testing.assert_allclose(json.loads(captured.out)["x"], [1.0, 0.0], atol=1e-12)
+    assert cli.main(["solve", "--input", path, "--method", "kkt"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_barrier_start_outside_the_domain_exits_5(tmp_path, capsys):
     # the minimum-norm point (1, 1) of x1 + x2 = 2 violates the barrier x1 < 0.5
     doc = {
@@ -406,6 +417,21 @@ def test_bench_seed_reproduces_everything_but_times(tmp_path):
         return rows
 
     assert run("a.json") == run("b.json")
+
+
+def test_bench_repeated_method_gives_one_row(tmp_path):
+    report_path = tmp_path / "report.json"
+    argv = ["bench", "--sizes", "6:2", "--trials", "3", "--output", str(report_path)]
+    assert cli.main(argv + ["--methods", "projector,projector"]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["methods"] == ["projector"]
+    assert [row["method"] for row in report["rows"]] == ["projector"]
+    assert report["rows"][0]["solved"] == report["trials"] == 3
+    # first-seen order, each method once
+    assert cli.main(argv + ["--methods", "kkt,projector,kkt"]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["methods"] == ["kkt", "projector"]
+    assert [row["solved"] for row in report["rows"]] == [3, 3]
 
 
 def test_bench_bad_sizes_exit_4(tmp_path, capsys):

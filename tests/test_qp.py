@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,10 +8,11 @@ from numpy.testing import assert_allclose
 
 from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints
-from eqopt.nlp import reduce_problem
+from eqopt.nlp import ObjectiveOracle, newton_solve, reduce_problem
 from eqopt.objectives import sum_exp
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
+from helpers import full_saddle_solve
 
 ALL_SOLVERS = [solve_projector, solve_nullspace, solve_kkt]
 
@@ -427,3 +430,111 @@ def test_kkt_inertia_matches_eigenvalue_count(monkeypatch):
         seen.add(expected)
     assert seen == {"singular", "point", "min", "saddle"}
     assert any(np.any(ipiv < 0) for ipiv in pivots)  # 2x2 blocks were exercised
+
+
+def test_kkt_refuses_a_non_finite_solution_without_a_warning():
+    # The 1e-15 pivot clears the inertia cut, but x2 = -1e300 / 1e-15
+    # overflows: the oracle must refuse before any arithmetic on inf.
+    problem = QpProblem(np.diag([1.0, 1e-15, 1.0]), np.array([0.0, 1e300, 0.0]),
+                        EqualityConstraints([[1.0, 0.0, 0.0]], [1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleUnavailableError, match="numerically singular"):
+            solve_kkt(problem)
+
+
+def _caller_arrays(problem):
+    return [problem.q, problem.c, problem.constraints.a, problem.constraints.b]
+
+
+def _assert_unchanged(arrays, snapshot, where):
+    for array, before in zip(arrays, snapshot):
+        assert array.tobytes() == before.tobytes(), where
+
+
+def test_no_solver_overwrites_an_array_its_caller_owns():
+    # Indefinite Q makes both eliminations run eigh after a Cholesky
+    # factorization that failed partway; eigh must still see B^T Q B, so
+    # their x must match the KKT oracle's.
+    for seed in range(4):
+        for q_class in ("spd", "symmetric_indefinite"):
+            problem = generate(GeneratorSpec(n=30, m=12, seed=seed, q_class=q_class))
+            snapshot = [array.copy() for array in _caller_arrays(problem)]
+            ref = solve_kkt(problem)
+            _assert_unchanged(_caller_arrays(problem), snapshot, (seed, q_class, "kkt"))
+            for solve in (solve_projector, solve_nullspace):
+                sol = solve(problem)
+                where = (seed, q_class, solve.__name__)
+                _assert_unchanged(_caller_arrays(problem), snapshot, where)
+                assert sol.classification == ref.classification, where
+                gap = np.max(np.abs(sol.x - ref.x)) / (1.0 + np.max(np.abs(ref.x)))
+                assert gap < 1e-8, where
+
+
+def test_newton_leaves_an_oracles_stored_hessian_intact():
+    # A custom oracle whose pulled-back Hessian is one stored F-ordered
+    # array, returned on every call: a Newton step must factor a copy.
+    rng = np.random.default_rng(5)
+    n, m = 12, 4
+    r = rng.uniform(-1, 1, (n, n))
+    q, c = r @ r.T + n * np.eye(n), rng.uniform(-1, 1, n)
+    a = rng.uniform(-1, 1, (m, n))
+    cons = EqualityConstraints(a, a @ rng.uniform(-1, 1, n))
+    stored = []
+
+    def pullback(x0, basis):
+        hess = np.asfortranarray(basis.T @ q @ basis)
+        assert hess.flags.f_contiguous and not hess.flags.c_contiguous
+        grad0 = basis.T @ (q @ x0 + c)
+        stored.append((hess, hess.copy()))
+        return ObjectiveOracle(
+            basis.shape[1],
+            lambda g: float(0.5 * g @ hess @ g + grad0 @ g),
+            lambda g: hess @ g + grad0,
+            lambda g: hess,
+        )
+
+    oracle = ObjectiveOracle(n, lambda x: float(0.5 * x @ q @ x + c @ x),
+                             lambda x: q @ x + c, lambda x: q, pullback=pullback)
+    snapshot = [array.copy() for array in (a, cons.b)]
+    trace = newton_solve(reduce_problem(oracle, cons))
+    assert trace.converged
+    _assert_unchanged((a, cons.b), snapshot, "constraints")
+    (hess, before), = stored
+    assert hess.tobytes() == before.tobytes()
+
+
+def _saddle_problems():
+    """Seeded SPD, indefinite and m = 0 problems with a nonsingular saddle matrix."""
+    for seed in range(6):
+        for q_class in ("spd", "symmetric_indefinite"):
+            problem = generate(GeneratorSpec(n=25, m=9, seed=seed, q_class=q_class))
+            yield problem
+            yield QpProblem(problem.q, problem.c,
+                            EqualityConstraints(np.zeros((0, problem.n)), np.zeros(0)))
+
+
+def test_kkt_matches_the_full_matrix_solve_bit_for_bit():
+    eps = np.finfo(float).eps
+    labels = set()
+    for problem in _saddle_problems():
+        n, m = problem.n, problem.constraints.m
+        x, lam, kkt, resid = full_saddle_solve(problem)
+        sol = solve_kkt(problem)
+        assert sol.x.tobytes() == x.tobytes()
+        assert sol.lagrange_multipliers.tobytes() == lam.tobytes()
+        w = np.linalg.eigvalsh(kkt)
+        pos, neg = int(np.sum(w > 0)) - m, int(np.sum(w < 0)) - m
+        assert pos + neg == n - m
+        expected = "min" if neg == 0 else "max" if pos == 0 else "saddle"
+        assert sol.classification == expected
+        labels.add(expected)
+        # the reported residuals are the two blocks of K z - rhs, up to the
+        # order in which the products are summed
+        z = np.concatenate([x, lam])
+        rhs = np.concatenate([-problem.c, problem.constraints.b])
+        rounding = 8 * eps * (n + m) * (np.max(np.abs(kkt)) * np.max(np.abs(z))
+                                        + np.max(np.abs(rhs)))
+        assert abs(sol.stationarity_residual - np.max(np.abs(resid[:n]))) <= rounding
+        assert abs(sol.constraint_residual - np.max(np.abs(resid[n:]), initial=0.0)) <= rounding
+    assert labels == {"min", "saddle"}
