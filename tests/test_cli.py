@@ -109,6 +109,25 @@ def test_solve_malformed_json_exits_4(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda text: text.replace(b'"c": [', b'"c": [1' + b"0" * 400 + b","), "float64 range"),
+        (lambda text: b"[" * 20_000 + b"]" * 20_000, "nested too deeply"),
+        (lambda text: text.replace(b'"qp"', b'"qp\xe9"'), "UTF-8"),
+        (lambda text: text.replace(b'"c": [', b'"c": ["1",'), "non-numeric"),
+    ],
+    ids=["huge-integer", "deep-nesting", "invalid-utf8", "string-entry"],
+)
+def test_solve_malformed_problem_file_exits_4(tmp_path, capsys, mangle, message):
+    path = tmp_path / "qp.json"
+    _qp_file(tmp_path)
+    path.write_bytes(mangle(path.read_bytes()))
+    code = cli.main(["solve", "--input", str(path)])
+    assert code == 4
+    assert message in capsys.readouterr().err
+
+
 def test_solve_unknown_objective_exits_4(tmp_path, capsys):
     doc = {
         "formatVersion": 1,

@@ -1,11 +1,18 @@
 """Problem file round-trips, schema errors, and the random generator."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from numpy.testing import assert_array_equal
 
+import eqopt
+from eqopt import problems
 from eqopt.errors import (
     ProblemParseError,
     ProblemSchemaError,
@@ -101,6 +108,69 @@ def test_save_rejects_unknown_type(tmp_path):
         save(tmp_path / "bad.json", Fake())
 
 
+def _same_document(a, b):
+    """Equal JSON documents with equal types and bit-identical floats."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_document, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_document(a[k], b[k]) for k in a)
+    return a == b
+
+
+def test_qp_round_trip_is_exact_on_edge_floats(tmp_path):
+    # the smallest subnormal, the smallest normal, the largest finite
+    # double, a negative zero, and two decimals a naive parser rounds wrong
+    edge = np.array(
+        [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1, 1e23]
+    )
+    # Q stays small: symmetrizing a Q that holds the largest double overflows
+    problem = QpProblem(
+        q=np.eye(edge.size), c=edge, constraints=EqualityConstraints(edge[None, :], edge[:1])
+    )
+    path = tmp_path / "edge.json"
+    save(path, problem)
+    back = load(path)
+
+    for loaded, saved in (
+        (back.q, problem.q),
+        (back.c, problem.c),
+        (back.constraints.a, problem.constraints.a),
+        (back.constraints.b, problem.constraints.b),
+    ):
+        assert_array_equal(loaded.view(np.uint64), saved.view(np.uint64))
+
+
+def test_orjson_and_the_standard_library_read_the_same_document(tmp_path):
+    problem = generate(GeneratorSpec(n=20, m=8, seed=5, q_class="asymmetric"))
+    path = tmp_path / "gen.json"
+    save(path, problem)
+    data = path.read_bytes()
+    assert problems._bracket_count(data) <= problems.ORJSON_MAX_BRACKETS
+    assert _same_document(orjson.loads(data), json.loads(data.decode("utf-8")))
+
+
+def test_a_file_over_the_bracket_bound_loads_the_same(tmp_path, monkeypatch):
+    problem = generate(GeneratorSpec(n=9, m=4, seed=3, rank_deficiency=1))
+    path = tmp_path / "gen.json"
+    save(path, problem)
+    fast = load(path)
+    monkeypatch.setattr(problems, "ORJSON_MAX_BRACKETS", 0)
+    slow = load(path)
+    for got, want in ((slow.q, fast.q), (slow.c, fast.c), (slow.constraints.a, fast.constraints.a)):
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_bracket_count_counts_every_opening_bracket():
+    assert problems._bracket_count(b"") == 0
+    assert problems._bracket_count(b'{"a": [[1], {}], "s": "[{"}') == 6
+    # bytes one bit away from '[' and '{' are not brackets
+    assert problems._bracket_count(bytes([0x5B ^ 0x01, 0x7B ^ 0x80, 0x3B, 0x1B])) == 0
+
+
 # ---------------------------------------------------------------------------
 # load errors
 
@@ -166,6 +236,79 @@ def test_load_non_finite_entry_rejected(tmp_path):
         load(path)
 
 
+def test_load_huge_integer_is_a_schema_error(tmp_path):
+    # 400 digits overflow float64; the parser hands over an int either way
+    path = tmp_path / "big.json"
+    text = json.dumps(_qp_doc()).replace('"c": [0.0, 0.0]', '"c": [0.0, 1' + "0" * 400 + "]")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ProblemSchemaError, match="'c'"):
+        load(path)
+
+
+def test_load_integer_beyond_64_bits_reads_the_same_on_both_parsers(tmp_path, monkeypatch):
+    # orjson reads 10**23 as a float, the standard library as an int
+    path = _write(tmp_path / "p.json", _qp_doc(c=[0.5, 10**23]))
+    assert load(path).c[1] == 1e23
+    monkeypatch.setattr(problems, "ORJSON_MAX_BRACKETS", 0)
+    assert load(path).c[1] == 1e23
+
+
+def test_load_deep_nesting_is_a_parse_error(tmp_path):
+    # deeper than both the bracket bound and Python's recursion limit, yet
+    # shallow enough that orjson would survive it, were it ever handed over
+    depth = 20_000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    with pytest.raises(ProblemParseError, match="nested too deeply"):
+        load(path)
+
+
+def test_load_invalid_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_qp_doc(kind="qpX")).encode().replace(b"qpX", b"qp\xe9"))
+    with pytest.raises(ProblemParseError, match="UTF-8"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "entries", [[0.0, "1"], [True, False], [None, 1.0], [{}, 1.0]], ids=["str", "bool", "null", "object"]
+)
+def test_load_numeric_field_accepts_only_json_numbers(tmp_path, entries):
+    with pytest.raises(ProblemSchemaError, match="'c'"):
+        load(_write(tmp_path / "p.json", _qp_doc(c=entries)))
+
+
+def test_load_integers_are_numbers(tmp_path):
+    problem = load(_write(tmp_path / "p.json", _qp_doc(Q=[[2, 0], [0, 2]], b=[1])))
+    assert problem.q.dtype == np.float64
+    assert_array_equal(problem.q, 2.0 * np.eye(2))
+
+
+def test_load_deep_nesting_never_reaches_orjson(tmp_path):
+    # orjson recurses on the C stack and segfaults long before depth
+    # 200,000; a child process turns a broken guard into a failed test
+    # rather than a dead test run
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * depth + b"]" * depth)
+    script = (
+        "import sys\n"
+        "from eqopt.errors import ProblemParseError\n"
+        "from eqopt.problems import load\n"
+        "try:\n"
+        "    load(sys.argv[1])\n"
+        "except ProblemParseError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    src = str(Path(eqopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, timeout=120
+    )
+    assert child.returncode == 0, (child.returncode, child.stderr.decode(errors="replace"))
+
+
 def test_load_unknown_objective(tmp_path):
     doc = {
         "formatVersion": FORMAT_VERSION,
@@ -208,6 +351,24 @@ def test_load_objective_params_that_do_not_fit_the_builder(tmp_path):
             "b": [1.0],
         }
         with pytest.raises(ProblemSchemaError, match=name):
+            load(_write(tmp_path / "p.json", doc))
+
+
+def test_load_objective_params_the_builder_cannot_read(tmp_path):
+    # a string entry and an integer beyond float64 in the objective's
+    # matrix: schema errors naming the objective, not a bare ValueError
+    # or OverflowError from numpy
+    for a in ([["x", 1.0], [0.0, 1.0]], [[10**400, 1.0], [0.0, 1.0]]):
+        doc = {
+            "formatVersion": FORMAT_VERSION,
+            "kind": "nlp",
+            "n": 2,
+            "m": 1,
+            "objective": {"name": "log_sum_exp", "params": {"a": a}},
+            "A": [[1.0, 1.0]],
+            "b": [1.0],
+        }
+        with pytest.raises(ProblemSchemaError, match="log_sum_exp"):
             load(_write(tmp_path / "p.json", doc))
 
 
