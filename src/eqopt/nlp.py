@@ -6,14 +6,20 @@ The constraints are eliminated by the null-space parameterization
 ``N^T (hess f) N``. :meth:`ObjectiveOracle.restrict` builds the oracle of
 ``h`` once per solve: a registry objective pulls its own data back through
 ``N`` (so no step forms an n x n Hessian), any other oracle is composed by
-the chain rule. Damped Newton (:func:`newton_solve`) and pure Newton
-(:func:`sqp_iterate`) are the two phases of one Newton iteration and run
-the same loop, which differs only in its step rule (Armijo backtracking
-or the full step) and its stop rule (the Newton decrement or the
-gradient and step norms). On top of it this module provides the
-a-priori convergence certificates: the gradient-based suboptimality
-bound, the damped/pure phase constants and the iteration cap they imply,
-and the quadratic contraction factor of the pure phase.
+the chain rule, and one without an analytic Hessian has its reduced
+gradient differenced along the k free coordinates. Everything after
+:func:`reduce_problem` works in those k coordinates. Damped Newton
+(:func:`newton_solve`) and pure Newton (:func:`sqp_iterate`) are the two
+phases of one Newton iteration and run the same loop, which differs only
+in its step rule (Armijo backtracking or the full step) and its stop rule
+(the Newton decrement or the gradient and step norms). On top of it this
+module provides the a-priori convergence certificates: the gradient-based
+suboptimality bound, the damped/pure phase constants and the iteration
+cap they imply, and the quadratic contraction factor of the pure phase
+(Boyd & Vandenberghe, *Convex Optimization*, Sec. 9.5), all stated for
+the reduced objective h, whose constants
+:func:`estimate_convergence_constants` samples from the reduced Hessians
+alone.
 """
 
 import math
@@ -82,9 +88,11 @@ class ObjectiveOracle:
 
         Returns ``pullback(x0, basis)`` when the oracle has one. Otherwise
         composes this oracle's callbacks by the chain rule: the value
-        ``f(x0 + B g)``, the gradient ``B^T grad f`` and the symmetrized
-        Hessian ``B^T (hess f) B``, which evaluates the full n x n Hessian
-        at every call.
+        ``f(x0 + B g)`` and the gradient ``B^T grad f``. With an analytic
+        Hessian the restricted one is the symmetrized ``B^T (hess f) B``,
+        which evaluates the full n x n Hessian at every call; without one,
+        the restricted oracle differences its own gradient along the k
+        coordinates of ``g`` (2k gradient calls, no n x n array).
         """
         if self.pullback is not None:
             return self.pullback(x0, basis)
@@ -94,6 +102,9 @@ class ObjectiveOracle:
 
         def gradient(g):
             return basis.T @ self.gradient(x0 + basis @ g)
+
+        if self.hessian == self._fd_hessian:
+            return ObjectiveOracle(basis.shape[1], value, gradient)
 
         def hessian(g):
             f = basis.T @ self.hessian(x0 + basis @ g) @ basis
@@ -107,7 +118,11 @@ class ReducedObjective:
     """A full-space objective pulled back through a null-space expression.
 
     ``value``, ``gradient`` and ``hessian`` take a free vector ``g`` and
-    evaluate ``oracle.restrict(expr.x0, expr.basis)``, built once here.
+    evaluate ``oracle.restrict(expr.x0, expr.basis)``, built once here, so
+    they are the reduced ``h(g)``, ``N^T grad f`` and the k x k
+    ``N^T (hess f) N``; none of them forms an n x n array unless the
+    oracle's own analytic Hessian does. :meth:`point` maps ``g`` back to
+    the full space.
     """
 
     expr: ConstrainedExpression  # basis N
@@ -439,9 +454,14 @@ class ConvergenceConstants:
     """Spectral constants feeding the a-priori certificates.
 
     ``m_strong`` and ``m_upper`` sandwich the reduced Hessian
-    (``m I <= F <= M I``) on the initial sublevel set; ``lipschitz`` is
-    the Lipschitz constant of the full-space Hessian there; ``norm_n``
-    is ``||N||_2`` (exactly 1 for an orthonormal basis).
+    (``m I <= F <= M I``) on the initial sublevel set. The certificates use
+    ``K = lipschitz * norm_n**3``, the Lipschitz constant of the reduced
+    Hessian F there. :func:`estimate_convergence_constants` returns that K
+    itself as ``lipschitz``, with ``norm_n`` left at 1. A caller who has a
+    worst-case Lipschitz constant L of the *full-space* Hessian passes it
+    as ``lipschitz`` together with ``norm_n = ||N||_2`` (exactly 1 for the
+    orthonormal bases this library builds), since ``K <= L ||N||^3``. All
+    four must be finite.
     """
 
     m_strong: float
@@ -450,6 +470,9 @@ class ConvergenceConstants:
     norm_n: float = 1.0
 
     def __post_init__(self):
+        for name in ("m_strong", "m_upper", "lipschitz", "norm_n"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.m_strong <= self.m_upper:
             raise ValueError("need 0 < m_strong <= m_upper")
         if not self.lipschitz > 0.0:
@@ -465,8 +488,10 @@ class IterationBound:
     ``eta`` splits the damped phase (``||E|| >= eta``) from the pure
     phase; ``gamma`` is the guaranteed objective decrease per damped
     step; ``d_max`` caps the total number of Newton iterations;
-    ``lipschitz_reduced`` is ``K = L ||N||^3``, the Hessian-variation
-    constant of the reduced objective; ``contraction`` is
+    ``lipschitz_reduced`` is ``K = lipschitz * norm_n**3``, the
+    Hessian-variation constant of the reduced objective (the estimated K
+    itself when the constants come from
+    :func:`estimate_convergence_constants`); ``contraction`` is
     ``K / (2 m^2)``, the factor in the pure-phase quadratic recursion
     ``c_{k+1} <= c_k^2`` for ``c_k = contraction * ||E_k||``.
     """
@@ -482,17 +507,18 @@ def suboptimality_bound(grad_norm, constants):
     """Certified gap bound ``h(g) - h* <= ||E||^2 / (2 m)``.
 
     Valid whenever the reduced Hessian satisfies ``F >= m I`` on the
-    sublevel set containing g.
+    sublevel set containing g. ``grad_norm`` must be finite and nonnegative.
     """
-    if grad_norm < 0.0:
-        raise ValueError("grad_norm must be nonnegative")
+    if not (math.isfinite(grad_norm) and grad_norm >= 0.0):
+        raise ValueError("grad_norm must be finite and nonnegative")
     return float(grad_norm) ** 2 / (2.0 * constants.m_strong)
 
 
 def iteration_bound(constants, config, h0_minus_hstar):
     """A-priori phase constants and iteration cap for damped Newton.
 
-    With ``K = L ||N||^3``:
+    With ``K = lipschitz * norm_n**3``, the Lipschitz constant of the
+    reduced Hessian (see :class:`ConvergenceConstants`):
 
     * ``eta = min{1, 3 (1 - 2 alpha)} m^2 / K`` — while ``||E_k|| >= eta``
       every backtracking step decreases h by at least
@@ -502,13 +528,13 @@ def iteration_bound(constants, config, h0_minus_hstar):
     * the total number of iterations is then at most
       ``d_max = 6 + (h0 - h*) / gamma``.
 
-    ``h0_minus_hstar`` is the initial objective gap (an upper bound on it
-    is fine and just loosens the cap).
+    ``h0_minus_hstar`` is the initial objective gap (a finite upper bound
+    on it is fine and just loosens the cap).
     """
     if config is None:
         config = NewtonConfig()
-    if h0_minus_hstar < 0.0:
-        raise ValueError("h0_minus_hstar must be nonnegative")
+    if not (math.isfinite(h0_minus_hstar) and h0_minus_hstar >= 0.0):
+        raise ValueError("h0_minus_hstar must be finite and nonnegative")
     k = constants.lipschitz * constants.norm_n**3
     eta = min(1.0, 3.0 * (1.0 - 2.0 * config.alpha)) * constants.m_strong**2 / k
     gamma = (
@@ -528,12 +554,15 @@ def iteration_bound(constants, config, h0_minus_hstar):
 
 
 def estimate_convergence_constants(reduced, points):
-    """Empirical (m, M, L) sampled at the given free vectors.
+    """Empirical (m, M, K) sampled at the given free vectors.
 
-    ``m`` and ``M`` are the extreme reduced-Hessian eigenvalues over the
-    sample; ``L`` is the largest spectral-norm difference quotient
-    ``||H(x_i) - H(x_j)|| / ||x_i - x_j||`` of the *full-space* Hessian
-    over sample pairs. These are estimates tied to the sample, not
+    One reduced Hessian ``F(g_i)`` (k x k) is formed per sample and nothing
+    in the full space. ``m`` and ``M`` are the extreme eigenvalues of the
+    ``F(g_i)``; ``K``, returned as ``lipschitz`` with ``norm_n = 1``, is the
+    largest spectral-norm difference quotient
+    ``||F(g_i) - F(g_j)|| / ||g_i - g_j||`` over sample pairs, the
+    Hessian-variation constant of the reduced objective that the
+    certificates use. These are estimates tied to the sample, not
     certificates — pass worst-case constants to :func:`iteration_bound`
     when you have them.
     """
@@ -543,18 +572,16 @@ def estimate_convergence_constants(reduced, points):
     m_lo = math.inf
     m_hi = -math.inf
     hessians = []
-    xs = []
     for g in points:
-        w = np.linalg.eigvalsh(reduced.hessian(g))
+        f = reduced.hessian(g)
+        w = np.linalg.eigvalsh(f)
         m_lo = min(m_lo, float(w[0]))
         m_hi = max(m_hi, float(w[-1]))
-        x = reduced.point(g)
-        xs.append(x)
-        hessians.append(reduced.oracle.hessian(x))
+        hessians.append(f)
     lip = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            gap = float(np.linalg.norm(xs[i] - xs[j]))
+            gap = float(np.linalg.norm(points[i] - points[j]))
             if gap == 0.0:
                 continue
             lip = max(lip, float(np.linalg.norm(hessians[i] - hessians[j], 2)) / gap)
@@ -563,11 +590,6 @@ def estimate_convergence_constants(reduced, points):
             "sampled reduced Hessians are not uniformly positive definite"
         )
     # a quadratic objective has identical Hessians everywhere; keep the
-    # constant valid (a smaller L only tightens the bound formulas)
+    # constant valid (a smaller K only tightens the bound formulas)
     lip = max(lip, 1e-30)
-    return ConvergenceConstants(
-        m_strong=m_lo,
-        m_upper=m_hi,
-        lipschitz=lip,
-        norm_n=float(np.linalg.norm(reduced.expr.basis, 2)),
-    )
+    return ConvergenceConstants(m_strong=m_lo, m_upper=m_hi, lipschitz=lip)

@@ -24,6 +24,7 @@ r rows of C and k free variables.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -135,13 +136,23 @@ def quadratic(q, c=None):
 
 
 def sum_exp(dim=None, rates=None):
-    """``f(x) = sum_i exp(r_i x_i)``; rates default to all ones."""
+    """``f(x) = sum_i exp(r_i x_i)``; rates default to all ones.
+
+    ``dim`` must be integral; a boolean is refused rather than read as 0 or 1.
+    """
+    if dim is not None:
+        integral = isinstance(dim, numbers.Integral) or (
+            isinstance(dim, numbers.Real) and float(dim).is_integer()
+        )
+        if isinstance(dim, bool) or not integral:  # numpy's bool is not a number
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        dim = int(dim)
     if rates is not None:
         r = as_vector(rates, "rates")
-        if dim is not None and int(dim) != r.shape[0]:
+        if dim is not None and dim != r.shape[0]:
             raise ValueError(f"dim={dim} but rates has length {r.shape[0]}")
     elif dim is not None:
-        r = np.ones(int(dim))
+        r = np.ones(dim)
     else:
         raise ValueError("sum_exp needs dim or rates")
     # Separable in full space (C = diag(r)), so no r x r matrix is stored.

@@ -4,9 +4,11 @@ The on-disk format is JSON with a fixed top level: ``formatVersion``
 (currently 1), ``kind`` (``"qp"`` or ``"nlp"``), the dimensions ``n``
 and ``m``, the constraint data ``A`` (m rows of n numbers) and ``b``
 (m numbers), plus ``Q``/``c`` for quadratic programs or an
-``objective`` object (``name`` + ``params``) for nonlinear ones. Floats
-are written with Python's shortest-round-trip repr, so values survive a
-save/load cycle bit for bit.
+``objective`` object (``name`` + ``params``) for nonlinear ones. Array
+entries are JSON numbers, and so is every objective param or each entry
+of it; a ``dim`` param must be the integer ``n``. Floats are written with
+Python's shortest-round-trip repr, so values survive a save/load cycle
+bit for bit.
 
 :func:`load` parses with orjson, which reads the long float arrays of a
 problem file several times faster than the standard library and gives
@@ -30,6 +32,7 @@ kept in :attr:`NlpProblem.objective_params` shows which parser ran.
 """
 
 import io
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -80,35 +83,53 @@ def _require(doc, field, kinds, where):
     return value
 
 
-def _array_field(doc, field, shape, where):
-    """A finite float64 array of the given shape; JSON ``[]`` is an empty matrix.
+def _holds_bool(raw, out):
+    """Whether the nested list ``raw`` holds a JSON boolean.
 
-    Entries must be JSON numbers: the dtype numpy infers refuses strings,
-    booleans, ``null`` and objects. One gap is left on purpose: numpy
-    upcasts a boolean mixed with floats (``[true, 1.5]``) to float64, and
-    catching it would take a pass over every element. Integers beyond 64
-    bits give an object array; they are converted one by one, so that
-    both parsers accept the same entries.
+    ``out = np.asarray(raw)`` has a numeric dtype, so numpy read any boolean
+    as 0 or 1; only the entries equal to 0 or 1 are looked up in ``raw``.
     """
-    raw = _require(doc, field, list, where)
+    suspects = np.flatnonzero((out == 0) | (out == 1))
+    if suspects.size == 0:
+        return False
+    for _ in range(out.ndim - 1):
+        raw = list(itertools.chain.from_iterable(raw))
+    return any(type(raw[i]) is bool for i in suspects)
+
+
+def _numbers(raw, what):
+    """The JSON array ``raw`` as a float64 array, refusing anything but numbers.
+
+    The dtype numpy infers refuses strings, ``null``, objects and all-boolean
+    arrays; a boolean mixed with numbers (``[true, 1.5]``) is caught by
+    :func:`_holds_bool`. Integers beyond 64 bits give an object array; they
+    are converted one by one, so that both parsers accept the same entries.
+    ``what`` names the array in the ProblemSchemaError.
+    """
     try:
         out = np.asarray(raw)
     except (TypeError, ValueError):
-        raise ProblemSchemaError(
-            f"{where}: field '{field}' is not a rectangular numeric array"
-        ) from None
+        raise ProblemSchemaError(f"{what} is not a rectangular numeric array") from None
     if out.dtype.kind == "O" and all(type(v) in (int, float) for v in out.flat):
         try:
             out = out.astype(np.float64)
         except OverflowError:
             raise ProblemSchemaError(
-                f"{where}: field '{field}' holds an integer beyond the float64 range"
+                f"{what} holds an integer beyond the float64 range"
             ) from None
     if out.dtype.kind not in "iuf":
-        raise ProblemSchemaError(
-            f"{where}: field '{field}' has non-numeric entries (numpy dtype {out.dtype})"
-        )
-    out = out.astype(np.float64, copy=False)
+        raise ProblemSchemaError(f"{what} has non-numeric entries (numpy dtype {out.dtype})")
+    if _holds_bool(raw, out):
+        raise ProblemSchemaError(f"{what} has non-numeric entries (a boolean)")
+    return out.astype(np.float64, copy=False)
+
+
+def _array_field(doc, field, shape, where):
+    """A finite float64 array of the given shape; JSON ``[]`` is an empty matrix.
+
+    Entries must be JSON numbers (:func:`_numbers`).
+    """
+    out = _numbers(_require(doc, field, list, where), f"{where}: field '{field}'")
     if out.shape == (0,) and len(shape) == 2:
         out = out.reshape(0, shape[1])
     if out.shape != shape:
@@ -117,6 +138,34 @@ def _array_field(doc, field, shape, where):
         )
     if not np.all(np.isfinite(out)):
         raise ProblemSchemaError(f"{where}: field '{field}' contains non-finite values")
+    return out
+
+
+def _objective_params(params, name, n, where):
+    """The objective params as the builder takes them.
+
+    Every param is a JSON number or an array of JSON numbers
+    (:func:`_numbers`), which is passed on as a float64 array. A ``dim``
+    param must be the JSON integer ``n``; it is checked here, before the
+    builder allocates anything of that size.
+    """
+    what = f"{where}: objective {name!r} param"
+    out = {}
+    for key, value in params.items():
+        if isinstance(value, list):
+            out[key] = _numbers(value, f"{what} '{key}'")
+        elif type(value) in (int, float):
+            out[key] = value
+        else:
+            raise ProblemSchemaError(
+                f"{what} '{key}' has type {type(value).__name__}; "
+                f"objective params are JSON numbers or arrays of them"
+            )
+    dim = params.get("dim")
+    if dim is not None and (type(dim) is not int or dim != n):
+        raise ProblemSchemaError(
+            f"{what} 'dim' is {dim!r}; the objective dimension must be the integer n={n}"
+        )
     return out
 
 
@@ -158,10 +207,10 @@ def load(path):
     by the standard library in UTF-8 text mode, as the module docstring
     explains. Malformed JSON, invalid UTF-8 and nesting too deep for the
     standard library raise ProblemParseError (the first with the
-    line/column); schema violations, numeric fields holding anything but
-    JSON numbers included, raise ProblemSchemaError naming the offending
-    field. A quadratic Q that is not symmetric is symmetrized with a
-    warning.
+    line/column); schema violations, numeric fields and objective params
+    holding anything but JSON numbers included, raise ProblemSchemaError
+    naming the offending field or param. A quadratic Q that is not
+    symmetric is symmetrized with a warning.
     """
     where = str(path)
     with open(path, "rb") as fh:
@@ -204,7 +253,8 @@ def load(path):
     if not isinstance(params, dict):
         raise ProblemSchemaError(f"{where}: objective params must be an object")
     try:
-        oracle = objective_registry(name, params)  # UnknownObjectiveError passes through
+        # UnknownObjectiveError passes through
+        oracle = objective_registry(name, _objective_params(params, name, n, where))
     except (TypeError, ValueError, OverflowError) as exc:  # e.g. an unknown keyword
         raise ProblemSchemaError(f"{where}: objective {name!r} params: {exc}") from None
     if oracle.dim != n:

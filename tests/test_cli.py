@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from eqopt import cli, selfcheck
+from eqopt import cli, objectives, selfcheck
 
 
 def _write_doc(path, doc):
@@ -157,6 +157,61 @@ def test_solve_objective_params_that_do_not_fit_exit_4(tmp_path, capsys):
         code = cli.main(["solve", "--input", _write_doc(tmp_path / "p.json", doc)])
         assert code == 4, name
         assert name in capsys.readouterr().err
+
+
+_BARRIER_PARAMS = {"q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "barrier_b": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("log_sum_exp", {"a": [["1", 2.0], [0.0, 1.0]]}, "param 'a'"),
+        ("sum_exp", {"rates": [1.0, True]}, "param 'rates'"),
+        ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": "2"}, "param 'mu'"),
+        ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": True}, "param 'mu'"),
+        ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": {"value": 2.0}}, "param 'mu'"),
+        ("log_sum_exp", {"a": [[1.0, 0.0], [0.0, 1.0]], "shift": None}, "param 'shift'"),
+        ("sum_exp", {"dim": 1_000_000_000_000}, "param 'dim'"),
+        ("sum_exp", {"dim": 2.5}, "param 'dim'"),
+        ("sum_exp", {"dim": True}, "param 'dim'"),
+        ("sum_exp", {"dim": 2.0}, "param 'dim'"),
+        ("sum_exp", {"dim": [2]}, "param 'dim'"),
+    ],
+    ids=[
+        "string-entry",
+        "boolean-entry",
+        "string-mu",
+        "boolean-mu",
+        "object-mu",
+        "null-shift",
+        "dim-1e12",
+        "dim-2.5",
+        "dim-true",
+        "dim-2.0",
+        "dim-list",
+    ],
+)
+def test_solve_objective_params_that_are_not_json_numbers_exit_4(
+    tmp_path, capsys, monkeypatch, name, params, message
+):
+    def refuse(**kwargs):
+        raise AssertionError("the builder ran on params the schema refuses")
+
+    # the 1e12 dim must be refused before sum_exp could allocate 7 TiB
+    monkeypatch.setitem(objectives._REGISTRY, name, refuse)
+    doc = {
+        "formatVersion": 1,
+        "kind": "nlp",
+        "n": 2,
+        "m": 1,
+        "objective": {"name": name, "params": params},
+        "A": [[1.0, 1.0]],
+        "b": [0.0],
+    }
+    code = cli.main(["solve", "--input", _write_doc(tmp_path / "p.json", doc), "--method", "newton"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert name in err and message in err
 
 
 def test_solve_nan_tolerance_exits_4(tmp_path, capsys):

@@ -350,6 +350,20 @@ def test_constants_validation():
             NewtonConfig(),
             -1.0,
         )
+    # every constant must be finite: an infinite one used to reach
+    # iteration_bound and raise a bare ZeroDivisionError there
+    finite = dict(m_strong=1.0, m_upper=2.0, lipschitz=1.0, norm_n=1.0)
+    for name in finite:
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                ConvergenceConstants(**{**finite, name: bad})
+    # a NaN or infinite gap or gradient norm would return a NaN or infinite bound
+    constants = ConvergenceConstants(**finite)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="h0_minus_hstar"):
+            iteration_bound(constants, NewtonConfig(), bad)
+        with pytest.raises(ValueError, match="grad_norm"):
+            suboptimality_bound(bad, constants)
 
 
 def test_estimated_constants_on_quadratic_match_spectrum():
@@ -363,6 +377,26 @@ def test_estimated_constants_on_quadratic_match_spectrum():
     assert_allclose(constants.m_upper, w[-1], rtol=1e-9)
     assert constants.lipschitz <= 1e-8  # constant Hessian
     assert_allclose(constants.norm_n, 1.0, rtol=1e-12)
+
+
+def test_estimated_lipschitz_is_the_reduced_difference_quotient():
+    # sum_exp on x1 + x2 = c: N = +-(1, -1)/sqrt(2) and x0 = (c/2, c/2), so
+    # h(g) = 2 e^(c/2) cosh(g/sqrt(2)) and F(g) = e^(c/2) cosh(g/sqrt(2))
+    c, g1, g2 = 0.6, -0.5, 1.5
+    reduced = reduce_problem(sum_exp(dim=2), EqualityConstraints([[1.0, 1.0]], [c]))
+    hess = lambda g: math.exp(c / 2) * math.cosh(g / math.sqrt(2))
+    constants = estimate_convergence_constants(reduced, [np.array([g1]), np.array([g2])])
+    assert_allclose(constants.lipschitz, (hess(g2) - hess(g1)) / (g2 - g1), rtol=1e-12)
+    assert_allclose(constants.m_strong, hess(g1), rtol=1e-12)
+    assert_allclose(constants.m_upper, hess(g2), rtol=1e-12)
+    assert constants.norm_n == 1.0
+    # tighter than the full-space quotient of diag(e^x1, e^x2) at the same
+    # points (||x2 - x1|| = |g2 - g1|), which the estimate used to return
+    full = max(
+        abs(math.exp(c / 2 + s * g2 / math.sqrt(2)) - math.exp(c / 2 + s * g1 / math.sqrt(2)))
+        for s in (1.0, -1.0)
+    ) / (g2 - g1)
+    assert constants.lipschitz < full / 3.0
 
 
 def test_termination_implies_true_gap_for_quadratics():
@@ -598,3 +632,59 @@ def test_a_newton_step_factorizes_once_and_never_forms_the_full_hessian(factoriz
             trace = run(reduced)
             assert trace.converged, (name, run.__name__)
             assert factorizations == ["scipy.linalg.lapack.dpotrf"] * (len(trace.iterations) + 1)
+
+
+def test_estimated_constants_stay_in_the_reduced_space(factorizations):
+    cons, objectives = newton_shaped_inputs(4)
+    objectives["quadratic"] = quadratic(np.eye(30), np.linspace(-1.0, 1.0, 30))
+
+    def refuse(*args):
+        raise AssertionError("the estimate left the reduced space")
+
+    rng = np.random.default_rng(37)
+    for name, oracle in objectives.items():
+        oracle.hessian = refuse
+        reduced = reduce_problem(oracle, cons)
+        reduced.point = refuse
+        # the restricted oracle is built; the basis it was built from is not read again
+        reduced.expr.basis = np.full_like(reduced.expr.basis, np.nan)
+        formed = []
+        reduced_hessian = reduced.hessian
+
+        def counted(g, _hessian=reduced_hessian, _formed=formed):
+            out = _hessian(g)
+            _formed.append(out.shape)
+            return out
+
+        reduced.hessian = counted
+        samples = [0.01 * rng.uniform(-1, 1, reduced.free_dim) for _ in range(4)]
+        factorizations.clear()
+        constants = estimate_convergence_constants(reduced, samples)
+        k = reduced.free_dim
+        assert formed == [(k, k)] * len(samples), name
+        assert factorizations == ["numpy.linalg.eigvalsh"] * len(samples), name
+        assert constants.norm_n == 1.0 and constants.lipschitz > 0.0, name
+
+
+def test_a_hessian_free_oracle_is_differenced_in_the_free_coordinates():
+    # a custom oracle without a Hessian: each Newton step makes one gradient
+    # call plus 2k for the differenced k x k reduced Hessian, not 2n
+    rng = np.random.default_rng(36)
+    n, m = 100, 30
+    lse = log_sum_exp(rng.uniform(-1, 1, (4 * n, n)))
+    calls = []
+
+    def gradient(x):
+        calls.append(x.shape)
+        return lse.gradient(x)
+
+    cons = EqualityConstraints(rng.uniform(-1, 1, (m, n)), rng.uniform(-0.3, 0.3, m))
+    reduced = reduce_problem(ObjectiveOracle(n, lse.value, gradient), cons)
+    k = reduced.free_dim
+    trace = newton_solve(reduced)
+    assert trace.converged and k == n - m
+    assert len(calls) == (len(trace.iterations) + 1) * (2 * k + 1)
+    # the analytic pull-back takes the same steps to the same minimum
+    exact = newton_solve(reduce_problem(lse, cons))
+    assert len(trace.iterations) == len(exact.iterations)
+    assert abs(trace.final_h - exact.final_h) <= 1e-9 * max(1.0, abs(exact.final_h))

@@ -51,6 +51,15 @@ def test_sum_exp_values():
     assert_allclose(scaled.hessian(np.zeros(2)), np.diag([4.0, 1.0]))
 
 
+def test_sum_exp_dim_must_be_an_integer():
+    for dim in (True, np.True_, 2.5, float("nan"), float("inf"), "two"):
+        with pytest.raises(ValueError, match="dim"):
+            sum_exp(dim=dim)
+    with pytest.raises(ValueError, match="dim"):
+        sum_exp(dim=False, rates=[1.0])
+    assert sum_exp(dim=3.0).dim == sum_exp(dim=np.int64(3)).dim == 3
+
+
 def test_log_sum_exp_values():
     oracle = log_sum_exp(np.eye(3))
     assert_allclose(oracle.value(np.zeros(3)), np.log(3.0))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 import eqopt
 from eqopt import problems
@@ -271,7 +271,9 @@ def test_load_invalid_utf8_is_a_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entries", [[0.0, "1"], [True, False], [None, 1.0], [{}, 1.0]], ids=["str", "bool", "null", "object"]
+    "entries",
+    [[0.0, "1"], [True, False], [None, 1.0], [{}, 1.0], [True, 1.5], [0, False]],
+    ids=["str", "bool", "null", "object", "bool-among-floats", "bool-among-ints"],
 )
 def test_load_numeric_field_accepts_only_json_numbers(tmp_path, entries):
     with pytest.raises(ProblemSchemaError, match="'c'"):
@@ -370,6 +372,23 @@ def test_load_objective_params_the_builder_cannot_read(tmp_path):
         }
         with pytest.raises(ProblemSchemaError, match="log_sum_exp"):
             load(_write(tmp_path / "p.json", doc))
+
+
+def test_load_keeps_objective_params_as_written(tmp_path):
+    # the builder gets float64 arrays; the record keeps the parsed JSON
+    params = {"q": [[1, 0], [0, 1]], "barrier_a": [[1.0, 0.0]], "barrier_b": [2.0], "mu": 2}
+    doc = {
+        "formatVersion": FORMAT_VERSION,
+        "kind": "nlp",
+        "n": 2,
+        "m": 1,
+        "objective": {"name": "neg_log_barrier_quadratic", "params": params},
+        "A": [[1.0, 1.0]],
+        "b": [1.0],
+    }
+    problem = load(_write(tmp_path / "p.json", doc))
+    assert problem.objective_params == params
+    assert_allclose(problem.oracle.value(np.array([0.5, 0.5])), 0.25 - 2.0 * np.log(1.5))
 
 
 def test_load_asymmetric_q_warns_and_symmetrizes(tmp_path):
