@@ -13,9 +13,9 @@ problems into unconstrained ones over ``g``:
 
 Both are read off one :class:`~eqopt.linalg.ConstraintFactorization`
 (a pivoted QR of the row-equilibrated ``A^T``, kept in Householder form):
-``x0 = Q_1 y``, ``N = Q_2`` (its ``null_basis``) and ``D = I - Q_1 Q_1^T``.
-The projector forms only ``Q_1`` and the null-space form only ``N``;
-neither factorizes ``A H``, and both accept redundant rows.
+``x0 = Q_1 y``, ``N = Q_2`` (its ``null_basis``) and ``D = N N^T``. Both
+forms are built from ``N`` alone; neither factorizes ``A H``, and both
+accept redundant rows.
 """
 
 from dataclasses import dataclass
@@ -83,14 +83,15 @@ def projector_from(factorization):
     """Projector-form expression ``x = x0 + D g`` of a factorization.
 
     With ``H = A^T`` no further factorization is needed: ``x0 = Q_1 y`` is
-    the minimum-norm solution and ``D = I - Q_1 Q_1^T`` is the orthogonal
-    projector onto ker(A). Neither forms ``(A H)^{-1}``, and the rank was
-    already decided by the pivoted QR, so redundant rows need no care. At
-    rank 0, ``Q_1`` has no columns, so ``D = I`` and ``x0 = 0``.
+    the minimum-norm solution and ``D = N N^T``, with ``N`` the orthonormal
+    ``null_basis``, is the orthogonal projector onto ker(A). ``N N^T`` runs
+    as one ``syrk``, so ``D`` is exactly symmetric. Neither forms
+    ``(A H)^{-1}``, and the rank was already decided by the pivoted QR, so
+    redundant rows need no care. At rank 0, ``N = I``, so ``D = I`` and
+    ``x0 = 0``; at rank n, ``N`` has no columns and ``D = 0``.
     """
-    f = factorization
-    q1 = f.range_basis
-    return ConstrainedExpression(x0=f.x0, basis=np.eye(f.a.shape[1]) - q1 @ q1.T)
+    null = factorization.null_basis
+    return ConstrainedExpression(x0=factorization.x0, basis=null @ null.T)
 
 
 def build_projector(constraints):

@@ -6,14 +6,17 @@ column-pivoted QR of the row-equilibrated ``A^T``
 the redundant rows, the consistency check and the minimum-norm
 particular solution. Q stays in Householder form; orthonormal bases of
 the row space and of ker(A) are formed from the reflectors (``dormqr``)
-only when a caller asks for them, so no n-by-n Q is built. Reduced symmetric
-systems are solved by one Cholesky factorization (:func:`cholesky`, LAPACK
-``dpotrf``/``dpotrs``) when they are positive definite and otherwise with
-one ``eigh`` (:func:`symmetric_solve`), which also gives their inertia. No
-solver computes an SVD. A quadratic ``1/2 x^T Q x + c^T x`` is validated
-once (:func:`quadratic_data`) and restricted to ``x = x0 + B g`` by one
-kernel (:func:`pull_back_quadratic`) that the QP eliminations and the
-registry objectives share.
+only when a caller asks for them, so no n-by-n Q is built. Every solver
+asks for ``N`` alone: both QP eliminations and the Newton paths work on
+its k columns, ``k = n - rank(A)``. The row-space basis ``Q_1``
+(``range_basis``) stays public and tested, though no solver calls it.
+Reduced symmetric k-by-k systems are solved by one Cholesky factorization
+(:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs``) when they are positive
+definite and otherwise with one ``eigh`` (:func:`symmetric_solve`), which
+also gives their inertia. No solver computes an SVD. A quadratic
+``1/2 x^T Q x + c^T x`` is validated once (:func:`quadratic_data`) and
+restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
+that the QP eliminations and the registry objectives share.
 """
 
 from functools import cached_property

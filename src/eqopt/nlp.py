@@ -530,27 +530,45 @@ def iteration_bound(constants, config, h0_minus_hstar):
 
     ``h0_minus_hstar`` is the initial objective gap (a finite upper bound
     on it is fine and just loosens the cap).
+
+    Raises ValueError when the constants, though finite, are so extreme
+    that a certificate quantity overflows or underflows to zero (``K`` or
+    ``m^2`` out of float range, ``gamma = 0``, an infinite ``d_max``): no
+    finite cap can be stated then.
     """
     if config is None:
         config = NewtonConfig()
     if not (math.isfinite(h0_minus_hstar) and h0_minus_hstar >= 0.0):
         raise ValueError("h0_minus_hstar must be finite and nonnegative")
-    k = constants.lipschitz * constants.norm_n**3
-    eta = min(1.0, 3.0 * (1.0 - 2.0 * config.alpha)) * constants.m_strong**2 / k
-    gamma = (
-        config.alpha
-        * config.beta
-        * eta**2
-        * constants.m_strong
-        / constants.m_upper**2
-    )
-    return IterationBound(
-        eta=eta,
-        gamma=gamma,
-        d_max=6.0 + h0_minus_hstar / gamma,
-        lipschitz_reduced=k,
-        contraction=k / (2.0 * constants.m_strong**2),
-    )
+    try:
+        k = constants.lipschitz * constants.norm_n**3
+        eta = min(1.0, 3.0 * (1.0 - 2.0 * config.alpha)) * constants.m_strong**2 / k
+        gamma = (
+            config.alpha
+            * config.beta
+            * eta**2
+            * constants.m_strong
+            / constants.m_upper**2
+        )
+        bound = IterationBound(
+            eta=eta,
+            gamma=gamma,
+            d_max=6.0 + h0_minus_hstar / gamma,
+            lipschitz_reduced=k,
+            contraction=k / (2.0 * constants.m_strong**2),
+        )
+    except (OverflowError, ZeroDivisionError):  # float ** overflows, / 0 underflowed
+        bound = None
+    if bound is None or not all(
+        0.0 < value < math.inf
+        for value in (bound.eta, bound.gamma, bound.d_max, bound.lipschitz_reduced,
+                      bound.contraction)
+    ):
+        raise ValueError(
+            "the constants m_strong, m_upper, lipschitz and norm_n are too extreme "
+            "for a finite iteration cap (a certificate quantity leaves float range)"
+        )
+    return bound
 
 
 def estimate_convergence_constants(reduced, points):

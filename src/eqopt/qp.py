@@ -4,11 +4,11 @@ Three independent routes to a stationary point of
 ``1/2 x^T Q x + c^T x`` on ``{x : A x = b}``:
 
 * :func:`solve_projector` — projector-form reduction with ``H = A^T``
-  (``D = I - Q_1 Q_1^T``); the n-by-n reduced system, shifted on the row
-  space of A so that its p structural zero eigenvalues become positive,
-  is solved with one Cholesky factorization;
-* :func:`solve_nullspace` — null-space reduction to an (n - m)-sized
-  positive-definite solve with one Cholesky factorization;
+  (``D = N N^T``); its n-by-n stationary system has rank
+  ``k = n - rank(A)`` and is solved exactly through the k-by-k system of
+  the null-space form, never formed;
+* :func:`solve_nullspace` — null-space reduction to a k-by-k solve with
+  one Cholesky factorization;
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
   Bunch-Kaufman factorization (LAPACK ``dsytrf``), run in place on the
@@ -22,19 +22,21 @@ pivoted QR of the row-equilibrated ``A^T``
 (:class:`~eqopt.linalg.ConstraintFactorization`), build one
 :class:`~eqopt.expressions.ConstrainedExpression` ``x = x0 + B g``
 (``B = D`` or ``N``) from it and share one body
-(:func:`_solve_eliminated`) that differs only in that expression, its
-structural zeros and the projector's shift. It forms ``B^T Q B`` and
-decides the reduced solve by one rule (:func:`_solve_reduced`), with
-``eps`` as the one cut on both routes: a reduced-Hessian eigenvalue below
-it is neither inverted nor counted as curved. The Cholesky solve
-certifies a minimum when LAPACK's condition estimate clears a margin
-above that cut; an indefinite, singular or ill-conditioned reduced system
-is solved with one ``eigh`` instead, which yields the minimum-norm
-stationary point and its classification. The Cholesky factorization runs
-in place on a matrix the reduced solve allocates itself, so no caller's
-array is overwritten. Every solution carries the
-feasibility and stationarity residuals plus a classification of the
-stationary point from reduced-Hessian inertia.
+(:func:`_solve_eliminated`) that differs only in that expression, which
+sets the reported stationarity residual. Both pull the quadratic back
+through ``N`` and solve the one k-by-k system ``N^T Q N y = N^T (Q x0 + c)``
+(Nocedal & Wright, *Numerical Optimization*, §16.2), so they return the
+same x and classification bit for bit. The reduced solve is decided by
+one rule (:func:`_solve_reduced`), with ``eps`` as the one cut: a
+reduced-Hessian eigenvalue below it is neither inverted nor counted as
+curved. The Cholesky solve certifies a minimum when LAPACK's condition
+estimate clears a margin above that cut; an indefinite, singular or
+ill-conditioned reduced system is solved with one ``eigh`` instead, which
+yields the minimum-norm stationary point and its classification. The
+Cholesky factorization runs in place on a matrix the reduced solve
+allocates itself, so no caller's array is overwritten. Every solution
+carries the feasibility and stationarity residuals plus a classification
+of the stationary point from reduced-Hessian inertia.
 """
 
 from dataclasses import dataclass
@@ -96,26 +98,22 @@ class QpSolution:
     lagrange_multipliers: np.ndarray | None = None
 
 
-def _classify(eigs, expected_zeros, tol):
-    """Label a stationary point from reduced-Hessian eigenvalues.
+def _classify(eigs, tol):
+    """Label a stationary point from the eigenvalues of ``N^T Q N``.
 
     An eigenvalue with ``|w| <= tol * k * max|w|`` counts as zero: the cut
     :func:`~eqopt.linalg.symmetric_solve` uses to decide which eigenvalues
-    it inverts. ``expected_zeros`` eigenvalues are structurally zero (the
-    projector form embeds the reduced Hessian in the full space); any zero
-    beyond those means flat directions, i.e. a non-unique stationary point.
+    it inverts. Any zero means flat directions, i.e. a non-unique
+    stationary point.
     """
     k = eigs.shape[0]
-    if k == expected_zeros:
-        return "point"
     scale = float(np.max(np.abs(eigs), initial=0.0))
     if scale == 0.0:
         return "non_unique"  # reduced Hessian vanishes: every direction is flat
     cut = tol * k * scale
     pos = int(np.sum(eigs > cut))
     neg = int(np.sum(eigs < -cut))
-    zero = k - pos - neg
-    if zero > expected_zeros:
+    if pos + neg < k:
         return "non_unique"
     if neg == 0:
         return "min"
@@ -124,81 +122,72 @@ def _classify(eigs, expected_zeros, tol):
     return "saddle"
 
 
-def _solve_reduced(aa, rhs, expected_zeros, shift=None, tol=None):
-    """Solve a reduced stationary system ``aa g = rhs`` and classify the point.
+def _solve_reduced(aa, rhs, tol=None):
+    """Solve the k-by-k reduced system ``aa y = rhs`` and classify the point.
 
-    ``aa`` is symmetric, with ``expected_zeros`` structural zero
-    eigenvalues; ``shift``, given whenever there are any, is the
-    orthogonal projector onto their eigenvectors. Cholesky first:
-    ``M = aa + sigma * shift`` with ``sigma = max|diag(aa)|`` (1 if that
-    is 0) has the eigenvalues of the reduced Hessian plus
-    ``expected_zeros`` copies of ``sigma``, and the same solution, since
-    ``rhs`` and the minimum-norm ``g`` lie where ``shift`` vanishes.
-    ``tol`` (machine epsilon by default) sets one cut, ``tol k max|eig|``,
-    below which an eigenvalue is neither inverted nor counted as curved.
-    The Cholesky solve is accepted, and the point called a minimum, only
-    when LAPACK's ``dpocon`` estimate of ``rcond_1(M)`` exceeds
-    ``10 k^2 tol``: as ``kappa_2 <= k kappa_1``, every eigenvalue of ``M``
-    then clears that cut with a factor of 10 to spare. Otherwise one
-    ``eigh`` gives the minimum-norm solution (eigenvalues below the cut
-    dropped) and the classification.
+    ``aa = N^T Q N`` is symmetric. ``tol`` (machine epsilon by default)
+    sets one cut, ``tol k max|eig|``, below which an eigenvalue is neither
+    inverted nor counted as curved. Cholesky first: its solve is accepted,
+    and the point called a minimum, only when LAPACK's ``dpocon`` estimate
+    of ``rcond_1(aa)`` exceeds ``10 k^2 tol``: as ``kappa_2 <= k kappa_1``,
+    every eigenvalue of ``aa`` then clears that cut with a factor of 10 to
+    spare. Otherwise one ``eigh`` gives the minimum-norm solution
+    (eigenvalues below the cut dropped) and the classification.
 
-    ``M`` (without a shift, a copy of ``aa``) is a buffer this function
-    owns: its 1-norm is taken first, and ``dpotrf`` then factors it in
-    place through its F-ordered view ``M^T = M``. ``aa`` and ``shift`` are
-    left intact, so the ``eigh`` fallback sees ``aa`` even after a
-    Cholesky factorization that failed partway.
+    ``dpotrf`` factors a copy of ``aa`` that this function owns, in place
+    through its F-ordered view (the copy is symmetric), after its 1-norm
+    is taken. ``aa`` is left intact, so the ``eigh`` fallback sees it even
+    after a Cholesky factorization that failed partway.
 
     Returns
     -------
-    g : (k,) ndarray
+    y : (k,) ndarray
     classification : str
     """
     k = aa.shape[0]
     if tol is None:
         tol = EPS
-    if shift is None:
-        m = aa.copy()  # dpotrf overwrites m, and eigh below must see aa intact
-    else:
-        sigma = float(np.max(np.abs(np.diag(aa)))) or 1.0
-        m = aa + sigma * shift
+    m = aa.copy()  # dpotrf overwrites m, and eigh below must see aa intact
     norm_1 = np.linalg.norm(m, 1)
     u = cholesky(m.T, overwrite=True)  # m is symmetric: m.T is its F-ordered view
     if u is not None:  # else not positive definite
         rcond, info = scipy.linalg.lapack.dpocon(u, norm_1)
         if info == 0 and rcond > 10.0 * k * k * tol:
             return cholesky_solve(u, rhs), "min"
-    g, eigs = symmetric_solve(aa, rhs, tol)
-    return g, _classify(eigs, expected_zeros, tol)
+    y, eigs = symmetric_solve(aa, rhs, tol)
+    return y, _classify(eigs, tol)
 
 
-def _solve_eliminated(problem, expr, method, expected_zeros, shift=None, eps=None):
+def _solve_eliminated(problem, factorization, expr, method, eps=None):
     """Stationary point on the expression ``x = x0 + B g``: the body of both
     eliminations.
 
-    Forms the reduced Hessian ``B^T Q B`` and gradient ``B^T (Q x0 + c)``
-    with :func:`~eqopt.linalg.pull_back_quadratic`, the kernel the registry
-    objectives pull back through too, solves by :func:`_solve_reduced`
-    (``eps`` is its cut),
-    embeds ``x = x0 - B g`` and reports the stationarity residual
-    ``||B^T (Q x + c)||_inf``. ``B`` has ``expected_zeros`` structural null
-    directions; when that is all its columns the feasible set is one point.
+    Both solve the same k-by-k system, ``k = n - rank(A)``: the quadratic
+    is pulled back through ``N`` once with
+    :func:`~eqopt.linalg.pull_back_quadratic`, the kernel the registry
+    objectives pull back through too, ``N^T Q N y = N^T (Q x0 + c)`` is
+    solved by :func:`_solve_reduced` (``eps`` is its cut) and
+    ``x = x0 - N y``. For ``B = N`` that is ``g = y``; for ``B = D = N N^T``,
+    ``g = N y`` is the minimum-norm solution of ``(D Q D) g = D (Q x0 + c)``,
+    whose pseudo-inverse is ``N (N^T Q N)^+ N^T``. The stationarity
+    residual is the expression's own, ``||B^T (Q x + c)||_inf``. When
+    ``k = 0`` the feasible set is one point.
     """
-    x0, basis = expr.x0, expr.basis
-    if expr.free_dim == expected_zeros:
+    x0, null = expr.x0, factorization.null_basis
+    if null.shape[1] == 0:
         x = x0
         sol_class = "point"
     else:
-        aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, basis)
-        g, sol_class = _solve_reduced(aa, rhs, expected_zeros, shift=shift, tol=eps)
-        x = x0 - basis @ g
+        aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
+        y, sol_class = _solve_reduced(aa, rhs, tol=eps)
+        x = x0 - null @ y
     grad = problem.q @ x + problem.c
     return QpSolution(
         x=x,
         objective=problem.objective_value(x),
         method=method,
         constraint_residual=problem.constraints.residual(x),
-        stationarity_residual=float(np.max(np.abs(basis.T @ grad), initial=0.0)),
+        stationarity_residual=float(np.max(np.abs(expr.basis.T @ grad), initial=0.0)),
         classification=sol_class,
         degenerate=(sol_class == "point"),
     )
@@ -207,15 +196,14 @@ def _solve_eliminated(problem, expr, method, expected_zeros, shift=None, eps=Non
 def solve_projector(problem, eps=None):
     """Stationary point via the projector form.
 
-    The constraints are factorized once (their redundant rows dropped),
-    the expression ``x = x0 + D g`` with ``H = A^T`` is built, and the
-    stationary system ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is solved by
-    :func:`_solve_reduced`. ``D = I - Q_1 Q_1^T`` is an orthogonal
-    projector, so a shift on ``I - D`` lifts the p structural zero
-    eigenvalues and a positive-definite, well-conditioned reduced Hessian
-    is solved by one Cholesky factorization. Indefinite and even singular
-    reduced Hessians take the eigendecomposition, which yields the
-    minimum-norm free vector.
+    The constraints are factorized once (their redundant rows dropped) and
+    the expression ``x = x0 + D g`` with ``H = A^T`` and ``D = N N^T`` is
+    built. Its stationary system ``(D^T Q D) g = -(D^T Q x0 + D^T c)`` is
+    never formed: ``D`` has rank ``k = n - rank(A)``, so
+    ``(D Q D)^+ = N (N^T Q N)^+ N^T`` and the k-by-k system the null-space
+    form solves gives its minimum-norm ``g`` (:func:`_solve_eliminated`).
+    The reduced-Hessian eigenvalues it classifies by are those of
+    ``D Q D`` without its ``rank(A)`` structural zeros.
 
     Raises
     ------
@@ -224,9 +212,8 @@ def solve_projector(problem, eps=None):
     """
     cons = problem.constraints
     factorization = ConstraintFactorization(cons.a, cons.b, eps)
-    expr = projector_from(factorization)
-    shift = np.eye(problem.n) - expr.basis  # Q_1 Q_1^T
-    return _solve_eliminated(problem, expr, "projector", factorization.rank, shift, eps)
+    return _solve_eliminated(problem, factorization, projector_from(factorization),
+                             "projector", eps)
 
 
 def solve_nullspace(problem, eps=None):
@@ -241,7 +228,7 @@ def solve_nullspace(problem, eps=None):
     cons = problem.constraints
     f = ConstraintFactorization(cons.a, cons.b, eps)
     expr = ConstrainedExpression(x0=f.x0, basis=f.null_basis)
-    return _solve_eliminated(problem, expr, "nullspace", 0, eps=eps)
+    return _solve_eliminated(problem, f, expr, "nullspace", eps)
 
 
 def _bunch_kaufman_eigs(ldu, ipiv):

@@ -366,6 +366,17 @@ def test_constants_validation():
             suboptimality_bound(bad, constants)
 
 
+def test_iteration_bound_refuses_constants_that_leave_float_range():
+    # finite constants whose certificate underflows (eta, gamma = 0) or
+    # overflows (K = inf) used to end in a bare ZeroDivisionError at d_max
+    for constants in (
+        ConvergenceConstants(m_strong=1e-200, m_upper=1.0, lipschitz=1.0),
+        ConvergenceConstants(1.0, 1.0, lipschitz=1e200, norm_n=1e50),
+    ):
+        with pytest.raises(ValueError, match="m_strong, m_upper, lipschitz and norm_n"):
+            iteration_bound(constants, NewtonConfig(), 1.0)
+
+
 def test_estimated_constants_on_quadratic_match_spectrum():
     reduced, _ = quadratic_reduced(33)
     b = reduced.hessian(np.zeros(reduced.free_dim))

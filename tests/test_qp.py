@@ -10,7 +10,9 @@ from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import ObjectiveOracle, newton_solve, reduce_problem
 from eqopt.objectives import sum_exp
-from eqopt.problems import GeneratorSpec, generate
+from eqopt import qp
+from eqopt.linalg import ConstraintFactorization
+from eqopt.problems import _Q_CLASSES, GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 from helpers import full_saddle_solve
 
@@ -329,6 +331,40 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
         assert factorizations == names, solve.__name__
 
 
+def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
+    # D = N N^T has rank k = n - rank(A): the projector solves the k-by-k
+    # system of the null-space form, so both return the same x bit for bit
+    # and the projector factorizes no n-by-n matrix.
+    shapes = []
+    for name in ("cholesky", "symmetric_solve"):
+        def recorded(m, *args, _fn=getattr(qp, name), **kwargs):
+            shapes.append(m.shape)
+            return _fn(m, *args, **kwargs)
+
+        monkeypatch.setattr(qp, name, recorded)
+    rng = np.random.default_rng(49)
+    labels = set()
+    for q_class in _Q_CLASSES:
+        for deficiency in (0, 3):
+            for _ in range(4):
+                n = int(rng.integers(4, 40))
+                m = int(rng.integers(1, n))
+                problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)),
+                                                 q_class=q_class, rank_deficiency=deficiency))
+                cons = problem.constraints
+                k = n - ConstraintFactorization(cons.a, cons.b).rank
+                where = (q_class, deficiency, n, m)
+                ref = solve_nullspace(problem)
+                shapes.clear()
+                sol = solve_projector(problem)
+                assert sol.x.tobytes() == ref.x.tobytes(), where
+                assert sol.classification == ref.classification, where
+                assert shapes, where
+                assert all(shape == (k, k) for shape in shapes), (where, shapes)
+                labels.add(sol.classification)
+    assert {"min", "saddle"} <= labels  # both the Cholesky and the eigh branch ran
+
+
 def _reduced_hessian_problem(seed, smallest, n=40, m=10):
     """QP whose reduced Hessian N^T Q N has eigenvalues 1, ..., 1, ``smallest``."""
     rng = np.random.default_rng(seed)
@@ -342,9 +378,9 @@ def _reduced_hessian_problem(seed, smallest, n=40, m=10):
 
 
 def test_minimum_needs_a_well_conditioned_cholesky(factorizations):
-    # The null-space cut of the classification is EPS (n - m) max|eig|; the
-    # projector's, EPS n max|eig|, is larger. Cholesky is accepted only when
-    # rcond clears 10 k^2 EPS: 2e-12 (null-space) and 4e-12 (projector) here.
+    # Both routes solve the same k-by-k system, k = n - m = 30: the
+    # classification cut is EPS k max|eig|, and Cholesky is accepted only
+    # when rcond clears 10 k^2 EPS, 2e-12 here.
     eps = np.finfo(float).eps
     cases = [
         (0.5 * eps * 30, "non_unique", True),  # below both cuts: flat direction
