@@ -6,7 +6,8 @@ class EqoptError(Exception):
 
 
 class ComputationError(EqoptError):
-    """A dense factorization failed to converge, or an oracle returned non-finite derivatives."""
+    """A dense factorization failed to converge, an oracle returned non-finite
+    derivatives, or a finite problem's solution overflows float range."""
 
 
 class InfeasibleConstraintsError(EqoptError):

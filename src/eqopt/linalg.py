@@ -4,13 +4,11 @@ The constraint system ``A x = b`` is factorized once per solve: one
 column-pivoted QR of the row-equilibrated ``A^T``
 (:class:`ConstraintFactorization`, LAPACK ``dgeqp3``) yields the rank,
 the redundant rows, the consistency check and the minimum-norm
-particular solution. Q stays in Householder form; orthonormal bases of
-the row space and of ker(A) are formed from the reflectors (``dormqr``)
-only when a caller asks for them, so no n-by-n Q is built. Every solver
-asks for ``N`` alone: both QP eliminations and the Newton paths work on
-its k columns, ``k = n - rank(A)``. The row-space basis ``Q_1``
-(``range_basis``) stays public and tested, though no solver calls it.
-Reduced symmetric k-by-k systems are solved by one Cholesky factorization
+particular solution. Q stays in Householder form; the orthonormal basis
+``N`` of ker(A) is formed from the reflectors (``dormqr``) only when a
+caller asks for it, so no n-by-n Q is built. Both QP eliminations and the
+Newton paths work on its k columns, ``k = n - rank(A)``. Reduced
+symmetric k-by-k systems are solved by one Cholesky factorization
 (:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs``) when they are positive
 definite and otherwise with one ``eigh`` (:func:`symmetric_solve`), which
 also gives their inertia. No solver computes an SVD. A quadratic
@@ -56,7 +54,8 @@ def quadratic_data(q, c=None):
     q = as_matrix(q, "Q")
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
-    q = 0.5 * (q + q.T)
+    q = 0.5 * q  # halved first, so finite entries near the float maximum stay finite
+    q += q.T  # in place on the new array; numpy buffers the overlapping q.T
     n = q.shape[0]
     c = np.zeros(n) if c is None else as_vector(c, "c")
     if c.shape[0] != n:
@@ -68,11 +67,13 @@ def pull_back_quadratic(q, c, x0, basis):
     """``1/2 x^T Q x + c^T x`` at ``x = x0 + B g``, as data in g.
 
     Returns ``(B^T Q B, B^T (Q x0 + c), 1/2 x0^T Q x0 + c^T x0)``; the first
-    is formed as ``(B^T Q) B`` and symmetrized, so it is exactly symmetric.
+    is formed as ``(B^T Q) B`` and symmetrized like :func:`quadratic_data`
+    does, so it is exactly symmetric.
     """
     qx0 = q @ x0
-    qb = basis.T @ q @ basis
-    return 0.5 * (qb + qb.T), basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
+    qb = 0.5 * (basis.T @ q @ basis)
+    qb += qb.T
+    return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
 
 
 def cholesky(m, overwrite=False):
@@ -115,20 +116,19 @@ class ConstraintFactorization:
       redundant rows ``P[p:]``; ``a[selected] x = b[selected]`` is an
       equivalent full-row-rank system;
     * ``x0 = Q [y; 0]`` with ``R_11^T y = b_s[selected]``: the minimum-norm
-      solution, since it lies in the row space ``range(Q_1)``;
+      solution, since it lies in the row space ``range(Q[:, :p])``;
     * consistency: with ``c = R_11^-1 R_12``, dropped row ``j`` is
       ``sum_k c[k, j] * (kept row k)``, so its residual ``r_j`` at ``x0``
       must be that combination of the kept rows' residuals:
       ``|r_j - (c^T r_kept)_j| <= eps * max(m, n) * (1 + s_j + (|c|^T s_kept)_j)``
       with ``s = |b_s| + |A_s| |x0|``, the rounding error of the residuals.
       The bound is per row, so no other row's ``b`` loosens it;
-    * orthonormal bases ``Q_1 = Q[:, :p]`` of the row space of A and
-      ``N = Q[:, p:]`` of ker(A), each formed from the Householder
-      reflectors the first time it is asked for.
+    * the orthonormal basis ``N = Q[:, p:]`` of ker(A), formed from the
+      Householder reflectors the first time it is asked for.
 
     Q itself is never formed: it stays the product of the reflectors
-    ``dgeqp3`` leaves below the diagonal of R, and ``x0``, ``Q_1`` and
-    ``N`` are applications of it (``dormqr``).
+    ``dgeqp3`` leaves below the diagonal of R, and ``x0`` and ``N`` are
+    applications of it (``dormqr``).
 
     Attributes ``a`` and ``b`` hold the scaled system; residuals of a
     solution belong on the original one.
@@ -148,7 +148,8 @@ class ConstraintFactorization:
     InfeasibleConstraintsError
         If a dropped row is not satisfied at ``x0``.
     ComputationError
-        If the QR factorization fails.
+        If the QR factorization fails, or if the scaled ``b`` or ``x0``
+        overflows float range.
     """
 
     def __init__(self, a, b, eps=None):
@@ -184,8 +185,15 @@ class ConstraintFactorization:
         self.dropped = piv[p:]
         r11 = qr[:p, :p]  # solve_triangular reads only its upper triangle
         z = np.zeros((n, 1))
-        z[:p, 0] = scipy.linalg.solve_triangular(r11, self.b[self.selected], trans="T")
+        # the scaled b and x0 may overflow even though a and b are finite
+        z[:p, 0] = scipy.linalg.solve_triangular(
+            r11, self.b[self.selected], trans="T", check_finite=False
+        )
         self.x0 = self._apply_q(z, p)[:, 0]
+        if not (np.isfinite(self.b).all() and np.isfinite(self.x0).all()):
+            raise ComputationError(
+                "the row-scaled b or the minimum-norm solution of A x = b overflows float range"
+            )
         if p < m:
             self._check_consistency(scipy.linalg.solve_triangular(r11, qr[:p, p:]), eps)
 
@@ -230,12 +238,6 @@ class ConstraintFactorization:
                 f"constraints are inconsistent: redundant row {int(self.dropped[worst])} "
                 f"leaves residual {leftover[worst]:.6e} (tolerance {bound[worst]:.6e})"
             )
-
-    @cached_property
-    def range_basis(self):
-        """``Q_1``: orthonormal basis of the row space of A, shape (n, p)."""
-        n, p = self.a.shape[1], self.rank
-        return self._apply_q(np.eye(n, p, order="F"), p)
 
     @cached_property
     def null_basis(self):

@@ -155,7 +155,7 @@ class ReducedObjective:
         return self._restricted.hessian(self._checked(g))
 
 
-def reduce_problem(oracle, constraints, eps=None):
+def reduce_problem(oracle, constraints):
     """Eliminate the constraints: build x = x0 + N g and wrap the oracle.
 
     The constraints are factorized once
@@ -170,7 +170,7 @@ def reduce_problem(oracle, constraints, eps=None):
         raise ValueError(
             f"objective dimension {oracle.dim} != constraint columns {constraints.n}"
         )
-    f = ConstraintFactorization(constraints.a, constraints.b, eps)
+    f = ConstraintFactorization(constraints.a, constraints.b)
     expr = ConstrainedExpression(x0=f.x0, basis=f.null_basis)
     if expr.free_dim == 0:
         raise ValueError(
@@ -218,7 +218,11 @@ class NewtonIteration:
     grad_norm: float  # ||E||_2 at g
     decrement_sq: float  # squared Newton decrement E^T F^{-1} E
     step_size: float  # accepted t
-    phase: str  # "pure" when t == 1, else "damped"
+
+    @property
+    def phase(self):
+        """``"pure"`` for a full step (t = 1), else ``"damped"``."""
+        return "pure" if self.step_size == 1.0 else "damped"
 
 
 @dataclass
@@ -395,7 +399,6 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
                 grad_norm=grad_norm,
                 decrement_sq=dec_sq,
                 step_size=t,
-                phase="pure" if t == 1.0 else "damped",
             )
         )
         g = g + t * step
@@ -454,31 +457,26 @@ class ConvergenceConstants:
     """Spectral constants feeding the a-priori certificates.
 
     ``m_strong`` and ``m_upper`` sandwich the reduced Hessian
-    (``m I <= F <= M I``) on the initial sublevel set. The certificates use
-    ``K = lipschitz * norm_n**3``, the Lipschitz constant of the reduced
-    Hessian F there. :func:`estimate_convergence_constants` returns that K
-    itself as ``lipschitz``, with ``norm_n`` left at 1. A caller who has a
-    worst-case Lipschitz constant L of the *full-space* Hessian passes it
-    as ``lipschitz`` together with ``norm_n = ||N||_2`` (exactly 1 for the
-    orthonormal bases this library builds), since ``K <= L ||N||^3``. All
-    four must be finite.
+    (``m I <= F <= M I``) on the initial sublevel set, and ``lipschitz`` is
+    K, the Lipschitz constant of the reduced Hessian F there, as
+    :func:`estimate_convergence_constants` returns it. A worst-case
+    Lipschitz constant L of the *full-space* Hessian serves as well, since
+    ``K <= L ||N||_2^3 = L`` for the orthonormal bases this library builds.
+    All three must be finite.
     """
 
     m_strong: float
     m_upper: float
     lipschitz: float
-    norm_n: float = 1.0
 
     def __post_init__(self):
-        for name in ("m_strong", "m_upper", "lipschitz", "norm_n"):
+        for name in ("m_strong", "m_upper", "lipschitz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.m_strong <= self.m_upper:
             raise ValueError("need 0 < m_strong <= m_upper")
         if not self.lipschitz > 0.0:
             raise ValueError("lipschitz must be positive")
-        if not self.norm_n > 0.0:
-            raise ValueError("norm_n must be positive")
 
 
 @dataclass
@@ -488,18 +486,14 @@ class IterationBound:
     ``eta`` splits the damped phase (``||E|| >= eta``) from the pure
     phase; ``gamma`` is the guaranteed objective decrease per damped
     step; ``d_max`` caps the total number of Newton iterations;
-    ``lipschitz_reduced`` is ``K = lipschitz * norm_n**3``, the
-    Hessian-variation constant of the reduced objective (the estimated K
-    itself when the constants come from
-    :func:`estimate_convergence_constants`); ``contraction`` is
-    ``K / (2 m^2)``, the factor in the pure-phase quadratic recursion
-    ``c_{k+1} <= c_k^2`` for ``c_k = contraction * ||E_k||``.
+    ``contraction`` is ``K / (2 m^2)`` with ``K = lipschitz``, the factor in
+    the pure-phase quadratic recursion ``c_{k+1} <= c_k^2`` for
+    ``c_k = contraction * ||E_k||``.
     """
 
     eta: float
     gamma: float
     d_max: float
-    lipschitz_reduced: float
     contraction: float
 
 
@@ -508,17 +502,27 @@ def suboptimality_bound(grad_norm, constants):
 
     Valid whenever the reduced Hessian satisfies ``F >= m I`` on the
     sublevel set containing g. ``grad_norm`` must be finite and nonnegative.
+    Raises ValueError, like :func:`iteration_bound`, when the bound leaves
+    float range.
     """
     if not (math.isfinite(grad_norm) and grad_norm >= 0.0):
         raise ValueError("grad_norm must be finite and nonnegative")
-    return float(grad_norm) ** 2 / (2.0 * constants.m_strong)
+    try:
+        bound = float(grad_norm) ** 2 / (2.0 * constants.m_strong)
+    except OverflowError:  # float ** overflows
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(
+            "grad_norm and m_strong are too extreme for a finite suboptimality bound"
+        )
+    return bound
 
 
 def iteration_bound(constants, config, h0_minus_hstar):
     """A-priori phase constants and iteration cap for damped Newton.
 
-    With ``K = lipschitz * norm_n**3``, the Lipschitz constant of the
-    reduced Hessian (see :class:`ConvergenceConstants`):
+    With ``K = lipschitz``, the Lipschitz constant of the reduced Hessian
+    (see :class:`ConvergenceConstants`):
 
     * ``eta = min{1, 3 (1 - 2 alpha)} m^2 / K`` — while ``||E_k|| >= eta``
       every backtracking step decreases h by at least
@@ -532,8 +536,8 @@ def iteration_bound(constants, config, h0_minus_hstar):
     on it is fine and just loosens the cap).
 
     Raises ValueError when the constants, though finite, are so extreme
-    that a certificate quantity overflows or underflows to zero (``K`` or
-    ``m^2`` out of float range, ``gamma = 0``, an infinite ``d_max``): no
+    that a certificate quantity overflows or underflows to zero (``m^2``
+    out of float range, ``gamma = 0``, an infinite ``d_max``): no
     finite cap can be stated then.
     """
     if config is None:
@@ -541,8 +545,8 @@ def iteration_bound(constants, config, h0_minus_hstar):
     if not (math.isfinite(h0_minus_hstar) and h0_minus_hstar >= 0.0):
         raise ValueError("h0_minus_hstar must be finite and nonnegative")
     try:
-        k = constants.lipschitz * constants.norm_n**3
-        eta = min(1.0, 3.0 * (1.0 - 2.0 * config.alpha)) * constants.m_strong**2 / k
+        m_sq = constants.m_strong**2
+        eta = min(1.0, 3.0 * (1.0 - 2.0 * config.alpha)) * m_sq / constants.lipschitz
         gamma = (
             config.alpha
             * config.beta
@@ -554,18 +558,16 @@ def iteration_bound(constants, config, h0_minus_hstar):
             eta=eta,
             gamma=gamma,
             d_max=6.0 + h0_minus_hstar / gamma,
-            lipschitz_reduced=k,
-            contraction=k / (2.0 * constants.m_strong**2),
+            contraction=constants.lipschitz / (2.0 * m_sq),
         )
     except (OverflowError, ZeroDivisionError):  # float ** overflows, / 0 underflowed
         bound = None
     if bound is None or not all(
         0.0 < value < math.inf
-        for value in (bound.eta, bound.gamma, bound.d_max, bound.lipschitz_reduced,
-                      bound.contraction)
+        for value in (bound.eta, bound.gamma, bound.d_max, bound.contraction)
     ):
         raise ValueError(
-            "the constants m_strong, m_upper, lipschitz and norm_n are too extreme "
+            "the constants m_strong, m_upper and lipschitz are too extreme "
             "for a finite iteration cap (a certificate quantity leaves float range)"
         )
     return bound
@@ -576,13 +578,14 @@ def estimate_convergence_constants(reduced, points):
 
     One reduced Hessian ``F(g_i)`` (k x k) is formed per sample and nothing
     in the full space. ``m`` and ``M`` are the extreme eigenvalues of the
-    ``F(g_i)``; ``K``, returned as ``lipschitz`` with ``norm_n = 1``, is the
-    largest spectral-norm difference quotient
+    ``F(g_i)``; ``K``, returned as ``lipschitz``, is the largest
+    spectral-norm difference quotient
     ``||F(g_i) - F(g_j)|| / ||g_i - g_j||`` over sample pairs, the
     Hessian-variation constant of the reduced objective that the
     certificates use. These are estimates tied to the sample, not
     certificates — pass worst-case constants to :func:`iteration_bound`
-    when you have them.
+    when you have them. A non-finite sampled Hessian raises
+    ComputationError naming the sample.
     """
     points = [as_vector(p, "point") for p in points]
     if len(points) < 1:
@@ -590,8 +593,10 @@ def estimate_convergence_constants(reduced, points):
     m_lo = math.inf
     m_hi = -math.inf
     hessians = []
-    for g in points:
+    for i, g in enumerate(points):
         f = reduced.hessian(g)
+        if not np.isfinite(f).all():
+            raise ComputationError(f"the oracle returned a non-finite Hessian at sample {i}")
         w = np.linalg.eigvalsh(f)
         m_lo = min(m_lo, float(w[0]))
         m_hi = max(m_hi, float(w[-1]))

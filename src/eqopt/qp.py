@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg.lapack
 
-from .errors import OracleUnavailableError
+from .errors import ComputationError, OracleUnavailableError
 from .expressions import ConstrainedExpression, EqualityConstraints, projector_from
 from .linalg import EPS, ConstraintFactorization, as_vector, cholesky, cholesky_solve
 from .linalg import pull_back_quadratic, quadratic_data, symmetric_solve
@@ -82,7 +82,7 @@ class QpSolution:
 
     ``classification`` is one of ``"min"``, ``"max"``, ``"saddle"``,
     ``"non_unique"`` (flat directions exist) or ``"point"`` (the feasible
-    set is a single point, also flagged by ``degenerate``).
+    set is a single point, also flagged by :attr:`degenerate`).
     ``constraint_residual`` is measured against the *original* system,
     ``stationarity_residual`` is the method's own first-order condition
     in the infinity norm.
@@ -94,8 +94,12 @@ class QpSolution:
     constraint_residual: float
     stationarity_residual: float
     classification: str
-    degenerate: bool = False
     lagrange_multipliers: np.ndarray | None = None
+
+    @property
+    def degenerate(self):
+        """Whether the feasible set is a single point."""
+        return self.classification == "point"
 
 
 def _classify(eigs, tol):
@@ -171,7 +175,8 @@ def _solve_eliminated(problem, factorization, expr, method, eps=None):
     ``g = N y`` is the minimum-norm solution of ``(D Q D) g = D (Q x0 + c)``,
     whose pseudo-inverse is ``N (N^T Q N)^+ N^T``. The stationarity
     residual is the expression's own, ``||B^T (Q x + c)||_inf``. When
-    ``k = 0`` the feasible set is one point.
+    ``k = 0`` the feasible set is one point. Raises ComputationError when
+    x overflows float range.
     """
     x0, null = expr.x0, factorization.null_basis
     if null.shape[1] == 0:
@@ -181,6 +186,8 @@ def _solve_eliminated(problem, factorization, expr, method, eps=None):
         aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
         y, sol_class = _solve_reduced(aa, rhs, tol=eps)
         x = x0 - null @ y
+        if not np.isfinite(x).all():
+            raise ComputationError("the solution overflows float range (x is not finite)")
     grad = problem.q @ x + problem.c
     return QpSolution(
         x=x,
@@ -189,7 +196,6 @@ def _solve_eliminated(problem, factorization, expr, method, eps=None):
         constraint_residual=problem.constraints.residual(x),
         stationarity_residual=float(np.max(np.abs(expr.basis.T @ grad), initial=0.0)),
         classification=sol_class,
-        degenerate=(sol_class == "point"),
     )
 
 
@@ -332,6 +338,5 @@ def solve_kkt(problem):
         constraint_residual=feasibility,
         stationarity_residual=stationarity,
         classification=sol_class,
-        degenerate=(free <= 0),
         lagrange_multipliers=lam,
     )

@@ -306,6 +306,23 @@ def test_solve_sqp_step_out_of_the_barrier_domain_exits_3(tmp_path, capsys):
     assert cli.main(["solve", "--input", path, "--method", "newton"]) == 0
 
 
+@pytest.mark.parametrize(
+    "q, c, a, b",
+    [
+        # the minimum-norm point x0 = (1e310, 0, 0) overflows
+        (np.eye(3).tolist(), [0.0] * 3, [[1e-300, 0.0, 0.0]], [1e10]),
+        # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
+        ((1e300 * np.eye(3)).tolist(), [1e300] * 3, [[1e-300, 1.0, 0.0]], [1e300]),
+    ],
+)
+def test_solve_a_solution_that_overflows_exits_3(tmp_path, capsys, q, c, a, b):
+    path = _qp_file(tmp_path, n=3, Q=q, c=c, A=a, b=b)
+    for method in ("projector", "nullspace", "kkt"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+        assert "error:" in capsys.readouterr().err
+
+
 def test_solve_newton_with_trace(tmp_path):
     out = tmp_path / "sol.json"
     trace_path = tmp_path / "trace.json"

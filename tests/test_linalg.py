@@ -3,8 +3,17 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from eqopt.errors import InfeasibleConstraintsError
-from eqopt.linalg import ConstraintFactorization, as_matrix, as_vector
+from eqopt.errors import ComputationError, InfeasibleConstraintsError
+from eqopt.expressions import EqualityConstraints
+from eqopt.linalg import (
+    ConstraintFactorization,
+    as_matrix,
+    as_vector,
+    pull_back_quadratic,
+    quadratic_data,
+)
+from eqopt.problems import GeneratorSpec, generate
+from eqopt.qp import QpProblem, solve_nullspace, solve_projector
 
 
 def kept_rows(f):
@@ -173,10 +182,10 @@ def test_constraint_factorization_parts():
     assert np.linalg.matrix_rank(a[f.selected]) == m
     assert np.max(np.abs(a @ f.x0 - b) / np.max(np.abs(a), axis=1)) < 1e-12
     # x0 is the minimum-norm solution: it lies in the row space
-    nb, q1 = f.null_basis, f.range_basis
-    assert nb.shape == (n, n - m) and q1.shape == (n, m)
+    nb = f.null_basis
+    assert nb.shape == (n, n - m)
     assert np.max(np.abs(nb.T @ f.x0)) < 1e-12
-    assert np.max(np.abs(np.hstack([q1, nb]).T @ np.hstack([q1, nb]) - np.eye(n))) < 1e-12
+    assert np.max(np.abs(nb.T @ nb - np.eye(n - m))) < 1e-12
     assert np.max(np.abs(f.a @ nb)) < 1e-12
     # the same redundant row one part in a million off is a contradiction
     b_bad = b.copy()
@@ -184,18 +193,17 @@ def test_constraint_factorization_parts():
     with pytest.raises(InfeasibleConstraintsError):
         ConstraintFactorization(a, b_bad)
 
-    # the bases formed from the reflectors span the spaces of an explicit Q:
+    # the basis formed from the reflectors spans the null space of an explicit Q:
     # m > n (rank 7 of 12), p = 0 (no rows, all-zero rows) and p = n
     rank7 = rng.uniform(-1, 1, (20, 7)) @ rng.uniform(-1, 1, (7, n))
     for a, p in [(a, m), (rank7, 7), (np.zeros((0, n)), 0), (np.zeros((3, n)), 0),
                  (rng.uniform(-1, 1, (n, n)), n)]:
         f = ConstraintFactorization(a, a @ np.ones(n))
         assert f.rank == p
-        q1, nb = f.range_basis, f.null_basis
-        assert q1.shape == (n, p) and nb.shape == (n, n - p)
-        assert np.max(np.abs(np.hstack([q1, nb]).T @ np.hstack([q1, nb]) - np.eye(n)), initial=0.0) < 1e-12
+        nb = f.null_basis
+        assert nb.shape == (n, n - p)
+        assert np.max(np.abs(nb.T @ nb - np.eye(n - p)), initial=0.0) < 1e-12
         ref = scipy.linalg.qr(f.a.T, pivoting=True)[0] if a.shape[0] else np.eye(n)
-        assert np.max(np.abs(q1 @ q1.T - ref[:, :p] @ ref[:, :p].T)) < 1e-12
         assert np.max(np.abs(nb @ nb.T - ref[:, p:] @ ref[:, p:].T)) < 1e-12
         assert np.max(np.abs(a @ f.x0 - a @ np.ones(n)), initial=0.0) < 1e-12
         assert np.max(np.abs(nb.T @ f.x0), initial=0.0) < 1e-12
@@ -214,3 +222,43 @@ def test_as_matrix_and_as_vector():
         as_vector([[1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         as_vector([np.nan])
+
+
+def test_a_solution_that_overflows_is_a_computation_error():
+    with np.errstate(over="ignore", invalid="ignore"):
+        # finite data whose minimum-norm point x0 = (1e310, 0, 0) overflows
+        with pytest.raises(ComputationError, match="overflows float range"):
+            ConstraintFactorization([[1e-300, 0.0, 0.0]], [1e10])
+        # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
+        problem = QpProblem(
+            q=1e300 * np.eye(3),
+            c=np.full(3, 1e300),
+            constraints=EqualityConstraints([[1e-300, 1.0, 0.0]], [1e300]),
+        )
+        for solve in (solve_projector, solve_nullspace):
+            with pytest.raises(ComputationError, match="overflows float range"):
+                solve(problem)
+
+
+# ---------------------------------------------------------------------------
+# quadratic data
+
+
+def test_symmetrizing_halves_first():
+    # halving first gives (Q + Q^T) / 2 bit for bit on normal floats ...
+    rng = np.random.default_rng(501)
+    for seed in range(20):
+        n = int(rng.integers(2, 30))
+        problem = generate(
+            GeneratorSpec(n=n, m=int(rng.integers(0, n)), seed=seed, q_class="asymmetric")
+        )
+        raw = np.random.default_rng(seed).uniform(-1, 1, (n, n))  # generate's first draw
+        assert np.array_equal(problem.q, 0.5 * (raw + raw.T))
+        f = ConstraintFactorization(problem.constraints.a, problem.constraints.b)
+        qb = f.null_basis.T @ raw @ f.null_basis
+        aa = pull_back_quadratic(raw, problem.c, f.x0, f.null_basis)[0]
+        assert np.array_equal(aa, 0.5 * (qb + qb.T))
+    # ... and keeps finite entries near the float maximum finite
+    big = np.full((2, 2), 1.5e308)
+    assert np.array_equal(quadratic_data(big)[0], big)
+    assert np.array_equal(pull_back_quadratic(big, np.zeros(2), np.zeros(2), np.eye(2))[0], big)

@@ -304,14 +304,13 @@ def test_suboptimality_bound_dominates_quadratic_gap():
 
 
 def test_iteration_bound_worked_example():
-    # alpha=1/4, beta=1/2, m=M=L=||N||=1, initial gap 1:
+    # alpha=1/4, beta=1/2, m=M=K=1, initial gap 1:
     # eta = min(1, 3/2) * 1 = 1, gamma = 1/4 * 1/2 * 1 = 1/8, cap = 6 + 8 = 14
-    constants = ConvergenceConstants(m_strong=1.0, m_upper=1.0, lipschitz=1.0, norm_n=1.0)
+    constants = ConvergenceConstants(m_strong=1.0, m_upper=1.0, lipschitz=1.0)
     bound = iteration_bound(constants, NewtonConfig(alpha=0.25, beta=0.5), 1.0)
     assert bound.eta == 1.0
     assert bound.gamma == 0.125
     assert bound.d_max == 14.0
-    assert bound.lipschitz_reduced == 1.0
     assert bound.contraction == 0.5
 
 
@@ -352,7 +351,7 @@ def test_constants_validation():
         )
     # every constant must be finite: an infinite one used to reach
     # iteration_bound and raise a bare ZeroDivisionError there
-    finite = dict(m_strong=1.0, m_upper=2.0, lipschitz=1.0, norm_n=1.0)
+    finite = dict(m_strong=1.0, m_upper=2.0, lipschitz=1.0)
     for name in finite:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
@@ -368,13 +367,16 @@ def test_constants_validation():
 
 def test_iteration_bound_refuses_constants_that_leave_float_range():
     # finite constants whose certificate underflows (eta, gamma = 0) or
-    # overflows (K = inf) used to end in a bare ZeroDivisionError at d_max
+    # overflows (m^2 = inf) used to end in a bare ZeroDivisionError at d_max
     for constants in (
         ConvergenceConstants(m_strong=1e-200, m_upper=1.0, lipschitz=1.0),
-        ConvergenceConstants(1.0, 1.0, lipschitz=1e200, norm_n=1e50),
+        ConvergenceConstants(1e200, 1e200, lipschitz=1.0),
     ):
-        with pytest.raises(ValueError, match="m_strong, m_upper, lipschitz and norm_n"):
+        with pytest.raises(ValueError, match="m_strong, m_upper and lipschitz"):
             iteration_bound(constants, NewtonConfig(), 1.0)
+    # a finite gradient norm whose square overflows used to raise a bare OverflowError
+    with pytest.raises(ValueError, match="suboptimality bound"):
+        suboptimality_bound(1e200, ConvergenceConstants(1.0, 1.0, 1.0))
 
 
 def test_estimated_constants_on_quadratic_match_spectrum():
@@ -387,7 +389,6 @@ def test_estimated_constants_on_quadratic_match_spectrum():
     assert_allclose(constants.m_strong, w[0], rtol=1e-9)
     assert_allclose(constants.m_upper, w[-1], rtol=1e-9)
     assert constants.lipschitz <= 1e-8  # constant Hessian
-    assert_allclose(constants.norm_n, 1.0, rtol=1e-12)
 
 
 def test_estimated_lipschitz_is_the_reduced_difference_quotient():
@@ -400,7 +401,6 @@ def test_estimated_lipschitz_is_the_reduced_difference_quotient():
     assert_allclose(constants.lipschitz, (hess(g2) - hess(g1)) / (g2 - g1), rtol=1e-12)
     assert_allclose(constants.m_strong, hess(g1), rtol=1e-12)
     assert_allclose(constants.m_upper, hess(g2), rtol=1e-12)
-    assert constants.norm_n == 1.0
     # tighter than the full-space quotient of diag(e^x1, e^x2) at the same
     # points (||x2 - x1|| = |g2 - g1|), which the estimate used to return
     full = max(
@@ -536,6 +536,11 @@ def test_nan_hessian_is_a_computation_error():
     for run in (newton_solve, sqp_iterate):
         with pytest.raises(ComputationError, match="iteration 0"):
             run(reduced)
+    # sampling the constants names the sample; exp(1000) overflows at x0 = (1000, 1000, 1000)
+    overflowing = reduce_problem(sum_exp(dim=3), EqualityConstraints([[1.0, 1.0, 1.0]], [3000.0]))
+    for red in (reduced, overflowing):
+        with np.errstate(over="ignore"), pytest.raises(ComputationError, match="sample 0"):
+            estimate_convergence_constants(red, [np.zeros(2)])
 
 
 def test_start_outside_the_barrier_domain_is_refused():
@@ -674,7 +679,7 @@ def test_estimated_constants_stay_in_the_reduced_space(factorizations):
         k = reduced.free_dim
         assert formed == [(k, k)] * len(samples), name
         assert factorizations == ["numpy.linalg.eigvalsh"] * len(samples), name
-        assert constants.norm_n == 1.0 and constants.lipschitz > 0.0, name
+        assert constants.lipschitz > 0.0, name
 
 
 def test_a_hessian_free_oracle_is_differenced_in_the_free_coordinates():
