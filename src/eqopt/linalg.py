@@ -9,7 +9,8 @@ particular solution. Q stays in Householder form; the orthonormal basis
 caller asks for it, so no n-by-n Q is built. Both QP eliminations and the
 Newton paths work on its k columns, ``k = n - rank(A)``. Reduced
 symmetric k-by-k systems are solved by one Cholesky factorization
-(:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs``) when they are positive
+(:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs`` on the lower triangle, the
+faster variant at these sizes) when they are positive
 definite and otherwise with one ``eigh`` (:func:`symmetric_solve`), which
 also gives their inertia. No solver computes an SVD. A quadratic
 ``1/2 x^T Q x + c^T x`` is validated once (:func:`quadratic_data`) and
@@ -20,7 +21,6 @@ that the QP eliminations and the registry objectives share.
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import ComputationError, InfeasibleConstraintsError
@@ -33,7 +33,7 @@ def as_matrix(a, name="matrix"):
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -43,7 +43,7 @@ def as_vector(v, name="vector"):
     out = np.asarray(v, dtype=np.float64)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -77,27 +77,45 @@ def pull_back_quadratic(q, c, x0, basis):
 
 
 def cholesky(m, overwrite=False):
-    """Upper Cholesky factor of the symmetric ``m`` (LAPACK ``dpotrf``; its
-    strict lower triangle is garbage), or None if ``m`` is not positive
-    definite. Raises ComputationError if LAPACK rejects an argument.
+    """Lower Cholesky factor of the symmetric ``m`` (LAPACK ``dpotrf``; only
+    the lower triangle of ``m`` is read, and the strict upper triangle of the
+    factor is garbage), or None if ``m`` is not positive definite. Raises
+    ComputationError if LAPACK rejects an argument.
 
     With ``overwrite``, an F-contiguous ``m`` is factored in place (also
     when the factorization fails partway) and no copy is made; give it a
     buffer the caller owns. Any other ``m`` is copied first and left intact.
     """
-    u, info = scipy.linalg.lapack.dpotrf(m, lower=0, clean=0, overwrite_a=int(overwrite))
+    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=0, overwrite_a=int(overwrite))
     if info > 0:
         return None
     if info < 0:
         raise ComputationError(f"Cholesky factorization failed (dpotrf info={info})")
-    return u
+    return low
 
 
-def cholesky_solve(u, rhs):
-    """``m^-1 rhs`` from the upper factor ``u`` of :func:`cholesky` (``dpotrs``)."""
-    x, info = scipy.linalg.lapack.dpotrs(u, rhs, lower=0)
+def cholesky_solve(low, rhs):
+    """``m^-1 rhs`` from the lower factor ``low`` of :func:`cholesky` (``dpotrs``)."""
+    x, info = scipy.linalg.lapack.dpotrs(low, rhs, lower=1)
     if info != 0:
         raise ComputationError(f"Cholesky solve failed (dpotrs info={info})")
+    return x
+
+
+def _upper_solve(r, rhs, trans=0):
+    """``R^-1 rhs`` (``R^-T rhs`` with ``trans=1``) from the upper triangle of
+    the square ``r`` (LAPACK ``dtrtrs``). Raises ComputationError if LAPACK
+    reports a zero pivot or a bad argument.
+
+    ``R^T`` goes in as a lower triangle: for a strided ``r`` this is the
+    order ``scipy.linalg.solve_triangular`` solves in, bit for bit, without
+    its wrapper's overhead.
+    """
+    if r.shape[0] == 0:  # dtrtrs rejects an empty system
+        return np.zeros(rhs.shape)
+    x, info = scipy.linalg.lapack.dtrtrs(r.T, rhs, lower=1, trans=1 - trans)
+    if info != 0:
+        raise ComputationError(f"triangular solve failed (dtrtrs info={info})")
     return x
 
 
@@ -183,19 +201,17 @@ class ConstraintFactorization:
         self.rank = p
         self.selected = piv[:p]
         self.dropped = piv[p:]
-        r11 = qr[:p, :p]  # solve_triangular reads only its upper triangle
+        r11 = qr[:p, :p]
         z = np.zeros((n, 1))
+        z[:p] = _upper_solve(r11, self.b[self.selected, None], trans=1)
         # the scaled b and x0 may overflow even though a and b are finite
-        z[:p, 0] = scipy.linalg.solve_triangular(
-            r11, self.b[self.selected], trans="T", check_finite=False
-        )
         self.x0 = self._apply_q(z, p)[:, 0]
         if not (np.isfinite(self.b).all() and np.isfinite(self.x0).all()):
             raise ComputationError(
                 "the row-scaled b or the minimum-norm solution of A x = b overflows float range"
             )
         if p < m:
-            self._check_consistency(scipy.linalg.solve_triangular(r11, qr[:p, p:]), eps)
+            self._check_consistency(_upper_solve(r11, qr[:p, p:]), eps)
 
     def _apply_q(self, c, reflectors):
         """``H_1 ... H_k c`` for the first ``k = reflectors`` Householder reflectors.

@@ -8,7 +8,10 @@ The constraints are eliminated by the null-space parameterization
 ``N`` (so no step forms an n x n Hessian), any other oracle is composed by
 the chain rule, and one without an analytic Hessian has its reduced
 gradient differenced along the k free coordinates. Everything after
-:func:`reduce_problem` works in those k coordinates. Damped Newton
+:func:`reduce_problem` works in those k coordinates. Each Newton iterate
+costs one evaluation of that oracle (:meth:`ObjectiveOracle.derivatives`
+gives the gradient and the Hessian together) and one lower-triangle
+Cholesky factorization; a line-search trial costs one value. Damped Newton
 (:func:`newton_solve`) and pure Newton (:func:`sqp_iterate`) are the two
 phases of one Newton iteration and run the same loop, which differs only
 in its step rule (Armijo backtracking or the full step) and its stop rule
@@ -62,9 +65,14 @@ class ObjectiveOracle:
         from the objective's data rather than from these callbacks. Every
         registry objective (:mod:`eqopt.objectives`) supplies one;
         :meth:`restrict` uses it.
+    derivatives : callable, optional
+        ``x -> (gradient, hessian)`` at one point, the one evaluation a
+        Newton step makes. It must return what the two callbacks return.
+        When omitted, it calls ``gradient`` and then ``hessian``; every
+        registry objective supplies one that shares their common work.
     """
 
-    def __init__(self, dim, value, gradient, hessian=None, pullback=None):
+    def __init__(self, dim, value, gradient, hessian=None, pullback=None, derivatives=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
@@ -72,6 +80,10 @@ class ObjectiveOracle:
         self.gradient = gradient
         self.hessian = hessian if hessian is not None else self._fd_hessian
         self.pullback = pullback
+        self.derivatives = derivatives if derivatives is not None else self._gradient_and_hessian
+
+    def _gradient_and_hessian(self, x):
+        return self.gradient(x), self.hessian(x)
 
     def _fd_hessian(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -117,12 +129,13 @@ class ObjectiveOracle:
 class ReducedObjective:
     """A full-space objective pulled back through a null-space expression.
 
-    ``value``, ``gradient`` and ``hessian`` take a free vector ``g`` and
-    evaluate ``oracle.restrict(expr.x0, expr.basis)``, built once here, so
-    they are the reduced ``h(g)``, ``N^T grad f`` and the k x k
-    ``N^T (hess f) N``; none of them forms an n x n array unless the
-    oracle's own analytic Hessian does. :meth:`point` maps ``g`` back to
-    the full space.
+    ``value``, ``gradient``, ``hessian`` and ``derivatives`` take a free
+    vector ``g``, check it (finite, length ``free_dim``) and evaluate
+    ``oracle.restrict(expr.x0, expr.basis)``, built once here, so they are
+    the reduced ``h(g)``, ``N^T grad f``, the k x k ``N^T (hess f) N`` and
+    the last two from one evaluation; none of them forms an n x n array
+    unless the oracle's own analytic Hessian does. :meth:`point` maps ``g``
+    back to the full space.
     """
 
     expr: ConstrainedExpression  # basis N
@@ -153,6 +166,13 @@ class ReducedObjective:
 
     def hessian(self, g):
         return self._restricted.hessian(self._checked(g))
+
+    def derivatives(self, g):
+        return self._restricted.derivatives(self._checked(g))
+
+    def _embed(self, g):
+        """:meth:`point` for a ``g`` that was already checked."""
+        return self.expr.x0 + self.expr.basis @ g
 
 
 def reduce_problem(oracle, constraints):
@@ -253,7 +273,7 @@ class NewtonTrace:
     def _finish(self, reduced, g, h, grad_norm, decrement_sq):
         """Record ``g`` as the last iterate and return the trace."""
         self.final_g = g
-        self.final_x = reduced.point(g)
+        self.final_x = reduced._embed(g)
         self.final_h = h
         self.final_grad_norm = grad_norm
         self.final_decrement_sq = decrement_sq
@@ -261,26 +281,26 @@ class NewtonTrace:
 
 
 def _newton_step(reduced, g, iteration):
-    """Gradient, Newton direction and squared decrement at g.
+    """Gradient, Newton direction and squared decrement at g, from one
+    oracle evaluation and one Cholesky factorization.
 
     Raises ComputationError when the gradient or Hessian is not finite and
     NonConvexError when the reduced Hessian fails its Cholesky
     factorization.
     """
-    e = reduced.gradient(g)
-    f = reduced.hessian(g)
+    e, f = reduced.derivatives(g)
     if not (np.isfinite(e).all() and np.isfinite(f).all()):
         raise ComputationError(
             f"the oracle returned a non-finite gradient or Hessian at iteration {iteration}"
         )
-    u = cholesky(f)
-    if u is None:
+    low = cholesky(f)
+    if low is None:
         raise NonConvexError(
             f"reduced Hessian is not positive definite at iteration {iteration}",
             g=g.copy(),
             iteration=iteration,
         )
-    step = -cholesky_solve(u, e)
+    step = -cholesky_solve(low, e)
     dec_sq = max(float(-(e @ step)), 0.0)  # E^T F^{-1} E, clamped against rounding
     return e, step, dec_sq
 
@@ -298,9 +318,15 @@ def newton_decrement(reduced, g):
 
 
 def _start_value(reduced, g):
-    """``h(g)`` at the start point; raises InfeasibleStartError unless finite."""
+    """``h(g)`` at the start point. Raises InfeasibleStartError when it is
+    ``+inf`` (outside the domain) and ComputationError when it is NaN or
+    ``-inf``, which come from overflow, not from a domain."""
     h = reduced.value(g)
-    if not math.isfinite(h):
+    if math.isnan(h) or h == -math.inf:
+        raise ComputationError(
+            f"the objective is {h} at the start point: it overflows float range there"
+        )
+    if h == math.inf:
         raise InfeasibleStartError(
             f"the objective is {h} at the start point (outside its domain, e.g. "
             f"a barrier row is violated); give a start point strictly inside it"
@@ -394,7 +420,7 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
         trace.iterations.append(
             NewtonIteration(
                 g=g.copy(),
-                x=reduced.point(g),
+                x=reduced._embed(g),
                 h_value=h_g,
                 grad_norm=grad_norm,
                 decrement_sq=dec_sq,
@@ -418,9 +444,10 @@ def newton_solve(reduced, config=None):
     Raises
     ------
     InfeasibleStartError
-        If the objective is not finite at the start point.
+        If the objective is ``+inf`` at the start point.
     ComputationError
-        If the oracle returns a non-finite gradient or Hessian.
+        If the objective is NaN or ``-inf`` at the start point, or the
+        oracle returns a non-finite gradient or Hessian.
     NonConvexError
         If a reduced Hessian fails its Cholesky factorization.
     LineSearchError
@@ -442,8 +469,9 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     a barrier's domain), raise :class:`DivergenceError` (carrying the
     partial trace, which ends at the last finite iterate);
     :func:`newton_solve` is the damped alternative. A start point
-    where the objective is not finite raises :class:`InfeasibleStartError`
-    and a non-finite gradient or Hessian :class:`ComputationError`.
+    where the objective is ``+inf`` raises :class:`InfeasibleStartError`;
+    a NaN or ``-inf`` objective there, or a non-finite gradient or Hessian,
+    raises :class:`ComputationError`.
     """
     if not (math.isfinite(tol_g) and tol_g > 0.0):
         raise ValueError("tol_g must be finite and positive")

@@ -6,7 +6,9 @@ registry exists so problem files and the CLI can name objectives.
 Every objective here is one composite
 ``f(x) = phi(C x + s) + 1/2 x^T Q x + c^T x + const`` with a separable
 ``phi`` on ``z = C x + s``, and one body (:func:`_composite`) writes its
-value, gradient ``C^T phi'(z) + Q x + c``, Hessian and pull-back:
+value, gradient ``C^T phi'(z) + Q x + c``, Hessian, pull-back and
+``derivatives``, which forms z and ``phi'(z)`` once for a Newton step's
+gradient and Hessian:
 
 * :func:`quadratic` has no rows in C;
 * :func:`log_sum_exp` and :func:`sum_exp` have no quadratic part;
@@ -37,10 +39,13 @@ def _composite(phi, cmat, s, quad=None):
     """The oracle of ``f(x) = phi(C x + s) + 1/2 x^T Q x + c^T x + const``.
 
     ``phi = (value, slope, curvature)`` acts on ``z = C x + s``: ``slope(z)``
-    is ``phi'(z)`` and ``curvature(z)`` is ``(w, p)`` with
-    ``hess phi(z) = diag(w^2) - p p^T``, ``p`` None when that term is absent.
+    is ``phi'(z)`` and ``curvature(z, dz)`` is ``(w, p)`` with
+    ``hess phi(z) = diag(w^2) - p p^T``, ``p`` None when that term is absent;
+    ``dz`` is ``slope(z)`` when the caller already has it, else None.
     ``quad`` is ``(Q, c, const)`` with Q symmetric, or None for no quadratic
-    part. The pull-back through ``x = x0 + B g`` is this body again.
+    part. ``derivatives`` forms z and ``phi'(z)`` once for both the gradient
+    and the Hessian, bit for bit the two separate callbacks. The pull-back
+    through ``x = x0 + B g`` is this body again.
     """
     phi_value, slope, curvature = phi
 
@@ -51,15 +56,15 @@ def _composite(phi, cmat, s, quad=None):
         q, c, const = quad
         return float(0.5 * x @ q @ x + c @ x + const + v)
 
-    def gradient(x):
-        grad = cmat.T @ slope(cmat @ x + s)
+    def gradient_from(x, dz):
+        grad = cmat.T @ dz
         if quad is None:
             return grad
         q, c, _ = quad
         return q @ x + c + grad
 
-    def hessian(x):
-        w, p = curvature(cmat @ x + s)
+    def hessian_from(z, dz):
+        w, p = curvature(z, dz)
         wc = w[:, None] * cmat
         h = wc.T @ wc
         if p is not None:
@@ -68,6 +73,17 @@ def _composite(phi, cmat, s, quad=None):
         if quad is not None:
             h += quad[0]
         return h
+
+    def gradient(x):
+        return gradient_from(x, slope(cmat @ x + s))
+
+    def hessian(x):
+        return hessian_from(cmat @ x + s, None)
+
+    def derivatives(x):
+        z = cmat @ x + s
+        dz = slope(z)
+        return gradient_from(x, dz), hessian_from(z, dz)
 
     def pullback(x0, basis):
         pulled = None
@@ -78,14 +94,19 @@ def _composite(phi, cmat, s, quad=None):
         return _composite(phi, cmat @ basis, cmat @ x0 + s, pulled)
 
     return ObjectiveOracle(
-        dim=cmat.shape[1], value=value, gradient=gradient, hessian=hessian, pullback=pullback
+        dim=cmat.shape[1],
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
+        pullback=pullback,
+        derivatives=derivatives,
     )
 
 
 _SUM_EXP = (
     lambda z: float(np.sum(np.exp(z))),
     np.exp,
-    lambda z: (np.exp(0.5 * z), None),
+    lambda z, dz: (np.exp(0.5 * z), None),
 )
 
 
@@ -99,8 +120,9 @@ def _softmax(z):
     return w / np.sum(w)
 
 
-def _log_sum_exp_curvature(z):
-    p = _softmax(z)
+def _log_sum_exp_curvature(z, p):
+    if p is None:  # else p is the slope, softmax(z)
+        p = _softmax(z)
     return np.sqrt(p), p
 
 
@@ -124,7 +146,7 @@ def _neg_log(mu):
     return (
         value,
         lambda z: -mu / inside(z, "gradient"),
-        lambda z: (math.sqrt(mu) / -inside(z, "hessian"), None),
+        lambda z, dz: (math.sqrt(mu) / -inside(z, "hessian"), None),
     )
 
 

@@ -138,9 +138,10 @@ def _solve_reduced(aa, rhs, tol=None):
     spare. Otherwise one ``eigh`` gives the minimum-norm solution
     (eigenvalues below the cut dropped) and the classification.
 
-    ``dpotrf`` factors a copy of ``aa`` that this function owns, in place
-    through its F-ordered view (the copy is symmetric), after its 1-norm
-    is taken. ``aa`` is left intact, so the ``eigh`` fallback sees it even
+    ``dpotrf`` factors the lower triangle of a copy of ``aa`` that this
+    function owns, in place through its F-ordered view (the copy is
+    symmetric), after its 1-norm is taken; ``dpocon`` reads that lower
+    factor. ``aa`` is left intact, so the ``eigh`` fallback sees it even
     after a Cholesky factorization that failed partway.
 
     Returns
@@ -153,11 +154,11 @@ def _solve_reduced(aa, rhs, tol=None):
         tol = EPS
     m = aa.copy()  # dpotrf overwrites m, and eigh below must see aa intact
     norm_1 = np.linalg.norm(m, 1)
-    u = cholesky(m.T, overwrite=True)  # m is symmetric: m.T is its F-ordered view
-    if u is not None:  # else not positive definite
-        rcond, info = scipy.linalg.lapack.dpocon(u, norm_1)
+    low = cholesky(m.T, overwrite=True)  # m is symmetric: m.T is its F-ordered view
+    if low is not None:  # else not positive definite
+        rcond, info = scipy.linalg.lapack.dpocon(low, norm_1, uplo="L")
         if info == 0 and rcond > 10.0 * k * k * tol:
-            return cholesky_solve(u, rhs), "min"
+            return cholesky_solve(low, rhs), "min"
     y, eigs = symmetric_solve(aa, rhs, tol)
     return y, _classify(eigs, tol)
 

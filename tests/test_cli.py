@@ -323,6 +323,17 @@ def test_solve_a_solution_that_overflows_exits_3(tmp_path, capsys, q, c, a, b):
         assert "error:" in capsys.readouterr().err
 
 
+def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):
+    # x0 = (1, 1e300, 0): the objective there is inf - inf = nan, an overflow
+    # like the QP routes report (exit 3), not a point outside a domain (exit 5)
+    q = (1e300 * np.eye(3)).tolist()
+    path = _qp_file(tmp_path, n=3, Q=q, c=[1e300] * 3, A=[[1e-300, 1.0, 0.0]], b=[1e300])
+    for method in ("newton", "sqp"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+        assert "nan at the start point" in capsys.readouterr().err
+
+
 def test_solve_newton_with_trace(tmp_path):
     out = tmp_path / "sol.json"
     trace_path = tmp_path / "trace.json"

@@ -7,6 +7,7 @@ from eqopt.errors import ComputationError, InfeasibleConstraintsError
 from eqopt.expressions import EqualityConstraints
 from eqopt.linalg import (
     ConstraintFactorization,
+    _upper_solve,
     as_matrix,
     as_vector,
     pull_back_quadratic,
@@ -207,6 +208,22 @@ def test_constraint_factorization_parts():
         assert np.max(np.abs(nb @ nb.T - ref[:, p:] @ ref[:, p:].T)) < 1e-12
         assert np.max(np.abs(a @ f.x0 - a @ np.ones(n)), initial=0.0) < 1e-12
         assert np.max(np.abs(nb.T @ f.x0), initial=0.0) < 1e-12
+
+
+def test_triangular_solves_match_solve_triangular_and_type_their_failure():
+    rng = np.random.default_rng(402)
+    qr = np.asfortranarray(np.triu(rng.uniform(-1, 1, (12, 9))) + 3.0 * np.eye(12, 9))
+    r11, r12 = qr[:7, :7], qr[:7, 7:]  # strided slices, as the factorization takes them
+    rhs = rng.uniform(-1, 1, (7, 1))
+    assert np.array_equal(
+        _upper_solve(r11, rhs, trans=1), scipy.linalg.solve_triangular(r11, rhs, trans="T")
+    )
+    assert np.array_equal(_upper_solve(r11, r12), scipy.linalg.solve_triangular(r11, r12))
+    assert _upper_solve(r11[:0, :0], r12[:0]).shape == (0, 2)
+    singular = r11.copy()
+    singular[3, 3] = 0.0
+    with pytest.raises(ComputationError, match="dtrtrs info=4"):
+        _upper_solve(singular, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def reference_damped_newton(reduced, config):
     steps = []
     while True:
         e = reduced.gradient(g)
-        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g)), e)
+        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g), lower=True), e)
         dec_sq = max(float(-(e @ step)), 0.0)
         h = reduced.value(g)
         if dec_sq / 2.0 <= config.epsilon:
@@ -485,7 +485,7 @@ def reference_pure_newton(reduced, tol_g, max_iter):
     arrived = False
     while True:
         e = reduced.gradient(g)
-        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g)), e)
+        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g), lower=True), e)
         h = reduced.value(g)
         if arrived or float(np.linalg.norm(e)) < tol_g:
             return steps, (g, h), True
@@ -555,6 +555,24 @@ def test_start_outside_the_barrier_domain_is_refused():
     assert abs(reduced.point(g0)[0]) < 1e-12
     trace = newton_solve(reduced, NewtonConfig(g0=g0))
     assert trace.converged and trace.final_x[0] < 0.5
+
+
+def test_a_start_value_that_overflows_is_a_computation_error():
+    # x0 = (1, 1e300, 0): Q x0 overflows and the objective there is inf - inf = nan
+    oracle = quadratic(1e300 * np.eye(3), np.full(3, 1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = reduce_problem(oracle, EqualityConstraints([[1e-300, 1.0, 0.0]], [1e300]))
+        for run in (newton_solve, sqp_iterate):
+            with pytest.raises(ComputationError, match="nan at the start point"):
+                run(reduced)
+    # -inf is an overflow too; only +inf means outside the domain
+    unbounded = ObjectiveOracle(
+        3, lambda x: -math.inf, lambda x: 2.0 * x, lambda x: 2.0 * np.eye(3)
+    )
+    reduced = reduce_problem(unbounded, EqualityConstraints([[1.0, 1.0, 1.0]], [1.0]))
+    for run in (newton_solve, sqp_iterate):
+        with pytest.raises(ComputationError, match="-inf at the start point"):
+            run(reduced)
 
 
 def test_sqp_step_out_of_the_barrier_domain_is_divergence():
@@ -640,10 +658,14 @@ def test_a_newton_step_factorizes_once_and_never_forms_the_full_hessian(factoriz
     def refuse(x):
         raise AssertionError("the full-space Hessian was formed")
 
+    def separately(g):
+        raise AssertionError("an iterate was evaluated twice, not through derivatives")
+
     for name, oracle in objectives.items():
         oracle.hessian = refuse
         for run in (newton_solve, sqp_iterate):
             reduced = reduce_problem(oracle, cons)
+            reduced.gradient = reduced.hessian = separately
             factorizations.clear()
             trace = run(reduced)
             assert trace.converged, (name, run.__name__)
@@ -680,6 +702,40 @@ def test_estimated_constants_stay_in_the_reduced_space(factorizations):
         assert formed == [(k, k)] * len(samples), name
         assert factorizations == ["numpy.linalg.eigvalsh"] * len(samples), name
         assert constants.lipschitz > 0.0, name
+
+
+def test_custom_oracles_take_the_default_derivatives_path():
+    # without a pull-back, derivatives calls the gradient and then the
+    # Hessian, and each Newton iterate evaluates the oracle once
+    rng = np.random.default_rng(39)
+    n, m = 8, 3
+    lse = log_sum_exp(rng.uniform(-1, 1, (3 * n, n)))
+    cons = EqualityConstraints(rng.uniform(-1, 1, (m, n)), rng.uniform(-0.3, 0.3, m))
+    calls = []
+
+    def counted(name, fn):
+        def call(x):
+            calls.append(name)
+            return fn(x)
+
+        return call
+
+    gradient = counted("gradient", lse.gradient)
+    for hessian, per_point in (
+        (counted("hessian", lse.hessian), ["gradient", "hessian"]),  # chain rule
+        (None, ["gradient"] * (2 * (n - m) + 1)),  # differenced in the free coordinates
+    ):
+        reduced = reduce_problem(ObjectiveOracle(n, lse.value, gradient, hessian), cons)
+        g = 0.1 * rng.uniform(-1, 1, reduced.free_dim)
+        calls.clear()
+        grad, hess = reduced.derivatives(g)
+        assert calls == per_point
+        assert np.array_equal(grad, reduced.gradient(g))
+        assert np.array_equal(hess, reduced.hessian(g))
+        calls.clear()
+        trace = newton_solve(reduced)
+        assert trace.converged
+        assert calls == per_point * (len(trace.iterations) + 1)
 
 
 def test_a_hessian_free_oracle_is_differenced_in_the_free_coordinates():

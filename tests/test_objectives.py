@@ -86,10 +86,12 @@ def test_barrier_values_and_domain():
     assert_allclose(oracle.hessian(np.array([0.0])), [[1.0]])
     assert oracle.value(np.array([2.0])) == np.inf
     assert oracle.value(np.array([1.0])) == np.inf  # boundary excluded
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gradient requested outside the barrier domain"):
         oracle.gradient(np.array([2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hessian requested outside the barrier domain"):
         oracle.hessian(np.array([2.0]))
+    with pytest.raises(ValueError, match="outside the barrier domain"):
+        oracle.derivatives(np.array([2.0]))
 
 
 def test_barrier_parameter_validation():
@@ -208,6 +210,22 @@ def test_every_registry_hessian_is_exactly_symmetric():
         for f in (oracle, once, twice):
             h = f.hessian(0.05 * rng.uniform(-1, 1, f.dim))
             assert np.array_equal(h, h.T), (name, f.dim)
+
+
+def test_derivatives_equal_the_two_callbacks_for_every_registry_objective():
+    # one evaluation gives the gradient and the Hessian, bit for bit
+    rng = np.random.default_rng(34)
+    n, k = 6, 4
+    for name, params in registry_test_cases(rng, n):
+        oracle = objective_registry(name, params)
+        basis = np.linalg.qr(rng.uniform(-1, 1, (n, k)))[0]
+        pulled = oracle.restrict(0.05 * rng.uniform(-1, 1, n), basis)
+        for f in (oracle, pulled):
+            for _ in range(3):
+                x = 0.05 * rng.uniform(-1, 1, f.dim)
+                grad, hess = f.derivatives(x)
+                assert np.array_equal(grad, f.gradient(x)), (name, f.dim)
+                assert np.array_equal(hess, f.hessian(x)), (name, f.dim)
 
 
 def test_pull_back_composes():
