@@ -22,7 +22,12 @@ from .errors import (
     ProblemSchemaError,
     UnknownObjectiveError,
 )
-from .expressions import ConstrainedExpression, EqualityConstraints, build_projector
+from .expressions import (
+    ConstrainedExpression,
+    EqualityConstraints,
+    build_nullspace,
+    build_projector,
+)
 from .linalg import ConstraintFactorization
 from .nlp import (
     ConvergenceConstants,
@@ -83,6 +88,7 @@ __all__ = [
     "ReducedObjective",
     "UnknownObjectiveError",
     "backtracking_line_search",
+    "build_nullspace",
     "build_projector",
     "estimate_convergence_constants",
     "generate",

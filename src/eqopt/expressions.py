@@ -1,21 +1,25 @@
 """Feasible-set parameterizations for linear equality constraints.
 
-Both forms are one :class:`ConstrainedExpression` ``x = x0 + B g``: every
-free vector ``g`` gives a point with ``A x = b``, turning constrained
-problems into unconstrained ones over ``g``:
+The paper's two constrained expressions are each a
+:class:`ConstrainedExpression` ``x = x0 + B g``: every free vector ``g``
+gives a point with ``A x = b``, turning constrained problems into
+unconstrained ones over ``g``:
 
-* projector form: ``B = D = I - H (A H)^{-1} A`` and
-  ``x0 = H (A H)^{-1} b`` with ``H = A^T``; ``g`` lives in the full space
-  and ``D`` projects it orthogonally onto ker(A) (:func:`build_projector`).
-* null-space form: ``B = N``, an orthonormal basis of ker(A), with the
-  minimum-norm particular solution ``x0``; ``g`` has the intrinsic
-  dimension ``n - rank(A)``.
+* null-space form (:func:`build_nullspace`): ``B = N``, an orthonormal
+  basis of ker(A), with the minimum-norm particular solution ``x0``;
+  ``g`` has the intrinsic dimension ``n - rank(A)``.
+* projector form (:func:`build_projector`): ``B = D = I - H (A H)^{-1} A``
+  and ``x0 = H (A H)^{-1} b`` with ``H = A^T``; ``g`` lives in the full
+  space and ``D`` projects it orthogonally onto ker(A).
 
-Both are read off one :class:`~eqopt.linalg.ConstraintFactorization`
-(a pivoted QR of the row-equilibrated ``A^T``, kept in Householder form):
-``x0 = Q_1 y``, ``N = Q_2`` (its ``null_basis``) and ``D = N N^T``. Both
-forms are built from ``N`` alone; neither factorizes ``A H``, and both
-accept redundant rows.
+:func:`build_nullspace` is the one path from ``A x = b`` to an
+expression: it reads ``x0 = Q_1 y`` and ``N = Q_2`` off one
+:class:`~eqopt.linalg.ConstraintFactorization` (a pivoted QR of the
+row-equilibrated ``A^T``, kept in Householder form), and
+:func:`build_projector` swaps ``N`` for ``D = N N^T``. Neither factorizes
+``A H``, and both accept redundant rows. One
+:func:`~eqopt.linalg.as_vector` check guards the length of every ``g``
+and ``x`` they take.
 """
 
 from dataclasses import dataclass
@@ -34,11 +38,7 @@ class EqualityConstraints:
 
     def __post_init__(self):
         self.a = as_matrix(self.a, "A")
-        self.b = as_vector(self.b, "b")
-        if self.b.shape[0] != self.a.shape[0]:
-            raise ValueError(
-                f"b has length {self.b.shape[0]}, expected {self.a.shape[0]}"
-            )
+        self.b = as_vector(self.b, "b", self.a.shape[0])
 
     @property
     def m(self):
@@ -50,7 +50,7 @@ class EqualityConstraints:
 
     def residual(self, x):
         """Feasibility defect ``||A x - b||_inf`` at x."""
-        x = as_vector(x, "x")
+        x = as_vector(x, "x", self.n)
         if self.m == 0:
             return 0.0
         return float(np.max(np.abs(self.a @ x - self.b)))
@@ -73,37 +73,41 @@ class ConstrainedExpression:
 
     def embed(self, g):
         """The point ``x0 + B g``; it satisfies ``A x = b`` for every g."""
-        g = as_vector(g, "g")
-        if g.shape[0] != self.free_dim:
-            raise ValueError(f"g has length {g.shape[0]}, expected {self.free_dim}")
-        return self.x0 + self.basis @ g
+        return self.x0 + self.basis @ as_vector(g, "g", self.free_dim)
 
 
-def projector_from(factorization):
-    """Projector-form expression ``x = x0 + D g`` of a factorization.
+def build_nullspace(constraints, eps=None):
+    """Build the null-space expression ``x = x0 + N g`` of ``A x = b``.
 
-    With ``H = A^T`` no further factorization is needed: ``x0 = Q_1 y`` is
-    the minimum-norm solution and ``D = N N^T``, with ``N`` the orthonormal
-    ``null_basis``, is the orthogonal projector onto ker(A). ``N N^T`` runs
-    as one ``syrk``, so ``D`` is exactly symmetric. Neither forms
-    ``(A H)^{-1}``, and the rank was already decided by the pivoted QR, so
-    redundant rows need no care. At rank 0, ``N = I``, so ``D = I`` and
-    ``x0 = 0``; at rank n, ``N`` has no columns and ``D = 0``.
-    """
-    null = factorization.null_basis
-    return ConstrainedExpression(x0=factorization.x0, basis=null @ null.T)
-
-
-def build_projector(constraints):
-    """Build the projector-form expression ``x = x0 + D g`` of ``A x = b``.
-
-    ``H = A^T``: ``D`` is the orthogonal projector onto ker(A) and ``x0`` the
-    minimum-norm solution. Redundant rows are dropped by the factorization,
-    so A need not have full row rank.
+    One :class:`~eqopt.linalg.ConstraintFactorization` (``eps`` is its
+    rank and consistency tolerance) gives the minimum-norm solution ``x0``
+    and the orthonormal basis ``N`` of ker(A). Redundant rows are dropped,
+    so A need not have full row rank. At rank 0, ``N = I`` and ``x0 = 0``;
+    at rank n, ``N`` has no columns.
 
     Raises
     ------
     InfeasibleConstraintsError
         If the constraints are contradictory.
     """
-    return projector_from(ConstraintFactorization(constraints.a, constraints.b))
+    f = ConstraintFactorization(constraints.a, constraints.b, eps)
+    return ConstrainedExpression(x0=f.x0, basis=f.null_basis)
+
+
+def build_projector(constraints):
+    """Build the projector-form expression ``x = x0 + D g`` of ``A x = b``.
+
+    ``H = A^T``: the null-space expression with ``D = N N^T``, the
+    orthogonal projector onto ker(A), in place of ``N``; ``x0`` is the
+    minimum-norm solution. ``N N^T`` runs as one ``syrk``, so ``D`` is
+    exactly symmetric. Nothing forms ``(A H)^{-1}``, and the pivoted QR
+    already decided the rank, so redundant rows need no care. At rank 0,
+    ``D = I``; at rank n, ``D = 0``.
+
+    Raises
+    ------
+    InfeasibleConstraintsError
+        If the constraints are contradictory.
+    """
+    null = build_nullspace(constraints)
+    return ConstrainedExpression(x0=null.x0, basis=null.basis @ null.basis.T)

@@ -38,13 +38,16 @@ def as_matrix(a, name="matrix"):
     return out
 
 
-def as_vector(v, name="vector"):
-    """Coerce to a finite 1-D float64 array or raise ValueError."""
+def as_vector(v, name="vector", length=None):
+    """Coerce to a finite 1-D float64 array, of ``length`` entries when it
+    is given, or raise ValueError."""
     out = np.asarray(v, dtype=np.float64)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if length is not None and out.shape[0] != length:
+        raise ValueError(f"{name} has length {out.shape[0]}, expected {length}")
     return out
 
 
@@ -57,9 +60,7 @@ def quadratic_data(q, c=None):
     q = 0.5 * q  # halved first, so finite entries near the float maximum stay finite
     q += q.T  # in place on the new array; numpy buffers the overlapping q.T
     n = q.shape[0]
-    c = np.zeros(n) if c is None else as_vector(c, "c")
-    if c.shape[0] != n:
-        raise ValueError(f"c has length {c.shape[0]}, expected {n}")
+    c = np.zeros(n) if c is None else as_vector(c, "c", n)
     return q, c
 
 
@@ -172,10 +173,8 @@ class ConstraintFactorization:
 
     def __init__(self, a, b, eps=None):
         a = as_matrix(a, "A")
-        b = as_vector(b, "b")
         m, n = a.shape
-        if b.shape[0] != m:
-            raise ValueError(f"b has length {b.shape[0]}, expected {m}")
+        b = as_vector(b, "b", m)
         if eps is None:
             eps = EPS
         elif not 0.0 < eps < 1.0:  # also rejects NaN

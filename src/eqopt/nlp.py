@@ -1,13 +1,15 @@
 """Newton solvers for smooth convex objectives on ``{x : A x = b}``.
 
-The constraints are eliminated by the null-space parameterization
-``x = x0 + N g``, leaving the unconstrained reduced problem
-``h(g) = f(x0 + N g)`` with gradient ``N^T grad f`` and Hessian
-``N^T (hess f) N``. :meth:`ObjectiveOracle.restrict` builds the oracle of
-``h`` once per solve: a registry objective pulls its own data back through
-``N`` (so no step forms an n x n Hessian), any other oracle is composed by
-the chain rule, and one without an analytic Hessian has its reduced
-gradient differenced along the k free coordinates. Everything after
+The constraints are eliminated by the paper's null-space expression
+``x = x0 + N g`` (:func:`~eqopt.expressions.build_nullspace`), leaving the
+unconstrained reduced problem ``h(g) = f(x0 + N g)`` with gradient
+``N^T grad f`` and Hessian ``N^T (hess f) N``; one
+:func:`~eqopt.linalg.as_vector` check guards the length of every ``g``.
+:meth:`ObjectiveOracle.restrict` builds the oracle of ``h`` once per
+solve: a registry objective pulls its own data back through ``N`` (so no
+step forms an n x n Hessian), any other oracle is composed by the chain
+rule, and one without an analytic Hessian has its reduced gradient
+differenced along the k free coordinates. Everything after
 :func:`reduce_problem` works in those k coordinates. Each Newton iterate
 costs one evaluation of that oracle (:meth:`ObjectiveOracle.derivatives`
 gives the gradient and the Hessian together) and one lower-triangle
@@ -37,8 +39,8 @@ from .errors import (
     LineSearchError,
     NonConvexError,
 )
-from .expressions import ConstrainedExpression
-from .linalg import ConstraintFactorization, as_vector, cholesky, cholesky_solve
+from .expressions import ConstrainedExpression, build_nullspace
+from .linalg import as_vector, cholesky, cholesky_solve
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -148,27 +150,21 @@ class ReducedObjective:
     def free_dim(self):
         return self.expr.free_dim
 
-    def _checked(self, g):
-        g = as_vector(g, "g")
-        if g.shape[0] != self.free_dim:
-            raise ValueError(f"g has length {g.shape[0]}, expected {self.free_dim}")
-        return g
-
     def point(self, g):
         """The full-space point x(g) = x0 + N g."""
         return self.expr.embed(g)
 
     def value(self, g):
-        return float(self._restricted.value(self._checked(g)))
+        return float(self._restricted.value(as_vector(g, "g", self.free_dim)))
 
     def gradient(self, g):
-        return self._restricted.gradient(self._checked(g))
+        return self._restricted.gradient(as_vector(g, "g", self.free_dim))
 
     def hessian(self, g):
-        return self._restricted.hessian(self._checked(g))
+        return self._restricted.hessian(as_vector(g, "g", self.free_dim))
 
     def derivatives(self, g):
-        return self._restricted.derivatives(self._checked(g))
+        return self._restricted.derivatives(as_vector(g, "g", self.free_dim))
 
     def _embed(self, g):
         """:meth:`point` for a ``g`` that was already checked."""
@@ -178,9 +174,9 @@ class ReducedObjective:
 def reduce_problem(oracle, constraints):
     """Eliminate the constraints: build x = x0 + N g and wrap the oracle.
 
-    The constraints are factorized once
-    (:class:`~eqopt.linalg.ConstraintFactorization`), so redundant rows
-    are dropped and contradictory ones raise InfeasibleConstraintsError.
+    The expression is built once by
+    :func:`~eqopt.expressions.build_nullspace`, so redundant rows are
+    dropped and contradictory ones raise InfeasibleConstraintsError.
     The oracle is restricted to ``x0 + N g`` once
     (:meth:`ObjectiveOracle.restrict`): a registry objective pulls its data
     back through ``N`` here, and the pulled-back data lives as long as the
@@ -190,8 +186,7 @@ def reduce_problem(oracle, constraints):
         raise ValueError(
             f"objective dimension {oracle.dim} != constraint columns {constraints.n}"
         )
-    f = ConstraintFactorization(constraints.a, constraints.b)
-    expr = ConstrainedExpression(x0=f.x0, basis=f.null_basis)
+    expr = build_nullspace(constraints)
     if expr.free_dim == 0:
         raise ValueError(
             "the feasible set is a single point; nothing to optimize"
@@ -381,9 +376,8 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
     and raise :class:`DivergenceError` on three rises in a row or a step
     out of the objective's domain.
     """
-    g = np.zeros(reduced.free_dim) if g0 is None else as_vector(g0, "g0").copy()
-    if g.shape[0] != reduced.free_dim:
-        raise ValueError(f"g0 has length {g.shape[0]}, expected {reduced.free_dim}")
+    k = reduced.free_dim
+    g = np.zeros(k) if g0 is None else as_vector(g0, "g0", k).copy()
     trace = NewtonTrace()
     h_g = _start_value(reduced, g)
     rises = 0

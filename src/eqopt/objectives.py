@@ -197,9 +197,7 @@ def log_sum_exp(a, shift=None):
     k = a.shape[0]
     if k < 1:
         raise ValueError("a needs at least one row")
-    s = np.zeros(k) if shift is None else as_vector(shift, "shift")
-    if s.shape[0] != k:
-        raise ValueError(f"shift has length {s.shape[0]}, expected {k}")
+    s = np.zeros(k) if shift is None else as_vector(shift, "shift", k)
     return _composite(_LOG_SUM_EXP, a, s)
 
 
@@ -215,13 +213,9 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
     if barrier_a is None or barrier_b is None:
         raise ValueError("neg_log_barrier_quadratic needs barrier_a and barrier_b")
     ba = as_matrix(barrier_a, "barrier_a")
-    bb = as_vector(barrier_b, "barrier_b")
     if ba.shape[1] != n:
         raise ValueError(f"barrier_a has {ba.shape[1]} columns, expected {n}")
-    if bb.shape[0] != ba.shape[0]:
-        raise ValueError(
-            f"barrier_b has length {bb.shape[0]}, expected {ba.shape[0]}"
-        )
+    bb = as_vector(barrier_b, "barrier_b", ba.shape[0])
     mu = float(mu)
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError("mu must be finite and positive")

@@ -17,13 +17,12 @@ Three independent routes to a stationary point of
   residuals, stationarity and feasibility, are large at the scale of
   the system; nothing reads the saddle matrix after the factorization.
 
-The two elimination routes factorize the constraints once, with one
-pivoted QR of the row-equilibrated ``A^T``
-(:class:`~eqopt.linalg.ConstraintFactorization`), build one
-:class:`~eqopt.expressions.ConstrainedExpression` ``x = x0 + B g``
-(``B = D`` or ``N``) from it and share one body
-(:func:`_solve_eliminated`) that differs only in that expression, which
-sets the reported stationarity residual. Both pull the quadratic back
+The two elimination routes share one body (:func:`_solve_eliminated`):
+it builds the null-space expression ``x = x0 + N g`` with
+:func:`~eqopt.expressions.build_nullspace`, the one path from ``A x = b``
+to an expression (one pivoted QR of the row-equilibrated ``A^T``), and
+the routes differ only in the basis ``B`` (``D = N N^T`` or ``N``) whose
+stationarity residual they report. Both pull the quadratic back
 through ``N`` and solve the one k-by-k system ``N^T Q N y = N^T (Q x0 + c)``
 (Nocedal & Wright, *Numerical Optimization*, §16.2), so they return the
 same x and classification bit for bit. The reduced solve is decided by
@@ -45,8 +44,8 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .errors import ComputationError, OracleUnavailableError
-from .expressions import ConstrainedExpression, EqualityConstraints, projector_from
-from .linalg import EPS, ConstraintFactorization, as_vector, cholesky, cholesky_solve
+from .expressions import EqualityConstraints, build_nullspace
+from .linalg import EPS, as_vector, cholesky, cholesky_solve
 from .linalg import pull_back_quadratic, quadratic_data, symmetric_solve
 
 
@@ -72,7 +71,7 @@ class QpProblem:
         return self.q.shape[0]
 
     def objective_value(self, x):
-        x = as_vector(x, "x")
+        x = as_vector(x, "x", self.n)
         return float(0.5 * x @ self.q @ x + self.c @ x)
 
 
@@ -163,23 +162,27 @@ def _solve_reduced(aa, rhs, tol=None):
     return y, _classify(eigs, tol)
 
 
-def _solve_eliminated(problem, factorization, expr, method, eps=None):
+def _solve_eliminated(problem, method, eps=None):
     """Stationary point on the expression ``x = x0 + B g``: the body of both
-    eliminations.
+    eliminations (``method`` is ``"projector"``, ``B = D``, or
+    ``"nullspace"``, ``B = N``).
 
-    Both solve the same k-by-k system, ``k = n - rank(A)``: the quadratic
-    is pulled back through ``N`` once with
-    :func:`~eqopt.linalg.pull_back_quadratic`, the kernel the registry
+    The constraints go through :func:`~eqopt.expressions.build_nullspace`
+    once, and both routes solve the same k-by-k system,
+    ``k = n - rank(A)``: the quadratic is pulled back through ``N`` once
+    with :func:`~eqopt.linalg.pull_back_quadratic`, the kernel the registry
     objectives pull back through too, ``N^T Q N y = N^T (Q x0 + c)`` is
-    solved by :func:`_solve_reduced` (``eps`` is its cut) and
-    ``x = x0 - N y``. For ``B = N`` that is ``g = y``; for ``B = D = N N^T``,
-    ``g = N y`` is the minimum-norm solution of ``(D Q D) g = D (Q x0 + c)``,
-    whose pseudo-inverse is ``N (N^T Q N)^+ N^T``. The stationarity
-    residual is the expression's own, ``||B^T (Q x + c)||_inf``. When
-    ``k = 0`` the feasible set is one point. Raises ComputationError when
-    x overflows float range.
+    solved by :func:`_solve_reduced` (``eps`` is its cut, and the
+    factorization's tolerance) and ``x = x0 - N y``. For ``B = N`` that is
+    ``g = y``; for ``B = D = N N^T``, ``g = N y`` is the minimum-norm
+    solution of ``(D Q D) g = D (Q x0 + c)``, whose pseudo-inverse is
+    ``N (N^T Q N)^+ N^T``. The stationarity
+    residual is the expression's own, ``||B^T (Q x + c)||_inf``; only it
+    forms ``D = N N^T``. When ``k = 0`` the feasible set is one point.
+    Raises ComputationError when x overflows float range.
     """
-    x0, null = expr.x0, factorization.null_basis
+    expr = build_nullspace(problem.constraints, eps)
+    x0, null = expr.x0, expr.basis
     if null.shape[1] == 0:
         x = x0
         sol_class = "point"
@@ -190,12 +193,13 @@ def _solve_eliminated(problem, factorization, expr, method, eps=None):
         if not np.isfinite(x).all():
             raise ComputationError("the solution overflows float range (x is not finite)")
     grad = problem.q @ x + problem.c
+    basis = null @ null.T if method == "projector" else null
     return QpSolution(
         x=x,
         objective=problem.objective_value(x),
         method=method,
         constraint_residual=problem.constraints.residual(x),
-        stationarity_residual=float(np.max(np.abs(expr.basis.T @ grad), initial=0.0)),
+        stationarity_residual=float(np.max(np.abs(basis.T @ grad), initial=0.0)),
         classification=sol_class,
     )
 
@@ -217,10 +221,7 @@ def solve_projector(problem, eps=None):
     InfeasibleConstraintsError
         If the constraints are contradictory.
     """
-    cons = problem.constraints
-    factorization = ConstraintFactorization(cons.a, cons.b, eps)
-    return _solve_eliminated(problem, factorization, projector_from(factorization),
-                             "projector", eps)
+    return _solve_eliminated(problem, "projector", eps)
 
 
 def solve_nullspace(problem, eps=None):
@@ -232,10 +233,7 @@ def solve_nullspace(problem, eps=None):
     eigendecomposition for indefinite, singular or ill-conditioned
     reduced Hessians, where zero modes are dropped pseudo-inverse style.
     """
-    cons = problem.constraints
-    f = ConstraintFactorization(cons.a, cons.b, eps)
-    expr = ConstrainedExpression(x0=f.x0, basis=f.null_basis)
-    return _solve_eliminated(problem, f, expr, "nullspace", eps)
+    return _solve_eliminated(problem, "nullspace", eps)
 
 
 def _bunch_kaufman_eigs(ldu, ipiv):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import objectives
 from .errors import InfeasibleConstraintsError, OracleUnavailableError
-from .expressions import ConstrainedExpression, EqualityConstraints, build_projector
+from .expressions import EqualityConstraints, build_nullspace, build_projector
 from .linalg import ConstraintFactorization
 from .nlp import (
     NewtonConfig,
@@ -21,6 +21,7 @@ from .nlp import (
     newton_solve,
     reduce_problem,
     sqp_iterate,
+    suboptimality_bound,
 )
 from .problems import GeneratorSpec, generate
 from .qp import solve_kkt, solve_nullspace, solve_projector
@@ -118,10 +119,9 @@ def _check_embed_feasibility(seed, trials):
             a = np.vstack([a, a[pick]])
             b = np.concatenate([b, b[pick]])
         original = EqualityConstraints(a, b)
-        f = ConstraintFactorization(a, b)
         for kind, expr in (
             ("projector", build_projector(original)),
-            ("nullspace", ConstrainedExpression(x0=f.x0, basis=f.null_basis)),
+            ("nullspace", build_nullspace(original)),
         ):
             g = rng.uniform(-2, 2, expr.free_dim)
             resid = original.residual(expr.embed(g))
@@ -331,12 +331,11 @@ def _check_suboptimality(seed, trials):
         oracle = objectives.quadratic(problem.q, problem.c)
         reduced = reduce_problem(oracle, problem.constraints)
         h_star = solve_nullspace(problem).objective
-        w = np.linalg.eigvalsh(reduced.hessian(np.zeros(reduced.free_dim)))
-        constants_m = float(w[0])
+        constants = estimate_convergence_constants(reduced, [np.zeros(reduced.free_dim)])
         for _ in range(10):
             g = rng.uniform(-3, 3, reduced.free_dim)
             gap = reduced.value(g) - h_star
-            bound = float(np.linalg.norm(reduced.gradient(g))) ** 2 / (2.0 * constants_m)
+            bound = suboptimality_bound(float(np.linalg.norm(reduced.gradient(g))), constants)
             if gap > bound + 1e-9 * (1.0 + abs(bound)):
                 return t, {"n": n, "m": m, "gap": gap, "bound": bound}
     return trials, None

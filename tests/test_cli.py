@@ -621,6 +621,16 @@ def test_check_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     assert doc["details"] == {"witness": [1.0, 2.0]}
 
 
+def test_check_convergence_calls_the_library_suboptimality_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(selfcheck, "suboptimality_bound", lambda grad_norm, constants: -1.0)
+    cx = tmp_path / "cx.json"
+    code = cli.main(
+        ["check", "--suite", "convergence", "--trials", "2", "--counterexample", str(cx)]
+    )
+    assert code == 1
+    assert "FAIL convergence/suboptimality" in capsys.readouterr().out
+
+
 def test_check_zero_trials_exit_4(capsys):
     assert cli.main(["check", "--trials", "0"]) == 4
     assert "trials" in capsys.readouterr().err

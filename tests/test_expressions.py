@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqopt.expressions import ConstrainedExpression, EqualityConstraints, build_projector
+from eqopt import expressions
+from eqopt.expressions import EqualityConstraints, build_nullspace, build_projector
 from eqopt.linalg import ConstraintFactorization
-
-
-def nullspace_expression(cons):
-    f = ConstraintFactorization(cons.a, cons.b)
-    return ConstrainedExpression(x0=f.x0, basis=f.null_basis)
+from eqopt.nlp import reduce_problem
+from eqopt.objectives import quadratic
+from eqopt.qp import QpProblem, solve_nullspace, solve_projector
 
 
 def test_constraints_validation():
@@ -17,6 +16,10 @@ def test_constraints_validation():
     assert c.residual([1.0, 1.0]) == 0.0
     with pytest.raises(ValueError):
         EqualityConstraints([[1.0, 2.0]], [3.0, 4.0])
+    with pytest.raises(ValueError, match="^x has length 3, expected 2$"):
+        c.residual([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^x has length 1, expected 2$"):
+        EqualityConstraints(np.zeros((0, 2)), np.zeros(0)).residual([1.0])
 
 
 def test_constraints_reduced_drops_redundant_rows():
@@ -72,7 +75,7 @@ def test_nullspace_expression_minimum_norm_particular_solution():
         m = int(rng.integers(1, n))
         a = rng.uniform(-1, 1, (m, n))
         b = rng.uniform(-1, 1, m)
-        expr = nullspace_expression(EqualityConstraints(a, b))
+        expr = build_nullspace(EqualityConstraints(a, b))
         assert np.max(np.abs(a @ expr.x0 - b)) < 1e-9 * (1 + np.max(np.abs(b)))
         # minimum-norm solutions are orthogonal to the null space
         assert np.max(np.abs(expr.basis.T @ expr.x0), initial=0.0) < 1e-10
@@ -94,7 +97,7 @@ def test_embed_feasibility_both_forms():
         n = int(rng.integers(2, 30))
         m = int(rng.integers(1, n))
         cons = EqualityConstraints(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
-        for expr in (build_projector(cons), nullspace_expression(cons)):
+        for expr in (build_projector(cons), build_nullspace(cons)):
             g = rng.uniform(-3, 3, expr.free_dim)
             x = expr.embed(g)
             assert cons.residual(x) < 1e-9 * (1 + np.max(np.abs(cons.b)))
@@ -103,7 +106,7 @@ def test_embed_feasibility_both_forms():
 def test_embed_dimension_mismatch():
     cons = EqualityConstraints([[1.0, 1.0, 0.0]], [1.0])
     proj = build_projector(cons)
-    null = nullspace_expression(cons)
+    null = build_nullspace(cons)
     with pytest.raises(ValueError):
         proj.embed([1.0])  # projector form wants the full n-vector
     with pytest.raises(ValueError):
@@ -113,7 +116,7 @@ def test_embed_dimension_mismatch():
 def test_no_constraints_edge_case():
     cons = EqualityConstraints(np.zeros((0, 4)), np.zeros(0))
     proj = build_projector(cons)
-    null = nullspace_expression(cons)
+    null = build_nullspace(cons)
     assert_allclose(proj.basis, np.eye(4))
     assert_allclose(proj.x0, np.zeros(4))
     assert_allclose(null.basis, np.eye(4))
@@ -123,8 +126,33 @@ def test_no_constraints_edge_case():
 def test_single_point_feasible_set():
     cons = EqualityConstraints(np.eye(3), [1.0, 2.0, 3.0])
     proj = build_projector(cons)
-    null = nullspace_expression(cons)
+    null = build_nullspace(cons)
     assert_allclose(proj.x0, [1.0, 2.0, 3.0], atol=1e-12)
     assert np.max(np.abs(proj.basis)) < 1e-12
     assert null.free_dim == 0
     assert_allclose(null.embed(np.zeros(0)), [1.0, 2.0, 3.0], atol=1e-12)
+
+
+def test_every_feasible_set_is_built_through_build_nullspace(monkeypatch):
+    # eqopt.expressions holds the one call of ConstraintFactorization that
+    # the solvers reach: patching it there counts every feasible set built
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return ConstraintFactorization(*args, **kwargs)
+
+    monkeypatch.setattr(expressions, "ConstraintFactorization", counted)
+    cons = EqualityConstraints([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [1.0, 2.0])
+    problem = QpProblem(np.eye(3), np.ones(3), cons)
+    builds = {
+        "solve_projector": lambda: solve_projector(problem),
+        "solve_nullspace": lambda: solve_nullspace(problem),
+        "reduce_problem": lambda: reduce_problem(quadratic(problem.q, problem.c), cons),
+        "build_projector": lambda: build_projector(cons),
+        "build_nullspace": lambda: build_nullspace(cons),
+    }
+    for name, build in builds.items():
+        built.clear()
+        build()
+        assert len(built) == 1, name

@@ -7,9 +7,9 @@ import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
-from eqopt.expressions import EqualityConstraints
+from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.nlp import ObjectiveOracle, newton_solve, reduce_problem
-from eqopt.objectives import sum_exp
+from eqopt.objectives import quadratic, sum_exp
 from eqopt import qp
 from eqopt.linalg import ConstraintFactorization
 from eqopt.problems import _Q_CLASSES, GeneratorSpec, generate
@@ -228,6 +228,9 @@ def test_problem_validation():
         QpProblem(np.eye(2), np.zeros(3), EqualityConstraints([[1.0, 0.0]], [1.0]))
     with pytest.raises(ValueError):
         QpProblem(np.eye(3), np.zeros(3), EqualityConstraints([[1.0, 0.0]], [1.0]))
+    problem = QpProblem(np.eye(2), np.zeros(2), EqualityConstraints([[1.0, 0.0]], [1.0]))
+    with pytest.raises(ValueError, match="^x has length 3, expected 2$"):
+        problem.objective_value([1.0, 0.0, 0.0])
 
 
 def test_row_scaling_does_not_make_feasible_constraints_infeasible():
@@ -243,6 +246,12 @@ def test_row_scaling_does_not_make_feasible_constraints_infeasible():
     # the oracle stays strict and unscaled, so it still refuses this system
     with pytest.raises(OracleUnavailableError):
         solve_kkt(problem)
+
+
+def newton_route(problem):
+    """x from damped Newton on the reduced quadratic."""
+    oracle = quadratic(problem.q, problem.c)
+    return newton_solve(reduce_problem(oracle, problem.constraints)).final_x
 
 
 def test_row_scaling_and_order_leave_solution_unchanged():
@@ -261,10 +270,21 @@ def test_row_scaling_and_order_leave_solution_unchanged():
         a = (scale[:, None] * base.constraints.a)[order]
         b = (scale * base.constraints.b)[order]
         scaled = QpProblem(base.q, base.c, EqualityConstraints(a, b))
-        for solve in (solve_projector, solve_nullspace):
-            x = solve(base).x
-            gap = np.max(np.abs(solve(scaled).x - x))
-            assert gap <= 1e-9 * (1 + np.max(np.abs(x))), (trial, solve.__name__, gap)
+        # a second stream, so the draws above stay those of every earlier trial
+        cols = np.random.default_rng([45, trial]).permutation(n)
+        permuted = QpProblem(base.q[np.ix_(cols, cols)], base.c[cols],
+                             EqualityConstraints(base.constraints.a[:, cols], base.constraints.b))
+        routes = {"projector": lambda p: solve_projector(p).x,
+                  "nullspace": lambda p: solve_nullspace(p).x}
+        if q_class == "spd":
+            routes["newton"] = newton_route
+        for name, solve in routes.items():
+            x = solve(base)
+            bound = 1e-9 * (1 + np.max(np.abs(x)))
+            gap = np.max(np.abs(solve(scaled) - x))
+            assert gap <= bound, (trial, name, gap)
+            gap = np.max(np.abs(solve(permuted) - x[cols]))  # permuting the variables permutes x
+            assert gap <= bound, (trial, name, "permuted", gap)
 
 
 def tiny_row_system(rng, n, m, zero_first_column, contradiction):
@@ -324,11 +344,14 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
         (solve_nullspace, indefinite,
          ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf", "numpy.linalg.eigh"]),
         (solve_kkt, spd, ["scipy.linalg.lapack.dsytrf"]),
+        (lambda p: build_nullspace(p.constraints), spd, ["scipy.linalg.lapack.dgeqp3"]),
+        (lambda p: reduce_problem(quadratic(p.q, p.c), p.constraints), spd,
+         ["scipy.linalg.lapack.dgeqp3"]),
     ]
     for solve, problem, names in expected:
         factorizations.clear()
         solve(problem)
-        assert factorizations == names, solve.__name__
+        assert factorizations == names, (solve.__name__, names)
 
 
 def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
