@@ -11,6 +11,7 @@ outside the objective's domain.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -278,14 +279,53 @@ def _parse_methods(text):
     return methods
 
 
+_OPENBLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_threads():
+    """Thread count in force in each OpenBLAS loaded in this process, by
+    library file name, read back through its ``*_get_num_threads`` symbol;
+    ``"unavailable"`` (with the reason) where that fails."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError as exc:
+        return f"unavailable: {exc}"
+    if not paths:
+        return "unavailable: no OpenBLAS loaded"
+    counts = {}
+    for path in paths:
+        name = os.path.basename(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError as exc:
+            counts[name] = f"unavailable: {exc}"
+            continue
+        getter = next((getattr(lib, s) for s in _OPENBLAS_THREAD_GETTERS if hasattr(lib, s)), None)
+        if getter is None:
+            counts[name] = "unavailable: no *_get_num_threads symbol"
+            continue
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts[name] = getter()
+    return counts
+
+
 def _environment():
     """What the timings depend on besides the code: versions, CPUs and the
-    BLAS thread settings (thread count alone moves them severalfold)."""
+    BLAS thread settings (thread count alone moves them severalfold), both
+    as the environment asks for them and as each OpenBLAS reports them."""
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpuCount": os.cpu_count(),
+        "blasThreads": _blas_threads(),
     }
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = os.environ.get(name)
@@ -332,9 +372,9 @@ def cmd_bench(args):
                     max_disagree = max(max_disagree, selfcheck._rel_gap(xs[i], xs[j]))
         for name in methods:
             entry = stats[name]
-            mean_ms = (
-                1000.0 * float(np.mean(entry["times"])) if entry["times"] else None
-            )
+            times = entry["times"]
+            mean_ms = 1000.0 * float(np.mean(times)) if times else None
+            median_ms = 1000.0 * float(np.median(times)) if times else None
             rows.append(
                 {
                     "n": n,
@@ -343,6 +383,7 @@ def cmd_bench(args):
                     "trials": args.trials,
                     "solved": len(entry["times"]),
                     "meanTimeMs": mean_ms,
+                    "medianTimeMs": median_ms,
                     "maxConstraintResidual": entry["max_resid"],
                     "maxCrossMethodDisagreement": max_disagree,
                     "failures": dict(sorted(entry["failures"].items())),
@@ -367,7 +408,8 @@ def cmd_bench(args):
 
     header = (
         f"{'n':>5} {'m':>5}  {'method':<10} {'trials':>7} {'solved':>7} "
-        f"{'mean-ms':>10} {'ratio':>7} {'max-resid':>10} {'disagree':>10}  failures"
+        f"{'mean-ms':>10} {'median-ms':>10} {'ratio':>7} {'max-resid':>10} {'disagree':>10}"
+        "  failures"
     )
     print(header)
     print("-" * len(header))
@@ -379,7 +421,10 @@ def cmd_bench(args):
         base = min(means) if means else None
         for row in group:
             mean = row["meanTimeMs"]
-            mean_s = f"{mean:10.4f}" if mean is not None else f"{'-':>10}"
+            mean_s, median_s = (
+                f"{t:10.4f}" if t is not None else f"{'-':>10}"
+                for t in (mean, row["medianTimeMs"])
+            )
             ratio_s = (
                 f"{mean / base:7.2f}" if (mean is not None and base) else f"{'-':>7}"
             )
@@ -388,7 +433,7 @@ def cmd_bench(args):
             )
             print(
                 f"{row['n']:>5} {row['m']:>5}  {row['method']:<10} "
-                f"{row['trials']:>7} {row['solved']:>7} {mean_s} {ratio_s} "
+                f"{row['trials']:>7} {row['solved']:>7} {mean_s} {median_s} {ratio_s} "
                 f"{row['maxConstraintResidual']:>10.2e} "
                 f"{row['maxCrossMethodDisagreement']:>10.2e}  {fail_s}"
             )

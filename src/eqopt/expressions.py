@@ -14,8 +14,8 @@ unconstrained ones over ``g``:
 
 :func:`build_nullspace` is the one path from ``A x = b`` to an
 expression: it reads ``x0 = Q_1 y`` and ``N = Q_2`` off one
-:class:`~eqopt.linalg.ConstraintFactorization` (a pivoted QR of the
-row-equilibrated ``A^T``, kept in Householder form), and
+:class:`~eqopt.linalg.ConstraintFactorization` (a rank-revealing QR of
+the row-equilibrated ``A^T``, kept in Householder form), and
 :func:`build_projector` swaps ``N`` for ``D = N N^T``. Neither factorizes
 ``A H``, and both accept redundant rows. One
 :func:`~eqopt.linalg.as_vector` check guards the length of every ``g``
@@ -100,7 +100,7 @@ def build_projector(constraints):
     ``H = A^T``: the null-space expression with ``D = N N^T``, the
     orthogonal projector onto ker(A), in place of ``N``; ``x0`` is the
     minimum-norm solution. ``N N^T`` runs as one ``syrk``, so ``D`` is
-    exactly symmetric. Nothing forms ``(A H)^{-1}``, and the pivoted QR
+    exactly symmetric. Nothing forms ``(A H)^{-1}``, and the rank-revealing QR
     already decided the rank, so redundant rows need no care. At rank 0,
     ``D = I``; at rank n, ``D = 0``.
 

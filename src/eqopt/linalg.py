@@ -1,11 +1,15 @@
 """Dense linear-algebra kernels.
 
 The constraint system ``A x = b`` is factorized once per solve: one
-column-pivoted QR of the row-equilibrated ``A^T``
-(:class:`ConstraintFactorization`, LAPACK ``dgeqp3``) yields the rank,
-the redundant rows, the consistency check and the minimum-norm
-particular solution. Q stays in Householder form; the orthonormal basis
-``N`` of ker(A) is formed from the reflectors (``dormqr``) only when a
+rank-revealing QR of the row-equilibrated ``A^T``
+(:class:`ConstraintFactorization`) yields the rank, the redundant rows,
+the consistency check and the minimum-norm particular solution. It is the
+column-pivoted LAPACK ``dgeqp3``, except that from n = 150 unknowns on the
+unpivoted recursive ``dgeqrt`` runs first and is kept when a ``dtrcon``
+condition estimate certifies full row rank; a rank-deficient A then falls
+back to ``dgeqp3``, the one case in which A is factored twice. Q stays in
+Householder form; the orthonormal basis ``N`` of ker(A) is formed from the
+reflectors (``dormqr``, or ``dgemqrt`` after ``dgeqrt``) only when a
 caller asks for it, so no n-by-n Q is built. Both QP eliminations and the
 Newton paths work on its k columns, ``k = n - rank(A)``. Reduced
 symmetric k-by-k systems are solved by one Cholesky factorization
@@ -26,6 +30,15 @@ import scipy.linalg.lapack
 from .errors import ComputationError, InfeasibleConstraintsError
 
 EPS = float(np.finfo(np.float64).eps)
+
+# A constraint set on at least this many unknowns, with _QRT_BLOCK <= m <= n
+# rows, is factored without pivoting first (ConstraintFactorization). At one
+# BLAS thread that built x0 and N on a full-rank A 14-37 % faster from
+# n = 150 on, 3-29 % faster at n = 100-120 and from 5 % slower to 9 % faster
+# at n = 80, while a rank-deficient A, factored twice, took 1.2-1.5 times as
+# long at every size: the crossover table in BENCH_17.json.
+_QRT_MIN_COLS = 150
+_QRT_BLOCK = 32  # dgeqrt's block size nb; it must not exceed m
 
 
 def as_matrix(a, name="matrix"):
@@ -120,14 +133,39 @@ def _upper_solve(r, rhs, trans=0):
     return x
 
 
+def _full_rank_qr(at, eps):
+    """Unpivoted QR of the n-by-m ``at`` when it certifiably has rank m.
+
+    Returns ``(qr, t)`` from LAPACK's recursive compact-WY ``dgeqrt``: R on
+    and above the diagonal of ``qr``, the Householder vectors below it, and
+    the block reflector factors ``t`` that ``dgemqrt`` applies Q with.
+    Returns None below the size crossover (``_QRT_MIN_COLS``, ``_QRT_BLOCK``)
+    without factoring, and when ``dtrcon``'s 1-norm rcond estimate of R is at
+    most ``10 * m * eps * max(m, n)``; :class:`ConstraintFactorization` says
+    why a larger one means the pivoted rank rule keeps all m columns.
+    """
+    n, m = at.shape
+    if n < _QRT_MIN_COLS or not _QRT_BLOCK <= m <= n:
+        return None
+    qr, t, info = scipy.linalg.lapack.dgeqrt(_QRT_BLOCK, at)
+    if info != 0:
+        raise ComputationError(f"QR factorization failed (dgeqrt info={info})")
+    # The wrapper reads an order-n triangle, n taken from the row count: pass R alone.
+    rcond, info = scipy.linalg.lapack.dtrcon(qr[:m, :m])
+    if info != 0:
+        raise ComputationError(f"condition estimate failed (dtrcon info={info})")
+    return (qr, t) if rcond > 10.0 * m * eps * max(m, n) else None
+
+
 class ConstraintFactorization:
-    """One column-pivoted QR of the row-equilibrated ``A^T``.
+    """One rank-revealing QR of the row-equilibrated ``A^T``.
 
     Row ``i`` of ``(A, b)`` is divided by ``max_j |A[i, j]|`` (an all-zero
     row is left as it is), so the units of a constraint decide neither its
     rank nor its consistency. With ``A_s`` the scaled matrix, the one
-    factorization ``A_s^T P = Q R`` (LAPACK ``dgeqp3``) gives everything
-    the elimination paths need:
+    factorization ``A_s^T P = Q R`` (LAPACK's column-pivoted ``dgeqp3``, or
+    the unpivoted fast path below) gives everything the elimination paths
+    need:
 
     * ``rank`` p: the largest k with
       ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``;
@@ -145,9 +183,28 @@ class ConstraintFactorization:
     * the orthonormal basis ``N = Q[:, p:]`` of ker(A), formed from the
       Householder reflectors the first time it is asked for.
 
-    Q itself is never formed: it stays the product of the reflectors
-    ``dgeqp3`` leaves below the diagonal of R, and ``x0`` and ``N`` are
-    applications of it (``dormqr``).
+    **Fast path for full-rank A.** ``dgeqp3`` updates its column norms with
+    level-2 code (Golub & Van Loan, *Matrix Computations*, §5.4). From
+    ``n = 150`` unknowns on, with ``32 <= m <= n``, the unpivoted recursive
+    compact-WY QR ``dgeqrt`` (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
+    2000) factors ``A_s^T`` first, ``P = I``. Its R is kept, with ``p = m``,
+    when ``dtrcon``'s estimate of ``rcond_1(R)`` exceeds
+    ``10 * m * eps * max(m, n)``. Then the pivoted rule would keep every row
+    too: every diagonal entry of any QR of ``A_s^T`` has
+    ``|R[k, k]| >= sigma_min``, the pivoted ``|R[0, 0]|`` (the largest
+    column norm) is at most ``sigma_max``, and ``kappa_2 <= m * kappa_1``,
+    so each of its ratios ``|R[k, k]| / |R[0, 0]| >= rcond_1 / m``. The
+    factor 10 leaves room for the estimator, whose rcond can come out too
+    large. No row is dropped, so there is nothing to check for consistency.
+    Otherwise, rank-deficient or nearly so, ``dgeqp3`` factors ``A_s^T``
+    again: the one case in which A is factored twice. Both paths decide the
+    same rank and rows; ``N`` is another orthonormal basis of the same
+    kernel.
+
+    Q itself is never formed: it stays the product of the reflectors the QR
+    leaves below the diagonal of R, and ``x0`` and ``N`` are applications
+    of it (``dormqr``, or ``dgemqrt`` with the block factors ``dgeqrt``
+    returns).
 
     Attributes ``a`` and ``b`` hold the scaled system; residuals of a
     solution belong on the original one.
@@ -183,20 +240,26 @@ class ConstraintFactorization:
         scale[scale == 0.0] = 1.0
         self.a = a / scale[:, None]
         self.b = b / scale
-        if min(m, n) == 0:  # LAPACK rejects these shapes; there is nothing to factorize
-            qr, piv, tau = np.zeros((n, m), order="F"), np.arange(m), np.zeros(0)
+        found = _full_rank_qr(self.a.T, eps)
+        if found is not None:
+            qr, self._t = found
+            piv, p = np.arange(m), m
         else:
-            # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
-            work, _ = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=-1)[3:]
-            qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=int(work[0]))
-            if info != 0:
-                raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
-            piv = jpvt - 1
-        self._qr = qr[:, : tau.size]  # Householder vectors, with R above them
-        self._tau = tau
-        e = np.abs(np.diag(qr))  # non-increasing: the QR pivots on column norms
-        kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
-        p = int(kept[-1]) + 1 if kept.size else 0
+            self._t = None
+            if min(m, n) == 0:  # LAPACK rejects these shapes; there is nothing to factorize
+                qr, piv, tau = np.zeros((n, m), order="F"), np.arange(m), np.zeros(0)
+            else:
+                # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
+                work, _ = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=-1)[3:]
+                qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=int(work[0]))
+                if info != 0:
+                    raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
+                piv = jpvt - 1
+            self._tau = tau
+            e = np.abs(np.diag(qr))  # non-increasing: the QR pivots on column norms
+            kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
+            p = int(kept[-1]) + 1 if kept.size else 0
+        self._qr = qr[:, : min(m, n)]  # Householder vectors, with R above them
         self.rank = p
         self.selected = piv[:p]
         self.dropped = piv[p:]
@@ -218,19 +281,25 @@ class ConstraintFactorization:
         Columns ``j < k`` of Q depend on the first k reflectors only, so
         ``k = p`` suffices for anything in the row space.
         """
-        if reflectors == 0:  # dormqr rejects an empty set of reflectors
+        if reflectors == 0:  # LAPACK rejects an empty set of reflectors
             return c
-        v, tau = self._qr[:, :reflectors], self._tau[:reflectors]
-        if c.shape[1] == 1:  # lwork=1 runs the unblocked code, faster for one column
-            lwork = 1
+        v = self._qr[:, :reflectors]
+        if self._t is not None:
+            routine = "dgemqrt"
+            out, info = scipy.linalg.lapack.dgemqrt(v, self._t[:, :reflectors], c, overwrite_c=1)
         else:
-            work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
-            lwork = int(work[0])
-        out, _, info = scipy.linalg.lapack.dormqr(
-            "L", "N", v, tau, c, lwork=lwork, overwrite_c=1
-        )
+            routine = "dormqr"
+            tau = self._tau[:reflectors]
+            if c.shape[1] == 1:  # lwork=1 runs the unblocked code, faster for one column
+                lwork = 1
+            else:
+                work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
+                lwork = int(work[0])
+            out, _, info = scipy.linalg.lapack.dormqr(
+                "L", "N", v, tau, c, lwork=lwork, overwrite_c=1
+            )
         if info != 0:
-            raise ComputationError(f"applying the QR reflectors failed (dormqr info={info})")
+            raise ComputationError(f"applying the QR reflectors failed ({routine} info={info})")
         return out
 
     def _check_consistency(self, c, eps):
@@ -258,7 +327,7 @@ class ConstraintFactorization:
     def null_basis(self):
         """``N``: orthonormal basis of ker(A), shape (n, n - p)."""
         n, p = self.a.shape[1], self.rank
-        return self._apply_q(np.eye(n, n - p, -p, order="F"), self._tau.size)
+        return self._apply_q(np.eye(n, n - p, -p, order="F"), self._qr.shape[1])
 
 
 def symmetric_solve(m, rhs, tol=None):

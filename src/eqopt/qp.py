@@ -20,7 +20,7 @@ Three independent routes to a stationary point of
 The two elimination routes share one body (:func:`_solve_eliminated`):
 it builds the null-space expression ``x = x0 + N g`` with
 :func:`~eqopt.expressions.build_nullspace`, the one path from ``A x = b``
-to an expression (one pivoted QR of the row-equilibrated ``A^T``), and
+to an expression (one rank-revealing QR of the row-equilibrated ``A^T``), and
 the routes differ only in the basis ``B`` (``D = N N^T`` or ``N``) whose
 stationarity residual they report. Both pull the quadratic back
 through ``N`` and solve the one k-by-k system ``N^T Q N y = N^T (Q x0 + c)``

@@ -13,7 +13,7 @@ import numpy as np
 from . import objectives
 from .errors import InfeasibleConstraintsError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import ConstraintFactorization
+from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, ConstraintFactorization
 from .nlp import (
     NewtonConfig,
     estimate_convergence_constants,
@@ -36,57 +36,86 @@ def _check_rng(seed, salt):
     return np.random.default_rng([seed, salt])
 
 
+def _above_crossover(rng, t):
+    """``(n, m, rank)`` of an instance on which ConstraintFactorization tries
+    its unpivoted QR first; full-rank and rank-deficient in turn with ``t``."""
+    n = int(rng.integers(_QRT_MIN_COLS, 2 * _QRT_MIN_COLS))
+    m = int(rng.integers(_QRT_BLOCK, n))
+    return n, m, m if t // 10 % 2 == 0 else m - int(rng.integers(1, 8))
+
+
 def _check_rrqr_rank(seed, trials):
-    rng = _check_rng(seed, 2)
+    # Every tenth trial also checks one instance above the QR size
+    # crossover, from its own stream, so the drawn trials stay as they were.
+    rng, big = _check_rng(seed, 2), _check_rng(seed, 102)
     for t in range(trials):
         n = int(rng.integers(2, 40))
         m = int(rng.integers(1, n + 5))
         r = int(rng.integers(1, min(m, n) + 1))
-        a = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n))
-        x_true = rng.uniform(-1, 1, n)
-        b = a @ x_true
-        f = ConstraintFactorization(a, b)
-        rank_oracle = int(np.linalg.matrix_rank(a))
-        x_min = np.linalg.lstsq(f.a[f.selected], f.b[f.selected], rcond=None)[0]
-        resid = float(np.max(np.abs(a @ x_min - b)))
-        if f.rank != rank_oracle or resid > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
-            return t, {
-                "n": n,
-                "m": m,
-                "expectedRank": rank_oracle,
-                "reportedRank": f.rank,
-                "residual": resid,
-            }
-        if f.rank < m:
-            # perturb one right-hand side entry; the reducer's verdict must
-            # match the augmented-rank oracle's
-            b_bad = b.copy()
-            b_bad[int(rng.integers(0, m))] += 1.0
-            truly_bad = (
-                int(np.linalg.matrix_rank(np.column_stack([a, b_bad]))) > rank_oracle
-            )
-            try:
-                ConstraintFactorization(a, b_bad)
-                flagged = False
-            except InfeasibleConstraintsError:
-                flagged = True
-            if flagged != truly_bad:
-                return t, {"n": n, "m": m, "flaggedInfeasible": flagged, "trulyInfeasible": truly_bad}
+        cx = _rrqr_rank_trial(rng, n, m, r)
+        if cx is None and t % 10 == 9:
+            cx = _rrqr_rank_trial(big, *_above_crossover(big, t))
+        if cx is not None:
+            return t, cx
     return trials, None
+
+
+def _rrqr_rank_trial(rng, n, m, r):
+    a = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n))
+    x_true = rng.uniform(-1, 1, n)
+    b = a @ x_true
+    f = ConstraintFactorization(a, b)
+    rank_oracle = int(np.linalg.matrix_rank(a))
+    x_min = np.linalg.lstsq(f.a[f.selected], f.b[f.selected], rcond=None)[0]
+    resid = float(np.max(np.abs(a @ x_min - b)))
+    if f.rank != rank_oracle or resid > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
+        return {
+            "n": n,
+            "m": m,
+            "expectedRank": rank_oracle,
+            "reportedRank": f.rank,
+            "residual": resid,
+        }
+    if f.rank < m:
+        # perturb one right-hand side entry; the reducer's verdict must
+        # match the augmented-rank oracle's
+        b_bad = b.copy()
+        b_bad[int(rng.integers(0, m))] += 1.0
+        truly_bad = int(np.linalg.matrix_rank(np.column_stack([a, b_bad]))) > rank_oracle
+        try:
+            ConstraintFactorization(a, b_bad)
+            flagged = False
+        except InfeasibleConstraintsError:
+            flagged = True
+        if flagged != truly_bad:
+            return {"n": n, "m": m, "flaggedInfeasible": flagged, "trulyInfeasible": truly_bad}
+    return None
 
 
 def _check_null_basis(seed, trials):
-    rng = _check_rng(seed, 3)
+    # Every tenth trial also checks one instance above the QR size crossover,
+    # as in _check_rrqr_rank.
+    rng, big = _check_rng(seed, 3), _check_rng(seed, 103)
     for t in range(trials):
         n = int(rng.integers(2, 60))
         m = int(rng.integers(1, n))
-        a = rng.uniform(-1, 1, (m, n))
-        nb = ConstraintFactorization(a, np.zeros(m)).null_basis
-        gram = float(np.max(np.abs(nb.T @ nb - np.eye(n - m))))
-        ann = float(np.max(np.abs(a @ nb), initial=0.0))
-        if nb.shape != (n, n - m) or gram > 1e-12 or ann > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-            return t, {"n": n, "m": m, "gramDefect": gram, "annihilationDefect": ann}
+        cx = _null_basis_trial(rng.uniform(-1, 1, (m, n)), m)
+        if cx is None and t % 10 == 9:
+            n, m, r = _above_crossover(big, t)
+            cx = _null_basis_trial(big.uniform(-1, 1, (m, r)) @ big.uniform(-1, 1, (r, n)), r)
+        if cx is not None:
+            return t, cx
     return trials, None
+
+
+def _null_basis_trial(a, rank):
+    m, n = a.shape
+    nb = ConstraintFactorization(a, np.zeros(m)).null_basis
+    gram = float(np.max(np.abs(nb.T @ nb - np.eye(n - rank))))
+    ann = float(np.max(np.abs(a @ nb), initial=0.0))
+    if nb.shape != (n, n - rank) or gram > 1e-12 or ann > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+        return {"n": n, "m": m, "rank": rank, "gramDefect": gram, "annihilationDefect": ann}
+    return None
 
 
 def _check_projector_algebra(seed, trials):

@@ -20,6 +20,7 @@ FACTORIZATIONS = [
     (scipy.linalg, "solve"),
     (scipy.linalg.lapack, "dsytrf"),
     (scipy.linalg.lapack, "dgeqp3"),
+    (scipy.linalg.lapack, "dgeqrt"),
 ]
 
 

@@ -450,11 +450,12 @@ def test_bench_report_structure(tmp_path, capsys):
     for row in report["rows"]:
         assert row["solved"] == 3
         assert row["meanTimeMs"] > 0.0
+        assert row["medianTimeMs"] > 0.0
         assert row["maxConstraintResidual"] < 1e-8
         assert row["maxCrossMethodDisagreement"] < 1e-8
         assert row["failures"] == {}
     table = capsys.readouterr().out
-    assert "mean-ms" in table
+    assert "mean-ms" in table and "median-ms" in table
     assert "report written" in table
 
 
@@ -466,9 +467,12 @@ def test_bench_report_records_environment(tmp_path, monkeypatch):
     assert code == 0
     env = json.loads(report_path.read_text())["environment"]
     assert set(env) == {
-        "python", "numpy", "scipy", "cpuCount",
+        "python", "numpy", "scipy", "cpuCount", "blasThreads",
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     }
+    # numpy's and scipy's wheels each bundle an OpenBLAS, which reports its count
+    threads = env["blasThreads"]
+    assert threads and all(isinstance(v, int) and v >= 1 for v in threads.values()), threads
     assert env["numpy"] == np.__version__
     assert env["cpuCount"] >= 1
     assert env["OMP_NUM_THREADS"] == "3"
@@ -516,6 +520,7 @@ def test_bench_seed_reproduces_everything_but_times(tmp_path):
         rows = json.loads(path.read_text())["rows"]
         for row in rows:
             row.pop("meanTimeMs")
+            row.pop("medianTimeMs")
         return rows
 
     assert run("a.json") == run("b.json")

@@ -195,10 +195,13 @@ def test_constraint_factorization_parts():
         ConstraintFactorization(a, b_bad)
 
     # the basis formed from the reflectors spans the null space of an explicit Q:
-    # m > n (rank 7 of 12), p = 0 (no rows, all-zero rows) and p = n
+    # m > n (rank 7 of 12), p = 0 (no rows, all-zero rows) and p = n; and,
+    # above the size crossover, from the unpivoted QR's block reflectors
     rank7 = rng.uniform(-1, 1, (20, 7)) @ rng.uniform(-1, 1, (7, n))
     for a, p in [(a, m), (rank7, 7), (np.zeros((0, n)), 0), (np.zeros((3, n)), 0),
-                 (rng.uniform(-1, 1, (n, n)), n)]:
+                 (rng.uniform(-1, 1, (n, n)), n), (rng.uniform(-1, 1, (64, 160)), 64),
+                 (rng.uniform(-1, 1, (160, 160)), 160)]:
+        n = a.shape[1]
         f = ConstraintFactorization(a, a @ np.ones(n))
         assert f.rank == p
         nb = f.null_basis

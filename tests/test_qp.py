@@ -10,7 +10,7 @@ from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.nlp import ObjectiveOracle, newton_solve, reduce_problem
 from eqopt.objectives import quadratic, sum_exp
-from eqopt import qp
+from eqopt import linalg, qp
 from eqopt.linalg import ConstraintFactorization
 from eqopt.problems import _Q_CLASSES, GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
@@ -347,11 +347,81 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
         (lambda p: build_nullspace(p.constraints), spd, ["scipy.linalg.lapack.dgeqp3"]),
         (lambda p: reduce_problem(quadratic(p.q, p.c), p.constraints), spd,
          ["scipy.linalg.lapack.dgeqp3"]),
+        # Above the size crossover a full-rank A takes the unpivoted QR alone;
+        # a rank-deficient one fails its certificate and is factored again,
+        # pivoted: the one case in which A is factored twice.
+        (solve_nullspace, generate(GeneratorSpec(n=160, m=64, seed=47)),
+         ["scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dpotrf"]),
+        (solve_nullspace, generate(GeneratorSpec(n=160, m=60, seed=47, rank_deficiency=5)),
+         ["scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dgeqp3",
+          "scipy.linalg.lapack.dpotrf"]),
     ]
     for solve, problem, names in expected:
         factorizations.clear()
         solve(problem)
         assert factorizations == names, (solve.__name__, names)
+
+
+def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factorizations):
+    # Above the size crossover a full-rank A is factored by dgeqrt alone.
+    # Forcing dgeqp3 on every A must change no decision: rank, dropped rows,
+    # the infeasibility verdict and the classification. N is another basis
+    # of the same kernel, so x agrees to 1e-13 relative on SPD problems;
+    # indefinite ones go through eigh.
+    geqrt, geqp3 = "scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dgeqp3"
+
+    def decide(problem):
+        cons = problem.constraints
+        factorizations.clear()
+        try:
+            f = ConstraintFactorization(cons.a, cons.b)
+        except InfeasibleConstraintsError:
+            return factorizations[:], "infeasible", None
+        used = factorizations[:]
+        sol = solve_nullspace(problem)
+        return used, (f.rank, f.dropped.tolist(), sol.classification), sol.x
+
+    def compare(problem, path, where):
+        used, fast, x = decide(problem)
+        assert used == path, where
+        with monkeypatch.context() as forced:
+            forced.setattr(linalg, "_QRT_MIN_COLS", np.inf)
+            used, pivoted, x_pivoted = decide(problem)
+        assert used == [geqp3], where
+        assert fast == pivoted, where
+        return fast, x, x_pivoted
+
+    rng = np.random.default_rng(1717)
+    for q_class in ("spd", "symmetric_indefinite"):
+        for deficiency in (0, 4):
+            for _ in range(3):
+                n = int(rng.integers(150, 260))
+                m = int(rng.integers(64, n - 8))
+                spec = GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class=q_class,
+                                     rank_deficiency=deficiency)
+                problem = generate(spec)
+                where = (q_class, deficiency, n, m)
+                path = [geqrt, geqp3] if deficiency else [geqrt]
+                decided, x, x_pivoted = compare(problem, path, where)
+                assert decided[0] == m, where
+                if q_class == "spd":
+                    assert np.max(np.abs(x - x_pivoted)) <= 1e-13 * np.max(np.abs(x_pivoted)), where
+                if deficiency:
+                    cons = problem.constraints
+                    b = cons.b.copy()
+                    b[-1] += 1e-3 * (1.0 + abs(b[-1]))  # a duplicated row, now contradicted
+                    bad = QpProblem(problem.q, problem.c, EqualityConstraints(cons.a, b))
+                    assert compare(bad, [geqrt, geqp3], where)[0] == "infeasible", where
+    # A row that is a combination of others, perturbed at 1e-15: nearly
+    # rank-deficient, so the certificate fails and dgeqp3 drops one row.
+    problem = generate(GeneratorSpec(n=180, m=90, seed=1718))
+    cons = problem.constraints
+    w = rng.uniform(-1, 1, 5)
+    a = np.vstack([cons.a, w @ cons.a[:5] + 1e-15 * rng.standard_normal(180)])
+    near = QpProblem(problem.q, problem.c,
+                     EqualityConstraints(a, np.append(cons.b, w @ cons.b[:5])))
+    decided, _, _ = compare(near, [geqrt, geqp3], "combination")
+    assert decided[0] == 90 and len(decided[1]) == 1
 
 
 def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
