@@ -6,8 +6,10 @@ rank-revealing QR of the row-equilibrated ``A^T``
 the consistency check and the minimum-norm particular solution. It is the
 column-pivoted LAPACK ``dgeqp3``, except that from n = 150 unknowns on the
 unpivoted recursive ``dgeqrt`` runs first and is kept when a ``dtrcon``
-condition estimate certifies full row rank; a rank-deficient A then falls
-back to ``dgeqp3``, the one case in which A is factored twice. Q stays in
+condition estimate says A has full row rank. A with a zero row or with
+two rows equal up to sign goes straight to ``dgeqp3``; any other
+rank-deficient A fails the estimate and falls back to ``dgeqp3``, the one
+case in which A is factored twice. Q stays in
 Householder form; the orthonormal basis ``N`` of ker(A) is formed from the
 reflectors (``dormqr``, or ``dgemqrt`` after ``dgeqrt``) only when a
 caller asks for it, so no n-by-n Q is built. Both QP eliminations and the
@@ -33,10 +35,11 @@ EPS = float(np.finfo(np.float64).eps)
 
 # A constraint set on at least this many unknowns, with _QRT_BLOCK <= m <= n
 # rows, is factored without pivoting first (ConstraintFactorization). At one
-# BLAS thread that built x0 and N on a full-rank A 14-37 % faster from
-# n = 150 on, 3-29 % faster at n = 100-120 and from 5 % slower to 9 % faster
-# at n = 80, while a rank-deficient A, factored twice, took 1.2-1.5 times as
-# long at every size: the crossover table in BENCH_17.json.
+# BLAS thread that built x0 and N on a full-rank A 15-32 % faster from
+# n = 150 on (and, without the repeated-row screen, 3-29 % faster at
+# n = 100-120 and from 5 % slower to 9 % faster at n = 80), while a
+# rank-deficient A without repeated rows, factored twice, took 1.3-1.55
+# times as long: the crossover tables in BENCH_17.json.
 _QRT_MIN_COLS = 150
 _QRT_BLOCK = 32  # dgeqrt's block size nb; it must not exceed m
 
@@ -133,28 +136,51 @@ def _upper_solve(r, rhs, trans=0):
     return x
 
 
-def _full_rank_qr(at, eps):
-    """Unpivoted QR of the n-by-m ``at`` when it certifiably has rank m.
+def _may_repeat_a_row(a, tol):
+    """False only if the row-equilibrated ``a`` has no zero row and no two
+    rows equal or opposite to within ``tol`` in every entry.
+
+    Either makes A rank-deficient or nearly so. It is the redundancy a model
+    most often carries (one constraint stated twice, perhaps in other
+    units), and it is ruled out in O(mn) time: such rows have projections
+    ``h`` on the fixed ``w = sin(1, ..., n)`` within ``tol * ||w||_1 <=
+    tol * n`` of each other, or of 0, in absolute value. Other rows whose
+    projections come that close by chance answer True as well, which only
+    costs a full-rank A the unpivoted fast path.
+    """
+    n = a.shape[1]
+    h = np.abs(a @ np.sin(np.arange(1.0, n + 1.0)))
+    h.sort()
+    return bool(h[0] <= tol * n or np.min(h[1:] - h[:-1]) <= tol * n)
+
+
+def _full_rank_qr(a, eps):
+    """Unpivoted QR of ``a^T`` for an m-by-n ``a`` estimated to have rank m.
 
     Returns ``(qr, t)`` from LAPACK's recursive compact-WY ``dgeqrt``: R on
     and above the diagonal of ``qr``, the Householder vectors below it, and
     the block reflector factors ``t`` that ``dgemqrt`` applies Q with.
-    Returns None below the size crossover (``_QRT_MIN_COLS``, ``_QRT_BLOCK``)
-    without factoring, and when ``dtrcon``'s 1-norm rcond estimate of R is at
-    most ``10 * m * eps * max(m, n)``; :class:`ConstraintFactorization` says
-    why a larger one means the pivoted rank rule keeps all m columns.
+    Returns None without factoring below the size crossover
+    (``_QRT_MIN_COLS``, ``_QRT_BLOCK``) and when ``a`` may repeat a row
+    (:func:`_may_repeat_a_row`), and returns None after factoring when
+    ``dtrcon``'s 1-norm rcond estimate of R is at most
+    ``cut = 10 * m * eps * max(m, n)``; :class:`ConstraintFactorization`
+    says why a larger one means the pivoted rank rule keeps all m rows.
     """
-    n, m = at.shape
+    m, n = a.shape
     if n < _QRT_MIN_COLS or not _QRT_BLOCK <= m <= n:
         return None
-    qr, t, info = scipy.linalg.lapack.dgeqrt(_QRT_BLOCK, at)
+    cut = 10.0 * m * eps * max(m, n)
+    if _may_repeat_a_row(a, cut):
+        return None
+    qr, t, info = scipy.linalg.lapack.dgeqrt(_QRT_BLOCK, a.T)
     if info != 0:
         raise ComputationError(f"QR factorization failed (dgeqrt info={info})")
     # The wrapper reads an order-n triangle, n taken from the row count: pass R alone.
     rcond, info = scipy.linalg.lapack.dtrcon(qr[:m, :m])
     if info != 0:
         raise ComputationError(f"condition estimate failed (dtrcon info={info})")
-    return (qr, t) if rcond > 10.0 * m * eps * max(m, n) else None
+    return (qr, t) if rcond > cut else None
 
 
 class ConstraintFactorization:
@@ -189,17 +215,27 @@ class ConstraintFactorization:
     compact-WY QR ``dgeqrt`` (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
     2000) factors ``A_s^T`` first, ``P = I``. Its R is kept, with ``p = m``,
     when ``dtrcon``'s estimate of ``rcond_1(R)`` exceeds
-    ``10 * m * eps * max(m, n)``. Then the pivoted rule would keep every row
-    too: every diagonal entry of any QR of ``A_s^T`` has
-    ``|R[k, k]| >= sigma_min``, the pivoted ``|R[0, 0]|`` (the largest
-    column norm) is at most ``sigma_max``, and ``kappa_2 <= m * kappa_1``,
-    so each of its ratios ``|R[k, k]| / |R[0, 0]| >= rcond_1 / m``. The
-    factor 10 leaves room for the estimator, whose rcond can come out too
-    large. No row is dropped, so there is nothing to check for consistency.
-    Otherwise, rank-deficient or nearly so, ``dgeqp3`` factors ``A_s^T``
-    again: the one case in which A is factored twice. Both paths decide the
-    same rank and rows; ``N`` is another orthonormal basis of the same
-    kernel.
+    ``10 * m * eps * max(m, n)``. If the estimate is at most 10 times the
+    true rcond, the pivoted rule would keep every row too: every diagonal
+    entry of any QR of ``A_s^T`` has ``|R[k, k]| >= sigma_min``, the pivoted
+    ``|R[0, 0]|`` (the largest column norm) is at most ``sigma_max``, and
+    ``kappa_2 <= m * kappa_1``, so each of its ratios
+    ``|R[k, k]| / |R[0, 0]| >= rcond_1 / m``. That factor is an assumption
+    about the estimator, not a bound: ``dtrcon`` can underestimate
+    ``||R^-1||_1`` by more (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §15.3), and then a nearly dependent row is kept and its
+    consistency goes unchecked. On the seeded sweeps in BENCH_17.json the
+    two paths made the same decisions every time. No row is dropped, so
+    there is nothing to check for consistency; ``N`` is another orthonormal
+    basis of the same kernel.
+
+    Tried on a rank-deficient A, the fast path wastes a ``dgeqrt``. A zero
+    row, or two rows equal or opposite to within that same cut after
+    equilibration, is ruled out in O(mn) time first; where it cannot be
+    (rarely, also for a full-rank A), A goes straight to ``dgeqp3``. Any
+    other rank-deficient or nearly rank-deficient A fails the estimate and
+    ``dgeqp3`` factors ``A_s^T`` again: the one case in which A is factored
+    twice.
 
     Q itself is never formed: it stays the product of the reflectors the QR
     leaves below the diagonal of R, and ``x0`` and ``N`` are applications
@@ -240,7 +276,7 @@ class ConstraintFactorization:
         scale[scale == 0.0] = 1.0
         self.a = a / scale[:, None]
         self.b = b / scale
-        found = _full_rank_qr(self.a.T, eps)
+        found = _full_rank_qr(self.a, eps)
         if found is not None:
             qr, self._t = found
             piv, p = np.arange(m), m

@@ -50,6 +50,24 @@ def test_rrqr_duplicated_row_contradiction():
         ConstraintFactorization([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0])
 
 
+def test_repeated_and_zero_rows_skip_the_unpivoted_qr(factorizations):
+    # Above the size crossover a zero row, or a row repeated up to sign and
+    # scale, sends A straight to the pivoted QR, which drops one row; a row
+    # a part in a million away from a repeat leaves A of full rank, and the
+    # unpivoted QR alone factors it.
+    geqrt, geqp3 = "scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dgeqp3"
+    rng = np.random.default_rng(203)
+    a = rng.uniform(-1, 1, (60, 160))
+    b = a @ rng.uniform(-1, 1, 160)
+    near = a[17] + 1e-6 * rng.standard_normal(160)
+    for row, rhs, path, rank in [(-3.0 * a[17], -3.0 * b[17], [geqp3], 60),
+                                 (np.zeros(160), 0.0, [geqp3], 60),
+                                 (near, b[17], [geqrt], 61)]:
+        factorizations.clear()
+        f = ConstraintFactorization(np.vstack([a, row]), np.append(b, rhs))
+        assert (factorizations, f.rank) == (path, rank)
+
+
 def test_rrqr_rank_matches_reference_oracle():
     rng = np.random.default_rng(201)
     for _ in range(40):

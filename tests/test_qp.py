@@ -333,6 +333,17 @@ def test_a_tiny_row_does_not_make_a_consistent_system_infeasible():
             run()
 
 
+def with_combination_row(problem, rng, noise=0.0):
+    """``problem`` with one more row, a combination of its first five rows
+    (perturbed by ``noise``), and the b that keeps it consistent."""
+    cons = problem.constraints
+    w = rng.uniform(-1, 1, 5)
+    n = cons.a.shape[1]
+    a = np.vstack([cons.a, w @ cons.a[:5] + noise * rng.standard_normal(n)])
+    return QpProblem(problem.q, problem.c,
+                     EqualityConstraints(a, np.append(cons.b, w @ cons.b[:5])))
+
+
 def test_each_matrix_is_factorized_once_per_solve(factorizations):
     spd = generate(GeneratorSpec(n=30, m=12, seed=46))
     indefinite = generate(GeneratorSpec(n=30, m=12, seed=46, q_class="symmetric_indefinite"))
@@ -347,12 +358,16 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
         (lambda p: build_nullspace(p.constraints), spd, ["scipy.linalg.lapack.dgeqp3"]),
         (lambda p: reduce_problem(quadratic(p.q, p.c), p.constraints), spd,
          ["scipy.linalg.lapack.dgeqp3"]),
-        # Above the size crossover a full-rank A takes the unpivoted QR alone;
-        # a rank-deficient one fails its certificate and is factored again,
+        # Above the size crossover a full-rank A takes the unpivoted QR alone
+        # and duplicated rows send A to the pivoted one; any other
+        # rank-deficient A fails its rank estimate and is factored again,
         # pivoted: the one case in which A is factored twice.
         (solve_nullspace, generate(GeneratorSpec(n=160, m=64, seed=47)),
          ["scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dpotrf"]),
         (solve_nullspace, generate(GeneratorSpec(n=160, m=60, seed=47, rank_deficiency=5)),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf"]),
+        (solve_nullspace, with_combination_row(generate(GeneratorSpec(n=160, m=60, seed=47)),
+                                               np.random.default_rng(47)),
          ["scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dgeqp3",
           "scipy.linalg.lapack.dpotrf"]),
     ]
@@ -363,7 +378,9 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
 
 
 def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factorizations):
-    # Above the size crossover a full-rank A is factored by dgeqrt alone.
+    # Above the size crossover a full-rank A is factored by dgeqrt alone,
+    # duplicated rows go straight to dgeqp3, and a row that combines others
+    # fails dgeqrt's rank estimate and goes to dgeqp3 after it.
     # Forcing dgeqp3 on every A must change no decision: rank, dropped rows,
     # the infeasibility verdict and the classification. N is another basis
     # of the same kernel, so x agrees to 1e-13 relative on SPD problems;
@@ -401,7 +418,7 @@ def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factoriza
                                      rank_deficiency=deficiency)
                 problem = generate(spec)
                 where = (q_class, deficiency, n, m)
-                path = [geqrt, geqp3] if deficiency else [geqrt]
+                path = [geqp3] if deficiency else [geqrt]
                 decided, x, x_pivoted = compare(problem, path, where)
                 assert decided[0] == m, where
                 if q_class == "spd":
@@ -411,15 +428,14 @@ def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factoriza
                     b = cons.b.copy()
                     b[-1] += 1e-3 * (1.0 + abs(b[-1]))  # a duplicated row, now contradicted
                     bad = QpProblem(problem.q, problem.c, EqualityConstraints(cons.a, b))
-                    assert compare(bad, [geqrt, geqp3], where)[0] == "infeasible", where
-    # A row that is a combination of others, perturbed at 1e-15: nearly
-    # rank-deficient, so the certificate fails and dgeqp3 drops one row.
-    problem = generate(GeneratorSpec(n=180, m=90, seed=1718))
-    cons = problem.constraints
-    w = rng.uniform(-1, 1, 5)
-    a = np.vstack([cons.a, w @ cons.a[:5] + 1e-15 * rng.standard_normal(180)])
-    near = QpProblem(problem.q, problem.c,
-                     EqualityConstraints(a, np.append(cons.b, w @ cons.b[:5])))
+                    assert compare(bad, [geqp3], where)[0] == "infeasible", where
+                    full = GeneratorSpec(n=n, m=m, seed=spec.seed, q_class=q_class)
+                    combined = with_combination_row(generate(full), rng)
+                    decided = compare(combined, [geqrt, geqp3], where)[0]
+                    assert decided[0] == m and len(decided[1]) == 1, where
+    # The combination perturbed at 1e-15: nearly rank-deficient, so the
+    # estimate fails and dgeqp3 drops one row.
+    near = with_combination_row(generate(GeneratorSpec(n=180, m=90, seed=1718)), rng, 1e-15)
     decided, _, _ = compare(near, [geqrt, geqp3], "combination")
     assert decided[0] == 90 and len(decided[1]) == 1
 
