@@ -16,9 +16,12 @@ caller asks for it, so no n-by-n Q is built. Both QP eliminations and the
 Newton paths work on its k columns, ``k = n - rank(A)``. Reduced
 symmetric k-by-k systems are solved by one Cholesky factorization
 (:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs`` on the lower triangle, the
-faster variant at these sizes) when they are positive
-definite and otherwise with one ``eigh`` (:func:`symmetric_solve`), which
-also gives their inertia. No solver computes an SVD. A quadratic
+faster variant at these sizes) when they are positive definite, by one
+Bunch-Kaufman factorization (:func:`bunch_kaufman_solve`, ``dsytrf``,
+``dsycon`` and ``dsytrs``), which also counts their inertia, when they are
+indefinite and well conditioned, and otherwise with one ``eigh``
+(:func:`symmetric_solve`), which gives the minimum-norm solution and the
+eigenvalues. No solver computes an SVD. A quadratic
 ``1/2 x^T Q x + c^T x`` is validated once (:func:`quadratic_data`) and
 restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
 that the QP eliminations and the registry objectives share.
@@ -364,6 +367,67 @@ class ConstraintFactorization:
         """``N``: orthonormal basis of ker(A), shape (n, n - p)."""
         n, p = self.a.shape[1], self.rank
         return self._apply_q(np.eye(n, n - p, -p, order="F"), self._qr.shape[1])
+
+
+def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
+    """Solve the symmetric, possibly indefinite ``m y = rhs`` and count its
+    inertia, or return None when ``m`` may be too close to singular.
+
+    One Bunch-Kaufman factorization ``P m P^T = L D L^T`` (LAPACK ``dsytrf``
+    on a copy of the lower triangle of ``m``, which is left intact) is
+    accepted only when ``dsycon``'s estimate of ``rcond_1(m)``, from the
+    given ``norm_1 = ||m||_1``, exceeds ``min_rcond``; ``dsytrs`` then gives
+    ``y``. ``D`` is congruent to ``m``, so by Sylvester's law of inertia
+    its eigenvalue signs are those of ``m`` (Bunch & Kaufman, *Math.
+    Comp.* 31, 1977): each 1x1 pivot counts by its sign, and each 2x2 block
+    (rows i, i + 1 with ``ipiv[i] = ipiv[i + 1] < 0``) by its determinant
+    (negative: one of each sign) and otherwise by its trace.
+
+    Returns
+    -------
+    None, or ``(y, pos, neg)``: the solution and the numbers of positive
+    and negative eigenvalues of ``m``.
+
+    Raises
+    ------
+    ComputationError
+        If LAPACK rejects an argument.
+    """
+    k = m.shape[0]
+    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(k, lower=1)
+    # m is symmetric: m.T is its F-ordered view, which the wrapper copies as it is
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(m.T, lower=1, lwork=int(lwork))
+    if info < 0:
+        raise ComputationError(f"Bunch-Kaufman factorization failed (dsytrf info={info})")
+    if info > 0:  # an exactly zero pivot: m is singular
+        return None
+    rcond, info = scipy.linalg.lapack.dsycon(ldu, ipiv, norm_1, lower=1)
+    if info != 0 or not rcond > min_rcond:
+        return None
+    y, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+    if info != 0:
+        raise ComputationError(f"Bunch-Kaufman solve failed (dsytrs info={info})")
+    # Python floats: at these sizes a loop beats a dozen numpy calls
+    d, sub, piv = ldu.diagonal().tolist(), ldu.diagonal(-1).tolist(), ipiv.tolist()
+    pos = neg = i = 0
+    while i < k:
+        if piv[i] > 0:
+            pos += d[i] > 0
+            neg += d[i] < 0
+            i += 1
+            continue
+        a, c, e = d[i], sub[i], d[i + 1]
+        s = max(abs(a), abs(c), abs(e))  # > 0, else dsytrf reports a zero pivot
+        a, c, e = a / s, c / s, e / s  # so the determinant cannot overflow
+        det = a * e - c * c
+        if det < 0.0:
+            pos += 1
+            neg += 1
+        elif det > 0.0:
+            pos += 2 * (a + e > 0.0)
+            neg += 2 * (a + e < 0.0)
+        i += 2
+    return y, pos, neg
 
 
 def symmetric_solve(m, rhs, tol=None):

@@ -8,7 +8,8 @@ Three independent routes to a stationary point of
   ``k = n - rank(A)`` and is solved exactly through the k-by-k system of
   the null-space form, never formed;
 * :func:`solve_nullspace` — null-space reduction to a k-by-k solve with
-  one Cholesky factorization;
+  one Cholesky factorization, or one Bunch-Kaufman factorization when the
+  reduced Hessian is indefinite;
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
   Bunch-Kaufman factorization (LAPACK ``dsytrf``), run in place on the
@@ -29,11 +30,14 @@ same x and classification bit for bit. The reduced solve is decided by
 one rule (:func:`_solve_reduced`), with ``eps`` as the one cut: a
 reduced-Hessian eigenvalue below it is neither inverted nor counted as
 curved. The Cholesky solve certifies a minimum when LAPACK's condition
-estimate clears a margin above that cut; an indefinite, singular or
-ill-conditioned reduced system is solved with one ``eigh`` instead, which
-yields the minimum-norm stationary point and its classification. The
-Cholesky factorization runs in place on a matrix the reduced solve
-allocates itself, so no caller's array is overwritten. Every solution
+estimate clears a margin above that cut. When Cholesky fails, an
+indefinite reduced system is solved by one Bunch-Kaufman factorization
+whose condition estimate clears the same margin, and its block-diagonal
+factor gives the inertia; a singular or ill-conditioned one is solved
+with one ``eigh`` instead, which yields the minimum-norm stationary point
+and its classification. The Cholesky factorization runs in place on a
+matrix the reduced solve allocates itself, so no caller's array is
+overwritten. Every solution
 carries the feasibility and stationarity residuals plus a classification
 of the stationary point from reduced-Hessian inertia.
 """
@@ -45,7 +49,7 @@ import scipy.linalg.lapack
 
 from .errors import ComputationError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace
-from .linalg import EPS, as_vector, cholesky, cholesky_solve
+from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve
 from .linalg import pull_back_quadratic, quadratic_data, symmetric_solve
 
 
@@ -101,21 +105,11 @@ class QpSolution:
         return self.classification == "point"
 
 
-def _classify(eigs, tol):
-    """Label a stationary point from the eigenvalues of ``N^T Q N``.
-
-    An eigenvalue with ``|w| <= tol * k * max|w|`` counts as zero: the cut
-    :func:`~eqopt.linalg.symmetric_solve` uses to decide which eigenvalues
-    it inverts. Any zero means flat directions, i.e. a non-unique
-    stationary point.
-    """
-    k = eigs.shape[0]
-    scale = float(np.max(np.abs(eigs), initial=0.0))
-    if scale == 0.0:
-        return "non_unique"  # reduced Hessian vanishes: every direction is flat
-    cut = tol * k * scale
-    pos = int(np.sum(eigs > cut))
-    neg = int(np.sum(eigs < -cut))
+def _label(pos, neg, k):
+    """Label a stationary point from the inertia of its k-by-k reduced
+    Hessian: ``pos`` positive and ``neg`` negative eigenvalues, the rest
+    zero. Any zero means flat directions, i.e. a non-unique stationary
+    point."""
     if pos + neg < k:
         return "non_unique"
     if neg == 0:
@@ -125,39 +119,99 @@ def _classify(eigs, tol):
     return "saddle"
 
 
+def _classify(eigs, tol):
+    """Label a stationary point from the eigenvalues of ``N^T Q N``.
+
+    An eigenvalue with ``|w| <= tol * k * max|w|`` counts as zero: the cut
+    :func:`~eqopt.linalg.symmetric_solve` uses to decide which eigenvalues
+    it inverts. Raises ComputationError if an eigenvalue is not finite,
+    which that cut cannot measure.
+    """
+    k = eigs.shape[0]
+    scale = float(np.max(np.abs(eigs), initial=0.0))
+    if not np.isfinite(scale):
+        raise ComputationError("the reduced Hessian has eigenvalues that are not finite")
+    if scale == 0.0:
+        return "non_unique"  # reduced Hessian vanishes: every direction is flat
+    cut = tol * k * scale
+    return _label(int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)), k)
+
+
 def _solve_reduced(aa, rhs, tol=None):
     """Solve the k-by-k reduced system ``aa y = rhs`` and classify the point.
 
     ``aa = N^T Q N`` is symmetric. ``tol`` (machine epsilon by default)
     sets one cut, ``tol k max|eig|``, below which an eigenvalue is neither
-    inverted nor counted as curved. Cholesky first: its solve is accepted,
-    and the point called a minimum, only when LAPACK's ``dpocon`` estimate
-    of ``rcond_1(aa)`` exceeds ``10 k^2 tol``: as ``kappa_2 <= k kappa_1``,
-    every eigenvalue of ``aa`` then clears that cut with a factor of 10 to
-    spare. Otherwise one ``eigh`` gives the minimum-norm solution
-    (eigenvalues below the cut dropped) and the classification.
+    inverted nor counted as curved. A factorization is accepted only when
+    LAPACK's estimate of ``rcond_1(aa)`` exceeds the guard ``10 k^2 tol``:
+    as ``kappa_2 <= kappa_1`` for a symmetric matrix, every eigenvalue of
+    ``aa`` then clears that cut by a factor of k, provided the estimate is
+    within a factor 10 of the true rcond (an assumption about the
+    estimator, not a bound). Three branches, each tried only when the one
+    before it declines:
+
+    1. Cholesky (``dpotrf``) with ``dpocon``: the point is a minimum;
+    2. when ``dpotrf`` fails (``aa`` is not positive definite), one
+       Bunch-Kaufman ``dsytrf`` with ``dsycon``
+       (:func:`~eqopt.linalg.bunch_kaufman_solve`): its ``dsytrs`` solve,
+       and the inertia of its block-diagonal factor for the label;
+    3. otherwise (a guard refused, so ``aa`` is singular or nearly so at
+       the cut) one ``eigh``: the minimum-norm solution, eigenvalues below
+       the cut dropped, and the label from those eigenvalues
+       (:func:`_classify`).
+
+    An indefinite ``aa`` thus costs a ``dpotrf`` that fails partway and one
+    ``dsytrf``; only a refused one pays for ``eigh`` as well.
+
+    When the 1-norm of ``aa`` overflows float range although its entries
+    are finite, ``aa`` and ``rhs`` are both scaled by the power of two
+    ``2^-b``, ``b`` the bit length of k, which brings the norm back into
+    range. The scaling rounds no entry (short of underflow), so the scaled
+    system has the same solution y. Any other ``aa`` is factored as given.
 
     ``dpotrf`` factors the lower triangle of a copy of ``aa`` that this
     function owns, in place through its F-ordered view (the copy is
     symmetric), after its 1-norm is taken; ``dpocon`` reads that lower
-    factor. ``aa`` is left intact, so the ``eigh`` fallback sees it even
-    after a Cholesky factorization that failed partway.
+    factor. ``aa`` is left intact (``dsytrf`` factors a copy of its own),
+    so each later branch sees it even after a Cholesky factorization that
+    failed partway.
 
     Returns
     -------
     y : (k,) ndarray
     classification : str
+
+    Raises
+    ------
+    ComputationError
+        If ``aa`` is not finite, or its 1-norm overflows and ``rhs`` is
+        not finite: a system that no scaling brings into range.
     """
     k = aa.shape[0]
     if tol is None:
         tol = EPS
-    m = aa.copy()  # dpotrf overwrites m, and eigh below must see aa intact
-    norm_1 = np.linalg.norm(m, 1)
+    with np.errstate(over="ignore"):
+        norm_1 = np.linalg.norm(aa, 1)
+    if not np.isfinite(norm_1):
+        if not (np.isfinite(aa).all() and np.isfinite(rhs).all()):
+            raise ComputationError(
+                "the reduced system N^T Q N y = N^T (Q x0 + c) is not finite"
+            )
+        shift = -k.bit_length()
+        aa, rhs = np.ldexp(aa, shift), np.ldexp(rhs, shift)
+        norm_1 = np.linalg.norm(aa, 1)
+    guard = 10.0 * k * k * tol
+    m = aa.copy()  # dpotrf overwrites m; the later branches must see aa intact
     low = cholesky(m.T, overwrite=True)  # m is symmetric: m.T is its F-ordered view
-    if low is not None:  # else not positive definite
+    if low is not None:
         rcond, info = scipy.linalg.lapack.dpocon(low, norm_1, uplo="L")
-        if info == 0 and rcond > 10.0 * k * k * tol:
+        if info == 0 and rcond > guard:
             return cholesky_solve(low, rhs), "min"
+    else:
+        found = bunch_kaufman_solve(aa, rhs, norm_1, guard)
+        if found is not None:
+            y, pos, neg = found
+            return y, _label(pos, neg, k)
     y, eigs = symmetric_solve(aa, rhs, tol)
     return y, _classify(eigs, tol)
 
@@ -229,9 +283,10 @@ def solve_nullspace(problem, eps=None):
 
     Solves ``(N^T Q N) g = -(N^T Q x0 + N^T c)`` by :func:`_solve_reduced`:
     a Cholesky factorization, certifying a minimizer when it succeeds
-    and its condition estimate clears the margin, and an
-    eigendecomposition for indefinite, singular or ill-conditioned
-    reduced Hessians, where zero modes are dropped pseudo-inverse style.
+    and its condition estimate clears the margin, a Bunch-Kaufman one for
+    indefinite reduced Hessians that clear the same margin, and an
+    eigendecomposition for singular or ill-conditioned ones, where zero
+    modes are dropped pseudo-inverse style.
     """
     return _solve_eliminated(problem, "nullspace", eps)
 

@@ -198,13 +198,14 @@ def _check_indefinite_agreement(seed, trials):
         except OracleUnavailableError:
             continue  # legitimately singular reduced Hessian; nothing to compare
         for sol in (solve_projector(problem), solve_nullspace(problem)):
-            if _rel_gap(sol.x, ref.x) > 1e-8:
+            if _rel_gap(sol.x, ref.x) > 1e-8 or sol.classification != ref.classification:
                 return t, {
                     "n": n,
                     "m": m,
                     "method": sol.method,
                     "xDisagreement": _rel_gap(sol.x, ref.x),
                     "classification": sol.classification,
+                    "oracleClassification": ref.classification,
                 }
     return trials, None
 

@@ -5,11 +5,12 @@ files are exactly what a shell user would see.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from eqopt import cli, objectives, selfcheck
+from eqopt import cli, objectives, qp, selfcheck
 
 
 def _write_doc(path, doc):
@@ -323,6 +324,24 @@ def test_solve_a_solution_that_overflows_exits_3(tmp_path, capsys, q, c, a, b):
         assert "error:" in capsys.readouterr().err
 
 
+def test_solve_a_reduced_hessian_beyond_float_range(tmp_path, capsys):
+    # N^T Q N has finite entries but an overflowing 1-norm: both
+    # eliminations scale it by a power of two and find the saddle point,
+    # without a warning, instead of calling x0 = (0, 0, 1) "non_unique".
+    q = (1.7e308 * np.array([[1.0, 0.9, 0.0], [0.9, -1.0, 0.0], [0.0, 0.0, 1.0]])).tolist()
+    path = _qp_file(tmp_path, n=3, Q=q, c=[1e308, 0.0, 0.0], A=[[0.0, 0.0, 1.0]], b=[1.0])
+    x1 = -1.0 / (1.7 * 1.81)
+    for method in ("projector", "nullspace"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--input", path, "--method", method]) == 0, method
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["classification"] == "saddle"
+        np.testing.assert_allclose(doc["x"], [x1, 0.9 * x1, 1.0], rtol=1e-14)
+
+
 def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):
     # x0 = (1, 1e300, 0): the objective there is inf - inf = nan, an overflow
     # like the QP routes report (exit 3), not a point outside a domain (exit 5)
@@ -634,6 +653,15 @@ def test_check_convergence_calls_the_library_suboptimality_bound(tmp_path, capsy
     )
     assert code == 1
     assert "FAIL convergence/suboptimality" in capsys.readouterr().out
+
+
+def test_check_oracle_compares_the_eliminations_classification(tmp_path, capsys, monkeypatch):
+    # x stays right, only the label of the reduced Hessian's inertia is broken
+    monkeypatch.setattr(qp, "_label", lambda pos, neg, k: "min")
+    cx = tmp_path / "cx.json"
+    code = cli.main(["check", "--suite", "oracle", "--trials", "5", "--counterexample", str(cx)])
+    assert code == 1
+    assert "FAIL oracle/indefinite_agreement" in capsys.readouterr().out
 
 
 def test_check_zero_trials_exit_4(capsys):

@@ -10,6 +10,7 @@ from eqopt.linalg import (
     _upper_solve,
     as_matrix,
     as_vector,
+    bunch_kaufman_solve,
     pull_back_quadratic,
     quadratic_data,
 )
@@ -245,6 +246,56 @@ def test_triangular_solves_match_solve_triangular_and_type_their_failure():
     singular[3, 3] = 0.0
     with pytest.raises(ComputationError, match="dtrtrs info=4"):
         _upper_solve(singular, rhs)
+
+
+def _indefinite_matrices(rng):
+    """Seeded symmetric indefinite matrices: a zero diagonal, a small
+    positive one (2x2 pivots whose diagonal entries are both positive) and
+    saddle-point matrices ``[[Q, A^T], [A, 0]]``."""
+    for _ in range(10):
+        k = int(rng.integers(2, 40))
+        r = rng.uniform(-1, 1, (k, k))
+        sym = r + r.T
+        yield sym - np.diag(np.diag(sym))
+        yield sym - np.diag(np.diag(sym)) + 0.1 * np.eye(k)
+        n, m = int(rng.integers(2, 20)), int(rng.integers(1, 10))
+        q = rng.uniform(-1, 1, (n, n))
+        a = rng.uniform(-1, 1, (m, n))
+        yield np.block([[q + q.T, a.T], [a, np.zeros((m, m))]])
+
+
+def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
+    # The inertia read off D equals the eigenvalue sign counts; a 2x2 block
+    # read as two 1x1 pivots would count its two diagonal entries instead.
+    pivots = []
+    dsytrf = scipy.linalg.lapack.dsytrf
+
+    def recorded(*args, **kwargs):
+        out = dsytrf(*args, **kwargs)
+        pivots.append(out[1])
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1819)
+    accepted = 0
+    for m in _indefinite_matrices(rng):
+        k = m.shape[0]
+        before = m.copy()
+        rhs = rng.uniform(-1, 1, k)
+        found = bunch_kaufman_solve(m, rhs, np.linalg.norm(m, 1), 10.0 * k * k * eps)
+        assert m.tobytes() == before.tobytes()
+        w = np.linalg.eigvalsh(m)
+        if found is None:
+            assert np.min(np.abs(w)) < 1e-6 * np.max(np.abs(w))  # refused only when ill-conditioned
+            continue
+        y, pos, neg = found
+        accepted += 1
+        assert (pos, neg) == (int(np.sum(w > 0)), int(np.sum(w < 0)))
+        kappa = np.max(np.abs(w)) / np.min(np.abs(w))
+        assert_allclose(m @ y, rhs, atol=100 * k * kappa * eps * np.max(np.abs(rhs)))
+    assert accepted >= 25
+    assert any(np.any(ipiv < 0) for ipiv in pivots)  # 2x2 blocks were exercised
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
-from eqopt.errors import InfeasibleConstraintsError, OracleUnavailableError
+from eqopt.errors import ComputationError, InfeasibleConstraintsError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.nlp import ObjectiveOracle, newton_solve, reduce_problem
 from eqopt.objectives import quadratic, sum_exp
@@ -350,10 +350,17 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
     expected = [
         (solve_projector, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf"]),
         (solve_projector, indefinite,
-         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf", "numpy.linalg.eigh"]),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf",
+          "scipy.linalg.lapack.dsytrf"]),
         (solve_nullspace, spd, ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf"]),
         (solve_nullspace, indefinite,
-         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf", "numpy.linalg.eigh"]),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf",
+          "scipy.linalg.lapack.dsytrf"]),
+        # A singular indefinite reduced Hessian: Bunch-Kaufman's condition
+        # estimate refuses it, and eigh decides.
+        (solve_nullspace, _reduced_hessian_problem(46, 0.0, saddle=True),
+         ["scipy.linalg.lapack.dgeqp3", "scipy.linalg.lapack.dpotrf",
+          "scipy.linalg.lapack.dsytrf", "numpy.linalg.eigh"]),
         (solve_kkt, spd, ["scipy.linalg.lapack.dsytrf"]),
         (lambda p: build_nullspace(p.constraints), spd, ["scipy.linalg.lapack.dgeqp3"]),
         (lambda p: reduce_problem(quadratic(p.q, p.c), p.constraints), spd,
@@ -384,7 +391,7 @@ def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factoriza
     # Forcing dgeqp3 on every A must change no decision: rank, dropped rows,
     # the infeasibility verdict and the classification. N is another basis
     # of the same kernel, so x agrees to 1e-13 relative on SPD problems;
-    # indefinite ones go through eigh.
+    # indefinite ones, worse conditioned, are compared by decision only.
     geqrt, geqp3 = "scipy.linalg.lapack.dgeqrt", "scipy.linalg.lapack.dgeqp3"
 
     def decide(problem):
@@ -445,7 +452,7 @@ def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
     # system of the null-space form, so both return the same x bit for bit
     # and the projector factorizes no n-by-n matrix.
     shapes = []
-    for name in ("cholesky", "symmetric_solve"):
+    for name in ("cholesky", "bunch_kaufman_solve", "symmetric_solve"):
         def recorded(m, *args, _fn=getattr(qp, name), **kwargs):
             shapes.append(m.shape)
             return _fn(m, *args, **kwargs)
@@ -471,39 +478,107 @@ def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
                 assert shapes, where
                 assert all(shape == (k, k) for shape in shapes), (where, shapes)
                 labels.add(sol.classification)
-    assert {"min", "saddle"} <= labels  # both the Cholesky and the eigh branch ran
+    assert {"min", "saddle"} <= labels  # the Cholesky and the Bunch-Kaufman branch ran
 
 
-def _reduced_hessian_problem(seed, smallest, n=40, m=10):
-    """QP whose reduced Hessian N^T Q N has eigenvalues 1, ..., 1, ``smallest``."""
+def _reduced_hessian_problem(seed, smallest, n=40, m=10, saddle=False):
+    """QP whose reduced Hessian N^T Q N has eigenvalues 1, ..., 1, ``smallest``,
+    one of the ones made -1 with ``saddle``."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, (m, n))
     null = scipy.linalg.null_space(a)
     row = scipy.linalg.orth(a.T)
     lam = np.ones(n - m)
     lam[0] = smallest
+    if saddle:
+        lam[1] = -1.0
     q = (null * lam) @ null.T + row @ row.T
     return QpProblem(q, rng.uniform(-1, 1, n), EqualityConstraints(a, a @ rng.uniform(-1, 1, n)))
 
 
 def test_minimum_needs_a_well_conditioned_cholesky(factorizations):
     # Both routes solve the same k-by-k system, k = n - m = 30: the
-    # classification cut is EPS k max|eig|, and Cholesky is accepted only
-    # when rcond clears 10 k^2 EPS, 2e-12 here.
+    # classification cut is EPS k max|eig|, and Cholesky, or Bunch-Kaufman
+    # once Cholesky fails on an indefinite system, is accepted only when
+    # rcond clears 10 k^2 EPS, 2e-12 here.
     eps = np.finfo(float).eps
     cases = [
-        (0.5 * eps * 30, "non_unique", True),  # below both cuts: flat direction
-        (1e-13, "min", True),  # above the cut, below the guard: eigh decides
-        (1e-6, "min", False),  # clearly above the guard: Cholesky decides
+        (0.5 * eps * 30, False, "non_unique", True),  # below both cuts: flat direction
+        (1e-13, False, "min", True),  # above the cut, below the guard: eigh decides
+        (1e-6, False, "min", False),  # clearly above the guard: Cholesky decides
+        (0.5 * eps * 30, True, "non_unique", True),
+        (1e-13, True, "saddle", True),
+        (-1e-13, True, "saddle", True),
+        (1e-6, True, "saddle", False),  # Bunch-Kaufman decides
     ]
     for seed in range(3):
-        for smallest, label, needs_eigh in cases:
-            problem = _reduced_hessian_problem(seed, smallest)
+        for smallest, saddle, label, needs_eigh in cases:
+            problem = _reduced_hessian_problem(seed, smallest, saddle=saddle)
             for solve in (solve_projector, solve_nullspace):
                 factorizations.clear()
                 sol = solve(problem)
-                assert sol.classification == label, (seed, smallest, solve.__name__)
-                assert ("numpy.linalg.eigh" in factorizations) == needs_eigh
+                where = (seed, smallest, saddle, solve.__name__)
+                assert sol.classification == label, where
+                assert ("numpy.linalg.eigh" in factorizations) == needs_eigh, where
+                if saddle:
+                    assert "scipy.linalg.lapack.dsytrf" in factorizations, where
+
+
+def test_bunch_kaufman_makes_the_eigh_decisions(monkeypatch, factorizations):
+    # An indefinite reduced Hessian that clears the condition guard is
+    # solved by dsytrf instead of eigh. On the same N^T Q N, refusing that
+    # branch (so eigh decides) must give the same classification, and x
+    # within the forward error of two backward-stable solves, k kappa EPS.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1818)
+    took_dsytrf = 0
+    for q_class in ("symmetric_indefinite", "asymmetric"):
+        for deficiency in (0, 3):
+            for tol in (None, 1e-6):
+                for _ in range(6):
+                    n = int(rng.integers(4, 50))
+                    m = int(rng.integers(1, n))
+                    problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)),
+                                                     q_class=q_class, rank_deficiency=deficiency))
+                    where = (q_class, deficiency, tol, n, m)
+                    for solve in (solve_projector, solve_nullspace):
+                        factorizations.clear()
+                        sol = solve(problem, eps=tol)
+                        took_dsytrf += "scipy.linalg.lapack.dsytrf" in factorizations
+                        with monkeypatch.context() as refused:
+                            refused.setattr(qp, "bunch_kaufman_solve", lambda *args: None)
+                            ref = solve(problem, eps=tol)
+                        assert sol.classification == ref.classification, where
+                        expr = build_nullspace(problem.constraints, tol)
+                        aa = linalg.pull_back_quadratic(problem.q, problem.c, expr.x0,
+                                                        expr.basis)[0]
+                        w = np.abs(np.linalg.eigvalsh(aa))
+                        k = aa.shape[0]
+                        bound = k * (np.max(w) / np.min(w)) * eps * np.max(np.abs(ref.x - expr.x0))
+                        assert np.max(np.abs(sol.x - ref.x)) <= bound, where
+    assert took_dsytrf >= 80  # of 96 solves: most went through Bunch-Kaufman
+
+
+def test_a_reduced_hessian_beyond_float_range_is_scaled_not_called_flat():
+    # Every entry is finite, but the 1-norm of N^T Q N overflows. Scaling
+    # the reduced system by a power of two keeps its solution: the saddle
+    # point of the two free coordinates, 1.7 (x1 + 0.9 x2) = -1 and
+    # 0.9 x1 = x2, not x0 = (0, 0, 1) called "non_unique".
+    q = 1.7e308 * np.array([[1.0, 0.9, 0.0], [0.9, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    problem = QpProblem(q, np.array([1e308, 0.0, 0.0]),
+                        EqualityConstraints([[0.0, 0.0, 1.0]], [1.0]))
+    x1 = -1.0 / (1.7 * 1.81)
+    for solve in (solve_projector, solve_nullspace):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(problem)
+        assert sol.classification == "saddle", solve.__name__
+        assert_allclose(sol.x, [x1, 0.9 * x1, 1.0], rtol=1e-14)
+    # a reduced system that is not finite itself has no such rescue
+    with pytest.raises(ComputationError, match="not finite"):
+        qp._solve_reduced(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(ComputationError, match="not finite"):
+        qp._classify(np.array([-np.inf, 1.0]), np.finfo(float).eps)
 
 
 def _nearly_dependent_rows_problem(seed, n=10, m=4):
@@ -598,8 +673,8 @@ def _assert_unchanged(arrays, snapshot, where):
 
 
 def test_no_solver_overwrites_an_array_its_caller_owns():
-    # Indefinite Q makes both eliminations run eigh after a Cholesky
-    # factorization that failed partway; eigh must still see B^T Q B, so
+    # Indefinite Q makes both eliminations run dsytrf after a Cholesky
+    # factorization that failed partway; dsytrf must still see N^T Q N, so
     # their x must match the KKT oracle's.
     for seed in range(4):
         for q_class in ("spd", "symmetric_indefinite"):
