@@ -20,8 +20,9 @@ faster variant at these sizes) when they are positive definite, by one
 Bunch-Kaufman factorization (:func:`bunch_kaufman_solve`, ``dsytrf``,
 ``dsycon`` and ``dsytrs``), which also counts their inertia, when they are
 indefinite and well conditioned, and otherwise with one ``eigh``
-(:func:`symmetric_solve`), which gives the minimum-norm solution and the
-eigenvalues. No solver computes an SVD. A quadratic
+(:func:`symmetric_solve`), which gives the minimum-norm solution. The last
+two also return the inertia of the system, and each kernel factors a copy,
+so its input is left intact. No solver computes an SVD. A quadratic
 ``1/2 x^T Q x + c^T x`` is validated once (:func:`quadratic_data`) and
 restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
 that the QP eliminations and the registry objectives share.
@@ -96,17 +97,16 @@ def pull_back_quadratic(q, c, x0, basis):
     return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
 
 
-def cholesky(m, overwrite=False):
+def cholesky(m):
     """Lower Cholesky factor of the symmetric ``m`` (LAPACK ``dpotrf``; only
     the lower triangle of ``m`` is read, and the strict upper triangle of the
     factor is garbage), or None if ``m`` is not positive definite. Raises
     ComputationError if LAPACK rejects an argument.
 
-    With ``overwrite``, an F-contiguous ``m`` is factored in place (also
-    when the factorization fails partway) and no copy is made; give it a
-    buffer the caller owns. Any other ``m`` is copied first and left intact.
+    ``dpotrf`` factors a copy that its wrapper makes, so ``m`` is left
+    intact, also when the factorization fails partway.
     """
-    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=0, overwrite_a=int(overwrite))
+    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=0)
     if info > 0:
         return None
     if info < 0:
@@ -431,12 +431,13 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
 
 
 def symmetric_solve(m, rhs, tol=None):
-    """Minimum-norm solution of a symmetric system, and its eigenvalues.
+    """Minimum-norm solution of a symmetric system, and its inertia.
 
     One ``eigh`` gives both: eigenvalues ``w[i]`` with
     ``|w[i]| <= tol * k * max|w|`` are treated as zero (``|w|`` are the
     singular values, so this is the usual relative cutoff of a
-    pseudo-inverse), and ``w`` carries the inertia of ``m``.
+    pseudo-inverse). The eigenvalues kept are inverted, and the same ones
+    are counted by sign; this is the one place the cut is computed.
 
     Parameters
     ----------
@@ -450,23 +451,26 @@ def symmetric_solve(m, rhs, tol=None):
     -------
     x : (k,) ndarray
         ``m^+ rhs``.
-    w : (k,) ndarray
-        Eigenvalues of ``m`` in ascending order.
+    pos, neg : int
+        The numbers of positive and negative eigenvalues above the cut.
 
     Raises
     ------
     ComputationError
-        If the eigendecomposition fails to converge.
+        If the eigendecomposition fails to converge, or an eigenvalue is not
+        finite, which the cut cannot measure.
     """
     if tol is None:
         tol = EPS
+    k = m.shape[0]
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"eigendecomposition did not converge for a {m.shape[0]}x{m.shape[0]} matrix"
-        ) from exc
+        raise ComputationError(f"eigendecomposition did not converge for a {k}x{k} matrix") from exc
+    scale = float(np.max(np.abs(w), initial=0.0))
+    if not np.isfinite(scale):
+        raise ComputationError(f"the eigenvalues of a {k}x{k} symmetric matrix are not finite")
+    keep = np.abs(w) > tol * k * scale
     inv = np.zeros_like(w)
-    keep = np.abs(w) > tol * w.shape[0] * float(np.max(np.abs(w), initial=0.0))
     inv[keep] = 1.0 / w[keep]
-    return (v * inv) @ (v.T @ rhs), w
+    return (v * inv) @ (v.T @ rhs), int(np.sum(w[keep] > 0.0)), int(np.sum(w[keep] < 0.0))

@@ -14,9 +14,12 @@ Three independent routes to a stationary point of
   unreduced so it can serve as an independent verification oracle; one
   Bunch-Kaufman factorization (LAPACK ``dsytrf``), run in place on the
   lower triangle it assembles, gives both its inertia and, through
-  ``dsytrs``, its solution. It refuses a solution whose two reported
-  residuals, stationarity and feasibility, are large at the scale of
-  the system; nothing reads the saddle matrix after the factorization.
+  ``dsytrs``, its solution. When Q and the rows of A are far out of
+  scale, it first balances the system by powers of two, a congruence
+  that keeps the inertia and rounds no entry, so units alone never make
+  it refuse. It refuses a solution whose two residuals, stationarity and
+  feasibility, are large at the scale of the balanced system; nothing
+  reads the saddle matrix after the factorization.
 
 The two elimination routes share one body (:func:`_solve_eliminated`):
 it builds the null-space expression ``x = x0 + N g`` with
@@ -34,10 +37,10 @@ estimate clears a margin above that cut. When Cholesky fails, an
 indefinite reduced system is solved by one Bunch-Kaufman factorization
 whose condition estimate clears the same margin, and its block-diagonal
 factor gives the inertia; a singular or ill-conditioned one is solved
-with one ``eigh`` instead, which yields the minimum-norm stationary point
-and its classification. The Cholesky factorization runs in place on a
-matrix the reduced solve allocates itself, so no caller's array is
-overwritten. Every solution
+with one ``eigh`` instead, which yields the minimum-norm stationary point.
+Each branch returns its solution with the inertia of the reduced Hessian,
+which labels the point in one place (:func:`_label`); each kernel factors
+a copy, so no caller's array is overwritten. Every solution
 carries the feasibility and stationarity residuals plus a classification
 of the stationary point from reduced-Hessian inertia.
 """
@@ -119,24 +122,6 @@ def _label(pos, neg, k):
     return "saddle"
 
 
-def _classify(eigs, tol):
-    """Label a stationary point from the eigenvalues of ``N^T Q N``.
-
-    An eigenvalue with ``|w| <= tol * k * max|w|`` counts as zero: the cut
-    :func:`~eqopt.linalg.symmetric_solve` uses to decide which eigenvalues
-    it inverts. Raises ComputationError if an eigenvalue is not finite,
-    which that cut cannot measure.
-    """
-    k = eigs.shape[0]
-    scale = float(np.max(np.abs(eigs), initial=0.0))
-    if not np.isfinite(scale):
-        raise ComputationError("the reduced Hessian has eigenvalues that are not finite")
-    if scale == 0.0:
-        return "non_unique"  # reduced Hessian vanishes: every direction is flat
-    cut = tol * k * scale
-    return _label(int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)), k)
-
-
 def _solve_reduced(aa, rhs, tol=None):
     """Solve the k-by-k reduced system ``aa y = rhs`` and classify the point.
 
@@ -156,12 +141,14 @@ def _solve_reduced(aa, rhs, tol=None):
        (:func:`~eqopt.linalg.bunch_kaufman_solve`): its ``dsytrs`` solve,
        and the inertia of its block-diagonal factor for the label;
     3. otherwise (a guard refused, so ``aa`` is singular or nearly so at
-       the cut) one ``eigh``: the minimum-norm solution, eigenvalues below
-       the cut dropped, and the label from those eigenvalues
-       (:func:`_classify`).
+       the cut) one ``eigh`` (:func:`~eqopt.linalg.symmetric_solve`): the
+       minimum-norm solution, eigenvalues below the cut neither inverted
+       nor counted.
 
-    An indefinite ``aa`` thus costs a ``dpotrf`` that fails partway and one
-    ``dsytrf``; only a refused one pays for ``eigh`` as well.
+    Each branch yields ``(y, pos, neg)``, the solution and the inertia of
+    ``aa`` (Cholesky: ``(y, k, 0)``), and :func:`_label` names the point
+    once. An indefinite ``aa`` thus costs a ``dpotrf`` that fails partway
+    and one ``dsytrf``; only a refused one pays for ``eigh`` as well.
 
     When the 1-norm of ``aa`` overflows float range although its entries
     are finite, ``aa`` and ``rhs`` are both scaled by the power of two
@@ -169,12 +156,11 @@ def _solve_reduced(aa, rhs, tol=None):
     range. The scaling rounds no entry (short of underflow), so the scaled
     system has the same solution y. Any other ``aa`` is factored as given.
 
-    ``dpotrf`` factors the lower triangle of a copy of ``aa`` that this
-    function owns, in place through its F-ordered view (the copy is
-    symmetric), after its 1-norm is taken; ``dpocon`` reads that lower
-    factor. ``aa`` is left intact (``dsytrf`` factors a copy of its own),
-    so each later branch sees it even after a Cholesky factorization that
-    failed partway.
+    ``dpotrf`` and ``dsytrf`` each factor the lower triangle of a copy
+    that their LAPACK wrapper makes of ``aa``'s F-ordered view (``aa`` is
+    symmetric), so each later branch sees ``aa`` intact, also after a
+    Cholesky factorization that failed partway; ``dpocon`` reads the lower
+    Cholesky factor.
 
     Returns
     -------
@@ -185,7 +171,8 @@ def _solve_reduced(aa, rhs, tol=None):
     ------
     ComputationError
         If ``aa`` is not finite, or its 1-norm overflows and ``rhs`` is
-        not finite: a system that no scaling brings into range.
+        not finite: a system that no scaling brings into range; or if
+        ``eigh`` fails or yields an eigenvalue that is not finite.
     """
     k = aa.shape[0]
     if tol is None:
@@ -201,19 +188,16 @@ def _solve_reduced(aa, rhs, tol=None):
         aa, rhs = np.ldexp(aa, shift), np.ldexp(rhs, shift)
         norm_1 = np.linalg.norm(aa, 1)
     guard = 10.0 * k * k * tol
-    m = aa.copy()  # dpotrf overwrites m; the later branches must see aa intact
-    low = cholesky(m.T, overwrite=True)  # m is symmetric: m.T is its F-ordered view
+    found = None
+    low = cholesky(aa.T)  # aa is symmetric: aa.T is its F-ordered view
     if low is not None:
         rcond, info = scipy.linalg.lapack.dpocon(low, norm_1, uplo="L")
         if info == 0 and rcond > guard:
-            return cholesky_solve(low, rhs), "min"
+            found = cholesky_solve(low, rhs), k, 0
     else:
         found = bunch_kaufman_solve(aa, rhs, norm_1, guard)
-        if found is not None:
-            y, pos, neg = found
-            return y, _label(pos, neg, k)
-    y, eigs = symmetric_solve(aa, rhs, tol)
-    return y, _classify(eigs, tol)
+    y, pos, neg = found if found is not None else symmetric_solve(aa, rhs, tol)
+    return y, _label(pos, neg, k)
 
 
 def _solve_eliminated(problem, method, eps=None):
@@ -303,6 +287,34 @@ def _bunch_kaufman_eigs(ldu, ipiv):
     return np.concatenate([ldu[single, single], 0.5 * (t - disc), 0.5 * (t + disc)])
 
 
+# The KKT oracle factors its saddle matrix as given while max|Q| and the
+# largest entry of every row of A lie in [2^-9, 2^8) (binary exponents within
+# this bound), so the generated problems (entries in [-1, 1], an SPD Q up to
+# about n / 3 for n < 750) are factored unchanged. Q and a row are then at
+# most 2^17 apart; about 2^20 apart (the corners of a bound of 10), a few
+# seeded well-posed problems were already refused.
+_KKT_BAND = 8
+
+
+def _kkt_shifts(q_max, row_max, c, b):
+    """Binary exponents ``(s, r)`` that balance the saddle system: Q and c
+    are multiplied by ``2^s``, row i of (A, b) by ``2^r[i]``.
+
+    With ``e`` the exponent of ``frexp`` (``x = f 2^e``, ``1/2 <= f < 1``;
+    ``e = 0`` for x = 0), both are zero while ``|e| <= _KKT_BAND`` for
+    ``q_max = max|Q|`` and for each ``row_max[i] = max_j |A[i, j]|``.
+    Otherwise each is ``-e``, which brings that block into ``[1/2, 1)``,
+    but at most ``1024 - e(max|c|)`` or ``1024 - e(|b[i]|)``, so that c and
+    b stay finite.
+    """
+    e = np.frexp(np.append(row_max, q_max))[1]
+    if np.all(np.abs(e) <= _KKT_BAND):
+        return 0, np.zeros(row_max.shape, dtype=e.dtype)
+    room = 1024 - np.frexp(np.append(np.abs(b), np.max(np.abs(c), initial=0.0)))[1]
+    shift = np.minimum(-e, room)
+    return int(shift[-1]), shift[:-1]
+
+
 def solve_kkt(problem):
     """Independent oracle: solve the saddle-point system directly.
 
@@ -317,13 +329,26 @@ def solve_kkt(problem):
     matrix, read off the 1x1/2x2 blocks of the same ``D``, which exceeds
     that of the reduced Hessian by exactly (m, m).
 
-    A finite solution is accepted only when ``||K z - rhs||_inf``, which
-    is ``max(||Q x + c + A^T lam||_inf, ||A x - b||_inf)``, the two
-    residuals the solution reports, is at most ``1e-8`` times
-    ``max(1, max|K| max(1, ||z||_inf) + ||rhs||_inf)``, with
+    **Units.** Its Schur-complement pivots are about ``|A|^2 / |Q|``, so
+    when Q and the rows of A are far out of scale they fall below the
+    inertia cut ``EPS (n + m) max|eig(D)|`` although the problem is well
+    posed, and entries near the float maximum overflow ``D``. The system
+    is therefore balanced first when a block's largest entry is far from 1
+    (:func:`_kkt_shifts`): Q and c are multiplied by ``2^s`` and row i of
+    (A, b) by ``2^r_i``, which solves for ``x`` and ``mu = 2^(s - r) lam``.
+    The balanced matrix is ``2^s S K S`` with ``S = diag(I, 2^(r - s))``, a
+    positive multiple of a congruence, so it has the inertia of K, and
+    powers of two round no entry (short of underflow).
+
+    A finite solution is accepted only when the residual of the balanced
+    system, ``||K z - rhs||_inf``, is at most ``1e-8`` times
+    ``max(1, max|K| max(1, ||z||_inf) + ||rhs||_inf)`` there, with
     ``max|K| = max(max|Q|, max|A|)``; otherwise the system is numerically
-    singular and :class:`OracleUnavailableError` is raised. No step
-    reads the saddle matrix again after it is factored.
+    singular and :class:`OracleUnavailableError` is raised. Its two blocks
+    are ``2^s (Q x + c + A^T lam)`` and ``2^r (A x - b)``: scaled back by
+    the same powers of two, they give the two residuals the solution
+    reports, stationarity and feasibility. No step reads the saddle matrix
+    again after it is factored.
 
     Returns the Lagrange multipliers alongside the point; the
     stationarity residual is ``||Q x + c + A^T lam||_inf``.
@@ -331,6 +356,13 @@ def solve_kkt(problem):
     q, c = problem.q, problem.c
     a, b = problem.constraints.a, problem.constraints.b
     n, m = problem.n, problem.constraints.m
+    q_max = np.max(np.abs(q))
+    row_max = np.max(np.abs(a), axis=1, initial=0.0)
+    s, r = _kkt_shifts(q_max, row_max, c, b)
+    balanced = bool(s or r.any())
+    if balanced:
+        q, c, q_max = np.ldexp(q, s), np.ldexp(c, s), np.ldexp(q_max, s)
+        a, b, row_max = np.ldexp(a, r[:, None]), np.ldexp(b, r), np.ldexp(row_max, r)
     # dsytrf(lower=1) reads the lower triangle only: Q and the A block below
     # it. Fortran order lets it factor this buffer in place.
     kkt = np.zeros((n + m, n + m), order="F")
@@ -360,18 +392,30 @@ def solve_kkt(problem):
         raise OracleUnavailableError(
             "the saddle-point system is numerically singular (its solution is not finite)"
         )
-    x, lam = z[:n], z[n:]
-    # K z - rhs is (Q x + c + A^T lam, A x - b): the two residuals reported.
-    stationarity = float(np.max(np.abs(q @ x + c + a.T @ lam), initial=0.0))
-    feasibility = problem.constraints.residual(x)
+    x, mu = z[:n], z[n:]
+    # K z - rhs of the balanced system: (Q x + c + A^T mu, A x - b) in its units
+    stationary = q @ x + c + a.T @ mu
+    feasible = a @ x - b
+    stationarity = float(np.max(np.abs(stationary)))
+    feasibility = float(np.max(np.abs(feasible), initial=0.0))
     resid = max(stationarity, feasibility)
-    max_k = max(np.max(np.abs(q)), np.max(np.abs(a), initial=0.0))  # max|K|
+    max_k = max(q_max, np.max(row_max, initial=0.0))  # max|K|
     scale = float(max_k * max(1.0, np.max(np.abs(z))) + np.max(np.abs(rhs), initial=0.0))
     if resid > 1e-8 * max(scale, 1.0):
         raise OracleUnavailableError(
             f"the saddle-point system is numerically singular "
             f"(residual {resid:.3e} at scale {scale:.3e})"
         )
+    lam = mu
+    if balanced:  # back to the problem's units, by the same powers of two
+        with np.errstate(over="ignore"):  # checked below
+            lam = np.ldexp(mu, r - s)
+            stationarity = float(np.ldexp(stationarity, -s))
+        if not (np.isfinite(lam).all() and np.isfinite(stationarity)):
+            raise OracleUnavailableError(
+                "the Lagrange multipliers or the stationarity residual overflow float range"
+            )
+        feasibility = float(np.max(np.abs(np.ldexp(feasible, -r)), initial=0.0))
 
     pos -= m
     neg -= m

@@ -328,10 +328,12 @@ def test_solve_a_reduced_hessian_beyond_float_range(tmp_path, capsys):
     # N^T Q N has finite entries but an overflowing 1-norm: both
     # eliminations scale it by a power of two and find the saddle point,
     # without a warning, instead of calling x0 = (0, 0, 1) "non_unique".
+    # The oracle balances its saddle matrix by powers of two, so its D does
+    # not overflow either, and the multiplier -1.7e308 stays in range.
     q = (1.7e308 * np.array([[1.0, 0.9, 0.0], [0.9, -1.0, 0.0], [0.0, 0.0, 1.0]])).tolist()
     path = _qp_file(tmp_path, n=3, Q=q, c=[1e308, 0.0, 0.0], A=[[0.0, 0.0, 1.0]], b=[1.0])
     x1 = -1.0 / (1.7 * 1.81)
-    for method in ("projector", "nullspace"):
+    for method in ("projector", "nullspace", "kkt"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["solve", "--input", path, "--method", method]) == 0, method
@@ -340,6 +342,7 @@ def test_solve_a_reduced_hessian_beyond_float_range(tmp_path, capsys):
         doc = json.loads(captured.out)
         assert doc["classification"] == "saddle"
         np.testing.assert_allclose(doc["x"], [x1, 0.9 * x1, 1.0], rtol=1e-14)
+    np.testing.assert_allclose(doc["lagrangeMultipliers"], [-1.7e308], rtol=1e-14)
 
 
 def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):

@@ -11,8 +11,10 @@ from eqopt.linalg import (
     as_matrix,
     as_vector,
     bunch_kaufman_solve,
+    cholesky,
     pull_back_quadratic,
     quadratic_data,
+    symmetric_solve,
 )
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_nullspace, solve_projector
@@ -296,6 +298,93 @@ def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
         assert_allclose(m @ y, rhs, atol=100 * k * kappa * eps * np.max(np.abs(rhs)))
     assert accepted >= 25
     assert any(np.any(ipiv < 0) for ipiv in pivots)  # 2x2 blocks were exercised
+
+
+def _with_eigenvalues(rng, w):
+    """Symmetric matrix ``V diag(w) V^T`` with a seeded orthogonal V; returns
+    the matrix and V."""
+    v, _ = np.linalg.qr(rng.uniform(-1, 1, (w.size, w.size)))
+    m = (v * w) @ v.T
+    return 0.5 * (m + m.T), v
+
+
+def test_symmetric_solve_counts_the_eigenvalues_it_keeps():
+    # (pos, neg) are the sign counts of the eigenvalues outside the cut
+    # tol k max|w|, the ones the solve inverts. With tol = 1e-6 one
+    # eigenvalue sits at twice the cut and one at half of it, far beyond
+    # rounding from it either way.
+    rng = np.random.default_rng(1919)
+    for trial in range(40):
+        k = int(rng.integers(4, 30))
+        tol = 1e-6 if trial % 2 else None
+        w = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 10.0, k)
+        if tol:
+            w[0] = 10.0 * np.sign(w[0])
+            cut = tol * k * 10.0
+            w[1:4] = np.sign(w[1:4]) * [2.0 * cut, 0.5 * cut, 0.0]
+        m, _ = _with_eigenvalues(rng, w)
+        _, pos, neg = symmetric_solve(m, rng.uniform(-1, 1, k), tol)
+        e = np.linalg.eigvalsh(m)
+        cut = (tol or np.finfo(float).eps) * k * np.max(np.abs(e))
+        assert (pos, neg) == (int(np.sum(e > cut)), int(np.sum(e < -cut))), trial
+        kept = np.abs(w) > (tol or 0.0) * k * 10.0
+        assert (pos, neg) == (int(np.sum(w[kept] > 0)), int(np.sum(w[kept] < 0))), trial
+    # the zero matrix: nothing is kept, and x = 0
+    x, pos, neg = symmetric_solve(np.zeros((3, 3)), np.ones(3))
+    assert (pos, neg) == (0, 0)
+    assert not x.any()
+    # finite entries whose eigenvalues, +-1.7e308 sqrt(2), overflow
+    with pytest.raises(ComputationError, match="not finite"):
+        symmetric_solve(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]), np.ones(2))
+
+
+def test_symmetric_solve_is_the_minimum_norm_solution():
+    # x has no component along the dropped eigenvectors and solves the
+    # kept part of the system, both within rounding
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1920)
+    for trial in range(20):
+        k = int(rng.integers(2, 30))
+        w = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 10.0, k)
+        dropped = np.arange(k) < int(rng.integers(1, k))
+        w[dropped] *= 1e-20 if trial % 2 else 0.0  # far below the cut
+        m, v = _with_eigenvalues(rng, w)
+        rhs = rng.uniform(-1, 1, k)
+        x, pos, neg = symmetric_solve(m, rhs)
+        assert pos + neg == k - np.sum(dropped), trial
+        rounding = 100 * k * eps * 10.0 * np.max(np.abs(x))
+        assert np.max(np.abs(v[:, dropped].T @ x)) <= rounding, trial
+        assert np.max(np.abs(v[:, ~dropped].T @ (m @ x - rhs))) <= 10.0 * rounding, trial
+
+
+def test_no_kernel_writes_into_its_input():
+    # Each kernel factors a copy that its LAPACK wrapper makes: C- and
+    # F-ordered inputs, including ones a factorization fails on partway,
+    # stay byte for byte what they were.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1921)
+    k = 12
+    r = rng.uniform(-1, 1, (k, k))
+    spd = r @ r.T + k * np.eye(k)
+    indefinite = r + r.T
+    singular = r[:, :4] @ r[:, :4].T - r[:, 4:6] @ r[:, 4:6].T
+    for name, matrix in (("spd", spd), ("indefinite", indefinite), ("singular", singular)):
+        for order in ("C", "F"):
+            m = np.array(matrix, order=order)
+            rhs = rng.uniform(-1, 1, k)
+            calls = {
+                "cholesky": lambda: cholesky(m),
+                "bunch_kaufman_solve": lambda: bunch_kaufman_solve(
+                    m, rhs, np.linalg.norm(m, 1), 10.0 * k * k * eps),
+                "symmetric_solve": lambda: symmetric_solve(m, rhs),
+            }
+            for kernel, call in calls.items():
+                before = m.copy(order="A"), rhs.copy()
+                call()
+                where = (name, order, kernel)
+                assert m.flags.f_contiguous == (order == "F"), where
+                assert m.tobytes(order="A") == before[0].tobytes(order="A"), where
+                assert rhs.tobytes() == before[1].tobytes(), where
 
 
 # ---------------------------------------------------------------------------

@@ -237,15 +237,14 @@ def test_row_scaling_does_not_make_feasible_constraints_infeasible():
     # rows 18 orders of magnitude apart: both are needed, and x1, x2 are pinned
     a = [[1e10, 0.0, 0.0], [0.0, 1e-8, 0.0]]
     problem = QpProblem(np.eye(3), np.zeros(3), EqualityConstraints(a, [1.0, 1e-8]))
-    for solve in (solve_projector, solve_nullspace):
+    # the oracle balances its saddle matrix by powers of two, so its units do
+    # not make it refuse this system either
+    for solve in ALL_SOLVERS:
         sol = solve(problem)
         assert_allclose(sol.x, [1e-10, 1.0, 0.0], rtol=1e-14, atol=0.0)
         assert sol.classification == "min"
         assert sol.constraint_residual == problem.constraints.residual(sol.x)
         assert sol.constraint_residual <= 1e-9 * (1 + 1.0)
-    # the oracle stays strict and unscaled, so it still refuses this system
-    with pytest.raises(OracleUnavailableError):
-        solve_kkt(problem)
 
 
 def newton_route(problem):
@@ -260,10 +259,10 @@ def test_row_scaling_and_order_leave_solution_unchanged():
         n = int(rng.integers(3, 40))
         m = int(rng.integers(1, n))
         q_class = "spd" if trial % 2 == 0 else "symmetric_indefinite"
-        base = generate(
-            GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class=q_class,
-                          rank_deficiency=int(rng.integers(0, 3)))
-        )
+        seed = int(rng.integers(2**63))
+        deficiency = int(rng.integers(0, 3))
+        base = generate(GeneratorSpec(n=n, m=m, seed=seed, q_class=q_class,
+                                      rank_deficiency=deficiency))
         rows = base.constraints.m
         scale = 10.0 ** rng.uniform(-8, 8, rows)
         order = rng.permutation(rows)
@@ -278,6 +277,8 @@ def test_row_scaling_and_order_leave_solution_unchanged():
                   "nullspace": lambda p: solve_nullspace(p).x}
         if q_class == "spd":
             routes["newton"] = newton_route
+        if deficiency == 0:  # the oracle refuses duplicated rows
+            routes["kkt"] = lambda p: solve_kkt(p).x
         for name, solve in routes.items():
             x = solve(base)
             bound = 1e-9 * (1 + np.max(np.abs(x)))
@@ -563,12 +564,13 @@ def test_a_reduced_hessian_beyond_float_range_is_scaled_not_called_flat():
     # Every entry is finite, but the 1-norm of N^T Q N overflows. Scaling
     # the reduced system by a power of two keeps its solution: the saddle
     # point of the two free coordinates, 1.7 (x1 + 0.9 x2) = -1 and
-    # 0.9 x1 = x2, not x0 = (0, 0, 1) called "non_unique".
+    # 0.9 x1 = x2, not x0 = (0, 0, 1) called "non_unique". The oracle
+    # balances its saddle matrix, so its D does not overflow either.
     q = 1.7e308 * np.array([[1.0, 0.9, 0.0], [0.9, -1.0, 0.0], [0.0, 0.0, 1.0]])
     problem = QpProblem(q, np.array([1e308, 0.0, 0.0]),
                         EqualityConstraints([[0.0, 0.0, 1.0]], [1.0]))
     x1 = -1.0 / (1.7 * 1.81)
-    for solve in (solve_projector, solve_nullspace):
+    for solve in ALL_SOLVERS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(problem)
@@ -578,7 +580,7 @@ def test_a_reduced_hessian_beyond_float_range_is_scaled_not_called_flat():
     with pytest.raises(ComputationError, match="not finite"):
         qp._solve_reduced(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(ComputationError, match="not finite"):
-        qp._classify(np.array([-np.inf, 1.0]), np.finfo(float).eps)
+        linalg.symmetric_solve(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]), np.ones(2))
 
 
 def _nearly_dependent_rows_problem(seed, n=10, m=4):
@@ -661,6 +663,34 @@ def test_kkt_refuses_a_non_finite_solution_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(OracleUnavailableError, match="numerically singular"):
             solve_kkt(problem)
+
+
+def test_kkt_units_do_not_make_it_refuse_a_well_posed_problem():
+    # Q at 1e8 or one row of (A, b) at 1e-8 puts the Schur-complement pivots
+    # |A|^2 / |Q| below the inertia cut of the unbalanced saddle matrix. The
+    # oracle balances it by powers of two: same x and label as the
+    # eliminations, and the multipliers of the unscaled problem scaled back.
+    for seed in range(20):
+        for q_class in ("spd", "symmetric_indefinite"):
+            base = generate(GeneratorSpec(n=12, m=4, seed=seed, q_class=q_class))
+            ref = solve_kkt(base)
+            a, b = base.constraints.a.copy(), base.constraints.b.copy()
+            a[0] *= 1e-8
+            b[0] *= 1e-8
+            lam_row = ref.lagrange_multipliers.copy()
+            lam_row[0] *= 1e8
+            cases = [("Q 1e8", QpProblem(1e8 * base.q, 1e8 * base.c, base.constraints),
+                      1e8 * ref.lagrange_multipliers),
+                     ("row 1e-8", QpProblem(base.q, base.c, EqualityConstraints(a, b)), lam_row)]
+            for case, problem, lam in cases:
+                where = (seed, q_class, case)
+                sol = solve_kkt(problem)
+                elim = solve_nullspace(problem)
+                assert sol.classification == elim.classification == ref.classification, where
+                gap = np.max(np.abs(sol.x - elim.x))
+                assert gap <= 1e-12 * (1 + np.max(np.abs(elim.x))), where
+                gap = np.max(np.abs(sol.lagrange_multipliers - lam))
+                assert gap <= 1e-9 * np.max(np.abs(lam)), where
 
 
 def _caller_arrays(problem):
