@@ -2,8 +2,8 @@
 
 ``eqopt solve`` solves a problem file with any of the five methods,
 ``eqopt bench`` runs seeded Monte Carlo timing benchmarks (table on
-stdout, JSON report on disk), ``eqopt check`` runs the invariant /
-oracle / convergence self-check suites of :mod:`eqopt.selfcheck`.
+stdout, JSON report on disk), ``eqopt check`` runs the seeded self-check
+suites that :data:`eqopt.selfcheck._SUITES` names.
 
 Exit codes: 0 success, 1 self-check violation, 2 infeasible constraints,
 3 non-convergence or numerical failure, 4 input error, 5 start point
@@ -120,7 +120,7 @@ def _build_parser():
     p_check.add_argument(
         "--suite",
         default="all",
-        choices=["invariants", "oracle", "convergence", "all"],
+        choices=[*selfcheck._SUITES, "all"],
     )
     p_check.add_argument("--trials", type=int, default=50)
     p_check.add_argument("--seed", type=int, default=0)
@@ -448,7 +448,7 @@ def cmd_bench(args):
 def cmd_check(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    suites = ["invariants", "oracle", "convergence"] if args.suite == "all" else [args.suite]
+    suites = list(selfcheck._SUITES) if args.suite == "all" else [args.suite]
     any_failed = False
     first_cx = None
     for suite in suites:

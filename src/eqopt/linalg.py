@@ -378,10 +378,13 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
     accepted only when ``dsycon``'s estimate of ``rcond_1(m)``, from the
     given ``norm_1 = ||m||_1``, exceeds ``min_rcond``; ``dsytrs`` then gives
     ``y``. ``D`` is congruent to ``m``, so by Sylvester's law of inertia
-    its eigenvalue signs are those of ``m`` (Bunch & Kaufman, *Math.
-    Comp.* 31, 1977): each 1x1 pivot counts by its sign, and each 2x2 block
-    (rows i, i + 1 with ``ipiv[i] = ipiv[i + 1] < 0``) by its determinant
-    (negative: one of each sign) and otherwise by its trace.
+    its eigenvalue signs are those of ``m``: each 1x1 pivot counts by its
+    sign, and each 2x2 block (rows i, i + 1 with ``ipiv[i] = ipiv[i + 1] <
+    0``) counts once positive and once negative. Every 2x2 block that
+    ``dsytrf`` takes is indefinite: its pivot test, with ``alpha = (1 +
+    sqrt(17)) / 8``, leaves ``|a e| < alpha^2 c^2`` for the block
+    ``[[a, c], [c, e]]``, so ``det < -(1 - alpha^2) c^2 < 0`` (Bunch &
+    Kaufman, *Math. Comp.* 31, 1977).
 
     Returns
     -------
@@ -407,27 +410,14 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
     y, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
     if info != 0:
         raise ComputationError(f"Bunch-Kaufman solve failed (dsytrs info={info})")
-    # Python floats: at these sizes a loop beats a dozen numpy calls
-    d, sub, piv = ldu.diagonal().tolist(), ldu.diagonal(-1).tolist(), ipiv.tolist()
-    pos = neg = i = 0
-    while i < k:
-        if piv[i] > 0:
-            pos += d[i] > 0
-            neg += d[i] < 0
-            i += 1
-            continue
-        a, c, e = d[i], sub[i], d[i + 1]
-        s = max(abs(a), abs(c), abs(e))  # > 0, else dsytrf reports a zero pivot
-        a, c, e = a / s, c / s, e / s  # so the determinant cannot overflow
-        det = a * e - c * c
-        if det < 0.0:
-            pos += 1
-            neg += 1
-        elif det > 0.0:
-            pos += 2 * (a + e > 0.0)
-            neg += 2 * (a + e < 0.0)
-        i += 2
-    return y, pos, neg
+    # Python numbers: at these sizes a loop beats a handful of numpy calls
+    pos = neg = 0
+    for d, p in zip(ldu.diagonal().tolist(), ipiv.tolist()):
+        if p > 0:
+            pos += d > 0
+            neg += d < 0
+    blocks = (k - pos - neg) // 2  # a 1x1 pivot is nonzero, else info > 0 above
+    return y, pos + blocks, neg + blocks
 
 
 def symmetric_solve(m, rhs, tol=None):

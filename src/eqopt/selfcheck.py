@@ -1,12 +1,17 @@
 """Seeded self-check suites behind ``eqopt check``.
 
-Each check draws its own instances from ``(seed, salt)`` and returns
-``(trials_passed, counterexample)``; the counterexample is None when every
-trial passed and otherwise a JSON-ready dict describing the first failure.
-:data:`_SUITES` groups them into the ``invariants`` (linear-algebra and
-expression identities), ``oracle`` (agreement of the three QP routes) and
-``convergence`` (Newton certificates) suites.
+Each check is written as a trial function ``trial(rng)``: it draws one
+instance from ``rng`` and returns None when it passes, otherwise a
+JSON-ready dict describing the failure. :func:`_seeded` turns it into the
+check ``fn(seed, trials) -> (trials_passed, counterexample)``, which runs
+the trials on the stream ``(seed, salt)`` and stops at the first
+counterexample. :data:`_SUITES` is the one place the suites are named: the
+``invariants`` (linear-algebra and expression identities), ``oracle``
+(agreement of the three QP routes) and ``convergence`` (Newton
+certificates) suites.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,36 +37,59 @@ def _rel_gap(x, y):
     return float(np.max(np.abs(x - y))) / scale
 
 
-def _check_rng(seed, salt):
-    return np.random.default_rng([seed, salt])
+def _seeded(salt, crossover=None):
+    """Decorator: the check ``fn(seed, trials)`` that runs ``trial(rng)``
+    once per trial on the stream ``(seed, salt)``.
+
+    With ``crossover``, every tenth trial that passed also runs
+    ``crossover(rng, n, m, rank)`` on an instance on which
+    ConstraintFactorization tries its unpivoted QR first, drawn from its own
+    stream ``(seed, 100 + salt)`` so the other trials' draws do not move.
+    """
+
+    def wrap(trial):
+        def check(seed, trials):
+            rng = np.random.default_rng([seed, salt])
+            big = np.random.default_rng([seed, 100 + salt])  # the crossover stream
+            for t in range(trials):
+                cx = trial(rng)
+                if cx is None and crossover is not None and t % 10 == 9:
+                    # alternately full-rank and rank-deficient, ten trials each
+                    n = int(big.integers(_QRT_MIN_COLS, 2 * _QRT_MIN_COLS))
+                    m = int(big.integers(_QRT_BLOCK, n))
+                    r = m if t // 10 % 2 == 0 else m - int(big.integers(1, 8))
+                    cx = crossover(big, n, m, r)
+                if cx is not None:
+                    return t, cx
+            return trials, None
+
+        return check
+
+    return wrap
 
 
-def _above_crossover(rng, t):
-    """``(n, m, rank)`` of an instance on which ConstraintFactorization tries
-    its unpivoted QR first; full-rank and rank-deficient in turn with ``t``."""
-    n = int(rng.integers(_QRT_MIN_COLS, 2 * _QRT_MIN_COLS))
-    m = int(rng.integers(_QRT_BLOCK, n))
-    return n, m, m if t // 10 % 2 == 0 else m - int(rng.integers(1, 8))
+def _low_rank(rng, n, m, r):
+    return rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n))
 
 
-def _check_rrqr_rank(seed, trials):
-    # Every tenth trial also checks one instance above the QR size
-    # crossover, from its own stream, so the drawn trials stay as they were.
-    rng, big = _check_rng(seed, 2), _check_rng(seed, 102)
-    for t in range(trials):
-        n = int(rng.integers(2, 40))
-        m = int(rng.integers(1, n + 5))
-        r = int(rng.integers(1, min(m, n) + 1))
-        cx = _rrqr_rank_trial(rng, n, m, r)
-        if cx is None and t % 10 == 9:
-            cx = _rrqr_rank_trial(big, *_above_crossover(big, t))
-        if cx is not None:
-            return t, cx
-    return trials, None
+def _random_spec(rng, n_lo, n_hi, **kwargs):
+    """A generated QP's recipe with ``n_lo <= n < n_hi`` and ``1 <= m < n``."""
+    n = int(rng.integers(n_lo, n_hi))
+    m = int(rng.integers(1, n))
+    return GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), **kwargs)
+
+
+def _reduced_qp(rng, n_hi):
+    """``(spec, problem, reduced)``: a random SPD QP with ``2 <= n < n_hi``
+    and its reduced objective."""
+    spec = _random_spec(rng, 2, n_hi)
+    problem = generate(spec)
+    oracle = objectives.quadratic(problem.q, problem.c)
+    return spec, problem, reduce_problem(oracle, problem.constraints)
 
 
 def _rrqr_rank_trial(rng, n, m, r):
-    a = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n))
+    a = _low_rank(rng, n, m, r)
     x_true = rng.uniform(-1, 1, n)
     b = a @ x_true
     f = ConstraintFactorization(a, b)
@@ -92,20 +120,12 @@ def _rrqr_rank_trial(rng, n, m, r):
     return None
 
 
-def _check_null_basis(seed, trials):
-    # Every tenth trial also checks one instance above the QR size crossover,
-    # as in _check_rrqr_rank.
-    rng, big = _check_rng(seed, 3), _check_rng(seed, 103)
-    for t in range(trials):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(1, n))
-        cx = _null_basis_trial(rng.uniform(-1, 1, (m, n)), m)
-        if cx is None and t % 10 == 9:
-            n, m, r = _above_crossover(big, t)
-            cx = _null_basis_trial(big.uniform(-1, 1, (m, r)) @ big.uniform(-1, 1, (r, n)), r)
-        if cx is not None:
-            return t, cx
-    return trials, None
+@_seeded(2, crossover=_rrqr_rank_trial)
+def _check_rrqr_rank(rng):
+    n = int(rng.integers(2, 40))
+    m = int(rng.integers(1, n + 5))
+    r = int(rng.integers(1, min(m, n) + 1))
+    return _rrqr_rank_trial(rng, n, m, r)
 
 
 def _null_basis_trial(a, rank):
@@ -118,163 +138,149 @@ def _null_basis_trial(a, rank):
     return None
 
 
-def _check_projector_algebra(seed, trials):
-    rng = _check_rng(seed, 4)
-    for t in range(trials):
-        n = int(rng.integers(2, 50))
-        m = int(rng.integers(1, n))
-        a = rng.uniform(-1, 1, (m, n))
-        b = rng.uniform(-1, 1, m)
-        expr = build_projector(EqualityConstraints(a, b))
-        a_scale = float(np.max(np.abs(a)))
-        ad = float(np.max(np.abs(a @ expr.basis)))
-        idem = float(np.max(np.abs(expr.basis @ expr.basis - expr.basis)))
-        feas = float(np.max(np.abs(a @ expr.x0 - b)))
-        if ad > 1e-10 * a_scale or idem > 1e-10 or feas > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
-            return t, {"n": n, "m": m, "AD": ad, "idempotencyDefect": idem, "x0Residual": feas}
-    return trials, None
+@_seeded(3, crossover=lambda rng, n, m, r: _null_basis_trial(_low_rank(rng, n, m, r), r))
+def _check_null_basis(rng):
+    n = int(rng.integers(2, 60))
+    m = int(rng.integers(1, n))
+    return _null_basis_trial(rng.uniform(-1, 1, (m, n)), m)
 
 
-def _check_embed_feasibility(seed, trials):
-    rng = _check_rng(seed, 5)
-    for t in range(trials):
-        n = int(rng.integers(2, 50))
-        m = int(rng.integers(1, n))
-        a = rng.uniform(-1, 1, (m, n))
-        b = rng.uniform(-1, 1, m)
-        if rng.random() < 0.5 and m >= 1:
-            # redundant rows: both expressions drop them themselves
-            pick = rng.integers(0, m, size=int(rng.integers(1, 4)))
-            a = np.vstack([a, a[pick]])
-            b = np.concatenate([b, b[pick]])
-        original = EqualityConstraints(a, b)
-        for kind, expr in (
-            ("projector", build_projector(original)),
-            ("nullspace", build_nullspace(original)),
+@_seeded(4)
+def _check_projector_algebra(rng):
+    n = int(rng.integers(2, 50))
+    m = int(rng.integers(1, n))
+    a = rng.uniform(-1, 1, (m, n))
+    b = rng.uniform(-1, 1, m)
+    expr = build_projector(EqualityConstraints(a, b))
+    a_scale = float(np.max(np.abs(a)))
+    ad = float(np.max(np.abs(a @ expr.basis)))
+    idem = float(np.max(np.abs(expr.basis @ expr.basis - expr.basis)))
+    feas = float(np.max(np.abs(a @ expr.x0 - b)))
+    if ad > 1e-10 * a_scale or idem > 1e-10 or feas > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
+        return {"n": n, "m": m, "AD": ad, "idempotencyDefect": idem, "x0Residual": feas}
+    return None
+
+
+@_seeded(5)
+def _check_embed_feasibility(rng):
+    n = int(rng.integers(2, 50))
+    m = int(rng.integers(1, n))
+    a = rng.uniform(-1, 1, (m, n))
+    b = rng.uniform(-1, 1, m)
+    if rng.random() < 0.5:
+        # redundant rows: both expressions drop them themselves
+        pick = rng.integers(0, m, size=int(rng.integers(1, 4)))
+        a = np.vstack([a, a[pick]])
+        b = np.concatenate([b, b[pick]])
+    original = EqualityConstraints(a, b)
+    for kind, expr in (
+        ("projector", build_projector(original)),
+        ("nullspace", build_nullspace(original)),
+    ):
+        g = rng.uniform(-2, 2, expr.free_dim)
+        resid = original.residual(expr.embed(g))
+        if resid > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
+            return {"n": n, "m": int(a.shape[0]), "kind": kind, "residual": resid}
+    return None
+
+
+@_seeded(6)
+def _check_spd_agreement(rng):
+    spec = _random_spec(rng, 2, 60)
+    problem = generate(spec)
+    sols = [solve_projector(problem), solve_nullspace(problem), solve_kkt(problem)]
+    xs = [s.x for s in sols]
+    x_gap = max(
+        _rel_gap(xs[i], xs[j]) for i in range(3) for j in range(i + 1, 3)
+    )
+    f_kkt = sols[2].objective
+    f_gap = max(abs(s.objective - f_kkt) for s in sols) / (1.0 + abs(f_kkt))
+    stat = max(s.stationarity_residual for s in sols)
+    c_scale = 1.0 + float(np.max(np.abs(problem.c)))
+    if x_gap > 1e-8 or f_gap > 1e-10 or stat > 1e-8 * c_scale:
+        return {
+            "n": spec.n,
+            "m": spec.m,
+            "xDisagreement": x_gap,
+            "objectiveDisagreement": f_gap,
+            "stationarity": stat,
+        }
+    return None
+
+
+@_seeded(7)
+def _check_indefinite_agreement(rng):
+    spec = _random_spec(rng, 3, 40, q_class="symmetric_indefinite")
+    problem = generate(spec)
+    try:
+        ref = solve_kkt(problem)
+    except OracleUnavailableError:
+        return None  # legitimately singular reduced Hessian; nothing to compare
+    for sol in (solve_projector(problem), solve_nullspace(problem)):
+        if _rel_gap(sol.x, ref.x) > 1e-8 or sol.classification != ref.classification:
+            return {
+                "n": spec.n,
+                "m": spec.m,
+                "method": sol.method,
+                "xDisagreement": _rel_gap(sol.x, ref.x),
+                "classification": sol.classification,
+                "oracleClassification": ref.classification,
+            }
+    return None
+
+
+@_seeded(8)
+def _check_redundant_rows(rng):
+    spec = _random_spec(rng, 3, 40)
+    base = generate(spec)
+    x_proj = solve_projector(base).x
+    x_null = solve_nullspace(base).x
+    for k in (1, 2, 4):
+        padded = generate(replace(spec, rank_deficiency=k))
+        for name, solver, ref in (
+            ("projector", solve_projector, x_proj),
+            ("nullspace", solve_nullspace, x_null),
         ):
-            g = rng.uniform(-2, 2, expr.free_dim)
-            resid = original.residual(expr.embed(g))
-            if resid > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
-                return t, {"n": n, "m": int(a.shape[0]), "kind": kind, "residual": resid}
-    return trials, None
+            gap = float(np.max(np.abs(solver(padded).x - ref)))
+            if gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
+                return {"n": spec.n, "m": spec.m, "extraRows": k, "method": name, "gap": gap}
+    return None
 
 
-def _check_spd_agreement(seed, trials):
-    rng = _check_rng(seed, 6)
-    for t in range(trials):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        sols = [solve_projector(problem), solve_nullspace(problem), solve_kkt(problem)]
-        xs = [s.x for s in sols]
-        x_gap = max(
-            _rel_gap(xs[i], xs[j]) for i in range(3) for j in range(i + 1, 3)
-        )
-        f_kkt = sols[2].objective
-        f_gap = max(abs(s.objective - f_kkt) for s in sols) / (1.0 + abs(f_kkt))
-        stat = max(s.stationarity_residual for s in sols)
-        c_scale = 1.0 + float(np.max(np.abs(problem.c)))
-        if x_gap > 1e-8 or f_gap > 1e-10 or stat > 1e-8 * c_scale:
-            return t, {
-                "n": n,
-                "m": m,
-                "xDisagreement": x_gap,
-                "objectiveDisagreement": f_gap,
-                "stationarity": stat,
-            }
-    return trials, None
+@_seeded(9)
+def _check_quadratic_one_step(rng):
+    spec, problem, reduced = _reduced_qp(rng, 30)
+    trace = newton_solve(reduced)
+    if not trace.iterations:
+        return None  # started at the optimum
+    ref = solve_nullspace(problem).x
+    gap = float(np.max(np.abs(trace.final_x - ref)))
+    ok = (
+        trace.converged
+        and len(trace.iterations) == 1
+        and trace.iterations[0].step_size == 1.0
+        and gap <= 1e-10 * (1.0 + float(np.max(np.abs(ref))))
+    )
+    if not ok:
+        return {
+            "n": spec.n,
+            "m": spec.m,
+            "iterations": len(trace.iterations),
+            "converged": trace.converged,
+            "gap": gap,
+        }
+    return None
 
 
-def _check_indefinite_agreement(seed, trials):
-    rng = _check_rng(seed, 7)
-    for t in range(trials):
-        n = int(rng.integers(3, 40))
-        m = int(rng.integers(1, n))
-        problem = generate(
-            GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class="symmetric_indefinite")
-        )
-        try:
-            ref = solve_kkt(problem)
-        except OracleUnavailableError:
-            continue  # legitimately singular reduced Hessian; nothing to compare
-        for sol in (solve_projector(problem), solve_nullspace(problem)):
-            if _rel_gap(sol.x, ref.x) > 1e-8 or sol.classification != ref.classification:
-                return t, {
-                    "n": n,
-                    "m": m,
-                    "method": sol.method,
-                    "xDisagreement": _rel_gap(sol.x, ref.x),
-                    "classification": sol.classification,
-                    "oracleClassification": ref.classification,
-                }
-    return trials, None
-
-
-def _check_redundant_rows(seed, trials):
-    rng = _check_rng(seed, 8)
-    for t in range(trials):
-        n = int(rng.integers(3, 40))
-        m = int(rng.integers(1, n))
-        base_seed = int(rng.integers(2**63))
-        base = generate(GeneratorSpec(n=n, m=m, seed=base_seed))
-        x_proj = solve_projector(base).x
-        x_null = solve_nullspace(base).x
-        for k in (1, 2, 4):
-            padded = generate(GeneratorSpec(n=n, m=m, seed=base_seed, rank_deficiency=k))
-            for name, solver, ref in (
-                ("projector", solve_projector, x_proj),
-                ("nullspace", solve_nullspace, x_null),
-            ):
-                gap = float(np.max(np.abs(solver(padded).x - ref)))
-                if gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
-                    return t, {"n": n, "m": m, "extraRows": k, "method": name, "gap": gap}
-    return trials, None
-
-
-def _check_quadratic_one_step(seed, trials):
-    rng = _check_rng(seed, 9)
-    for t in range(trials):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        trace = newton_solve(reduced)
-        if not trace.iterations:
-            continue  # started at the optimum
-        ref = solve_nullspace(problem).x
-        gap = float(np.max(np.abs(trace.final_x - ref)))
-        ok = (
-            trace.converged
-            and len(trace.iterations) == 1
-            and trace.iterations[0].step_size == 1.0
-            and gap <= 1e-10 * (1.0 + float(np.max(np.abs(ref))))
-        )
-        if not ok:
-            return t, {
-                "n": n,
-                "m": m,
-                "iterations": len(trace.iterations),
-                "converged": trace.converged,
-                "gap": gap,
-            }
-    return trials, None
-
-
-def _check_sqp_quadratic(seed, trials):
-    rng = _check_rng(seed, 10)
-    for t in range(trials):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        trace = sqp_iterate(reduced)
-        ref = solve_nullspace(problem).x
-        gap = float(np.max(np.abs(trace.final_x - ref)))
-        if not trace.converged or len(trace.iterations) > 2 or gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
-            return t, {"n": n, "m": m, "iterations": len(trace.iterations), "gap": gap}
-    return trials, None
+@_seeded(10)
+def _check_sqp_quadratic(rng):
+    spec, problem, reduced = _reduced_qp(rng, 30)
+    trace = sqp_iterate(reduced)
+    ref = solve_nullspace(problem).x
+    gap = float(np.max(np.abs(trace.final_x - ref)))
+    if not trace.converged or len(trace.iterations) > 2 or gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
+        return {"n": spec.n, "m": spec.m, "iterations": len(trace.iterations), "gap": gap}
+    return None
 
 
 def _random_lse_instance(rng, n, m):
@@ -297,98 +303,84 @@ def _random_sum_exp_instance(rng, n, m):
     return oracle, EqualityConstraints(a, b)
 
 
-def _check_newton_descent(seed, trials):
-    rng = _check_rng(seed, 11)
-    for t in range(trials):
-        n = int(rng.integers(4, 30))
-        m = int(rng.integers(1, min(n - 1, 10) + 1))
-        oracle, constraints = _random_lse_instance(rng, n, m)
-        reduced = reduce_problem(oracle, constraints)
-        g0 = rng.uniform(-1.5, 1.5, reduced.free_dim)
-        trace = newton_solve(reduced, NewtonConfig(max_iter=200, g0=g0))
-        hs = trace.h_values()
-        slack = 1e-12 * (1.0 + abs(hs[0]))
-        monotone = all(hs[i + 1] <= hs[i] + slack for i in range(len(hs) - 1))
-        if not trace.converged or not monotone:
-            return t, {
-                "n": n,
-                "m": m,
-                "converged": trace.converged,
-                "hValues": hs,
-            }
-    return trials, None
+@_seeded(11)
+def _check_newton_descent(rng):
+    n = int(rng.integers(4, 30))
+    m = int(rng.integers(1, min(n - 1, 10) + 1))
+    reduced = reduce_problem(*_random_lse_instance(rng, n, m))
+    g0 = rng.uniform(-1.5, 1.5, reduced.free_dim)
+    trace = newton_solve(reduced, NewtonConfig(max_iter=200, g0=g0))
+    hs = trace.h_values()
+    slack = 1e-12 * (1.0 + abs(hs[0]))
+    monotone = all(hs[i + 1] <= hs[i] + slack for i in range(len(hs) - 1))
+    if not trace.converged or not monotone:
+        return {
+            "n": n,
+            "m": m,
+            "converged": trace.converged,
+            "hValues": hs,
+        }
+    return None
 
 
-def _check_contraction_bound(seed, trials):
-    rng = _check_rng(seed, 12)
-    for t in range(trials):
-        n = int(rng.integers(4, 30))
-        m = int(rng.integers(1, min(n - 1, 10) + 1))
-        if rng.random() < 0.5:
-            oracle, constraints = _random_lse_instance(rng, n, m)
-        else:
-            oracle, constraints = _random_sum_exp_instance(rng, n, m)
-        reduced = reduce_problem(oracle, constraints)
-        config = NewtonConfig(max_iter=200, g0=rng.uniform(-1.5, 1.5, reduced.free_dim))
-        trace = newton_solve(reduced, config)
-        if not trace.converged or not trace.iterations:
-            return t, {"n": n, "m": m, "converged": trace.converged}
-        samples = [it.g for it in trace.iterations] + [trace.final_g]
-        constants = estimate_convergence_constants(reduced, samples)
-        bound = iteration_bound(
-            constants, config, trace.iterations[0].h_value - trace.final_h
-        )
-        norms = trace.grad_norms()
-        cs = [bound.contraction * v for v in norms[-3:]]
-        tail_ok = all(cs[i + 1] <= 2.0 * cs[i] ** 2 for i in range(len(cs) - 1))
-        if len(trace.iterations) > bound.d_max or not tail_ok:
-            return t, {
-                "n": n,
-                "m": m,
-                "iterations": len(trace.iterations),
-                "dMax": bound.d_max,
-                "tail": cs,
-            }
-    return trials, None
+@_seeded(12)
+def _check_contraction_bound(rng):
+    n = int(rng.integers(4, 30))
+    m = int(rng.integers(1, min(n - 1, 10) + 1))
+    instance = _random_lse_instance if rng.random() < 0.5 else _random_sum_exp_instance
+    reduced = reduce_problem(*instance(rng, n, m))
+    config = NewtonConfig(max_iter=200, g0=rng.uniform(-1.5, 1.5, reduced.free_dim))
+    trace = newton_solve(reduced, config)
+    if not trace.converged or not trace.iterations:
+        return {"n": n, "m": m, "converged": trace.converged}
+    samples = [it.g for it in trace.iterations] + [trace.final_g]
+    constants = estimate_convergence_constants(reduced, samples)
+    bound = iteration_bound(
+        constants, config, trace.iterations[0].h_value - trace.final_h
+    )
+    norms = trace.grad_norms()
+    cs = [bound.contraction * v for v in norms[-3:]]
+    tail_ok = all(cs[i + 1] <= 2.0 * cs[i] ** 2 for i in range(len(cs) - 1))
+    if len(trace.iterations) > bound.d_max or not tail_ok:
+        return {
+            "n": n,
+            "m": m,
+            "iterations": len(trace.iterations),
+            "dMax": bound.d_max,
+            "tail": cs,
+        }
+    return None
 
 
-def _check_suboptimality(seed, trials):
-    rng = _check_rng(seed, 13)
-    for t in range(trials):
-        n = int(rng.integers(2, 40))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        h_star = solve_nullspace(problem).objective
-        constants = estimate_convergence_constants(reduced, [np.zeros(reduced.free_dim)])
-        for _ in range(10):
-            g = rng.uniform(-3, 3, reduced.free_dim)
-            gap = reduced.value(g) - h_star
-            bound = suboptimality_bound(float(np.linalg.norm(reduced.gradient(g))), constants)
-            if gap > bound + 1e-9 * (1.0 + abs(bound)):
-                return t, {"n": n, "m": m, "gap": gap, "bound": bound}
-    return trials, None
+@_seeded(13)
+def _check_suboptimality(rng):
+    spec, problem, reduced = _reduced_qp(rng, 40)
+    h_star = solve_nullspace(problem).objective
+    constants = estimate_convergence_constants(reduced, [np.zeros(reduced.free_dim)])
+    for _ in range(10):
+        g = rng.uniform(-3, 3, reduced.free_dim)
+        gap = reduced.value(g) - h_star
+        bound = suboptimality_bound(float(np.linalg.norm(reduced.gradient(g))), constants)
+        if gap > bound + 1e-9 * (1.0 + abs(bound)):
+            return {"n": spec.n, "m": spec.m, "gap": gap, "bound": bound}
+    return None
 
 
-def _check_termination_gap(seed, trials):
-    rng = _check_rng(seed, 14)
-    for t in range(trials):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, n))
-        problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63))))
-        oracle = objectives.quadratic(problem.q, problem.c)
-        reduced = reduce_problem(oracle, problem.constraints)
-        epsilon = 10.0 ** rng.uniform(-12, -6)
-        trace = newton_solve(reduced, NewtonConfig(epsilon=epsilon))
-        if not trace.converged:
-            return t, {"n": n, "m": m, "epsilon": epsilon, "converged": False}
-        gap = trace.final_h - solve_nullspace(problem).objective
-        if gap > epsilon + 1e-12:
-            return t, {"n": n, "m": m, "epsilon": epsilon, "gap": gap}
-    return trials, None
+@_seeded(14)
+def _check_termination_gap(rng):
+    spec, problem, reduced = _reduced_qp(rng, 30)
+    epsilon = 10.0 ** rng.uniform(-12, -6)
+    trace = newton_solve(reduced, NewtonConfig(epsilon=epsilon))
+    if not trace.converged:
+        return {"n": spec.n, "m": spec.m, "epsilon": epsilon, "converged": False}
+    gap = trace.final_h - solve_nullspace(problem).objective
+    if gap > epsilon + 1e-12:
+        return {"n": spec.n, "m": spec.m, "epsilon": epsilon, "gap": gap}
+    return None
 
 
+# The one place the suites and their checks are named; ``eqopt check``
+# takes its --suite choices and its "all" order from here.
 _SUITES = {
     "invariants": [
         ("rrqr_rank", _check_rrqr_rank),

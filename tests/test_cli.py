@@ -4,13 +4,18 @@ Everything goes through ``cli.main(argv)`` so the exit codes and emitted
 files are exactly what a shell user would see.
 """
 
+import argparse
 import json
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eqopt import cli, objectives, qp, selfcheck
+from eqopt import cli, objectives, problems, qp, selfcheck
+from eqopt.errors import OracleUnavailableError
+from eqopt.expressions import EqualityConstraints
 
 
 def _write_doc(path, doc):
@@ -33,20 +38,24 @@ def _qp_file(tmp_path, name="qp.json", **overrides):
     return _write_doc(tmp_path / name, doc)
 
 
-def _lse_file(tmp_path, name="nlp.json"):
+def _lse_file(tmp_path, name="nlp.json", a=((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)), b=2.0):
+    """``min log_sum_exp(a x)`` subject to ``x1 + x2 = b``."""
     doc = {
         "formatVersion": 1,
         "kind": "nlp",
         "n": 2,
         "m": 1,
-        "objective": {
-            "name": "log_sum_exp",
-            "params": {"a": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]},
-        },
+        "objective": {"name": "log_sum_exp", "params": {"a": [list(row) for row in a]}},
         "A": [[1.0, 1.0]],
-        "b": [2.0],
+        "b": [b],
     }
     return _write_doc(tmp_path / name, doc)
+
+
+# min log(e^{3 x1} + e^{x2} + e^{-x1-x2}) on x1 + x2 = 4: the optimum has
+# e^{4 x1} = e^4 / 3, and Newton from the minimum-norm point (2, 2) needs
+# one damped step and then full ones
+_ASYMMETRIC_LSE = {"a": ((3.0, 0.0), (0.0, 1.0), (-1.0, -1.0)), "b": 4.0}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +372,7 @@ def test_solve_newton_with_trace(tmp_path):
         [
             "solve",
             "--input",
-            _lse_file(tmp_path),
+            _lse_file(tmp_path, **_ASYMMETRIC_LSE),
             "--method",
             "newton",
             "--output",
@@ -377,13 +386,33 @@ def test_solve_newton_with_trace(tmp_path):
     assert sol["converged"] is True
     assert sol["constraintResidual"] < 1e-9
     assert sol["decrementSq"] / 2.0 <= 1e-10
+    x1 = 1.0 - math.log(3.0) / 4.0
+    np.testing.assert_allclose(sol["x"], [x1, 4.0 - x1], atol=1e-6)
 
     trace = json.loads(trace_path.read_text())
     assert trace["converged"] is True
-    hs = [it["hValue"] for it in trace["iterations"]] + [trace["finalH"]]
+    iterations = trace["iterations"]
+    assert len(iterations) == sol["iterations"] >= 1
+    for it in iterations:
+        assert set(it) == {"g", "x", "hValue", "gradNorm", "decrementSq", "stepSize", "phase"}
+        assert (it["phase"] == "pure") == (it["stepSize"] == 1.0)
+        assert abs(it["x"][0] + it["x"][1] - 4.0) < 1e-9
+    assert {it["phase"] for it in iterations} == {"damped", "pure"}
+    hs = [it["hValue"] for it in iterations] + [trace["finalH"]]
     assert all(hs[i + 1] <= hs[i] + 1e-12 for i in range(len(hs) - 1))
-    # symmetric problem: optimum splits the budget evenly
-    np.testing.assert_allclose(sol["x"], [1.0, 1.0], atol=1e-6)
+
+
+def test_solve_a_problem_file_without_constraints(tmp_path, capsys):
+    # A with no rows is saved as [] and read back as a (0, n) matrix
+    path = tmp_path / "free.json"
+    free = EqualityConstraints(np.zeros((0, 3)), np.zeros(0))
+    problems.save(path, qp.QpProblem(q=2.0 * np.eye(3), c=np.ones(3), constraints=free))
+    assert json.loads(path.read_text())["A"] == []
+    for method in ("projector", "nullspace", "kkt", "newton", "sqp"):
+        assert cli.main(["solve", "--input", str(path), "--method", method]) == 0, method
+        doc = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(doc["x"], [-0.5] * 3, atol=1e-12, err_msg=method)
+        assert doc["constraintResidual"] == 0.0
 
 
 def test_solve_sqp(tmp_path, capsys):
@@ -406,26 +435,13 @@ def test_solve_quadratic_through_newton(tmp_path, capsys):
 
 
 def test_solve_out_of_iterations_exits_3(tmp_path, capsys):
-    # asymmetric instance whose optimum is well away from the starting
-    # point; full Newton needs three steps here
-    doc = {
-        "formatVersion": 1,
-        "kind": "nlp",
-        "n": 2,
-        "m": 1,
-        "objective": {
-            "name": "log_sum_exp",
-            "params": {"a": [[3.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]},
-        },
-        "A": [[1.0, 1.0]],
-        "b": [4.0],
-    }
+    # Newton needs three steps on this instance
     out = tmp_path / "sol.json"
     code = cli.main(
         [
             "solve",
             "--input",
-            _write_doc(tmp_path / "hard.json", doc),
+            _lse_file(tmp_path, **_ASYMMETRIC_LSE),
             "--method",
             "newton",
             "--max-iter",
@@ -590,6 +606,24 @@ def test_bench_bad_method_exit_4(tmp_path, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_bench_counts_the_failures_of_a_method(tmp_path, capsys, monkeypatch):
+    def refuse(problem, eps=None):
+        raise OracleUnavailableError("refused")
+
+    monkeypatch.setitem(cli._QP_SOLVERS, "kkt", refuse)
+    report_path = tmp_path / "report.json"
+    argv = ["bench", "--sizes", "6:2", "--trials", "3", "--methods", "projector,kkt"]
+    assert cli.main(argv + ["--output", str(report_path)]) == 0
+    rows = {row["method"]: row for row in json.loads(report_path.read_text())["rows"]}
+    assert rows["kkt"]["solved"] == 0
+    assert rows["kkt"]["failures"] == {"ill_conditioned": 3}
+    assert rows["kkt"]["meanTimeMs"] is None and rows["kkt"]["medianTimeMs"] is None
+    assert rows["projector"]["solved"] == 3 and rows["projector"]["failures"] == {}
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if " kkt " in ln)
+    assert line.split()[5:8] == ["-", "-", "-"]  # mean, median and ratio
+    assert line.endswith("ill_conditioned:3")
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -665,6 +699,71 @@ def test_check_oracle_compares_the_eliminations_classification(tmp_path, capsys,
     code = cli.main(["check", "--suite", "oracle", "--trials", "5", "--counterexample", str(cx)])
     assert code == 1
     assert "FAIL oracle/indefinite_agreement" in capsys.readouterr().out
+
+
+def test_check_suite_choices_come_from_the_registry():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["check"]._actions if a.dest == "suite")
+    assert suite.choices == [*selfcheck._SUITES, "all"]
+
+
+def _edited(**edits):
+    """Break a library call: each named attribute of its result is edited."""
+
+    def wrap(real):
+        def broken(*args, **kwargs):
+            out = real(*args, **kwargs)
+            for name, edit in edits.items():
+                setattr(out, name, edit(getattr(out, name)))
+            return out
+
+        return broken
+
+    return wrap
+
+
+# check name -> (the library call it inspects, how that call is broken)
+_BROKEN_CALLS = {
+    "rrqr_rank": ("ConstraintFactorization", _edited(rank=lambda r: r + 1)),
+    "null_basis": ("ConstraintFactorization", _edited(null_basis=lambda nb: 2.0 * nb)),
+    "projector_algebra": ("build_projector", _edited(basis=lambda d: 2.0 * d)),
+    "embed_feasibility": ("build_nullspace", _edited(x0=lambda x0: x0 + 1.0)),
+    "spd_agreement": ("solve_kkt", _edited(x=lambda x: x + 1.0)),
+    "indefinite_agreement": ("solve_nullspace", _edited(classification=lambda c: "point")),
+    # x moves with the number of rows, duplicated ones included
+    "redundant_rows": (
+        "solve_projector",
+        lambda real: lambda p: replace(real(p), x=real(p).x + p.constraints.m),
+    ),
+    "quadratic_one_step": ("newton_solve", _edited(converged=lambda c: False)),
+    "sqp_quadratic": ("sqp_iterate", _edited(converged=lambda c: False)),
+    "newton_descent": ("newton_solve", _edited(converged=lambda c: False)),
+    "contraction_bound": ("iteration_bound", _edited(d_max=lambda d: 0)),
+    "suboptimality": ("suboptimality_bound", lambda real: lambda grad_norm, constants: -1.0),
+    "termination_gap": ("newton_solve", _edited(final_h=lambda h: h + 1.0)),
+}
+
+
+def test_every_check_has_a_broken_call():
+    names = {name for checks in selfcheck._SUITES.values() for name, _ in checks}
+    assert set(_BROKEN_CALLS) == names
+
+
+@pytest.mark.parametrize("check", list(_BROKEN_CALLS))
+def test_check_reports_a_broken_library_call(tmp_path, capsys, monkeypatch, check):
+    # each check alone, so the broken call cannot trip another check first
+    suite = next(s for s, checks in selfcheck._SUITES.items() if check in dict(checks))
+    fn = dict(selfcheck._SUITES[suite])[check]
+    target, breaker = _BROKEN_CALLS[check]
+    monkeypatch.setattr(selfcheck, target, breaker(getattr(selfcheck, target)))
+    monkeypatch.setattr(selfcheck, "_SUITES", {suite: [(check, fn)]})
+    cx = tmp_path / "cx.json"
+    code = cli.main(["check", "--suite", suite, "--trials", "3", "--counterexample", str(cx)])
+    assert code == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {suite}/{check} (failed at trial ")
+    doc = json.loads(cx.read_text())
+    assert (doc["suite"], doc["check"]) == (suite, check)
+    assert {"n", "m"} <= set(doc["details"])
 
 
 def test_check_zero_trials_exit_4(capsys):

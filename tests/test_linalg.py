@@ -269,12 +269,14 @@ def _indefinite_matrices(rng):
 def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
     # The inertia read off D equals the eigenvalue sign counts; a 2x2 block
     # read as two 1x1 pivots would count its two diagonal entries instead.
-    pivots = []
+    # Every 2x2 block is counted as one eigenvalue of each sign, so each one
+    # dsytrf takes must have a negative determinant.
+    factors = []
     dsytrf = scipy.linalg.lapack.dsytrf
 
     def recorded(*args, **kwargs):
         out = dsytrf(*args, **kwargs)
-        pivots.append(out[1])
+        factors.append(out[:2])
         return out
 
     monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
@@ -297,7 +299,13 @@ def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
         kappa = np.max(np.abs(w)) / np.min(np.abs(w))
         assert_allclose(m @ y, rhs, atol=100 * k * kappa * eps * np.max(np.abs(rhs)))
     assert accepted >= 25
-    assert any(np.any(ipiv < 0) for ipiv in pivots)  # 2x2 blocks were exercised
+    blocks = 0
+    for ldu, ipiv in factors:
+        for i in np.flatnonzero(ipiv < 0)[::2]:
+            a, c, e = ldu[i, i], ldu[i + 1, i], ldu[i + 1, i + 1]
+            assert a * e - c * c < 0.0, (a, c, e)
+            blocks += 1
+    assert blocks >= 25  # 2x2 blocks were exercised
 
 
 def _with_eigenvalues(rng, w):
