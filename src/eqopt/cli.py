@@ -91,9 +91,13 @@ def _build_parser():
         "the squared decrement) and sqp (step/gradient norm); the kkt oracle "
         "takes no tolerance and ignores it",
     )
-    p_solve.add_argument("--alpha", type=float, default=0.25, help="Armijo slope fraction")
-    p_solve.add_argument("--beta", type=float, default=0.5, help="backtracking shrink factor")
-    p_solve.add_argument("--max-iter", type=int, default=100)
+    p_solve.add_argument(
+        "--alpha", type=float, default=NewtonConfig.alpha, help="Armijo slope fraction"
+    )
+    p_solve.add_argument(
+        "--beta", type=float, default=NewtonConfig.beta, help="backtracking shrink factor"
+    )
+    p_solve.add_argument("--max-iter", type=int, default=NewtonConfig.max_iter)
     p_solve.add_argument("--trace", default=None, help="write the full Newton trace here")
     p_solve.add_argument("--output", default=None, help="write the solution here (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
@@ -209,19 +213,12 @@ def cmd_solve(args):
         oracle = problem.oracle
     reduced = reduce_problem(oracle, problem.constraints)
     if args.method == "newton":
-        config = NewtonConfig(
-            alpha=args.alpha,
-            beta=args.beta,
-            epsilon=args.tol if args.tol is not None else 1e-10,
-            max_iter=args.max_iter,
-        )
+        tol = {} if args.tol is None else {"epsilon": args.tol}
+        config = NewtonConfig(alpha=args.alpha, beta=args.beta, max_iter=args.max_iter, **tol)
         trace = newton_solve(reduced, config)
     else:
-        trace = sqp_iterate(
-            reduced,
-            tol_g=args.tol if args.tol is not None else 1e-10,
-            max_iter=args.max_iter,
-        )
+        tol = {} if args.tol is None else {"tol_g": args.tol}
+        trace = sqp_iterate(reduced, max_iter=args.max_iter, **tol)
     doc = {
         "formatVersion": 1,
         "method": args.method,

@@ -71,14 +71,24 @@ def as_vector(v, name="vector", length=None):
     return out
 
 
+def symmetric_part(m):
+    """``(M + M^T) / 2`` of a square ``m``, exactly symmetric, in a new array.
+
+    ``m`` is halved first, so finite entries near the float maximum stay
+    finite; on normal floats this is bit for bit ``0.5 * (m + m.T)``.
+    """
+    out = 0.5 * m
+    out += out.T  # in place on the new array; numpy buffers the overlapping out.T
+    return out
+
+
 def quadratic_data(q, c=None):
     """Validate ``(Q, c)`` (c defaults to zeros); returns ``(Q + Q^T) / 2``,
     the only part of Q a quadratic form senses, and c."""
     q = as_matrix(q, "Q")
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
-    q = 0.5 * q  # halved first, so finite entries near the float maximum stay finite
-    q += q.T  # in place on the new array; numpy buffers the overlapping q.T
+    q = symmetric_part(q)
     n = q.shape[0]
     c = np.zeros(n) if c is None else as_vector(c, "c", n)
     return q, c
@@ -88,12 +98,11 @@ def pull_back_quadratic(q, c, x0, basis):
     """``1/2 x^T Q x + c^T x`` at ``x = x0 + B g``, as data in g.
 
     Returns ``(B^T Q B, B^T (Q x0 + c), 1/2 x0^T Q x0 + c^T x0)``; the first
-    is formed as ``(B^T Q) B`` and symmetrized like :func:`quadratic_data`
-    does, so it is exactly symmetric.
+    is formed as ``(B^T Q) B`` and made exactly symmetric by
+    :func:`symmetric_part`.
     """
     qx0 = q @ x0
-    qb = 0.5 * (basis.T @ q @ basis)
-    qb += qb.T
+    qb = symmetric_part(basis.T @ q @ basis)
     return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
 
 
@@ -456,7 +465,7 @@ def symmetric_solve(m, rhs, tol=None):
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"eigendecomposition did not converge for a {k}x{k} matrix") from exc
+        raise ComputationError(f"eigh did not converge for a {k}x{k} matrix") from exc
     scale = float(np.max(np.abs(w), initial=0.0))
     if not np.isfinite(scale):
         raise ComputationError(f"the eigenvalues of a {k}x{k} symmetric matrix are not finite")

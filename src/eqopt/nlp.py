@@ -3,14 +3,15 @@
 The constraints are eliminated by the paper's null-space expression
 ``x = x0 + N g`` (:func:`~eqopt.expressions.build_nullspace`), leaving the
 unconstrained reduced problem ``h(g) = f(x0 + N g)`` with gradient
-``N^T grad f`` and Hessian ``N^T (hess f) N``; one
-:func:`~eqopt.linalg.as_vector` check guards the length of every ``g``.
+``N^T grad f`` and Hessian ``N^T (hess f) N``.
 :meth:`ObjectiveOracle.restrict` builds the oracle of ``h`` once per
 solve: a registry objective pulls its own data back through ``N`` (so no
 step forms an n x n Hessian), any other oracle is composed by the chain
 rule, and one without an analytic Hessian has its reduced gradient
 differenced along the k free coordinates. Everything after
-:func:`reduce_problem` works in those k coordinates. Each Newton iterate
+:func:`reduce_problem` works in those k coordinates; a ``g`` from outside
+is checked once, by the public entry point it enters through, and the
+Newton loop evaluates that oracle on its own iterates. Each Newton iterate
 costs one evaluation of that oracle (:meth:`ObjectiveOracle.derivatives`
 gives the gradient and the Hessian together) and one lower-triangle
 Cholesky factorization; a line-search trial costs one value. Damped Newton
@@ -40,7 +41,7 @@ from .errors import (
     NonConvexError,
 )
 from .expressions import ConstrainedExpression, build_nullspace
-from .linalg import as_vector, cholesky, cholesky_solve
+from .linalg import as_vector, cholesky, cholesky_solve, symmetric_part
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -95,7 +96,7 @@ class ObjectiveOracle:
             e = np.zeros(self.dim)
             e[i] = step
             out[:, i] = (self.gradient(x + e) - self.gradient(x - e)) / (2.0 * step)
-        return 0.5 * (out + out.T)
+        return symmetric_part(out)
 
     def restrict(self, x0, basis):
         """The oracle of ``g -> f(x0 + B g)`` on ``R^k``, ``k = basis.shape[1]``.
@@ -121,8 +122,7 @@ class ObjectiveOracle:
             return ObjectiveOracle(basis.shape[1], value, gradient)
 
         def hessian(g):
-            f = basis.T @ self.hessian(x0 + basis @ g) @ basis
-            return 0.5 * (f + f.T)
+            return symmetric_part(basis.T @ self.hessian(x0 + basis @ g) @ basis)
 
         return ObjectiveOracle(basis.shape[1], value, gradient, hessian)
 
@@ -136,8 +136,8 @@ class ReducedObjective:
     ``oracle.restrict(expr.x0, expr.basis)``, built once here, so they are
     the reduced ``h(g)``, ``N^T grad f``, the k x k ``N^T (hess f) N`` and
     the last two from one evaluation; none of them forms an n x n array
-    unless the oracle's own analytic Hessian does. :meth:`point` maps ``g``
-    back to the full space.
+    unless the oracle's own analytic Hessian does; the Newton loop calls
+    that oracle directly. :meth:`point` maps ``g`` back to the full space.
     """
 
     expr: ConstrainedExpression  # basis N
@@ -165,10 +165,6 @@ class ReducedObjective:
 
     def derivatives(self, g):
         return self._restricted.derivatives(as_vector(g, "g", self.free_dim))
-
-    def _embed(self, g):
-        """:meth:`point` for a ``g`` that was already checked."""
-        return self.expr.x0 + self.expr.basis @ g
 
 
 def reduce_problem(oracle, constraints):
@@ -201,7 +197,8 @@ class NewtonConfig:
     ``alpha`` in (0, 1/2) and ``beta`` in (0, 1) are the backtracking
     parameters; ``epsilon`` is the termination threshold on half the
     squared Newton decrement; ``g0`` defaults to the zero free vector
-    (i.e. the minimum-norm feasible point).
+    (i.e. the minimum-norm feasible point) and is checked, once, when the
+    solve starts, the first time its length is known.
     """
 
     alpha: float = 0.25
@@ -219,8 +216,6 @@ class NewtonConfig:
             raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.g0 is not None:
-            self.g0 = as_vector(self.g0, "g0")
 
 
 @dataclass
@@ -265,25 +260,25 @@ class NewtonTrace:
         """||E||_2 at every visited iterate, final included."""
         return [it.grad_norm for it in self.iterations] + [self.final_grad_norm]
 
-    def _finish(self, reduced, g, h, grad_norm, decrement_sq):
+    def _finish(self, expr, g, h, grad_norm, decrement_sq):
         """Record ``g`` as the last iterate and return the trace."""
         self.final_g = g
-        self.final_x = reduced._embed(g)
+        self.final_x = expr.x0 + expr.basis @ g
         self.final_h = h
         self.final_grad_norm = grad_norm
         self.final_decrement_sq = decrement_sq
         return self
 
 
-def _newton_step(reduced, g, iteration):
+def _newton_step(oracle, g, iteration):
     """Gradient, Newton direction and squared decrement at g, from one
-    oracle evaluation and one Cholesky factorization.
+    evaluation of the restricted ``oracle`` and one Cholesky factorization.
 
-    Raises ComputationError when the gradient or Hessian is not finite and
-    NonConvexError when the reduced Hessian fails its Cholesky
-    factorization.
+    Raises ComputationError when the gradient, the Hessian or the step is
+    not finite and NonConvexError when the reduced Hessian fails its
+    Cholesky factorization.
     """
-    e, f = reduced.derivatives(g)
+    e, f = oracle.derivatives(g)
     if not (np.isfinite(e).all() and np.isfinite(f).all()):
         raise ComputationError(
             f"the oracle returned a non-finite gradient or Hessian at iteration {iteration}"
@@ -296,6 +291,8 @@ def _newton_step(reduced, g, iteration):
             iteration=iteration,
         )
     step = -cholesky_solve(low, e)
+    if not np.isfinite(step).all():
+        raise ComputationError(f"the Newton step overflows float range at iteration {iteration}")
     dec_sq = max(float(-(e @ step)), 0.0)  # E^T F^{-1} E, clamped against rounding
     return e, step, dec_sq
 
@@ -305,18 +302,18 @@ def newton_decrement(reduced, g):
 
     Returns ``(lambda, step)`` where ``lambda = sqrt(E^T F^{-1} E)`` and
     ``step = -F^{-1} E``. Raises NonConvexError if F is not positive
-    definite.
+    definite and ComputationError if E, F or the step is not finite.
     """
-    g = as_vector(g, "g")
-    _, step, dec_sq = _newton_step(reduced, g, iteration=0)
+    g = as_vector(g, "g", reduced.free_dim)
+    _, step, dec_sq = _newton_step(reduced._restricted, g, iteration=0)
     return math.sqrt(dec_sq), step
 
 
-def _start_value(reduced, g):
+def _start_value(oracle, g):
     """``h(g)`` at the start point. Raises InfeasibleStartError when it is
     ``+inf`` (outside the domain) and ComputationError when it is NaN or
     ``-inf``, which come from overflow, not from a domain."""
-    h = reduced.value(g)
+    h = float(oracle.value(g))
     if math.isnan(h) or h == -math.inf:
         raise ComputationError(
             f"the objective is {h} at the start point: it overflows float range there"
@@ -329,7 +326,7 @@ def _start_value(reduced, g):
     return h
 
 
-def _armijo(reduced, g, direction, h0, slope, alpha, beta):
+def _armijo(oracle, g, direction, h0, slope, alpha, beta):
     """Largest t in {1, beta, beta^2, ...} with sufficient decrease.
 
     Returns ``(t, h(g + t direction))``; the value is that of the point
@@ -337,7 +334,7 @@ def _armijo(reduced, g, direction, h0, slope, alpha, beta):
     """
     t = 1.0
     while True:
-        h_t = reduced.value(g + t * direction)
+        h_t = float(oracle.value(g + t * direction))
         # written so that nan/inf trial values shrink t rather than pass
         if h_t <= h0 + alpha * t * slope:
             return t, h_t
@@ -349,22 +346,23 @@ def _armijo(reduced, g, direction, h0, slope, alpha, beta):
             )
 
 
-def backtracking_line_search(reduced, g, direction, alpha=0.25, beta=0.5):
+def backtracking_line_search(
+    reduced, g, direction, alpha=NewtonConfig.alpha, beta=NewtonConfig.beta
+):
     """Armijo backtracking along a descent direction.
 
     Returns the largest ``t`` in ``{1, beta, beta^2, ...}`` satisfying
-    ``h(g + t d) <= h(g) + alpha t grad^T d``.
+    ``h(g + t d) <= h(g) + alpha t grad^T d``. ``alpha`` and ``beta`` are
+    checked, and default, as in :class:`NewtonConfig`.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    g = as_vector(g, "g")
-    direction = as_vector(direction, "direction")
-    slope = float(reduced.gradient(g) @ direction)
+    NewtonConfig(alpha=alpha, beta=beta)  # raises ValueError for values out of range
+    g = as_vector(g, "g", reduced.free_dim)
+    direction = as_vector(direction, "direction", reduced.free_dim)
+    oracle = reduced._restricted
+    slope = float(oracle.gradient(g) @ direction)
     if not slope < 0.0:
         raise ValueError("direction is not a descent direction (grad^T d >= 0)")
-    return _armijo(reduced, g, direction, reduced.value(g), slope, alpha, beta)[0]
+    return _armijo(oracle, g, direction, float(oracle.value(g)), slope, alpha, beta)[0]
 
 
 def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
@@ -374,16 +372,16 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
     squared decrement drops to ``tol``. Pure (``armijo = None``): full
     steps, stop once the gradient or the last step is shorter than ``tol``,
     and raise :class:`DivergenceError` on three rises in a row or a step
-    out of the objective's domain.
+    out of the objective's domain. Only ``g0`` comes from outside.
     """
-    k = reduced.free_dim
-    g = np.zeros(k) if g0 is None else as_vector(g0, "g0", k).copy()
+    oracle, expr = reduced._restricted, reduced.expr
+    g = np.zeros(expr.free_dim) if g0 is None else as_vector(g0, "g0", expr.free_dim).copy()
     trace = NewtonTrace()
-    h_g = _start_value(reduced, g)
+    h_g = _start_value(oracle, g)
     rises = 0
     arrived = False
     while True:
-        e, step, dec_sq = _newton_step(reduced, g, iteration=len(trace.iterations))
+        e, step, dec_sq = _newton_step(oracle, g, iteration=len(trace.iterations))
         grad_norm = float(np.linalg.norm(e))
         if armijo is None:
             rose = trace.iterations and not h_g <= trace.iterations[-1].h_value
@@ -392,7 +390,7 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
                 raise DivergenceError(
                     "pure Newton increased the objective three times in a row; "
                     "use the damped newton_solve instead",
-                    trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
+                    trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
                 )
             done = arrived or grad_norm < tol
         else:
@@ -401,20 +399,20 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
         if done or len(trace.iterations) >= max_iter:
             break
         if armijo is None:
-            t, h_next = 1.0, reduced.value(g + step)
+            t, h_next = 1.0, float(oracle.value(g + step))
             if not math.isfinite(h_next):
                 raise DivergenceError(
                     f"the full Newton step of iteration {len(trace.iterations)} left the "
                     f"objective's domain (h = {h_next}); use the damped newton_solve instead",
-                    trace=trace._finish(reduced, g, h_g, grad_norm, dec_sq),
+                    trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
                 )
             arrived = float(np.linalg.norm(step)) < tol  # record the arrival point, then stop
         else:
-            t, h_next = _armijo(reduced, g, step, h_g, -dec_sq, *armijo)
+            t, h_next = _armijo(oracle, g, step, h_g, -dec_sq, *armijo)
         trace.iterations.append(
             NewtonIteration(
                 g=g.copy(),
-                x=reduced._embed(g),
+                x=expr.x0 + expr.basis @ g,
                 h_value=h_g,
                 grad_norm=grad_norm,
                 decrement_sq=dec_sq,
@@ -423,7 +421,7 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
         )
         g = g + t * step
         h_g = h_next
-    return trace._finish(reduced, g, h_g, grad_norm, dec_sq)
+    return trace._finish(expr, g, h_g, grad_norm, dec_sq)
 
 
 def newton_solve(reduced, config=None):
@@ -440,8 +438,9 @@ def newton_solve(reduced, config=None):
     InfeasibleStartError
         If the objective is ``+inf`` at the start point.
     ComputationError
-        If the objective is NaN or ``-inf`` at the start point, or the
-        oracle returns a non-finite gradient or Hessian.
+        If the objective is NaN or ``-inf`` at the start point, the oracle
+        returns a non-finite gradient or Hessian, or a Newton step
+        overflows float range.
     NonConvexError
         If a reduced Hessian fails its Cholesky factorization.
     LineSearchError
@@ -464,8 +463,9 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     partial trace, which ends at the last finite iterate);
     :func:`newton_solve` is the damped alternative. A start point
     where the objective is ``+inf`` raises :class:`InfeasibleStartError`;
-    a NaN or ``-inf`` objective there, or a non-finite gradient or Hessian,
-    raises :class:`ComputationError`.
+    a NaN or ``-inf`` objective there, a non-finite gradient or Hessian, or
+    a Newton step that overflows float range raises
+    :class:`ComputationError`.
     """
     if not (math.isfinite(tol_g) and tol_g > 0.0):
         raise ValueError("tol_g must be finite and positive")

@@ -225,9 +225,11 @@ def _solve_eliminated(problem, method, eps=None):
         x = x0
         sol_class = "point"
     else:
-        aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
-        y, sol_class = _solve_reduced(aa, rhs, tol=eps)
-        x = x0 - null @ y
+        # an overflow here ends in a non-finite reduced system or x; both raise ComputationError
+        with np.errstate(over="ignore", invalid="ignore"):
+            aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
+            y, sol_class = _solve_reduced(aa, rhs, tol=eps)
+            x = x0 - null @ y
         if not np.isfinite(x).all():
             raise ComputationError("the solution overflows float range (x is not finite)")
     grad = problem.q @ x + problem.c

@@ -131,9 +131,11 @@ def _check_rrqr_rank(rng):
 def _null_basis_trial(a, rank):
     m, n = a.shape
     nb = ConstraintFactorization(a, np.zeros(m)).null_basis
+    if nb.shape != (n, n - rank):  # before the defects, which need this shape
+        return {"n": n, "m": m, "rank": rank, "shape": list(nb.shape)}
     gram = float(np.max(np.abs(nb.T @ nb - np.eye(n - rank))))
     ann = float(np.max(np.abs(a @ nb), initial=0.0))
-    if nb.shape != (n, n - rank) or gram > 1e-12 or ann > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+    if gram > 1e-12 or ann > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
         return {"n": n, "m": m, "rank": rank, "gramDefect": gram, "annihilationDefect": ann}
     return None
 
@@ -331,13 +333,13 @@ def _check_contraction_bound(rng):
     reduced = reduce_problem(*instance(rng, n, m))
     config = NewtonConfig(max_iter=200, g0=rng.uniform(-1.5, 1.5, reduced.free_dim))
     trace = newton_solve(reduced, config)
-    if not trace.converged or not trace.iterations:
-        return {"n": n, "m": m, "converged": trace.converged}
+    hs = trace.h_values()
+    # a final value above the start fails here: iteration_bound refuses a negative gap
+    if not trace.converged or not trace.iterations or not hs[-1] <= hs[0]:
+        return {"n": n, "m": m, "converged": trace.converged, "hValues": hs}
     samples = [it.g for it in trace.iterations] + [trace.final_g]
     constants = estimate_convergence_constants(reduced, samples)
-    bound = iteration_bound(
-        constants, config, trace.iterations[0].h_value - trace.final_h
-    )
+    bound = iteration_bound(constants, config, hs[0] - hs[-1])
     norms = trace.grad_norms()
     cs = [bound.contraction * v for v in norms[-3:]]
     tail_ok = all(cs[i + 1] <= 2.0 * cs[i] ** 2 for i in range(len(cs) - 1))

@@ -354,6 +354,22 @@ def test_solve_a_reduced_hessian_beyond_float_range(tmp_path, capsys):
     np.testing.assert_allclose(doc["lagrangeMultipliers"], [-1.7e308], rtol=1e-14)
 
 
+def test_solve_a_newton_step_that_overflows_exits_3(tmp_path, capsys):
+    # every entry is finite, but the reduced solution g = -1 / 1e-320
+    # overflows: each method says so with exit 3 and no numpy warning
+    q = [[1e-320, 0.0], [0.0, 1e-320]]
+    path = _qp_file(tmp_path, Q=q, c=[1.0, 0.0], A=[[0.0, 1.0]], b=[0.0])
+    for method in ("projector", "nullspace", "kkt", "newton", "sqp"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+        err = capsys.readouterr().err
+        if method in ("newton", "sqp"):
+            assert "error: the Newton step overflows float range at iteration 0" in err
+        else:
+            assert "error:" in err
+
+
 def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):
     # x0 = (1, 1e300, 0): the objective there is inf - inf = nan, an overflow
     # like the QP routes report (exit 3), not a point outside a domain (exit 5)
@@ -744,17 +760,51 @@ _BROKEN_CALLS = {
 }
 
 
+def _ends_above_start(real):
+    """Break newton_solve: its final value lies 1 above its start."""
+
+    def broken(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        trace.final_h = trace.h_values()[0] + 1.0
+        return trace
+
+    return broken
+
+
+# breaks that their check once raised on (exit 4, no counterexample)
+# instead of reporting: case -> (check, library call, how it is broken)
+_RAISING_BREAKS = {
+    # gram = N^T N - I would not broadcast against the one column short N
+    "null_basis_a_column_short": (
+        "null_basis",
+        "ConstraintFactorization",
+        _edited(rank=lambda r: r + 1),
+    ),
+    # iteration_bound refuses the negative decrease
+    "contraction_bound_final_value_above_start": (
+        "contraction_bound",
+        "newton_solve",
+        _ends_above_start,
+    ),
+}
+
+
 def test_every_check_has_a_broken_call():
     names = {name for checks in selfcheck._SUITES.values() for name, _ in checks}
     assert set(_BROKEN_CALLS) == names
 
 
-@pytest.mark.parametrize("check", list(_BROKEN_CALLS))
-def test_check_reports_a_broken_library_call(tmp_path, capsys, monkeypatch, check):
+@pytest.mark.parametrize(
+    "check, target, breaker",
+    [(check, *call) for check, call in _BROKEN_CALLS.items()] + list(_RAISING_BREAKS.values()),
+    ids=[*_BROKEN_CALLS, *_RAISING_BREAKS],
+)
+def test_check_reports_a_broken_library_call(
+    tmp_path, capsys, monkeypatch, check, target, breaker
+):
     # each check alone, so the broken call cannot trip another check first
     suite = next(s for s, checks in selfcheck._SUITES.items() if check in dict(checks))
     fn = dict(selfcheck._SUITES[suite])[check]
-    target, breaker = _BROKEN_CALLS[check]
     monkeypatch.setattr(selfcheck, target, breaker(getattr(selfcheck, target)))
     monkeypatch.setattr(selfcheck, "_SUITES", {suite: [(check, fn)]})
     cx = tmp_path / "cx.json"

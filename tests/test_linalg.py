@@ -12,8 +12,10 @@ from eqopt.linalg import (
     as_vector,
     bunch_kaufman_solve,
     cholesky,
+    cholesky_solve,
     pull_back_quadratic,
     quadratic_data,
+    symmetric_part,
     symmetric_solve,
 )
 from eqopt.problems import GeneratorSpec, generate
@@ -250,6 +252,43 @@ def test_triangular_solves_match_solve_triangular_and_type_their_failure():
         _upper_solve(singular, rhs)
 
 
+_SPD = np.array([[4.0, 1.0], [1.0, 3.0]])
+_INDEFINITE = np.array([[2.0, 1.0], [1.0, -3.0]])  # ||.||_1 = 4
+_SMALL_A = np.random.default_rng(403).uniform(-1, 1, (2, 4))  # dgeqp3, then dormqr
+_LARGE_A = np.random.default_rng(404).uniform(-1, 1, (40, 160))  # dgeqrt, dtrcon, dgemqrt
+
+
+# routine -> a call that reaches it
+_CALLS_INTO = {
+    "dpotrf": lambda: cholesky(_SPD),
+    "dpotrs": lambda: cholesky_solve(_SPD, np.ones(2)),
+    "dsytrf": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
+    "dsytrs": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
+    "dgeqp3": lambda: ConstraintFactorization(_SMALL_A, np.ones(2)),
+    "dormqr": lambda: ConstraintFactorization(_SMALL_A, np.ones(2)),
+    "dgeqrt": lambda: ConstraintFactorization(_LARGE_A, np.ones(40)),
+    "dtrcon": lambda: ConstraintFactorization(_LARGE_A, np.ones(40)),
+    "dgemqrt": lambda: ConstraintFactorization(_LARGE_A, np.ones(40)),
+    "eigh": lambda: symmetric_solve(_SPD, np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("routine", list(_CALLS_INTO))
+def test_a_failing_routine_is_a_computation_error_naming_it(monkeypatch, routine):
+    # LAPACK rejects an argument (info = -1) or eigh does not converge
+    module = np.linalg if routine == "eigh" else scipy.linalg.lapack
+    real = getattr(module, routine)
+
+    def failing(*args, **kwargs):
+        if module is np.linalg:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return (*real(*args, **kwargs)[:-1], -1)  # the routine's results, info last
+
+    monkeypatch.setattr(module, routine, failing)
+    with pytest.raises(ComputationError, match=rf"\b{routine}\b"):
+        _CALLS_INTO[routine]()
+
+
 def _indefinite_matrices(rng):
     """Seeded symmetric indefinite matrices: a zero diagonal, a small
     positive one (2x2 pivots whose diagonal entries are both positive) and
@@ -446,5 +485,6 @@ def test_symmetrizing_halves_first():
         assert np.array_equal(aa, 0.5 * (qb + qb.T))
     # ... and keeps finite entries near the float maximum finite
     big = np.full((2, 2), 1.5e308)
+    assert np.array_equal(symmetric_part(big), big)
     assert np.array_equal(quadratic_data(big)[0], big)
     assert np.array_equal(pull_back_quadratic(big, np.zeros(2), np.zeros(2), np.eye(2))[0], big)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from eqopt import nlp
 from eqopt.errors import (
     ComputationError,
     DivergenceError,
@@ -131,9 +132,9 @@ def test_line_search_parameter_validation():
     reduced, _ = lse_reduced(5)
     g = np.zeros(reduced.free_dim)
     d = -reduced.gradient(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must lie in"):
         backtracking_line_search(reduced, g, d, alpha=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beta must lie in"):
         backtracking_line_search(reduced, g, d, beta=1.0)
 
 
@@ -541,6 +542,63 @@ def test_nan_hessian_is_a_computation_error():
     for red in (reduced, overflowing):
         with np.errstate(over="ignore"), pytest.raises(ComputationError, match="sample 0"):
             estimate_convergence_constants(red, [np.zeros(2)])
+
+
+def test_the_newton_loop_checks_no_iterate_it_computed(monkeypatch):
+    # only a g from outside is checked; the loop's own iterates go to the
+    # restricted oracle as they are
+    checked = []
+    real = nlp.as_vector
+
+    def counted(v, *args):
+        checked.append(args)
+        return real(v, *args)
+
+    monkeypatch.setattr(nlp, "as_vector", counted)
+    reduced = lse_reduced(24)[0]
+    for run in (newton_solve, sqp_iterate):
+        trace = run(reduced)
+        assert trace.converged and len(trace.iterations) >= 2
+    assert checked == []
+    newton_solve(reduced, NewtonConfig(g0=np.zeros(reduced.free_dim)))
+    assert checked == [("g0", reduced.free_dim)]
+
+
+def test_a_newton_step_that_overflows_is_a_computation_error():
+    # h(g) = 1e-320 g^2 / 2 + g: every value is finite, the step -1e320 is not
+    oracle = quadratic(np.diag([1e-320, 1e-320]), [1.0, 0.0])
+    reduced = reduce_problem(oracle, EqualityConstraints([[0.0, 1.0]], [0.0]))
+    for run in (newton_solve, sqp_iterate):
+        with pytest.raises(ComputationError, match="Newton step overflows .* iteration 0"):
+            run(reduced)
+    with pytest.raises(ComputationError, match="Newton step overflows"):
+        newton_decrement(reduced, np.zeros(1))
+
+
+@pytest.mark.parametrize("hessian", ["analytic", "differenced"])
+def test_a_hessian_near_the_float_maximum_keeps_its_reduction_finite(hessian):
+    # f = 0.75e308 |x|^2 + 1e150 x1 on x1 + x2 = 0: the reduced Hessian is
+    # 1.5e308, finite when symmetrized by halving first, not by 0.5 (F + F^T)
+    c = np.array([1e150, 0.0])
+    oracle = ObjectiveOracle(
+        2,
+        lambda x: float((0.75e308 * x) @ x + c @ x),
+        lambda x: 1.5e308 * x + c,
+        (lambda x: np.diag([1.5e308, 1.5e308])) if hessian == "analytic" else None,
+    )
+    reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0]], [0.0]))
+    assert_allclose(reduced.hessian(np.zeros(1)), [[1.5e308]], rtol=1e-9)
+    trace = newton_solve(reduced)
+    assert trace.converged
+    t = 1e150 / 1.5e308 / 2.0
+    assert_allclose(trace.final_x, [-t, t], rtol=1e-12)
+
+
+def test_sampled_constants_refuse_an_indefinite_reduced_hessian():
+    oracle = quadratic(np.diag([1.0, -1.0, 2.0]))
+    reduced = reduce_problem(oracle, EqualityConstraints([[0.0, 0.0, 1.0]], [1.0]))
+    with pytest.raises(NonConvexError, match="not uniformly positive definite"):
+        estimate_convergence_constants(reduced, [np.zeros(2)])
 
 
 def test_start_outside_the_barrier_domain_is_refused():

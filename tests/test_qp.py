@@ -665,6 +665,20 @@ def test_kkt_refuses_a_non_finite_solution_without_a_warning():
             solve_kkt(problem)
 
 
+def test_kkt_refuses_a_solution_whose_residual_is_large(monkeypatch):
+    # the inertia is right, but dsytrs's solution is moved off by 1e-3: the
+    # residual gate refuses it rather than report a wrong x
+    real = scipy.linalg.lapack.dsytrs
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dsytrs", lambda *args, **kwargs: (real(*args, **kwargs)[0] + 1e-3, 0)
+    )
+    problem = QpProblem(
+        np.diag([2.0, 4.0, 6.0]), np.ones(3), EqualityConstraints([[1.0, 1.0, 1.0]], [3.0])
+    )
+    with pytest.raises(OracleUnavailableError, match="residual"):
+        solve_kkt(problem)
+
+
 def test_kkt_units_do_not_make_it_refuse_a_well_posed_problem():
     # Q at 1e8 or one row of (A, b) at 1e-8 puts the Schur-complement pivots
     # |A|^2 / |Q| below the inertia cut of the unbalanced saddle matrix. The
