@@ -12,7 +12,6 @@ outside the objective's domain.
 
 import argparse
 import ctypes
-import json
 import os
 import platform
 import sys
@@ -34,7 +33,7 @@ from .errors import (
     UnknownObjectiveError,
 )
 from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
-from .problems import GeneratorSpec, generate, load
+from .problems import GeneratorSpec, generate, load, write_json
 from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 EXIT_OK = 0
@@ -137,15 +136,6 @@ def _build_parser():
     return parser
 
 
-def _emit(doc, path):
-    text = json.dumps(doc, indent=2)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -154,15 +144,13 @@ def _qp_solution_doc(sol):
     return {
         "formatVersion": 1,
         "method": sol.method,
-        "x": sol.x.tolist(),
+        "x": sol.x,
         "objective": sol.objective,
         "constraintResidual": sol.constraint_residual,
         "stationarityResidual": sol.stationarity_residual,
         "classification": sol.classification,
         "degenerate": sol.degenerate,
-        "lagrangeMultipliers": None
-        if sol.lagrange_multipliers is None
-        else sol.lagrange_multipliers.tolist(),
+        "lagrangeMultipliers": sol.lagrange_multipliers,
     }
 
 
@@ -171,15 +159,15 @@ def _trace_doc(trace, method):
         "formatVersion": 1,
         "method": method,
         "converged": trace.converged,
-        "finalG": trace.final_g.tolist(),
-        "finalX": trace.final_x.tolist(),
+        "finalG": trace.final_g,
+        "finalX": trace.final_x,
         "finalH": trace.final_h,
         "finalGradNorm": trace.final_grad_norm,
         "finalDecrementSq": trace.final_decrement_sq,
         "iterations": [
             {
-                "g": it.g.tolist(),
-                "x": it.x.tolist(),
+                "g": it.g,
+                "x": it.x,
                 "hValue": it.h_value,
                 "gradNorm": it.grad_norm,
                 "decrementSq": it.decrement_sq,
@@ -204,7 +192,7 @@ def cmd_solve(args):
         if args.method == "kkt" and args.tol is not None:
             print("note: the kkt oracle takes no tolerance; ignoring --tol", file=sys.stderr)
         sol = _QP_SOLVERS[args.method](problem, eps=args.tol)
-        _emit(_qp_solution_doc(sol), args.output)
+        write_json(_qp_solution_doc(sol), args.output)
         return EXIT_OK
 
     if isinstance(problem, QpProblem):
@@ -224,15 +212,15 @@ def cmd_solve(args):
         "method": args.method,
         "converged": trace.converged,
         "iterations": len(trace.iterations),
-        "x": trace.final_x.tolist(),
+        "x": trace.final_x,
         "objective": trace.final_h,
         "constraintResidual": problem.constraints.residual(trace.final_x),
         "gradNorm": trace.final_grad_norm,
         "decrementSq": trace.final_decrement_sq,
     }
-    _emit(doc, args.output)
+    write_json(doc, args.output)
     if args.trace is not None:
-        _emit(_trace_doc(trace, args.method), args.trace)
+        write_json(_trace_doc(trace, args.method), args.trace)
     if not trace.converged:
         print(
             f"error: {args.method} did not converge within {args.max_iter} iterations",
@@ -260,8 +248,6 @@ def _parse_sizes(text):
         if not 0 <= m < n:
             raise ValueError(f"size {token!r} needs 0 <= m < n")
         sizes.append((n, m))
-    if not sizes:
-        raise ValueError("no benchmark sizes given")
     return sizes
 
 
@@ -335,11 +321,18 @@ def cmd_bench(args):
     sizes = _parse_sizes(args.sizes)
     methods = _parse_methods(args.methods)
     master = np.random.default_rng(args.seed)
+    header = (
+        f"{'n':>5} {'m':>5}  {'method':<10} {'trials':>7} {'solved':>7} "
+        f"{'mean-ms':>10} {'median-ms':>10} {'ratio':>7} {'max-resid':>10} {'disagree':>10}"
+        "  failures"
+    )
+    lines = [header, "-" * len(header)]
     rows = []
-    for n, m in sorted(set(sizes)):
-        stats = {
-            name: {"times": [], "max_resid": 0.0, "failures": {}} for name in methods
-        }
+    # without trials there is nothing to measure, warm-ups included
+    for n, m in sorted(set(sizes)) if args.trials > 0 else ():
+        times = {name: [] for name in methods}
+        max_resid = dict.fromkeys(methods, 0.0)
+        failures = {name: {} for name in methods}
         max_disagree = 0.0
         # one untimed warmup per size so first-call overhead stays out of means
         warm = generate(GeneratorSpec(n=n, m=m, seed=int(master.integers(2**63)), q_class=args.q_class))
@@ -353,42 +346,45 @@ def cmd_bench(args):
             problem = generate(GeneratorSpec(n=n, m=m, seed=seed_t, q_class=args.q_class))
             xs = []
             for name in methods:
-                entry = stats[name]
                 t0 = time.perf_counter()
                 try:
                     sol = _QP_SOLVERS[name](problem)
                 except tuple(_FAILURE_KINDS) as exc:
                     kind = _FAILURE_KINDS[type(exc)]
-                    entry["failures"][kind] = entry["failures"].get(kind, 0) + 1
+                    failures[name][kind] = failures[name].get(kind, 0) + 1
                     continue
-                entry["times"].append(time.perf_counter() - t0)
-                entry["max_resid"] = max(entry["max_resid"], sol.constraint_residual)
+                times[name].append(time.perf_counter() - t0)
+                max_resid[name] = max(max_resid[name], sol.constraint_residual)
                 xs.append(sol.x)
             for i in range(len(xs)):
                 for j in range(i + 1, len(xs)):
                     max_disagree = max(max_disagree, selfcheck._rel_gap(xs[i], xs[j]))
-        for name in methods:
-            entry = stats[name]
-            times = entry["times"]
-            mean_ms = 1000.0 * float(np.mean(times)) if times else None
-            median_ms = 1000.0 * float(np.median(times)) if times else None
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "method": name,
-                    "trials": args.trials,
-                    "solved": len(entry["times"]),
-                    "meanTimeMs": mean_ms,
-                    "medianTimeMs": median_ms,
-                    "maxConstraintResidual": entry["max_resid"],
-                    "maxCrossMethodDisagreement": max_disagree,
-                    "failures": dict(sorted(entry["failures"].items())),
-                }
+        means = {name: 1000.0 * float(np.mean(t)) for name, t in times.items() if t}
+        base = min(means.values(), default=None)
+        for name in sorted(methods):
+            row = {
+                "n": n,
+                "m": m,
+                "method": name,
+                "trials": args.trials,
+                "solved": len(times[name]),
+                "meanTimeMs": means.get(name),
+                "medianTimeMs": 1000.0 * float(np.median(times[name])) if times[name] else None,
+                "maxConstraintResidual": max_resid[name],
+                "maxCrossMethodDisagreement": max_disagree,
+                "failures": dict(sorted(failures[name].items())),
+            }
+            rows.append(row)
+            mean_s, median_s = (
+                f"{t:10.4f}" if t is not None else f"{'-':>10}"
+                for t in (row["meanTimeMs"], row["medianTimeMs"])
             )
-    if args.trials == 0:
-        rows = []
-    rows.sort(key=lambda r: (r["n"], r["m"], r["method"]))
+            ratio_s = f"{means[name] / base:7.2f}" if name in means and base else f"{'-':>7}"
+            fail_s = ",".join(f"{k}:{v}" for k, v in row["failures"].items()) or "-"
+            lines.append(
+                f"{n:>5} {m:>5}  {name:<10} {args.trials:>7} {row['solved']:>7} {mean_s} "
+                f"{median_s} {ratio_s} {max_resid[name]:>10.2e} {max_disagree:>10.2e}  {fail_s}"
+            )
 
     report = {
         "formatVersion": 1,
@@ -399,41 +395,8 @@ def cmd_bench(args):
         "environment": _environment(),
         "rows": rows,
     }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    header = (
-        f"{'n':>5} {'m':>5}  {'method':<10} {'trials':>7} {'solved':>7} "
-        f"{'mean-ms':>10} {'median-ms':>10} {'ratio':>7} {'max-resid':>10} {'disagree':>10}"
-        "  failures"
-    )
-    print(header)
-    print("-" * len(header))
-    by_size = {}
-    for row in rows:
-        by_size.setdefault((row["n"], row["m"]), []).append(row)
-    for (n, m), group in sorted(by_size.items()):
-        means = [r["meanTimeMs"] for r in group if r["meanTimeMs"] is not None]
-        base = min(means) if means else None
-        for row in group:
-            mean = row["meanTimeMs"]
-            mean_s, median_s = (
-                f"{t:10.4f}" if t is not None else f"{'-':>10}"
-                for t in (mean, row["medianTimeMs"])
-            )
-            ratio_s = (
-                f"{mean / base:7.2f}" if (mean is not None and base) else f"{'-':>7}"
-            )
-            fail_s = (
-                ",".join(f"{k}:{v}" for k, v in row["failures"].items()) or "-"
-            )
-            print(
-                f"{row['n']:>5} {row['m']:>5}  {row['method']:<10} "
-                f"{row['trials']:>7} {row['solved']:>7} {mean_s} {median_s} {ratio_s} "
-                f"{row['maxConstraintResidual']:>10.2e} "
-                f"{row['maxCrossMethodDisagreement']:>10.2e}  {fail_s}"
-            )
+    write_json(report, args.output)
+    print("\n".join(lines))
     print(f"report written to {args.output}")
     return EXIT_OK
 
@@ -466,9 +429,7 @@ def cmd_check(args):
                         "details": cx,
                     }
     if first_cx is not None:
-        with open(args.counterexample, "w", encoding="utf-8") as fh:
-            json.dump(first_cx, fh, indent=2)
-            fh.write("\n")
+        write_json(first_cx, args.counterexample)
         print(f"first counterexample written to {args.counterexample}", file=sys.stderr)
     return EXIT_CHECK_FAILED if any_failed else EXIT_OK
 

@@ -99,11 +99,13 @@ def pull_back_quadratic(q, c, x0, basis):
 
     Returns ``(B^T Q B, B^T (Q x0 + c), 1/2 x0^T Q x0 + c^T x0)``; the first
     is formed as ``(B^T Q) B`` and made exactly symmetric by
-    :func:`symmetric_part`.
+    :func:`symmetric_part`. An entry that overflows comes back as ``inf``
+    or NaN without a warning; the callers check what they solve with.
     """
-    qx0 = q @ x0
-    qb = symmetric_part(basis.T @ q @ basis)
-    return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qx0 = q @ x0
+        qb = symmetric_part(basis.T @ q @ basis)
+        return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
 
 
 def cholesky(m):
@@ -287,7 +289,8 @@ class ConstraintFactorization:
         scale = np.max(np.abs(a), axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
         self.a = a / scale[:, None]
-        self.b = b / scale
+        with np.errstate(over="ignore"):  # checked with x0 below
+            self.b = b / scale
         found = _full_rank_qr(self.a, eps)
         if found is not None:
             qr, self._t = found

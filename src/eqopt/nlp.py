@@ -365,6 +365,16 @@ def backtracking_line_search(
     return _armijo(oracle, g, direction, float(oracle.value(g)), slope, alpha, beta)[0]
 
 
+def _norm(v):
+    """``||v||_2`` of a finite vector, without a warning: ``np.linalg.norm(v)``
+    bit for bit where that is finite. Where the sum of squares overflows,
+    ``v`` is scaled by ``2^-600`` first, exactly but for entries far too
+    small to count, and the norm scaled back (``inf`` only beyond range)."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(v))
+    return out if out < math.inf else 2.0**600 * float(np.linalg.norm(v * 2.0**-600))
+
+
 def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
     """The Newton iteration behind :func:`newton_solve` and :func:`sqp_iterate`.
 
@@ -382,7 +392,7 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
     arrived = False
     while True:
         e, step, dec_sq = _newton_step(oracle, g, iteration=len(trace.iterations))
-        grad_norm = float(np.linalg.norm(e))
+        grad_norm = _norm(e)
         if armijo is None:
             rose = trace.iterations and not h_g <= trace.iterations[-1].h_value
             rises = rises + 1 if rose else 0
@@ -406,7 +416,7 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
                     f"objective's domain (h = {h_next}); use the damped newton_solve instead",
                     trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
                 )
-            arrived = float(np.linalg.norm(step)) < tol  # record the arrival point, then stop
+            arrived = _norm(step) < tol  # record the arrival point, then stop
         else:
             t, h_next = _armijo(oracle, g, step, h_g, -dec_sq, *armijo)
         trace.iterations.append(
@@ -452,7 +462,7 @@ def newton_solve(reduced, config=None):
     )
 
 
-def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
+def sqp_iterate(reduced, g0=None, tol_g=NewtonConfig.epsilon, max_iter=NewtonConfig.max_iter):
     """Pure Newton iteration: full steps, no line search.
 
     ``g <- g - F^{-1} E`` until either the step or the gradient drops
@@ -465,12 +475,10 @@ def sqp_iterate(reduced, g0=None, tol_g=1e-10, max_iter=100):
     where the objective is ``+inf`` raises :class:`InfeasibleStartError`;
     a NaN or ``-inf`` objective there, a non-finite gradient or Hessian, or
     a Newton step that overflows float range raises
-    :class:`ComputationError`.
+    :class:`ComputationError`. ``tol_g`` and ``max_iter`` are checked, and
+    default, as :class:`NewtonConfig`'s ``epsilon`` and ``max_iter``.
     """
-    if not (math.isfinite(tol_g) and tol_g > 0.0):
-        raise ValueError("tol_g must be finite and positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    NewtonConfig(epsilon=tol_g, max_iter=max_iter)  # raises ValueError for values out of range
     return _newton_loop(reduced, g0, max_iter, tol_g)
 
 

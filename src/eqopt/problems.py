@@ -10,6 +10,12 @@ of it; a ``dim`` param must be the integer ``n``. Floats are written with
 Python's shortest-round-trip repr, so values survive a save/load cycle
 bit for bit.
 
+:func:`write_json` writes every JSON document eqopt writes: problem files,
+and the solutions, traces, bench reports and counterexamples of
+:mod:`eqopt.cli` (which imports this module, so the writer lives here).
+It turns numpy arrays and scalars into lists and numbers through json's
+``default`` hook, so no caller converts them first.
+
 :func:`load` parses with orjson, which reads the long float arrays of a
 problem file several times faster than the standard library and gives
 bit-identical floats. Whatever orjson refuses is parsed again, unchanged,
@@ -269,16 +275,27 @@ def load(path):
     )
 
 
-def _listify(value):
-    if isinstance(value, np.ndarray):
+def _jsonable(value):
+    """A numpy array or scalar as the list or number json writes for it."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_listify(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def write_json(doc, path=None):
+    """Write ``doc`` as JSON indented by two, to ``path`` with a final
+    newline or, with no path, to stdout.
+
+    Every document eqopt writes goes through here. numpy arrays and
+    scalars are written as the lists and numbers ``tolist`` gives, so
+    floats keep Python's shortest-round-trip repr.
+    """
+    if path is None:
+        print(json.dumps(doc, indent=2, default=_jsonable))
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, default=_jsonable)
+        fh.write("\n")
 
 
 def save(path, problem):
@@ -291,20 +308,15 @@ def save(path, problem):
         "m": constraints.m,
     }
     if isinstance(problem, QpProblem):
-        doc["Q"] = problem.q.tolist()
-        doc["c"] = problem.c.tolist()
+        doc["Q"] = problem.q
+        doc["c"] = problem.c
     elif isinstance(problem, NlpProblem):
-        doc["objective"] = {
-            "name": problem.objective_name,
-            "params": _listify(problem.objective_params),
-        }
+        doc["objective"] = {"name": problem.objective_name, "params": problem.objective_params}
     else:
         raise TypeError(f"cannot save a {type(problem).__name__}")
-    doc["A"] = constraints.a.tolist()
-    doc["b"] = constraints.b.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    doc["A"] = constraints.a
+    doc["b"] = constraints.b
+    write_json(doc, path)
 
 
 @dataclass

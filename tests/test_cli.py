@@ -264,6 +264,15 @@ def test_solve_kkt_notes_that_it_ignores_tol(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_solve_qp_method_notes_that_it_ignores_trace(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    argv = ["solve", "--input", _qp_file(tmp_path), "--trace", str(trace_path)]
+    for method in ("projector", "nullspace", "kkt"):
+        assert cli.main(argv + ["--method", method]) == 0
+        assert "--trace is only produced by newton/sqp" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
 def test_solve_barrier_start_outside_the_domain_exits_5(tmp_path, capsys):
     # the minimum-norm point (1, 1) of x1 + x2 = 2 violates the barrier x1 < 0.5
     doc = {
@@ -316,21 +325,54 @@ def test_solve_sqp_step_out_of_the_barrier_domain_exits_3(tmp_path, capsys):
     assert cli.main(["solve", "--input", path, "--method", "newton"]) == 0
 
 
-@pytest.mark.parametrize(
-    "q, c, a, b",
-    [
-        # the minimum-norm point x0 = (1e310, 0, 0) overflows
-        (np.eye(3).tolist(), [0.0] * 3, [[1e-300, 0.0, 0.0]], [1e10]),
-        # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
-        ((1e300 * np.eye(3)).tolist(), [1e300] * 3, [[1e-300, 1.0, 0.0]], [1e300]),
-    ],
-)
+_OVERFLOWING_SOLUTIONS = [
+    # the minimum-norm point x0 = (1e310, 0, 0) overflows
+    (np.eye(3).tolist(), [0.0] * 3, [[1e-300, 0.0, 0.0]], [1e10]),
+    # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
+    ((1e300 * np.eye(3)).tolist(), [1e300] * 3, [[1e-300, 1.0, 0.0]], [1e300]),
+]
+
+
+@pytest.mark.parametrize("q, c, a, b", _OVERFLOWING_SOLUTIONS)
 def test_solve_a_solution_that_overflows_exits_3(tmp_path, capsys, q, c, a, b):
     path = _qp_file(tmp_path, n=3, Q=q, c=c, A=a, b=b)
     for method in ("projector", "nullspace", "kkt"):
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, c, a, b", _OVERFLOWING_SOLUTIONS)
+def test_solve_a_solution_that_overflows_exits_3_without_a_warning(
+    tmp_path, capsys, q, c, a, b
+):
+    # numpy's default error state: the overflow in the row scaling of b, or
+    # in the pulled-back Q x0, must end in the typed failure, not a warning
+    path = _qp_file(tmp_path, n=3, Q=q, c=c, A=a, b=b)
+    for method in ("projector", "nullspace", "kkt", "newton", "sqp"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+        assert "error:" in capsys.readouterr().err
+
+
+def test_solve_a_gradient_norm_whose_square_overflows(tmp_path, capsys):
+    # Q = 1.5e308 I and c = (1e160, 0) on x1 + x2 = 0: at the start point
+    # E = N^T c has norm 1e160 / sqrt(2), whose square overflows; the trace
+    # records that norm, not inf (written as the non-JSON token Infinity)
+    q = [[1.5e308, 0.0], [0.0, 1.5e308]]
+    path = _qp_file(tmp_path, Q=q, c=[1e160, 0.0], A=[[1.0, 1.0]], b=[0.0])
+    trace_path = tmp_path / "trace.json"
+    for method in ("newton", "sqp"):
+        argv = ["solve", "--input", path, "--method", method, "--trace", str(trace_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0, method
+        assert capsys.readouterr().err == ""
+        text = trace_path.read_text()
+        assert "Infinity" not in text
+        first = json.loads(text)["iterations"][0]["gradNorm"]
+        assert first == pytest.approx(1e160 / math.sqrt(2.0), rel=1e-15), method
 
 
 def test_solve_a_reduced_hessian_beyond_float_range(tmp_path, capsys):
@@ -533,13 +575,21 @@ def test_bench_report_records_environment(tmp_path, monkeypatch):
     assert env["MKL_NUM_THREADS"] is None
 
 
-def test_bench_zero_trials_gives_empty_rows(tmp_path):
+def test_bench_zero_trials_gives_empty_rows(tmp_path, capsys, monkeypatch):
+    # nothing is measured, so no problem is generated, not even a warm-up
+    def refuse(spec):
+        raise AssertionError("generated a problem")
+
+    monkeypatch.setattr(cli, "generate", refuse)
     report_path = tmp_path / "report.json"
     code = cli.main(
         ["bench", "--sizes", "6:2", "--trials", "0", "--output", str(report_path)]
     )
     assert code == 0
     assert json.loads(report_path.read_text())["rows"] == []
+    header, rule, written = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["n", "m", "method"] and set(rule) == {"-"}
+    assert written == f"report written to {report_path}"
 
 
 def test_bench_negative_trials_exit_4(tmp_path, capsys):
@@ -620,6 +670,10 @@ def test_bench_bad_method_exit_4(tmp_path, capsys):
     )
     assert code == 4
     assert "unknown method" in capsys.readouterr().err
+    argv = ["bench", "--sizes", "6:2", "--methods", "", "--output", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 4
+    assert "no methods given" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bench_counts_the_failures_of_a_method(tmp_path, capsys, monkeypatch):

@@ -447,6 +447,8 @@ def test_as_matrix_and_as_vector():
         as_vector([[1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         as_vector([np.nan])
+    with pytest.raises(ValueError, match="A contains non-finite"):
+        EqualityConstraints([[1.0, np.nan]], [1.0])
 
 
 def test_a_solution_that_overflows_is_a_computation_error():

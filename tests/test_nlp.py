@@ -57,6 +57,8 @@ def test_objective_oracle_fd_hessian_fallback():
     x = np.array([0.7, -0.4])
     expected = np.array([[4.2, 2.0], [2.0, 2.0]])
     assert_allclose(oracle.hessian(x), expected, rtol=1e-6, atol=1e-6)
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        ObjectiveOracle(0, value, gradient)
 
 
 def test_reduced_objective_chain_rule():
@@ -271,7 +273,7 @@ def test_sqp_converges_near_solution_where_damped_not_needed():
 def test_sqp_validation():
     reduced, _ = lse_reduced(23)
     for tol_g in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite and positive"):
             sqp_iterate(reduced, tol_g=tol_g)
     with pytest.raises(ValueError):
         sqp_iterate(reduced, max_iter=0)
@@ -400,6 +402,11 @@ def test_estimated_lipschitz_is_the_reduced_difference_quotient():
     hess = lambda g: math.exp(c / 2) * math.cosh(g / math.sqrt(2))
     constants = estimate_convergence_constants(reduced, [np.array([g1]), np.array([g2])])
     assert_allclose(constants.lipschitz, (hess(g2) - hess(g1)) / (g2 - g1), rtol=1e-12)
+    # a repeated sample is no pair to divide by; no sample is an error
+    repeated = [np.array([g1]), np.array([g2]), np.array([g1])]
+    assert estimate_convergence_constants(reduced, repeated) == constants
+    with pytest.raises(ValueError, match="at least one sample point"):
+        estimate_convergence_constants(reduced, [])
     assert_allclose(constants.m_strong, hess(g1), rtol=1e-12)
     assert_allclose(constants.m_upper, hess(g2), rtol=1e-12)
     # tighter than the full-space quotient of diag(e^x1, e^x2) at the same

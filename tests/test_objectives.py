@@ -101,6 +101,8 @@ def test_barrier_parameter_validation():
         neg_log_barrier_quadratic(
             np.eye(2), barrier_a=[[1.0, 0.0]], barrier_b=[1.0, 2.0]
         )
+    with pytest.raises(ValueError, match="barrier_a has 3 columns, expected 2"):
+        neg_log_barrier_quadratic(np.eye(2), barrier_a=[[1.0, 0.0, 0.0]], barrier_b=[1.0])
     for mu in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             neg_log_barrier_quadratic(

@@ -1,5 +1,6 @@
 """Problem file round-trips, schema errors, and the random generator."""
 
+import ast
 import json
 import os
 import subprocess
@@ -98,6 +99,35 @@ def test_save_then_load_generated_problem(tmp_path):
     assert_array_equal(back.c, problem.c)
     assert_array_equal(back.constraints.a, problem.constraints.a)
     assert_array_equal(back.constraints.b, problem.constraints.b)
+
+
+def test_nlp_round_trip_of_numpy_params(tmp_path):
+    # numpy arrays and scalars in the params are written as the lists and
+    # numbers tolist() gives: the same bytes as the plain Python params
+    numpy_params = {"rates": np.array([0.5, 1.0 / 3.0, 2.0]), "dim": np.int64(3)}
+    barrier_params = {
+        "q": np.eye(3),
+        "barrier_a": np.array([[1.0, 0.0, 0.0]]),
+        "barrier_b": np.array([2.0]),
+        "mu": np.float64(0.1),
+    }
+    for name, params in (("sum_exp", numpy_params), ("neg_log_barrier_quadratic", barrier_params)):
+        plain = {key: value.tolist() for key, value in params.items()}
+        paths = []
+        for tag, record in (("numpy", params), ("plain", plain)):
+            problem = NlpProblem(
+                oracle=objective_registry(name, params),
+                constraints=EqualityConstraints([[1.0, 1.0, 1.0]], [0.5]),
+                objective_name=name,
+                objective_params=record,
+            )
+            paths.append(tmp_path / f"{name}-{tag}.json")
+            save(paths[-1], problem)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        back = load(paths[0])
+        assert _same_document(back.objective_params, plain)
+        x = np.array([0.1, 0.2, 0.3])
+        assert back.oracle.value(x) == problem.oracle.value(x)
 
 
 def test_save_rejects_unknown_type(tmp_path):
@@ -203,6 +233,12 @@ def test_load_ragged_matrix_rejected(tmp_path):
     doc = _qp_doc(n=2, m=2, A=[[1.0, 1.0], [1.0]], b=[1.0, 2.0])
     with pytest.raises(ProblemSchemaError, match="'A'"):
         load(_write(tmp_path / "p.json", doc))
+
+
+def test_load_top_level_must_be_an_object(tmp_path):
+    for doc in ([_qp_doc()], 1.0, "qp", None):
+        with pytest.raises(ProblemSchemaError, match="top level must be an object"):
+            load(_write(tmp_path / "p.json", doc))
 
 
 def test_load_bad_kind_and_version(tmp_path):
@@ -326,16 +362,38 @@ def test_load_unknown_objective(tmp_path):
 
 
 def test_load_objective_dimension_mismatch(tmp_path):
+    # a dim param that is not n, and a log_sum_exp whose a has n + 1 columns
+    for objective, message in (
+        ({"name": "sum_exp", "params": {"dim": 2}}, "'dim' is 2; the objective dimension"),
+        (
+            {"name": "log_sum_exp", "params": {"a": [[1.0, 0.0, 0.0, 1.0]]}},
+            "objective dimension 4 does not match n=3",
+        ),
+    ):
+        doc = {
+            "formatVersion": FORMAT_VERSION,
+            "kind": "nlp",
+            "n": 3,
+            "m": 1,
+            "objective": objective,
+            "A": [[1.0, 1.0, 1.0]],
+            "b": [1.0],
+        }
+        with pytest.raises(ProblemSchemaError, match=message):
+            load(_write(tmp_path / "p.json", doc))
+
+
+def test_load_objective_params_must_be_an_object(tmp_path):
     doc = {
         "formatVersion": FORMAT_VERSION,
         "kind": "nlp",
-        "n": 3,
+        "n": 2,
         "m": 1,
-        "objective": {"name": "sum_exp", "params": {"dim": 2}},
-        "A": [[1.0, 1.0, 1.0]],
+        "objective": {"name": "sum_exp", "params": [2]},
+        "A": [[1.0, 1.0]],
         "b": [1.0],
     }
-    with pytest.raises(ProblemSchemaError, match="dimension"):
+    with pytest.raises(ProblemSchemaError, match="objective params must be an object"):
         load(_write(tmp_path / "p.json", doc))
 
 
@@ -468,3 +526,24 @@ def test_generator_spec_validation():
         GeneratorSpec(n=3, m=1, rank_deficiency=-1)
     with pytest.raises(ValueError):
         GeneratorSpec(n=3, m=0, rank_deficiency=1)
+
+
+# ---------------------------------------------------------------------------
+# one JSON writer
+
+
+def test_only_the_problems_module_writes_json():
+    # every document eqopt writes goes through problems.write_json, so the
+    # float format and the numpy conversion live in one place
+    writers = {"dump", "dumps"}
+    offenders = []
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            called = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            if called and node.func.attr in writers and getattr(node.func.value, "id", None) == "json":
+                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                offenders += [f"{path.name}:{node.lineno}" for a in node.names if a.name in writers]
+    assert offenders == []
