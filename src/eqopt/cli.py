@@ -33,7 +33,7 @@ from .errors import (
     UnknownObjectiveError,
 )
 from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
-from .problems import GeneratorSpec, generate, load, write_json
+from .problems import _Q_CLASSES, GeneratorSpec, generate, load, write_json
 from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ DEFAULT_SIZES = "10:2,10:4,10:8,20:4,20:8,20:16,40:8,40:16,40:32,80:16,80:32,80:
 _QP_SOLVERS = {
     "projector": solve_projector,
     "nullspace": solve_nullspace,
-    "kkt": lambda problem, eps=None: solve_kkt(problem),
+    "kkt": solve_kkt,
 }
 
 _FAILURE_KINDS = {
@@ -79,7 +79,7 @@ def _build_parser():
     p_solve.add_argument(
         "--method",
         default="nullspace",
-        choices=["projector", "nullspace", "kkt", "newton", "sqp"],
+        choices=[*_QP_SOLVERS, "newton", "sqp"],
     )
     p_solve.add_argument(
         "--tol",
@@ -107,13 +107,13 @@ def _build_parser():
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--methods",
-        default="projector,nullspace,kkt",
-        help="comma list out of projector,nullspace,kkt",
+        default=",".join(_QP_SOLVERS),
+        help="comma list out of %(default)s",
     )
     p_bench.add_argument(
         "--q-class",
         default="spd",
-        choices=["spd", "symmetric_indefinite", "asymmetric"],
+        choices=_Q_CLASSES,
         dest="q_class",
     )
     p_bench.add_argument("--output", default="bench_report.json")
@@ -191,7 +191,8 @@ def cmd_solve(args):
             print("note: --trace is only produced by newton/sqp; ignoring", file=sys.stderr)
         if args.method == "kkt" and args.tol is not None:
             print("note: the kkt oracle takes no tolerance; ignoring --tol", file=sys.stderr)
-        sol = _QP_SOLVERS[args.method](problem, eps=args.tol)
+        tol = {} if args.tol is None or args.method == "kkt" else {"eps": args.tol}
+        sol = _QP_SOLVERS[args.method](problem, **tol)
         write_json(_qp_solution_doc(sol), args.output)
         return EXIT_OK
 
@@ -256,7 +257,7 @@ def _parse_methods(text):
     methods = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
     for name in methods:
         if name not in _QP_SOLVERS:
-            raise ValueError(f"unknown method {name!r}; choose from projector,nullspace,kkt")
+            raise ValueError(f"unknown method {name!r}; choose from {','.join(_QP_SOLVERS)}")
     if not methods:
         raise ValueError("no methods given")
     return methods
@@ -448,7 +449,7 @@ def main(argv=None):
     except InfeasibleStartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_START
-    except (NonConvexError, DivergenceError, LineSearchError, OracleUnavailableError, ComputationError) as exc:
+    except tuple(_FAILURE_KINDS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ProblemFormatError, UnknownObjectiveError, ValueError, OSError) as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConstraintFactorization, as_matrix, as_vector
+from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector
 
 
 @dataclass
@@ -76,7 +76,7 @@ class ConstrainedExpression:
         return self.x0 + self.basis @ as_vector(g, "g", self.free_dim)
 
 
-def build_nullspace(constraints, eps=None):
+def build_nullspace(constraints, eps=EPS):
     """Build the null-space expression ``x = x0 + N g`` of ``A x = b``.
 
     One :class:`~eqopt.linalg.ConstraintFactorization` (``eps`` is its

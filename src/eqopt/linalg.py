@@ -278,13 +278,11 @@ class ConstraintFactorization:
         overflows float range.
     """
 
-    def __init__(self, a, b, eps=None):
+    def __init__(self, a, b, eps=EPS):
         a = as_matrix(a, "A")
         m, n = a.shape
         b = as_vector(b, "b", m)
-        if eps is None:
-            eps = EPS
-        elif not 0.0 < eps < 1.0:  # also rejects NaN
+        if not 0.0 < eps < 1.0:  # also rejects NaN
             raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps!r}")
         scale = np.max(np.abs(a), axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
@@ -432,7 +430,7 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
     return y, pos + blocks, neg + blocks
 
 
-def symmetric_solve(m, rhs, tol=None):
+def symmetric_solve(m, rhs, tol=EPS):
     """Minimum-norm solution of a symmetric system, and its inertia.
 
     One ``eigh`` gives both: eigenvalues ``w[i]`` with
@@ -462,8 +460,6 @@ def symmetric_solve(m, rhs, tol=None):
         If the eigendecomposition fails to converge, or an eigenvalue is not
         finite, which the cut cannot measure.
     """
-    if tol is None:
-        tol = EPS
     k = m.shape[0]
     try:
         w, v = np.linalg.eigh(m)

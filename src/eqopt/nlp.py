@@ -137,7 +137,7 @@ class ReducedObjective:
     the reduced ``h(g)``, ``N^T grad f``, the k x k ``N^T (hess f) N`` and
     the last two from one evaluation; none of them forms an n x n array
     unless the oracle's own analytic Hessian does; the Newton loop calls
-    that oracle directly. :meth:`point` maps ``g`` back to the full space.
+    that oracle directly. ``expr.embed`` maps ``g`` back to the full space.
     """
 
     expr: ConstrainedExpression  # basis N
@@ -149,10 +149,6 @@ class ReducedObjective:
     @property
     def free_dim(self):
         return self.expr.free_dim
-
-    def point(self, g):
-        """The full-space point x(g) = x0 + N g."""
-        return self.expr.embed(g)
 
     def value(self, g):
         return float(self._restricted.value(as_vector(g, "g", self.free_dim)))
@@ -176,7 +172,8 @@ def reduce_problem(oracle, constraints):
     The oracle is restricted to ``x0 + N g`` once
     (:meth:`ObjectiveOracle.restrict`): a registry objective pulls its data
     back through ``N`` here, and the pulled-back data lives as long as the
-    returned :class:`ReducedObjective`.
+    returned :class:`ReducedObjective`; it raises ComputationError when
+    the objective's quadratic part overflows float range at ``x0``.
     """
     if oracle.dim != constraints.n:
         raise ValueError(
@@ -311,9 +308,14 @@ def newton_decrement(reduced, g):
 
 def _start_value(oracle, g):
     """``h(g)`` at the start point. Raises InfeasibleStartError when it is
-    ``+inf`` (outside the domain) and ComputationError when it is NaN or
+    ``+inf`` (outside the domain) and ComputationError when its evaluation
+    overflows (``inf - inf`` or ``0 * inf`` included) or it is NaN or
     ``-inf``, which come from overflow, not from a domain."""
-    h = float(oracle.value(g))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h = float(oracle.value(g))
+    except FloatingPointError:
+        raise ComputationError("the objective overflows float range at the start point") from None
     if math.isnan(h) or h == -math.inf:
         raise ComputationError(
             f"the objective is {h} at the start point: it overflows float range there"
@@ -448,9 +450,9 @@ def newton_solve(reduced, config=None):
     InfeasibleStartError
         If the objective is ``+inf`` at the start point.
     ComputationError
-        If the objective is NaN or ``-inf`` at the start point, the oracle
-        returns a non-finite gradient or Hessian, or a Newton step
-        overflows float range.
+        If the objective overflows at the start point (also to NaN or
+        ``-inf``), the oracle returns a non-finite gradient or Hessian, or
+        a Newton step overflows float range.
     NonConvexError
         If a reduced Hessian fails its Cholesky factorization.
     LineSearchError
@@ -473,8 +475,9 @@ def sqp_iterate(reduced, g0=None, tol_g=NewtonConfig.epsilon, max_iter=NewtonCon
     partial trace, which ends at the last finite iterate);
     :func:`newton_solve` is the damped alternative. A start point
     where the objective is ``+inf`` raises :class:`InfeasibleStartError`;
-    a NaN or ``-inf`` objective there, a non-finite gradient or Hessian, or
-    a Newton step that overflows float range raises
+    an objective that overflows there (also to NaN or ``-inf``), a
+    non-finite gradient or Hessian, or a Newton step that overflows float
+    range raises
     :class:`ComputationError`. ``tol_g`` and ``max_iter`` are checked, and
     default, as :class:`NewtonConfig`'s ``epsilon`` and ``max_iter``.
     """
@@ -570,8 +573,6 @@ def iteration_bound(constants, config, h0_minus_hstar):
     out of float range, ``gamma = 0``, an infinite ``d_max``): no
     finite cap can be stated then.
     """
-    if config is None:
-        config = NewtonConfig()
     if not (math.isfinite(h0_minus_hstar) and h0_minus_hstar >= 0.0):
         raise ValueError("h0_minus_hstar must be finite and nonnegative")
     try:

@@ -30,7 +30,7 @@ import numbers
 
 import numpy as np
 
-from .errors import UnknownObjectiveError
+from .errors import ComputationError, UnknownObjectiveError
 from .linalg import as_matrix, as_vector, pull_back_quadratic, quadratic_data
 from .nlp import ObjectiveOracle
 
@@ -45,7 +45,8 @@ def _composite(phi, cmat, s, quad=None):
     ``quad`` is ``(Q, c, const)`` with Q symmetric, or None for no quadratic
     part. ``derivatives`` forms z and ``phi'(z)`` once for both the gradient
     and the Hessian, bit for bit the two separate callbacks. The pull-back
-    through ``x = x0 + B g`` is this body again.
+    through ``x = x0 + B g`` is this body again; it raises ComputationError
+    when the quadratic part at x0, its constant, overflows float range.
     """
     phi_value, slope, curvature = phi
 
@@ -90,7 +91,12 @@ def _composite(phi, cmat, s, quad=None):
         if quad is not None:
             q, c, const = quad
             qb, cb, const_b = pull_back_quadratic(q, c, x0, basis)
-            pulled = (qb, cb, const + const_b)
+            const += const_b
+            if not math.isfinite(const):
+                raise ComputationError(
+                    f"the objective's quadratic part overflows float range at x0 (it is {const})"
+                )
+            pulled = (qb, cb, const)
         return _composite(phi, cmat @ basis, cmat @ x0 + s, pulled)
 
     return ObjectiveOracle(

@@ -61,7 +61,7 @@ FORMAT_VERSION = 1
 #: problem holds about n + m brackets (one per row of Q and A).
 ORJSON_MAX_BRACKETS = 4096
 
-_Q_CLASSES = ("spd", "symmetric_indefinite", "asymmetric")
+_Q_CLASSES = ("spd", "symmetric_indefinite")
 
 
 @dataclass
@@ -72,10 +72,6 @@ class NlpProblem:
     constraints: EqualityConstraints
     objective_name: str
     objective_params: dict
-
-    @property
-    def n(self):
-        return self.constraints.n
 
 
 def _require(doc, field, kinds, where):
@@ -323,18 +319,18 @@ def save(path, problem):
 class GeneratorSpec:
     """Recipe for one random QP; equal specs generate identical problems.
 
-    ``q_class`` selects the Hessian family: ``"spd"`` builds
-    ``R^T R + 1e-3 n I`` from a random R, ``"symmetric_indefinite"``
-    symmetrizes a random matrix, ``"asymmetric"`` leaves it raw (the
-    problem symmetrizes on construction). ``rank_deficiency`` appends
-    that many duplicated constraint rows, keeping the system consistent.
+    ``q_class`` (one of :data:`_Q_CLASSES`) selects the Hessian family:
+    ``"spd"`` builds ``R^T R + 1e-3 n I`` from a random R,
+    ``"symmetric_indefinite"`` takes a random matrix, which
+    :class:`~eqopt.qp.QpProblem` symmetrizes on construction.
+    ``rank_deficiency`` appends that many duplicated constraint rows,
+    keeping the system consistent.
     """
 
     n: int
     m: int
     seed: int = 0
     q_class: str = "spd"
-    entry_scale: float = 1.0
     rank_deficiency: int = 0
 
     def __post_init__(self):
@@ -346,8 +342,6 @@ class GeneratorSpec:
             raise ValueError(
                 f"unknown q_class {self.q_class!r}; choose from {_Q_CLASSES}"
             )
-        if not self.entry_scale > 0.0:
-            raise ValueError("entry_scale must be positive")
         if self.rank_deficiency < 0:
             raise ValueError("rank_deficiency must be nonnegative")
         if self.rank_deficiency > 0 and self.m == 0:
@@ -357,25 +351,19 @@ class GeneratorSpec:
 def generate(spec):
     """Build the random QP described by ``spec``.
 
-    Entries are drawn uniformly from [-entry_scale, entry_scale] with a
-    PCG64 stream seeded by ``spec.seed``; the draw order is fixed
-    (Q material, c, A, b, duplication choices) so results are
-    reproducible bit for bit.
+    Entries are drawn uniformly from [-1, 1] with a PCG64 stream seeded
+    by ``spec.seed``; the draw order is fixed (Q material, c, A, b,
+    duplication choices) so results are reproducible bit for bit.
     """
     rng = np.random.default_rng(spec.seed)
     n, m = spec.n, spec.m
 
     def u(*shape):
-        return rng.uniform(-spec.entry_scale, spec.entry_scale, shape)
+        return rng.uniform(-1.0, 1.0, shape)
 
+    q = u(n, n)
     if spec.q_class == "spd":
-        r = u(n, n)
-        q = r.T @ r + 1e-3 * n * np.eye(n)
-    elif spec.q_class == "symmetric_indefinite":
-        raw = u(n, n)
-        q = 0.5 * (raw + raw.T)
-    else:
-        q = u(n, n)
+        q = q.T @ q + 1e-3 * n * np.eye(n)
     c = u(n)
     a = u(m, n)
     b = u(m)

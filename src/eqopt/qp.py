@@ -78,8 +78,14 @@ class QpProblem:
         return self.q.shape[0]
 
     def objective_value(self, x):
+        """``1/2 x^T Q x + c^T x``; raises ComputationError where it
+        overflows float range, as it can at a finite x."""
         x = as_vector(x, "x", self.n)
-        return float(0.5 * x @ self.q @ x + self.c @ x)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            value = float(0.5 * x @ self.q @ x + self.c @ x)
+        if not np.isfinite(value):
+            raise ComputationError(f"the objective overflows float range at x (it is {value})")
+        return value
 
 
 @dataclass
@@ -122,12 +128,12 @@ def _label(pos, neg, k):
     return "saddle"
 
 
-def _solve_reduced(aa, rhs, tol=None):
+def _solve_reduced(aa, rhs, tol=EPS):
     """Solve the k-by-k reduced system ``aa y = rhs`` and classify the point.
 
-    ``aa = N^T Q N`` is symmetric. ``tol`` (machine epsilon by default)
-    sets one cut, ``tol k max|eig|``, below which an eigenvalue is neither
-    inverted nor counted as curved. A factorization is accepted only when
+    ``aa = N^T Q N`` is symmetric. ``tol`` sets one cut,
+    ``tol k max|eig|``, below which an eigenvalue is neither inverted nor
+    counted as curved. A factorization is accepted only when
     LAPACK's estimate of ``rcond_1(aa)`` exceeds the guard ``10 k^2 tol``:
     as ``kappa_2 <= kappa_1`` for a symmetric matrix, every eigenvalue of
     ``aa`` then clears that cut by a factor of k, provided the estimate is
@@ -175,8 +181,6 @@ def _solve_reduced(aa, rhs, tol=None):
         ``eigh`` fails or yields an eigenvalue that is not finite.
     """
     k = aa.shape[0]
-    if tol is None:
-        tol = EPS
     with np.errstate(over="ignore"):
         norm_1 = np.linalg.norm(aa, 1)
     if not np.isfinite(norm_1):
@@ -200,7 +204,7 @@ def _solve_reduced(aa, rhs, tol=None):
     return y, _label(pos, neg, k)
 
 
-def _solve_eliminated(problem, method, eps=None):
+def _solve_eliminated(problem, method, eps):
     """Stationary point on the expression ``x = x0 + B g``: the body of both
     eliminations (``method`` is ``"projector"``, ``B = D``, or
     ``"nullspace"``, ``B = N``).
@@ -244,7 +248,7 @@ def _solve_eliminated(problem, method, eps=None):
     )
 
 
-def solve_projector(problem, eps=None):
+def solve_projector(problem, eps=EPS):
     """Stationary point via the projector form.
 
     The constraints are factorized once (their redundant rows dropped) and
@@ -264,7 +268,7 @@ def solve_projector(problem, eps=None):
     return _solve_eliminated(problem, "projector", eps)
 
 
-def solve_nullspace(problem, eps=None):
+def solve_nullspace(problem, eps=EPS):
     """Stationary point via the null-space form.
 
     Solves ``(N^T Q N) g = -(N^T Q x0 + N^T c)`` by :func:`_solve_reduced`:

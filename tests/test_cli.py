@@ -5,6 +5,7 @@ files are exactly what a shell user would see.
 """
 
 import argparse
+import io
 import json
 import math
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from eqopt import cli, objectives, problems, qp, selfcheck
 from eqopt.errors import OracleUnavailableError
 from eqopt.expressions import EqualityConstraints
+from eqopt.nlp import NewtonTrace
 
 
 def _write_doc(path, doc):
@@ -330,6 +332,8 @@ _OVERFLOWING_SOLUTIONS = [
     (np.eye(3).tolist(), [0.0] * 3, [[1e-300, 0.0, 0.0]], [1e10]),
     # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
     ((1e300 * np.eye(3)).tolist(), [1e300] * 3, [[1e-300, 1.0, 0.0]], [1e300]),
+    # x = (2e154, 2e154, 2e154) is finite, but the objective x^T x / 2 ~ 6e308 is not
+    (np.eye(3).tolist(), [0.0] * 3, [[1.0, 1.0, 1.0]], [6e154]),
 ]
 
 
@@ -353,7 +357,9 @@ def test_solve_a_solution_that_overflows_exits_3_without_a_warning(
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Infinity" not in captured.out
 
 
 def test_solve_a_gradient_norm_whose_square_overflows(tmp_path, capsys):
@@ -413,14 +419,33 @@ def test_solve_a_newton_step_that_overflows_exits_3(tmp_path, capsys):
 
 
 def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):
-    # x0 = (1, 1e300, 0): the objective there is inf - inf = nan, an overflow
-    # like the QP routes report (exit 3), not a point outside a domain (exit 5)
+    # an objective that overflows at the start is exit 3, like the QP routes
+    # report it, not a point outside a domain (exit 5), with numpy's
+    # warnings as errors too. x0 = (1, 1e300, 0): the constant 1/2 x0^T Q x0
+    # + c^T x0 of the pulled-back quadratic overflows; sum_exp with rates
+    # (1, 3) starts at (400, 400), where exp(1200) overflows.
     q = (1e300 * np.eye(3)).tolist()
-    path = _qp_file(tmp_path, n=3, Q=q, c=[1e300] * 3, A=[[1e-300, 1.0, 0.0]], b=[1e300])
-    for method in ("newton", "sqp"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
-        assert "nan at the start point" in capsys.readouterr().err
+    qp_path = _qp_file(tmp_path, n=3, Q=q, c=[1e300] * 3, A=[[1e-300, 1.0, 0.0]], b=[1e300])
+    doc = {
+        "formatVersion": 1,
+        "kind": "nlp",
+        "n": 2,
+        "m": 1,
+        "objective": {"name": "sum_exp", "params": {"rates": [1.0, 3.0]}},
+        "A": [[1.0, 1.0]],
+        "b": [800.0],
+    }
+    sum_exp_path = _write_doc(tmp_path / "sum_exp.json", doc)
+    for path, message in (
+        (qp_path, "quadratic part overflows float range at x0"),
+        (sum_exp_path, "overflows float range at the start point"),
+    ):
+        for method in ("newton", "sqp"):
+            for action in ("default", "error"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action)
+                    assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+                assert message in capsys.readouterr().err
 
 
 def test_solve_newton_with_trace(tmp_path):
@@ -573,6 +598,33 @@ def test_bench_report_records_environment(tmp_path, monkeypatch):
     assert env["cpuCount"] >= 1
     assert env["OMP_NUM_THREADS"] == "3"
     assert env["MKL_NUM_THREADS"] is None
+
+
+def test_blas_threads_says_why_a_count_is_unavailable(monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise OSError("no maps")
+
+    monkeypatch.setattr(cli, "open", unreadable, raising=False)
+    assert cli._blas_threads() == "unavailable: no maps"
+
+    def maps(text):
+        return lambda *args, **kwargs: io.StringIO(text)
+
+    monkeypatch.setattr(cli, "open", maps("7f00 r-xp 0 08:01 1 /lib/libc.so.6\n"), raising=False)
+    assert cli._blas_threads() == "unavailable: no OpenBLAS loaded"
+
+    def load(path):
+        if "scipy" in path:
+            raise OSError("cannot load")
+        return object()  # a library without a *_get_num_threads symbol
+
+    text = "7f00 r-xp 0 08:01 1 /lib/libopenblas.so\n7f01 r-xp 0 08:01 2 /lib/libscipy_openblas.so"
+    monkeypatch.setattr(cli, "open", maps(text), raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    assert cli._blas_threads() == {
+        "libopenblas.so": "unavailable: no *_get_num_threads symbol",
+        "libscipy_openblas.so": "unavailable: cannot load",
+    }
 
 
 def test_bench_zero_trials_gives_empty_rows(tmp_path, capsys, monkeypatch):
@@ -771,10 +823,20 @@ def test_check_oracle_compares_the_eliminations_classification(tmp_path, capsys,
     assert "FAIL oracle/indefinite_agreement" in capsys.readouterr().out
 
 
-def test_check_suite_choices_come_from_the_registry():
+def _option(command, dest):
+    """The argparse action of ``eqopt <command>``'s option ``dest``."""
     sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    suite = next(a for a in sub.choices["check"]._actions if a.dest == "suite")
-    assert suite.choices == [*selfcheck._SUITES, "all"]
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_check_suite_choices_come_from_the_registry():
+    assert _option("check", "suite").choices == [*selfcheck._SUITES, "all"]
+
+
+def test_method_and_class_choices_come_from_their_registries():
+    assert _option("solve", "method").choices == [*cli._QP_SOLVERS, "newton", "sqp"]
+    assert _option("bench", "methods").default == ",".join(cli._QP_SOLVERS)
+    assert _option("bench", "q_class").choices == problems._Q_CLASSES
 
 
 def _edited(**edits):
@@ -825,9 +887,10 @@ def _ends_above_start(real):
     return broken
 
 
-# breaks that their check once raised on (exit 4, no counterexample)
-# instead of reporting: case -> (check, library call, how it is broken)
-_RAISING_BREAKS = {
+# further breaks, each reaching a report the check's first break does not:
+# case -> (check, library call, how it is broken)
+_FURTHER_BREAKS = {
+    # the check once raised on these two (exit 4, no counterexample)
     # gram = N^T N - I would not broadcast against the one column short N
     "null_basis_a_column_short": (
         "null_basis",
@@ -840,6 +903,17 @@ _RAISING_BREAKS = {
         "newton_solve",
         _ends_above_start,
     ),
+    # a perturbed b that no dropped row flags as inconsistent
+    "rrqr_rank_misses_an_inconsistent_row": (
+        "rrqr_rank",
+        "ConstraintFactorization",
+        lambda real: type("Lenient", (real,), {"_check_consistency": lambda self, c, eps: None}),
+    ),
+    "termination_gap_not_converged": (
+        "termination_gap",
+        "newton_solve",
+        _edited(converged=lambda c: False),
+    ),
 }
 
 
@@ -850,8 +924,8 @@ def test_every_check_has_a_broken_call():
 
 @pytest.mark.parametrize(
     "check, target, breaker",
-    [(check, *call) for check, call in _BROKEN_CALLS.items()] + list(_RAISING_BREAKS.values()),
-    ids=[*_BROKEN_CALLS, *_RAISING_BREAKS],
+    [(check, *call) for check, call in _BROKEN_CALLS.items()] + list(_FURTHER_BREAKS.values()),
+    ids=[*_BROKEN_CALLS, *_FURTHER_BREAKS],
 )
 def test_check_reports_a_broken_library_call(
     tmp_path, capsys, monkeypatch, check, target, breaker
@@ -868,6 +942,36 @@ def test_check_reports_a_broken_library_call(
     doc = json.loads(cx.read_text())
     assert (doc["suite"], doc["check"]) == (suite, check)
     assert {"n", "m"} <= set(doc["details"])
+
+
+def _raise_unavailable(real):
+    def refuse(problem):
+        raise OracleUnavailableError("refused")
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "check, target, breaker",
+    [
+        # the oracle certifies no problem, so there is nothing to compare
+        ("indefinite_agreement", "solve_kkt", _raise_unavailable),
+        # Newton starts at the optimum, so there is no step to check
+        ("quadratic_one_step", "newton_solve", lambda real: lambda reduced: NewtonTrace()),
+    ],
+)
+def test_check_passes_a_trial_it_cannot_judge(capsys, monkeypatch, check, target, breaker):
+    def compare(problem):
+        raise AssertionError("compared a trial the check cannot judge")
+
+    suite = next(s for s, checks in selfcheck._SUITES.items() if check in dict(checks))
+    fn = dict(selfcheck._SUITES[suite])[check]
+    monkeypatch.setattr(selfcheck, "_SUITES", {suite: [(check, fn)]})
+    monkeypatch.setattr(selfcheck, target, breaker(getattr(selfcheck, target)))
+    for name in ("solve_projector", "solve_nullspace"):
+        monkeypatch.setattr(selfcheck, name, compare)
+    assert cli.main(["check", "--suite", suite, "--trials", "3"]) == 0
+    assert capsys.readouterr().out == f"PASS {suite}/{check} (3/3)\n"
 
 
 def test_check_zero_trials_exit_4(capsys):

@@ -363,14 +363,15 @@ def test_symmetric_solve_counts_the_eigenvalues_it_keeps():
     rng = np.random.default_rng(1919)
     for trial in range(40):
         k = int(rng.integers(4, 30))
-        tol = 1e-6 if trial % 2 else None
+        tol = 1e-6 if trial % 2 else None  # None: the default cut
         w = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 10.0, k)
         if tol:
             w[0] = 10.0 * np.sign(w[0])
             cut = tol * k * 10.0
             w[1:4] = np.sign(w[1:4]) * [2.0 * cut, 0.5 * cut, 0.0]
         m, _ = _with_eigenvalues(rng, w)
-        _, pos, neg = symmetric_solve(m, rng.uniform(-1, 1, k), tol)
+        tol_arg = () if tol is None else (tol,)
+        _, pos, neg = symmetric_solve(m, rng.uniform(-1, 1, k), *tol_arg)
         e = np.linalg.eigvalsh(m)
         cut = (tol or np.finfo(float).eps) * k * np.max(np.abs(e))
         assert (pos, neg) == (int(np.sum(e > cut)), int(np.sum(e < -cut))), trial
@@ -477,7 +478,7 @@ def test_symmetrizing_halves_first():
     for seed in range(20):
         n = int(rng.integers(2, 30))
         problem = generate(
-            GeneratorSpec(n=n, m=int(rng.integers(0, n)), seed=seed, q_class="asymmetric")
+            GeneratorSpec(n=n, m=int(rng.integers(0, n)), seed=seed, q_class="symmetric_indefinite")
         )
         raw = np.random.default_rng(seed).uniform(-1, 1, (n, n))  # generate's first draw
         assert np.array_equal(problem.q, 0.5 * (raw + raw.T))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -510,14 +511,18 @@ def test_sqp_matches_a_reference_pure_newton_loop():
         log_sum_exp(3.0 * rng.uniform(-1, 1, (40, 10))),
         EqualityConstraints(rng.uniform(-1, 1, (3, 10)), rng.uniform(-0.3, 0.3, 3)),
     )
-    stiff = generate(GeneratorSpec(n=12, m=4, seed=0, entry_scale=1e4))
+    base = generate(GeneratorSpec(n=12, m=4, seed=0))
+    stiff = reduce_problem(  # entries of c, A and b scaled by 1e4, of Q by 1e8
+        quadratic(1e8 * base.q, 1e4 * base.c),
+        EqualityConstraints(1e4 * base.constraints.a, 1e4 * base.constraints.b),
+    )
     cases = [
         (lse_reduced(22)[0], 1e-10, 100),
         (lse_reduced(22)[0], 1e-4, 100),
         (lse_reduced(22)[0], 1e-10, 3),  # stopped by max_iter
         (steep, 1e-10, 100),  # Armijo would shorten one of its full steps
         # stopped by a step shorter than tol_g, the gradient still above it
-        (reduce_problem(quadratic(stiff.q, stiff.c), stiff.constraints), 1e-10, 100),
+        (stiff, 1e-10, 100),
     ]
     for reduced, tol_g, max_iter in cases:
         trace = sqp_iterate(reduced, tol_g=tol_g, max_iter=max_iter)
@@ -531,6 +536,8 @@ def test_sqp_matches_a_reference_pure_newton_loop():
             assert it.phase == "pure"
         assert np.array_equal(trace.final_g, g_final)
         assert trace.final_h == h_final
+    # converged with the gradient above tol_g: only the short step stopped it
+    assert trace.converged and trace.final_grad_norm > 1e-10 and reduced is stiff
 
 
 def test_nan_hessian_is_a_computation_error():
@@ -617,19 +624,32 @@ def test_start_outside_the_barrier_domain_is_refused():
             run(reduced)
     # a start strictly inside the domain solves
     g0 = reduced.expr.basis.T @ (np.array([0.0, 2.0]) - reduced.expr.x0)  # x = (0, 2)
-    assert abs(reduced.point(g0)[0]) < 1e-12
+    assert abs(reduced.expr.embed(g0)[0]) < 1e-12
     trace = newton_solve(reduced, NewtonConfig(g0=g0))
     assert trace.converged and trace.final_x[0] < 0.5
 
 
 def test_a_start_value_that_overflows_is_a_computation_error():
-    # x0 = (1, 1e300, 0): Q x0 overflows and the objective there is inf - inf = nan
+    # x0 = (0, 1e300, 0): Q x0 overflows, and with it the constant
+    # 1/2 x0^T Q x0 + c^T x0 that the pull-back forms
     oracle = quadratic(1e300 * np.eye(3), np.full(3, 1e300))
-    with np.errstate(over="ignore", invalid="ignore"):
-        reduced = reduce_problem(oracle, EqualityConstraints([[1e-300, 1.0, 0.0]], [1e300]))
+    with pytest.raises(ComputationError, match="quadratic part overflows float range at x0"):
+        reduce_problem(oracle, EqualityConstraints([[1e-300, 1.0, 0.0]], [1e300]))
+    overflowing = [
+        # the constant is 0, but N^T (Q x0 + c) = inf and h(0) = inf * 0
+        reduce_problem(
+            quadratic([[0.0, 1.7e308], [1.7e308, 0.0]], [0.0, 1.7e308]),
+            EqualityConstraints([[1.0, 0.0]], [1.0]),
+        ),
+        # sum_exp has no domain; at the start (400, 400), exp(3 * 400) overflows
+        reduce_problem(sum_exp(rates=[1.0, 3.0]), EqualityConstraints([[1.0, 1.0]], [800.0])),
+    ]
+    for reduced in overflowing:
         for run in (newton_solve, sqp_iterate):
-            with pytest.raises(ComputationError, match="nan at the start point"):
-                run(reduced)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ComputationError, match="overflows float range at the start"):
+                    run(reduced)
     # -inf is an overflow too; only +inf means outside the domain
     unbounded = ObjectiveOracle(
         3, lambda x: -math.inf, lambda x: 2.0 * x, lambda x: 2.0 * np.eye(3)
@@ -748,7 +768,6 @@ def test_estimated_constants_stay_in_the_reduced_space(factorizations):
     for name, oracle in objectives.items():
         oracle.hessian = refuse
         reduced = reduce_problem(oracle, cons)
-        reduced.point = refuse
         # the restricted oracle is built; the basis it was built from is not read again
         reduced.expr.basis = np.full_like(reduced.expr.basis, np.nan)
         formed = []

@@ -175,7 +175,7 @@ def test_qp_round_trip_is_exact_on_edge_floats(tmp_path):
 
 
 def test_orjson_and_the_standard_library_read_the_same_document(tmp_path):
-    problem = generate(GeneratorSpec(n=20, m=8, seed=5, q_class="asymmetric"))
+    problem = generate(GeneratorSpec(n=20, m=8, seed=5, q_class="symmetric_indefinite"))
     path = tmp_path / "gen.json"
     save(path, problem)
     data = path.read_bytes()
@@ -478,17 +478,19 @@ def test_generate_is_deterministic():
     assert not np.array_equal(first.q, other.q)
 
 
+def test_each_q_class_draws_a_different_hessian():
+    # a class that repeated another would only name the same problems twice
+    qs = [generate(GeneratorSpec(n=6, m=2, q_class=name)).q for name in problems._Q_CLASSES]
+    for i in range(len(qs)):
+        for j in range(i + 1, len(qs)):
+            assert not np.array_equal(qs[i], qs[j]), problems._Q_CLASSES[i:j + 1]
+
+
 def test_generate_spd_class():
     for seed in range(5):
         problem = generate(GeneratorSpec(n=12, m=5, seed=seed, q_class="spd"))
         assert_array_equal(problem.q, problem.q.T)
         assert np.linalg.eigvalsh(problem.q).min() > 0.0
-
-
-def test_generate_entry_scale():
-    problem = generate(GeneratorSpec(n=6, m=2, seed=0, entry_scale=0.25))
-    assert np.max(np.abs(problem.constraints.a)) <= 0.25
-    assert np.max(np.abs(problem.c)) <= 0.25
 
 
 def test_generate_rank_deficiency_duplicates_rows():
@@ -521,8 +523,6 @@ def test_generator_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(n=3, m=1, q_class="dense")
     with pytest.raises(ValueError):
-        GeneratorSpec(n=3, m=1, entry_scale=0.0)
-    with pytest.raises(ValueError):
         GeneratorSpec(n=3, m=1, rank_deficiency=-1)
     with pytest.raises(ValueError):
         GeneratorSpec(n=3, m=0, rank_deficiency=1)
@@ -547,3 +547,8 @@ def test_only_the_problems_module_writes_json():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders += [f"{path.name}:{node.lineno}" for a in node.names if a.name in writers]
     assert offenders == []
+
+
+def test_the_writer_refuses_what_json_cannot_hold(tmp_path):
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        problems.write_json({"x": object()}, tmp_path / "doc.json")

@@ -69,18 +69,18 @@ def test_methods_agree_with_reference_on_random_spd():
 
 
 def test_indefinite_and_asymmetric_agree_with_reference():
+    # generate draws an asymmetric Q for the indefinite class; QpProblem symmetrizes it
     rng = np.random.default_rng(42)
-    for q_class in ("symmetric_indefinite", "asymmetric"):
-        for _ in range(10):
-            n = int(rng.integers(3, 30))
-            m = int(rng.integers(1, n))
-            problem = generate(
-                GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class=q_class)
-            )
-            x_ref, _ = saddle_system_reference(problem)
-            for solve in ALL_SOLVERS:
-                sol = solve(problem)
-                assert np.max(np.abs(sol.x - x_ref)) < 1e-7 * (1 + np.max(np.abs(x_ref)))
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        m = int(rng.integers(1, n))
+        problem = generate(
+            GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)), q_class="symmetric_indefinite")
+        )
+        x_ref, _ = saddle_system_reference(problem)
+        for solve in ALL_SOLVERS:
+            sol = solve(problem)
+            assert np.max(np.abs(sol.x - x_ref)) < 1e-7 * (1 + np.max(np.abs(x_ref)))
 
 
 def test_classification_saddle_and_max():
@@ -134,7 +134,7 @@ def test_eps_is_also_the_classification_cut():
         for eps, dropped in ((None, False), (1e-12, False), (1e-10, False),
                              (1e-8, True), (1e-6, True)):
             for solve in (solve_projector, solve_nullspace):
-                sol = solve(problem, eps=eps)
+                sol = solve(problem) if eps is None else solve(problem, eps=eps)
                 where = (first, eps, solve.__name__)
                 if dropped:
                     assert sol.classification == "non_unique", where
@@ -461,7 +461,7 @@ def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
         monkeypatch.setattr(qp, name, recorded)
     rng = np.random.default_rng(49)
     labels = set()
-    for q_class in _Q_CLASSES:
+    for q_class in (*_Q_CLASSES, "symmetric_indefinite"):  # indefinite twice: more saddles
         for deficiency in (0, 3):
             for _ in range(4):
                 n = int(rng.integers(4, 40))
@@ -533,24 +533,26 @@ def test_bunch_kaufman_makes_the_eigh_decisions(monkeypatch, factorizations):
     eps = np.finfo(float).eps
     rng = np.random.default_rng(1818)
     took_dsytrf = 0
-    for q_class in ("symmetric_indefinite", "asymmetric"):
+    for indefinite_pass in range(2):
         for deficiency in (0, 3):
-            for tol in (None, 1e-6):
+            for tol in (None, 1e-6):  # None: the default cut
+                tol_arg = () if tol is None else (tol,)
                 for _ in range(6):
                     n = int(rng.integers(4, 50))
                     m = int(rng.integers(1, n))
                     problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)),
-                                                     q_class=q_class, rank_deficiency=deficiency))
-                    where = (q_class, deficiency, tol, n, m)
+                                                     q_class="symmetric_indefinite",
+                                                     rank_deficiency=deficiency))
+                    where = (indefinite_pass, deficiency, tol, n, m)
                     for solve in (solve_projector, solve_nullspace):
                         factorizations.clear()
-                        sol = solve(problem, eps=tol)
+                        sol = solve(problem, *tol_arg)
                         took_dsytrf += "scipy.linalg.lapack.dsytrf" in factorizations
                         with monkeypatch.context() as refused:
                             refused.setattr(qp, "bunch_kaufman_solve", lambda *args: None)
-                            ref = solve(problem, eps=tol)
+                            ref = solve(problem, *tol_arg)
                         assert sol.classification == ref.classification, where
-                        expr = build_nullspace(problem.constraints, tol)
+                        expr = build_nullspace(problem.constraints, *tol_arg)
                         aa = linalg.pull_back_quadratic(problem.q, problem.c, expr.x0,
                                                         expr.basis)[0]
                         w = np.abs(np.linalg.eigvalsh(aa))
