@@ -51,6 +51,8 @@ _QP_SOLVERS = {
     "kkt": solve_kkt,
 }
 
+_NEWTON_SOLVERS = {"newton": newton_solve, "sqp": sqp_iterate}
+
 _FAILURE_KINDS = {
     InfeasibleConstraintsError: "infeasible",
     NonConvexError: "non_convex",
@@ -79,7 +81,7 @@ def _build_parser():
     p_solve.add_argument(
         "--method",
         default="nullspace",
-        choices=[*_QP_SOLVERS, "newton", "sqp"],
+        choices=[*_QP_SOLVERS, *_NEWTON_SOLVERS],
     )
     p_solve.add_argument(
         "--tol",
@@ -196,18 +198,14 @@ def cmd_solve(args):
         write_json(_qp_solution_doc(sol), args.output)
         return EXIT_OK
 
+    # checked before the constraints are factored, the same for both methods
+    tol = {} if args.tol is None else {"epsilon": args.tol}
+    config = NewtonConfig(alpha=args.alpha, beta=args.beta, max_iter=args.max_iter, **tol)
     if isinstance(problem, QpProblem):
         oracle = objectives.quadratic(problem.q, problem.c)
     else:
         oracle = problem.oracle
-    reduced = reduce_problem(oracle, problem.constraints)
-    if args.method == "newton":
-        tol = {} if args.tol is None else {"epsilon": args.tol}
-        config = NewtonConfig(alpha=args.alpha, beta=args.beta, max_iter=args.max_iter, **tol)
-        trace = newton_solve(reduced, config)
-    else:
-        tol = {} if args.tol is None else {"tol_g": args.tol}
-        trace = sqp_iterate(reduced, max_iter=args.max_iter, **tol)
+    trace = _NEWTON_SOLVERS[args.method](reduce_problem(oracle, problem.constraints), config)
     doc = {
         "formatVersion": 1,
         "method": args.method,

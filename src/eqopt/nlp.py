@@ -18,7 +18,8 @@ Cholesky factorization; a line-search trial costs one value. Damped Newton
 (:func:`newton_solve`) and pure Newton (:func:`sqp_iterate`) are the two
 phases of one Newton iteration and run the same loop, which differs only
 in its step rule (Armijo backtracking or the full step) and its stop rule
-(the Newton decrement or the gradient and step norms). On top of it this
+(the Newton decrement or the gradient and step norms); every setting of
+that loop enters through one :class:`NewtonConfig`. On top of it this
 module provides the a-priori convergence certificates: the gradient-based
 suboptimality bound, the damped/pure phase constants and the iteration
 cap they imply, and the quadratic contraction factor of the pure phase
@@ -29,6 +30,7 @@ alone.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,13 +191,21 @@ def reduce_problem(oracle, constraints):
 
 @dataclass
 class NewtonConfig:
-    """Knobs for :func:`newton_solve`.
+    """The settings of the Newton loop, the one way each enters.
 
-    ``alpha`` in (0, 1/2) and ``beta`` in (0, 1) are the backtracking
-    parameters; ``epsilon`` is the termination threshold on half the
-    squared Newton decrement; ``g0`` defaults to the zero free vector
-    (i.e. the minimum-norm feasible point) and is checked, once, when the
-    solve starts, the first time its length is known.
+    Damped Newton (:func:`newton_solve`) reads all five fields. Pure
+    Newton (:func:`sqp_iterate`) reads ``g0``, ``epsilon`` and
+    ``max_iter``; :func:`backtracking_line_search` and
+    :func:`iteration_bound` read ``alpha`` and ``beta``.
+
+    ``alpha`` in (0, 1/2) and ``beta`` in (0, 1) are the Armijo
+    backtracking parameters; only the damped phase uses them, but they are
+    checked for both. ``epsilon`` is the termination threshold: on half
+    the squared Newton decrement (damped), on the gradient and step norms
+    (pure). ``max_iter`` caps the executed steps and must be an integer,
+    not a bool. ``g0`` defaults to the zero free vector (i.e. the
+    minimum-norm feasible point) and is checked, once, when the solve
+    starts, the first time its length is known.
     """
 
     alpha: float = 0.25
@@ -211,6 +221,8 @@ class NewtonConfig:
             raise ValueError("beta must lie in (0, 1)")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be finite and positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -328,8 +340,9 @@ def _start_value(oracle, g):
     return h
 
 
-def _armijo(oracle, g, direction, h0, slope, alpha, beta):
-    """Largest t in {1, beta, beta^2, ...} with sufficient decrease.
+def _armijo(oracle, g, direction, h0, slope, config):
+    """Largest t in {1, beta, beta^2, ...} with sufficient decrease, for
+    ``config``'s ``alpha`` and ``beta``.
 
     Returns ``(t, h(g + t direction))``; the value is that of the point
     ``g + t * direction`` the caller steps to, bit for bit.
@@ -338,9 +351,9 @@ def _armijo(oracle, g, direction, h0, slope, alpha, beta):
     while True:
         h_t = float(oracle.value(g + t * direction))
         # written so that nan/inf trial values shrink t rather than pass
-        if h_t <= h0 + alpha * t * slope:
+        if h_t <= h0 + config.alpha * t * slope:
             return t, h_t
-        t *= beta
+        t *= config.beta
         if t < 1e-300:
             raise LineSearchError(
                 "backtracking underflowed without satisfying the decrease "
@@ -348,23 +361,21 @@ def _armijo(oracle, g, direction, h0, slope, alpha, beta):
             )
 
 
-def backtracking_line_search(
-    reduced, g, direction, alpha=NewtonConfig.alpha, beta=NewtonConfig.beta
-):
+def backtracking_line_search(reduced, g, direction, config=None):
     """Armijo backtracking along a descent direction.
 
     Returns the largest ``t`` in ``{1, beta, beta^2, ...}`` satisfying
-    ``h(g + t d) <= h(g) + alpha t grad^T d``. ``alpha`` and ``beta`` are
-    checked, and default, as in :class:`NewtonConfig`.
+    ``h(g + t d) <= h(g) + alpha t grad^T d``, reading ``alpha`` and
+    ``beta`` from ``config`` (default: ``NewtonConfig()``).
     """
-    NewtonConfig(alpha=alpha, beta=beta)  # raises ValueError for values out of range
+    config = config if config is not None else NewtonConfig()
     g = as_vector(g, "g", reduced.free_dim)
     direction = as_vector(direction, "direction", reduced.free_dim)
     oracle = reduced._restricted
     slope = float(oracle.gradient(g) @ direction)
     if not slope < 0.0:
         raise ValueError("direction is not a descent direction (grad^T d >= 0)")
-    return _armijo(oracle, g, direction, float(oracle.value(g)), slope, alpha, beta)[0]
+    return _armijo(oracle, g, direction, float(oracle.value(g)), slope, config)[0]
 
 
 def _norm(v):
@@ -377,16 +388,18 @@ def _norm(v):
     return out if out < math.inf else 2.0**600 * float(np.linalg.norm(v * 2.0**-600))
 
 
-def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
+def _newton_loop(reduced, config, damped):
     """The Newton iteration behind :func:`newton_solve` and :func:`sqp_iterate`.
 
-    Damped (``armijo = (alpha, beta)``): Armijo steps, stop when half the
-    squared decrement drops to ``tol``. Pure (``armijo = None``): full
-    steps, stop once the gradient or the last step is shorter than ``tol``,
-    and raise :class:`DivergenceError` on three rises in a row or a step
-    out of the objective's domain. Only ``g0`` comes from outside.
+    Damped: Armijo steps, stop when half the squared decrement drops to
+    ``config.epsilon``. Pure: full steps, stop once the gradient or the
+    last step is shorter than ``config.epsilon``, and raise
+    :class:`DivergenceError` on three rises in a row or a step out of the
+    objective's domain. Only ``config.g0`` comes from outside.
     """
-    oracle, expr = reduced._restricted, reduced.expr
+    config = config if config is not None else NewtonConfig()
+    oracle, expr, tol = reduced._restricted, reduced.expr, config.epsilon
+    g0 = config.g0
     g = np.zeros(expr.free_dim) if g0 is None else as_vector(g0, "g0", expr.free_dim).copy()
     trace = NewtonTrace()
     h_g = _start_value(oracle, g)
@@ -395,7 +408,9 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
     while True:
         e, step, dec_sq = _newton_step(oracle, g, iteration=len(trace.iterations))
         grad_norm = _norm(e)
-        if armijo is None:
+        if damped:
+            done = dec_sq / 2.0 <= tol
+        else:
             rose = trace.iterations and not h_g <= trace.iterations[-1].h_value
             rises = rises + 1 if rose else 0
             if rises >= 3:
@@ -405,12 +420,12 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
                     trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
                 )
             done = arrived or grad_norm < tol
-        else:
-            done = dec_sq / 2.0 <= tol
         trace.converged = done
-        if done or len(trace.iterations) >= max_iter:
+        if done or len(trace.iterations) >= config.max_iter:
             break
-        if armijo is None:
+        if damped:
+            t, h_next = _armijo(oracle, g, step, h_g, -dec_sq, config)
+        else:
             t, h_next = 1.0, float(oracle.value(g + step))
             if not math.isfinite(h_next):
                 raise DivergenceError(
@@ -419,8 +434,6 @@ def _newton_loop(reduced, g0, max_iter, tol, armijo=None):
                     trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
                 )
             arrived = _norm(step) < tol  # record the arrival point, then stop
-        else:
-            t, h_next = _armijo(oracle, g, step, h_g, -dec_sq, *armijo)
         trace.iterations.append(
             NewtonIteration(
                 g=g.copy(),
@@ -443,7 +456,8 @@ def newton_solve(reduced, config=None):
     feasible point), repeats: Newton step, Armijo backtracking, update —
     until half the squared decrement drops to ``config.epsilon``. Each
     executed step is recorded; exhausting ``max_iter`` returns a
-    non-converged trace rather than raising.
+    non-converged trace rather than raising. ``config`` defaults to
+    ``NewtonConfig()``.
 
     Raises
     ------
@@ -458,31 +472,27 @@ def newton_solve(reduced, config=None):
     LineSearchError
         If backtracking underflows (gradient/value inconsistency).
     """
-    config = config if config is not None else NewtonConfig()
-    return _newton_loop(
-        reduced, config.g0, config.max_iter, config.epsilon, (config.alpha, config.beta)
-    )
+    return _newton_loop(reduced, config, damped=True)
 
 
-def sqp_iterate(reduced, g0=None, tol_g=NewtonConfig.epsilon, max_iter=NewtonConfig.max_iter):
+def sqp_iterate(reduced, config=None):
     """Pure Newton iteration: full steps, no line search.
 
-    ``g <- g - F^{-1} E`` until either the step or the gradient drops
-    below ``tol_g`` in the 2-norm. Converges quadratically close to the
-    solution but has no global safeguard: three consecutive increases of
-    the objective, or a step to a point where it is not finite (outside
-    a barrier's domain), raise :class:`DivergenceError` (carrying the
-    partial trace, which ends at the last finite iterate);
-    :func:`newton_solve` is the damped alternative. A start point
-    where the objective is ``+inf`` raises :class:`InfeasibleStartError`;
-    an objective that overflows there (also to NaN or ``-inf``), a
-    non-finite gradient or Hessian, or a Newton step that overflows float
-    range raises
-    :class:`ComputationError`. ``tol_g`` and ``max_iter`` are checked, and
-    default, as :class:`NewtonConfig`'s ``epsilon`` and ``max_iter``.
+    Starting from ``config.g0``, ``g <- g - F^{-1} E`` until either the
+    step or the gradient drops below ``config.epsilon`` in the 2-norm, for
+    at most ``config.max_iter`` steps; ``config`` defaults to
+    ``NewtonConfig()``, and its ``alpha`` and ``beta`` go unused.
+    Converges quadratically close to the solution but has no global
+    safeguard: three consecutive increases of the objective, or a step to
+    a point where it is not finite (outside a barrier's domain), raise
+    :class:`DivergenceError` (carrying the partial trace, which ends at
+    the last finite iterate); :func:`newton_solve` is the damped
+    alternative. A start point where the objective is ``+inf`` raises
+    :class:`InfeasibleStartError`; an objective that overflows there (also
+    to NaN or ``-inf``), a non-finite gradient or Hessian, or a Newton
+    step that overflows float range raises :class:`ComputationError`.
     """
-    NewtonConfig(epsilon=tol_g, max_iter=max_iter)  # raises ValueError for values out of range
-    return _newton_loop(reduced, g0, max_iter, tol_g)
+    return _newton_loop(reduced, config, damped=False)
 
 
 @dataclass
@@ -615,17 +625,18 @@ def estimate_convergence_constants(reduced, points):
     Hessian-variation constant of the reduced objective that the
     certificates use. These are estimates tied to the sample, not
     certificates — pass worst-case constants to :func:`iteration_bound`
-    when you have them. A non-finite sampled Hessian raises
+    when you have them. Each sample is checked once, as a finite vector of
+    length ``free_dim``; a non-finite sampled Hessian raises
     ComputationError naming the sample.
     """
-    points = [as_vector(p, "point") for p in points]
+    points = [as_vector(p, "point", reduced.free_dim) for p in points]
     if len(points) < 1:
         raise ValueError("need at least one sample point")
     m_lo = math.inf
     m_hi = -math.inf
     hessians = []
     for i, g in enumerate(points):
-        f = reduced.hessian(g)
+        f = reduced._restricted.hessian(g)
         if not np.isfinite(f).all():
             raise ComputationError(f"the oracle returned a non-finite Hessian at sample {i}")
         w = np.linalg.eigvalsh(f)

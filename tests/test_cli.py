@@ -255,6 +255,32 @@ def test_solve_infinite_tolerance_exits_4(tmp_path, capsys):
     assert cli.main(["solve", "--input", path, "--method", "newton"]) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "epsilon must be finite and positive"),
+        ("--max-iter", "0", "max_iter must be at least 1"),
+        ("--alpha", "0.9", "alpha must lie in (0, 1/2)"),
+        ("--beta", "2", "beta must lie in (0, 1)"),
+    ],
+)
+def test_solve_checks_newton_settings_before_the_constraints(
+    tmp_path, capsys, flag, value, message
+):
+    # neither an inconsistent nor a single-point feasible set may hide an
+    # invalid setting, and sqp checks the backtracking settings it leaves unused
+    paths = [
+        _qp_file(tmp_path, "inconsistent.json", m=2, A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0]),
+        _qp_file(tmp_path, "point.json", n=1, Q=[[2.0]], c=[0.0], A=[[1.0]], b=[1.0]),
+        _lse_file(tmp_path),
+    ]
+    for path in paths:
+        for method in cli._NEWTON_SOLVERS:
+            code = cli.main(["solve", "--input", path, "--method", method, flag, value])
+            assert code == 4, (path, method)
+            assert f"error: {message}" in capsys.readouterr().err, (path, method)
+
+
 def test_solve_kkt_notes_that_it_ignores_tol(tmp_path, capsys):
     path = _qp_file(tmp_path)
     code = cli.main(["solve", "--input", path, "--method", "kkt", "--tol", "0.5"])
@@ -834,7 +860,7 @@ def test_check_suite_choices_come_from_the_registry():
 
 
 def test_method_and_class_choices_come_from_their_registries():
-    assert _option("solve", "method").choices == [*cli._QP_SOLVERS, "newton", "sqp"]
+    assert _option("solve", "method").choices == [*cli._QP_SOLVERS, *cli._NEWTON_SOLVERS]
     assert _option("bench", "methods").default == ",".join(cli._QP_SOLVERS)
     assert _option("bench", "q_class").choices == problems._Q_CLASSES
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -113,7 +114,7 @@ def test_line_search_matches_brute_force_scan():
     for _ in range(10):
         g = rng.uniform(-1, 1, reduced.free_dim)
         _, step = newton_decrement(reduced, g)
-        t = backtracking_line_search(reduced, g, step, alpha=alpha, beta=beta)
+        t = backtracking_line_search(reduced, g, step, NewtonConfig(alpha=alpha, beta=beta))
         # smallest power of beta satisfying the decrease condition
         h0 = reduced.value(g)
         slope = float(reduced.gradient(g) @ step)
@@ -136,9 +137,9 @@ def test_line_search_parameter_validation():
     g = np.zeros(reduced.free_dim)
     d = -reduced.gradient(g)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        backtracking_line_search(reduced, g, d, alpha=0.5)
+        backtracking_line_search(reduced, g, d, NewtonConfig(alpha=0.5))
     with pytest.raises(ValueError, match="beta must lie in"):
-        backtracking_line_search(reduced, g, d, beta=1.0)
+        backtracking_line_search(reduced, g, d, NewtonConfig(beta=1.0))
 
 
 def test_line_search_underflow_raises():
@@ -226,8 +227,35 @@ def test_newton_config_validation():
             NewtonConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
+    # a step count, not a float (2.5 would run 3 steps) nor a bool (True 1)
+    for not_an_integer in (2.5, 3.0, True, np.True_):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            NewtonConfig(max_iter=not_an_integer)
+    assert NewtonConfig(max_iter=np.int64(2)).max_iter == 2
     with pytest.raises(ValueError):
         newton_solve(lse_reduced(8)[0], NewtonConfig(g0=np.zeros(99)))
+
+
+def test_no_public_nlp_callable_but_newton_config_takes_a_newton_setting():
+    # every Newton setting enters through NewtonConfig, and only there
+    settings = {"alpha", "beta", "epsilon", "tol_g", "max_iter", "g0"}
+    own = [
+        obj
+        for name, obj in vars(nlp).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == nlp.__name__
+    ]
+    methods = [
+        attr
+        for cls in own
+        if isinstance(cls, type)
+        for name, attr in vars(cls).items()
+        if not name.startswith("_") and callable(attr)
+    ]
+    assert nlp.sqp_iterate in own and nlp.ReducedObjective.hessian in methods
+    for obj in own + methods:
+        if obj is not NewtonConfig:
+            taken = settings & set(inspect.signature(obj).parameters)
+            assert not taken, (obj.__qualname__, taken)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +282,7 @@ def test_sqp_divergence_detected():
     )
     reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 0.0]], [0.0]))
     with pytest.raises(DivergenceError) as info:
-        sqp_iterate(reduced, g0=[1.5])
+        sqp_iterate(reduced, NewtonConfig(g0=[1.5]))
     assert info.value.trace is not None
     assert len(info.value.trace.iterations) >= 3
     # the damped loop handles the same start
@@ -266,7 +294,7 @@ def test_sqp_divergence_detected():
 def test_sqp_converges_near_solution_where_damped_not_needed():
     reduced, rng = lse_reduced(22)
     warm = newton_solve(reduced).final_g
-    trace = sqp_iterate(reduced, g0=warm + 1e-3 * rng.uniform(-1, 1, warm.size))
+    trace = sqp_iterate(reduced, NewtonConfig(g0=warm + 1e-3 * rng.uniform(-1, 1, warm.size)))
     assert trace.converged
     assert len(trace.iterations) <= 5
 
@@ -275,11 +303,11 @@ def test_sqp_validation():
     reduced, _ = lse_reduced(23)
     for tol_g in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            sqp_iterate(reduced, tol_g=tol_g)
+            sqp_iterate(reduced, NewtonConfig(epsilon=tol_g))
     with pytest.raises(ValueError):
-        sqp_iterate(reduced, max_iter=0)
-    with pytest.raises(ValueError):
-        sqp_iterate(reduced, g0=np.zeros(99))
+        sqp_iterate(reduced, NewtonConfig(max_iter=0))
+    with pytest.raises(ValueError, match="g0 has length 99"):
+        sqp_iterate(reduced, NewtonConfig(g0=np.zeros(99)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +436,9 @@ def test_estimated_lipschitz_is_the_reduced_difference_quotient():
     assert estimate_convergence_constants(reduced, repeated) == constants
     with pytest.raises(ValueError, match="at least one sample point"):
         estimate_convergence_constants(reduced, [])
+    # each sample is checked once, under its own name and with its length
+    with pytest.raises(ValueError, match="point has length 2, expected 1"):
+        estimate_convergence_constants(reduced, [np.zeros(1), np.zeros(2)])
     assert_allclose(constants.m_strong, hess(g1), rtol=1e-12)
     assert_allclose(constants.m_upper, hess(g2), rtol=1e-12)
     # tighter than the full-space quotient of diag(e^x1, e^x2) at the same
@@ -525,7 +556,7 @@ def test_sqp_matches_a_reference_pure_newton_loop():
         (stiff, 1e-10, 100),
     ]
     for reduced, tol_g, max_iter in cases:
-        trace = sqp_iterate(reduced, tol_g=tol_g, max_iter=max_iter)
+        trace = sqp_iterate(reduced, NewtonConfig(epsilon=tol_g, max_iter=max_iter))
         steps, (g_final, h_final), converged = reference_pure_newton(reduced, tol_g, max_iter)
         assert trace.converged == converged
         assert len(steps) == len(trace.iterations) >= 2
@@ -771,14 +802,14 @@ def test_estimated_constants_stay_in_the_reduced_space(factorizations):
         # the restricted oracle is built; the basis it was built from is not read again
         reduced.expr.basis = np.full_like(reduced.expr.basis, np.nan)
         formed = []
-        reduced_hessian = reduced.hessian
+        restricted_hessian = reduced._restricted.hessian
 
-        def counted(g, _hessian=reduced_hessian, _formed=formed):
+        def counted(g, _hessian=restricted_hessian, _formed=formed):
             out = _hessian(g)
             _formed.append(out.shape)
             return out
 
-        reduced.hessian = counted
+        reduced._restricted.hessian = counted
         samples = [0.01 * rng.uniform(-1, 1, reduced.free_dim) for _ in range(4)]
         factorizations.clear()
         constants = estimate_convergence_constants(reduced, samples)
