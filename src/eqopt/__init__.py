@@ -37,10 +37,8 @@ from .nlp import (
     NewtonTrace,
     ObjectiveOracle,
     ReducedObjective,
-    backtracking_line_search,
     estimate_convergence_constants,
     iteration_bound,
-    newton_decrement,
     newton_solve,
     reduce_problem,
     sqp_iterate,
@@ -87,7 +85,6 @@ __all__ = [
     "QpSolution",
     "ReducedObjective",
     "UnknownObjectiveError",
-    "backtracking_line_search",
     "build_nullspace",
     "build_projector",
     "estimate_convergence_constants",
@@ -96,7 +93,6 @@ __all__ = [
     "load",
     "log_sum_exp",
     "neg_log_barrier_quadratic",
-    "newton_decrement",
     "newton_solve",
     "objective_names",
     "objective_registry",

@@ -17,28 +17,40 @@ expression: it reads ``x0 = Q_1 y`` and ``N = Q_2`` off one
 :class:`~eqopt.linalg.ConstraintFactorization` (a rank-revealing QR of
 the row-equilibrated ``A^T``, kept in Householder form), and
 :func:`build_projector` swaps ``N`` for ``D = N N^T``. Neither factorizes
-``A H``, and both accept redundant rows. One
+``A H``, and both accept redundant rows.
+
+Each input is checked once, where it enters, and then cannot change:
+:class:`EqualityConstraints` checks A and b on construction and holds
+read-only copies of them, the factorization takes that checked set and
+checks nothing again, and a :class:`ConstrainedExpression` holds its
+``x0`` and ``B`` read-only. Both types are frozen dataclasses. One
 :func:`~eqopt.linalg.as_vector` check guards the length of every ``g``
-and ``x`` they take.
+and ``x`` they take from outside.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector
+from .errors import ComputationError
+from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector, frozen_copy
 
 
-@dataclass
+@dataclass(frozen=True)
 class EqualityConstraints:
-    """Linear equality constraints ``A x = b`` with A of shape (m, n)."""
+    """Linear equality constraints ``A x = b`` with A of shape (m, n).
+
+    A and b are checked once, here, and held as read-only copies, so
+    neither the caller's later writes nor a write through ``a`` or ``b``
+    can change a checked set.
+    """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.a = as_matrix(self.a, "A")
-        self.b = as_vector(self.b, "b", self.a.shape[0])
+        object.__setattr__(self, "a", frozen_copy(as_matrix(self.a, "A")))
+        object.__setattr__(self, "b", frozen_copy(as_vector(self.b, "b", self.m)))
 
     @property
     def m(self):
@@ -49,23 +61,33 @@ class EqualityConstraints:
         return self.a.shape[1]
 
     def residual(self, x):
-        """Feasibility defect ``||A x - b||_inf`` at x."""
+        """Feasibility defect ``||A x - b||_inf`` at x; raises
+        ComputationError where ``A x - b`` overflows float range, as it can
+        at a finite x."""
         x = as_vector(x, "x", self.n)
-        if self.m == 0:
-            return 0.0
-        return float(np.max(np.abs(self.a @ x - self.b)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            defect = np.max(np.abs(self.a @ x - self.b), initial=0.0)
+        if not np.isfinite(defect):
+            raise ComputationError(f"A x - b overflows float range at x (it is {defect})")
+        return float(defect)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstrainedExpression:
     """Parameterization ``x(g) = x0 + B g`` of the feasible set.
 
     ``basis`` is the projector ``D`` (g of length n) or the null-space
-    basis ``N`` (g of length n - rank).
+    basis ``N`` (g of length n - rank). :func:`build_nullspace` and
+    :func:`build_projector` hand it both arrays new, out of the
+    factorization, so it takes them over as they are and marks them
+    read-only rather than copying them.
     """
 
     x0: np.ndarray
     basis: np.ndarray
+
+    def __post_init__(self):
+        self.x0.flags.writeable = self.basis.flags.writeable = False
 
     @property
     def free_dim(self):
@@ -90,7 +112,7 @@ def build_nullspace(constraints, eps=EPS):
     InfeasibleConstraintsError
         If the constraints are contradictory.
     """
-    f = ConstraintFactorization(constraints.a, constraints.b, eps)
+    f = ConstraintFactorization(constraints, eps)
     return ConstrainedExpression(x0=f.x0, basis=f.null_basis)
 
 

@@ -26,6 +26,19 @@ so its input is left intact. No solver computes an SVD. A quadratic
 ``1/2 x^T Q x + c^T x`` is validated once (:func:`quadratic_data`) and
 restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
 that the QP eliminations and the registry objectives share.
+
+:func:`as_matrix` and :func:`as_vector` check an array from outside, and
+:func:`frozen_copy` gives the frozen input types
+(:class:`~eqopt.expressions.EqualityConstraints`,
+:class:`~eqopt.qp.QpProblem`, :class:`~eqopt.nlp.NewtonConfig`) the
+read-only copy they hold, so a checked array neither changes with the
+caller's nor takes a write. The checks do not copy: a registry objective
+keeps the caller's arrays, as a copy would double the memory they hold.
+:class:`ConstraintFactorization` takes an already checked
+:class:`~eqopt.expressions.EqualityConstraints` and checks A and b no
+more. Only buffers a routine allocated itself are passed to LAPACK to be
+overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
+``dormqr`` and ``dgemqrt``).
 """
 
 from functools import cached_property
@@ -71,6 +84,15 @@ def as_vector(v, name="vector", length=None):
     return out
 
 
+def frozen_copy(a):
+    """A read-only copy of the checked array ``a``, for a frozen input type
+    to hold: neither a later write to ``a`` nor one through the holder can
+    change it."""
+    out = a.copy()
+    out.flags.writeable = False
+    return out
+
+
 def symmetric_part(m):
     """``(M + M^T) / 2`` of a square ``m``, exactly symmetric, in a new array.
 
@@ -84,11 +106,13 @@ def symmetric_part(m):
 
 def quadratic_data(q, c=None):
     """Validate ``(Q, c)`` (c defaults to zeros); returns ``(Q + Q^T) / 2``,
-    the only part of Q a quadratic form senses, and c."""
+    the only part of Q a quadratic form senses, and c. The Q returned is
+    the new array of :func:`symmetric_part`, marked read-only, not a copy."""
     q = as_matrix(q, "Q")
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
     q = symmetric_part(q)
+    q.flags.writeable = False
     n = q.shape[0]
     c = np.zeros(n) if c is None else as_vector(c, "c", n)
     return q, c
@@ -261,8 +285,9 @@ class ConstraintFactorization:
 
     Parameters
     ----------
-    a : (m, n) array_like
-    b : (m,) array_like
+    constraints : EqualityConstraints
+        ``A x = b``, checked once when it was built; nothing here checks
+        A or b again.
     eps : float, optional
         Relative tolerance for both the rank decision and the
         consistency check. Defaults to machine epsilon. Must satisfy
@@ -278,10 +303,9 @@ class ConstraintFactorization:
         overflows float range.
     """
 
-    def __init__(self, a, b, eps=EPS):
-        a = as_matrix(a, "A")
+    def __init__(self, constraints, eps=EPS):
+        a, b = constraints.a, constraints.b
         m, n = a.shape
-        b = as_vector(b, "b", m)
         if not 0.0 < eps < 1.0:  # also rejects NaN
             raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps!r}")
         scale = np.max(np.abs(a), axis=1, initial=0.0)

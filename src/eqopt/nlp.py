@@ -43,7 +43,7 @@ from .errors import (
     NonConvexError,
 )
 from .expressions import ConstrainedExpression, build_nullspace
-from .linalg import as_vector, cholesky, cholesky_solve, symmetric_part
+from .linalg import as_vector, cholesky, cholesky_solve, frozen_copy, symmetric_part
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -129,7 +129,7 @@ class ObjectiveOracle:
         return ObjectiveOracle(basis.shape[1], value, gradient, hessian)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReducedObjective:
     """A full-space objective pulled back through a null-space expression.
 
@@ -140,13 +140,16 @@ class ReducedObjective:
     the last two from one evaluation; none of them forms an n x n array
     unless the oracle's own analytic Hessian does; the Newton loop calls
     that oracle directly. ``expr.embed`` maps ``g`` back to the full space.
+    The fields cannot be reassigned, so the restricted oracle is always
+    that of ``oracle`` on ``expr``.
     """
 
     expr: ConstrainedExpression  # basis N
     oracle: ObjectiveOracle
 
     def __post_init__(self):
-        self._restricted = self.oracle.restrict(self.expr.x0, self.expr.basis)
+        restricted = self.oracle.restrict(self.expr.x0, self.expr.basis)
+        object.__setattr__(self, "_restricted", restricted)
 
     @property
     def free_dim(self):
@@ -189,14 +192,13 @@ def reduce_problem(oracle, constraints):
     return ReducedObjective(expr=expr, oracle=oracle)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
     """The settings of the Newton loop, the one way each enters.
 
     Damped Newton (:func:`newton_solve`) reads all five fields. Pure
     Newton (:func:`sqp_iterate`) reads ``g0``, ``epsilon`` and
-    ``max_iter``; :func:`backtracking_line_search` and
-    :func:`iteration_bound` read ``alpha`` and ``beta``.
+    ``max_iter``; :func:`iteration_bound` reads ``alpha`` and ``beta``.
 
     ``alpha`` in (0, 1/2) and ``beta`` in (0, 1) are the Armijo
     backtracking parameters; only the damped phase uses them, but they are
@@ -204,8 +206,10 @@ class NewtonConfig:
     the squared Newton decrement (damped), on the gradient and step norms
     (pure). ``max_iter`` caps the executed steps and must be an integer,
     not a bool. ``g0`` defaults to the zero free vector (i.e. the
-    minimum-norm feasible point) and is checked, once, when the solve
-    starts, the first time its length is known.
+    minimum-norm feasible point); it is checked to be finite and 1-D here
+    and held as a read-only copy, and its length is checked when the solve
+    starts, the first time that length is known. The fields are checked
+    once, on construction, and cannot be reassigned.
     """
 
     alpha: float = 0.25
@@ -225,6 +229,8 @@ class NewtonConfig:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.g0 is not None:
+            object.__setattr__(self, "g0", frozen_copy(as_vector(self.g0, "g0")))
 
 
 @dataclass
@@ -306,18 +312,6 @@ def _newton_step(oracle, g, iteration):
     return e, step, dec_sq
 
 
-def newton_decrement(reduced, g):
-    """Newton decrement and step at g.
-
-    Returns ``(lambda, step)`` where ``lambda = sqrt(E^T F^{-1} E)`` and
-    ``step = -F^{-1} E``. Raises NonConvexError if F is not positive
-    definite and ComputationError if E, F or the step is not finite.
-    """
-    g = as_vector(g, "g", reduced.free_dim)
-    _, step, dec_sq = _newton_step(reduced._restricted, g, iteration=0)
-    return math.sqrt(dec_sq), step
-
-
 def _start_value(oracle, g):
     """``h(g)`` at the start point. Raises InfeasibleStartError when it is
     ``+inf`` (outside the domain) and ComputationError when its evaluation
@@ -361,23 +355,6 @@ def _armijo(oracle, g, direction, h0, slope, config):
             )
 
 
-def backtracking_line_search(reduced, g, direction, config=None):
-    """Armijo backtracking along a descent direction.
-
-    Returns the largest ``t`` in ``{1, beta, beta^2, ...}`` satisfying
-    ``h(g + t d) <= h(g) + alpha t grad^T d``, reading ``alpha`` and
-    ``beta`` from ``config`` (default: ``NewtonConfig()``).
-    """
-    config = config if config is not None else NewtonConfig()
-    g = as_vector(g, "g", reduced.free_dim)
-    direction = as_vector(direction, "direction", reduced.free_dim)
-    oracle = reduced._restricted
-    slope = float(oracle.gradient(g) @ direction)
-    if not slope < 0.0:
-        raise ValueError("direction is not a descent direction (grad^T d >= 0)")
-    return _armijo(oracle, g, direction, float(oracle.value(g)), slope, config)[0]
-
-
 def _norm(v):
     """``||v||_2`` of a finite vector, without a warning: ``np.linalg.norm(v)``
     bit for bit where that is finite. Where the sum of squares overflows,
@@ -395,12 +372,13 @@ def _newton_loop(reduced, config, damped):
     ``config.epsilon``. Pure: full steps, stop once the gradient or the
     last step is shorter than ``config.epsilon``, and raise
     :class:`DivergenceError` on three rises in a row or a step out of the
-    objective's domain. Only ``config.g0`` comes from outside.
+    objective's domain. Only ``config.g0`` comes from outside, and
+    :class:`NewtonConfig` checked all but its length.
     """
-    config = config if config is not None else NewtonConfig()
     oracle, expr, tol = reduced._restricted, reduced.expr, config.epsilon
-    g0 = config.g0
-    g = np.zeros(expr.free_dim) if g0 is None else as_vector(g0, "g0", expr.free_dim).copy()
+    g = np.zeros(expr.free_dim) if config.g0 is None else config.g0.copy()
+    if g.shape[0] != expr.free_dim:
+        raise ValueError(f"g0 has length {g.shape[0]}, expected {expr.free_dim}")
     trace = NewtonTrace()
     h_g = _start_value(oracle, g)
     rises = 0
@@ -449,7 +427,7 @@ def _newton_loop(reduced, config, damped):
     return trace._finish(expr, g, h_g, grad_norm, dec_sq)
 
 
-def newton_solve(reduced, config=None):
+def newton_solve(reduced, config=NewtonConfig()):
     """Damped Newton with backtracking on the reduced objective.
 
     Starting from ``config.g0`` (default: zero, i.e. the minimum-norm
@@ -475,7 +453,7 @@ def newton_solve(reduced, config=None):
     return _newton_loop(reduced, config, damped=True)
 
 
-def sqp_iterate(reduced, config=None):
+def sqp_iterate(reduced, config=NewtonConfig()):
     """Pure Newton iteration: full steps, no line search.
 
     Starting from ``config.g0``, ``g <- g - F^{-1} E`` until either the
@@ -495,7 +473,7 @@ def sqp_iterate(reduced, config=None):
     return _newton_loop(reduced, config, damped=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceConstants:
     """Spectral constants feeding the a-priori certificates.
 

@@ -315,7 +315,7 @@ def save(path, problem):
     write_json(doc, path)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one random QP; equal specs generate identical problems.
 

@@ -52,16 +52,17 @@ import scipy.linalg.lapack
 
 from .errors import ComputationError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace
-from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve
+from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve, frozen_copy
 from .linalg import pull_back_quadratic, quadratic_data, symmetric_solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class QpProblem:
     """``min 1/2 x^T Q x + c^T x  s.t.  A x = b``.
 
     Q is symmetrized on construction (:func:`~eqopt.linalg.quadratic_data`):
-    the quadratic form only senses ``(Q + Q^T) / 2``.
+    the quadratic form only senses ``(Q + Q^T) / 2``. Q and c are checked
+    once, here, and held read-only, as the constraints hold A and b.
     """
 
     q: np.ndarray
@@ -69,7 +70,9 @@ class QpProblem:
     constraints: EqualityConstraints
 
     def __post_init__(self):
-        self.q, self.c = quadratic_data(self.q, self.c)
+        q, c = quadratic_data(self.q, self.c)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "c", frozen_copy(c))
         if self.constraints.n != self.n:
             raise ValueError(f"A has {self.constraints.n} columns, expected {self.n}")
 

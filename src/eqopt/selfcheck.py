@@ -92,7 +92,7 @@ def _rrqr_rank_trial(rng, n, m, r):
     a = _low_rank(rng, n, m, r)
     x_true = rng.uniform(-1, 1, n)
     b = a @ x_true
-    f = ConstraintFactorization(a, b)
+    f = ConstraintFactorization(EqualityConstraints(a, b))
     rank_oracle = int(np.linalg.matrix_rank(a))
     x_min = np.linalg.lstsq(f.a[f.selected], f.b[f.selected], rcond=None)[0]
     resid = float(np.max(np.abs(a @ x_min - b)))
@@ -111,7 +111,7 @@ def _rrqr_rank_trial(rng, n, m, r):
         b_bad[int(rng.integers(0, m))] += 1.0
         truly_bad = int(np.linalg.matrix_rank(np.column_stack([a, b_bad]))) > rank_oracle
         try:
-            ConstraintFactorization(a, b_bad)
+            ConstraintFactorization(EqualityConstraints(a, b_bad))
             flagged = False
         except InfeasibleConstraintsError:
             flagged = True
@@ -130,7 +130,7 @@ def _check_rrqr_rank(rng):
 
 def _null_basis_trial(a, rank):
     m, n = a.shape
-    nb = ConstraintFactorization(a, np.zeros(m)).null_basis
+    nb = ConstraintFactorization(EqualityConstraints(a, np.zeros(m))).null_basis
     if nb.shape != (n, n - rank):  # before the defects, which need this shape
         return {"n": n, "m": m, "rank": rank, "shape": list(nb.shape)}
     gram = float(np.max(np.abs(nb.T @ nb - np.eye(n - rank))))

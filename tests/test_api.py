@@ -1,3 +1,8 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
 import eqopt
 
 
@@ -8,3 +13,81 @@ def test_public_names_resolve():
 
 def test_public_names_sorted_and_unique():
     assert eqopt.__all__ == sorted(set(eqopt.__all__))
+
+
+# each case builds one frozen type from the caller's own arrays and returns
+# (object, (field, new value), the arrays it holds, the caller's arrays)
+def _constraints():
+    a, b = np.array([[1.0, 1.0, 0.0]]), np.array([1.0])
+    return eqopt.EqualityConstraints(a, b), a, b
+
+
+def _equality_constraints():
+    cons, a, b = _constraints()
+    # a b of the wrong length reached solve_kkt as numpy's bare matmul error
+    return cons, ("b", np.ones(5)), [cons.a, cons.b], [a, b]
+
+
+def _qp_problem():
+    cons, a, b = _constraints()
+    q, c = np.eye(3), np.ones(3)
+    problem = eqopt.QpProblem(q, c, cons)
+    return problem, ("c", np.zeros(3)), [problem.q, problem.c, cons.a], [q, c, a, b]
+
+
+def _newton_config():
+    g0 = np.zeros(2)
+    config = eqopt.NewtonConfig(g0=g0)
+    # max_iter = 2.5 made pure Newton run 3 steps
+    return config, ("max_iter", 2.5), [config.g0], [g0]
+
+
+def _convergence_constants():
+    return eqopt.ConvergenceConstants(1.0, 2.0, 3.0), ("m_strong", -1.0), [], []
+
+
+def _generator_spec():
+    return eqopt.GeneratorSpec(n=4, m=2), ("q_class", "asymmetric"), [], []
+
+
+def _constrained_expression():
+    cons, a, b = _constraints()
+    expr = eqopt.build_nullspace(cons)
+    return expr, ("x0", np.zeros(3)), [expr.x0, expr.basis], [a, b]
+
+
+def _reduced_objective():
+    cons, a, b = _constraints()
+    reduced = eqopt.reduce_problem(eqopt.sum_exp(dim=3), cons)
+    # a new oracle went unused: Newton kept minimizing the one reduced first
+    swap = ("oracle", eqopt.log_sum_exp(np.eye(3)))
+    return reduced, swap, [reduced.expr.x0, reduced.expr.basis], [a, b]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _equality_constraints,
+        _qp_problem,
+        _newton_config,
+        _convergence_constants,
+        _generator_spec,
+        _constrained_expression,
+        _reduced_objective,
+    ],
+    ids=lambda case: case.__name__.strip("_"),
+)
+def test_a_checked_input_cannot_change_after_the_check(case):
+    obj, (field, value), held, callers = case()
+    before = getattr(obj, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, value)
+    assert getattr(obj, field) is before
+    for array in held:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = np.nan
+    kept = [array.copy() for array in held]
+    for array in callers:
+        array += 5.0
+    for array, copy in zip(held, kept):
+        assert np.array_equal(array, copy)

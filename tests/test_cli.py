@@ -9,7 +9,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -386,6 +386,28 @@ def test_solve_a_solution_that_overflows_exits_3_without_a_warning(
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "Infinity" not in captured.out
+
+
+def test_solve_a_constraint_residual_that_overflows_exits_3(tmp_path, capsys):
+    # finite data whose solution x4 = -3.4e25 overflows A x against the
+    # 1e300 entry: the eliminations wrote "constraintResidual": Infinity,
+    # which is not JSON, and exited 0
+    q = [
+        [-0.679, 0.436, 0.335, 0.597],
+        [0.436, 1e154, 0.074, -0.793],
+        [0.335, 0.074, 0.131, -0.277],
+        [0.597, -0.793, -0.277, -0.380],
+    ]
+    c = [-1e196, -9.53e195, 2.02e195, -9.16e195]
+    a = [[-0.190, 1e8, 1e8, -0.904], [0.0, -0.569, 1e-154, 1e300]]
+    path = _qp_file(tmp_path, n=4, m=2, Q=q, c=c, A=a, b=[-0.694, 0.774])
+    for method in ("projector", "nullspace", "kkt"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+        captured = capsys.readouterr()
+        assert captured.out == "", method
+        assert "error:" in captured.err, method
 
 
 def test_solve_a_gradient_norm_whose_square_overflows(tmp_path, capsys):
@@ -871,8 +893,11 @@ def _edited(**edits):
     def wrap(real):
         def broken(*args, **kwargs):
             out = real(*args, **kwargs)
-            for name, edit in edits.items():
-                setattr(out, name, edit(getattr(out, name)))
+            edited = {name: edit(getattr(out, name)) for name, edit in edits.items()}
+            if is_dataclass(out):  # a frozen one takes no assignment
+                return replace(out, **edited)
+            for name, value in edited.items():
+                setattr(out, name, value)
             return out
 
         return broken

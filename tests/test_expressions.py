@@ -24,7 +24,7 @@ def test_constraints_validation():
 
 def test_constraints_reduced_drops_redundant_rows():
     c = EqualityConstraints([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-    f = ConstraintFactorization(c.a, c.b)
+    f = ConstraintFactorization(c)
     red = EqualityConstraints(f.a[f.selected], f.b[f.selected])
     assert f.rank == 1
     assert red.m == 1 and red.n == 2
@@ -63,7 +63,7 @@ def test_projector_drops_redundant_rows():
         expr = build_projector(EqualityConstraints(a_dup, b_dup))
         assert np.max(np.abs(a_dup @ expr.basis)) < 1e-10 * np.max(np.abs(a))
         assert np.max(np.abs(a_dup @ expr.x0 - b_dup)) < 1e-9 * (1 + np.max(np.abs(b)))
-        f = ConstraintFactorization(a_dup, b_dup)
+        f = ConstraintFactorization(EqualityConstraints(a_dup, b_dup))
         kept = build_projector(EqualityConstraints(f.a[f.selected], f.b[f.selected]))
         assert_allclose(expr.basis, kept.basis, atol=1e-12)
 
@@ -86,7 +86,7 @@ def test_nullspace_build_rejects_rank_deficiency():
     # rank-deficient rows are not an error: the null-space expression has
     # n - rank free entries, not n - m
     cons = EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
-    f = ConstraintFactorization(cons.a, cons.b)
+    f = ConstraintFactorization(cons)
     assert f.rank < cons.m
     assert f.null_basis.shape == (cons.n, cons.n - f.rank)
 

@@ -28,7 +28,7 @@ def kept_rows(f):
 
 
 def null_basis(a):
-    return ConstraintFactorization(a, np.zeros(np.shape(a)[0])).null_basis
+    return ConstraintFactorization(EqualityConstraints(a, np.zeros(np.shape(a)[0]))).null_basis
 
 
 def random_matrix(rng, rows, cols, rank=None):
@@ -42,7 +42,7 @@ def random_matrix(rng, rows, cols, rank=None):
 
 
 def test_rrqr_duplicated_row_consistent():
-    f = ConstraintFactorization([[1.0, 2.0], [2.0, 4.0]], [3.0, 6.0])
+    f = ConstraintFactorization(EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [3.0, 6.0]))
     a_kept, b_kept = kept_rows(f)
     assert f.rank == 1
     assert a_kept.shape == (1, 2)
@@ -52,7 +52,7 @@ def test_rrqr_duplicated_row_consistent():
 
 def test_rrqr_duplicated_row_contradiction():
     with pytest.raises(InfeasibleConstraintsError):
-        ConstraintFactorization([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0])
+        ConstraintFactorization(EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0]))
 
 
 def test_repeated_and_zero_rows_skip_the_unpivoted_qr(factorizations):
@@ -69,7 +69,7 @@ def test_repeated_and_zero_rows_skip_the_unpivoted_qr(factorizations):
                                  (np.zeros(160), 0.0, [geqp3], 60),
                                  (near, b[17], [geqrt], 61)]:
         factorizations.clear()
-        f = ConstraintFactorization(np.vstack([a, row]), np.append(b, rhs))
+        f = ConstraintFactorization(EqualityConstraints(np.vstack([a, row]), np.append(b, rhs)))
         assert (factorizations, f.rank) == (path, rank)
 
 
@@ -81,7 +81,7 @@ def test_rrqr_rank_matches_reference_oracle():
         rank = int(rng.integers(1, min(m, n) + 1))
         a = random_matrix(rng, m, rank, None) @ random_matrix(rng, rank, n, None)
         b = a @ rng.uniform(-1, 1, n)  # consistent by construction
-        f = ConstraintFactorization(a, b)
+        f = ConstraintFactorization(EqualityConstraints(a, b))
         assert f.rank == np.linalg.matrix_rank(a)
         assert kept_rows(f)[0].shape == (f.rank, n)
 
@@ -94,7 +94,7 @@ def test_rrqr_kept_rows_are_equivalent():
         m = rank + int(rng.integers(0, 5))
         a = random_matrix(rng, m, rank, None) @ random_matrix(rng, rank, n, None)
         b = a @ rng.uniform(-1, 1, n)
-        f = ConstraintFactorization(a, b)
+        f = ConstraintFactorization(EqualityConstraints(a, b))
         a_kept, b_kept = kept_rows(f)
         # any solution of the reduced system solves the original one
         x = np.linalg.lstsq(a_kept, b_kept, rcond=None)[0]
@@ -107,7 +107,7 @@ def test_rrqr_full_rank_input_is_preserved_up_to_equivalence():
     rng = np.random.default_rng(203)
     a = rng.uniform(-1, 1, (4, 9))
     b = rng.uniform(-1, 1, 4)
-    f = ConstraintFactorization(a, b)
+    f = ConstraintFactorization(EqualityConstraints(a, b))
     assert f.rank == 4
     # same solution set: row spaces and particular solutions agree
     x = np.linalg.lstsq(*kept_rows(f), rcond=None)[0]
@@ -118,33 +118,33 @@ def test_rrqr_reduction_is_idempotent():
     rng = np.random.default_rng(204)
     a = np.vstack([rng.uniform(-1, 1, (3, 8))] * 2)
     b = a @ rng.uniform(-1, 1, 8)
-    once = ConstraintFactorization(a, b)
-    twice = ConstraintFactorization(*kept_rows(once))
+    once = ConstraintFactorization(EqualityConstraints(a, b))
+    twice = ConstraintFactorization(EqualityConstraints(*kept_rows(once)))
     assert once.rank == twice.rank == 3
     assert kept_rows(twice)[0].shape == kept_rows(once)[0].shape
 
 
 def test_rrqr_zero_matrix():
-    f = ConstraintFactorization(np.zeros((3, 4)), np.zeros(3))
+    f = ConstraintFactorization(EqualityConstraints(np.zeros((3, 4)), np.zeros(3)))
     assert f.rank == 0
     assert kept_rows(f)[0].shape == (0, 4)
     with pytest.raises(InfeasibleConstraintsError):
-        ConstraintFactorization(np.zeros((3, 4)), [0.0, 1.0, 0.0])
+        ConstraintFactorization(EqualityConstraints(np.zeros((3, 4)), [0.0, 1.0, 0.0]))
 
 
 def test_rrqr_empty_system():
-    f = ConstraintFactorization(np.zeros((0, 5)), np.zeros(0))
+    f = ConstraintFactorization(EqualityConstraints(np.zeros((0, 5)), np.zeros(0)))
     assert f.rank == 0
     assert kept_rows(f)[0].shape == (0, 5)
 
 
 def test_rrqr_validation():
     with pytest.raises(ValueError):
-        ConstraintFactorization(np.eye(2), [1.0, 2.0, 3.0])
+        EqualityConstraints(np.eye(2), [1.0, 2.0, 3.0])
     # eps >= 1 or NaN would call every pivot negligible and drop every row
     for eps in (0.0, np.nan, np.inf, 1.0):
         with pytest.raises(ValueError):
-            ConstraintFactorization(np.eye(2), [1.0, 2.0], eps=eps)
+            ConstraintFactorization(EqualityConstraints(np.eye(2), [1.0, 2.0]), eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_nullspace_rejects_rank_deficient():
     # rank-deficient rows are not an error: the basis has n - rank columns
     for a in ([[1.0, 2.0], [2.0, 4.0]], np.ones((3, 2))):  # m > n: never full row rank
         m, n = np.shape(a)
-        f = ConstraintFactorization(a, np.zeros(m))
+        f = ConstraintFactorization(EqualityConstraints(a, np.zeros(m)))
         assert f.rank < m
         assert f.null_basis.shape == (n, n - f.rank)
 
@@ -200,7 +200,7 @@ def test_constraint_factorization_parts():
     # two redundant rows: row 1 in other units, and a combination of rows 0 and 2
     a = np.vstack([a, 1e6 * a[1], a[0] - 3.0 * a[2]])
     b = a @ rng.uniform(-1, 1, n)
-    f = ConstraintFactorization(a, b)
+    f = ConstraintFactorization(EqualityConstraints(a, b))
     assert f.rank == m
     assert sorted([*f.selected, *f.dropped]) == list(range(m + 2))
     assert np.linalg.matrix_rank(a[f.selected]) == m
@@ -215,7 +215,7 @@ def test_constraint_factorization_parts():
     b_bad = b.copy()
     b_bad[m] *= 1.0 + 1e-6
     with pytest.raises(InfeasibleConstraintsError):
-        ConstraintFactorization(a, b_bad)
+        ConstraintFactorization(EqualityConstraints(a, b_bad))
 
     # the basis formed from the reflectors spans the null space of an explicit Q:
     # m > n (rank 7 of 12), p = 0 (no rows, all-zero rows) and p = n; and,
@@ -225,7 +225,7 @@ def test_constraint_factorization_parts():
                  (rng.uniform(-1, 1, (n, n)), n), (rng.uniform(-1, 1, (64, 160)), 64),
                  (rng.uniform(-1, 1, (160, 160)), 160)]:
         n = a.shape[1]
-        f = ConstraintFactorization(a, a @ np.ones(n))
+        f = ConstraintFactorization(EqualityConstraints(a, a @ np.ones(n)))
         assert f.rank == p
         nb = f.null_basis
         assert nb.shape == (n, n - p)
@@ -264,11 +264,11 @@ _CALLS_INTO = {
     "dpotrs": lambda: cholesky_solve(_SPD, np.ones(2)),
     "dsytrf": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
     "dsytrs": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
-    "dgeqp3": lambda: ConstraintFactorization(_SMALL_A, np.ones(2)),
-    "dormqr": lambda: ConstraintFactorization(_SMALL_A, np.ones(2)),
-    "dgeqrt": lambda: ConstraintFactorization(_LARGE_A, np.ones(40)),
-    "dtrcon": lambda: ConstraintFactorization(_LARGE_A, np.ones(40)),
-    "dgemqrt": lambda: ConstraintFactorization(_LARGE_A, np.ones(40)),
+    "dgeqp3": lambda: ConstraintFactorization(EqualityConstraints(_SMALL_A, np.ones(2))),
+    "dormqr": lambda: ConstraintFactorization(EqualityConstraints(_SMALL_A, np.ones(2))),
+    "dgeqrt": lambda: ConstraintFactorization(EqualityConstraints(_LARGE_A, np.ones(40))),
+    "dtrcon": lambda: ConstraintFactorization(EqualityConstraints(_LARGE_A, np.ones(40))),
+    "dgemqrt": lambda: ConstraintFactorization(EqualityConstraints(_LARGE_A, np.ones(40))),
     "eigh": lambda: symmetric_solve(_SPD, np.ones(2)),
 }
 
@@ -456,7 +456,7 @@ def test_a_solution_that_overflows_is_a_computation_error():
     with np.errstate(over="ignore", invalid="ignore"):
         # finite data whose minimum-norm point x0 = (1e310, 0, 0) overflows
         with pytest.raises(ComputationError, match="overflows float range"):
-            ConstraintFactorization([[1e-300, 0.0, 0.0]], [1e10])
+            ConstraintFactorization(EqualityConstraints([[1e-300, 0.0, 0.0]], [1e10]))
         # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
         problem = QpProblem(
             q=1e300 * np.eye(3),
@@ -482,7 +482,7 @@ def test_symmetrizing_halves_first():
         )
         raw = np.random.default_rng(seed).uniform(-1, 1, (n, n))  # generate's first draw
         assert np.array_equal(problem.q, 0.5 * (raw + raw.T))
-        f = ConstraintFactorization(problem.constraints.a, problem.constraints.b)
+        f = ConstraintFactorization(problem.constraints)
         qb = f.null_basis.T @ raw @ f.null_basis
         aa = pull_back_quadratic(raw, problem.c, f.x0, f.null_basis)[0]
         assert np.array_equal(aa, 0.5 * (qb + qb.T))

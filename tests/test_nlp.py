@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,10 +21,8 @@ from eqopt.nlp import (
     ConvergenceConstants,
     NewtonConfig,
     ObjectiveOracle,
-    backtracking_line_search,
     estimate_convergence_constants,
     iteration_bound,
-    newton_decrement,
     newton_solve,
     reduce_problem,
     sqp_iterate,
@@ -31,7 +30,7 @@ from eqopt.nlp import (
 )
 from eqopt.objectives import log_sum_exp, neg_log_barrier_quadratic, quadratic, sum_exp
 from eqopt.problems import GeneratorSpec, generate
-from eqopt.qp import solve_nullspace
+from eqopt.qp import solve_kkt, solve_nullspace, solve_projector
 from helpers import chain_rule_oracle, fd_gradient, fd_hessian
 
 
@@ -83,13 +82,14 @@ def test_reduce_problem_validation():
 
 
 # ---------------------------------------------------------------------------
-# newton_decrement and line search
+# the Newton step and the line search
 
 
 def test_newton_decrement_against_direct_solve():
     reduced, rng = lse_reduced(2)
     g = rng.uniform(-1, 1, reduced.free_dim)
-    lam, step = newton_decrement(reduced, g)
+    _, step, dec_sq = nlp._newton_step(reduced._restricted, g, iteration=0)
+    lam = math.sqrt(dec_sq)
     e = reduced.gradient(g)
     f = reduced.hessian(g)
     assert_allclose(step, np.linalg.solve(f, -e), rtol=1e-9, atol=1e-12)
@@ -105,41 +105,33 @@ def test_newton_decrement_requires_convexity():
     )
     reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0]], [0.0]))
     with pytest.raises(NonConvexError):
-        newton_decrement(reduced, np.ones(1))
+        nlp._newton_step(reduced._restricted, np.ones(1), iteration=0)
 
 
 def test_line_search_matches_brute_force_scan():
     reduced, rng = lse_reduced(3)
     alpha, beta = 0.3, 0.7
+    oracle, config = reduced._restricted, NewtonConfig(alpha=alpha, beta=beta)
     for _ in range(10):
         g = rng.uniform(-1, 1, reduced.free_dim)
-        _, step = newton_decrement(reduced, g)
-        t = backtracking_line_search(reduced, g, step, NewtonConfig(alpha=alpha, beta=beta))
-        # smallest power of beta satisfying the decrease condition
+        _, step, _ = nlp._newton_step(oracle, g, iteration=0)
         h0 = reduced.value(g)
         slope = float(reduced.gradient(g) @ step)
+        t = nlp._armijo(oracle, g, step, h0, slope, config)[0]
+        # smallest power of beta satisfying the decrease condition
         expected = 1.0
         while reduced.value(g + expected * step) > h0 + alpha * expected * slope:
             expected *= beta
         assert t == expected
 
 
-def test_line_search_rejects_ascent_direction():
-    reduced, rng = lse_reduced(4)
-    g = rng.uniform(-1, 1, reduced.free_dim)
-    uphill = reduced.gradient(g)
-    with pytest.raises(ValueError, match="descent"):
-        backtracking_line_search(reduced, g, uphill)
-
-
 def test_line_search_parameter_validation():
+    # refused when the config is built, before any line search runs
     reduced, _ = lse_reduced(5)
-    g = np.zeros(reduced.free_dim)
-    d = -reduced.gradient(g)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        backtracking_line_search(reduced, g, d, NewtonConfig(alpha=0.5))
+        newton_solve(reduced, NewtonConfig(alpha=0.5))
     with pytest.raises(ValueError, match="beta must lie in"):
-        backtracking_line_search(reduced, g, d, NewtonConfig(beta=1.0))
+        newton_solve(reduced, NewtonConfig(beta=1.0))
 
 
 def test_line_search_underflow_raises():
@@ -158,9 +150,8 @@ def test_line_search_underflow_raises():
         hessian=lambda x: np.eye(2),
     )
     reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 0.0]], [0.0]))
-    g = np.zeros(1)
     with pytest.raises(LineSearchError):
-        backtracking_line_search(reduced, g, -reduced.gradient(g))
+        newton_solve(reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +596,34 @@ def test_the_newton_loop_checks_no_iterate_it_computed(monkeypatch):
         trace = run(reduced)
         assert trace.converged and len(trace.iterations) >= 2
     assert checked == []
+    # g0 is checked once, when the config is built; the loop checks only its length
     newton_solve(reduced, NewtonConfig(g0=np.zeros(reduced.free_dim)))
-    assert checked == [("g0", reduced.free_dim)]
+    assert checked == [("g0",)]
+
+
+def test_a_qp_solve_checks_no_input_again(monkeypatch):
+    # QpProblem and EqualityConstraints checked Q, c, A and b when they were
+    # built; a solve checks only its own x, for the objective and residual
+    problem = generate(GeneratorSpec(n=12, m=4, seed=25))
+    calls = []
+
+    def counting(name, real):
+        def counted(v, *args):
+            calls.append((name, *args))
+            return real(v, *args)
+
+        return counted
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("eqopt"):
+            for name in ("as_matrix", "as_vector"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    x = ("as_vector", "x", problem.n)
+    for solve, checked in ((solve_projector, [x, x]), (solve_nullspace, [x, x]), (solve_kkt, [x])):
+        calls.clear()
+        solve(problem)
+        assert calls == checked, solve.__name__
 
 
 def test_a_newton_step_that_overflows_is_a_computation_error():
@@ -616,8 +633,6 @@ def test_a_newton_step_that_overflows_is_a_computation_error():
     for run in (newton_solve, sqp_iterate):
         with pytest.raises(ComputationError, match="Newton step overflows .* iteration 0"):
             run(reduced)
-    with pytest.raises(ComputationError, match="Newton step overflows"):
-        newton_decrement(reduced, np.zeros(1))
 
 
 @pytest.mark.parametrize("hessian", ["analytic", "differenced"])
@@ -781,7 +796,7 @@ def test_a_newton_step_factorizes_once_and_never_forms_the_full_hessian(factoriz
         oracle.hessian = refuse
         for run in (newton_solve, sqp_iterate):
             reduced = reduce_problem(oracle, cons)
-            reduced.gradient = reduced.hessian = separately
+            reduced._restricted.gradient = reduced._restricted.hessian = separately
             factorizations.clear()
             trace = run(reduced)
             assert trace.converged, (name, run.__name__)
@@ -799,8 +814,9 @@ def test_estimated_constants_stay_in_the_reduced_space(factorizations):
     for name, oracle in objectives.items():
         oracle.hessian = refuse
         reduced = reduce_problem(oracle, cons)
-        # the restricted oracle is built; the basis it was built from is not read again
-        reduced.expr.basis = np.full_like(reduced.expr.basis, np.nan)
+        # the restricted oracle is built; the basis it was built from is not
+        # read again (poisoned past the frozen expression)
+        object.__setattr__(reduced.expr, "basis", np.full_like(reduced.expr.basis, np.nan))
         formed = []
         restricted_hessian = reduced._restricted.hessian
 

@@ -399,7 +399,7 @@ def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factoriza
         cons = problem.constraints
         factorizations.clear()
         try:
-            f = ConstraintFactorization(cons.a, cons.b)
+            f = ConstraintFactorization(cons)
         except InfeasibleConstraintsError:
             return factorizations[:], "infeasible", None
         used = factorizations[:]
@@ -469,7 +469,7 @@ def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
                 problem = generate(GeneratorSpec(n=n, m=m, seed=int(rng.integers(2**63)),
                                                  q_class=q_class, rank_deficiency=deficiency))
                 cons = problem.constraints
-                k = n - ConstraintFactorization(cons.a, cons.b).rank
+                k = n - ConstraintFactorization(cons).rank
                 where = (q_class, deficiency, n, m)
                 ref = solve_nullspace(problem)
                 shapes.clear()
