@@ -202,7 +202,7 @@ def cmd_solve(args):
     tol = {} if args.tol is None else {"epsilon": args.tol}
     config = NewtonConfig(alpha=args.alpha, beta=args.beta, max_iter=args.max_iter, **tol)
     if isinstance(problem, QpProblem):
-        oracle = objectives.quadratic(problem.q, problem.c)
+        oracle = objectives._checked_quadratic(problem.q, problem.c)
     else:
         oracle = problem.oracle
     trace = _NEWTON_SOLVERS[args.method](reduce_problem(oracle, problem.constraints), config)

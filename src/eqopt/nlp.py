@@ -8,10 +8,12 @@ unconstrained reduced problem ``h(g) = f(x0 + N g)`` with gradient
 solve: a registry objective pulls its own data back through ``N`` (so no
 step forms an n x n Hessian), any other oracle is composed by the chain
 rule, and one without an analytic Hessian has its reduced gradient
-differenced along the k free coordinates. Everything after
-:func:`reduce_problem` works in those k coordinates; a ``g`` from outside
-is checked once, by the public entry point it enters through, and the
-Newton loop evaluates that oracle on its own iterates. Each Newton iterate
+differenced along the k free coordinates. :func:`reduce_problem` returns
+a :class:`ReducedObjective` holding that oracle, and everything after it
+works in those k coordinates: the Newton loop evaluates the oracle on its
+own iterates, and a ``g`` from outside (``NewtonConfig.g0``, the samples
+of :func:`estimate_convergence_constants`) is checked once, by the public
+entry point it enters through. Each Newton iterate
 costs one evaluation of that oracle (:meth:`ObjectiveOracle.derivatives`
 gives the gradient and the Hessian together) and one lower-triangle
 Cholesky factorization; a line-search trial costs one value. Damped Newton
@@ -133,52 +135,40 @@ class ObjectiveOracle:
 class ReducedObjective:
     """A full-space objective pulled back through a null-space expression.
 
-    ``value``, ``gradient``, ``hessian`` and ``derivatives`` take a free
-    vector ``g``, check it (finite, length ``free_dim``) and evaluate
-    ``oracle.restrict(expr.x0, expr.basis)``, built once here, so they are
-    the reduced ``h(g)``, ``N^T grad f``, the k x k ``N^T (hess f) N`` and
-    the last two from one evaluation; none of them forms an n x n array
-    unless the oracle's own analytic Hessian does; the Newton loop calls
-    that oracle directly. ``expr.embed`` maps ``g`` back to the full space.
-    The fields cannot be reassigned, so the restricted oracle is always
-    that of ``oracle`` on ``expr``.
+    ``oracle`` is the k-dimensional oracle of the reduced objective
+    ``h(g) = f(x0 + N g)``, with gradient ``N^T grad f`` and Hessian the
+    k x k ``N^T (hess f) N``, that :func:`reduce_problem` builds once with
+    :meth:`ObjectiveOracle.restrict`; it forms no n x n array unless the
+    full-space oracle's own analytic Hessian does. Its callbacks check
+    nothing, like those of any :class:`ObjectiveOracle`, and the Newton loop
+    calls them on its own iterates. ``expr.embed`` maps ``g`` back to the
+    full space. The fields cannot be reassigned.
     """
 
     expr: ConstrainedExpression  # basis N
-    oracle: ObjectiveOracle
+    oracle: ObjectiveOracle  # of h, on R^k
 
-    def __post_init__(self):
-        restricted = self.oracle.restrict(self.expr.x0, self.expr.basis)
-        object.__setattr__(self, "_restricted", restricted)
+    def __post_init__(self):  # the full-space oracle fails here, not in numpy
+        if self.oracle.dim != self.free_dim:
+            raise ValueError(f"oracle dimension {self.oracle.dim} != free_dim {self.free_dim}")
 
     @property
     def free_dim(self):
         return self.expr.free_dim
 
-    def value(self, g):
-        return float(self._restricted.value(as_vector(g, "g", self.free_dim)))
-
-    def gradient(self, g):
-        return self._restricted.gradient(as_vector(g, "g", self.free_dim))
-
-    def hessian(self, g):
-        return self._restricted.hessian(as_vector(g, "g", self.free_dim))
-
-    def derivatives(self, g):
-        return self._restricted.derivatives(as_vector(g, "g", self.free_dim))
-
 
 def reduce_problem(oracle, constraints):
-    """Eliminate the constraints: build x = x0 + N g and wrap the oracle.
+    """Eliminate the constraints: build x = x0 + N g and restrict the oracle to it.
 
     The expression is built once by
     :func:`~eqopt.expressions.build_nullspace`, so redundant rows are
     dropped and contradictory ones raise InfeasibleConstraintsError.
     The oracle is restricted to ``x0 + N g`` once
-    (:meth:`ObjectiveOracle.restrict`): a registry objective pulls its data
-    back through ``N`` here, and the pulled-back data lives as long as the
-    returned :class:`ReducedObjective`; it raises ComputationError when
-    the objective's quadratic part overflows float range at ``x0``.
+    (:meth:`ObjectiveOracle.restrict`), and the returned
+    :class:`ReducedObjective` holds that restricted oracle: a registry
+    objective pulls its data back through ``N`` here, and raises
+    ComputationError when its quadratic part overflows float range at
+    ``x0``.
     """
     if oracle.dim != constraints.n:
         raise ValueError(
@@ -189,7 +179,7 @@ def reduce_problem(oracle, constraints):
         raise ValueError(
             "the feasible set is a single point; nothing to optimize"
         )
-    return ReducedObjective(expr=expr, oracle=oracle)
+    return ReducedObjective(expr, oracle.restrict(expr.x0, expr.basis))
 
 
 @dataclass(frozen=True)
@@ -289,9 +279,9 @@ def _newton_step(oracle, g, iteration):
     """Gradient, Newton direction and squared decrement at g, from one
     evaluation of the restricted ``oracle`` and one Cholesky factorization.
 
-    Raises ComputationError when the gradient, the Hessian or the step is
-    not finite and NonConvexError when the reduced Hessian fails its
-    Cholesky factorization.
+    Raises ComputationError when the gradient, the Hessian, the step or the
+    decrement is not finite and NonConvexError when the reduced Hessian
+    fails its Cholesky factorization.
     """
     e, f = oracle.derivatives(g)
     if not (np.isfinite(e).all() and np.isfinite(f).all()):
@@ -306,10 +296,12 @@ def _newton_step(oracle, g, iteration):
             iteration=iteration,
         )
     step = -cholesky_solve(low, e)
-    if not np.isfinite(step).all():
-        raise ComputationError(f"the Newton step overflows float range at iteration {iteration}")
-    dec_sq = max(float(-(e @ step)), 0.0)  # E^T F^{-1} E, clamped against rounding
-    return e, step, dec_sq
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        dec_sq = float(-(e @ step))  # E^T F^{-1} E
+    if not math.isfinite(dec_sq):  # so also wherever the step is not finite
+        what = "decrement" if np.isfinite(step).all() else "step"
+        raise ComputationError(f"the Newton {what} overflows float range at iteration {iteration}")
+    return e, step, max(dec_sq, 0.0)  # clamped against rounding
 
 
 def _start_value(oracle, g):
@@ -375,7 +367,7 @@ def _newton_loop(reduced, config, damped):
     objective's domain. Only ``config.g0`` comes from outside, and
     :class:`NewtonConfig` checked all but its length.
     """
-    oracle, expr, tol = reduced._restricted, reduced.expr, config.epsilon
+    oracle, expr, tol = reduced.oracle, reduced.expr, config.epsilon
     g = np.zeros(expr.free_dim) if config.g0 is None else config.g0.copy()
     if g.shape[0] != expr.free_dim:
         raise ValueError(f"g0 has length {g.shape[0]}, expected {expr.free_dim}")
@@ -444,7 +436,7 @@ def newton_solve(reduced, config=NewtonConfig()):
     ComputationError
         If the objective overflows at the start point (also to NaN or
         ``-inf``), the oracle returns a non-finite gradient or Hessian, or
-        a Newton step overflows float range.
+        a Newton step or its decrement overflows float range.
     NonConvexError
         If a reduced Hessian fails its Cholesky factorization.
     LineSearchError
@@ -468,7 +460,8 @@ def sqp_iterate(reduced, config=NewtonConfig()):
     alternative. A start point where the objective is ``+inf`` raises
     :class:`InfeasibleStartError`; an objective that overflows there (also
     to NaN or ``-inf``), a non-finite gradient or Hessian, or a Newton
-    step that overflows float range raises :class:`ComputationError`.
+    step or decrement that overflows float range raises
+    :class:`ComputationError`.
     """
     return _newton_loop(reduced, config, damped=False)
 
@@ -614,7 +607,7 @@ def estimate_convergence_constants(reduced, points):
     m_hi = -math.inf
     hessians = []
     for i, g in enumerate(points):
-        f = reduced._restricted.hessian(g)
+        f = reduced.oracle.hessian(g)
         if not np.isfinite(f).all():
             raise ComputationError(f"the oracle returned a non-finite Hessian at sample {i}")
         w = np.linalg.eigvalsh(f)

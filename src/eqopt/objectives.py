@@ -156,11 +156,17 @@ def _neg_log(mu):
     )
 
 
+def _checked_quadratic(q, c):
+    """:func:`quadratic` of a Q and c already checked, Q symmetric, as
+    :func:`~eqopt.linalg.quadratic_data` returns them (and
+    :class:`~eqopt.qp.QpProblem` holds them): nothing is checked or copied."""
+    # C has no rows, so phi adds nothing
+    return _composite(_SUM_EXP, np.zeros((0, q.shape[0])), np.zeros(0), (q, c, 0.0))
+
+
 def quadratic(q, c=None):
     """``f(x) = 1/2 x^T Q x + c^T x`` (Q symmetrized)."""
-    q, c = quadratic_data(q, c)
-    n = q.shape[0]  # C has no rows, so phi adds nothing
-    return _composite(_SUM_EXP, np.zeros((0, n)), np.zeros(0), (q, c, 0.0))
+    return _checked_quadratic(*quadratic_data(q, c))
 
 
 def sum_exp(dim=None, rates=None):

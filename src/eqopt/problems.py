@@ -127,9 +127,10 @@ def _numbers(raw, what):
 
 
 def _array_field(doc, field, shape, where):
-    """A finite float64 array of the given shape; JSON ``[]`` is an empty matrix.
+    """A float64 array of the given shape; JSON ``[]`` is an empty matrix.
 
-    Entries must be JSON numbers (:func:`_numbers`).
+    Entries must be JSON numbers (:func:`_numbers`); that they are finite is
+    checked once, by the type that holds the array.
     """
     out = _numbers(_require(doc, field, list, where), f"{where}: field '{field}'")
     if out.shape == (0,) and len(shape) == 2:
@@ -138,9 +139,16 @@ def _array_field(doc, field, shape, where):
         raise ProblemSchemaError(
             f"{where}: field '{field}' has shape {out.shape}, expected {shape}"
         )
-    if not np.all(np.isfinite(out)):
-        raise ProblemSchemaError(f"{where}: field '{field}' contains non-finite values")
     return out
+
+
+def _schema_checked(make, where, *arrays):
+    """``make(*arrays)``, the type that checks them, with its ValueError (a
+    non-finite entry) raised as a ProblemSchemaError naming the file."""
+    try:
+        return make(*arrays)
+    except ValueError as exc:
+        raise ProblemSchemaError(f"{where}: {exc}") from None
 
 
 def _objective_params(params, name, n, where):
@@ -235,19 +243,20 @@ def load(path):
 
     a = _array_field(doc, "A", (m, n), where)
     b = _array_field(doc, "b", (m,), where)
-    constraints = EqualityConstraints(a, b)
+    constraints = _schema_checked(EqualityConstraints, where, a, b)
 
     if kind == "qp":
         q = _array_field(doc, "Q", (n, n), where)
         c = _array_field(doc, "c", (n,), where)
-        skew = float(np.max(np.abs(q - q.T), initial=0.0))
+        problem = _schema_checked(QpProblem, where, q, c, constraints)
+        skew = float(np.max(np.abs(q - q.T), initial=0.0))  # q is finite now
         if skew > 1e-12 * (1.0 + float(np.max(np.abs(q), initial=0.0))):
             warnings.warn(
                 f"{where}: Q is not symmetric (max asymmetry {skew:.3e}); "
                 f"using (Q + Q^T)/2",
                 stacklevel=2,
             )
-        return QpProblem(q=q, c=c, constraints=constraints)
+        return problem
 
     obj = _require(doc, "objective", dict, where)
     name = _require(obj, "name", str, f"{where}: objective")

@@ -84,7 +84,7 @@ def _reduced_qp(rng, n_hi):
     and its reduced objective."""
     spec = _random_spec(rng, 2, n_hi)
     problem = generate(spec)
-    oracle = objectives.quadratic(problem.q, problem.c)
+    oracle = objectives._checked_quadratic(problem.q, problem.c)
     return spec, problem, reduce_problem(oracle, problem.constraints)
 
 
@@ -361,8 +361,8 @@ def _check_suboptimality(rng):
     constants = estimate_convergence_constants(reduced, [np.zeros(reduced.free_dim)])
     for _ in range(10):
         g = rng.uniform(-3, 3, reduced.free_dim)
-        gap = reduced.value(g) - h_star
-        bound = suboptimality_bound(float(np.linalg.norm(reduced.gradient(g))), constants)
+        gap = reduced.oracle.value(g) - h_star
+        bound = suboptimality_bound(float(np.linalg.norm(reduced.oracle.gradient(g))), constants)
         if gap > bound + 1e-9 * (1.0 + abs(bound)):
             return {"n": spec.n, "m": spec.m, "gap": gap, "bound": bound}
     return None

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -39,4 +41,25 @@ def factorizations(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture
+def input_checks(monkeypatch):
+    """``(check, *args)`` of each ``as_matrix``/``as_vector`` call in eqopt,
+    in order, the array itself left out: ``("as_vector", "b", 4)``."""
+    calls = []
+
+    def counting(name, real):
+        def counted(v, *args):
+            calls.append((name, *args))
+            return real(v, *args)
+
+        return counted
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("eqopt"):
+            for name in ("as_matrix", "as_vector"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls

@@ -218,14 +218,14 @@ def test_criterion_07_suboptimality_bound_dominates_gap():
         constants = estimate_convergence_constants(
             reduced, [np.zeros(reduced.free_dim)]
         )
-        w = np.linalg.eigvalsh(reduced.hessian(np.zeros(reduced.free_dim)))
+        w = np.linalg.eigvalsh(reduced.oracle.hessian(np.zeros(reduced.free_dim)))
         assert abs(constants.m_strong - float(w[0])) <= 1e-12 * abs(float(w[0]))
         h_star = solve_nullspace(problem).objective
         for _ in range(100):
             g = rng.uniform(-3, 3, reduced.free_dim)
-            gap = reduced.value(g) - h_star
+            gap = reduced.oracle.value(g) - h_star
             bound = suboptimality_bound(
-                float(np.linalg.norm(reduced.gradient(g))), constants
+                float(np.linalg.norm(reduced.oracle.gradient(g))), constants
             )
             assert gap <= bound + 1e-9 * (1.0 + abs(bound)), (
                 f"trial {trial}: gap {gap:.6e} exceeds bound {bound:.6e}"

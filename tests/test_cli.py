@@ -128,8 +128,10 @@ def test_solve_malformed_json_exits_4(tmp_path, capsys):
         (lambda text: b"[" * 20_000 + b"]" * 20_000, "nested too deeply"),
         (lambda text: text.replace(b'"qp"', b'"qp\xe9"'), "UTF-8"),
         (lambda text: text.replace(b'"c": [', b'"c": ["1",'), "non-numeric"),
+        # Q's asymmetry, inf - inf here, is measured only once Q is accepted
+        (lambda text: text.replace(b"2.0", b"1e400", 1), "qp.json: Q contains non-finite"),
     ],
-    ids=["huge-integer", "deep-nesting", "invalid-utf8", "string-entry"],
+    ids=["huge-integer", "deep-nesting", "invalid-utf8", "string-entry", "non-finite-q"],
 )
 def test_solve_malformed_problem_file_exits_4(tmp_path, capsys, mangle, message):
     path = tmp_path / "qp.json"
@@ -464,6 +466,41 @@ def test_solve_a_newton_step_that_overflows_exits_3(tmp_path, capsys):
             assert "error: the Newton step overflows float range at iteration 0" in err
         else:
             assert "error:" in err
+
+
+def test_solve_a_newton_decrement_that_overflows_exits_3(tmp_path, capsys):
+    # the gradient 1e250 and the step -1e150 are finite, their product is
+    # not: newton wrote "objective": -Infinity and "decrementSq": Infinity,
+    # which is not JSON, and with warnings as errors both methods stopped on
+    # numpy's overflow warning
+    q = [[1e100, 0.0], [0.0, 1e100]]
+    path = _qp_file(tmp_path, Q=q, c=[1e250, 0.0], A=[[0.0, 1.0]], b=[0.0])
+    out, trace = tmp_path / "sol.json", tmp_path / "trace.json"
+    for method in ("newton", "sqp"):
+        for action in ("default", "error"):
+            argv = ["solve", "--input", path, "--method", method, "--output", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert cli.main([*argv, "--trace", str(trace)]) == 3, (method, action)
+            err = capsys.readouterr().err
+            assert "error: the Newton decrement overflows float range at iteration 0" in err
+            assert not out.exists() and not trace.exists()
+
+
+def test_solve_newton_on_a_qp_file_checks_each_input_once(tmp_path, capsys, input_checks):
+    # load checks A, b, Q and c; Newton builds its oracle from the checked
+    # Q and c, and the solve checks only its own x, for the residual
+    path = _qp_file(tmp_path)
+    for method in ("newton", "sqp"):
+        input_checks.clear()
+        assert cli.main(["solve", "--input", path, "--method", method]) == 0, method
+        assert input_checks == [
+            ("as_matrix", "A"),
+            ("as_vector", "b", 1),
+            ("as_matrix", "Q"),
+            ("as_vector", "c", 2),
+            ("as_vector", "x", 2),
+        ], method
 
 
 def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import inspect
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -21,6 +20,7 @@ from eqopt.nlp import (
     ConvergenceConstants,
     NewtonConfig,
     ObjectiveOracle,
+    ReducedObjective,
     estimate_convergence_constants,
     iteration_bound,
     newton_solve,
@@ -65,10 +65,10 @@ def test_objective_oracle_fd_hessian_fallback():
 def test_reduced_objective_chain_rule():
     reduced, rng = lse_reduced(1)
     g = rng.uniform(-1, 1, reduced.free_dim)
-    grad = reduced.gradient(g)
-    assert_allclose(grad, fd_gradient(reduced.value, g), rtol=1e-5, atol=1e-7)
+    grad = reduced.oracle.gradient(g)
+    assert_allclose(grad, fd_gradient(reduced.oracle.value, g), rtol=1e-5, atol=1e-7)
     assert_allclose(
-        reduced.hessian(g), fd_hessian(reduced.gradient, g), rtol=1e-4, atol=1e-6
+        reduced.oracle.hessian(g), fd_hessian(reduced.oracle.gradient, g), rtol=1e-4, atol=1e-6
     )
 
 
@@ -81,6 +81,15 @@ def test_reduce_problem_validation():
         reduce_problem(sum_exp(dim=2), EqualityConstraints(np.eye(2), [0.0, 0.0]))
 
 
+def test_reduced_objective_refuses_an_oracle_of_the_wrong_dimension():
+    # the full-space oracle in place of the restricted one fails here, not in numpy
+    oracle = sum_exp(dim=3)
+    reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0, 0.0]], [1.0]))
+    assert reduced.oracle.dim == reduced.free_dim == 2
+    with pytest.raises(ValueError, match="oracle dimension 3 != free_dim 2"):
+        ReducedObjective(reduced.expr, oracle)
+
+
 # ---------------------------------------------------------------------------
 # the Newton step and the line search
 
@@ -88,10 +97,10 @@ def test_reduce_problem_validation():
 def test_newton_decrement_against_direct_solve():
     reduced, rng = lse_reduced(2)
     g = rng.uniform(-1, 1, reduced.free_dim)
-    _, step, dec_sq = nlp._newton_step(reduced._restricted, g, iteration=0)
+    _, step, dec_sq = nlp._newton_step(reduced.oracle, g, iteration=0)
     lam = math.sqrt(dec_sq)
-    e = reduced.gradient(g)
-    f = reduced.hessian(g)
+    e = reduced.oracle.gradient(g)
+    f = reduced.oracle.hessian(g)
     assert_allclose(step, np.linalg.solve(f, -e), rtol=1e-9, atol=1e-12)
     assert_allclose(lam, math.sqrt(e @ np.linalg.solve(f, e)), rtol=1e-9)
 
@@ -105,22 +114,22 @@ def test_newton_decrement_requires_convexity():
     )
     reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0]], [0.0]))
     with pytest.raises(NonConvexError):
-        nlp._newton_step(reduced._restricted, np.ones(1), iteration=0)
+        nlp._newton_step(reduced.oracle, np.ones(1), iteration=0)
 
 
 def test_line_search_matches_brute_force_scan():
     reduced, rng = lse_reduced(3)
     alpha, beta = 0.3, 0.7
-    oracle, config = reduced._restricted, NewtonConfig(alpha=alpha, beta=beta)
+    oracle, config = reduced.oracle, NewtonConfig(alpha=alpha, beta=beta)
     for _ in range(10):
         g = rng.uniform(-1, 1, reduced.free_dim)
         _, step, _ = nlp._newton_step(oracle, g, iteration=0)
-        h0 = reduced.value(g)
-        slope = float(reduced.gradient(g) @ step)
+        h0 = reduced.oracle.value(g)
+        slope = float(reduced.oracle.gradient(g) @ step)
         t = nlp._armijo(oracle, g, step, h0, slope, config)[0]
         # smallest power of beta satisfying the decrease condition
         expected = 1.0
-        while reduced.value(g + expected * step) > h0 + alpha * expected * slope:
+        while reduced.oracle.value(g + expected * step) > h0 + alpha * expected * slope:
             expected *= beta
         assert t == expected
 
@@ -242,7 +251,7 @@ def test_no_public_nlp_callable_but_newton_config_takes_a_newton_setting():
         for name, attr in vars(cls).items()
         if not name.startswith("_") and callable(attr)
     ]
-    assert nlp.sqp_iterate in own and nlp.ReducedObjective.hessian in methods
+    assert nlp.sqp_iterate in own and nlp.ObjectiveOracle.restrict in methods
     for obj in own + methods:
         if obj is not NewtonConfig:
             taken = settings & set(inspect.signature(obj).parameters)
@@ -317,12 +326,13 @@ def test_suboptimality_bound_dominates_quadratic_gap():
     for seed in range(10):
         reduced, problem = quadratic_reduced(seed, n=15, m=5)
         h_star = solve_nullspace(problem).objective
-        m_exact = float(np.linalg.eigvalsh(reduced.hessian(np.zeros(reduced.free_dim)))[0])
+        oracle = reduced.oracle
+        m_exact = float(np.linalg.eigvalsh(oracle.hessian(np.zeros(reduced.free_dim)))[0])
         constants = ConvergenceConstants(m_strong=m_exact, m_upper=m_exact * 1e6, lipschitz=1.0)
         for _ in range(20):
             g = rng.uniform(-3, 3, reduced.free_dim)
-            gap = reduced.value(g) - h_star
-            bound = suboptimality_bound(float(np.linalg.norm(reduced.gradient(g))), constants)
+            gap = oracle.value(g) - h_star
+            bound = suboptimality_bound(float(np.linalg.norm(oracle.gradient(g))), constants)
             assert gap <= bound + 1e-9 * (1 + abs(bound))
 
 
@@ -404,7 +414,7 @@ def test_iteration_bound_refuses_constants_that_leave_float_range():
 
 def test_estimated_constants_on_quadratic_match_spectrum():
     reduced, _ = quadratic_reduced(33)
-    b = reduced.hessian(np.zeros(reduced.free_dim))
+    b = reduced.oracle.hessian(np.zeros(reduced.free_dim))
     w = np.linalg.eigvalsh(b)
     rng = np.random.default_rng(34)
     samples = [rng.uniform(-1, 1, reduced.free_dim) for _ in range(5)]
@@ -458,17 +468,17 @@ def reference_damped_newton(reduced, config):
     Same arithmetic as newton_solve; returns the (g, h, t) of each step
     and the final (g, h).
     """
-    g = np.zeros(reduced.free_dim)
+    oracle, g = reduced.oracle, np.zeros(reduced.free_dim)
     steps = []
     while True:
-        e = reduced.gradient(g)
-        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g), lower=True), e)
+        e = oracle.gradient(g)
+        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(oracle.hessian(g), lower=True), e)
         dec_sq = max(float(-(e @ step)), 0.0)
-        h = reduced.value(g)
+        h = oracle.value(g)
         if dec_sq / 2.0 <= config.epsilon:
             return steps, (g, h)
         t = 1.0
-        while not reduced.value(g + t * step) <= h + config.alpha * t * -dec_sq:
+        while not oracle.value(g + t * step) <= h + config.alpha * t * -dec_sq:
             t *= config.beta
         steps.append((g, h, t))
         g = g + t * step
@@ -511,13 +521,13 @@ def reference_pure_newton(reduced, tol_g, max_iter):
     Returns the (g, h, t) of each step, the final (g, h) and whether it
     stopped by that rule rather than by max_iter.
     """
-    g = np.zeros(reduced.free_dim)
+    oracle, g = reduced.oracle, np.zeros(reduced.free_dim)
     steps = []
     arrived = False
     while True:
-        e = reduced.gradient(g)
-        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(reduced.hessian(g), lower=True), e)
-        h = reduced.value(g)
+        e = oracle.gradient(g)
+        step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(oracle.hessian(g), lower=True), e)
+        h = oracle.value(g)
         if arrived or float(np.linalg.norm(e)) < tol_g:
             return steps, (g, h), True
         if len(steps) >= max_iter:
@@ -601,29 +611,15 @@ def test_the_newton_loop_checks_no_iterate_it_computed(monkeypatch):
     assert checked == [("g0",)]
 
 
-def test_a_qp_solve_checks_no_input_again(monkeypatch):
+def test_a_qp_solve_checks_no_input_again(input_checks):
     # QpProblem and EqualityConstraints checked Q, c, A and b when they were
     # built; a solve checks only its own x, for the objective and residual
     problem = generate(GeneratorSpec(n=12, m=4, seed=25))
-    calls = []
-
-    def counting(name, real):
-        def counted(v, *args):
-            calls.append((name, *args))
-            return real(v, *args)
-
-        return counted
-
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("eqopt"):
-            for name in ("as_matrix", "as_vector"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     x = ("as_vector", "x", problem.n)
     for solve, checked in ((solve_projector, [x, x]), (solve_nullspace, [x, x]), (solve_kkt, [x])):
-        calls.clear()
+        input_checks.clear()
         solve(problem)
-        assert calls == checked, solve.__name__
+        assert input_checks == checked, solve.__name__
 
 
 def test_a_newton_step_that_overflows_is_a_computation_error():
@@ -647,7 +643,7 @@ def test_a_hessian_near_the_float_maximum_keeps_its_reduction_finite(hessian):
         (lambda x: np.diag([1.5e308, 1.5e308])) if hessian == "analytic" else None,
     )
     reduced = reduce_problem(oracle, EqualityConstraints([[1.0, 1.0]], [0.0]))
-    assert_allclose(reduced.hessian(np.zeros(1)), [[1.5e308]], rtol=1e-9)
+    assert_allclose(reduced.oracle.hessian(np.zeros(1)), [[1.5e308]], rtol=1e-9)
     trace = newton_solve(reduced)
     assert trace.converged
     t = 1e150 / 1.5e308 / 2.0
@@ -796,7 +792,7 @@ def test_a_newton_step_factorizes_once_and_never_forms_the_full_hessian(factoriz
         oracle.hessian = refuse
         for run in (newton_solve, sqp_iterate):
             reduced = reduce_problem(oracle, cons)
-            reduced._restricted.gradient = reduced._restricted.hessian = separately
+            reduced.oracle.gradient = reduced.oracle.hessian = separately
             factorizations.clear()
             trace = run(reduced)
             assert trace.converged, (name, run.__name__)
@@ -818,14 +814,14 @@ def test_estimated_constants_stay_in_the_reduced_space(factorizations):
         # read again (poisoned past the frozen expression)
         object.__setattr__(reduced.expr, "basis", np.full_like(reduced.expr.basis, np.nan))
         formed = []
-        restricted_hessian = reduced._restricted.hessian
+        restricted_hessian = reduced.oracle.hessian
 
         def counted(g, _hessian=restricted_hessian, _formed=formed):
             out = _hessian(g)
             _formed.append(out.shape)
             return out
 
-        reduced._restricted.hessian = counted
+        reduced.oracle.hessian = counted
         samples = [0.01 * rng.uniform(-1, 1, reduced.free_dim) for _ in range(4)]
         factorizations.clear()
         constants = estimate_convergence_constants(reduced, samples)
@@ -859,10 +855,10 @@ def test_custom_oracles_take_the_default_derivatives_path():
         reduced = reduce_problem(ObjectiveOracle(n, lse.value, gradient, hessian), cons)
         g = 0.1 * rng.uniform(-1, 1, reduced.free_dim)
         calls.clear()
-        grad, hess = reduced.derivatives(g)
+        grad, hess = reduced.oracle.derivatives(g)
         assert calls == per_point
-        assert np.array_equal(grad, reduced.gradient(g))
-        assert np.array_equal(hess, reduced.hessian(g))
+        assert np.array_equal(grad, reduced.oracle.gradient(g))
+        assert np.array_equal(hess, reduced.oracle.hessian(g))
         calls.clear()
         trace = newton_solve(reduced)
         assert trace.converged

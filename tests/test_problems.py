@@ -272,6 +272,18 @@ def test_load_non_finite_entry_rejected(tmp_path):
         load(path)
 
 
+def test_load_checks_each_array_once(tmp_path, input_checks):
+    # the shape is the schema's to check; that the entries are finite is
+    # checked by EqualityConstraints and QpProblem alone
+    load(_write(tmp_path / "p.json", _qp_doc()))
+    assert input_checks == [
+        ("as_matrix", "A"),
+        ("as_vector", "b", 1),
+        ("as_matrix", "Q"),
+        ("as_vector", "c", 2),
+    ]
+
+
 def test_load_huge_integer_is_a_schema_error(tmp_path):
     # 400 digits overflow float64; the parser hands over an int either way
     path = tmp_path / "big.json"
