@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .linalg import EPS, ConstraintFactorization, as_matrix, as_vector, frozen_copy
+from .linalg import overflow_checked
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,13 @@ class EqualityConstraints:
     def n(self):
         return self.a.shape[1]
 
+    @overflow_checked
     def residual(self, x):
         """Feasibility defect ``||A x - b||_inf`` at x; raises
         ComputationError where ``A x - b`` overflows float range, as it can
         at a finite x."""
         x = as_vector(x, "x", self.n)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            defect = np.max(np.abs(self.a @ x - self.b), initial=0.0)
+        defect = np.max(np.abs(self.a @ x - self.b), initial=0.0)
         if not np.isfinite(defect):
             raise ComputationError(f"A x - b overflows float range at x (it is {defect})")
         return float(defect)

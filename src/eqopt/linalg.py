@@ -39,6 +39,20 @@ keeps the caller's arrays, as a copy would double the memory they hold.
 more. Only buffers a routine allocated itself are passed to LAPACK to be
 overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 ``dormqr`` and ``dgemqrt``).
+
+**Overflow.** A finite problem can still overflow float range on its way
+to a solution. The rule is that such an overflow is refused by the check
+on the value it reaches, with a :class:`~eqopt.errors.ComputationError`,
+and that numpy does not warn first. It is stated once, as the numpy error
+state :data:`overflow_checked` (overflow and invalid operations
+ignored), and every call that solves runs under it: the constraint
+factorization, the residual and the objective of a solution, both QP
+eliminations and the KKT oracle, and the Newton reduction, loop and
+constant estimates. So ``eqopt solve`` exits with its documented code
+also when numpy warnings are errors. The state decides only whether
+numpy warns; it never changes a value. Its boundary is those calls: an
+:class:`~eqopt.nlp.ObjectiveOracle`'s callbacks, or a kernel here,
+called directly keep the caller's own numpy error state.
 """
 
 from functools import cached_property
@@ -49,6 +63,10 @@ import scipy.linalg.lapack
 from .errors import ComputationError, InfeasibleConstraintsError
 
 EPS = float(np.finfo(np.float64).eps)
+
+# The one numpy error state of a solve; the module docstring gives the rule. As
+# a decorator it is entered afresh on every call, so decorated calls nest safely.
+overflow_checked = np.errstate(over="ignore", invalid="ignore")
 
 # A constraint set on at least this many unknowns, with _QRT_BLOCK <= m <= n
 # rows, is factored without pivoting first (ConstraintFactorization). At one
@@ -124,12 +142,12 @@ def pull_back_quadratic(q, c, x0, basis):
     Returns ``(B^T Q B, B^T (Q x0 + c), 1/2 x0^T Q x0 + c^T x0)``; the first
     is formed as ``(B^T Q) B`` and made exactly symmetric by
     :func:`symmetric_part`. An entry that overflows comes back as ``inf``
-    or NaN without a warning; the callers check what they solve with.
+    or NaN; the callers, which run under :data:`overflow_checked`, check
+    what they solve with.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        qx0 = q @ x0
-        qb = symmetric_part(basis.T @ q @ basis)
-        return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
+    qx0 = q @ x0
+    qb = symmetric_part(basis.T @ q @ basis)
+    return qb, basis.T @ (qx0 + c), float(0.5 * x0 @ qx0 + c @ x0)
 
 
 def cholesky(m):
@@ -303,6 +321,7 @@ class ConstraintFactorization:
         overflows float range.
     """
 
+    @overflow_checked
     def __init__(self, constraints, eps=EPS):
         a, b = constraints.a, constraints.b
         m, n = a.shape
@@ -311,8 +330,7 @@ class ConstraintFactorization:
         scale = np.max(np.abs(a), axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
         self.a = a / scale[:, None]
-        with np.errstate(over="ignore"):  # checked with x0 below
-            self.b = b / scale
+        self.b = b / scale
         found = _full_rank_qr(self.a, eps)
         if found is not None:
             qr, self._t = found

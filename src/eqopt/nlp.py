@@ -45,7 +45,8 @@ from .errors import (
     NonConvexError,
 )
 from .expressions import ConstrainedExpression, build_nullspace
-from .linalg import as_vector, cholesky, cholesky_solve, frozen_copy, symmetric_part
+from .linalg import as_vector, cholesky, cholesky_solve, frozen_copy, overflow_checked
+from .linalg import symmetric_part
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -157,6 +158,7 @@ class ReducedObjective:
         return self.expr.free_dim
 
 
+@overflow_checked
 def reduce_problem(oracle, constraints):
     """Eliminate the constraints: build x = x0 + N g and restrict the oracle to it.
 
@@ -296,8 +298,7 @@ def _newton_step(oracle, g, iteration):
             iteration=iteration,
         )
     step = -cholesky_solve(low, e)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        dec_sq = float(-(e @ step))  # E^T F^{-1} E
+    dec_sq = float(-(e @ step))  # E^T F^{-1} E
     if not math.isfinite(dec_sq):  # so also wherever the step is not finite
         what = "decrement" if np.isfinite(step).all() else "step"
         raise ComputationError(f"the Newton {what} overflows float range at iteration {iteration}")
@@ -348,15 +349,15 @@ def _armijo(oracle, g, direction, h0, slope, config):
 
 
 def _norm(v):
-    """``||v||_2`` of a finite vector, without a warning: ``np.linalg.norm(v)``
-    bit for bit where that is finite. Where the sum of squares overflows,
-    ``v`` is scaled by ``2^-600`` first, exactly but for entries far too
-    small to count, and the norm scaled back (``inf`` only beyond range)."""
-    with np.errstate(over="ignore"):
-        out = float(np.linalg.norm(v))
+    """``||v||_2`` of a finite vector: ``np.linalg.norm(v)`` bit for bit
+    where that is finite. Where the sum of squares overflows, ``v`` is
+    scaled by ``2^-600`` first, exactly but for entries far too small to
+    count, and the norm scaled back (``inf`` only beyond range)."""
+    out = float(np.linalg.norm(v))
     return out if out < math.inf else 2.0**600 * float(np.linalg.norm(v * 2.0**-600))
 
 
+@overflow_checked
 def _newton_loop(reduced, config, damped):
     """The Newton iteration behind :func:`newton_solve` and :func:`sqp_iterate`.
 
@@ -585,6 +586,7 @@ def iteration_bound(constants, config, h0_minus_hstar):
     return bound
 
 
+@overflow_checked
 def estimate_convergence_constants(reduced, points):
     """Empirical (m, M, K) sampled at the given free vectors.
 

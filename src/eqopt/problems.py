@@ -249,7 +249,8 @@ def load(path):
         q = _array_field(doc, "Q", (n, n), where)
         c = _array_field(doc, "c", (n,), where)
         problem = _schema_checked(QpProblem, where, q, c, constraints)
-        skew = float(np.max(np.abs(q - q.T), initial=0.0))  # q is finite now
+        # max|Q - Q^T| bit for bit where that is finite, and inf, not a warning, beyond
+        skew = 2.0 * float(np.max(np.abs(0.5 * q - 0.5 * q.T), initial=0.0))
         if skew > 1e-12 * (1.0 + float(np.max(np.abs(q), initial=0.0))):
             warnings.warn(
                 f"{where}: Q is not symmetric (max asymmetry {skew:.3e}); "

@@ -53,7 +53,7 @@ import scipy.linalg.lapack
 from .errors import ComputationError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace
 from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve, frozen_copy
-from .linalg import pull_back_quadratic, quadratic_data, symmetric_solve
+from .linalg import overflow_checked, pull_back_quadratic, quadratic_data, symmetric_solve
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ class QpProblem:
     def n(self):
         return self.q.shape[0]
 
+    @overflow_checked
     def objective_value(self, x):
         """``1/2 x^T Q x + c^T x``; raises ComputationError where it
         overflows float range, as it can at a finite x."""
         x = as_vector(x, "x", self.n)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            value = float(0.5 * x @ self.q @ x + self.c @ x)
+        value = float(0.5 * x @ self.q @ x + self.c @ x)
         if not np.isfinite(value):
             raise ComputationError(f"the objective overflows float range at x (it is {value})")
         return value
@@ -100,7 +100,9 @@ class QpSolution:
     set is a single point, also flagged by :attr:`degenerate`).
     ``constraint_residual`` is measured against the *original* system,
     ``stationarity_residual`` is the method's own first-order condition
-    in the infinity norm.
+    in the infinity norm. Both residuals and the multipliers must be
+    finite: a solution whose reported numbers overflow float range raises
+    ComputationError here, the one check of them for every route.
     """
 
     x: np.ndarray
@@ -110,6 +112,12 @@ class QpSolution:
     stationarity_residual: float
     classification: str
     lagrange_multipliers: np.ndarray | None = None
+
+    def __post_init__(self):
+        residuals = (self.constraint_residual, self.stationarity_residual)
+        lam = self.lagrange_multipliers
+        if not (np.isfinite(residuals).all() and (lam is None or np.isfinite(lam).all())):
+            raise ComputationError(f"residuals {residuals} or multipliers overflow float range")
 
     @property
     def degenerate(self):
@@ -184,8 +192,7 @@ def _solve_reduced(aa, rhs, tol=EPS):
         ``eigh`` fails or yields an eigenvalue that is not finite.
     """
     k = aa.shape[0]
-    with np.errstate(over="ignore"):
-        norm_1 = np.linalg.norm(aa, 1)
+    norm_1 = np.linalg.norm(aa, 1)
     if not np.isfinite(norm_1):
         if not (np.isfinite(aa).all() and np.isfinite(rhs).all()):
             raise ComputationError(
@@ -207,6 +214,7 @@ def _solve_reduced(aa, rhs, tol=EPS):
     return y, _label(pos, neg, k)
 
 
+@overflow_checked
 def _solve_eliminated(problem, method, eps):
     """Stationary point on the expression ``x = x0 + B g``: the body of both
     eliminations (``method`` is ``"projector"``, ``B = D``, or
@@ -233,10 +241,9 @@ def _solve_eliminated(problem, method, eps):
         sol_class = "point"
     else:
         # an overflow here ends in a non-finite reduced system or x; both raise ComputationError
-        with np.errstate(over="ignore", invalid="ignore"):
-            aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
-            y, sol_class = _solve_reduced(aa, rhs, tol=eps)
-            x = x0 - null @ y
+        aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
+        y, sol_class = _solve_reduced(aa, rhs, tol=eps)
+        x = x0 - null @ y
         if not np.isfinite(x).all():
             raise ComputationError("the solution overflows float range (x is not finite)")
     grad = problem.q @ x + problem.c
@@ -334,6 +341,7 @@ def _kkt_shifts(q_max, row_max, c, b):
     return int(shift[-1]), shift[:-1]
 
 
+@overflow_checked
 def solve_kkt(problem):
     """Independent oracle: solve the saddle-point system directly.
 
@@ -370,7 +378,9 @@ def solve_kkt(problem):
     again after it is factored.
 
     Returns the Lagrange multipliers alongside the point; the
-    stationarity residual is ``||Q x + c + A^T lam||_inf``.
+    stationarity residual is ``||Q x + c + A^T lam||_inf``. Multipliers or
+    residuals that overflow float range on their way back to the problem's
+    units are refused by :class:`QpSolution` (ComputationError).
     """
     q, c = problem.q, problem.c
     a, b = problem.constraints.a, problem.constraints.b
@@ -378,8 +388,7 @@ def solve_kkt(problem):
     q_max = np.max(np.abs(q))
     row_max = np.max(np.abs(a), axis=1, initial=0.0)
     s, r = _kkt_shifts(q_max, row_max, c, b)
-    balanced = bool(s or r.any())
-    if balanced:
+    if s or r.any():
         q, c, q_max = np.ldexp(q, s), np.ldexp(c, s), np.ldexp(q_max, s)
         a, b, row_max = np.ldexp(a, r[:, None]), np.ldexp(b, r), np.ldexp(row_max, r)
     # dsytrf(lower=1) reads the lower triangle only: Q and the A block below
@@ -425,16 +434,10 @@ def solve_kkt(problem):
             f"the saddle-point system is numerically singular "
             f"(residual {resid:.3e} at scale {scale:.3e})"
         )
-    lam = mu
-    if balanced:  # back to the problem's units, by the same powers of two
-        with np.errstate(over="ignore"):  # checked below
-            lam = np.ldexp(mu, r - s)
-            stationarity = float(np.ldexp(stationarity, -s))
-        if not (np.isfinite(lam).all() and np.isfinite(stationarity)):
-            raise OracleUnavailableError(
-                "the Lagrange multipliers or the stationarity residual overflow float range"
-            )
-        feasibility = float(np.max(np.abs(np.ldexp(feasible, -r)), initial=0.0))
+    # back to the problem's units by the same powers of two (all 2^0 when not balanced)
+    lam = np.ldexp(mu, r - s)
+    stationarity = float(np.ldexp(stationarity, -s))
+    feasibility = float(np.max(np.abs(np.ldexp(feasible, -r)), initial=0.0))
 
     pos -= m
     neg -= m

@@ -8,11 +8,15 @@ import argparse
 import io
 import json
 import math
+import tempfile
 import warnings
 from dataclasses import is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqopt import cli, objectives, problems, qp, selfcheck
 from eqopt.errors import OracleUnavailableError
@@ -362,25 +366,37 @@ _OVERFLOWING_SOLUTIONS = [
     ((1e300 * np.eye(3)).tolist(), [1e300] * 3, [[1e-300, 1.0, 0.0]], [1e300]),
     # x = (2e154, 2e154, 2e154) is finite, but the objective x^T x / 2 ~ 6e308 is not
     (np.eye(3).tolist(), [0.0] * 3, [[1.0, 1.0, 1.0]], [6e154]),
+    # the eliminations' Q x + c overflows at the solution (the objective does too); with
+    # warnings as errors projector and nullspace stopped on numpy's warning (exit 1)
+    ([[1e155, 1e146], [1e146, 0.0]], [-1.0, -1.0], [[1.0, 1e-300]], [1.0]),
+    # x = (2e25, 2e25) is finite, but A x - b is not: kkt's feasibility, scaled
+    # back from the balanced system, overflowed and it wrote "constraintResidual":
+    # Infinity with exit 0, or stopped on numpy's warning (exit 1)
+    ([[1.0, 0.0], [0.0, 1.0]], [-1e25, -3e25], [[1e300, -1e300]], [0.0]),
 ]
 
 
 @pytest.mark.parametrize("q, c, a, b", _OVERFLOWING_SOLUTIONS)
 def test_solve_a_solution_that_overflows_exits_3(tmp_path, capsys, q, c, a, b):
-    path = _qp_file(tmp_path, n=3, Q=q, c=c, A=a, b=b)
-    for method in ("projector", "nullspace", "kkt"):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # numpy's own warning settings: the typed failure, no warning and no document
+    path = _qp_file(tmp_path, n=len(q), Q=q, c=c, A=a, b=b)
+    for method in ("projector", "nullspace", "kkt", "newton", "sqp"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
-        assert "error:" in capsys.readouterr().err
+        assert caught == [], method
+        captured = capsys.readouterr()
+        assert captured.out == "", method
+        assert "error:" in captured.err, method
 
 
 @pytest.mark.parametrize("q, c, a, b", _OVERFLOWING_SOLUTIONS)
 def test_solve_a_solution_that_overflows_exits_3_without_a_warning(
     tmp_path, capsys, q, c, a, b
 ):
-    # numpy's default error state: the overflow in the row scaling of b, or
-    # in the pulled-back Q x0, must end in the typed failure, not a warning
-    path = _qp_file(tmp_path, n=3, Q=q, c=c, A=a, b=b)
+    # warnings as errors: the overflow in the row scaling of b, in the
+    # pulled-back Q x0 or in a residual must end in the typed failure, not a warning
+    path = _qp_file(tmp_path, n=len(q), Q=q, c=c, A=a, b=b)
     for method in ("projector", "nullspace", "kkt", "newton", "sqp"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -410,6 +426,34 @@ def test_solve_a_constraint_residual_that_overflows_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", method
         assert "error:" in captured.err, method
+
+
+def test_solve_a_log_sum_exp_hessian_that_overflows_exits_3(tmp_path, capsys):
+    # x0 = (0, 0) and N = (1, 0): the pulled-back rows 1e200 and -1e200 are
+    # finite, but the Hessian's W^T W overflows. With warnings as errors,
+    # newton and sqp stopped on numpy's warning (exit 1)
+    a = ((1e200, 0.0), (-1e200, 0.0))
+    path = _write_doc(
+        tmp_path / "nlp.json",
+        {
+            "formatVersion": 1,
+            "kind": "nlp",
+            "n": 2,
+            "m": 1,
+            "objective": {"name": "log_sum_exp", "params": {"a": [list(row) for row in a]}},
+            "A": [[0.0, 1.0]],
+            "b": [0.0],
+        },
+    )
+    for method in ("newton", "sqp"):
+        for action in ("always", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
+            assert caught == [], (method, action)
+            captured = capsys.readouterr()
+            assert captured.out == "", (method, action)
+            assert "non-finite gradient or Hessian at iteration 0" in captured.err
 
 
 def test_solve_a_gradient_norm_whose_square_overflows(tmp_path, capsys):
@@ -531,6 +575,93 @@ def test_solve_newton_whose_start_value_overflows_exits_3(tmp_path, capsys):
                     warnings.simplefilter(action)
                     assert cli.main(["solve", "--input", path, "--method", method]) == 3, method
                 assert message in capsys.readouterr().err
+
+
+# Entries partly from the edges of float range, where a finite problem's
+# solution, residuals and Newton iterates overflow.
+_EDGE = (0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 1e154, -1e154, 1e-154, -1e-154,
+         5e-324, 1e8, -1e8, 1e-8, -1e-8)
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    """A rows x cols list of lists, some of them scaled by 10^[-200, 200]."""
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-200, 200)))
+    entry = st.one_of(st.sampled_from(_EDGE), st.floats(-1.0, 1.0))
+    out = []
+    for _ in range(rows):
+        row = [draw(entry) for _ in range(cols)]
+        # Python floats: a product beyond float range keeps its entry unscaled
+        out.append([v * scale if math.isfinite(v * scale) else v for v in row])
+    return out
+
+
+@st.composite
+def _problem(draw):
+    """A QP or NLP problem on n <= 4 unknowns: the constraints, and Q and c
+    or an objective."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, n))
+    constraints = EqualityConstraints(
+        np.array(draw(_matrix(m, n))).reshape(m, n), draw(_matrix(1, m))[0]
+    )
+    kind = draw(st.sampled_from(["qp", "log_sum_exp", "sum_exp", "neg_log_barrier_quadratic"]))
+    if kind == "qp":
+        return qp.QpProblem(draw(_matrix(n, n)), draw(_matrix(1, n))[0], constraints)
+    rows = draw(st.integers(1, 4))
+    if kind == "log_sum_exp":
+        params = {"a": draw(_matrix(rows, n))}
+    elif kind == "sum_exp":
+        params = {"rates": draw(_matrix(1, n))[0]}
+    else:
+        params = {
+            "q": draw(_matrix(n, n)),
+            "c": draw(_matrix(1, n))[0],
+            "barrier_a": draw(_matrix(rows, n)),
+            "barrier_b": draw(_matrix(1, rows))[0],
+        }
+    oracle = objectives.objective_registry(kind, params)
+    return problems.NlpProblem(oracle, constraints, kind, params)
+
+
+# the residuals a QP (the first two) or Newton (the first and the last two) document reports
+_RESIDUAL_KEYS = ("constraintResidual", "stationarityResidual", "gradNorm", "decrementSq")
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(problem=_problem())
+def test_solve_sweep_keeps_the_exit_code_and_output_contract(problem):
+    # whatever a finite problem file holds, each method exits with a
+    # documented code, lets no numpy warning escape, and writes an exit-0
+    # document that is JSON with finite residuals; with warnings ignored
+    # it ends the same way
+    methods = (*cli._QP_SOLVERS, *cli._NEWTON_SOLVERS)
+    if isinstance(problem, problems.NlpProblem):
+        methods = tuple(cli._NEWTON_SOLVERS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "problem.json", Path(tmp) / "solution.json"
+        problems.save(path, problem)
+        for method in methods:
+            ends = []
+            for action in ("error", "ignore"):
+                out.unlink(missing_ok=True)
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action)
+                    code = cli.main(
+                        ["solve", "--input", str(path), "--method", method, "--output", str(out)]
+                    )
+                assert code in (0, 2, 3, 4, 5), (method, action, code)
+                text = out.read_text() if out.exists() else None
+                if code == 0:
+                    doc = json.loads(text, parse_constant=_refuse_constant)
+                    residuals = [doc[key] for key in _RESIDUAL_KEYS if key in doc]
+                    assert residuals and all(map(math.isfinite, residuals)), (method, doc)
+                ends.append((code, text))
+            assert ends[0] == ends[1], method
 
 
 def test_solve_newton_with_trace(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -453,7 +455,8 @@ def test_as_matrix_and_as_vector():
 
 
 def test_a_solution_that_overflows_is_a_computation_error():
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused by the checks, without a numpy warning
         # finite data whose minimum-norm point x0 = (1e310, 0, 0) overflows
         with pytest.raises(ComputationError, match="overflows float range"):
             ConstraintFactorization(EqualityConstraints([[1e-300, 0.0, 0.0]], [1e10]))

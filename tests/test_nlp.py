@@ -586,8 +586,10 @@ def test_nan_hessian_is_a_computation_error():
     # sampling the constants names the sample; exp(1000) overflows at x0 = (1000, 1000, 1000)
     overflowing = reduce_problem(sum_exp(dim=3), EqualityConstraints([[1.0, 1.0, 1.0]], [3000.0]))
     for red in (reduced, overflowing):
-        with np.errstate(over="ignore"), pytest.raises(ComputationError, match="sample 0"):
-            estimate_convergence_constants(red, [np.zeros(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the check, without a numpy warning
+            with pytest.raises(ComputationError, match="sample 0"):
+                estimate_convergence_constants(red, [np.zeros(2)])
 
 
 def test_the_newton_loop_checks_no_iterate_it_computed(monkeypatch):

@@ -468,6 +468,15 @@ def test_load_asymmetric_q_warns_and_symmetrizes(tmp_path):
     assert_array_equal(problem.q, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_load_an_asymmetry_beyond_float_range_warns_without_overflow(tmp_path):
+    # Q - Q^T overflows: the note says inf, and numpy warned "overflow
+    # encountered in subtract" first
+    doc = _qp_doc(Q=[[2.0, 1e308], [-1e308, 2.0]])
+    with pytest.warns(UserWarning, match=r"not symmetric \(max asymmetry inf\)"):
+        problem = load(_write(tmp_path / "p.json", doc))
+    assert_array_equal(problem.q, np.array([[2.0, 0.0], [0.0, 2.0]]))
+
+
 def test_load_symmetric_q_is_silent(tmp_path, recwarn):
     load(_write(tmp_path / "p.json", _qp_doc()))
     assert len(recwarn) == 0
@@ -558,6 +567,23 @@ def test_only_the_problems_module_writes_json():
                 offenders.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders += [f"{path.name}:{node.lineno}" for a in node.names if a.name in writers]
+    assert offenders == []
+
+
+def test_only_the_linalg_module_silences_numpy():
+    # the numpy error state of a solve is stated once, as
+    # linalg.overflow_checked; a module that ignored overflow on its own
+    # would state a second policy
+    offenders = []
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)  # only a call has one
+            called = getattr(func, "attr", getattr(func, "id", None)) == "errstate"
+            values = [k.value for k in node.keywords] + list(node.args) if called else []
+            if any(isinstance(v, ast.Constant) and v.value == "ignore" for v in values):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 
