@@ -43,19 +43,22 @@ overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 **Overflow.** A finite problem can still overflow float range on its way
 to a solution. The rule is that such an overflow is refused by the check
 on the value it reaches, with a :class:`~eqopt.errors.ComputationError`,
-and that numpy does not warn first. It is stated once, as the numpy error
-state :data:`overflow_checked` (overflow and invalid operations
-ignored), and every call that solves runs under it: the constraint
-factorization, the residual and the objective of a solution, both QP
-eliminations and the KKT oracle, and the Newton reduction, loop and
-constant estimates. So ``eqopt solve`` exits with its documented code
-also when numpy warnings are errors. The state decides only whether
-numpy warns; it never changes a value. Its boundary is those calls: an
-:class:`~eqopt.nlp.ObjectiveOracle`'s callbacks, or a kernel here,
-called directly keep the caller's own numpy error state.
+and that numpy does not warn first. It is stated once, as the decorator
+:func:`overflow_checked` (overflow and invalid operations ignored), and
+every call that solves runs under it: the constraint factorization, the
+residual and the objective of a solution, both QP eliminations and the
+KKT oracle, the Newton reduction, loop and constant estimates, and
+:func:`pull_back_quadratic`, which also restricts the registry objectives.
+So ``eqopt solve`` exits with its documented code also when numpy
+warnings are errors. The state decides only whether numpy warns; it
+never changes a value. Its boundary is those calls: the other kernels
+here, and an :class:`~eqopt.nlp.ObjectiveOracle`'s callbacks, called
+directly keep the caller's own numpy error state. Inside the Newton
+calls above an oracle's callbacks run under it, so a custom oracle's own
+overflow warnings are not shown there either.
 """
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 import scipy.linalg.lapack
@@ -64,9 +67,24 @@ from .errors import ComputationError, InfeasibleConstraintsError
 
 EPS = float(np.finfo(np.float64).eps)
 
-# The one numpy error state of a solve; the module docstring gives the rule. As
-# a decorator it is entered afresh on every call, so decorated calls nest safely.
-overflow_checked = np.errstate(over="ignore", invalid="ignore")
+
+def overflow_checked(func):
+    """Run ``func`` under the one numpy error state of a solve: overflow and
+    invalid operations ignored (the module docstring gives the rule).
+
+    Each call enters a new error-state context and restores the caller's
+    state on return, so decorated calls nest safely on every numpy version
+    (one shared ``errstate`` object, as a decorator, does so only from
+    numpy 2.0 on).
+    """
+
+    @wraps(func)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func(*args, **kwargs)
+
+    return checked
+
 
 # A constraint set on at least this many unknowns, with _QRT_BLOCK <= m <= n
 # rows, is factored without pivoting first (ConstraintFactorization). At one
@@ -136,14 +154,14 @@ def quadratic_data(q, c=None):
     return q, c
 
 
+@overflow_checked
 def pull_back_quadratic(q, c, x0, basis):
     """``1/2 x^T Q x + c^T x`` at ``x = x0 + B g``, as data in g.
 
     Returns ``(B^T Q B, B^T (Q x0 + c), 1/2 x0^T Q x0 + c^T x0)``; the first
     is formed as ``(B^T Q) B`` and made exactly symmetric by
     :func:`symmetric_part`. An entry that overflows comes back as ``inf``
-    or NaN; the callers, which run under :data:`overflow_checked`, check
-    what they solve with.
+    or NaN without a warning; the callers check what they solve with.
     """
     qx0 = q @ x0
     qb = symmetric_part(basis.T @ q @ basis)

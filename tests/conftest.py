@@ -1,19 +1,11 @@
 """Fixtures shared by the test modules."""
 
 import sys
-import tempfile
 
-import hypothesis.configuration
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-
-# Hypothesis caches the constants it reads from the source in its storage
-# directory, ./.hypothesis, also with database=None. Keep it out of the
-# checkout, in a directory removed when the run ends.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # The dense factorizations a solve may call, with the name it is counted under.
 FACTORIZATIONS = [

@@ -8,15 +8,12 @@ import argparse
 import io
 import json
 import math
-import tempfile
 import warnings
 from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eqopt import cli, objectives, problems, qp, selfcheck
 from eqopt.errors import OracleUnavailableError
@@ -583,42 +580,40 @@ _EDGE = (0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 1e154, -1e154, 1e-154, 
          5e-324, 1e8, -1e8, 1e-8, -1e-8)
 
 
-@st.composite
-def _matrix(draw, rows, cols):
-    """A rows x cols list of lists, some of them scaled by 10^[-200, 200]."""
-    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-200, 200)))
-    entry = st.one_of(st.sampled_from(_EDGE), st.floats(-1.0, 1.0))
+def _matrix(rng, rows, cols):
+    """A rows x cols list of lists, half of them scaled by 10^[-200, 200]."""
+    scale = 10.0 ** int(rng.integers(-200, 201)) if rng.random() < 0.5 else 1.0
     out = []
     for _ in range(rows):
-        row = [draw(entry) for _ in range(cols)]
+        row = [float(rng.choice(_EDGE) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0))
+               for _ in range(cols)]
         # Python floats: a product beyond float range keeps its entry unscaled
         out.append([v * scale if math.isfinite(v * scale) else v for v in row])
     return out
 
 
-@st.composite
-def _problem(draw):
+def _problem(rng):
     """A QP or NLP problem on n <= 4 unknowns: the constraints, and Q and c
     or an objective."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(0, n))
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, n + 1))
     constraints = EqualityConstraints(
-        np.array(draw(_matrix(m, n))).reshape(m, n), draw(_matrix(1, m))[0]
+        np.array(_matrix(rng, m, n)).reshape(m, n), _matrix(rng, 1, m)[0]
     )
-    kind = draw(st.sampled_from(["qp", "log_sum_exp", "sum_exp", "neg_log_barrier_quadratic"]))
+    kind = str(rng.choice(["qp", "log_sum_exp", "sum_exp", "neg_log_barrier_quadratic"]))
     if kind == "qp":
-        return qp.QpProblem(draw(_matrix(n, n)), draw(_matrix(1, n))[0], constraints)
-    rows = draw(st.integers(1, 4))
+        return qp.QpProblem(_matrix(rng, n, n), _matrix(rng, 1, n)[0], constraints)
+    rows = int(rng.integers(1, 5))
     if kind == "log_sum_exp":
-        params = {"a": draw(_matrix(rows, n))}
+        params = {"a": _matrix(rng, rows, n)}
     elif kind == "sum_exp":
-        params = {"rates": draw(_matrix(1, n))[0]}
+        params = {"rates": _matrix(rng, 1, n)[0]}
     else:
         params = {
-            "q": draw(_matrix(n, n)),
-            "c": draw(_matrix(1, n))[0],
-            "barrier_a": draw(_matrix(rows, n)),
-            "barrier_b": draw(_matrix(1, rows))[0],
+            "q": _matrix(rng, n, n),
+            "c": _matrix(rng, 1, n)[0],
+            "barrier_a": _matrix(rng, rows, n),
+            "barrier_b": _matrix(rng, 1, rows)[0],
         }
     oracle = objectives.objective_registry(kind, params)
     return problems.NlpProblem(oracle, constraints, kind, params)
@@ -632,18 +627,18 @@ def _refuse_constant(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(problem=_problem())
-def test_solve_sweep_keeps_the_exit_code_and_output_contract(problem):
+def test_solve_sweep_keeps_the_exit_code_and_output_contract(tmp_path):
     # whatever a finite problem file holds, each method exits with a
     # documented code, lets no numpy warning escape, and writes an exit-0
     # document that is JSON with finite residuals; with warnings ignored
     # it ends the same way
-    methods = (*cli._QP_SOLVERS, *cli._NEWTON_SOLVERS)
-    if isinstance(problem, problems.NlpProblem):
-        methods = tuple(cli._NEWTON_SOLVERS)
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "problem.json", Path(tmp) / "solution.json"
+    rng = np.random.default_rng(0)
+    path, out = tmp_path / "problem.json", tmp_path / "solution.json"
+    for draw in range(150):
+        problem = _problem(rng)
+        methods = (*cli._QP_SOLVERS, *cli._NEWTON_SOLVERS)
+        if isinstance(problem, problems.NlpProblem):
+            methods = tuple(cli._NEWTON_SOLVERS)
         problems.save(path, problem)
         for method in methods:
             ends = []
@@ -654,14 +649,14 @@ def test_solve_sweep_keeps_the_exit_code_and_output_contract(problem):
                     code = cli.main(
                         ["solve", "--input", str(path), "--method", method, "--output", str(out)]
                     )
-                assert code in (0, 2, 3, 4, 5), (method, action, code)
+                assert code in (0, 2, 3, 4, 5), (draw, method, action, code)
                 text = out.read_text() if out.exists() else None
                 if code == 0:
                     doc = json.loads(text, parse_constant=_refuse_constant)
                     residuals = [doc[key] for key in _RESIDUAL_KEYS if key in doc]
-                    assert residuals and all(map(math.isfinite, residuals)), (method, doc)
+                    assert residuals and all(map(math.isfinite, residuals)), (draw, method, doc)
                 ends.append((code, text))
-            assert ends[0] == ends[1], method
+            assert ends[0] == ends[1], (draw, method)
 
 
 def test_solve_newton_with_trace(tmp_path):

@@ -15,6 +15,7 @@ from eqopt.linalg import (
     bunch_kaufman_solve,
     cholesky,
     cholesky_solve,
+    overflow_checked,
     pull_back_quadratic,
     quadratic_data,
     symmetric_part,
@@ -469,6 +470,31 @@ def test_a_solution_that_overflows_is_a_computation_error():
         for solve in (solve_projector, solve_nullspace):
             with pytest.raises(ComputationError, match="overflows float range"):
                 solve(problem)
+
+
+def test_overflow_checked_calls_nest_and_restore_the_callers_error_state():
+    # each decorated call enters its own error state, so the nested calls
+    # of a solve (the factorization inside an elimination, the residual
+    # after it) hand the caller back exactly the state it had
+    @overflow_checked
+    def inner():
+        return np.geterr()
+
+    @overflow_checked
+    def outer():
+        return inner(), np.geterr()
+
+    problem = QpProblem(
+        q=np.eye(3), c=np.ones(3), constraints=EqualityConstraints([[1.0, 1.0, 0.0]], [1.0])
+    )
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        seen, after_inner = outer()
+        assert seen["over"] == seen["invalid"] == after_inner["over"] == "ignore"
+        assert np.geterr() == before
+        for solve in (solve_projector, solve_nullspace):
+            solve(problem)
+            assert np.geterr() == before, solve.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqopt.errors import UnknownObjectiveError
+from eqopt.errors import ComputationError, UnknownObjectiveError
 from eqopt.objectives import (
     log_sum_exp,
     neg_log_barrier_quadratic,
@@ -38,6 +40,16 @@ def test_quadratic_values():
     assert_allclose(oracle.hessian(x), np.eye(2))
     with_c = quadratic(np.eye(2), [1.0, -1.0])
     assert with_c.value(x) == 1.5
+
+
+def test_restricting_a_quadratic_that_overflows_is_a_computation_error():
+    # called directly, outside any solve, the pull-back still refuses the
+    # overflow with the typed error and lets no numpy warning escape first
+    oracle = quadratic(np.diag([1e300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match="quadratic part overflows float range"):
+            oracle.restrict(np.array([1e10, 0.0]), np.eye(2))
 
 
 def test_sum_exp_values():
