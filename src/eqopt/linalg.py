@@ -10,9 +10,10 @@ condition estimate says A has full row rank. A with a zero row or with
 two rows equal up to sign goes straight to ``dgeqp3``; any other
 rank-deficient A fails the estimate and falls back to ``dgeqp3``, the one
 case in which A is factored twice. Q stays in
-Householder form; the orthonormal basis ``N`` of ker(A) is formed from the
-reflectors (``dormqr``, or ``dgemqrt`` after ``dgeqrt``) only when a
-caller asks for it, so no n-by-n Q is built. Both QP eliminations and the
+Householder form, and one application of its reflectors (``dormqr``, or
+``dgemqrt`` after ``dgeqrt``) to one n-by-(k + 1) block gives both the
+minimum-norm solution and the orthonormal basis ``N`` of ker(A), so no
+n-by-n Q is built. Both QP eliminations and the
 Newton paths work on its k columns, ``k = n - rank(A)``. Reduced
 symmetric k-by-k systems are solved by one Cholesky factorization
 (:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs`` on the lower triangle, the
@@ -58,7 +59,7 @@ calls above an oracle's callbacks run under it, so a custom oracle's own
 overflow warnings are not shown there either.
 """
 
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 import scipy.linalg.lapack
@@ -257,6 +258,27 @@ def _full_rank_qr(a, eps):
     return (qr, t) if rcond > cut else None
 
 
+def _apply_q(v, t, tau, c):
+    """``Q c`` for the Q of a QR held as its Householder vectors ``v``, in
+    place on the F-ordered ``c``: ``dgemqrt`` with the block factors ``t``
+    of ``dgeqrt``, or, when ``t`` is None, ``dormqr`` with the scalar
+    factors ``tau`` of ``dgeqp3``."""
+    if v.shape[1] == 0:  # LAPACK rejects an empty set of reflectors
+        return c
+    if t is not None:
+        routine = "dgemqrt"
+        out, info = scipy.linalg.lapack.dgemqrt(v, t, c, overwrite_c=1)
+    else:
+        routine = "dormqr"
+        work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
+        out, _, info = scipy.linalg.lapack.dormqr(
+            "L", "N", v, tau, c, lwork=int(work[0]), overwrite_c=1
+        )
+    if info != 0:
+        raise ComputationError(f"applying the QR reflectors failed ({routine} info={info})")
+    return out
+
+
 class ConstraintFactorization:
     """One rank-revealing QR of the row-equilibrated ``A^T``.
 
@@ -280,8 +302,8 @@ class ConstraintFactorization:
       ``|r_j - (c^T r_kept)_j| <= eps * max(m, n) * (1 + s_j + (|c|^T s_kept)_j)``
       with ``s = |b_s| + |A_s| |x0|``, the rounding error of the residuals.
       The bound is per row, so no other row's ``b`` loosens it;
-    * the orthonormal basis ``N = Q[:, p:]`` of ker(A), formed from the
-      Householder reflectors the first time it is asked for.
+    * the orthonormal basis ``N = Q[:, p:]`` of ker(A), attribute
+      ``null_basis``.
 
     **Fast path for full-rank A.** ``dgeqp3`` updates its column norms with
     level-2 code (Golub & Van Loan, *Matrix Computations*, §5.4). From
@@ -312,9 +334,10 @@ class ConstraintFactorization:
     twice.
 
     Q itself is never formed: it stays the product of the reflectors the QR
-    leaves below the diagonal of R, and ``x0`` and ``N`` are applications
-    of it (``dormqr``, or ``dgemqrt`` with the block factors ``dgeqrt``
-    returns).
+    leaves below the diagonal of R, and ``[x0, N] = Q [y, 0; 0, I]`` is one
+    application of all of them (``dormqr``, or ``dgemqrt`` with the block
+    factors ``dgeqrt`` returns). The reflectors past p meet only the zeros
+    below ``y`` and leave that column as it is, so ``x0 = Q[:, :p] y``.
 
     Attributes ``a`` and ``b`` hold the scaled system; residuals of a
     solution belong on the original one.
@@ -350,13 +373,13 @@ class ConstraintFactorization:
         self.a = a / scale[:, None]
         self.b = b / scale
         found = _full_rank_qr(self.a, eps)
+        t = tau = None
         if found is not None:
-            qr, self._t = found
+            qr, t = found
             piv, p = np.arange(m), m
         else:
-            self._t = None
             if min(m, n) == 0:  # LAPACK rejects these shapes; there is nothing to factorize
-                qr, piv, tau = np.zeros((n, m), order="F"), np.arange(m), np.zeros(0)
+                qr, piv = np.zeros((n, m), order="F"), np.arange(m)
             else:
                 # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
                 work, _ = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=-1)[3:]
@@ -364,52 +387,25 @@ class ConstraintFactorization:
                 if info != 0:
                     raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
                 piv = jpvt - 1
-            self._tau = tau
             e = np.abs(np.diag(qr))  # non-increasing: the QR pivots on column norms
             kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
             p = int(kept[-1]) + 1 if kept.size else 0
-        self._qr = qr[:, : min(m, n)]  # Householder vectors, with R above them
         self.rank = p
         self.selected = piv[:p]
         self.dropped = piv[p:]
         r11 = qr[:p, :p]
-        z = np.zeros((n, 1))
-        z[:p] = _upper_solve(r11, self.b[self.selected, None], trans=1)
+        # Q [y, 0; 0, I] in one application of the reflectors: x0 and N
+        out = np.eye(n, n - p + 1, 1 - p, order="F")
+        out[:p, :1] = _upper_solve(r11, self.b[self.selected, None], trans=1)
+        out = _apply_q(qr[:, : min(m, n)], t, tau, out)
+        self.x0, self.null_basis = out[:, 0], out[:, 1:]
         # the scaled b and x0 may overflow even though a and b are finite
-        self.x0 = self._apply_q(z, p)[:, 0]
         if not (np.isfinite(self.b).all() and np.isfinite(self.x0).all()):
             raise ComputationError(
                 "the row-scaled b or the minimum-norm solution of A x = b overflows float range"
             )
         if p < m:
             self._check_consistency(_upper_solve(r11, qr[:p, p:]), eps)
-
-    def _apply_q(self, c, reflectors):
-        """``H_1 ... H_k c`` for the first ``k = reflectors`` Householder reflectors.
-
-        Columns ``j < k`` of Q depend on the first k reflectors only, so
-        ``k = p`` suffices for anything in the row space.
-        """
-        if reflectors == 0:  # LAPACK rejects an empty set of reflectors
-            return c
-        v = self._qr[:, :reflectors]
-        if self._t is not None:
-            routine = "dgemqrt"
-            out, info = scipy.linalg.lapack.dgemqrt(v, self._t[:, :reflectors], c, overwrite_c=1)
-        else:
-            routine = "dormqr"
-            tau = self._tau[:reflectors]
-            if c.shape[1] == 1:  # lwork=1 runs the unblocked code, faster for one column
-                lwork = 1
-            else:
-                work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
-                lwork = int(work[0])
-            out, _, info = scipy.linalg.lapack.dormqr(
-                "L", "N", v, tau, c, lwork=lwork, overwrite_c=1
-            )
-        if info != 0:
-            raise ComputationError(f"applying the QR reflectors failed ({routine} info={info})")
-        return out
 
     def _check_consistency(self, c, eps):
         """Raise InfeasibleConstraintsError if a dropped row fails at ``x0``.
@@ -431,12 +427,6 @@ class ConstraintFactorization:
                 f"constraints are inconsistent: redundant row {int(self.dropped[worst])} "
                 f"leaves residual {leftover[worst]:.6e} (tolerance {bound[worst]:.6e})"
             )
-
-    @cached_property
-    def null_basis(self):
-        """``N``: orthonormal basis of ker(A), shape (n, n - p)."""
-        n, p = self.a.shape[1], self.rank
-        return self._apply_q(np.eye(n, n - p, -p, order="F"), self._qr.shape[1])
 
 
 def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):

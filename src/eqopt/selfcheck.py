@@ -7,16 +7,18 @@ check ``fn(seed, trials) -> (trials_passed, counterexample)``, which runs
 the trials on the stream ``(seed, salt)`` and stops at the first
 counterexample. :data:`_SUITES` is the one place the suites are named: the
 ``invariants`` (linear-algebra and expression identities), ``oracle``
-(agreement of the three QP routes) and ``convergence`` (Newton
-certificates) suites.
+(agreement of the three QP routes, and of Newton on the reduced objective
+with Newton in KKT form) and ``convergence`` (Newton certificates) suites.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import objectives
-from .errors import InfeasibleConstraintsError, OracleUnavailableError
+from .errors import ComputationError, EqoptError, InfeasibleConstraintsError
+from .errors import OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace, build_projector
 from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, ConstraintFactorization
 from .nlp import (
@@ -96,13 +98,18 @@ def _rrqr_rank_trial(rng, n, m, r):
     rank_oracle = int(np.linalg.matrix_rank(a))
     x_min = np.linalg.lstsq(f.a[f.selected], f.b[f.selected], rcond=None)[0]
     resid = float(np.max(np.abs(a @ x_min - b)))
-    if f.rank != rank_oracle or resid > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
+    # x0 is the minimum-norm solution x_min: over 11,000 trials of this check
+    # (seeds 0-199, crossover instances included) they differed by at most
+    # 4.8e-12, so 1e-9 leaves a margin of 200
+    x0_gap = _rel_gap(f.x0, x_min)
+    if f.rank != rank_oracle or resid > 1e-8 * (1.0 + float(np.max(np.abs(b)))) or x0_gap > 1e-9:
         return {
             "n": n,
             "m": m,
             "expectedRank": rank_oracle,
             "reportedRank": f.rank,
             "residual": resid,
+            "x0Disagreement": x0_gap,
         }
     if f.rank < m:
         # perturb one right-hand side entry; the reducer's verdict must
@@ -246,6 +253,120 @@ def _check_redundant_rows(rng):
             gap = float(np.max(np.abs(solver(padded).x - ref)))
             if gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
                 return {"n": spec.n, "m": spec.m, "extraRows": k, "method": name, "gap": gap}
+    return None
+
+
+def _kkt_newton(oracle, a, x, config):
+    """Damped Newton on ``min f(x)`` s.t. ``A x = b`` in KKT form, from the
+    feasible ``x`` (Boyd & Vandenberghe, *Convex Optimization*, §10.2).
+
+    Each step solves ``[[hess f, A^T], [A, 0]] [dx; w] = [-grad f; 0]``
+    with ``dsytrf``/``dsytrs`` from the full-space oracle's own ``value``,
+    ``gradient`` and ``hessian``, takes ``lambda^2 = dx^T (hess f) dx``, and
+    applies :func:`~eqopt.nlp.newton_solve`'s Armijo rule and stop with
+    ``config``. It calls neither ``pullback`` nor ``restrict`` and builds no
+    null-space basis, so it shares with ``newton_solve`` only the
+    objective's callbacks and the start. Returns ``(steps, x, lambda^2)``:
+    ``(x, lambda^2)`` at the start of each step taken, then the last
+    iterate and its decrement.
+    """
+    m, n = a.shape
+    kkt = np.zeros((n + m, n + m))
+    kkt[n:, :n] = a  # dsytrf reads the lower triangle
+    rhs = np.zeros(n + m)
+    h = float(oracle.value(x))
+    steps = []
+    while True:
+        kkt[:n, :n] = oracle.hessian(x)
+        rhs[:n] = -oracle.gradient(x)
+        ldu, ipiv, info = scipy.linalg.lapack.dsytrf(kkt, lower=1)
+        if info == 0:
+            dxw, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+        if info != 0:
+            raise ComputationError(f"the KKT-form Newton system failed (info={info})")
+        dx = dxw[:n]
+        dec_sq = float(dx @ kkt[:n, :n] @ dx)
+        if dec_sq / 2.0 <= config.epsilon or len(steps) >= config.max_iter:
+            return steps, x, dec_sq
+        steps.append((x, dec_sq))
+        t = 1.0
+        h_t = float(oracle.value(x + t * dx))
+        while not h_t <= h - config.alpha * t * dec_sq:  # nan and inf shrink t
+            t *= config.beta
+            h_t = float(oracle.value(x + t * dx))
+        x, h = x + t * dx, h_t
+
+
+def _registry_objectives(rng, x_min):
+    """The four registry objectives on R^n, each with a minimum on a set
+    ``A x = b`` whose row 0 is all ones (for sum_exp): the log-sum-exp
+    shifted, and the barrier's domain around the feasible point ``x_min``."""
+    n = x_min.shape[0]
+    r = rng.uniform(-1, 1, (n, n))
+    q = r.T @ r / n + np.eye(n)
+    c = rng.uniform(-1, 1, n)
+    half = rng.uniform(-1, 1, (2 * n, n))  # +/- pairs keep log-sum-exp bounded below
+    barrier_a = rng.uniform(-1, 1, (2 * n, n))
+    barrier_b = barrier_a @ x_min + rng.uniform(0.5, 1.5, 2 * n)
+    return {
+        "quadratic": objectives.quadratic(q, c),
+        "sum_exp": objectives.sum_exp(rates=rng.uniform(0.5, 1.5, n)),
+        "log_sum_exp": objectives.log_sum_exp(np.vstack([half, -half]), rng.uniform(-1, 1, 4 * n)),
+        "neg_log_barrier_quadratic": objectives.neg_log_barrier_quadratic(
+            q, c, barrier_a, barrier_b, mu=float(rng.uniform(0.1, 2.0))
+        ),
+    }
+
+
+@_seeded(15)
+def _check_newton_agreement(rng):
+    """``newton_solve`` on the reduced objective against :func:`_kkt_newton`
+    from the same x0, for each registry objective on one full-rank A (the
+    saddle matrix is singular otherwise): by §10.2.3 the two take the same
+    steps. They must agree on the number of steps, on every iterate's x
+    within 1e-8 (:func:`_rel_gap`) and on every squared decrement d within
+    ``1e-7 (1e-8 + d)``. Over 10,000 trials (seeds 0-199, 40,000 solves)
+    the counts always agreed, x to 4.1e-11 and d to 3.7e-10 of that scale.
+    b is drawn as ``A x`` with ``|x_i| <= 1``: a b drawn on its own put
+    sum_exp's optimum where its Hessian spans e^+-50, and there the KKT
+    form itself lost every digit of its decrement. The start x0 must first
+    be the minimum-norm solution within 1e-9, as in ``rrqr_rank`` (2.5e-14
+    over the same trials), since the barrier's domain is drawn around it.
+
+    The two share the objective's callbacks, so this checks the elimination
+    and the pull-back, not the derivatives, which the finite-difference
+    tests of the objectives cover.
+    """
+    n = int(rng.integers(3, 30))
+    m = int(rng.integers(1, min(n - 1, 10) + 1))
+    a = rng.uniform(-1, 1, (m, n))
+    a[0, :] = 1.0  # fixing sum(x) bounds every null-space ray of sum_exp
+    b = a @ rng.uniform(-1, 1, n)
+    constraints = EqualityConstraints(a, b)
+    config = NewtonConfig()
+    x_min = np.linalg.lstsq(a, b, rcond=None)[0]
+    for name, oracle in _registry_objectives(rng, x_min).items():
+        where = {"n": n, "m": m, "objective": name}
+        reduced = reduce_problem(oracle, constraints)
+        if _rel_gap(reduced.expr.x0, x_min) > 1e-9:
+            return {**where, "x0Disagreement": _rel_gap(reduced.expr.x0, x_min)}
+        ref_steps, ref_x, ref_dec = _kkt_newton(oracle, a, reduced.expr.x0, config)
+        try:
+            trace = newton_solve(reduced, config)
+        except EqoptError as exc:  # at a start the KKT form accepts
+            return {**where, "error": f"{type(exc).__name__}: {exc}"}
+        pairs = [(it.x, it.decrement_sq, x, d) for it, (x, d) in zip(trace.iterations, ref_steps)]
+        pairs.append((trace.final_x, trace.final_decrement_sq, ref_x, ref_dec))
+        x_gap = max(_rel_gap(x, x_ref) for x, _, x_ref, _ in pairs)
+        dec_gap = max(abs(d - d_ref) / (1e-8 + d_ref) for _, d, _, d_ref in pairs)
+        if len(trace.iterations) != len(ref_steps) or x_gap > 1e-8 or dec_gap > 1e-7:
+            return {
+                **where,
+                "iterations": len(trace.iterations),
+                "kktIterations": len(ref_steps),
+                "xDisagreement": x_gap,
+                "decrementDisagreement": dec_gap,
+            }
     return None
 
 
@@ -394,6 +515,7 @@ _SUITES = {
         ("spd_agreement", _check_spd_agreement),
         ("indefinite_agreement", _check_indefinite_agreement),
         ("redundant_rows", _check_redundant_rows),
+        ("newton_agreement", _check_newton_agreement),
     ],
     "convergence": [
         ("quadratic_one_step", _check_quadratic_one_step),

@@ -26,15 +26,11 @@ FACTORIZATIONS = [
 ]
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Names of the factorizations called, in order.
-
-    A LAPACK workspace query (``lwork=-1``) factorizes nothing and is not
-    listed.
-    """
+def _counted_calls(monkeypatch, routines):
+    """Names of the ``routines`` called, in order, but for LAPACK workspace
+    queries (``lwork=-1``), which compute nothing."""
     calls = []
-    for module, attr in FACTORIZATIONS:
+    for module, attr in routines:
         def counted(*args, _fn=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
             if kwargs.get("lwork") != -1:
                 calls.append(_name)
@@ -42,6 +38,25 @@ def factorizations(monkeypatch):
 
         monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Names of the factorizations called, in order.
+
+    A LAPACK workspace query (``lwork=-1``) factorizes nothing and is not
+    listed.
+    """
+    return _counted_calls(monkeypatch, FACTORIZATIONS)
+
+
+@pytest.fixture
+def reflector_applications(monkeypatch):
+    """Names of the calls that apply a QR's Householder reflectors
+    (``dormqr`` after ``dgeqp3``, ``dgemqrt`` after ``dgeqrt``), in order;
+    a workspace query is not listed."""
+    routines = [(scipy.linalg.lapack, "dormqr"), (scipy.linalg.lapack, "dgemqrt")]
+    return _counted_calls(monkeypatch, routines)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ files are exactly what a shell user would see.
 """
 
 import argparse
+import inspect
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from eqopt import cli, objectives, problems, qp, selfcheck
-from eqopt.errors import OracleUnavailableError
+from eqopt.errors import InfeasibleStartError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonTrace
 
@@ -988,7 +989,7 @@ def test_check_all_suites_pass(tmp_path, capsys):
     )
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
     assert code == 0, lines
-    assert len(lines) == 13
+    assert len(lines) == 14
     assert all(ln.startswith("PASS ") and ln.endswith("(50/50)") for ln in lines)
     assert not cx.exists()
 
@@ -1032,6 +1033,38 @@ def test_check_oracle_compares_the_eliminations_classification(tmp_path, capsys,
     code = cli.main(["check", "--suite", "oracle", "--trials", "5", "--counterexample", str(cx)])
     assert code == 1
     assert "FAIL oracle/indefinite_agreement" in capsys.readouterr().out
+
+
+def _mutated_composite(old, new):
+    """``objectives._composite`` with the source text ``old`` replaced by ``new``."""
+    source = inspect.getsource(objectives._composite)
+    assert source.count(old) == 1
+    namespace = dict(vars(objectives))  # the copy's pull-back builds the copy again
+    exec(source.replace(old, new), namespace)
+    return namespace["_composite"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the pull-back's basis columns rotated
+        ("cmat @ basis, cmat @ x0 + s", "cmat @ np.roll(basis, 1, axis=1), cmat @ x0 + s"),
+        # the pull-back's offset wrong: it moves the shifted log-sum-exp and
+        # the barrier
+        ("cmat @ basis, cmat @ x0 + s", "cmat @ basis, cmat @ x0 + 0.5 * s"),
+    ],
+    ids=["rotated_basis", "wrong_offset"],
+)
+def test_check_oracle_catches_a_wrong_pull_back(tmp_path, capsys, monkeypatch, old, new):
+    monkeypatch.setattr(objectives, "_composite", _mutated_composite(old, new))
+    cx = tmp_path / "cx.json"
+    code = cli.main(["check", "--suite", "oracle", "--trials", "50", "--seed", "0",
+                     "--counterexample", str(cx)])
+    assert code == 1
+    assert "FAIL oracle/newton_agreement" in capsys.readouterr().out
+    doc = json.loads(cx.read_text())
+    assert doc["check"] == "newton_agreement"
+    assert {"n", "m", "objective"} <= set(doc["details"])
 
 
 def _option(command, dest):
@@ -1081,6 +1114,7 @@ _BROKEN_CALLS = {
         "solve_projector",
         lambda real: lambda p: replace(real(p), x=real(p).x + p.constraints.m),
     ),
+    "newton_agreement": ("newton_solve", _edited(final_x=lambda x: x + 1.0)),
     "quadratic_one_step": ("newton_solve", _edited(converged=lambda c: False)),
     "sqp_quadratic": ("sqp_iterate", _edited(converged=lambda c: False)),
     "newton_descent": ("newton_solve", _edited(converged=lambda c: False)),
@@ -1101,6 +1135,27 @@ def _ends_above_start(real):
     return broken
 
 
+def _x0_moved_along_the_kernel(real):
+    """Break ConstraintFactorization: x0 moves by ``N 1``, so it stays
+    feasible but is no longer the minimum-norm solution."""
+
+    def broken(*args, **kwargs):
+        f = real(*args, **kwargs)
+        f.x0 = f.x0 + f.null_basis.sum(axis=1)
+        return f
+
+    return broken
+
+
+def _refuses_the_start(real):
+    """Break newton_solve: it refuses every start as outside the domain."""
+
+    def refuse(*args, **kwargs):
+        raise InfeasibleStartError("refused")
+
+    return refuse
+
+
 # further breaks, each reaching a report the check's first break does not:
 # case -> (check, library call, how it is broken)
 _FURTHER_BREAKS = {
@@ -1109,7 +1164,7 @@ _FURTHER_BREAKS = {
     "null_basis_a_column_short": (
         "null_basis",
         "ConstraintFactorization",
-        _edited(rank=lambda r: r + 1),
+        _edited(null_basis=lambda nb: nb[:, 1:]),
     ),
     # iteration_bound refuses the negative decrease
     "contraction_bound_final_value_above_start": (
@@ -1122,6 +1177,18 @@ _FURTHER_BREAKS = {
         "rrqr_rank",
         "ConstraintFactorization",
         lambda real: type("Lenient", (real,), {"_check_consistency": lambda self, c, eps: None}),
+    ),
+    # a feasible x0 that is not the minimum-norm solution
+    "rrqr_rank_x0_off_the_row_space": (
+        "rrqr_rank",
+        "ConstraintFactorization",
+        _x0_moved_along_the_kernel,
+    ),
+    # a typed error at a start the KKT form accepts is a counterexample, not exit 5
+    "newton_agreement_refused_start": (
+        "newton_agreement",
+        "newton_solve",
+        _refuses_the_start,
     ),
     "termination_gap_not_converged": (
         "termination_gap",

@@ -385,6 +385,25 @@ def test_each_matrix_is_factorized_once_per_solve(factorizations):
         assert factorizations == names, (solve.__name__, names)
 
 
+def test_each_constraint_factorization_applies_its_reflectors_once(reflector_applications):
+    # x0 and N come out of one application of Q: dormqr after dgeqp3 (30:12,
+    # duplicated rows, m > n), dgemqrt after dgeqrt (160:64), none at m = 0
+    ormqr, gemqrt = "scipy.linalg.lapack.dormqr", "scipy.linalg.lapack.dgemqrt"
+    rng = np.random.default_rng(29)
+    pivoted = rng.uniform(-1, 1, (12, 30))
+    rank7 = rng.uniform(-1, 1, (20, 7)) @ rng.uniform(-1, 1, (7, 12))
+    for a, calls in [(pivoted, [ormqr]), (np.vstack([pivoted, pivoted[[2, 7]]]), [ormqr]),
+                     (rank7, [ormqr]), (rng.uniform(-1, 1, (64, 160)), [gemqrt]),
+                     (np.zeros((0, 30)), [])]:
+        n = a.shape[1]
+        problem = QpProblem(np.eye(n), np.ones(n), EqualityConstraints(a, a @ np.ones(n)))
+        for route in (lambda p: build_nullspace(p.constraints), solve_projector, solve_nullspace,
+                      lambda p: reduce_problem(quadratic(p.q, p.c), p.constraints)):
+            reflector_applications.clear()
+            route(problem)
+            assert reflector_applications == calls, (a.shape, route)
+
+
 def test_the_unpivoted_qr_makes_the_pivoted_qrs_decisions(monkeypatch, factorizations):
     # Above the size crossover a full-rank A is factored by dgeqrt alone,
     # duplicated rows go straight to dgeqp3, and a row that combines others
