@@ -28,7 +28,6 @@ from .expressions import (
     build_nullspace,
     build_projector,
 )
-from .linalg import ConstraintFactorization
 from .nlp import (
     ConvergenceConstants,
     IterationBound,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ComputationError",
     "ConstrainedExpression",
-    "ConstraintFactorization",
     "ConvergenceConstants",
     "DivergenceError",
     "EqoptError",

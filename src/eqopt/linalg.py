@@ -1,20 +1,15 @@
-"""Dense linear-algebra kernels.
+"""Dense linear-algebra kernels: array in, array out, no problem types.
 
-The constraint system ``A x = b`` is factorized once per solve: one
-rank-revealing QR of the row-equilibrated ``A^T``
-(:class:`ConstraintFactorization`) yields the rank, the redundant rows,
-the consistency check and the minimum-norm particular solution. It is the
-column-pivoted LAPACK ``dgeqp3``, except that from n = 150 unknowns on the
-unpivoted recursive ``dgeqrt`` runs first and is kept when a ``dtrcon``
-condition estimate says A has full row rank. A with a zero row or with
-two rows equal up to sign goes straight to ``dgeqp3``; any other
-rank-deficient A fails the estimate and falls back to ``dgeqp3``, the one
-case in which A is factored twice. Q stays in
-Householder form, and one application of its reflectors (``dormqr``, or
-``dgemqrt`` after ``dgeqrt``) to one n-by-(k + 1) block gives both the
-minimum-norm solution and the orthonormal basis ``N`` of ker(A), so no
-n-by-n Q is built. Both QP eliminations and the
-Newton paths work on its k columns, ``k = n - rank(A)``. Reduced
+The QR kernels factor the transpose of a row-equilibrated constraint
+matrix: :func:`_pivoted_qr` is the column-pivoted LAPACK ``dgeqp3``, and
+from n = 150 unknowns on :func:`_full_rank_qr` tries the unpivoted
+recursive ``dgeqrt`` first and keeps it when a ``dtrcon`` condition
+estimate says A has full row rank. Q stays in Householder form;
+:func:`_apply_q` applies all of its reflectors at once (``dormqr``, or
+``dgemqrt`` after ``dgeqrt``), and :func:`_upper_solve` solves with R.
+One function outside this module calls the QR kernels:
+``eqopt.expressions.build_nullspace``, which decides the rank, checks
+consistency and reads the constrained expression off them. Reduced
 symmetric k-by-k systems are solved by one Cholesky factorization
 (:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs`` on the lower triangle, the
 faster variant at these sizes) when they are positive definite, by one
@@ -29,17 +24,13 @@ restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
 that the QP eliminations and the registry objectives share.
 
 :func:`as_matrix` and :func:`as_vector` check an array from outside, and
-:func:`frozen_copy` gives the frozen input types
-(:class:`~eqopt.expressions.EqualityConstraints`,
-:class:`~eqopt.qp.QpProblem`, :class:`~eqopt.nlp.NewtonConfig`) the
-read-only copy they hold, so a checked array neither changes with the
-caller's nor takes a write. The checks do not copy: a registry objective
-keeps the caller's arrays, as a copy would double the memory they hold.
-:class:`ConstraintFactorization` takes an already checked
-:class:`~eqopt.expressions.EqualityConstraints` and checks A and b no
-more. Only buffers a routine allocated itself are passed to LAPACK to be
-overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
-``dormqr`` and ``dgemqrt``).
+:func:`frozen_copy` gives the frozen input types the read-only copy they
+hold, so a checked array neither changes with the caller's nor takes a
+write. The checks do not copy: a registry objective keeps the caller's
+arrays, as a copy would double the memory they hold. The kernels check
+no argument again. Only buffers a routine allocated itself are passed to
+LAPACK to be overwritten (``solve_kkt``'s saddle matrix, the right-hand
+sides of ``dormqr`` and ``dgemqrt``).
 
 **Overflow.** A finite problem can still overflow float range on its way
 to a solution. The rule is that such an overflow is refused by the check
@@ -64,7 +55,7 @@ from functools import wraps
 import numpy as np
 import scipy.linalg.lapack
 
-from .errors import ComputationError, InfeasibleConstraintsError
+from .errors import ComputationError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -88,7 +79,7 @@ def overflow_checked(func):
 
 
 # A constraint set on at least this many unknowns, with _QRT_BLOCK <= m <= n
-# rows, is factored without pivoting first (ConstraintFactorization). At one
+# rows, is factored without pivoting first (_full_rank_qr). At one
 # BLAS thread that built x0 and N on a full-rank A 15-32 % faster from
 # n = 150 on (and, without the repeated-row screen, 3-29 % faster at
 # n = 100-120 and from 5 % slower to 9 % faster at n = 80), while a
@@ -230,7 +221,8 @@ def _may_repeat_a_row(a, tol):
 
 
 def _full_rank_qr(a, eps):
-    """Unpivoted QR of ``a^T`` for an m-by-n ``a`` estimated to have rank m.
+    """Unpivoted QR of ``a^T`` for a row-equilibrated m-by-n ``a``
+    estimated to have rank m.
 
     Returns ``(qr, t)`` from LAPACK's recursive compact-WY ``dgeqrt``: R on
     and above the diagonal of ``qr``, the Householder vectors below it, and
@@ -239,8 +231,30 @@ def _full_rank_qr(a, eps):
     (``_QRT_MIN_COLS``, ``_QRT_BLOCK``) and when ``a`` may repeat a row
     (:func:`_may_repeat_a_row`), and returns None after factoring when
     ``dtrcon``'s 1-norm rcond estimate of R is at most
-    ``cut = 10 * m * eps * max(m, n)``; :class:`ConstraintFactorization`
-    says why a larger one means the pivoted rank rule keeps all m rows.
+    ``cut = 10 * m * eps * max(m, n)``.
+
+    ``dgeqp3`` updates its column norms with level-2 code (Golub & Van Loan,
+    *Matrix Computations*, §5.4); ``dgeqrt`` is the recursive compact-WY QR
+    (Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000). A kept R stands
+    for the pivoted rank rule ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``
+    with every row kept: if the estimate is at most 10 times the true
+    rcond, every diagonal entry of any QR of ``a^T`` has ``|R[k, k]| >=
+    sigma_min``, the pivoted ``|R[0, 0]|`` (the largest column norm) is at
+    most ``sigma_max``, and ``kappa_2 <= m * kappa_1``, so each of its
+    ratios ``|R[k, k]| / |R[0, 0]| >= rcond_1 / m``. That factor is an
+    assumption about the estimator, not a bound: ``dtrcon`` can
+    underestimate ``||R^-1||_1`` by more (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, §15.3), and then a nearly dependent row is
+    kept and its consistency goes unchecked. On the seeded sweeps in
+    BENCH_17.json the two rules made the same decisions every time.
+
+    Tried on a rank-deficient ``a``, this wastes a ``dgeqrt``. A zero row,
+    or two rows equal or opposite to within the cut, is ruled out in O(mn)
+    time first; where it cannot be (rarely, also for a full-rank ``a``),
+    None comes back unfactored. Any other rank-deficient or nearly
+    rank-deficient ``a`` fails the estimate, and the caller factors it
+    again with :func:`_pivoted_qr`: the one case in which A is factored
+    twice.
     """
     m, n = a.shape
     if n < _QRT_MIN_COLS or not _QRT_BLOCK <= m <= n:
@@ -256,6 +270,25 @@ def _full_rank_qr(a, eps):
     if info != 0:
         raise ComputationError(f"condition estimate failed (dtrcon info={info})")
     return (qr, t) if rcond > cut else None
+
+
+def _pivoted_qr(at):
+    """Column-pivoted QR ``at P = Q R`` (LAPACK ``dgeqp3``) of the n-by-m
+    ``at``, returned as ``(qr, piv, tau)``: R and the Householder vectors in
+    ``qr``, the 0-based column order ``piv``, and the scalar reflector
+    factors ``tau`` that ``dormqr`` applies Q with. An empty ``at``, which
+    LAPACK rejects, has ``piv = 0..m-1`` and no reflectors. Raises
+    ComputationError if LAPACK reports a bad argument.
+    """
+    n, m = at.shape
+    if min(m, n) == 0:
+        return np.zeros((n, m), order="F"), np.arange(m), None
+    # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
+    work, _ = scipy.linalg.lapack.dgeqp3(at, lwork=-1)[3:]
+    qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(at, lwork=int(work[0]))
+    if info != 0:
+        raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
+    return qr, jpvt - 1, tau
 
 
 def _apply_q(v, t, tau, c):
@@ -277,156 +310,6 @@ def _apply_q(v, t, tau, c):
     if info != 0:
         raise ComputationError(f"applying the QR reflectors failed ({routine} info={info})")
     return out
-
-
-class ConstraintFactorization:
-    """One rank-revealing QR of the row-equilibrated ``A^T``.
-
-    Row ``i`` of ``(A, b)`` is divided by ``max_j |A[i, j]|`` (an all-zero
-    row is left as it is), so the units of a constraint decide neither its
-    rank nor its consistency. With ``A_s`` the scaled matrix, the one
-    factorization ``A_s^T P = Q R`` (LAPACK's column-pivoted ``dgeqp3``, or
-    the unpivoted fast path below) gives everything the elimination paths
-    need:
-
-    * ``rank`` p: the largest k with
-      ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``;
-    * ``selected``, the rows ``P[:p]`` kept, and ``dropped``, the
-      redundant rows ``P[p:]``; ``a[selected] x = b[selected]`` is an
-      equivalent full-row-rank system;
-    * ``x0 = Q [y; 0]`` with ``R_11^T y = b_s[selected]``: the minimum-norm
-      solution, since it lies in the row space ``range(Q[:, :p])``;
-    * consistency: with ``c = R_11^-1 R_12``, dropped row ``j`` is
-      ``sum_k c[k, j] * (kept row k)``, so its residual ``r_j`` at ``x0``
-      must be that combination of the kept rows' residuals:
-      ``|r_j - (c^T r_kept)_j| <= eps * max(m, n) * (1 + s_j + (|c|^T s_kept)_j)``
-      with ``s = |b_s| + |A_s| |x0|``, the rounding error of the residuals.
-      The bound is per row, so no other row's ``b`` loosens it;
-    * the orthonormal basis ``N = Q[:, p:]`` of ker(A), attribute
-      ``null_basis``.
-
-    **Fast path for full-rank A.** ``dgeqp3`` updates its column norms with
-    level-2 code (Golub & Van Loan, *Matrix Computations*, §5.4). From
-    ``n = 150`` unknowns on, with ``32 <= m <= n``, the unpivoted recursive
-    compact-WY QR ``dgeqrt`` (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
-    2000) factors ``A_s^T`` first, ``P = I``. Its R is kept, with ``p = m``,
-    when ``dtrcon``'s estimate of ``rcond_1(R)`` exceeds
-    ``10 * m * eps * max(m, n)``. If the estimate is at most 10 times the
-    true rcond, the pivoted rule would keep every row too: every diagonal
-    entry of any QR of ``A_s^T`` has ``|R[k, k]| >= sigma_min``, the pivoted
-    ``|R[0, 0]|`` (the largest column norm) is at most ``sigma_max``, and
-    ``kappa_2 <= m * kappa_1``, so each of its ratios
-    ``|R[k, k]| / |R[0, 0]| >= rcond_1 / m``. That factor is an assumption
-    about the estimator, not a bound: ``dtrcon`` can underestimate
-    ``||R^-1||_1`` by more (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, §15.3), and then a nearly dependent row is kept and its
-    consistency goes unchecked. On the seeded sweeps in BENCH_17.json the
-    two paths made the same decisions every time. No row is dropped, so
-    there is nothing to check for consistency; ``N`` is another orthonormal
-    basis of the same kernel.
-
-    Tried on a rank-deficient A, the fast path wastes a ``dgeqrt``. A zero
-    row, or two rows equal or opposite to within that same cut after
-    equilibration, is ruled out in O(mn) time first; where it cannot be
-    (rarely, also for a full-rank A), A goes straight to ``dgeqp3``. Any
-    other rank-deficient or nearly rank-deficient A fails the estimate and
-    ``dgeqp3`` factors ``A_s^T`` again: the one case in which A is factored
-    twice.
-
-    Q itself is never formed: it stays the product of the reflectors the QR
-    leaves below the diagonal of R, and ``[x0, N] = Q [y, 0; 0, I]`` is one
-    application of all of them (``dormqr``, or ``dgemqrt`` with the block
-    factors ``dgeqrt`` returns). The reflectors past p meet only the zeros
-    below ``y`` and leave that column as it is, so ``x0 = Q[:, :p] y``.
-
-    Attributes ``a`` and ``b`` hold the scaled system; residuals of a
-    solution belong on the original one.
-
-    Parameters
-    ----------
-    constraints : EqualityConstraints
-        ``A x = b``, checked once when it was built; nothing here checks
-        A or b again.
-    eps : float, optional
-        Relative tolerance for both the rank decision and the
-        consistency check. Defaults to machine epsilon. Must satisfy
-        ``0 < eps < 1``: at ``eps >= 1`` (or NaN) the rank cut would call
-        every pivot negligible and drop every row.
-
-    Raises
-    ------
-    InfeasibleConstraintsError
-        If a dropped row is not satisfied at ``x0``.
-    ComputationError
-        If the QR factorization fails, or if the scaled ``b`` or ``x0``
-        overflows float range.
-    """
-
-    @overflow_checked
-    def __init__(self, constraints, eps=EPS):
-        a, b = constraints.a, constraints.b
-        m, n = a.shape
-        if not 0.0 < eps < 1.0:  # also rejects NaN
-            raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps!r}")
-        scale = np.max(np.abs(a), axis=1, initial=0.0)
-        scale[scale == 0.0] = 1.0
-        self.a = a / scale[:, None]
-        self.b = b / scale
-        found = _full_rank_qr(self.a, eps)
-        t = tau = None
-        if found is not None:
-            qr, t = found
-            piv, p = np.arange(m), m
-        else:
-            if min(m, n) == 0:  # LAPACK rejects these shapes; there is nothing to factorize
-                qr, piv = np.zeros((n, m), order="F"), np.arange(m)
-            else:
-                # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
-                work, _ = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=-1)[3:]
-                qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(self.a.T, lwork=int(work[0]))
-                if info != 0:
-                    raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
-                piv = jpvt - 1
-            e = np.abs(np.diag(qr))  # non-increasing: the QR pivots on column norms
-            kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
-            p = int(kept[-1]) + 1 if kept.size else 0
-        self.rank = p
-        self.selected = piv[:p]
-        self.dropped = piv[p:]
-        r11 = qr[:p, :p]
-        # Q [y, 0; 0, I] in one application of the reflectors: x0 and N
-        out = np.eye(n, n - p + 1, 1 - p, order="F")
-        out[:p, :1] = _upper_solve(r11, self.b[self.selected, None], trans=1)
-        out = _apply_q(qr[:, : min(m, n)], t, tau, out)
-        self.x0, self.null_basis = out[:, 0], out[:, 1:]
-        # the scaled b and x0 may overflow even though a and b are finite
-        if not (np.isfinite(self.b).all() and np.isfinite(self.x0).all()):
-            raise ComputationError(
-                "the row-scaled b or the minimum-norm solution of A x = b overflows float range"
-            )
-        if p < m:
-            self._check_consistency(_upper_solve(r11, qr[:p, p:]), eps)
-
-    def _check_consistency(self, c, eps):
-        """Raise InfeasibleConstraintsError if a dropped row fails at ``x0``.
-
-        ``c = R_11^-1 R_12`` writes each dropped row as a combination of
-        the kept ones, so a consistent system leaves it the same
-        combination of their residuals. An error in ``c`` then multiplies
-        only those residuals, never a large ``b``, and each row is judged
-        by the rounding error of its own residual.
-        """
-        m, n = self.a.shape
-        resid = self.a @ self.x0 - self.b
-        size = np.abs(self.b) + np.abs(self.a) @ np.abs(self.x0)
-        leftover = np.abs(resid[self.dropped] - c.T @ resid[self.selected])
-        bound = eps * max(m, n) * (1.0 + size[self.dropped] + np.abs(c).T @ size[self.selected])
-        worst = int(np.argmax(leftover / bound))
-        if leftover[worst] > bound[worst]:
-            raise InfeasibleConstraintsError(
-                f"constraints are inconsistent: redundant row {int(self.dropped[worst])} "
-                f"leaves residual {leftover[worst]:.6e} (tolerance {bound[worst]:.6e})"
-            )
 
 
 def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):

@@ -1,9 +1,11 @@
 """Newton solvers for smooth convex objectives on ``{x : A x = b}``.
 
 The constraints are eliminated by the paper's null-space expression
-``x = x0 + N g`` (:func:`~eqopt.expressions.build_nullspace`), leaving the
-unconstrained reduced problem ``h(g) = f(x0 + N g)`` with gradient
-``N^T grad f`` and Hessian ``N^T (hess f) N``.
+``x = x0 + N g`` (:func:`~eqopt.expressions.build_nullspace`, the one place
+``A x = b`` is factored; ``ReducedObjective.expr`` keeps its rank and its
+kept and dropped rows), leaving the unconstrained reduced problem
+``h(g) = f(x0 + N g)`` with gradient ``N^T grad f`` and Hessian
+``N^T (hess f) N``.
 :meth:`ObjectiveOracle.restrict` builds the oracle of ``h`` once per
 solve: a registry objective pulls its own data back through ``N`` (so no
 step forms an n x n Hessian), any other oracle is composed by the chain

@@ -64,9 +64,10 @@ ORJSON_MAX_BRACKETS = 4096
 _Q_CLASSES = ("spd", "symmetric_indefinite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NlpProblem:
-    """A named registry objective under linear equality constraints."""
+    """A named registry objective under linear equality constraints; its
+    fields cannot be reassigned, as those of :class:`~eqopt.qp.QpProblem`."""
 
     oracle: object  # ObjectiveOracle
     constraints: EqualityConstraints

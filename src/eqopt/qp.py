@@ -23,8 +23,9 @@ Three independent routes to a stationary point of
 
 The two elimination routes share one body (:func:`_solve_eliminated`):
 it builds the null-space expression ``x = x0 + N g`` with
-:func:`~eqopt.expressions.build_nullspace`, the one path from ``A x = b``
-to an expression (one rank-revealing QR of the row-equilibrated ``A^T``), and
+:func:`~eqopt.expressions.build_nullspace`, the one place ``A x = b`` is
+factored (one rank-revealing QR of the row-equilibrated ``A^T``; the
+expression also carries the rank and the kept and dropped rows), and
 the routes differ only in the basis ``B`` (``D = N N^T`` or ``N``) whose
 stationarity residual they report. Both pull the quadratic back
 through ``N`` and solve the one k-by-k system ``N^T Q N y = N^T (Q x0 + c)``
@@ -305,20 +306,28 @@ def _bunch_kaufman_eigs(ldu, ipiv):
 
 # The KKT oracle factors its saddle matrix as given while max|Q| and the
 # largest entry of every row of A lie in [2^-9, 2^8) (binary exponents within
-# this bound), so the generated problems (entries in [-1, 1], an SPD Q up to
-# about n / 3 for n < 750) are factored unchanged. Q and a row are then at
-# most 2^17 apart; about 2^20 apart (the corners of a bound of 10), a few
-# seeded well-posed problems were already refused.
+# this bound) and no row's exponent exceeds max|Q|'s by more than the bound.
+# So the generated problems (entries in [-1, 1], an SPD Q up to about n / 3
+# for n < 750; in a seeded sweep of 640 of them, n 2-400, no row's exponent
+# exceeded Q's) are factored unchanged. Q and a row are then at most 2^17
+# apart; about 2^20 apart (the corners of a bound of 10), a few seeded
+# well-posed problems were already refused.
 #
-# Balancing these would also be slower. Scaling a Q that dominates the rows
-# down to [1/2, 1) leaves the entries of A the largest in their columns, so
-# dsytrf's pivot test takes 2x2 pivots where it took every 1x1 pivot in
-# place. On 40 SPD 200:120 problems (one BLAS thread, Intel Xeon, 8
-# alternated passes), balancing all of them (_KKT_BAND = -1) took 1 to 15
-# 2x2 pivots per problem (median 7) against none; the median dsytrf went
-# from 1.00 to 1.39 ms and the median solve_kkt from 1.68 to 2.17 ms. So a
-# band keyed to the ratio of the row scales to max|Q| must still leave the
-# systems where Q dominates unbalanced.
+# Rows that dominate Q are balanced, because there the Schur-complement
+# pivots |A|^2 / |Q| lose accuracy first: on 40 seeded SPD 40:20 problems,
+# the largest relative gap between the KKT and null-space x went from
+# 1.3e-11 to 8.4e-15 at max|Q| = 2^-8.6 with rows 2^7.4, from 3.9e-13 to
+# 5.0e-15 at 2^-4 with rows 2^5.5, and from 3.3e-13 to 5.0e-15 at 2^-8.9
+# with rows 2^0, all inside the band of each block alone.
+#
+# Systems where Q dominates stay unbalanced, which is also faster. Scaling
+# a Q that dominates the rows down to [1/2, 1) leaves the entries of A the
+# largest in their columns, so dsytrf's pivot test takes 2x2 pivots where
+# it took every 1x1 pivot in place. On 40 SPD 200:120 problems (one BLAS
+# thread, Intel Xeon, 8 alternated passes), balancing all of them
+# (_KKT_BAND = -1) took 1 to 15 2x2 pivots per problem (median 7) against
+# none; the median dsytrf went from 1.00 to 1.39 ms and the median
+# solve_kkt from 1.68 to 2.17 ms.
 _KKT_BAND = 8
 
 
@@ -328,13 +337,14 @@ def _kkt_shifts(q_max, row_max, c, b):
 
     With ``e`` the exponent of ``frexp`` (``x = f 2^e``, ``1/2 <= f < 1``;
     ``e = 0`` for x = 0), both are zero while ``|e| <= _KKT_BAND`` for
-    ``q_max = max|Q|`` and for each ``row_max[i] = max_j |A[i, j]|``.
+    ``q_max = max|Q|`` and for each ``row_max[i] = max_j |A[i, j]|``, and
+    no row's ``e`` exceeds ``q_max``'s by more than ``_KKT_BAND``.
     Otherwise each is ``-e``, which brings that block into ``[1/2, 1)``,
     but at most ``1024 - e(max|c|)`` or ``1024 - e(|b[i]|)``, so that c and
     b stay finite.
     """
     e = np.frexp(np.append(row_max, q_max))[1]
-    if np.all(np.abs(e) <= _KKT_BAND):
+    if np.all(np.abs(e) <= _KKT_BAND) and np.max(e) - e[-1] <= _KKT_BAND:
         return 0, np.zeros(row_max.shape, dtype=e.dtype)
     room = 1024 - np.frexp(np.append(np.abs(b), np.max(np.abs(c), initial=0.0)))[1]
     shift = np.minimum(-e, room)

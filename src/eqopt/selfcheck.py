@@ -9,6 +9,10 @@ counterexample. :data:`_SUITES` is the one place the suites are named: the
 ``invariants`` (linear-algebra and expression identities), ``oracle``
 (agreement of the three QP routes, and of Newton on the reduced objective
 with Newton in KKT form) and ``convergence`` (Newton certificates) suites.
+The invariants ``rrqr_rank`` and ``null_basis`` read the expression that
+:func:`~eqopt.expressions.build_nullspace` returns: its rank against
+numpy's, its x0 against the minimum-norm solution of the caller's rows
+``A[selected] x = b[selected]``, its verdict on a perturbed b, and its N.
 """
 
 from dataclasses import replace
@@ -20,7 +24,7 @@ from . import objectives
 from .errors import ComputationError, EqoptError, InfeasibleConstraintsError
 from .errors import OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, ConstraintFactorization
+from .linalg import _QRT_BLOCK, _QRT_MIN_COLS
 from .nlp import (
     NewtonConfig,
     estimate_convergence_constants,
@@ -45,7 +49,7 @@ def _seeded(salt, crossover=None):
 
     With ``crossover``, every tenth trial that passed also runs
     ``crossover(rng, n, m, rank)`` on an instance on which
-    ConstraintFactorization tries its unpivoted QR first, drawn from its own
+    build_nullspace tries its unpivoted QR first, drawn from its own
     stream ``(seed, 100 + salt)`` so the other trials' draws do not move.
     """
 
@@ -94,13 +98,14 @@ def _rrqr_rank_trial(rng, n, m, r):
     a = _low_rank(rng, n, m, r)
     x_true = rng.uniform(-1, 1, n)
     b = a @ x_true
-    f = ConstraintFactorization(EqualityConstraints(a, b))
+    f = build_nullspace(EqualityConstraints(a, b))
     rank_oracle = int(np.linalg.matrix_rank(a))
-    x_min = np.linalg.lstsq(f.a[f.selected], f.b[f.selected], rcond=None)[0]
+    x_min = np.linalg.lstsq(a[f.selected], b[f.selected], rcond=None)[0]
     resid = float(np.max(np.abs(a @ x_min - b)))
-    # x0 is the minimum-norm solution x_min: over 11,000 trials of this check
-    # (seeds 0-199, crossover instances included) they differed by at most
-    # 4.8e-12, so 1e-9 leaves a margin of 200
+    # x0 is the minimum-norm solution x_min of the caller's kept rows: over
+    # 11,000 trials of this check (seeds 0-199, crossover instances
+    # included) they differed by at most 4.2e-12, so 1e-9 leaves a margin
+    # of over 200
     x0_gap = _rel_gap(f.x0, x_min)
     if f.rank != rank_oracle or resid > 1e-8 * (1.0 + float(np.max(np.abs(b)))) or x0_gap > 1e-9:
         return {
@@ -118,7 +123,7 @@ def _rrqr_rank_trial(rng, n, m, r):
         b_bad[int(rng.integers(0, m))] += 1.0
         truly_bad = int(np.linalg.matrix_rank(np.column_stack([a, b_bad]))) > rank_oracle
         try:
-            ConstraintFactorization(EqualityConstraints(a, b_bad))
+            build_nullspace(EqualityConstraints(a, b_bad))
             flagged = False
         except InfeasibleConstraintsError:
             flagged = True
@@ -137,7 +142,7 @@ def _check_rrqr_rank(rng):
 
 def _null_basis_trial(a, rank):
     m, n = a.shape
-    nb = ConstraintFactorization(EqualityConstraints(a, np.zeros(m))).null_basis
+    nb = build_nullspace(EqualityConstraints(a, np.zeros(m))).basis
     if nb.shape != (n, n - rank):  # before the defects, which need this shape
         return {"n": n, "m": m, "rank": rank, "shape": list(nb.shape)}
     gram = float(np.max(np.abs(nb.T @ nb - np.eye(n - rank))))

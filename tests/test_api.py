@@ -51,9 +51,17 @@ def _generator_spec():
 
 
 def _constrained_expression():
+    a, b = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), np.array([1.0, 2.0])
+    expr = eqopt.build_nullspace(eqopt.EqualityConstraints(a, b))  # one row kept, one dropped
+    held = [expr.x0, expr.basis, expr.selected, expr.dropped]
+    return expr, ("x0", np.zeros(3)), held, [a, b]
+
+
+def _nlp_problem():
     cons, a, b = _constraints()
-    expr = eqopt.build_nullspace(cons)
-    return expr, ("x0", np.zeros(3)), [expr.x0, expr.basis], [a, b]
+    problem = eqopt.NlpProblem(eqopt.sum_exp(dim=3), cons, "sum_exp", {"dim": 3})
+    # problem.constraints = None went through
+    return problem, ("constraints", None), [problem.constraints.a], [a, b]
 
 
 def _reduced_objective():
@@ -73,6 +81,7 @@ def _reduced_objective():
         _convergence_constants,
         _generator_spec,
         _constrained_expression,
+        _nlp_problem,
         _reduced_objective,
     ],
     ids=lambda case: case.__name__.strip("_"),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqopt import cli, objectives, problems, qp, selfcheck
+from eqopt import cli, expressions, objectives, problems, qp, selfcheck
 from eqopt.errors import InfeasibleStartError, OracleUnavailableError
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonTrace
@@ -1103,8 +1103,9 @@ def _edited(**edits):
 
 # check name -> (the library call it inspects, how that call is broken)
 _BROKEN_CALLS = {
-    "rrqr_rank": ("ConstraintFactorization", _edited(rank=lambda r: r + 1)),
-    "null_basis": ("ConstraintFactorization", _edited(null_basis=lambda nb: 2.0 * nb)),
+    # one kept row fewer: the rank, len(selected), is one too low
+    "rrqr_rank": ("build_nullspace", _edited(selected=lambda s: s[:-1])),
+    "null_basis": ("build_nullspace", _edited(basis=lambda nb: 2.0 * nb)),
     "projector_algebra": ("build_projector", _edited(basis=lambda d: 2.0 * d)),
     "embed_feasibility": ("build_nullspace", _edited(x0=lambda x0: x0 + 1.0)),
     "spd_agreement": ("solve_kkt", _edited(x=lambda x: x + 1.0)),
@@ -1136,13 +1137,12 @@ def _ends_above_start(real):
 
 
 def _x0_moved_along_the_kernel(real):
-    """Break ConstraintFactorization: x0 moves by ``N 1``, so it stays
-    feasible but is no longer the minimum-norm solution."""
+    """Break build_nullspace: x0 moves by ``N 1``, so it stays feasible but
+    is no longer the minimum-norm solution."""
 
     def broken(*args, **kwargs):
-        f = real(*args, **kwargs)
-        f.x0 = f.x0 + f.null_basis.sum(axis=1)
-        return f
+        expr = real(*args, **kwargs)
+        return replace(expr, x0=expr.x0 + expr.basis.sum(axis=1))
 
     return broken
 
@@ -1157,14 +1157,15 @@ def _refuses_the_start(real):
 
 
 # further breaks, each reaching a report the check's first break does not:
-# case -> (check, library call, how it is broken)
+# case -> (check, library call, how it is broken); a call outside selfcheck
+# is named by (module, attribute)
 _FURTHER_BREAKS = {
     # the check once raised on these two (exit 4, no counterexample)
     # gram = N^T N - I would not broadcast against the one column short N
     "null_basis_a_column_short": (
         "null_basis",
-        "ConstraintFactorization",
-        _edited(null_basis=lambda nb: nb[:, 1:]),
+        "build_nullspace",
+        _edited(basis=lambda nb: nb[:, 1:]),
     ),
     # iteration_bound refuses the negative decrease
     "contraction_bound_final_value_above_start": (
@@ -1175,13 +1176,13 @@ _FURTHER_BREAKS = {
     # a perturbed b that no dropped row flags as inconsistent
     "rrqr_rank_misses_an_inconsistent_row": (
         "rrqr_rank",
-        "ConstraintFactorization",
-        lambda real: type("Lenient", (real,), {"_check_consistency": lambda self, c, eps: None}),
+        (expressions, "_check_consistency"),
+        lambda real: lambda *args: None,
     ),
     # a feasible x0 that is not the minimum-norm solution
     "rrqr_rank_x0_off_the_row_space": (
         "rrqr_rank",
-        "ConstraintFactorization",
+        "build_nullspace",
         _x0_moved_along_the_kernel,
     ),
     # a typed error at a start the KKT form accepts is a counterexample, not exit 5
@@ -1214,7 +1215,8 @@ def test_check_reports_a_broken_library_call(
     # each check alone, so the broken call cannot trip another check first
     suite = next(s for s, checks in selfcheck._SUITES.items() if check in dict(checks))
     fn = dict(selfcheck._SUITES[suite])[check]
-    monkeypatch.setattr(selfcheck, target, breaker(getattr(selfcheck, target)))
+    owner, name = target if isinstance(target, tuple) else (selfcheck, target)
+    monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
     monkeypatch.setattr(selfcheck, "_SUITES", {suite: [(check, fn)]})
     cx = tmp_path / "cx.json"
     code = cli.main(["check", "--suite", suite, "--trials", "3", "--counterexample", str(cx)])

@@ -1,13 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqopt import expressions
+import eqopt
 from eqopt.expressions import EqualityConstraints, build_nullspace, build_projector
-from eqopt.linalg import ConstraintFactorization
-from eqopt.nlp import reduce_problem
-from eqopt.objectives import quadratic
-from eqopt.qp import QpProblem, solve_nullspace, solve_projector
 
 
 def test_constraints_validation():
@@ -24,8 +23,8 @@ def test_constraints_validation():
 
 def test_constraints_reduced_drops_redundant_rows():
     c = EqualityConstraints([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-    f = ConstraintFactorization(c)
-    red = EqualityConstraints(f.a[f.selected], f.b[f.selected])
+    f = build_nullspace(c)
+    red = EqualityConstraints(c.a[f.selected], c.b[f.selected])
     assert f.rank == 1
     assert red.m == 1 and red.n == 2
 
@@ -63,8 +62,7 @@ def test_projector_drops_redundant_rows():
         expr = build_projector(EqualityConstraints(a_dup, b_dup))
         assert np.max(np.abs(a_dup @ expr.basis)) < 1e-10 * np.max(np.abs(a))
         assert np.max(np.abs(a_dup @ expr.x0 - b_dup)) < 1e-9 * (1 + np.max(np.abs(b)))
-        f = ConstraintFactorization(EqualityConstraints(a_dup, b_dup))
-        kept = build_projector(EqualityConstraints(f.a[f.selected], f.b[f.selected]))
+        kept = build_projector(EqualityConstraints(a_dup[expr.selected], b_dup[expr.selected]))
         assert_allclose(expr.basis, kept.basis, atol=1e-12)
 
 
@@ -86,9 +84,9 @@ def test_nullspace_build_rejects_rank_deficiency():
     # rank-deficient rows are not an error: the null-space expression has
     # n - rank free entries, not n - m
     cons = EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
-    f = ConstraintFactorization(cons)
+    f = build_nullspace(cons)
     assert f.rank < cons.m
-    assert f.null_basis.shape == (cons.n, cons.n - f.rank)
+    assert f.basis.shape == (cons.n, cons.n - f.rank)
 
 
 def test_embed_feasibility_both_forms():
@@ -133,26 +131,43 @@ def test_single_point_feasible_set():
     assert_allclose(null.embed(np.zeros(0)), [1.0, 2.0, 3.0], atol=1e-12)
 
 
-def test_every_feasible_set_is_built_through_build_nullspace(monkeypatch):
-    # eqopt.expressions holds the one call of ConstraintFactorization that
-    # the solvers reach: patching it there counts every feasible set built
-    built = []
+class _Calls(ast.NodeVisitor):
+    """``(scope, name)`` of every call in a module: ``name`` the called
+    function's name, ``scope`` the dotted path of the defs around it."""
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return ConstraintFactorization(*args, **kwargs)
+    def __init__(self, module):
+        self.scope, self.calls = [module], []
 
-    monkeypatch.setattr(expressions, "ConstraintFactorization", counted)
-    cons = EqualityConstraints([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [1.0, 2.0])
-    problem = QpProblem(np.eye(3), np.ones(3), cons)
-    builds = {
-        "solve_projector": lambda: solve_projector(problem),
-        "solve_nullspace": lambda: solve_nullspace(problem),
-        "reduce_problem": lambda: reduce_problem(quadratic(problem.q, problem.c), cons),
-        "build_projector": lambda: build_projector(cons),
-        "build_nullspace": lambda: build_nullspace(cons),
-    }
-    for name, build in builds.items():
-        built.clear()
-        build()
-        assert len(built) == 1, name
+    def visit_FunctionDef(self, node):  # a method or a nested function too
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        self.calls.append((".".join(self.scope), name))
+        self.generic_visit(node)
+
+
+def test_only_build_nullspace_factors_the_constraints():
+    # A x = b is factored in one place: no function but
+    # expressions.build_nullspace calls the QR kernels, and linalg, which
+    # holds them, imports nothing of the expressions built on them
+    kernels = {"_full_rank_qr", "_pivoted_qr", "_apply_q"}
+    offenders = []
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _Calls(path.stem)
+        calls.visit(tree)
+        offenders += [f"{scope} calls {name}" for scope, name in calls.calls
+                      if name in kernels and scope != "expressions.build_nullspace"]
+        if path.name != "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                if any(name.split(".")[-1] == "expressions" for name in names):
+                    offenders.append(f"linalg.py:{node.lineno} imports expressions")
+    assert offenders == []

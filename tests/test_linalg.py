@@ -6,9 +6,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqopt.errors import ComputationError, InfeasibleConstraintsError
-from eqopt.expressions import EqualityConstraints
+from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.linalg import (
-    ConstraintFactorization,
     _upper_solve,
     as_matrix,
     as_vector,
@@ -25,13 +24,27 @@ from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_nullspace, solve_projector
 
 
-def kept_rows(f):
-    """The equivalent full-row-rank system ``(A, b)`` a factorization keeps."""
-    return f.a[f.selected], f.b[f.selected]
+def factored(a, b):
+    """``(A, b)`` as checked constraints, and their null-space expression."""
+    cons = EqualityConstraints(a, b)
+    return cons, build_nullspace(cons)
+
+
+def kept_rows(cons, expr):
+    """The equivalent full-row-rank system ``(A, b)`` an expression keeps."""
+    return cons.a[expr.selected], cons.b[expr.selected]
 
 
 def null_basis(a):
-    return ConstraintFactorization(EqualityConstraints(a, np.zeros(np.shape(a)[0]))).null_basis
+    return build_nullspace(EqualityConstraints(a, np.zeros(np.shape(a)[0]))).basis
+
+
+def row_scaled(a):
+    """``a`` with each nonzero row divided by its largest magnitude, the
+    system whose ``A^T`` build_nullspace factors."""
+    scale = np.max(np.abs(a), axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    return a / scale[:, None]
 
 
 def random_matrix(rng, rows, cols, rank=None):
@@ -41,12 +54,12 @@ def random_matrix(rng, rows, cols, rank=None):
 
 
 # ---------------------------------------------------------------------------
-# ConstraintFactorization: rank and redundant rows (rank-revealing QR)
+# build_nullspace: rank and redundant rows (rank-revealing QR)
 
 
 def test_rrqr_duplicated_row_consistent():
-    f = ConstraintFactorization(EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [3.0, 6.0]))
-    a_kept, b_kept = kept_rows(f)
+    cons, f = factored([[1.0, 2.0], [2.0, 4.0]], [3.0, 6.0])
+    a_kept, b_kept = kept_rows(cons, f)
     assert f.rank == 1
     assert a_kept.shape == (1, 2)
     # the reduced row stays proportional to (1, 2) and keeps x = (3, 0) feasible
@@ -55,7 +68,7 @@ def test_rrqr_duplicated_row_consistent():
 
 def test_rrqr_duplicated_row_contradiction():
     with pytest.raises(InfeasibleConstraintsError):
-        ConstraintFactorization(EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0]))
+        build_nullspace(EqualityConstraints([[1.0, 2.0], [2.0, 4.0]], [3.0, 7.0]))
 
 
 def test_repeated_and_zero_rows_skip_the_unpivoted_qr(factorizations):
@@ -72,7 +85,7 @@ def test_repeated_and_zero_rows_skip_the_unpivoted_qr(factorizations):
                                  (np.zeros(160), 0.0, [geqp3], 60),
                                  (near, b[17], [geqrt], 61)]:
         factorizations.clear()
-        f = ConstraintFactorization(EqualityConstraints(np.vstack([a, row]), np.append(b, rhs)))
+        f = build_nullspace(EqualityConstraints(np.vstack([a, row]), np.append(b, rhs)))
         assert (factorizations, f.rank) == (path, rank)
 
 
@@ -84,9 +97,9 @@ def test_rrqr_rank_matches_reference_oracle():
         rank = int(rng.integers(1, min(m, n) + 1))
         a = random_matrix(rng, m, rank, None) @ random_matrix(rng, rank, n, None)
         b = a @ rng.uniform(-1, 1, n)  # consistent by construction
-        f = ConstraintFactorization(EqualityConstraints(a, b))
+        cons, f = factored(a, b)
         assert f.rank == np.linalg.matrix_rank(a)
-        assert kept_rows(f)[0].shape == (f.rank, n)
+        assert kept_rows(cons, f)[0].shape == (f.rank, n)
 
 
 def test_rrqr_kept_rows_are_equivalent():
@@ -97,8 +110,8 @@ def test_rrqr_kept_rows_are_equivalent():
         m = rank + int(rng.integers(0, 5))
         a = random_matrix(rng, m, rank, None) @ random_matrix(rng, rank, n, None)
         b = a @ rng.uniform(-1, 1, n)
-        f = ConstraintFactorization(EqualityConstraints(a, b))
-        a_kept, b_kept = kept_rows(f)
+        cons, f = factored(a, b)
+        a_kept, b_kept = kept_rows(cons, f)
         # any solution of the reduced system solves the original one
         x = np.linalg.lstsq(a_kept, b_kept, rcond=None)[0]
         assert np.max(np.abs(a @ x - b)) < 1e-8 * (1 + np.max(np.abs(b)))
@@ -110,10 +123,10 @@ def test_rrqr_full_rank_input_is_preserved_up_to_equivalence():
     rng = np.random.default_rng(203)
     a = rng.uniform(-1, 1, (4, 9))
     b = rng.uniform(-1, 1, 4)
-    f = ConstraintFactorization(EqualityConstraints(a, b))
+    cons, f = factored(a, b)
     assert f.rank == 4
     # same solution set: row spaces and particular solutions agree
-    x = np.linalg.lstsq(*kept_rows(f), rcond=None)[0]
+    x = np.linalg.lstsq(*kept_rows(cons, f), rcond=None)[0]
     assert_allclose(a @ x, b, atol=1e-12)
 
 
@@ -121,24 +134,24 @@ def test_rrqr_reduction_is_idempotent():
     rng = np.random.default_rng(204)
     a = np.vstack([rng.uniform(-1, 1, (3, 8))] * 2)
     b = a @ rng.uniform(-1, 1, 8)
-    once = ConstraintFactorization(EqualityConstraints(a, b))
-    twice = ConstraintFactorization(EqualityConstraints(*kept_rows(once)))
+    cons, once = factored(a, b)
+    kept, twice = factored(*kept_rows(cons, once))
     assert once.rank == twice.rank == 3
-    assert kept_rows(twice)[0].shape == kept_rows(once)[0].shape
+    assert kept_rows(kept, twice)[0].shape == kept_rows(cons, once)[0].shape
 
 
 def test_rrqr_zero_matrix():
-    f = ConstraintFactorization(EqualityConstraints(np.zeros((3, 4)), np.zeros(3)))
+    cons, f = factored(np.zeros((3, 4)), np.zeros(3))
     assert f.rank == 0
-    assert kept_rows(f)[0].shape == (0, 4)
+    assert kept_rows(cons, f)[0].shape == (0, 4)
     with pytest.raises(InfeasibleConstraintsError):
-        ConstraintFactorization(EqualityConstraints(np.zeros((3, 4)), [0.0, 1.0, 0.0]))
+        build_nullspace(EqualityConstraints(np.zeros((3, 4)), [0.0, 1.0, 0.0]))
 
 
 def test_rrqr_empty_system():
-    f = ConstraintFactorization(EqualityConstraints(np.zeros((0, 5)), np.zeros(0)))
+    cons, f = factored(np.zeros((0, 5)), np.zeros(0))
     assert f.rank == 0
-    assert kept_rows(f)[0].shape == (0, 5)
+    assert kept_rows(cons, f)[0].shape == (0, 5)
 
 
 def test_rrqr_validation():
@@ -147,11 +160,11 @@ def test_rrqr_validation():
     # eps >= 1 or NaN would call every pivot negligible and drop every row
     for eps in (0.0, np.nan, np.inf, 1.0):
         with pytest.raises(ValueError):
-            ConstraintFactorization(EqualityConstraints(np.eye(2), [1.0, 2.0]), eps=eps)
+            build_nullspace(EqualityConstraints(np.eye(2), [1.0, 2.0]), eps=eps)
 
 
 # ---------------------------------------------------------------------------
-# ConstraintFactorization: null-space basis
+# build_nullspace: null-space basis
 
 
 def test_null_basis_properties():
@@ -187,13 +200,13 @@ def test_nullspace_rejects_rank_deficient():
     # rank-deficient rows are not an error: the basis has n - rank columns
     for a in ([[1.0, 2.0], [2.0, 4.0]], np.ones((3, 2))):  # m > n: never full row rank
         m, n = np.shape(a)
-        f = ConstraintFactorization(EqualityConstraints(a, np.zeros(m)))
+        f = build_nullspace(EqualityConstraints(a, np.zeros(m)))
         assert f.rank < m
-        assert f.null_basis.shape == (n, n - f.rank)
+        assert f.basis.shape == (n, n - f.rank)
 
 
 # ---------------------------------------------------------------------------
-# ConstraintFactorization: all parts together
+# build_nullspace: all parts together
 
 
 def test_constraint_factorization_parts():
@@ -203,22 +216,22 @@ def test_constraint_factorization_parts():
     # two redundant rows: row 1 in other units, and a combination of rows 0 and 2
     a = np.vstack([a, 1e6 * a[1], a[0] - 3.0 * a[2]])
     b = a @ rng.uniform(-1, 1, n)
-    f = ConstraintFactorization(EqualityConstraints(a, b))
+    f = build_nullspace(EqualityConstraints(a, b))
     assert f.rank == m
     assert sorted([*f.selected, *f.dropped]) == list(range(m + 2))
     assert np.linalg.matrix_rank(a[f.selected]) == m
     assert np.max(np.abs(a @ f.x0 - b) / np.max(np.abs(a), axis=1)) < 1e-12
     # x0 is the minimum-norm solution: it lies in the row space
-    nb = f.null_basis
+    nb = f.basis
     assert nb.shape == (n, n - m)
     assert np.max(np.abs(nb.T @ f.x0)) < 1e-12
     assert np.max(np.abs(nb.T @ nb - np.eye(n - m))) < 1e-12
-    assert np.max(np.abs(f.a @ nb)) < 1e-12
+    assert np.max(np.abs(row_scaled(a) @ nb)) < 1e-12
     # the same redundant row one part in a million off is a contradiction
     b_bad = b.copy()
     b_bad[m] *= 1.0 + 1e-6
     with pytest.raises(InfeasibleConstraintsError):
-        ConstraintFactorization(EqualityConstraints(a, b_bad))
+        build_nullspace(EqualityConstraints(a, b_bad))
 
     # the basis formed from the reflectors spans the null space of an explicit Q:
     # m > n (rank 7 of 12), p = 0 (no rows, all-zero rows) and p = n; and,
@@ -228,12 +241,12 @@ def test_constraint_factorization_parts():
                  (rng.uniform(-1, 1, (n, n)), n), (rng.uniform(-1, 1, (64, 160)), 64),
                  (rng.uniform(-1, 1, (160, 160)), 160)]:
         n = a.shape[1]
-        f = ConstraintFactorization(EqualityConstraints(a, a @ np.ones(n)))
+        f = build_nullspace(EqualityConstraints(a, a @ np.ones(n)))
         assert f.rank == p
-        nb = f.null_basis
+        nb = f.basis
         assert nb.shape == (n, n - p)
         assert np.max(np.abs(nb.T @ nb - np.eye(n - p)), initial=0.0) < 1e-12
-        ref = scipy.linalg.qr(f.a.T, pivoting=True)[0] if a.shape[0] else np.eye(n)
+        ref = scipy.linalg.qr(row_scaled(a).T, pivoting=True)[0] if a.shape[0] else np.eye(n)
         assert np.max(np.abs(nb @ nb.T - ref[:, p:] @ ref[:, p:].T)) < 1e-12
         assert np.max(np.abs(a @ f.x0 - a @ np.ones(n)), initial=0.0) < 1e-12
         assert np.max(np.abs(nb.T @ f.x0), initial=0.0) < 1e-12
@@ -267,11 +280,11 @@ _CALLS_INTO = {
     "dpotrs": lambda: cholesky_solve(_SPD, np.ones(2)),
     "dsytrf": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
     "dsytrs": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
-    "dgeqp3": lambda: ConstraintFactorization(EqualityConstraints(_SMALL_A, np.ones(2))),
-    "dormqr": lambda: ConstraintFactorization(EqualityConstraints(_SMALL_A, np.ones(2))),
-    "dgeqrt": lambda: ConstraintFactorization(EqualityConstraints(_LARGE_A, np.ones(40))),
-    "dtrcon": lambda: ConstraintFactorization(EqualityConstraints(_LARGE_A, np.ones(40))),
-    "dgemqrt": lambda: ConstraintFactorization(EqualityConstraints(_LARGE_A, np.ones(40))),
+    "dgeqp3": lambda: build_nullspace(EqualityConstraints(_SMALL_A, np.ones(2))),
+    "dormqr": lambda: build_nullspace(EqualityConstraints(_SMALL_A, np.ones(2))),
+    "dgeqrt": lambda: build_nullspace(EqualityConstraints(_LARGE_A, np.ones(40))),
+    "dtrcon": lambda: build_nullspace(EqualityConstraints(_LARGE_A, np.ones(40))),
+    "dgemqrt": lambda: build_nullspace(EqualityConstraints(_LARGE_A, np.ones(40))),
     "eigh": lambda: symmetric_solve(_SPD, np.ones(2)),
 }
 
@@ -460,7 +473,7 @@ def test_a_solution_that_overflows_is_a_computation_error():
         warnings.simplefilter("error")  # refused by the checks, without a numpy warning
         # finite data whose minimum-norm point x0 = (1e310, 0, 0) overflows
         with pytest.raises(ComputationError, match="overflows float range"):
-            ConstraintFactorization(EqualityConstraints([[1e-300, 0.0, 0.0]], [1e10]))
+            build_nullspace(EqualityConstraints([[1e-300, 0.0, 0.0]], [1e10]))
         # x0 = (1, 1e300, 0) is finite, but Q x0 and so the solution overflow
         problem = QpProblem(
             q=1e300 * np.eye(3),
@@ -511,9 +524,9 @@ def test_symmetrizing_halves_first():
         )
         raw = np.random.default_rng(seed).uniform(-1, 1, (n, n))  # generate's first draw
         assert np.array_equal(problem.q, 0.5 * (raw + raw.T))
-        f = ConstraintFactorization(problem.constraints)
-        qb = f.null_basis.T @ raw @ f.null_basis
-        aa = pull_back_quadratic(raw, problem.c, f.x0, f.null_basis)[0]
+        f = build_nullspace(problem.constraints)
+        qb = f.basis.T @ raw @ f.basis
+        aa = pull_back_quadratic(raw, problem.c, f.x0, f.basis)[0]
         assert np.array_equal(aa, 0.5 * (qb + qb.T))
     # ... and keeps finite entries near the float maximum finite
     big = np.full((2, 2), 1.5e308)
