@@ -18,7 +18,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import objectives, selfcheck
 from .errors import (
@@ -302,6 +301,8 @@ def _environment():
     """What the timings depend on besides the code: versions, CPUs and the
     BLAS thread settings (thread count alone moves them severalfold), both
     as the environment asks for them and as each OpenBLAS reports them."""
+    import scipy  # here only: a solve reaches LAPACK without importing scipy
+
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,

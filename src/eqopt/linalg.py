@@ -32,6 +32,31 @@ no argument again. Only buffers a routine allocated itself are passed to
 LAPACK to be overwritten (``solve_kkt``'s saddle matrix, the right-hand
 sides of ``dormqr`` and ``dgemqrt``).
 
+**How LAPACK is reached.** Every routine eqopt calls (``dpotrf``,
+``dpotrs``, ``dtrtrs``, ``dgeqrt``, ``dtrcon``, ``dgeqp3``, ``dgemqrt``,
+``dormqr``, ``dsytrf_lwork``, ``dsytrf``, ``dsycon``, ``dsytrs``,
+``dpocon``) is looked up at call time on one handle, :data:`lapack`: the
+extension module ``scipy.linalg._flapack``, whose functions
+``scipy.linalg.lapack`` re-exports. The ``scipy.linalg`` package is not
+imported, as its init clones numpy's namespace and so imports every lazy
+numpy submodule, code eqopt never calls: a fresh interpreter took 0.47 s
+to import numpy and ``scipy.linalg``, and 0.19 s to import numpy and
+load the extension alone, on a 2-vCPU Xeon (BENCH_31.json). The handle
+is the module ``sys.modules`` holds under the extension's name if there
+is one; else the extension file in scipy's ``linalg`` directory, found
+through ``importlib.util.find_spec("scipy")`` (which imports nothing),
+loaded and registered under that name; else, if there is no such file,
+the extension imported the usual way. ``scipy.linalg`` reaches the
+extension only through ``from scipy.linalg import _flapack``, which takes
+the registered module, so a ``scipy.linalg`` imported before or after
+eqopt shares it, and LAPACK is initialized once. When eqopt loads it
+first, the ``scipy.linalg`` package gets no ``_flapack`` attribute, as
+the import system sets one only on a module it loads itself; scipy does
+not need one (``qr``, ``cho_factor``, ``lu_factor``, ``eigh`` and
+``scipy.optimize`` run as usual after such a load). To count or replace
+a routine eqopt calls, patch it on :data:`lapack`, not on
+``scipy.linalg.lapack``.
+
 **Overflow.** A finite problem can still overflow float range on its way
 to a solution. The rule is that such an overflow is refused by the check
 on the value it reaches, with a :class:`~eqopt.errors.ComputationError`,
@@ -50,14 +75,44 @@ calls above an oracle's callbacks run under it, so a custom oracle's own
 overflow warnings are not shown there either.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from functools import wraps
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import ComputationError
 
 EPS = float(np.finfo(np.float64).eps)
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, without importing the ``scipy.linalg``
+    package where it can (the module docstring says how and why)."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    if scipy_spec is not None and scipy_spec.origin is not None:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(os.path.dirname(scipy_spec.origin), "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(_FLAPACK)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(_FLAPACK)
+
+
+#: scipy's LAPACK extension module; every LAPACK routine eqopt calls is
+#: looked up on it at call time.
+lapack = _load_flapack()
 
 
 def overflow_checked(func):
@@ -169,7 +224,7 @@ def cholesky(m):
     ``dpotrf`` factors a copy that its wrapper makes, so ``m`` is left
     intact, also when the factorization fails partway.
     """
-    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=0)
+    low, info = lapack.dpotrf(m, lower=1, clean=0)
     if info > 0:
         return None
     if info < 0:
@@ -179,7 +234,7 @@ def cholesky(m):
 
 def cholesky_solve(low, rhs):
     """``m^-1 rhs`` from the lower factor ``low`` of :func:`cholesky` (``dpotrs``)."""
-    x, info = scipy.linalg.lapack.dpotrs(low, rhs, lower=1)
+    x, info = lapack.dpotrs(low, rhs, lower=1)
     if info != 0:
         raise ComputationError(f"Cholesky solve failed (dpotrs info={info})")
     return x
@@ -196,7 +251,7 @@ def _upper_solve(r, rhs, trans=0):
     """
     if r.shape[0] == 0:  # dtrtrs rejects an empty system
         return np.zeros(rhs.shape)
-    x, info = scipy.linalg.lapack.dtrtrs(r.T, rhs, lower=1, trans=1 - trans)
+    x, info = lapack.dtrtrs(r.T, rhs, lower=1, trans=1 - trans)
     if info != 0:
         raise ComputationError(f"triangular solve failed (dtrtrs info={info})")
     return x
@@ -262,11 +317,11 @@ def _full_rank_qr(a, eps):
     cut = 10.0 * m * eps * max(m, n)
     if _may_repeat_a_row(a, cut):
         return None
-    qr, t, info = scipy.linalg.lapack.dgeqrt(_QRT_BLOCK, a.T)
+    qr, t, info = lapack.dgeqrt(_QRT_BLOCK, a.T)
     if info != 0:
         raise ComputationError(f"QR factorization failed (dgeqrt info={info})")
     # The wrapper reads an order-n triangle, n taken from the row count: pass R alone.
-    rcond, info = scipy.linalg.lapack.dtrcon(qr[:m, :m])
+    rcond, info = lapack.dtrcon(qr[:m, :m])
     if info != 0:
         raise ComputationError(f"condition estimate failed (dtrcon info={info})")
     return (qr, t) if rcond > cut else None
@@ -284,8 +339,8 @@ def _pivoted_qr(at):
     if min(m, n) == 0:
         return np.zeros((n, m), order="F"), np.arange(m), None
     # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
-    work, _ = scipy.linalg.lapack.dgeqp3(at, lwork=-1)[3:]
-    qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(at, lwork=int(work[0]))
+    work, _ = lapack.dgeqp3(at, lwork=-1)[3:]
+    qr, jpvt, tau, _, info = lapack.dgeqp3(at, lwork=int(work[0]))
     if info != 0:
         raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
     return qr, jpvt - 1, tau
@@ -300,13 +355,11 @@ def _apply_q(v, t, tau, c):
         return c
     if t is not None:
         routine = "dgemqrt"
-        out, info = scipy.linalg.lapack.dgemqrt(v, t, c, overwrite_c=1)
+        out, info = lapack.dgemqrt(v, t, c, overwrite_c=1)
     else:
         routine = "dormqr"
-        work, _ = scipy.linalg.lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
-        out, _, info = scipy.linalg.lapack.dormqr(
-            "L", "N", v, tau, c, lwork=int(work[0]), overwrite_c=1
-        )
+        work, _ = lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
+        out, _, info = lapack.dormqr("L", "N", v, tau, c, lwork=int(work[0]), overwrite_c=1)
     if info != 0:
         raise ComputationError(f"applying the QR reflectors failed ({routine} info={info})")
     return out
@@ -340,17 +393,17 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
         If LAPACK rejects an argument.
     """
     k = m.shape[0]
-    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(k, lower=1)
+    lwork, _ = lapack.dsytrf_lwork(k, lower=1)
     # m is symmetric: m.T is its F-ordered view, which the wrapper copies as it is
-    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(m.T, lower=1, lwork=int(lwork))
+    ldu, ipiv, info = lapack.dsytrf(m.T, lower=1, lwork=int(lwork))
     if info < 0:
         raise ComputationError(f"Bunch-Kaufman factorization failed (dsytrf info={info})")
     if info > 0:  # an exactly zero pivot: m is singular
         return None
-    rcond, info = scipy.linalg.lapack.dsycon(ldu, ipiv, norm_1, lower=1)
+    rcond, info = lapack.dsycon(ldu, ipiv, norm_1, lower=1)
     if info != 0 or not rcond > min_rcond:
         return None
-    y, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+    y, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
     if info != 0:
         raise ComputationError(f"Bunch-Kaufman solve failed (dsytrs info={info})")
     # Python numbers: at these sizes a loop beats a handful of numpy calls

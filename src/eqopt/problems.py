@@ -41,6 +41,7 @@ import io
 import itertools
 import json
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ import orjson
 
 from .errors import ProblemParseError, ProblemSchemaError
 from .expressions import EqualityConstraints
+from .linalg import frozen_copy
 from .objectives import objective_registry
 from .qp import QpProblem
 
@@ -64,15 +66,59 @@ ORJSON_MAX_BRACKETS = 4096
 _Q_CLASSES = ("spd", "symmetric_indefinite")
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("objective params are read-only")
+
+
+class _ReadOnlyDict(dict):
+    """A dict of objective params that reads, compares, copies and is written
+    as a dict but refuses every change."""
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _ReadOnlyDict, (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """A list of objective params that reads, compares, copies and is written
+    as a list but refuses every change."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return _ReadOnlyList, (list(self),)
+
+
+def _read_only(value):
+    """``value`` with every dict, list and array in it read-only, all the way
+    down: arrays are copied, and ``json`` writes the result as it wrote
+    ``value``."""
+    if isinstance(value, Mapping):
+        return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return _ReadOnlyList(_read_only(item) for item in value)
+    if isinstance(value, np.ndarray):
+        return frozen_copy(value)
+    return value
+
+
 @dataclass(frozen=True)
 class NlpProblem:
     """A named registry objective under linear equality constraints; its
-    fields cannot be reassigned, as those of :class:`~eqopt.qp.QpProblem`."""
+    fields cannot be reassigned, as those of :class:`~eqopt.qp.QpProblem`,
+    and ``objective_params`` is held read-only (:func:`_read_only`), so the
+    params :func:`save` writes stay those the oracle was built from."""
 
     oracle: object  # ObjectiveOracle
     constraints: EqualityConstraints
     objective_name: str
     objective_params: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "objective_params", _read_only(self.objective_params))
 
 
 def _require(doc, field, kinds, where):

@@ -49,12 +49,12 @@ of the stationary point from reduced-Hessian inertia.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import ComputationError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace
 from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve, frozen_copy
-from .linalg import overflow_checked, pull_back_quadratic, quadratic_data, symmetric_solve
+from .linalg import lapack, overflow_checked, pull_back_quadratic, quadratic_data
+from .linalg import symmetric_solve
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def _solve_reduced(aa, rhs, tol=EPS):
     found = None
     low = cholesky(aa.T)  # aa is symmetric: aa.T is its F-ordered view
     if low is not None:
-        rcond, info = scipy.linalg.lapack.dpocon(low, norm_1, uplo="L")
+        rcond, info = lapack.dpocon(low, norm_1, uplo="L")
         if info == 0 and rcond > guard:
             found = cholesky_solve(low, rhs), k, 0
     else:
@@ -412,8 +412,8 @@ def solve_kkt(problem):
     # both the inertia and the solve. It is a congruence, so it preserves
     # inertia: zero eigenvalues of D mean the saddle matrix is singular at
     # tolerance, and the system is not solved at all.
-    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(n + m, lower=1)
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=int(lwork), overwrite_a=1)
+    lwork, _ = lapack.dsytrf_lwork(n + m, lower=1)
+    ldu, ipiv, _ = lapack.dsytrf(kkt, lower=1, lwork=int(lwork), overwrite_a=1)
     eigs = _bunch_kaufman_eigs(ldu, ipiv)
     scale_e = float(np.max(np.abs(eigs), initial=0.0))
     cut = EPS * (n + m) * scale_e
@@ -425,7 +425,7 @@ def solve_kkt(problem):
             "constraints or a singular reduced Hessian); the direct oracle "
             "cannot certify this problem"
         )
-    z, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+    z, _ = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
     if not np.all(np.isfinite(z)):
         raise OracleUnavailableError(
             "the saddle-point system is numerically singular (its solution is not finite)"

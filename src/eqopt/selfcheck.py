@@ -18,13 +18,12 @@ numpy's, its x0 against the minimum-norm solution of the caller's rows
 from dataclasses import replace
 
 import numpy as np
-import scipy.linalg.lapack
 
 from . import objectives
 from .errors import ComputationError, EqoptError, InfeasibleConstraintsError
 from .errors import OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import _QRT_BLOCK, _QRT_MIN_COLS
+from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, lapack
 from .nlp import (
     NewtonConfig,
     estimate_convergence_constants,
@@ -284,9 +283,9 @@ def _kkt_newton(oracle, a, x, config):
     while True:
         kkt[:n, :n] = oracle.hessian(x)
         rhs[:n] = -oracle.gradient(x)
-        ldu, ipiv, info = scipy.linalg.lapack.dsytrf(kkt, lower=1)
+        ldu, ipiv, info = lapack.dsytrf(kkt, lower=1)
         if info == 0:
-            dxw, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+            dxw, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
         if info != 0:
             raise ComputationError(f"the KKT-form Newton system failed (info={info})")
         dx = dxw[:n]

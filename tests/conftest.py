@@ -5,24 +5,27 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 
-# The dense factorizations a solve may call, with the name it is counted under.
+from eqopt.linalg import lapack
+
+# The dense factorizations a solve may call. eqopt looks its LAPACK routines up
+# on ``eqopt.linalg.lapack``, scipy's LAPACK extension module, so they are
+# counted there, under the public name ``scipy.linalg.lapack`` gives them.
 FACTORIZATIONS = [
     (np.linalg, "svd"),
     (np.linalg, "eigh"),
     (np.linalg, "eigvalsh"),
     (scipy.linalg, "svdvals"),
     (scipy.linalg, "qr"),
-    (scipy.linalg.lapack, "dpotrf"),
+    (lapack, "dpotrf"),
     (scipy.linalg, "eigh"),
     (scipy.linalg, "eigvalsh"),
     (scipy.linalg, "lu_factor"),
     (scipy.linalg, "ldl"),
     (scipy.linalg, "solve"),
-    (scipy.linalg.lapack, "dsytrf"),
-    (scipy.linalg.lapack, "dgeqp3"),
-    (scipy.linalg.lapack, "dgeqrt"),
+    (lapack, "dsytrf"),
+    (lapack, "dgeqp3"),
+    (lapack, "dgeqrt"),
 ]
 
 
@@ -31,7 +34,9 @@ def _counted_calls(monkeypatch, routines):
     queries (``lwork=-1``), which compute nothing."""
     calls = []
     for module, attr in routines:
-        def counted(*args, _fn=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
+        prefix = "scipy.linalg.lapack" if module is lapack else module.__name__
+
+        def counted(*args, _fn=getattr(module, attr), _name=f"{prefix}.{attr}", **kwargs):
             if kwargs.get("lwork") != -1:
                 calls.append(_name)
             return _fn(*args, **kwargs)
@@ -55,7 +60,7 @@ def reflector_applications(monkeypatch):
     """Names of the calls that apply a QR's Householder reflectors
     (``dormqr`` after ``dgeqp3``, ``dgemqrt`` after ``dgeqrt``), in order;
     a workspace query is not listed."""
-    routines = [(scipy.linalg.lapack, "dormqr"), (scipy.linalg.lapack, "dgemqrt")]
+    routines = [(lapack, "dormqr"), (lapack, "dgemqrt")]
     return _counted_calls(monkeypatch, routines)
 
 

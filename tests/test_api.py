@@ -1,4 +1,5 @@
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -59,9 +60,11 @@ def _constrained_expression():
 
 def _nlp_problem():
     cons, a, b = _constraints()
-    problem = eqopt.NlpProblem(eqopt.sum_exp(dim=3), cons, "sum_exp", {"dim": 3})
+    rates = np.array([1.0, 2.0, 3.0])
+    problem = eqopt.NlpProblem(eqopt.sum_exp(rates=rates), cons, "sum_exp", {"rates": rates})
     # problem.constraints = None went through
-    return problem, ("constraints", None), [problem.constraints.a], [a, b]
+    return problem, ("constraints", None), [problem.constraints.a,
+                                            problem.objective_params["rates"]], [a, b, rates]
 
 
 def _reduced_objective():
@@ -92,6 +95,10 @@ def test_a_checked_input_cannot_change_after_the_check(case):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, field, value)
     assert getattr(obj, field) is before
+    for value in (getattr(obj, f.name) for f in dataclasses.fields(obj)):
+        if isinstance(value, Mapping):  # objective_params["rates"] = [5.0, 5.0] went through
+            with pytest.raises(TypeError):
+                value[next(iter(value))] = [5.0, 5.0]
     for array in held:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = np.nan

@@ -1,10 +1,16 @@
+import ast
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import eqopt
 from eqopt.errors import ComputationError, InfeasibleConstraintsError
 from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.linalg import (
@@ -14,6 +20,7 @@ from eqopt.linalg import (
     bunch_kaufman_solve,
     cholesky,
     cholesky_solve,
+    lapack,
     overflow_checked,
     pull_back_quadratic,
     quadratic_data,
@@ -292,7 +299,7 @@ _CALLS_INTO = {
 @pytest.mark.parametrize("routine", list(_CALLS_INTO))
 def test_a_failing_routine_is_a_computation_error_naming_it(monkeypatch, routine):
     # LAPACK rejects an argument (info = -1) or eigh does not converge
-    module = np.linalg if routine == "eigh" else scipy.linalg.lapack
+    module = np.linalg if routine == "eigh" else lapack
     real = getattr(module, routine)
 
     def failing(*args, **kwargs):
@@ -327,14 +334,14 @@ def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
     # Every 2x2 block is counted as one eigenvalue of each sign, so each one
     # dsytrf takes must have a negative determinant.
     factors = []
-    dsytrf = scipy.linalg.lapack.dsytrf
+    dsytrf = lapack.dsytrf
 
     def recorded(*args, **kwargs):
         out = dsytrf(*args, **kwargs)
         factors.append(out[:2])
         return out
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
+    monkeypatch.setattr(lapack, "dsytrf", recorded)
     eps = np.finfo(float).eps
     rng = np.random.default_rng(1819)
     accepted = 0
@@ -533,3 +540,81 @@ def test_symmetrizing_halves_first():
     assert np.array_equal(symmetric_part(big), big)
     assert np.array_equal(quadratic_data(big)[0], big)
     assert np.array_equal(pull_back_quadratic(big, np.zeros(2), np.zeros(2), np.eye(2))[0], big)
+
+
+# ---------------------------------------------------------------------------
+# how LAPACK is reached
+
+
+def _dotted(node):
+    """``a.b.c`` for a Name or a chain of Attributes on one, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_no_module_imports_scipy_linalg():
+    # importing the scipy.linalg package doubles the cold start of
+    # `eqopt solve`; every LAPACK routine is reached through linalg.lapack
+    offenders = []
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [_dotted(node) or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            # the extension module itself is named where linalg loads it
+            if any(n.split(".")[:2] == ["scipy", "linalg"] and n != lapack.__name__
+                   for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _run_python(script):
+    src = str(Path(eqopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def test_importing_eqopt_imports_neither_scipy_nor_scipy_linalg():
+    out = _run_python("import sys, eqopt, eqopt.cli\n"
+                      "print(sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
+_IMPORTS = {
+    "eqopt first": "import eqopt\nimport scipy.linalg\n",
+    "scipy.linalg first": "import scipy.linalg\nimport eqopt\n",
+    # scipy's directory not found: eqopt imports the extension the usual way
+    "extension not found": "import importlib.util\n"
+                           "importlib.util.find_spec = lambda *args: None\nimport eqopt\n",
+}
+
+
+@pytest.mark.parametrize("imports", list(_IMPORTS))
+def test_eqopt_and_scipy_linalg_share_one_lapack(imports):
+    # scipy.linalg.lapack re-exports the routines of the extension module
+    # that eqopt loaded, or eqopt takes the one scipy loaded: LAPACK is
+    # initialized once, and both call the same functions
+    out = _run_python(
+        _IMPORTS[imports]
+        + "import sys, numpy as np, eqopt.linalg, scipy.linalg.lapack\n"
+        "handle = eqopt.linalg.lapack\n"
+        "assert handle is sys.modules['scipy.linalg._flapack'], handle\n"
+        "assert scipy.linalg.lapack.dgeqp3 is handle.dgeqp3\n"
+        "a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])\n"
+        "expr = eqopt.build_nullspace(eqopt.EqualityConstraints(a, [1.0, 2.0]))\n"
+        "assert expr.rank == 1 and scipy.linalg.qr(a)[1].shape == (2, 3)\n"
+        "print('shared')"
+    )
+    assert out.strip() == "shared"

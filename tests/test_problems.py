@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -138,15 +139,21 @@ def test_save_rejects_unknown_type(tmp_path):
         save(tmp_path / "bad.json", Fake())
 
 
+def _json_type(value):
+    """The type of a JSON value: any mapping is an object and any list an
+    array (a problem holds its objective params read-only), else its own."""
+    return dict if isinstance(value, Mapping) else list if isinstance(value, list) else type(value)
+
+
 def _same_document(a, b):
     """Equal JSON documents with equal types and bit-identical floats."""
-    if type(a) is not type(b):
+    if _json_type(a) is not _json_type(b):
         return False
     if isinstance(a, float):
         return a.hex() == b.hex()
     if isinstance(a, list):
         return len(a) == len(b) and all(map(_same_document, a, b))
-    if isinstance(a, dict):
+    if isinstance(a, Mapping):
         return list(a) == list(b) and all(_same_document(a[k], b[k]) for k in a)
     return a == b
 
@@ -457,6 +464,14 @@ def test_load_keeps_objective_params_as_written(tmp_path):
         "b": [1.0],
     }
     problem = load(_write(tmp_path / "p.json", doc))
+    assert problem.objective_params == params
+    # and holds it read-only, down to the rows of an array
+    with pytest.raises(TypeError):
+        problem.objective_params["mu"] = 3
+    with pytest.raises(TypeError):
+        problem.objective_params["q"].append([0, 0])
+    with pytest.raises(TypeError):
+        problem.objective_params["q"][0][0] = 5
     assert problem.objective_params == params
     assert_allclose(problem.oracle.value(np.array([0.5, 0.5])), 0.25 - 2.0 * np.log(1.5))
 

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 from eqopt.errors import ComputationError, InfeasibleConstraintsError, OracleUnavailableError
@@ -11,6 +10,7 @@ from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.nlp import ObjectiveOracle, newton_solve, reduce_problem
 from eqopt.objectives import quadratic, sum_exp
 from eqopt import linalg, qp
+from eqopt.linalg import lapack
 from eqopt.problems import _Q_CLASSES, GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 from helpers import full_saddle_solve
@@ -644,14 +644,14 @@ def _inertia_problems():
 
 def test_kkt_inertia_matches_eigenvalue_count(monkeypatch):
     pivots = []
-    dsytrf = scipy.linalg.lapack.dsytrf
+    dsytrf = lapack.dsytrf
 
     def recorded(*args, **kwargs):
         out = dsytrf(*args, **kwargs)
         pivots.append(out[1])
         return out
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
+    monkeypatch.setattr(lapack, "dsytrf", recorded)
     seen = set()
     for problem in _inertia_problems():
         n, m = problem.n, problem.constraints.m
@@ -688,9 +688,9 @@ def test_kkt_refuses_a_non_finite_solution_without_a_warning():
 def test_kkt_refuses_a_solution_whose_residual_is_large(monkeypatch):
     # the inertia is right, but dsytrs's solution is moved off by 1e-3: the
     # residual gate refuses it rather than report a wrong x
-    real = scipy.linalg.lapack.dsytrs
+    real = lapack.dsytrs
     monkeypatch.setattr(
-        scipy.linalg.lapack, "dsytrs", lambda *args, **kwargs: (real(*args, **kwargs)[0] + 1e-3, 0)
+        lapack, "dsytrs", lambda *args, **kwargs: (real(*args, **kwargs)[0] + 1e-3, 0)
     )
     problem = QpProblem(
         np.diag([2.0, 4.0, 6.0]), np.ones(3), EqualityConstraints([[1.0, 1.0, 1.0]], [3.0])
