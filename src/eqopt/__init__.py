@@ -51,7 +51,7 @@ from .objectives import (
     quadratic,
     sum_exp,
 )
-from .problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save
+from .problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save, solve
 from .qp import QpProblem, QpSolution, solve_kkt, solve_nullspace, solve_projector
 
 __version__ = "0.1.0"
@@ -97,6 +97,7 @@ __all__ = [
     "quadratic",
     "reduce_problem",
     "save",
+    "solve",
     "solve_kkt",
     "solve_nullspace",
     "solve_projector",

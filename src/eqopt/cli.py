@@ -5,6 +5,16 @@
 stdout, JSON report on disk), ``eqopt check`` runs the seeded self-check
 suites that :data:`eqopt.selfcheck._SUITES` names.
 
+``solve`` and ``bench`` reach every method through
+:func:`eqopt.problems.solve`, and take their method choices from its
+tables; this module builds the documents and notes and maps errors to
+exit codes. ``solve`` builds one :class:`~eqopt.nlp.NewtonConfig` from
+``--alpha``, ``--beta`` and ``--max-iter`` under every method, so an
+invalid value exits 4 even where it goes unused; ``--tol`` joins it only
+under ``newton`` and ``sqp`` and is the cutoff ``eps`` otherwise. The
+Newton trace is written before the solution, as ``bench`` writes its
+report before its table, so a path that cannot be written prints nothing.
+
 Exit codes: 0 success, 1 self-check violation, 2 infeasible constraints,
 3 non-convergence or numerical failure, 4 input error, 5 start point
 outside the objective's domain.
@@ -19,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import objectives, selfcheck
+from . import selfcheck
 from .errors import (
     ComputationError,
     DivergenceError,
@@ -31,9 +41,9 @@ from .errors import (
     ProblemFormatError,
     UnknownObjectiveError,
 )
-from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
-from .problems import _Q_CLASSES, GeneratorSpec, generate, load, write_json
-from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
+from .nlp import NewtonConfig
+from .problems import _NEWTON_SOLVERS, _Q_CLASSES, _QP_SOLVERS, GeneratorSpec, generate, load
+from .problems import solve, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,14 +53,6 @@ EXIT_INPUT = 4
 EXIT_INFEASIBLE_START = 5
 
 DEFAULT_SIZES = "10:2,10:4,10:8,20:4,20:8,20:16,40:8,40:16,40:32,80:16,80:32,80:64"
-
-_QP_SOLVERS = {
-    "projector": solve_projector,
-    "nullspace": solve_nullspace,
-    "kkt": solve_kkt,
-}
-
-_NEWTON_SOLVERS = {"newton": newton_solve, "sqp": sqp_iterate}
 
 _FAILURE_KINDS = {
     InfeasibleConstraintsError: "infeasible",
@@ -182,44 +184,35 @@ def _trace_doc(trace, method):
 
 def cmd_solve(args):
     problem = load(args.input)
-    if args.method in _QP_SOLVERS:
-        if not isinstance(problem, QpProblem):
-            raise ValueError(
-                f"method {args.method!r} requires a quadratic problem file; "
-                f"use --method newton or sqp for nonlinear objectives"
-            )
-        if args.trace is not None:
-            print("note: --trace is only produced by newton/sqp; ignoring", file=sys.stderr)
-        if args.method == "kkt" and args.tol is not None:
-            print("note: the kkt oracle takes no tolerance; ignoring --tol", file=sys.stderr)
-        tol = {} if args.tol is None or args.method == "kkt" else {"eps": args.tol}
-        sol = _QP_SOLVERS[args.method](problem, **tol)
-        write_json(_qp_solution_doc(sol), args.output)
+    newton = args.method in _NEWTON_SOLVERS
+    # checked under every method, before the constraints are factored; --tol
+    # is Newton's epsilon under newton/sqp and the elimination cutoff eps otherwise
+    epsilon = {"epsilon": args.tol} if newton and args.tol is not None else {}
+    config = NewtonConfig(alpha=args.alpha, beta=args.beta, max_iter=args.max_iter, **epsilon)
+    if not newton and args.trace is not None:
+        print("note: --trace is only produced by newton/sqp; ignoring", file=sys.stderr)
+    if args.method == "kkt" and args.tol is not None:
+        print("note: the kkt oracle takes no tolerance; ignoring --tol", file=sys.stderr)
+    eps = {"eps": args.tol} if not newton and args.tol is not None else {}
+    result = solve(problem, args.method, config=config, **eps)
+    if not newton:
+        write_json(_qp_solution_doc(result), args.output)
         return EXIT_OK
-
-    # checked before the constraints are factored, the same for both methods
-    tol = {} if args.tol is None else {"epsilon": args.tol}
-    config = NewtonConfig(alpha=args.alpha, beta=args.beta, max_iter=args.max_iter, **tol)
-    if isinstance(problem, QpProblem):
-        oracle = objectives._checked_quadratic(problem.q, problem.c)
-    else:
-        oracle = problem.oracle
-    trace = _NEWTON_SOLVERS[args.method](reduce_problem(oracle, problem.constraints), config)
+    if args.trace is not None:  # first, so an unwritable path prints no solution
+        write_json(_trace_doc(result, args.method), args.trace)
     doc = {
         "formatVersion": 1,
         "method": args.method,
-        "converged": trace.converged,
-        "iterations": len(trace.iterations),
-        "x": trace.final_x,
-        "objective": trace.final_h,
-        "constraintResidual": problem.constraints.residual(trace.final_x),
-        "gradNorm": trace.final_grad_norm,
-        "decrementSq": trace.final_decrement_sq,
+        "converged": result.converged,
+        "iterations": len(result.iterations),
+        "x": result.final_x,
+        "objective": result.final_h,
+        "constraintResidual": problem.constraints.residual(result.final_x),
+        "gradNorm": result.final_grad_norm,
+        "decrementSq": result.final_decrement_sq,
     }
     write_json(doc, args.output)
-    if args.trace is not None:
-        write_json(_trace_doc(trace, args.method), args.trace)
-    if not trace.converged:
+    if not result.converged:
         print(
             f"error: {args.method} did not converge within {args.max_iter} iterations",
             file=sys.stderr,
@@ -338,7 +331,7 @@ def cmd_bench(args):
         warm = generate(GeneratorSpec(n=n, m=m, seed=int(master.integers(2**63)), q_class=args.q_class))
         for name in methods:
             try:
-                _QP_SOLVERS[name](warm)
+                solve(warm, name)
             except tuple(_FAILURE_KINDS):
                 pass
         for _ in range(args.trials):
@@ -348,7 +341,7 @@ def cmd_bench(args):
             for name in methods:
                 t0 = time.perf_counter()
                 try:
-                    sol = _QP_SOLVERS[name](problem)
+                    sol = solve(problem, name)
                 except tuple(_FAILURE_KINDS) as exc:
                     kind = _FAILURE_KINDS[type(exc)]
                     failures[name][kind] = failures[name].get(kind, 0) + 1

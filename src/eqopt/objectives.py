@@ -159,7 +159,8 @@ def _neg_log(mu):
 def _checked_quadratic(q, c):
     """:func:`quadratic` of a Q and c already checked, Q symmetric, as
     :func:`~eqopt.linalg.quadratic_data` returns them (and
-    :class:`~eqopt.qp.QpProblem` holds them): nothing is checked or copied."""
+    :class:`~eqopt.qp.QpProblem` holds them): nothing is checked or copied.
+    Outside this module only :attr:`~eqopt.qp.QpProblem.oracle` calls it."""
     # C has no rows, so phi adds nothing
     return _composite(_SUM_EXP, np.zeros((0, q.shape[0])), np.zeros(0), (q, c, 0.0))
 

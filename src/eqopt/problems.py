@@ -1,4 +1,12 @@
-"""Problem files and seeded random problem generation.
+"""Problem files, seeded random problem generation, and the one front door
+for solving.
+
+:func:`solve` runs a problem by method name: it is the one place that
+decides which routine runs for which method and problem kind. The names
+are stated once, in :data:`_QP_SOLVERS` and :data:`_NEWTON_SOLVERS`, and
+``eqopt solve``, ``eqopt bench`` and the self-checks that pick a method
+by name all go through it. Both problem kinds carry an ``oracle`` and
+their ``constraints``, so Newton runs the same way on either.
 
 The on-disk format is JSON with a fixed top level: ``formatVersion``
 (currently 1), ``kind`` (``"qp"`` or ``"nlp"``), the dimensions ``n``
@@ -49,9 +57,10 @@ import orjson
 
 from .errors import ProblemParseError, ProblemSchemaError
 from .expressions import EqualityConstraints
-from .linalg import frozen_copy
+from .linalg import EPS, frozen_copy
+from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
 from .objectives import objective_registry
-from .qp import QpProblem
+from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 FORMAT_VERSION = 1
 
@@ -64,6 +73,11 @@ FORMAT_VERSION = 1
 ORJSON_MAX_BRACKETS = 4096
 
 _Q_CLASSES = ("spd", "symmetric_indefinite")
+
+# The one statement of the methods :func:`solve` dispatches by name;
+# ``eqopt solve`` and ``eqopt bench`` take their choices from here.
+_QP_SOLVERS = {"projector": solve_projector, "nullspace": solve_nullspace, "kkt": solve_kkt}
+_NEWTON_SOLVERS = {"newton": newton_solve, "sqp": sqp_iterate}
 
 
 def _refuse(self, *args, **kwargs):
@@ -326,6 +340,32 @@ def load(path):
         objective_name=name,
         objective_params=params,
     )
+
+
+def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):
+    """Solve ``problem`` by ``method``, a key of :data:`_QP_SOLVERS` or
+    :data:`_NEWTON_SOLVERS`.
+
+    A QP method takes a :class:`~eqopt.qp.QpProblem` and returns its
+    :class:`~eqopt.qp.QpSolution`; ``projector`` and ``nullspace`` take
+    ``eps``, and the ``kkt`` oracle takes neither ``eps`` nor ``config``.
+    ``newton`` and ``sqp`` take either kind of problem: they restrict its
+    ``oracle`` to its ``constraints`` (:func:`~eqopt.nlp.reduce_problem`)
+    and return the :class:`~eqopt.nlp.NewtonTrace` of the run under
+    ``config``. An unknown method, or a QP method on an
+    :class:`NlpProblem`, raises ValueError.
+    """
+    if method in _NEWTON_SOLVERS:
+        return _NEWTON_SOLVERS[method](reduce_problem(problem.oracle, problem.constraints), config)
+    if method not in _QP_SOLVERS:
+        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(problem, QpProblem):
+        raise ValueError(
+            f"method {method!r} requires a quadratic problem file; "
+            f"use --method newton or sqp for nonlinear objectives"
+        )
+    solver = _QP_SOLVERS[method]
+    return solver(problem) if method == "kkt" else solver(problem, eps)
 
 
 def _jsonable(value):

@@ -55,6 +55,7 @@ from .expressions import EqualityConstraints, build_nullspace
 from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve, frozen_copy
 from .linalg import lapack, overflow_checked, pull_back_quadratic, quadratic_data
 from .linalg import symmetric_solve
+from .objectives import _checked_quadratic
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,13 @@ class QpProblem:
     @property
     def n(self):
         return self.q.shape[0]
+
+    @property
+    def oracle(self):
+        """The objective as an :class:`~eqopt.nlp.ObjectiveOracle`, built
+        from the checked Q and c, as :class:`~eqopt.problems.NlpProblem`
+        holds its own; Newton on a QP runs on it."""
+        return _checked_quadratic(self.q, self.c)
 
     @overflow_checked
     def objective_value(self, x):

@@ -13,6 +13,10 @@ The invariants ``rrqr_rank`` and ``null_basis`` read the expression that
 :func:`~eqopt.expressions.build_nullspace` returns: its rank against
 numpy's, its x0 against the minimum-norm solution of the caller's rows
 ``A[selected] x = b[selected]``, its verdict on a perturbed b, and its N.
+A check that picks a method by name (``redundant_rows``) calls
+:func:`~eqopt.problems.solve`, and Newton on a QP runs on its
+:attr:`~eqopt.qp.QpProblem.oracle`, so the checks exercise the dispatch
+``eqopt solve`` uses; the checks that compare routes call them directly.
 """
 
 from dataclasses import replace
@@ -33,7 +37,7 @@ from .nlp import (
     sqp_iterate,
     suboptimality_bound,
 )
-from .problems import GeneratorSpec, generate
+from .problems import GeneratorSpec, generate, solve
 from .qp import solve_kkt, solve_nullspace, solve_projector
 
 
@@ -89,8 +93,7 @@ def _reduced_qp(rng, n_hi):
     and its reduced objective."""
     spec = _random_spec(rng, 2, n_hi)
     problem = generate(spec)
-    oracle = objectives._checked_quadratic(problem.q, problem.c)
-    return spec, problem, reduce_problem(oracle, problem.constraints)
+    return spec, problem, reduce_problem(problem.oracle, problem.constraints)
 
 
 def _rrqr_rank_trial(rng, n, m, r):
@@ -246,15 +249,11 @@ def _check_indefinite_agreement(rng):
 def _check_redundant_rows(rng):
     spec = _random_spec(rng, 3, 40)
     base = generate(spec)
-    x_proj = solve_projector(base).x
-    x_null = solve_nullspace(base).x
+    refs = {name: solve(base, name).x for name in ("projector", "nullspace")}
     for k in (1, 2, 4):
         padded = generate(replace(spec, rank_deficiency=k))
-        for name, solver, ref in (
-            ("projector", solve_projector, x_proj),
-            ("nullspace", solve_nullspace, x_null),
-        ):
-            gap = float(np.max(np.abs(solver(padded).x - ref)))
+        for name, ref in refs.items():
+            gap = float(np.max(np.abs(solve(padded, name).x - ref)))
             if gap > 1e-9 * (1.0 + float(np.max(np.abs(ref)))):
                 return {"n": spec.n, "m": spec.m, "extraRows": k, "method": name, "gap": gap}
     return None

@@ -272,17 +272,30 @@ def test_solve_checks_newton_settings_before_the_constraints(
     tmp_path, capsys, flag, value, message
 ):
     # neither an inconsistent nor a single-point feasible set may hide an
-    # invalid setting, and sqp checks the backtracking settings it leaves unused
-    paths = [
+    # invalid setting; sqp checks the backtracking settings it leaves unused,
+    # and the QP methods check alpha, beta and max_iter, which they all leave
+    # unused (--tol is their own cutoff there)
+    qp_paths = [
         _qp_file(tmp_path, "inconsistent.json", m=2, A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0]),
         _qp_file(tmp_path, "point.json", n=1, Q=[[2.0]], c=[0.0], A=[[1.0]], b=[1.0]),
-        _lse_file(tmp_path),
     ]
-    for path in paths:
-        for method in cli._NEWTON_SOLVERS:
+    for path in [*qp_paths, _lse_file(tmp_path)]:
+        methods = [*problems._NEWTON_SOLVERS]
+        if path in qp_paths and flag != "--tol":
+            methods += problems._QP_SOLVERS
+        for method in methods:
             code = cli.main(["solve", "--input", path, "--method", method, flag, value])
             assert code == 4, (path, method)
             assert f"error: {message}" in capsys.readouterr().err, (path, method)
+
+
+def test_solve_writes_no_solution_when_the_trace_cannot_be_written(tmp_path, capsys):
+    # the trace is written first, so an unwritable path leaves stdout empty
+    argv = ["solve", "--input", _lse_file(tmp_path), "--method", "newton"]
+    assert cli.main(argv + ["--trace", str(tmp_path / "missing" / "trace.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "trace.json" in captured.err
 
 
 def test_solve_kkt_notes_that_it_ignores_tol(tmp_path, capsys):
@@ -944,7 +957,7 @@ def test_bench_counts_the_failures_of_a_method(tmp_path, capsys, monkeypatch):
     def refuse(problem, eps=None):
         raise OracleUnavailableError("refused")
 
-    monkeypatch.setitem(cli._QP_SOLVERS, "kkt", refuse)
+    monkeypatch.setitem(problems._QP_SOLVERS, "kkt", refuse)
     report_path = tmp_path / "report.json"
     argv = ["bench", "--sizes", "6:2", "--trials", "3", "--methods", "projector,kkt"]
     assert cli.main(argv + ["--output", str(report_path)]) == 0
@@ -1078,8 +1091,8 @@ def test_check_suite_choices_come_from_the_registry():
 
 
 def test_method_and_class_choices_come_from_their_registries():
-    assert _option("solve", "method").choices == [*cli._QP_SOLVERS, *cli._NEWTON_SOLVERS]
-    assert _option("bench", "methods").default == ",".join(cli._QP_SOLVERS)
+    assert _option("solve", "method").choices == [*problems._QP_SOLVERS, *problems._NEWTON_SOLVERS]
+    assert _option("bench", "methods").default == ",".join(problems._QP_SOLVERS)
     assert _option("bench", "q_class").choices == problems._Q_CLASSES
 
 
@@ -1112,8 +1125,10 @@ _BROKEN_CALLS = {
     "indefinite_agreement": ("solve_nullspace", _edited(classification=lambda c: "point")),
     # x moves with the number of rows, duplicated ones included
     "redundant_rows": (
-        "solve_projector",
-        lambda real: lambda p: replace(real(p), x=real(p).x + p.constraints.m),
+        "solve",
+        lambda real: lambda p, method: replace(
+            real(p, method), x=real(p, method).x + p.constraints.m
+        ),
     ),
     "newton_agreement": ("newton_solve", _edited(final_x=lambda x: x + 1.0)),
     "quadratic_one_step": ("newton_solve", _edited(converged=lambda c: False)),

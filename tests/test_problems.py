@@ -1,4 +1,5 @@
-"""Problem file round-trips, schema errors, and the random generator."""
+"""Problem file round-trips, schema errors, the random generator, and
+:func:`~eqopt.problems.solve`, the one dispatch by method."""
 
 import ast
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +16,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import eqopt
-from eqopt import problems
+from eqopt import objectives, problems
 from eqopt.errors import (
     ProblemParseError,
     ProblemSchemaError,
     UnknownObjectiveError,
 )
 from eqopt.expressions import EqualityConstraints
+from eqopt.nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
 from eqopt.objectives import objective_registry
-from eqopt.problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save
-from eqopt.qp import QpProblem, solve_nullspace
+from eqopt.problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save, solve
+from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 
 def _write(path, doc):
@@ -605,3 +608,133 @@ def test_only_the_linalg_module_silences_numpy():
 def test_the_writer_refuses_what_json_cannot_hold(tmp_path):
     with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
         problems.write_json({"x": object()}, tmp_path / "doc.json")
+
+
+# ---------------------------------------------------------------------------
+# solve: the one dispatch by method
+
+
+def _same(a, b):
+    """Whether two results hold the same values bit for bit, field by field."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+def _lse_problem():
+    """``min log_sum_exp(C x)`` on ``x1 + x2 + x3 = 1``, with a minimum."""
+    params = {"a": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]]}
+    oracle = objective_registry("log_sum_exp", params)
+    return NlpProblem(oracle, EqualityConstraints([[1.0, 1.0, 1.0]], [1.0]), "log_sum_exp", params)
+
+
+# each method called directly: the QP routes themselves, and Newton on the
+# oracle given (for a QP, the quadratic the public builder makes of Q and c)
+_DIRECT = {
+    "projector": solve_projector,
+    "nullspace": solve_nullspace,
+    "kkt": solve_kkt,
+    "newton": lambda p, oracle: newton_solve(reduce_problem(oracle, p.constraints)),
+    "sqp": lambda p, oracle: sqp_iterate(reduce_problem(oracle, p.constraints)),
+}
+
+
+@pytest.mark.parametrize("method", [*problems._QP_SOLVERS, *problems._NEWTON_SOLVERS])
+def test_solve_returns_what_the_method_returns(method):
+    spd = generate(GeneratorSpec(n=12, m=5, seed=3))
+    indefinite = generate(GeneratorSpec(n=12, m=5, seed=4, q_class="symmetric_indefinite"))
+    if method in problems._QP_SOLVERS:
+        for problem in (spd, indefinite):
+            assert _same(solve(problem, method), _DIRECT[method](problem)), method
+        return
+    lse = _lse_problem()
+    assert _same(solve(lse, method), _DIRECT[method](lse, lse.oracle))
+    direct = _DIRECT[method](spd, objectives.quadratic(spd.q, spd.c))
+    assert direct.converged and _same(solve(spd, method), direct)
+
+
+def test_solve_passes_eps_to_the_eliminations_and_neither_setting_to_kkt(monkeypatch):
+    calls = []
+
+    def recorder(name):
+        return lambda *args: calls.append((name, args))
+
+    for name in problems._QP_SOLVERS:
+        monkeypatch.setitem(problems._QP_SOLVERS, name, recorder(name))
+    problem = generate(GeneratorSpec(n=4, m=2))
+    for name in problems._QP_SOLVERS:
+        solve(problem, name, eps=1e-6, config=NewtonConfig(max_iter=1))
+    assert calls == [
+        ("projector", (problem, 1e-6)),
+        ("nullspace", (problem, 1e-6)),
+        ("kkt", (problem,)),
+    ]
+    # and it is the cutoff the method reads: 1e-6 drops a row 1e-9 off another
+    monkeypatch.undo()
+    rows = EqualityConstraints([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]], [1.0, 1.0])
+    near = QpProblem(np.eye(3), np.ones(3), rows)
+    for name in ("projector", "nullspace"):
+        coarse = solve(near, name, eps=1e-6)
+        assert _same(coarse, _DIRECT[name](near, 1e-6))
+        assert not _same(coarse, solve(near, name))
+
+
+def test_solve_runs_newton_under_the_config():
+    for problem in (generate(GeneratorSpec(n=6, m=2, seed=1)), _lse_problem()):
+        for method in problems._NEWTON_SOLVERS:
+            g0 = np.full(problem.constraints.n - problem.constraints.m, 0.5)
+            trace = solve(problem, method, config=NewtonConfig(max_iter=1, g0=g0))
+            assert len(trace.iterations) == 1, method
+            assert_array_equal(trace.iterations[0].g, g0)
+
+
+def test_solve_refuses_an_unknown_method_and_a_qp_method_on_a_nonlinear_problem():
+    with pytest.raises(ValueError, match="unknown method 'simplex'"):
+        solve(generate(GeneratorSpec(n=3, m=1)), "simplex")
+    for method in problems._QP_SOLVERS:
+        with pytest.raises(ValueError, match=f"method '{method}' requires a quadratic problem"):
+            solve(_lse_problem(), method)
+
+
+def test_the_oracle_of_a_qp_is_its_quadratic():
+    problem = generate(GeneratorSpec(n=6, m=2, seed=1, q_class="symmetric_indefinite"))
+    oracle, ref = problem.oracle, objectives.quadratic(problem.q, problem.c)
+    assert oracle.dim == ref.dim == 6
+    for x in np.random.default_rng(0).uniform(-2, 2, (3, 6)):
+        assert oracle.value(x) == ref.value(x)
+        assert_array_equal(oracle.gradient(x), ref.gradient(x))
+        assert_array_equal(oracle.hessian(x), ref.hessian(x))
+
+
+def _referenced_names(path):
+    """``(line, name)`` for every name, attribute, imported name and part of
+    an imported module's path in the module at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        yield from ((node.lineno, name) for name in names if name)
+
+
+def test_the_cli_reaches_the_solvers_only_through_solve():
+    # which routine runs for which method and problem kind is decided once,
+    # in problems.solve: cli names no solver and no objective builder, and
+    # only objectives and QpProblem.oracle (in qp) build the quadratic of a
+    # Q and c checked already
+    solvers = {"solve_projector", "solve_nullspace", "solve_kkt", "newton_solve", "sqp_iterate",
+               "reduce_problem", "objectives"}
+    package = Path(eqopt.__file__).parent
+    offenders = [f"cli.py:{line} names {name}"
+                 for line, name in _referenced_names(package / "cli.py") if name in solvers]
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("objectives.py", "qp.py"):
+            offenders += [f"{path.name}:{line} names _checked_quadratic"
+                          for line, name in _referenced_names(path) if name == "_checked_quadratic"]
+    assert offenders == []
