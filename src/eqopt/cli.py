@@ -14,18 +14,24 @@ invalid value exits 4 even where it goes unused; ``--tol`` joins it only
 under ``newton`` and ``sqp`` and is the cutoff ``eps`` otherwise. The
 Newton trace is written before the solution, as ``bench`` writes its
 report before its table, so a path that cannot be written prints nothing.
+A warning about the problem file (an asymmetric Q) is printed as one
+``warning:`` line, under any warning filter.
 
 Exit codes: 0 success, 1 self-check violation, 2 infeasible constraints,
 3 non-convergence or numerical failure, 4 input error, 5 start point
-outside the objective's domain.
+outside the objective's domain. The code and the ``eqopt bench`` failure
+kind of each error a solve raises are stated once, in :data:`_FAILURES`;
+every other error :func:`main` catches is an input error.
 """
 
 import argparse
+import contextlib
 import ctypes
 import os
 import platform
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -54,14 +60,25 @@ EXIT_INFEASIBLE_START = 5
 
 DEFAULT_SIZES = "10:2,10:4,10:8,20:4,20:8,20:16,40:8,40:16,40:32,80:16,80:32,80:64"
 
-_FAILURE_KINDS = {
-    InfeasibleConstraintsError: "infeasible",
-    NonConvexError: "non_convex",
-    DivergenceError: "non_converged",
-    LineSearchError: "non_converged",
-    OracleUnavailableError: "ill_conditioned",
-    ComputationError: "ill_conditioned",
+# The failure contract, stated once: each error a solve raises, with the
+# exit code ``eqopt solve`` returns for it and the kind ``eqopt bench``
+# counts it under. No QP method raises InfeasibleStartError.
+_FAILURES = {
+    InfeasibleConstraintsError: (EXIT_INFEASIBLE, "infeasible"),
+    InfeasibleStartError: (EXIT_INFEASIBLE_START, "infeasible_start"),
+    NonConvexError: (EXIT_NO_CONVERGENCE, "non_convex"),
+    DivergenceError: (EXIT_NO_CONVERGENCE, "non_converged"),
+    LineSearchError: (EXIT_NO_CONVERGENCE, "non_converged"),
+    OracleUnavailableError: (EXIT_NO_CONVERGENCE, "ill_conditioned"),
+    ComputationError: (EXIT_NO_CONVERGENCE, "ill_conditioned"),
 }
+
+
+def _failure(exc):
+    """``exc``'s (exit code, bench kind), matched as ``except`` matches: by
+    ``isinstance``, in table order; any other error is an input error."""
+    pairs = (pair for error, pair in _FAILURES.items() if isinstance(exc, error))
+    return next(pairs, (EXIT_INPUT, None))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,7 +200,12 @@ def _trace_doc(trace, method):
 
 
 def cmd_solve(args):
-    problem = load(args.input)
+    # load's warning is about the user's file: one line, no source location, under any filter
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        problem = load(args.input)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     newton = args.method in _NEWTON_SOLVERS
     # checked under every method, before the constraints are factored; --tol
     # is Newton's epsilon under newton/sqp and the elimination cutoff eps otherwise
@@ -330,10 +352,8 @@ def cmd_bench(args):
         # one untimed warmup per size so first-call overhead stays out of means
         warm = generate(GeneratorSpec(n=n, m=m, seed=int(master.integers(2**63)), q_class=args.q_class))
         for name in methods:
-            try:
+            with contextlib.suppress(*_FAILURES):
                 solve(warm, name)
-            except tuple(_FAILURE_KINDS):
-                pass
         for _ in range(args.trials):
             seed_t = int(master.integers(2**63))
             problem = generate(GeneratorSpec(n=n, m=m, seed=seed_t, q_class=args.q_class))
@@ -342,8 +362,8 @@ def cmd_bench(args):
                 t0 = time.perf_counter()
                 try:
                     sol = solve(problem, name)
-                except tuple(_FAILURE_KINDS) as exc:
-                    kind = _FAILURE_KINDS[type(exc)]
+                except tuple(_FAILURES) as exc:
+                    kind = _failure(exc)[1]
                     failures[name][kind] = failures[name].get(kind, 0) + 1
                     continue
                 times[name].append(time.perf_counter() - t0)
@@ -431,22 +451,12 @@ def cmd_check(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleConstraintsError as exc:
+    except (*_FAILURES, ProblemFormatError, UnknownObjectiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InfeasibleStartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_START
-    except tuple(_FAILURE_KINDS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ProblemFormatError, UnknownObjectiveError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _failure(exc)[0]
 
 
 def run():

@@ -78,8 +78,10 @@ class ObjectiveOracle:
     derivatives : callable, optional
         ``x -> (gradient, hessian)`` at one point, the one evaluation a
         Newton step makes. It must return what the two callbacks return.
-        When omitted, it calls ``gradient`` and then ``hessian``; every
-        registry objective supplies one that shares their common work.
+        When omitted, it calls ``gradient`` and then ``hessian``. Every
+        registry objective supplies one that shares their common work,
+        except the full-space :func:`~eqopt.objectives.sum_exp`, which is
+        separable and uses the default; its pull-back supplies one.
     """
 
     def __init__(self, dim, value, gradient, hessian=None, pullback=None, derivatives=None):

@@ -12,6 +12,9 @@ gradient and Hessian:
 
 * :func:`quadratic` has no rows in C;
 * :func:`log_sum_exp` and :func:`sum_exp` have no quadratic part;
+  ``sum_exp``'s full-space oracle is separable and written out in its
+  builder (C = diag(r) is never stored), with the default
+  ``derivatives``; its pull-back is a :func:`_composite`;
 * :func:`neg_log_barrier_quadratic` is ``phi(z) = -mu sum_i log(-z_i)`` on
   ``z = barrier_a x - barrier_b`` plus its quadratic.
 

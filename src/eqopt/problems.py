@@ -124,7 +124,9 @@ class NlpProblem:
     """A named registry objective under linear equality constraints; its
     fields cannot be reassigned, as those of :class:`~eqopt.qp.QpProblem`,
     and ``objective_params`` is held read-only (:func:`_read_only`), so the
-    params :func:`save` writes stay those the oracle was built from."""
+    params :func:`save` writes stay those the oracle was built from. An
+    oracle whose dimension is not the constraints' ``n`` raises ValueError,
+    as a mismatched Q does in :class:`~eqopt.qp.QpProblem`."""
 
     oracle: object  # ObjectiveOracle
     constraints: EqualityConstraints
@@ -132,6 +134,10 @@ class NlpProblem:
     objective_params: dict
 
     def __post_init__(self):
+        if self.oracle.dim != self.constraints.n:
+            raise ValueError(
+                f"objective dimension {self.oracle.dim} does not match n={self.constraints.n}"
+            )
         object.__setattr__(self, "objective_params", _read_only(self.objective_params))
 
 
@@ -203,11 +209,12 @@ def _array_field(doc, field, shape, where):
     return out
 
 
-def _schema_checked(make, where, *arrays):
-    """``make(*arrays)``, the type that checks them, with its ValueError (a
-    non-finite entry) raised as a ProblemSchemaError naming the file."""
+def _schema_checked(make, where, *fields):
+    """``make(*fields)``, the type that checks them, with its ValueError (a
+    non-finite entry, an objective whose dimension is not n) raised as a
+    ProblemSchemaError naming the file."""
     try:
-        return make(*arrays)
+        return make(*fields)
     except ValueError as exc:
         raise ProblemSchemaError(f"{where}: {exc}") from None
 
@@ -330,16 +337,7 @@ def load(path):
         oracle = objective_registry(name, _objective_params(params, name, n, where))
     except (TypeError, ValueError, OverflowError) as exc:  # e.g. an unknown keyword
         raise ProblemSchemaError(f"{where}: objective {name!r} params: {exc}") from None
-    if oracle.dim != n:
-        raise ProblemSchemaError(
-            f"{where}: objective dimension {oracle.dim} does not match n={n}"
-        )
-    return NlpProblem(
-        oracle=oracle,
-        constraints=constraints,
-        objective_name=name,
-        objective_params=params,
-    )
+    return _schema_checked(NlpProblem, where, oracle, constraints, name, params)
 
 
 def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):
@@ -361,8 +359,8 @@ def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(problem, QpProblem):
         raise ValueError(
-            f"method {method!r} requires a quadratic problem file; "
-            f"use --method newton or sqp for nonlinear objectives"
+            f"method {method!r} requires a quadratic problem; "
+            f"only {' and '.join(_NEWTON_SOLVERS)} take an NlpProblem"
         )
     solver = _QP_SOLVERS[method]
     return solver(problem) if method == "kkt" else solver(problem, eps)

@@ -25,7 +25,7 @@ from eqopt.nlp import (
 )
 from eqopt.objectives import objective_names, objective_registry
 from eqopt.problems import GeneratorSpec, generate
-from eqopt.selfcheck import _rel_gap
+from eqopt.selfcheck import _random_lse_instance, _random_sum_exp_instance, _rel_gap
 from eqopt.qp import solve_kkt, solve_nullspace, solve_projector
 
 ALL_QP_SOLVERS = (solve_projector, solve_nullspace, solve_kkt)
@@ -151,31 +151,13 @@ def test_criterion_05_newton_single_full_step_on_quadratics():
     print("PASS criterion 5: quadratics solved in one full Newton step")
 
 
-def _lse_instance(rng, n, m):
-    # wide row set and small right-hand side keep the reduced Hessian
-    # uniformly positive definite over the iterates (see cli self-checks)
-    oracle = objectives.log_sum_exp(rng.uniform(-1, 1, (4 * n, n)))
-    a = rng.uniform(-1, 1, (m, n))
-    b = rng.uniform(-0.3, 0.3, m)
-    return oracle, EqualityConstraints(a, b)
-
-
-def _sum_exp_instance(rng, n, m):
-    oracle = objectives.sum_exp(dim=n)
-    a = rng.uniform(-1, 1, (m, n))
-    a[0, :] = 1.0  # fixing sum(x) makes the objective coercive on the subspace
-    b = rng.uniform(-1, 1, m)
-    b[0] = rng.uniform(-0.3, 0.3) * n
-    return oracle, EqualityConstraints(a, b)
-
-
 def test_criterion_06_quadratic_convergence_with_sampled_constants():
     rng = np.random.default_rng(1006)
     damped_seen = 0
     for trial in range(50):
         n = int(rng.integers(4, 31))
         m = int(rng.integers(1, min(n - 1, 10) + 1))
-        family = _lse_instance if trial % 2 == 0 else _sum_exp_instance
+        family = _random_lse_instance if trial % 2 == 0 else _random_sum_exp_instance
         oracle, constraints = family(rng, n, m)
         reduced = reduce_problem(oracle, constraints)
         config = NewtonConfig(max_iter=200, g0=rng.uniform(-1.5, 1.5, reduced.free_dim))

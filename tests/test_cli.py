@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from eqopt import cli, expressions, objectives, problems, qp, selfcheck
-from eqopt.errors import InfeasibleStartError, OracleUnavailableError
+from eqopt.errors import (
+    ComputationError,
+    DivergenceError,
+    InfeasibleConstraintsError,
+    InfeasibleStartError,
+    LineSearchError,
+    NonConvexError,
+    OracleUnavailableError,
+)
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonTrace
 
@@ -673,6 +681,53 @@ def test_solve_sweep_keeps_the_exit_code_and_output_contract(tmp_path):
             assert ends[0] == ends[1], (draw, method)
 
 
+# Each error a solve raises, with its exit code and its bench kind, as the
+# README's exit codes and bench failure kinds state them: 2 (`infeasible`)
+# infeasible constraints, 3 (`non_convex`, `non_converged`,
+# `ill_conditioned`) non-convergence or numerical failure, 5
+# (`infeasible_start`) a start point outside the objective's domain.
+_SOLVE_FAILURES = [
+    (InfeasibleConstraintsError, 2, "infeasible"),
+    (InfeasibleStartError, 5, "infeasible_start"),
+    (NonConvexError, 3, "non_convex"),
+    (DivergenceError, 3, "non_converged"),
+    (LineSearchError, 3, "non_converged"),
+    (OracleUnavailableError, 3, "ill_conditioned"),
+    (ComputationError, 3, "ill_conditioned"),
+]
+
+
+@pytest.mark.parametrize(("error", "code"), [case[:2] for case in _SOLVE_FAILURES])
+def test_solve_exits_with_the_code_of_each_solve_error(tmp_path, capsys, monkeypatch, error, code):
+    def refuse(problem):
+        raise error(f"refused by {error.__name__}")
+
+    monkeypatch.setitem(problems._QP_SOLVERS, "kkt", refuse)
+    out = tmp_path / "solution.json"
+    argv = ["solve", "--input", _qp_file(tmp_path), "--method", "kkt", "--output", str(out)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: refused by {error.__name__}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_solve_shows_a_file_warning_as_one_line(tmp_path, capsys, action):
+    # the note on an asymmetric Q names the file, not a line of eqopt, and
+    # does not turn into an error under -W error
+    path = _qp_file(tmp_path, Q=[[1.0, 2.0], [0.0, 1.0]])
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter(action)
+        assert cli.main(["solve", "--input", path]) == 0
+    assert escaped == []
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"warning: {path}: Q is not symmetric (max asymmetry 2.000e+00); using (Q + Q^T)/2\n"
+    )
+    assert "cli.py" not in captured.err
+    assert json.loads(captured.out)["classification"] == "min"
+
+
 def test_solve_newton_with_trace(tmp_path):
     out = tmp_path / "sol.json"
     trace_path = tmp_path / "trace.json"
@@ -954,21 +1009,23 @@ def test_bench_bad_method_exit_4(tmp_path, capsys):
 
 
 def test_bench_counts_the_failures_of_a_method(tmp_path, capsys, monkeypatch):
-    def refuse(problem, eps=None):
-        raise OracleUnavailableError("refused")
+    for error, _, kind in _SOLVE_FAILURES:
 
-    monkeypatch.setitem(problems._QP_SOLVERS, "kkt", refuse)
-    report_path = tmp_path / "report.json"
-    argv = ["bench", "--sizes", "6:2", "--trials", "3", "--methods", "projector,kkt"]
-    assert cli.main(argv + ["--output", str(report_path)]) == 0
-    rows = {row["method"]: row for row in json.loads(report_path.read_text())["rows"]}
-    assert rows["kkt"]["solved"] == 0
-    assert rows["kkt"]["failures"] == {"ill_conditioned": 3}
-    assert rows["kkt"]["meanTimeMs"] is None and rows["kkt"]["medianTimeMs"] is None
-    assert rows["projector"]["solved"] == 3 and rows["projector"]["failures"] == {}
-    line = next(ln for ln in capsys.readouterr().out.splitlines() if " kkt " in ln)
-    assert line.split()[5:8] == ["-", "-", "-"]  # mean, median and ratio
-    assert line.endswith("ill_conditioned:3")
+        def refuse(problem, eps=None, error=error):
+            raise error("refused")
+
+        monkeypatch.setitem(problems._QP_SOLVERS, "kkt", refuse)
+        report_path = tmp_path / "report.json"
+        argv = ["bench", "--sizes", "6:2", "--trials", "3", "--methods", "projector,kkt"]
+        assert cli.main(argv + ["--output", str(report_path)]) == 0, error
+        rows = {row["method"]: row for row in json.loads(report_path.read_text())["rows"]}
+        assert rows["kkt"]["solved"] == 0
+        assert rows["kkt"]["failures"] == {kind: 3}, error
+        assert rows["kkt"]["meanTimeMs"] is None and rows["kkt"]["medianTimeMs"] is None
+        assert rows["projector"]["solved"] == 3 and rows["projector"]["failures"] == {}
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if " kkt " in ln)
+        assert line.split()[5:8] == ["-", "-", "-"]  # mean, median and ratio
+        assert line.endswith(f"{kind}:3"), error
 
 
 # ---------------------------------------------------------------------------

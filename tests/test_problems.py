@@ -2,8 +2,10 @@
 :func:`~eqopt.problems.solve`, the one dispatch by method."""
 
 import ast
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections.abc import Mapping
@@ -391,6 +393,7 @@ def test_load_objective_dimension_mismatch(tmp_path):
             {"name": "log_sum_exp", "params": {"a": [[1.0, 0.0, 0.0, 1.0]]}},
             "objective dimension 4 does not match n=3",
         ),
+        ({"name": "sum_exp", "params": {"rates": [1.0, 2.0]}}, "dimension 2 does not match n=3"),
     ):
         doc = {
             "formatVersion": FORMAT_VERSION,
@@ -401,8 +404,20 @@ def test_load_objective_dimension_mismatch(tmp_path):
             "A": [[1.0, 1.0, 1.0]],
             "b": [1.0],
         }
-        with pytest.raises(ProblemSchemaError, match=message):
-            load(_write(tmp_path / "p.json", doc))
+        path = _write(tmp_path / "p.json", doc)
+        with pytest.raises(ProblemSchemaError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_a_nonlinear_problem_refuses_an_objective_of_another_dimension(tmp_path):
+    # so save cannot write a file that load refuses
+    constraints = EqualityConstraints([[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError, match=r"^objective dimension 3 does not match n=2$"):
+        NlpProblem(objectives.sum_exp(dim=3), constraints, "sum_exp", {"dim": 3})
+    problem = NlpProblem(objectives.sum_exp(dim=2), constraints, "sum_exp", {"dim": 2})
+    save(tmp_path / "p.json", problem)
+    assert load(tmp_path / "p.json").oracle.dim == 2
 
 
 def test_load_objective_params_must_be_an_object(tmp_path):
@@ -477,6 +492,16 @@ def test_load_keeps_objective_params_as_written(tmp_path):
         problem.objective_params["q"][0][0] = 5
     assert problem.objective_params == params
     assert_allclose(problem.oracle.value(np.array([0.5, 0.5])), 0.25 - 2.0 * np.log(1.5))
+    # a deep copy and a pickle round trip keep them equal and read-only
+    for held in (copy.deepcopy(problem.objective_params),
+                 pickle.loads(pickle.dumps(problem.objective_params))):
+        assert held == params
+        assert type(held) is type(problem.objective_params)
+        assert type(held["q"]) is type(problem.objective_params["q"])
+        with pytest.raises(TypeError):
+            held["mu"] = 3
+        with pytest.raises(TypeError):
+            held["q"][0].append(0)
 
 
 def test_load_asymmetric_q_warns_and_symmetrizes(tmp_path):
