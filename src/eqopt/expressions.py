@@ -39,13 +39,14 @@ from .linalg import EPS, _apply_q, _full_rank_qr, _pivoted_qr, _upper_solve
 from .linalg import as_matrix, as_vector, frozen_copy, overflow_checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqualityConstraints:
     """Linear equality constraints ``A x = b`` with A of shape (m, n).
 
     A and b are checked once, here, and held as read-only copies, so
     neither the caller's later writes nor a write through ``a`` or ``b``
-    can change a checked set.
+    can change a checked set. A set is equal only to itself, and hashes
+    by identity, as every frozen type holding arrays does.
     """
 
     a: np.ndarray
@@ -75,7 +76,7 @@ class EqualityConstraints:
         return float(defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstrainedExpression:
     """Parameterization ``x(g) = x0 + B g`` of the feasible set of ``A x = b``.
 

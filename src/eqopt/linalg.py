@@ -27,10 +27,12 @@ that the QP eliminations and the registry objectives share.
 :func:`frozen_copy` gives the frozen input types the read-only copy they
 hold, so a checked array neither changes with the caller's nor takes a
 write. The checks do not copy: a registry objective keeps the caller's
-arrays, as a copy would double the memory they hold. The kernels check
-no argument again. Only buffers a routine allocated itself are passed to
-LAPACK to be overwritten (``solve_kkt``'s saddle matrix, the right-hand
-sides of ``dormqr`` and ``dgemqrt``).
+arrays, as a copy would double the memory they hold, and
+:class:`~eqopt.problems.NlpProblem` builds its objective from its own
+read-only copies of the params. The kernels check no argument again.
+Only buffers a routine allocated itself are passed to LAPACK to be
+overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
+``dormqr`` and ``dgemqrt``).
 
 **How LAPACK is reached.** Every routine eqopt calls (``dpotrf``,
 ``dpotrs``, ``dtrtrs``, ``dgeqrt``, ``dtrcon``, ``dgeqp3``, ``dgemqrt``,

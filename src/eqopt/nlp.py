@@ -136,7 +136,7 @@ class ObjectiveOracle:
         return ObjectiveOracle(basis.shape[1], value, gradient, hessian)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedObjective:
     """A full-space objective pulled back through a null-space expression.
 

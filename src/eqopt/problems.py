@@ -6,7 +6,11 @@ decides which routine runs for which method and problem kind. The names
 are stated once, in :data:`_QP_SOLVERS` and :data:`_NEWTON_SOLVERS`, and
 ``eqopt solve``, ``eqopt bench`` and the self-checks that pick a method
 by name all go through it. Both problem kinds carry an ``oracle`` and
-their ``constraints``, so Newton runs the same way on either.
+their ``constraints``, so Newton runs the same way on either. Each builds
+its oracle itself, from its own held data: :class:`NlpProblem` from its
+objective's name and params, which are all a problem file records of it,
+so :func:`save` writes the objective that :func:`solve` solves, and
+:func:`load` checks the params but builds no oracle.
 
 The on-disk format is JSON with a fixed top level: ``formatVersion``
 (currently 1), ``kind`` (``"qp"`` or ``"nlp"``), the dimensions ``n``
@@ -50,16 +54,16 @@ import itertools
 import json
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
 
+from . import objectives
 from .errors import ProblemParseError, ProblemSchemaError
 from .expressions import EqualityConstraints
 from .linalg import EPS, frozen_copy
 from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
-from .objectives import objective_registry
 from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 FORMAT_VERSION = 1
@@ -109,36 +113,59 @@ class _ReadOnlyList(list):
 def _read_only(value):
     """``value`` with every dict, list and array in it read-only, all the way
     down: arrays are copied, and ``json`` writes the result as it wrote
-    ``value``."""
+    ``value``. A list of plain numbers, each row of a matrix param, is
+    copied in one step rather than entry by entry."""
     if isinstance(value, Mapping):
         return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
     if isinstance(value, list):
-        return _ReadOnlyList(_read_only(item) for item in value)
+        if set(map(type, value)) <= {int, float}:
+            return _ReadOnlyList(value)
+        return _ReadOnlyList(map(_read_only, value))
     if isinstance(value, np.ndarray):
         return frozen_copy(value)
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NlpProblem:
-    """A named registry objective under linear equality constraints; its
-    fields cannot be reassigned, as those of :class:`~eqopt.qp.QpProblem`,
-    and ``objective_params`` is held read-only (:func:`_read_only`), so the
-    params :func:`save` writes stay those the oracle was built from. An
-    oracle whose dimension is not the constraints' ``n`` raises ValueError,
-    as a mismatched Q does in :class:`~eqopt.qp.QpProblem`."""
+    """A named registry objective under linear equality constraints.
 
-    oracle: object  # ObjectiveOracle
+    Its ``oracle`` is built by the constructor, as
+    ``objective_registry(objective_name, objective_params)`` on the
+    params it holds, as :attr:`~eqopt.qp.QpProblem.oracle` comes from its
+    own checked Q and c: the objective it solves is the one :func:`save`
+    writes. ``objective_params`` is held read-only (:func:`_read_only`),
+    so neither a later write to the caller's params nor one through the
+    problem reaches the oracle. Params the builder refuses (TypeError,
+    ValueError or OverflowError) raise ValueError prefixed
+    ``objective '<name>' params:``, an unknown name raises
+    UnknownObjectiveError, and an objective whose dimension is not the
+    constraints' ``n`` raises ValueError, as a mismatched Q does in
+    :class:`~eqopt.qp.QpProblem`. The fields cannot be reassigned, and
+    two problems are equal only if they are the same object.
+
+    ``oracle`` is accepted as a keyword only so that the benchmark's
+    ``build_nlp_newton`` call, which passes one, keeps working; the value
+    passed is not held.
+    """
+
     constraints: EqualityConstraints
     objective_name: str
     objective_params: dict
+    oracle: object = field(default=None, kw_only=True)  # ObjectiveOracle
 
     def __post_init__(self):
-        if self.oracle.dim != self.constraints.n:
-            raise ValueError(
-                f"objective dimension {self.oracle.dim} does not match n={self.constraints.n}"
-            )
         object.__setattr__(self, "objective_params", _read_only(self.objective_params))
+        try:
+            # UnknownObjectiveError passes through
+            oracle = objectives.objective_registry(self.objective_name, self.objective_params)
+        except (TypeError, ValueError, OverflowError) as exc:  # e.g. an unknown keyword
+            raise ValueError(f"objective {self.objective_name!r} params: {exc}") from None
+        if oracle.dim != self.constraints.n:
+            raise ValueError(
+                f"objective dimension {oracle.dim} does not match n={self.constraints.n}"
+            )
+        object.__setattr__(self, "oracle", oracle)
 
 
 def _require(doc, field, kinds, where):
@@ -211,30 +238,27 @@ def _array_field(doc, field, shape, where):
 
 def _schema_checked(make, where, *fields):
     """``make(*fields)``, the type that checks them, with its ValueError (a
-    non-finite entry, an objective whose dimension is not n) raised as a
-    ProblemSchemaError naming the file."""
+    non-finite entry, objective params the builder refuses, an objective
+    whose dimension is not n) raised as a ProblemSchemaError naming the
+    file."""
     try:
         return make(*fields)
     except ValueError as exc:
         raise ProblemSchemaError(f"{where}: {exc}") from None
 
 
-def _objective_params(params, name, n, where):
-    """The objective params as the builder takes them.
+def _check_objective_params(params, name, n, where):
+    """Check the objective params of a file before the builder sees them.
 
     Every param is a JSON number or an array of JSON numbers
-    (:func:`_numbers`), which is passed on as a float64 array. A ``dim``
-    param must be the JSON integer ``n``; it is checked here, before the
-    builder allocates anything of that size.
+    (:func:`_numbers`). A ``dim`` param must be the JSON integer ``n``; it
+    is checked here, before the builder allocates anything of that size.
     """
     what = f"{where}: objective {name!r} param"
-    out = {}
     for key, value in params.items():
         if isinstance(value, list):
-            out[key] = _numbers(value, f"{what} '{key}'")
-        elif type(value) in (int, float):
-            out[key] = value
-        else:
+            _numbers(value, f"{what} '{key}'")
+        elif type(value) not in (int, float):
             raise ProblemSchemaError(
                 f"{what} '{key}' has type {type(value).__name__}; "
                 f"objective params are JSON numbers or arrays of them"
@@ -244,7 +268,6 @@ def _objective_params(params, name, n, where):
         raise ProblemSchemaError(
             f"{what} 'dim' is {dim!r}; the objective dimension must be the integer n={n}"
         )
-    return out
 
 
 def _bracket_count(data):
@@ -332,12 +355,8 @@ def load(path):
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ProblemSchemaError(f"{where}: objective params must be an object")
-    try:
-        # UnknownObjectiveError passes through
-        oracle = objective_registry(name, _objective_params(params, name, n, where))
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. an unknown keyword
-        raise ProblemSchemaError(f"{where}: objective {name!r} params: {exc}") from None
-    return _schema_checked(NlpProblem, where, oracle, constraints, name, params)
+    _check_objective_params(params, name, n, where)
+    return _schema_checked(NlpProblem, where, constraints, name, params)
 
 
 def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):

@@ -58,7 +58,7 @@ from .linalg import symmetric_solve
 from .objectives import _checked_quadratic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """``min 1/2 x^T Q x + c^T x  s.t.  A x = b``.
 
@@ -86,7 +86,8 @@ class QpProblem:
     def oracle(self):
         """The objective as an :class:`~eqopt.nlp.ObjectiveOracle`, built
         from the checked Q and c, as :class:`~eqopt.problems.NlpProblem`
-        holds its own; Newton on a QP runs on it."""
+        builds its own from its objective's name and params; Newton on a
+        QP runs on it."""
         return _checked_quadratic(self.q, self.c)
 
     @overflow_checked

@@ -61,8 +61,9 @@ def _constrained_expression():
 def _nlp_problem():
     cons, a, b = _constraints()
     rates = np.array([1.0, 2.0, 3.0])
-    problem = eqopt.NlpProblem(eqopt.sum_exp(rates=rates), cons, "sum_exp", {"rates": rates})
-    # problem.constraints = None went through
+    problem = eqopt.NlpProblem(cons, "sum_exp", {"rates": rates})
+    # problem.constraints = None went through; and the oracle, built from
+    # the caller's rates, took the caller's rates += 5
     return problem, ("constraints", None), [problem.constraints.a,
                                             problem.objective_params["rates"]], [a, b, rates]
 
@@ -92,6 +93,10 @@ def _reduced_objective():
 def test_a_checked_input_cannot_change_after_the_check(case):
     obj, (field, value), held, callers = case()
     before = getattr(obj, field)
+    oracle = getattr(obj, "oracle", None)
+    if oracle is not None:
+        x = np.linspace(0.1, 0.7, oracle.dim)
+        objective = oracle.value(x)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, field, value)
     assert getattr(obj, field) is before
@@ -107,3 +112,25 @@ def test_a_checked_input_cannot_change_after_the_check(case):
         array += 5.0
     for array, copy in zip(held, kept):
         assert np.array_equal(array, copy)
+    if oracle is not None:
+        assert obj.oracle.value(x) == objective
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_equality_constraints, _qp_problem, _constrained_expression, _nlp_problem, _reduced_objective],
+    ids=lambda case: case.__name__.strip("_"),
+)
+def test_a_frozen_type_holding_arrays_compares_and_hashes_by_identity(case):
+    # == of two built alike raised numpy's "truth value of an array is
+    # ambiguous", and hash raised "unhashable type: 'numpy.ndarray'"
+    obj, twin = case()[0], case()[0]
+    assert obj == obj and obj != twin
+    assert len({obj, obj, twin}) == 2
+    assert {obj: "kept"}[obj] == "kept"
+
+
+def test_the_frozen_settings_keep_value_equality():
+    assert eqopt.GeneratorSpec(n=4, m=2) == eqopt.GeneratorSpec(n=4, m=2)
+    assert eqopt.NewtonConfig(alpha=0.2) == eqopt.NewtonConfig(alpha=0.2)
+    assert eqopt.ConvergenceConstants(1.0, 2.0, 3.0) == eqopt.ConvergenceConstants(1.0, 2.0, 3.0)

@@ -637,8 +637,7 @@ def _problem(rng):
             "barrier_a": _matrix(rng, rows, n),
             "barrier_b": _matrix(rng, 1, rows)[0],
         }
-    oracle = objectives.objective_registry(kind, params)
-    return problems.NlpProblem(oracle, constraints, kind, params)
+    return problems.NlpProblem(constraints, kind, params)
 
 
 # the residuals a QP (the first two) or Newton (the first and the last two) document reports

@@ -9,7 +9,7 @@ import pickle
 import subprocess
 import sys
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from eqopt.errors import (
 )
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
-from eqopt.objectives import objective_registry
 from eqopt.problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save, solve
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
@@ -78,7 +77,6 @@ def test_qp_round_trip_is_exact(tmp_path):
 def test_nlp_round_trip_preserves_params(tmp_path):
     params = {"a": [[1.0, 0.1], [0.25, 1.0 / 3.0], [-2.0, 1e-8]]}
     problem = NlpProblem(
-        oracle=objective_registry("log_sum_exp", params),
         constraints=EqualityConstraints([[1.0, 1.0]], [0.5]),
         objective_name="log_sum_exp",
         objective_params=params,
@@ -122,7 +120,6 @@ def test_nlp_round_trip_of_numpy_params(tmp_path):
         paths = []
         for tag, record in (("numpy", params), ("plain", plain)):
             problem = NlpProblem(
-                oracle=objective_registry(name, params),
                 constraints=EqualityConstraints([[1.0, 1.0, 1.0]], [0.5]),
                 objective_name=name,
                 objective_params=record,
@@ -411,13 +408,39 @@ def test_load_objective_dimension_mismatch(tmp_path):
 
 
 def test_a_nonlinear_problem_refuses_an_objective_of_another_dimension(tmp_path):
-    # so save cannot write a file that load refuses
+    # so save cannot write a file that load refuses; an unknown name and
+    # params the builder refuses constructed and saved such a file
     constraints = EqualityConstraints([[1.0, 1.0]], [1.0])
     with pytest.raises(ValueError, match=r"^objective dimension 3 does not match n=2$"):
-        NlpProblem(objectives.sum_exp(dim=3), constraints, "sum_exp", {"dim": 3})
-    problem = NlpProblem(objectives.sum_exp(dim=2), constraints, "sum_exp", {"dim": 2})
+        NlpProblem(constraints, "sum_exp", {"dim": 3})
+    with pytest.raises(UnknownObjectiveError, match="unknown objective 'cubic'"):
+        NlpProblem(constraints, "cubic", {"dim": 2})
+    with pytest.raises(ValueError, match=r"^objective 'sum_exp' params: .*'bogus'"):
+        NlpProblem(constraints, "sum_exp", {"dim": 2, "bogus": 1})
+    problem = NlpProblem(constraints, "sum_exp", {"dim": 2})
     save(tmp_path / "p.json", problem)
     assert load(tmp_path / "p.json").oracle.dim == 2
+
+
+def test_a_nonlinear_problem_solves_the_objective_it_saves(tmp_path):
+    # an oracle passed in was solved, sum exp(x), while save wrote the
+    # params, sum exp(5 x); and replace kept that oracle for new params
+    constraints = EqualityConstraints([[1.0, 1.0]], [1.0])
+    given = NlpProblem(
+        oracle=objectives.sum_exp(dim=2),
+        constraints=constraints,
+        objective_name="sum_exp",
+        objective_params={"rates": [5.0, 5.0]},
+    )
+    replaced = replace(given, objective_params={"rates": [3.0, 3.0]})
+    x = np.array([0.3, 0.7])
+    for problem, expected in ((given, np.exp(1.5) + np.exp(3.5)),
+                              (replaced, np.exp(0.9) + np.exp(2.1))):
+        save(tmp_path / "p.json", problem)
+        back = load(tmp_path / "p.json")
+        assert_allclose(problem.oracle.value(x), expected, rtol=1e-15)
+        assert problem.oracle.value(x) == back.oracle.value(x)
+        assert solve(problem, "newton").final_h == solve(back, "newton").final_h
 
 
 def test_load_objective_params_must_be_an_object(tmp_path):
@@ -653,8 +676,7 @@ def _same(a, b):
 def _lse_problem():
     """``min log_sum_exp(C x)`` on ``x1 + x2 + x3 = 1``, with a minimum."""
     params = {"a": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]]}
-    oracle = objective_registry("log_sum_exp", params)
-    return NlpProblem(oracle, EqualityConstraints([[1.0, 1.0, 1.0]], [1.0]), "log_sum_exp", params)
+    return NlpProblem(EqualityConstraints([[1.0, 1.0, 1.0]], [1.0]), "log_sum_exp", params)
 
 
 # each method called directly: the QP routes themselves, and Newton on the
@@ -748,18 +770,32 @@ def _referenced_names(path):
         yield from ((node.lineno, name) for name in names if name)
 
 
+def _class_lines(path, name):
+    """The line numbers of the class ``name`` in the module at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return range(node.lineno, node.end_lineno + 1)
+    raise AssertionError(f"no class {name} in {path.name}")
+
+
 def test_the_cli_reaches_the_solvers_only_through_solve():
     # which routine runs for which method and problem kind is decided once,
-    # in problems.solve: cli names no solver and no objective builder, and
-    # only objectives and QpProblem.oracle (in qp) build the quadratic of a
-    # Q and c checked already
+    # in problems.solve: cli names no solver and no objective builder; only
+    # objectives and QpProblem.oracle (in qp) build the quadratic of a Q and
+    # c checked already; and only NlpProblem turns an objective's name and
+    # params into its oracle (objectives defines the registry, __init__
+    # re-exports it)
     solvers = {"solve_projector", "solve_nullspace", "solve_kkt", "newton_solve", "sqp_iterate",
                "reduce_problem", "objectives"}
     package = Path(eqopt.__file__).parent
     offenders = [f"cli.py:{line} names {name}"
                  for line, name in _referenced_names(package / "cli.py") if name in solvers]
+    nlp_problem = _class_lines(package / "problems.py", "NlpProblem")
     for path in sorted(package.glob("*.py")):
-        if path.name not in ("objectives.py", "qp.py"):
-            offenders += [f"{path.name}:{line} names _checked_quadratic"
-                          for line, name in _referenced_names(path) if name == "_checked_quadratic"]
+        for line, name in _referenced_names(path):
+            if name == "_checked_quadratic" and path.name not in ("objectives.py", "qp.py"):
+                offenders.append(f"{path.name}:{line} names {name}")
+            if name == "objective_registry" and path.name not in ("objectives.py", "__init__.py"):
+                if path.name != "problems.py" or line not in nlp_problem:
+                    offenders.append(f"{path.name}:{line} names {name}")
     assert offenders == []
