@@ -34,9 +34,19 @@ Only buffers a routine allocated itself are passed to LAPACK to be
 overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 ``dormqr`` and ``dgemqrt``).
 
+**Block sizes.** Two are stated once, here, and not queried:
+``_QRT_BLOCK`` for ``dgeqrt`` and ``_SYTRF_BLOCK`` = 32 for every
+``dsytrf`` call (:func:`bunch_kaufman_solve`, the KKT oracle and the
+self-check's KKT-form Newton). ``dsytrf``'s workspace query asks for
+block size 64, but its panel routine ``dlasyf`` does level-2 work in
+proportion to the block size, and at the orders eqopt factors 32 was the
+faster of the two, with the same pivots (the sweep is quoted beside the
+constant). Up to order 64 ``dsytrf`` runs unblocked at either size, so
+there its factors are bit for bit those at the queried size.
+
 **How LAPACK is reached.** Every routine eqopt calls (``dpotrf``,
 ``dpotrs``, ``dtrtrs``, ``dgeqrt``, ``dtrcon``, ``dgeqp3``, ``dgemqrt``,
-``dormqr``, ``dsytrf_lwork``, ``dsytrf``, ``dsycon``, ``dsytrs``,
+``dormqr``, ``dsytrf``, ``dsycon``, ``dsytrs``,
 ``dpocon``) is looked up at call time on one handle, :data:`lapack`: the
 extension module ``scipy.linalg._flapack``, whose functions
 ``scipy.linalg.lapack`` re-exports. The ``scipy.linalg`` package is not
@@ -144,6 +154,13 @@ def overflow_checked(func):
 # times as long: the crossover tables in BENCH_17.json.
 _QRT_MIN_COLS = 150
 _QRT_BLOCK = 32  # dgeqrt's block size nb; it must not exceed m
+# dsytrf's block size nb, passed as lwork = order * nb (the module docstring
+# says why not the query's 64). At one BLAS thread, on seeded KKT systems,
+# nb = 32 against 64 took dsytrf 9-25 % less time from order 140 to 560
+# (1.28 to 1.06 ms at n:m = 200:120) and was within 3 % at order 96; 24-32
+# were the fastest sizes at every order from 140 on, and every size from 8
+# to 64 took the same pivots: the sweep in BENCH_35.json.
+_SYTRF_BLOCK = 32
 
 
 def as_matrix(a, name="matrix"):
@@ -372,7 +389,8 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
     inertia, or return None when ``m`` may be too close to singular.
 
     One Bunch-Kaufman factorization ``P m P^T = L D L^T`` (LAPACK ``dsytrf``
-    on a copy of the lower triangle of ``m``, which is left intact) is
+    at the block size ``_SYTRF_BLOCK``, on a copy of the lower triangle of
+    ``m``, which is left intact) is
     accepted only when ``dsycon``'s estimate of ``rcond_1(m)``, from the
     given ``norm_1 = ||m||_1``, exceeds ``min_rcond``; ``dsytrs`` then gives
     ``y``. ``D`` is congruent to ``m``, so by Sylvester's law of inertia
@@ -395,9 +413,8 @@ def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
         If LAPACK rejects an argument.
     """
     k = m.shape[0]
-    lwork, _ = lapack.dsytrf_lwork(k, lower=1)
     # m is symmetric: m.T is its F-ordered view, which the wrapper copies as it is
-    ldu, ipiv, info = lapack.dsytrf(m.T, lower=1, lwork=int(lwork))
+    ldu, ipiv, info = lapack.dsytrf(m.T, lower=1, lwork=k * _SYTRF_BLOCK)
     if info < 0:
         raise ComputationError(f"Bunch-Kaufman factorization failed (dsytrf info={info})")
     if info > 0:  # an exactly zero pivot: m is singular

@@ -12,9 +12,12 @@ Three independent routes to a stationary point of
   reduced Hessian is indefinite;
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
-  Bunch-Kaufman factorization (LAPACK ``dsytrf``), run in place on the
-  lower triangle it assembles, gives both its inertia and, through
-  ``dsytrs``, its solution. When Q and the rows of A are far out of
+  Bunch-Kaufman factorization (LAPACK ``dsytrf`` at the block size
+  ``linalg._SYTRF_BLOCK``), run in place on the lower triangle it
+  assembles (the ``A^T`` block above it is never written), gives both its
+  inertia, read off the diagonal of the block-diagonal factor with each
+  2x2 block replaced by its two eigenvalues, and, through ``dsytrs``, its
+  solution. When Q and the rows of A are far out of
   scale, it first balances the system by powers of two, a congruence
   that keeps the inertia and rounds no entry, so units alone never make
   it refuse. It refuses a solution whose two residuals, stationarity and
@@ -52,8 +55,8 @@ import numpy as np
 
 from .errors import ComputationError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace
-from .linalg import EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve, frozen_copy
-from .linalg import lapack, overflow_checked, pull_back_quadratic, quadratic_data
+from .linalg import _SYTRF_BLOCK, EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve
+from .linalg import frozen_copy, lapack, overflow_checked, pull_back_quadratic, quadratic_data
 from .linalg import symmetric_solve
 from .objectives import _checked_quadratic
 
@@ -303,14 +306,23 @@ def solve_nullspace(problem, eps=EPS):
 
 def _bunch_kaufman_eigs(ldu, ipiv):
     """Eigenvalues of the block-diagonal factor D of LAPACK's ``dsytrf``
-    (lower storage). Rows with ``ipiv < 0`` come in consecutive pairs, one
-    pair per 2x2 block; every other row is a 1x1 block."""
+    (lower storage), in no particular order.
+
+    A 1x1 block is its diagonal entry, so the diagonal of ``ldu`` is read
+    as it is and only the 2x2 blocks are replaced. Rows with ``ipiv < 0``
+    come in consecutive pairs, one pair per 2x2 block ``[[a, c], [c, e]]``,
+    with ``c`` below the diagonal; its eigenvalues go where ``a`` and ``e``
+    were. Without 2x2 blocks (the generated SPD problems take none) that
+    step is skipped, as its small numpy calls cost more than the rest.
+    """
+    eigs = ldu.diagonal().copy()
     pairs = np.flatnonzero(ipiv < 0)[::2]
-    single = np.flatnonzero(ipiv > 0)
-    a, c, e = ldu[pairs, pairs], ldu[pairs + 1, pairs], ldu[pairs + 1, pairs + 1]
-    t = a + e
-    disc = np.sqrt(np.maximum(t * t - 4.0 * (a * e - c * c), 0.0))
-    return np.concatenate([ldu[single, single], 0.5 * (t - disc), 0.5 * (t + disc)])
+    if pairs.size:
+        a, c, e = eigs[pairs], ldu[pairs + 1, pairs], eigs[pairs + 1]
+        t = a + e
+        disc = np.sqrt(np.maximum(t * t - 4.0 * (a * e - c * c), 0.0))
+        eigs[pairs], eigs[pairs + 1] = 0.5 * (t - disc), 0.5 * (t + disc)
+    return eigs
 
 
 # The KKT oracle factors its saddle matrix as given while max|Q| and the
@@ -367,13 +379,19 @@ def solve_kkt(problem):
     Assembles ``[[Q, A^T], [A, 0]] [x; lam] = [-c; b]`` and solves it
     densely with LAPACK's Bunch-Kaufman kernels: one ``dsytrf``
     factorization ``L D L^T`` and one ``dsytrs`` solve. Only the lower
-    triangle that ``dsytrf`` reads (the Q and A blocks) is filled, in a
-    Fortran-ordered buffer that it factors in place. The constraints
-    are *not* reduced: a singular system (rank deficiency, singular
-    reduced Hessian) raises :class:`OracleUnavailableError` instead of
-    guessing. The classification comes from the inertia of the saddle
-    matrix, read off the 1x1/2x2 blocks of the same ``D``, which exceeds
-    that of the reduced Hessian by exactly (m, m).
+    triangle that they read (the Q block, the A block below it and the
+    trailing zero block) is written, in an uninitialized Fortran-ordered
+    buffer that ``dsytrf`` factors in place; the ``A^T`` block above is
+    left as allocated. ``dsytrf`` runs at the block size
+    ``linalg._SYTRF_BLOCK`` = 32, not the 64 its workspace query returns,
+    which is faster at these orders and takes the same pivots. The
+    constraints are *not* reduced: a singular system (rank deficiency,
+    singular reduced Hessian) raises :class:`OracleUnavailableError`
+    instead of guessing. The classification comes from the inertia of the
+    saddle matrix, that of the same ``D``, which exceeds that of the
+    reduced Hessian by exactly (m, m): its eigenvalues are the diagonal of
+    ``D``, each 2x2 block's two entries replaced by the block's
+    eigenvalues (:func:`_bunch_kaufman_eigs`).
 
     **Units.** Its Schur-complement pivots are about ``|A|^2 / |Q|``, so
     when Q and the rows of A are far out of scale they fall below the
@@ -410,19 +428,21 @@ def solve_kkt(problem):
     if s or r.any():
         q, c, q_max = np.ldexp(q, s), np.ldexp(c, s), np.ldexp(q_max, s)
         a, b, row_max = np.ldexp(a, r[:, None]), np.ldexp(b, r), np.ldexp(row_max, r)
-    # dsytrf(lower=1) reads the lower triangle only: Q and the A block below
-    # it. Fortran order lets it factor this buffer in place.
-    kkt = np.zeros((n + m, n + m), order="F")
-    kkt[:n, :n] = q
+    # dsytrf(lower=1) and dsytrs read the lower triangle only: Q, the A block
+    # below it and the zero block, so the A^T block above stays unwritten.
+    # Fortran order lets dsytrf factor this buffer in place, and Q, exactly
+    # symmetric (also balanced), is copied through its F-ordered view q.T.
+    kkt = np.empty((n + m, n + m), order="F")
+    kkt[:n, :n] = q.T
     kkt[n:, :n] = a
+    kkt[n:, n:] = 0.0
     rhs = np.concatenate([-c, b])
 
     # One Bunch-Kaufman factorization kkt = L D L^T (LAPACK dsytrf) gives
     # both the inertia and the solve. It is a congruence, so it preserves
     # inertia: zero eigenvalues of D mean the saddle matrix is singular at
     # tolerance, and the system is not solved at all.
-    lwork, _ = lapack.dsytrf_lwork(n + m, lower=1)
-    ldu, ipiv, _ = lapack.dsytrf(kkt, lower=1, lwork=int(lwork), overwrite_a=1)
+    ldu, ipiv, _ = lapack.dsytrf(kkt, lower=1, lwork=(n + m) * _SYTRF_BLOCK, overwrite_a=1)
     eigs = _bunch_kaufman_eigs(ldu, ipiv)
     scale_e = float(np.max(np.abs(eigs), initial=0.0))
     cut = EPS * (n + m) * scale_e

@@ -27,7 +27,7 @@ from . import objectives
 from .errors import ComputationError, EqoptError, InfeasibleConstraintsError
 from .errors import OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, lapack
+from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, _SYTRF_BLOCK, lapack
 from .nlp import (
     NewtonConfig,
     estimate_convergence_constants,
@@ -282,7 +282,7 @@ def _kkt_newton(oracle, a, x, config):
     while True:
         kkt[:n, :n] = oracle.hessian(x)
         rhs[:n] = -oracle.gradient(x)
-        ldu, ipiv, info = lapack.dsytrf(kkt, lower=1)
+        ldu, ipiv, info = lapack.dsytrf(kkt, lower=1, lwork=(n + m) * _SYTRF_BLOCK)
         if info == 0:
             dxw, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
         if info != 0:

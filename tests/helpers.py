@@ -41,7 +41,8 @@ def full_saddle_solve(problem):
     """Solve ``[[Q, A^T], [A, 0]] z = [-c; b]`` on the full C-ordered matrix.
 
     Both triangles are assembled and LAPACK's wrapper gets its own copy for
-    ``dsytrf``/``dsytrs`` (lower storage). Returns ``(x, lam, kkt, resid)``
+    ``dsytrf``/``dsytrs`` (lower storage), at the block size that
+    ``dsytrf_lwork`` returns, not eqopt's own. Returns ``(x, lam, kkt, resid)``
     with ``resid = kkt @ z - rhs`` taken on the whole matrix.
     """
     q, c = problem.q, problem.c

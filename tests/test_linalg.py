@@ -577,6 +577,25 @@ def test_no_module_imports_scipy_linalg():
     assert offenders == []
 
 
+def test_every_dsytrf_call_takes_its_block_size_from_one_constant():
+    # dsytrf's block size is stated once, as linalg._SYTRF_BLOCK: no module
+    # queries the workspace, and every call passes an lwork that names it
+    offenders, callers = [], set()
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "dsytrf_lwork" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                  getattr(node, "value", None)):
+                offenders.append(f"{path.name}:{node.lineno} names dsytrf_lwork")
+            if isinstance(node, ast.Call) and (_dotted(node.func) or "").endswith("dsytrf"):
+                callers.add(path.name)
+                lwork = [kw.value for kw in node.keywords if kw.arg == "lwork"]
+                if not any(getattr(n, "id", None) == "_SYTRF_BLOCK"
+                           for value in lwork for n in ast.walk(value)):
+                    offenders.append(f"{path.name}:{node.lineno} sizes dsytrf otherwise")
+    assert offenders == []
+    assert {"linalg.py", "qp.py"} <= callers
+
+
 def _run_python(script):
     src = str(Path(eqopt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

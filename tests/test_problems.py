@@ -208,6 +208,13 @@ def test_bracket_count_counts_every_opening_bracket():
     assert problems._bracket_count(b'{"a": [[1], {}], "s": "[{"}') == 6
     # bytes one bit away from '[' and '{' are not brackets
     assert problems._bracket_count(bytes([0x5B ^ 0x01, 0x7B ^ 0x80, 0x3B, 0x1B])) == 0
+    rng = np.random.default_rng(35)
+    buffers = [bytes([v]) for v in range(256)] + [bytes(range(256)) * 3]
+    buffers += [rng.integers(0, 256, int(size), dtype=np.uint8).tobytes()
+                for size in rng.integers(1, 1 << 18, 20)]
+    buffers.append(rng.choice(np.frombuffer(b"[{}] ,", np.uint8), 1 << 20).tobytes())
+    for data in buffers:
+        assert problems._bracket_count(data) == data.count(b"[") + data.count(b"{")
 
 
 # ---------------------------------------------------------------------------

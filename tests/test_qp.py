@@ -845,3 +845,83 @@ def test_kkt_matches_the_full_matrix_solve_bit_for_bit():
         assert abs(sol.stationarity_residual - np.max(np.abs(resid[:n]))) <= rounding
         assert abs(sol.constraint_residual - np.max(np.abs(resid[n:]), initial=0.0)) <= rounding
     assert labels == {"min", "saddle"}
+
+
+def _dsytrf_blocks(problem):
+    """``(ldu, ipiv)`` of dsytrf on the saddle matrix of ``problem`` as
+    :func:`solve_kkt` factors it, from a recorded call."""
+    calls = []
+    dsytrf = lapack.dsytrf
+
+    def recorded(*args, **kwargs):
+        calls.append(dsytrf(*args, **kwargs))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lapack, "dsytrf", recorded)
+        solve_kkt(problem)
+    (ldu, ipiv, info), = calls
+    assert info == 0
+    return ldu, ipiv
+
+
+def test_bunch_kaufman_eigs_are_the_eigenvalues_of_the_block_diagonal_factor():
+    two_by_two = set()
+    for n, m in [(25, 9), (200, 120)]:
+        for q_class in _Q_CLASSES:
+            problem = generate(GeneratorSpec(n=n, m=m, seed=7, q_class=q_class))
+            ldu, ipiv = _dsytrf_blocks(problem)
+            d = np.diag(ldu.diagonal())
+            pairs = np.flatnonzero(ipiv < 0)[::2]
+            d[pairs + 1, pairs] = d[pairs, pairs + 1] = ldu[pairs + 1, pairs]
+            want = np.linalg.eigvalsh(d)
+            got = np.sort(qp._bunch_kaufman_eigs(ldu, ipiv))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, m, q_class)
+            two_by_two.add(pairs.size > 0)
+    assert two_by_two == {False, True}
+
+
+def test_kkt_reads_no_entry_it_leaves_unwritten(monkeypatch):
+    # the saddle buffer comes from np.empty: filled with NaN instead, every
+    # entry that dsytrf(lower=1) or dsytrs could read would show
+    problems = [generate(GeneratorSpec(n=n, m=m, seed=5, q_class=q_class))
+                for n, m in [(25, 9), (200, 120)] for q_class in _Q_CLASSES]
+    want = [solve_kkt(problem) for problem in problems]
+    empty, filled = np.empty, []
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        filled.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for problem, ref in zip(problems, want):
+        sol = solve_kkt(problem)
+        assert (problem.n + problem.constraints.m,) * 2 in filled
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert sol.lagrange_multipliers.tobytes() == ref.lagrange_multipliers.tobytes()
+        assert sol.stationarity_residual == ref.stationarity_residual
+        assert sol.constraint_residual == ref.constraint_residual
+        assert sol.classification == ref.classification
+    assert {sol.classification for sol in want} == {"min", "saddle"}
+
+
+@pytest.mark.parametrize("n, m", [(96, 48), (160, 80), (200, 120), (260, 120)])
+def test_kkt_at_its_block_size_matches_the_queried_block_size(n, m):
+    # dsytrf runs blocked from order 65 on: solve_kkt at _SYTRF_BLOCK and
+    # the full-matrix solve at the workspace query's block size take the
+    # same pivots, so x differs only in rounding, which grows with the
+    # condition of the saddle matrix: at 200:120 indefinite (kappa = 2.9e4)
+    # the two are 3.7e-12 apart, and 2.9e-12 and 7.7e-13 from the null-space x
+    eps = np.finfo(float).eps
+    for q_class in _Q_CLASSES:
+        problem = generate(GeneratorSpec(n=n, m=m, seed=n + m, q_class=q_class))
+        x, _, kkt, _ = full_saddle_solve(problem)
+        sol = solve_kkt(problem)
+        w = np.linalg.eigvalsh(kkt)
+        pos, neg = int(np.sum(w > 0)) - m, int(np.sum(w < 0)) - m
+        assert sol.classification == ("min" if neg == 0 else "max" if pos == 0 else "saddle")
+        kappa = np.max(np.abs(w)) / np.min(np.abs(w))
+        gap = np.max(np.abs(sol.x - x)) / np.max(np.abs(x))
+        assert gap <= 8 * eps * kappa, (q_class, gap, kappa)
