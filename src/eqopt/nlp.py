@@ -353,11 +353,14 @@ def _armijo(oracle, g, direction, h0, slope, config):
 
 
 def _norm(v):
-    """``||v||_2`` of a finite vector: ``np.linalg.norm(v)`` bit for bit
-    where that is finite. Where the sum of squares overflows, ``v`` is
-    scaled by ``2^-600`` first, exactly but for entries far too small to
-    count, and the norm scaled back (``inf`` only beyond range)."""
-    out = float(np.linalg.norm(v))
+    """``||v||_2`` of a finite float64 vector, as ``sqrt(v . v)``: numpy
+    takes the 2-norm of a real 1-D array as ``sqrt(x.dot(x))``, so this is
+    ``np.linalg.norm(v)`` bit for bit where that is finite, without
+    ``norm``'s Python-level argument handling. Where the sum of squares
+    overflows, ``v`` is scaled by ``2^-600`` first, exactly but for entries
+    far too small to count, and the norm scaled back (``inf`` only beyond
+    range)."""
+    out = math.sqrt(v.dot(v))
     return out if out < math.inf else 2.0**600 * float(np.linalg.norm(v * 2.0**-600))
 
 

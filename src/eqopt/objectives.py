@@ -7,8 +7,8 @@ Every objective here is one composite
 ``f(x) = phi(C x + s) + 1/2 x^T Q x + c^T x + const`` with a separable
 ``phi`` on ``z = C x + s``, and one body (:func:`_composite`) writes its
 value, gradient ``C^T phi'(z) + Q x + c``, Hessian, pull-back and
-``derivatives``, which forms z and ``phi'(z)`` once for a Newton step's
-gradient and Hessian:
+``derivatives``, which forms z, ``phi'(z)`` and ``C^T phi'(z)`` once for a
+Newton step's gradient and Hessian:
 
 * :func:`quadratic` has no rows in C;
 * :func:`log_sum_exp` and :func:`sum_exp` have no quadratic part;
@@ -18,9 +18,14 @@ gradient and Hessian:
 * :func:`neg_log_barrier_quadratic` is ``phi(z) = -mu sum_i log(-z_i)`` on
   ``z = barrier_a x - barrier_b`` plus its quadratic.
 
-With ``hess phi(z) = diag(w^2) - p p^T`` (``p`` only for log-sum-exp) and
-``W = diag(w) C``, the Hessian is formed once as
-``W^T W - (C^T p)(C^T p)^T + Q``, exactly symmetric. Restricted to
+With ``hess phi(z) = diag(w^2) - p p^T`` (``p`` only for log-sum-exp,
+where it is the slope ``phi'(z)``, the softmax) and ``W = diag(w) C``, the
+Hessian is formed once as ``W^T W - (C^T p)(C^T p)^T + Q``, exactly
+symmetric; ``derivatives`` takes its ``C^T p`` from the gradient's
+``C^T phi'(z)``. phi's reductions are array methods (``z.max()``,
+``w.sum()``), and the rank-one term a broadcast product: the same ufunc
+loops as ``np.max``, ``np.sum`` and ``np.outer`` without their
+Python-level dispatch. Restricted to
 ``x = x0 + N g``, f is the same composite on ``C N``, ``C x0 + s`` and the
 quadratic pulled back by :func:`~eqopt.linalg.pull_back_quadratic`.
 :func:`~eqopt.nlp.reduce_problem` computes that data once per solve, and
@@ -46,10 +51,13 @@ def _composite(phi, cmat, s, quad=None):
     ``hess phi(z) = diag(w^2) - p p^T``, ``p`` None when that term is absent;
     ``dz`` is ``slope(z)`` when the caller already has it, else None.
     ``quad`` is ``(Q, c, const)`` with Q symmetric, or None for no quadratic
-    part. ``derivatives`` forms z and ``phi'(z)`` once for both the gradient
-    and the Hessian, bit for bit the two separate callbacks. The pull-back
-    through ``x = x0 + B g`` is this body again; it raises ComputationError
-    when the quadratic part at x0, its constant, overflows float range.
+    part. ``derivatives`` forms z, ``phi'(z)`` and ``C^T phi'(z)`` once for
+    both the gradient and the Hessian, bit for bit the two separate
+    callbacks: the Hessian's rank-one term reuses that product when ``p``
+    is the slope itself (log-sum-exp), where ``hessian`` alone forms
+    ``C^T p``. The pull-back through ``x = x0 + B g`` is this body again;
+    it raises ComputationError when the quadratic part at x0, its
+    constant, overflows float range.
     """
     phi_value, slope, curvature = phi
 
@@ -60,34 +68,34 @@ def _composite(phi, cmat, s, quad=None):
         q, c, const = quad
         return float(0.5 * x @ q @ x + c @ x + const + v)
 
-    def gradient_from(x, dz):
-        grad = cmat.T @ dz
+    def gradient_from(x, cdz):  # cdz = C^T phi'(z)
         if quad is None:
-            return grad
+            return cdz
         q, c, _ = quad
-        return q @ x + c + grad
+        return q @ x + c + cdz
 
-    def hessian_from(z, dz):
+    def hessian_from(z, dz, cdz):
         w, p = curvature(z, dz)
         wc = w[:, None] * cmat
         h = wc.T @ wc
         if p is not None:
-            cp = cmat.T @ p
-            h -= np.outer(cp, cp)
+            cp = cdz if p is dz else cmat.T @ p
+            h -= cp[:, None] * cp
         if quad is not None:
             h += quad[0]
         return h
 
     def gradient(x):
-        return gradient_from(x, slope(cmat @ x + s))
+        return gradient_from(x, cmat.T @ slope(cmat @ x + s))
 
     def hessian(x):
-        return hessian_from(cmat @ x + s, None)
+        return hessian_from(cmat @ x + s, None, None)
 
     def derivatives(x):
         z = cmat @ x + s
         dz = slope(z)
-        return gradient_from(x, dz), hessian_from(z, dz)
+        cdz = cmat.T @ dz
+        return gradient_from(x, cdz), hessian_from(z, dz, cdz)
 
     def pullback(x0, basis):
         pulled = None
@@ -113,20 +121,20 @@ def _composite(phi, cmat, s, quad=None):
 
 
 _SUM_EXP = (
-    lambda z: float(np.sum(np.exp(z))),
+    lambda z: float(np.exp(z).sum()),
     np.exp,
     lambda z, dz: (np.exp(0.5 * z), None),
 )
 
 
 def _log_sum_exp_value(z):
-    zmax = float(np.max(z))
-    return float(np.log(np.sum(np.exp(z - zmax))) + zmax)
+    zmax = float(z.max())
+    return float(np.log(np.exp(z - zmax).sum()) + zmax)
 
 
 def _softmax(z):
-    w = np.exp(z - float(np.max(z)))
-    return w / np.sum(w)
+    w = np.exp(z - float(z.max()))
+    return w / w.sum()
 
 
 def _log_sum_exp_curvature(z, p):
@@ -140,23 +148,25 @@ _LOG_SUM_EXP = (_log_sum_exp_value, _softmax, _log_sum_exp_curvature)
 
 def _neg_log(mu):
     """``phi(z) = -mu sum_i log(-z_i)``. Unless every ``z_i < 0`` its value is
-    ``+inf`` and its slope and curvature raise ValueError."""
+    ``+inf`` and its slope and curvature raise ValueError; the curvature
+    does not check z again when it is given the slope, which checked it."""
 
     def inside(z, part):
-        if np.max(z, initial=-np.inf) >= 0.0:
+        if z.max(initial=-np.inf) >= 0.0:
             raise ValueError(f"{part} requested outside the barrier domain")
         return z
 
     def value(z):
-        if np.max(z, initial=-np.inf) >= 0.0:
+        if z.max(initial=-np.inf) >= 0.0:
             return np.inf
-        return -mu * float(np.sum(np.log(-z)))
+        return -mu * float(np.log(-z).sum())
 
-    return (
-        value,
-        lambda z: -mu / inside(z, "gradient"),
-        lambda z, dz: (math.sqrt(mu) / -inside(z, "hessian"), None),
-    )
+    root_mu = math.sqrt(mu)
+
+    def curvature(z, dz):
+        return root_mu / -(z if dz is not None else inside(z, "hessian")), None
+
+    return value, lambda z: -mu / inside(z, "gradient"), curvature
 
 
 def _checked_quadratic(q, c):

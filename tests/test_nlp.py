@@ -779,6 +779,77 @@ def test_pulled_back_newton_traces_match_the_chain_rule_path():
                     assert fast.iterations[0].step_size < 1.0, label
 
 
+def trace_bits(trace):
+    """Every number a trace records, one bytes string per iterate and one
+    for the end: equal lists are equal bit for bit."""
+    rows = [
+        (it.g, it.x, it.h_value, it.grad_norm, it.decrement_sq, it.step_size)
+        for it in trace.iterations
+    ]
+    rows.append((
+        trace.final_g, trace.final_x, trace.final_h, trace.final_grad_norm,
+        trace.final_decrement_sq, float(trace.converged),
+    ))
+    return [b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in row) for row in rows]
+
+
+def test_newton_traces_are_those_of_the_two_separate_callbacks():
+    # derivatives forms z, phi'(z) and C^T phi'(z) once for the gradient and
+    # the Hessian; whole runs must take the steps, bit for bit, of runs that
+    # evaluate every iterate through the two callbacks, failures included
+    def outcome(run, reduced):
+        try:
+            trace = run(reduced)
+        except DivergenceError as exc:
+            return "DivergenceError", str(exc), trace_bits(exc.trace)
+        except NonConvexError as exc:
+            return "NonConvexError", str(exc), exc.g.tobytes()
+        assert len(trace.iterations) >= 1
+        return "returned", trace_bits(trace)
+
+    kinds = []
+    for seed in range(3):
+        cons, objectives = newton_shaped_inputs(seed)
+        n = cons.n
+        rng = np.random.default_rng([seed, 36])
+        objectives["shifted_log_sum_exp"] = log_sum_exp(
+            3.0 * rng.uniform(-1, 1, (4 * n, n)), rng.uniform(-2, 2, 4 * n)
+        )
+        r = rng.uniform(-1, 1, (n, n))
+        objectives["quadratic"] = quadratic(r.T @ r / n + np.eye(n), rng.uniform(-1, 1, n))
+        for name, oracle in objectives.items():
+            for run in (newton_solve, sqp_iterate):
+                separate = reduce_problem(oracle, cons)
+                callbacks = separate.oracle
+                callbacks.derivatives = lambda g, f=callbacks: (f.gradient(g), f.hessian(g))
+                shared = outcome(run, reduce_problem(oracle, cons))
+                assert shared == outcome(run, separate), (seed, name, run.__name__)
+                kinds.append(shared[0])
+    assert kinds.count("returned") >= 30 and len(kinds) == 36
+
+
+def test_the_loop_norm_is_numpys_norm_bit_for_bit_where_that_is_finite():
+    rng = np.random.default_rng(36)
+    subnormal = np.finfo(np.float64).smallest_normal / 4.0
+    for length in (0, 1, 70, 400):
+        base = rng.uniform(-1, 1, length)
+        mixed = base.copy()
+        mixed[::3] *= 1e150
+        mixed[1::3] *= subnormal
+        for v in (base, 1e150 * base, subnormal * base, 1e-3 * base, mixed):
+            assert math.isfinite(float(np.linalg.norm(v)))
+            assert nlp._norm(v).hex() == float(np.linalg.norm(v)).hex(), length
+    # where the sum of squares overflows, the rescued norm is finite
+    with np.errstate(over="ignore"):  # the Newton loop's error state
+        assert np.linalg.norm(np.array([1e200, 1e200])) == math.inf
+        rescued = nlp._norm(np.array([1e200, 1e200]))
+        spread = nlp._norm(np.array([1e300, -3e299, 1e-300, 0.0]))
+        beyond = nlp._norm(np.array([1.7e308, 1.7e308]))
+    assert math.isclose(rescued, math.sqrt(2.0) * 1e200, rel_tol=4e-16)
+    assert math.isclose(spread, math.hypot(1e300, 3e299), rel_tol=4e-16)
+    assert beyond == math.inf  # beyond float range
+
+
 def test_a_newton_step_factorizes_once_and_never_forms_the_full_hessian(factorizations):
     cons, objectives = newton_shaped_inputs(3)
     del objectives["steep_log_sum_exp"]  # log_sum_exp again, too steep for pure Newton
