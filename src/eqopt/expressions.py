@@ -30,6 +30,7 @@ dataclasses. One :func:`~eqopt.linalg.as_vector` check guards the length
 of every ``g`` and ``x`` they take from outside.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,11 +70,16 @@ class EqualityConstraints:
         """Feasibility defect ``||A x - b||_inf`` at x; raises
         ComputationError where ``A x - b`` overflows float range, as it can
         at a finite x."""
-        x = as_vector(x, "x", self.n)
-        defect = np.max(np.abs(self.a @ x - self.b), initial=0.0)
-        if not np.isfinite(defect):
+        return self._residual(as_vector(x, "x", self.n))
+
+    def _residual(self, x):
+        """:meth:`residual` of an x already checked finite and of length n,
+        such as a solver's own; the caller runs it under
+        :func:`~eqopt.linalg.overflow_checked`."""
+        defect = float(np.abs(self.a @ x - self.b).max(initial=0.0))
+        if not math.isfinite(defect):
             raise ComputationError(f"A x - b overflows float range at x (it is {defect})")
-        return float(defect)
+        return defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +164,7 @@ def build_nullspace(constraints, eps=EPS):
     m, n = constraints.m, constraints.n
     if not 0.0 < eps < 1.0:  # also rejects NaN
         raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps!r}")
-    scale = np.max(np.abs(constraints.a), axis=1, initial=0.0)
+    scale = np.abs(constraints.a).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
     a, b = constraints.a / scale[:, None], constraints.b / scale
     found = _full_rank_qr(a, eps)
@@ -166,8 +172,8 @@ def build_nullspace(constraints, eps=EPS):
         (qr, t), tau, piv, p = found, None, np.arange(m), m
     else:
         (qr, piv, tau), t = _pivoted_qr(a.T), None
-        e = np.abs(np.diag(qr))  # non-increasing: the QR pivots on column norms
-        kept = np.nonzero(e > eps * max(m, n) * e[0])[0] if e.size else e
+        e = np.abs(qr.diagonal())  # non-increasing: the QR pivots on column norms
+        kept = (e > eps * max(m, n) * e[0]).nonzero()[0] if e.size else e
         p = int(kept[-1]) + 1 if kept.size else 0
     r11 = qr[:p, :p]
     # Q [y, 0; 0, I] in one application of the reflectors: x0 and N
@@ -203,7 +209,7 @@ def _check_consistency(a, b, x0, piv, p, c, eps):
     size = np.abs(b) + np.abs(a) @ np.abs(x0)
     leftover = np.abs(resid[dropped] - c.T @ resid[selected])
     bound = eps * max(a.shape) * (1.0 + size[dropped] + np.abs(c).T @ size[selected])
-    worst = int(np.argmax(leftover / bound))
+    worst = int((leftover / bound).argmax())
     if leftover[worst] > bound[worst]:
         raise InfeasibleConstraintsError(
             f"constraints are inconsistent: redundant row {int(dropped[worst])} "

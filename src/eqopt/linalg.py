@@ -34,15 +34,24 @@ Only buffers a routine allocated itself are passed to LAPACK to be
 overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 ``dormqr`` and ``dgemqrt``).
 
-**Block sizes.** Two are stated once, here, and not queried:
-``_QRT_BLOCK`` for ``dgeqrt`` and ``_SYTRF_BLOCK`` = 32 for every
-``dsytrf`` call (:func:`bunch_kaufman_solve`, the KKT oracle and the
-self-check's KKT-form Newton). ``dsytrf``'s workspace query asks for
-block size 64, but its panel routine ``dlasyf`` does level-2 work in
-proportion to the block size, and at the orders eqopt factors 32 was the
-faster of the two, with the same pivots (the sweep is quoted beside the
-constant). Up to order 64 ``dsytrf`` runs unblocked at either size, so
-there its factors are bit for bit those at the queried size.
+**Block sizes.** Every block size and workspace is stated once, here,
+and no workspace is queried (``lwork=-1``): ``_QRT_BLOCK`` for
+``dgeqrt``, ``_SYTRF_BLOCK`` = 32 for every ``dsytrf`` call
+(:func:`bunch_kaufman_solve`, the KKT oracle and the self-check's
+KKT-form Newton), and ``_QR_WORK_BLOCK`` = nb = 32 for the workspaces of
+``dgeqp3``, ``2 m + (m + 1) nb`` for m columns, and of ``dormqr``,
+``ncols nb + 65 * 64`` for ncols right-hand columns (the 65 * 64 hold
+its block reflector); ``dgeqp3``'s wrapper defaults to ``3 (m + 1)``,
+which would run it unblocked. The two formulas are LAPACK's own, at the
+block size ``ilaenv`` gives both routines, so they are the sizes the
+queries return (1562 and 5152 at n:m = 60:45, 1052 and 6432 at 100:30);
+a test checks that no query returns more, over a sweep of shapes.
+``dsytrf``'s workspace query asks for block size 64, but its panel
+routine ``dlasyf`` does level-2 work in proportion to the block size,
+and at the orders eqopt factors 32 was the faster of the two, with the
+same pivots (the sweep is quoted beside the constant). Up to order 64
+``dsytrf`` runs unblocked at either size, so there its factors are bit
+for bit those at the queried size.
 
 **How LAPACK is reached.** Every routine eqopt calls (``dpotrf``,
 ``dpotrs``, ``dtrtrs``, ``dgeqrt``, ``dtrcon``, ``dgeqp3``, ``dgemqrt``,
@@ -161,6 +170,10 @@ _QRT_BLOCK = 32  # dgeqrt's block size nb; it must not exceed m
 # were the fastest sizes at every order from 140 on, and every size from 8
 # to 64 took the same pivots: the sweep in BENCH_35.json.
 _SYTRF_BLOCK = 32
+# The block size nb of the dgeqp3 and dormqr workspaces (the module docstring
+# gives both formulas). A workspace below the query's makes either routine
+# shrink its blocks, and so round differently.
+_QR_WORK_BLOCK = 32
 
 
 def as_matrix(a, name="matrix"):
@@ -357,9 +370,7 @@ def _pivoted_qr(at):
     n, m = at.shape
     if min(m, n) == 0:
         return np.zeros((n, m), order="F"), np.arange(m), None
-    # The wrapper's default lwork of 3(m + 1) would run the unblocked code.
-    work, _ = lapack.dgeqp3(at, lwork=-1)[3:]
-    qr, jpvt, tau, _, info = lapack.dgeqp3(at, lwork=int(work[0]))
+    qr, jpvt, tau, _, info = lapack.dgeqp3(at, lwork=2 * m + (m + 1) * _QR_WORK_BLOCK)
     if info != 0:
         raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
     return qr, jpvt - 1, tau
@@ -377,8 +388,8 @@ def _apply_q(v, t, tau, c):
         out, info = lapack.dgemqrt(v, t, c, overwrite_c=1)
     else:
         routine = "dormqr"
-        work, _ = lapack.dormqr("L", "N", v, tau, c, lwork=-1)[1:]
-        out, _, info = lapack.dormqr("L", "N", v, tau, c, lwork=int(work[0]), overwrite_c=1)
+        lwork = c.shape[1] * _QR_WORK_BLOCK + 65 * 64
+        out, _, info = lapack.dormqr("L", "N", v, tau, c, lwork=lwork, overwrite_c=1)
     if info != 0:
         raise ComputationError(f"applying the QR reflectors failed ({routine} info={info})")
     return out
@@ -470,10 +481,10 @@ def symmetric_solve(m, rhs, tol=EPS):
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigh did not converge for a {k}x{k} matrix") from exc
-    scale = float(np.max(np.abs(w), initial=0.0))
+    scale = float(np.abs(w).max(initial=0.0))
     if not np.isfinite(scale):
         raise ComputationError(f"the eigenvalues of a {k}x{k} symmetric matrix are not finite")
     keep = np.abs(w) > tol * k * scale
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
-    return (v * inv) @ (v.T @ rhs), int(np.sum(w[keep] > 0.0)), int(np.sum(w[keep] < 0.0))
+    return (v * inv) @ (v.T @ rhs), int((w[keep] > 0.0).sum()), int((w[keep] < 0.0).sum())

@@ -335,15 +335,16 @@ def _armijo(oracle, g, direction, h0, slope, config):
     """Largest t in {1, beta, beta^2, ...} with sufficient decrease, for
     ``config``'s ``alpha`` and ``beta``.
 
-    Returns ``(t, h(g + t direction))``; the value is that of the point
-    ``g + t * direction`` the caller steps to, bit for bit.
+    Returns ``(t, h(g + t direction), g + t direction)``: the accepted
+    point is the array the value was taken at, and the caller steps to it.
     """
     t = 1.0
     while True:
-        h_t = float(oracle.value(g + t * direction))
+        trial = g + t * direction
+        h_t = float(oracle.value(trial))
         # written so that nan/inf trial values shrink t rather than pass
         if h_t <= h0 + config.alpha * t * slope:
-            return t, h_t
+            return t, h_t, trial
         t *= config.beta
         if t < 1e-300:
             raise LineSearchError(
@@ -402,9 +403,10 @@ def _newton_loop(reduced, config, damped):
         if done or len(trace.iterations) >= config.max_iter:
             break
         if damped:
-            t, h_next = _armijo(oracle, g, step, h_g, -dec_sq, config)
+            t, h_next, g_next = _armijo(oracle, g, step, h_g, -dec_sq, config)
         else:
-            t, h_next = 1.0, float(oracle.value(g + step))
+            g_next = g + step
+            t, h_next = 1.0, float(oracle.value(g_next))
             if not math.isfinite(h_next):
                 raise DivergenceError(
                     f"the full Newton step of iteration {len(trace.iterations)} left the "
@@ -422,8 +424,7 @@ def _newton_loop(reduced, config, damped):
                 step_size=t,
             )
         )
-        g = g + t * step
-        h_g = h_next
+        g, h_g = g_next, h_next
     return trace._finish(expr, g, h_g, grad_norm, dec_sq)
 
 

@@ -313,7 +313,11 @@ def load(path):
     line/column); schema violations, numeric fields and objective params
     holding anything but JSON numbers included, raise ProblemSchemaError
     naming the offending field or param. A quadratic Q that is not
-    symmetric is symmetrized with a warning.
+    symmetric is symmetrized with a warning. Q's asymmetry
+    ``max|Q - Q^T|`` is measured only when the symmetrized Q the problem
+    holds is not equal to the file's Q entry for entry, since an equal
+    one makes Q symmetric: so never for a file :func:`save` wrote. The
+    warning is given when the asymmetry exceeds ``1e-12 (1 + max|Q|)``.
     """
     where = str(path)
     with open(path, "rb") as fh:
@@ -342,9 +346,12 @@ def load(path):
         q = _array_field(doc, "Q", (n, n), where)
         c = _array_field(doc, "c", (n,), where)
         problem = _schema_checked(QpProblem, where, q, c, constraints)
+        # a Q equal to the exactly symmetric problem.q is symmetric: nothing to measure
+        if (problem.q == q).all():
+            return problem
         # max|Q - Q^T| bit for bit where that is finite, and inf, not a warning, beyond
-        skew = 2.0 * float(np.max(np.abs(0.5 * q - 0.5 * q.T), initial=0.0))
-        if skew > 1e-12 * (1.0 + float(np.max(np.abs(q), initial=0.0))):
+        skew = 2.0 * float(np.abs(0.5 * q - 0.5 * q.T).max(initial=0.0))
+        if skew > 1e-12 * (1.0 + float(np.abs(q).max(initial=0.0))):
             warnings.warn(
                 f"{where}: Q is not symmetric (max asymmetry {skew:.3e}); "
                 f"using (Q + Q^T)/2",

@@ -49,6 +49,7 @@ carries the feasibility and stationarity residuals plus a classification
 of the stationary point from reduced-Hessian inertia.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,14 @@ class QpProblem:
     def objective_value(self, x):
         """``1/2 x^T Q x + c^T x``; raises ComputationError where it
         overflows float range, as it can at a finite x."""
-        x = as_vector(x, "x", self.n)
+        return self._objective_value(as_vector(x, "x", self.n))
+
+    def _objective_value(self, x):
+        """:meth:`objective_value` of an x already checked finite and of
+        length n, such as a solver's own; the caller runs it under
+        :func:`~eqopt.linalg.overflow_checked`."""
         value = float(0.5 * x @ self.q @ x + self.c @ x)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ComputationError(f"the objective overflows float range at x (it is {value})")
         return value
 
@@ -129,7 +135,8 @@ class QpSolution:
     def __post_init__(self):
         residuals = (self.constraint_residual, self.stationarity_residual)
         lam = self.lagrange_multipliers
-        if not (np.isfinite(residuals).all() and (lam is None or np.isfinite(lam).all())):
+        finite = math.isfinite(residuals[0]) and math.isfinite(residuals[1])
+        if not (finite and (lam is None or np.isfinite(lam).all())):
             raise ComputationError(f"residuals {residuals} or multipliers overflow float range")
 
     @property
@@ -205,7 +212,7 @@ def _solve_reduced(aa, rhs, tol=EPS):
         ``eigh`` fails or yields an eigenvalue that is not finite.
     """
     k = aa.shape[0]
-    norm_1 = np.linalg.norm(aa, 1)
+    norm_1 = np.abs(aa).sum(axis=0).max()  # np.linalg.norm(aa, 1), without its wrapper
     if not np.isfinite(norm_1):
         if not (np.isfinite(aa).all() and np.isfinite(rhs).all()):
             raise ComputationError(
@@ -213,7 +220,7 @@ def _solve_reduced(aa, rhs, tol=EPS):
             )
         shift = -k.bit_length()
         aa, rhs = np.ldexp(aa, shift), np.ldexp(rhs, shift)
-        norm_1 = np.linalg.norm(aa, 1)
+        norm_1 = np.abs(aa).sum(axis=0).max()
     guard = 10.0 * k * k * tol
     found = None
     low = cholesky(aa.T)  # aa is symmetric: aa.T is its F-ordered view
@@ -263,10 +270,10 @@ def _solve_eliminated(problem, method, eps):
     basis = null @ null.T if method == "projector" else null
     return QpSolution(
         x=x,
-        objective=problem.objective_value(x),
+        objective=problem._objective_value(x),
         method=method,
-        constraint_residual=problem.constraints.residual(x),
-        stationarity_residual=float(np.max(np.abs(basis.T @ grad), initial=0.0)),
+        constraint_residual=problem.constraints._residual(x),
+        stationarity_residual=float(np.abs(basis.T @ grad).max(initial=0.0)),
         classification=sol_class,
     )
 
@@ -365,9 +372,9 @@ def _kkt_shifts(q_max, row_max, c, b):
     b stay finite.
     """
     e = np.frexp(np.append(row_max, q_max))[1]
-    if np.all(np.abs(e) <= _KKT_BAND) and np.max(e) - e[-1] <= _KKT_BAND:
+    if (np.abs(e) <= _KKT_BAND).all() and e.max() - e[-1] <= _KKT_BAND:
         return 0, np.zeros(row_max.shape, dtype=e.dtype)
-    room = 1024 - np.frexp(np.append(np.abs(b), np.max(np.abs(c), initial=0.0)))[1]
+    room = 1024 - np.frexp(np.append(np.abs(b), np.abs(c).max(initial=0.0)))[1]
     shift = np.minimum(-e, room)
     return int(shift[-1]), shift[:-1]
 
@@ -422,8 +429,8 @@ def solve_kkt(problem):
     q, c = problem.q, problem.c
     a, b = problem.constraints.a, problem.constraints.b
     n, m = problem.n, problem.constraints.m
-    q_max = np.max(np.abs(q))
-    row_max = np.max(np.abs(a), axis=1, initial=0.0)
+    q_max = np.abs(q).max()
+    row_max = np.abs(a).max(axis=1, initial=0.0)
     s, r = _kkt_shifts(q_max, row_max, c, b)
     if s or r.any():
         q, c, q_max = np.ldexp(q, s), np.ldexp(c, s), np.ldexp(q_max, s)
@@ -444,10 +451,10 @@ def solve_kkt(problem):
     # tolerance, and the system is not solved at all.
     ldu, ipiv, _ = lapack.dsytrf(kkt, lower=1, lwork=(n + m) * _SYTRF_BLOCK, overwrite_a=1)
     eigs = _bunch_kaufman_eigs(ldu, ipiv)
-    scale_e = float(np.max(np.abs(eigs), initial=0.0))
+    scale_e = float(np.abs(eigs).max(initial=0.0))
     cut = EPS * (n + m) * scale_e
-    pos = int(np.sum(eigs > cut))
-    neg = int(np.sum(eigs < -cut))
+    pos = int((eigs > cut).sum())
+    neg = int((eigs < -cut).sum())
     if pos + neg < n + m:
         raise OracleUnavailableError(
             "the saddle-point system is singular at tolerance (rank-deficient "
@@ -455,7 +462,7 @@ def solve_kkt(problem):
             "cannot certify this problem"
         )
     z, _ = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise OracleUnavailableError(
             "the saddle-point system is numerically singular (its solution is not finite)"
         )
@@ -463,11 +470,11 @@ def solve_kkt(problem):
     # K z - rhs of the balanced system: (Q x + c + A^T mu, A x - b) in its units
     stationary = q @ x + c + a.T @ mu
     feasible = a @ x - b
-    stationarity = float(np.max(np.abs(stationary)))
-    feasibility = float(np.max(np.abs(feasible), initial=0.0))
+    stationarity = float(np.abs(stationary).max())
+    feasibility = float(np.abs(feasible).max(initial=0.0))
     resid = max(stationarity, feasibility)
-    max_k = max(q_max, np.max(row_max, initial=0.0))  # max|K|
-    scale = float(max_k * max(1.0, np.max(np.abs(z))) + np.max(np.abs(rhs), initial=0.0))
+    max_k = max(q_max, row_max.max(initial=0.0))  # max|K|
+    scale = float(max_k * max(1.0, np.abs(z).max()) + np.abs(rhs).max(initial=0.0))
     if resid > 1e-8 * max(scale, 1.0):
         raise OracleUnavailableError(
             f"the saddle-point system is numerically singular "
@@ -476,7 +483,7 @@ def solve_kkt(problem):
     # back to the problem's units by the same powers of two (all 2^0 when not balanced)
     lam = np.ldexp(mu, r - s)
     stationarity = float(np.ldexp(stationarity, -s))
-    feasibility = float(np.max(np.abs(np.ldexp(feasible, -r)), initial=0.0))
+    feasibility = float(np.abs(np.ldexp(feasible, -r)).max(initial=0.0))
 
     pos -= m
     neg -= m
@@ -492,7 +499,7 @@ def solve_kkt(problem):
 
     return QpSolution(
         x=x,
-        objective=problem.objective_value(x),
+        objective=problem._objective_value(x),
         method="kkt",
         constraint_residual=feasibility,
         stationarity_residual=stationarity,

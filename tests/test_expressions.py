@@ -17,6 +17,8 @@ def test_constraints_validation():
         EqualityConstraints([[1.0, 2.0]], [3.0, 4.0])
     with pytest.raises(ValueError, match="^x has length 3, expected 2$"):
         c.residual([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+        c.residual([1.0, np.nan])
     with pytest.raises(ValueError, match="^x has length 1, expected 2$"):
         EqualityConstraints(np.zeros((0, 2)), np.zeros(0)).residual([1.0])
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import eqopt
 from eqopt.errors import ComputationError, InfeasibleConstraintsError
 from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.linalg import (
+    _apply_q,
+    _pivoted_qr,
     _upper_solve,
     as_matrix,
     as_vector,
@@ -594,6 +597,56 @@ def test_every_dsytrf_call_takes_its_block_size_from_one_constant():
                     offenders.append(f"{path.name}:{node.lineno} sizes dsytrf otherwise")
     assert offenders == []
     assert {"linalg.py", "qp.py"} <= callers
+
+
+def test_no_module_queries_a_lapack_workspace():
+    # every workspace is stated in linalg (its docstring's Block sizes): a
+    # query, lwork=-1 by keyword or in a call on lapack, is a second call
+    # into LAPACK that computes nothing
+    def is_minus_one(node):
+        try:
+            return ast.literal_eval(node) == -1
+        except ValueError:
+            return False
+
+    offenders = []
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            on_lapack = (_dotted(node.func) or "").startswith("lapack.")
+            values = [kw.value for kw in node.keywords if on_lapack or kw.arg == "lwork"]
+            if any(map(is_minus_one, values + (node.args if on_lapack else []))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_the_stated_qr_workspaces_cover_the_queries(monkeypatch):
+    # _pivoted_qr and _apply_q pass dgeqp3 and dormqr the workspaces the
+    # module docstring states; one below the query's would make them shrink
+    # their blocks, and so round otherwise than at the queried size
+    real = {name: getattr(lapack, name) for name in ("dgeqp3", "dormqr")}
+    passed = {}
+
+    def recording(*args, _name, **kwargs):
+        passed[_name] = kwargs["lwork"]
+        return real[_name](*args, **kwargs)
+
+    for name in real:
+        monkeypatch.setattr(lapack, name, partial(recording, _name=name))
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 5, 8, 17, 31, 32, 33, 60, 64, 65, 100, 129, 160):
+        for m in sorted({*range(1, n + 6, max(1, n // 6)), n - 1, n, n + 1, n + 5} - {0}):
+            at = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, m)))
+            query = real["dgeqp3"](at, lwork=-1)[3][0]
+            qr, _, tau = _pivoted_qr(at)
+            assert passed["dgeqp3"] >= query, (n, m)
+            v = qr[:, : min(m, n)]
+            for cols in sorted({1, 2, n // 2 + 1, n}):
+                c = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, cols)))
+                query = real["dormqr"]("L", "N", v, tau, c, lwork=-1)[1][0]
+                _apply_q(v, None, tau, c)
+                assert passed["dormqr"] >= query, (n, m, cols)
 
 
 def _run_python(script):

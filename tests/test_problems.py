@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -553,6 +554,23 @@ def test_load_an_asymmetry_beyond_float_range_warns_without_overflow(tmp_path):
 def test_load_symmetric_q_is_silent(tmp_path, recwarn):
     load(_write(tmp_path / "p.json", _qp_doc()))
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "q, held",
+    [
+        # exactly symmetric, but halving rounds 5e-324 to 0: the held Q differs
+        # from the file's, so the asymmetry is measured, and it is 0
+        ([[2.0, 5e-324], [5e-324, -5e-324]], [[2.0, 0.0], [0.0, 0.0]]),
+        # an asymmetry of 1e-13, below the cut 1e-12 (1 + max|Q|)
+        ([[2.0, 1e-13], [0.0, 2.0]], [[2.0, 5e-14], [5e-14, 2.0]]),
+    ],
+)
+def test_load_a_q_symmetric_to_within_the_cut_is_silent(tmp_path, q, held):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = load(_write(tmp_path / "p.json", _qp_doc(Q=q)))
+    assert_array_equal(problem.q, np.array(held))
 
 
 # ---------------------------------------------------------------------------

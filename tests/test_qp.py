@@ -230,6 +230,8 @@ def test_problem_validation():
     problem = QpProblem(np.eye(2), np.zeros(2), EqualityConstraints([[1.0, 0.0]], [1.0]))
     with pytest.raises(ValueError, match="^x has length 3, expected 2$"):
         problem.objective_value([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+        problem.objective_value([np.inf, 0.0])
 
 
 def test_row_scaling_does_not_make_feasible_constraints_infeasible():
