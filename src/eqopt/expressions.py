@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ComputationError, InfeasibleConstraintsError
 from .linalg import EPS, _apply_q, _full_rank_qr, _pivoted_qr, _upper_solve
-from .linalg import as_matrix, as_vector, frozen_copy, overflow_checked
+from .linalg import as_matrix, as_vector, frozen_copy, is_real, overflow_checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +149,9 @@ def build_nullspace(constraints, eps=EPS):
     was built; nothing here checks A or b again.
 
     ``eps`` is the relative tolerance of both the rank decision and the
-    consistency check. It must satisfy ``0 < eps < 1``: at ``eps >= 1``
-    (or NaN) the rank cut would call every pivot negligible and drop
-    every row.
+    consistency check. It must be a real number (not a bool or a string)
+    with ``0 < eps < 1``: at ``eps >= 1`` (or NaN) the rank cut would call
+    every pivot negligible and drop every row.
 
     Raises
     ------
@@ -162,7 +162,7 @@ def build_nullspace(constraints, eps=EPS):
         overflows float range.
     """
     m, n = constraints.m, constraints.n
-    if not 0.0 < eps < 1.0:  # also rejects NaN
+    if not (is_real(eps) and 0.0 < eps < 1.0):  # also rejects NaN
         raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps!r}")
     scale = np.abs(constraints.a).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0

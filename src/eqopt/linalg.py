@@ -23,13 +23,25 @@ so its input is left intact. No solver computes an SVD. A quadratic
 restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
 that the QP eliminations and the registry objectives share.
 
-:func:`as_matrix` and :func:`as_vector` check an array from outside, and
-:func:`frozen_copy` gives the frozen input types the read-only copy they
-hold, so a checked array neither changes with the caller's nor takes a
-write. The checks do not copy: a registry objective keeps the caller's
-arrays, as a copy would double the memory they hold, and
-:class:`~eqopt.problems.NlpProblem` builds its objective from its own
-read-only copies of the params. The kernels check no argument again.
+**What a number is** is stated once, here, for every input: the library's
+constructors and builders and a problem file alike. An array's entries
+must be numbers (:func:`as_float_array`): a string, ``None``, a boolean
+or a complex entry is refused with ValueError rather than read as a
+number or cut to its real part. A scalar setting is a real number that
+is not a bool (:func:`is_real`), within the range its caller states, and
+a count, a seed or a dimension is integral as well (:func:`is_integer`):
+``2.0`` is not. A test fails if another module imports
+:mod:`numbers` or calls ``np.asarray``, but for the finite-difference
+Hessian of an :class:`~eqopt.nlp.ObjectiveOracle`, which converts its
+own iterate. :func:`as_matrix` and :func:`as_vector` check an array
+from outside by this rule, and :func:`frozen_copy` gives the frozen
+input types the read-only copy they hold, so a checked array neither
+changes with the caller's nor takes a write. The checks do not copy a
+float64 array: a registry objective keeps the caller's arrays, as a
+copy would double the memory they hold, and
+:class:`~eqopt.problems.NlpProblem` hands its builder the float64
+arrays it converted, once, from its own read-only copies of the params.
+The kernels check no argument again.
 Only buffers a routine allocated itself are passed to LAPACK to be
 overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 ``dormqr`` and ``dgemqrt``).
@@ -98,6 +110,8 @@ overflow warnings are not shown there either.
 
 import importlib.machinery
 import importlib.util
+import itertools
+import numbers
 import os
 import sys
 from functools import wraps
@@ -176,24 +190,85 @@ _SYTRF_BLOCK = 32
 _QR_WORK_BLOCK = 32
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite 2-D float64 array or raise ValueError."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
+def is_real(x):
+    """The scalar number rule: whether ``x`` is a real number (a Python or
+    numpy int or float, any :class:`numbers.Real`) that is not a bool. A
+    string, ``None`` and an array are not; whether it is finite is part of
+    the range each caller states."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def is_integer(x):
+    """The integer rule: whether ``x`` is integral (a Python or numpy int,
+    any :class:`numbers.Integral`) and not a bool. ``2.0`` is not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _holds_bool(raw, out):
+    """Whether the nested list ``raw`` holds a boolean.
+
+    ``out = np.asarray(raw)`` has a numeric dtype, so numpy read any boolean
+    as 0 or 1; only the entries equal to 0 or 1 are looked up in ``raw``.
+    """
+    suspects = np.flatnonzero((out == 0) | (out == 1))
+    if suspects.size == 0:
+        return False
+    for _ in range(out.ndim - 1):
+        raw = list(itertools.chain.from_iterable(raw))
+    return any(isinstance(raw[i], (bool, np.bool_)) for i in suspects)
+
+
+def as_float_array(a, name):
+    """The array number rule: ``a`` as a float64 array of any shape, or
+    ValueError naming it ``name``.
+
+    An int or float ndarray is converted without a look at its entries, as
+    none of them can be a boolean. Otherwise the dtype numpy infers refuses
+    strings, ``None``, objects, complex numbers and all-boolean arrays; a
+    boolean mixed with numbers in a nested list (``[True, 1.5]``) is caught
+    by :func:`_holds_bool`. Python ints beyond 64 bits give an object
+    array; they are converted one by one, so that both JSON parsers of
+    :func:`~eqopt.problems.load` accept the same entries. Whether the
+    entries are finite is left to :func:`as_matrix` and :func:`as_vector`.
+    """
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iuf":
+        return np.asarray(a, dtype=np.float64)
+    try:
+        out = np.asarray(a)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a rectangular numeric array") from None
+    if out.dtype.kind == "O" and all(type(v) in (int, float) for v in out.flat):
+        try:
+            out = out.astype(np.float64)
+        except OverflowError:
+            raise ValueError(f"{name} holds an integer beyond the float64 range") from None
+    if out.dtype.kind not in "iuf":
+        raise ValueError(f"{name} has non-numeric entries (numpy dtype {out.dtype})")
+    if isinstance(a, (list, tuple)) and _holds_bool(a, out):
+        raise ValueError(f"{name} has non-numeric entries (a boolean)")
+    return out.astype(np.float64, copy=False)
+
+
+def _finite(a, name, ndim):
+    """``a`` as a finite float64 array of ``ndim`` dimensions
+    (:func:`as_float_array`), or ValueError naming it ``name``."""
+    out = as_float_array(a, name)
+    if out.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {out.shape}")
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
 
+def as_matrix(a, name="matrix"):
+    """``a`` as a finite 2-D float64 array, or ValueError."""
+    return _finite(a, name, 2)
+
+
 def as_vector(v, name="vector", length=None):
-    """Coerce to a finite 1-D float64 array, of ``length`` entries when it
-    is given, or raise ValueError."""
-    out = np.asarray(v, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    """``v`` as a finite 1-D float64 array, of ``length`` entries when it
+    is given, or ValueError."""
+    out = _finite(v, name, 1)
     if length is not None and out.shape[0] != length:
         raise ValueError(f"{name} has length {out.shape[0]}, expected {length}")
     return out

@@ -34,7 +34,6 @@ alone.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +46,8 @@ from .errors import (
     NonConvexError,
 )
 from .expressions import ConstrainedExpression, build_nullspace
-from .linalg import as_vector, cholesky, cholesky_solve, frozen_copy, overflow_checked
-from .linalg import symmetric_part
+from .linalg import as_vector, cholesky, cholesky_solve, frozen_copy, is_integer, is_real
+from .linalg import overflow_checked, symmetric_part
 
 _FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -200,12 +199,14 @@ class NewtonConfig:
     backtracking parameters; only the damped phase uses them, but they are
     checked for both. ``epsilon`` is the termination threshold: on half
     the squared Newton decrement (damped), on the gradient and step norms
-    (pure). ``max_iter`` caps the executed steps and must be an integer,
-    not a bool. ``g0`` defaults to the zero free vector (i.e. the
-    minimum-norm feasible point); it is checked to be finite and 1-D here
-    and held as a read-only copy, and its length is checked when the solve
-    starts, the first time that length is known. The fields are checked
-    once, on construction, and cannot be reassigned.
+    (pure). These three are real numbers, not bools or strings
+    (:func:`~eqopt.linalg.is_real`). ``max_iter`` caps the executed steps
+    and must be an integer, not a bool (:func:`~eqopt.linalg.is_integer`).
+    ``g0`` defaults to the zero free vector (i.e. the minimum-norm
+    feasible point); it is checked to be finite and 1-D here and held as a
+    read-only copy, and its length is checked when the solve starts, the
+    first time that length is known. The fields are checked once, on
+    construction, and cannot be reassigned.
     """
 
     alpha: float = 0.25
@@ -215,13 +216,13 @@ class NewtonConfig:
     g0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
+        if not (is_real(self.alpha) and 0.0 < self.alpha < 0.5):
             raise ValueError("alpha must lie in (0, 1/2)")
-        if not 0.0 < self.beta < 1.0:
+        if not (is_real(self.beta) and 0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not (is_real(self.epsilon) and 0.0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be finite and positive")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+        if not is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -485,7 +486,7 @@ class ConvergenceConstants:
     :func:`estimate_convergence_constants` returns it. A worst-case
     Lipschitz constant L of the *full-space* Hessian serves as well, since
     ``K <= L ||N||_2^3 = L`` for the orthonormal bases this library builds.
-    All three must be finite.
+    All three must be finite real numbers (:func:`~eqopt.linalg.is_real`).
     """
 
     m_strong: float
@@ -493,9 +494,9 @@ class ConvergenceConstants:
     lipschitz: float
 
     def __post_init__(self):
-        for name in ("m_strong", "m_upper", "lipschitz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name, value in vars(self).items():
+            if not (is_real(value) and -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.m_strong <= self.m_upper:
             raise ValueError("need 0 < m_strong <= m_upper")
         if not self.lipschitz > 0.0:
@@ -524,11 +525,11 @@ def suboptimality_bound(grad_norm, constants):
     """Certified gap bound ``h(g) - h* <= ||E||^2 / (2 m)``.
 
     Valid whenever the reduced Hessian satisfies ``F >= m I`` on the
-    sublevel set containing g. ``grad_norm`` must be finite and nonnegative.
-    Raises ValueError, like :func:`iteration_bound`, when the bound leaves
-    float range.
+    sublevel set containing g. ``grad_norm`` must be a finite nonnegative
+    real number. Raises ValueError, like :func:`iteration_bound`, when the
+    bound leaves float range.
     """
-    if not (math.isfinite(grad_norm) and grad_norm >= 0.0):
+    if not (is_real(grad_norm) and 0.0 <= grad_norm < math.inf):
         raise ValueError("grad_norm must be finite and nonnegative")
     try:
         bound = float(grad_norm) ** 2 / (2.0 * constants.m_strong)
@@ -555,15 +556,15 @@ def iteration_bound(constants, config, h0_minus_hstar):
     * the total number of iterations is then at most
       ``d_max = 6 + (h0 - h*) / gamma``.
 
-    ``h0_minus_hstar`` is the initial objective gap (a finite upper bound
-    on it is fine and just loosens the cap).
+    ``h0_minus_hstar`` is the initial objective gap, a real number (a
+    finite upper bound on it is fine and just loosens the cap).
 
     Raises ValueError when the constants, though finite, are so extreme
     that a certificate quantity overflows or underflows to zero (``m^2``
     out of float range, ``gamma = 0``, an infinite ``d_max``): no
     finite cap can be stated then.
     """
-    if not (math.isfinite(h0_minus_hstar) and h0_minus_hstar >= 0.0):
+    if not (is_real(h0_minus_hstar) and 0.0 <= h0_minus_hstar < math.inf):
         raise ValueError("h0_minus_hstar must be finite and nonnegative")
     try:
         m_sq = constants.m_strong**2

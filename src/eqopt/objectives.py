@@ -34,12 +34,11 @@ r rows of C and k free variables.
 """
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import ComputationError, UnknownObjectiveError
-from .linalg import as_matrix, as_vector, pull_back_quadratic, quadratic_data
+from .linalg import as_matrix, as_vector, is_integer, is_real, pull_back_quadratic, quadratic_data
 from .nlp import ObjectiveOracle
 
 
@@ -186,15 +185,11 @@ def quadratic(q, c=None):
 def sum_exp(dim=None, rates=None):
     """``f(x) = sum_i exp(r_i x_i)``; rates default to all ones.
 
-    ``dim`` must be integral; a boolean is refused rather than read as 0 or 1.
+    ``dim`` must be an integer (:func:`~eqopt.linalg.is_integer`): neither
+    ``3.0`` nor a boolean, which would be read as 0 or 1.
     """
-    if dim is not None:
-        integral = isinstance(dim, numbers.Integral) or (
-            isinstance(dim, numbers.Real) and float(dim).is_integer()
-        )
-        if isinstance(dim, bool) or not integral:  # numpy's bool is not a number
-            raise ValueError(f"dim must be an integer, got {dim!r}")
-        dim = int(dim)
+    if dim is not None and not is_integer(dim):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if rates is not None:
         r = as_vector(rates, "rates")
         if dim is not None and dim != r.shape[0]:
@@ -242,10 +237,9 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
     if ba.shape[1] != n:
         raise ValueError(f"barrier_a has {ba.shape[1]} columns, expected {n}")
     bb = as_vector(barrier_b, "barrier_b", ba.shape[0])
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0.0):
+    if not (is_real(mu) and 0.0 < mu < math.inf):
         raise ValueError("mu must be finite and positive")
-    return _composite(_neg_log(mu), ba, -bb, (q, c, 0.0))
+    return _composite(_neg_log(float(mu)), ba, -bb, (q, c, 0.0))
 
 
 _REGISTRY = {

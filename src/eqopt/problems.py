@@ -9,8 +9,11 @@ by name all go through it. Both problem kinds carry an ``oracle`` and
 their ``constraints``, so Newton runs the same way on either. Each builds
 its oracle itself, from its own held data: :class:`NlpProblem` from its
 objective's name and params, which are all a problem file records of it,
-so :func:`save` writes the objective that :func:`solve` solves, and
-:func:`load` checks the params but builds no oracle.
+so :func:`save` writes the objective that :func:`solve` solves. What a
+number is is stated once, in :mod:`eqopt.linalg`: the constructors and
+builders refuse what a file may not hold, with ValueError, and
+:func:`load` checks no number itself but turns their refusal into a
+ProblemSchemaError naming the file.
 
 The on-disk format is JSON with a fixed top level: ``formatVersion``
 (currently 1), ``kind`` (``"qp"`` or ``"nlp"``), the dimensions ``n``
@@ -50,7 +53,6 @@ kept in :attr:`NlpProblem.objective_params` shows which parser ran.
 """
 
 import io
-import itertools
 import json
 import warnings
 from collections.abc import Mapping
@@ -62,7 +64,7 @@ import orjson
 from . import objectives
 from .errors import ProblemParseError, ProblemSchemaError
 from .expressions import EqualityConstraints
-from .linalg import EPS, frozen_copy
+from .linalg import EPS, as_float_array, frozen_copy, is_integer, is_real
 from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
 from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
@@ -136,13 +138,24 @@ class NlpProblem:
     own checked Q and c: the objective it solves is the one :func:`save`
     writes. ``objective_params`` is held read-only (:func:`_read_only`),
     so neither a later write to the caller's params nor one through the
-    problem reaches the oracle. Params the builder refuses (TypeError,
-    ValueError or OverflowError) raise ValueError prefixed
-    ``objective '<name>' params:``, an unknown name raises
-    UnknownObjectiveError, and an objective whose dimension is not the
-    constraints' ``n`` raises ValueError, as a mismatched Q does in
-    :class:`~eqopt.qp.QpProblem`. The fields cannot be reassigned, and
-    two problems are equal only if they are the same object.
+    problem reaches the oracle.
+
+    Each param is checked once, before the builder runs, by the number
+    rule of :mod:`eqopt.linalg`, which is also a problem file's: a list,
+    tuple or array is converted to a float64 array
+    (:func:`~eqopt.linalg.as_float_array`) and handed to the builder as
+    that array, anything else must be a real number
+    (:func:`~eqopt.linalg.is_real`), and a ``dim`` param must be the
+    integer ``n``, so no builder allocates an objective of another size.
+    Such a param raises ValueError prefixed ``objective '<name>' param
+    '<key>'``, and :func:`load` gives the same text after the file's
+    name. Params the builder refuses (TypeError, ValueError or
+    OverflowError) raise ValueError prefixed ``objective '<name>'
+    params:``, an unknown name raises UnknownObjectiveError, and an
+    objective whose dimension is not the constraints' ``n`` raises
+    ValueError, as a mismatched Q does in :class:`~eqopt.qp.QpProblem`.
+    The fields cannot be reassigned, and two problems are equal only if
+    they are the same object.
 
     ``oracle`` is accepted as a keyword only so that the benchmark's
     ``build_nlp_newton`` call, which passes one, keeps working; the value
@@ -155,16 +168,30 @@ class NlpProblem:
     oracle: object = field(default=None, kw_only=True)  # ObjectiveOracle
 
     def __post_init__(self):
-        object.__setattr__(self, "objective_params", _read_only(self.objective_params))
+        given, params = self.objective_params, _read_only(self.objective_params)
+        object.__setattr__(self, "objective_params", params)
+        what, n, args = f"objective {self.objective_name!r} param", self.constraints.n, {}
+        for key, value in params.items():
+            if isinstance(value, (list, tuple, np.ndarray)):
+                value = as_float_array(value, f"{what} '{key}'")
+            elif not is_real(value):
+                raise ValueError(
+                    f"{what} '{key}' has type {type(given[key]).__name__}; "
+                    f"objective params are JSON numbers or arrays of them"
+                )
+            args[key] = value
+        dim = params.get("dim")
+        if dim is not None and not (is_integer(dim) and dim == n):
+            raise ValueError(
+                f"{what} 'dim' is {dim!r}; the objective dimension must be the integer n={n}"
+            )
         try:
             # UnknownObjectiveError passes through
-            oracle = objectives.objective_registry(self.objective_name, self.objective_params)
+            oracle = objectives.objective_registry(self.objective_name, args)
         except (TypeError, ValueError, OverflowError) as exc:  # e.g. an unknown keyword
             raise ValueError(f"objective {self.objective_name!r} params: {exc}") from None
-        if oracle.dim != self.constraints.n:
-            raise ValueError(
-                f"objective dimension {oracle.dim} does not match n={self.constraints.n}"
-            )
+        if oracle.dim != n:
+            raise ValueError(f"objective dimension {oracle.dim} does not match n={n}")
         object.__setattr__(self, "oracle", oracle)
 
 
@@ -179,95 +206,31 @@ def _require(doc, field, kinds, where):
     return value
 
 
-def _holds_bool(raw, out):
-    """Whether the nested list ``raw`` holds a JSON boolean.
-
-    ``out = np.asarray(raw)`` has a numeric dtype, so numpy read any boolean
-    as 0 or 1; only the entries equal to 0 or 1 are looked up in ``raw``.
-    """
-    suspects = np.flatnonzero((out == 0) | (out == 1))
-    if suspects.size == 0:
-        return False
-    for _ in range(out.ndim - 1):
-        raw = list(itertools.chain.from_iterable(raw))
-    return any(type(raw[i]) is bool for i in suspects)
-
-
-def _numbers(raw, what):
-    """The JSON array ``raw`` as a float64 array, refusing anything but numbers.
-
-    The dtype numpy infers refuses strings, ``null``, objects and all-boolean
-    arrays; a boolean mixed with numbers (``[true, 1.5]``) is caught by
-    :func:`_holds_bool`. Integers beyond 64 bits give an object array; they
-    are converted one by one, so that both parsers accept the same entries.
-    ``what`` names the array in the ProblemSchemaError.
-    """
-    try:
-        out = np.asarray(raw)
-    except (TypeError, ValueError):
-        raise ProblemSchemaError(f"{what} is not a rectangular numeric array") from None
-    if out.dtype.kind == "O" and all(type(v) in (int, float) for v in out.flat):
-        try:
-            out = out.astype(np.float64)
-        except OverflowError:
-            raise ProblemSchemaError(
-                f"{what} holds an integer beyond the float64 range"
-            ) from None
-    if out.dtype.kind not in "iuf":
-        raise ProblemSchemaError(f"{what} has non-numeric entries (numpy dtype {out.dtype})")
-    if _holds_bool(raw, out):
-        raise ProblemSchemaError(f"{what} has non-numeric entries (a boolean)")
-    return out.astype(np.float64, copy=False)
-
-
 def _array_field(doc, field, shape, where):
     """A float64 array of the given shape; JSON ``[]`` is an empty matrix.
 
-    Entries must be JSON numbers (:func:`_numbers`); that they are finite is
-    checked once, by the type that holds the array.
+    Entries must be numbers (:func:`~eqopt.linalg.as_float_array`); that
+    they are finite is checked once, by the type that holds the array.
     """
-    out = _numbers(_require(doc, field, list, where), f"{where}: field '{field}'")
+    what = f"field '{field}'"
+    out = _schema_checked(as_float_array, where, _require(doc, field, list, where), what)
     if out.shape == (0,) and len(shape) == 2:
         out = out.reshape(0, shape[1])
     if out.shape != shape:
-        raise ProblemSchemaError(
-            f"{where}: field '{field}' has shape {out.shape}, expected {shape}"
-        )
+        raise ProblemSchemaError(f"{where}: {what} has shape {out.shape}, expected {shape}")
     return out
 
 
 def _schema_checked(make, where, *fields):
-    """``make(*fields)``, the type that checks them, with its ValueError (a
-    non-finite entry, objective params the builder refuses, an objective
+    """``make(*fields)``, the type or rule that checks them, with its
+    ValueError (an entry that is not a number or not finite, objective
+    params that are not numbers or that the builder refuses, an objective
     whose dimension is not n) raised as a ProblemSchemaError naming the
     file."""
     try:
         return make(*fields)
     except ValueError as exc:
         raise ProblemSchemaError(f"{where}: {exc}") from None
-
-
-def _check_objective_params(params, name, n, where):
-    """Check the objective params of a file before the builder sees them.
-
-    Every param is a JSON number or an array of JSON numbers
-    (:func:`_numbers`). A ``dim`` param must be the JSON integer ``n``; it
-    is checked here, before the builder allocates anything of that size.
-    """
-    what = f"{where}: objective {name!r} param"
-    for key, value in params.items():
-        if isinstance(value, list):
-            _numbers(value, f"{what} '{key}'")
-        elif type(value) not in (int, float):
-            raise ProblemSchemaError(
-                f"{what} '{key}' has type {type(value).__name__}; "
-                f"objective params are JSON numbers or arrays of them"
-            )
-    dim = params.get("dim")
-    if dim is not None and (type(dim) is not int or dim != n):
-        raise ProblemSchemaError(
-            f"{what} 'dim' is {dim!r}; the objective dimension must be the integer n={n}"
-        )
 
 
 def _bracket_count(data):
@@ -364,7 +327,6 @@ def load(path):
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ProblemSchemaError(f"{where}: objective params must be an object")
-    _check_objective_params(params, name, n, where)
     return _schema_checked(NlpProblem, where, constraints, name, params)
 
 
@@ -447,7 +409,8 @@ class GeneratorSpec:
     ``"symmetric_indefinite"`` takes a random matrix, which
     :class:`~eqopt.qp.QpProblem` symmetrizes on construction.
     ``rank_deficiency`` appends that many duplicated constraint rows,
-    keeping the system consistent.
+    keeping the system consistent. ``n``, ``m``, ``seed`` and
+    ``rank_deficiency`` are integers (:func:`~eqopt.linalg.is_integer`).
     """
 
     n: int
@@ -457,6 +420,9 @@ class GeneratorSpec:
     rank_deficiency: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "seed", "rank_deficiency"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0 <= self.m < self.n:

@@ -21,6 +21,11 @@ def test_constraints_validation():
         c.residual([1.0, np.nan])
     with pytest.raises(ValueError, match="^x has length 1, expected 2$"):
         EqualityConstraints(np.zeros((0, 2)), np.zeros(0)).residual([1.0])
+    # the rank cut's eps is a real number: a string raised a bare TypeError
+    for eps in ("0.1", True, np.nan, 1.0, 0.0):
+        with pytest.raises(ValueError, match="^eps must satisfy 0 < eps < 1, got "):
+            build_nullspace(c, eps)
+    assert build_nullspace(c, np.float64(1e-10)).rank == 1
 
 
 def test_constraints_reduced_drops_redundant_rows():

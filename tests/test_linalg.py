@@ -476,6 +476,28 @@ def test_as_matrix_and_as_vector():
         as_vector([np.nan])
     with pytest.raises(ValueError, match="A contains non-finite"):
         EqualityConstraints([[1.0, np.nan]], [1.0])
+    # the number rule of a problem file: no entry is read as a number that
+    # is not one, and an imaginary part is not dropped
+    for entries, refusal in (
+        (np.array([[1 + 5j, 1.0]]), r"numpy dtype complex128"),
+        ([[1 + 5j, 1.0]], r"numpy dtype complex128"),
+        ([[True, 1.0]], r"\(a boolean\)"),
+        ([[np.True_, 2.0]], r"\(a boolean\)"),
+        (np.array([[True, False]]), r"numpy dtype bool"),
+        ([["1.5", 1.0]], r"numpy dtype <U"),
+        ([[None, 1.0]], r"numpy dtype object"),
+        ([[1.0], [1.0, 2.0]], r"not a rectangular numeric array"),
+        ([[10**400, 1.0]], r"integer beyond the float64 range"),
+    ):
+        with pytest.raises(ValueError, match=f"^A (is|has|holds) .*{refusal}"):
+            EqualityConstraints(entries, [1.0])
+    with pytest.raises(ValueError, match=r"^b has non-numeric entries \(a boolean\)$"):
+        as_vector([0.0, True], "b")
+    # an int ndarray is converted, a float64 one taken as it is
+    held = np.array([[1.0, 2.0]])
+    assert as_matrix(held) is held
+    assert as_vector(np.array([1, 2], dtype=np.int32)).tolist() == [1.0, 2.0]
+    assert as_vector([10**20, 1]).tolist() == [1e20, 1.0]
 
 
 def test_a_solution_that_overflows_is_a_computation_error():
@@ -556,6 +578,38 @@ def _dotted(node):
         parts.append(node.attr)
         node = node.value
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_only_linalg_states_what_a_number_is():
+    # one number rule for every input: no other module imports numbers or
+    # converts an array itself; ObjectiveOracle._fd_hessian converts only
+    # the iterate it differences
+    offenders = []
+    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ObjectiveOracle"
+            for fn in cls.body
+            if getattr(fn, "name", None) == "_fd_hessian"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(f"{node.module}.{a.name}" for a in node.names)]
+            elif isinstance(node, ast.Call) and id(node) not in exempt:
+                names = [_dotted(node.func) or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numbers" or n in ("np.asarray", "numpy.asarray")
+                   for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_no_module_imports_scipy_linalg():

@@ -227,6 +227,16 @@ def test_newton_config_validation():
             NewtonConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
+    # real numbers, not bools (True was read as 1.0) nor strings (a bare TypeError)
+    for setting, refusal in (
+        ({"epsilon": True}, "epsilon must be finite and positive"),
+        ({"epsilon": "1e-8"}, "epsilon must be finite and positive"),
+        ({"alpha": "0.3"}, r"alpha must lie in \(0, 1/2\)"),
+        ({"beta": np.True_}, r"beta must lie in \(0, 1\)"),
+    ):
+        with pytest.raises(ValueError, match=refusal):
+            NewtonConfig(**setting)
+    assert NewtonConfig(alpha=np.float64(0.3), epsilon=1).epsilon == 1
     # a step count, not a float (2.5 would run 3 steps) nor a bool (True 1)
     for not_an_integer in (2.5, 3.0, True, np.True_):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
@@ -389,9 +399,14 @@ def test_constants_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 ConvergenceConstants(**{**finite, name: bad})
+    # a bool is not a constant, and a string is not a number (True was read as 1.0)
+    with pytest.raises(ValueError, match="m_strong must be a finite number, got True"):
+        ConvergenceConstants(True, True, True)
+    with pytest.raises(ValueError, match="lipschitz must be a finite number, got '1'"):
+        ConvergenceConstants(1.0, 2.0, "1")
     # a NaN or infinite gap or gradient norm would return a NaN or infinite bound
     constants = ConvergenceConstants(**finite)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, True, "1.0"):
         with pytest.raises(ValueError, match="h0_minus_hstar"):
             iteration_bound(constants, NewtonConfig(), bad)
         with pytest.raises(ValueError, match="grad_norm"):

@@ -420,6 +420,9 @@ def test_a_nonlinear_problem_refuses_an_objective_of_another_dimension(tmp_path)
     # params the builder refuses constructed and saved such a file
     constraints = EqualityConstraints([[1.0, 1.0]], [1.0])
     with pytest.raises(ValueError, match=r"^objective dimension 3 does not match n=2$"):
+        NlpProblem(constraints, "sum_exp", {"rates": [1.0, 2.0, 3.0]})
+    # a dim param is refused before the builder allocates that size, as load refuses it
+    with pytest.raises(ValueError, match=r"^objective 'sum_exp' param 'dim' is 3; .* integer n=2$"):
         NlpProblem(constraints, "sum_exp", {"dim": 3})
     with pytest.raises(UnknownObjectiveError, match="unknown objective 'cubic'"):
         NlpProblem(constraints, "cubic", {"dim": 2})
@@ -428,6 +431,74 @@ def test_a_nonlinear_problem_refuses_an_objective_of_another_dimension(tmp_path)
     problem = NlpProblem(constraints, "sum_exp", {"dim": 2})
     save(tmp_path / "p.json", problem)
     assert load(tmp_path / "p.json").oracle.dim == 2
+
+
+_BARRIER = {"q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "barrier_b": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("log_sum_exp", {"a": [["1", 2.0], [0.0, 1.0]]}),
+        ("log_sum_exp", {"a": [[10**400, 1.0], [0.0, 1.0]]}),
+        ("sum_exp", {"rates": [True, 1.0]}),
+        ("neg_log_barrier_quadratic", {**_BARRIER, "mu": "2"}),
+        ("neg_log_barrier_quadratic", {**_BARRIER, "mu": True}),
+        ("neg_log_barrier_quadratic", {**_BARRIER, "mu": {"value": 2.0}}),
+        ("log_sum_exp", {"a": [[1.0, 0.0], [0.0, 1.0]], "shift": None}),
+        ("sum_exp", {"dim": 1_000_000_000_000}),
+        ("sum_exp", {"dim": 2.0}),
+        ("sum_exp", {"dim": True}),
+        ("sum_exp", {"dim": [2]}),
+    ],
+    ids=["string-entry", "huge-entry", "boolean-entry", "string-mu", "boolean-mu",
+         "object-mu", "null-shift", "dim-1e12", "dim-2.0", "dim-true", "dim-list"],
+)
+def test_a_nonlinear_problem_refuses_the_params_load_refuses(tmp_path, monkeypatch, name, params):
+    # the constructor states the file's number rule, so save cannot write
+    # such params, and load's text is the constructor's after the file name;
+    # neither runs the builder, which would allocate 7 TiB for the 1e12 dim
+    def refuse(**kwargs):
+        raise AssertionError("the builder ran on params the number rule refuses")
+
+    monkeypatch.setitem(objectives._REGISTRY, name, refuse)
+    doc = _qp_doc(kind="nlp", objective={"name": name, "params": params})
+    del doc["Q"], doc["c"]
+    path = _write(tmp_path / "p.json", doc)
+    with pytest.raises(ProblemSchemaError) as from_file:
+        load(path)
+    with pytest.raises(ValueError) as from_library:
+        NlpProblem(EqualityConstraints([[1.0, 1.0]], [1.0]), name, params)
+    assert str(from_file.value) == f"{path}: {from_library.value}"
+    assert str(from_library.value).startswith(f"objective {name!r} param ")
+
+
+def test_load_hands_the_builder_float64_arrays(tmp_path, monkeypatch):
+    # each array param is converted once, by the problem, and the builder
+    # checks the float64 array it is handed without converting it again
+    seen = []
+    builder = objectives._REGISTRY["neg_log_barrier_quadratic"]
+
+    def spy(**kwargs):
+        seen.append(kwargs)
+        return builder(**kwargs)
+
+    monkeypatch.setitem(objectives._REGISTRY, "neg_log_barrier_quadratic", spy)
+    params = {"q": [[1, 0], [0, 1]], "barrier_a": [[1.0, 0.0]], "barrier_b": [2.0], "mu": 2}
+    doc = _qp_doc(kind="nlp", objective={"name": "neg_log_barrier_quadratic", "params": params})
+    del doc["Q"], doc["c"]
+    problem = load(_write(tmp_path / "p.json", doc))
+    (args,) = seen
+    assert args.keys() == params.keys() and args["mu"] == 2
+    for key in ("q", "barrier_a", "barrier_b"):
+        assert type(args[key]) is np.ndarray and args[key].dtype == np.float64, key
+        assert_array_equal(args[key], params[key])
+    assert problem.objective_params == params
+    # float64 arrays from a caller reach the builder as the problem's own copies
+    arrays = {key: np.array(params[key], dtype=np.float64) for key in ("q", "barrier_a", "barrier_b")}
+    problem = NlpProblem(problem.constraints, "neg_log_barrier_quadratic", {**arrays, "mu": 2.0})
+    for key in arrays:
+        assert seen[-1][key] is problem.objective_params[key], key
 
 
 def test_a_nonlinear_problem_solves_the_objective_it_saves(tmp_path):
@@ -638,6 +709,17 @@ def test_generator_spec_validation():
         GeneratorSpec(n=3, m=1, rank_deficiency=-1)
     with pytest.raises(ValueError):
         GeneratorSpec(n=3, m=0, rank_deficiency=1)
+    # integers, not floats or bools: generate raised a bare numpy TypeError
+    for spec, name in (
+        (dict(n=2.5, m=1), "n"),
+        (dict(n=True, m=0), "n"),
+        (dict(n=3, m=1, seed=1.5), "seed"),
+        (dict(n=3, m=1, rank_deficiency=1.0), "rank_deficiency"),
+        (dict(n=3, m=np.True_), "m"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            GeneratorSpec(**spec)
+    assert generate(GeneratorSpec(n=np.int64(3), m=1, seed=np.uint64(5))).constraints.n == 3
 
 
 # ---------------------------------------------------------------------------
