@@ -333,6 +333,8 @@ def _environment():
 def cmd_bench(args):
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     sizes = _parse_sizes(args.sizes)
     methods = _parse_methods(args.methods)
     master = np.random.default_rng(args.seed)
@@ -421,6 +423,8 @@ def cmd_bench(args):
 def cmd_check(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     suites = list(selfcheck._SUITES) if args.suite == "all" else [args.suite]
     any_failed = False
     first_cx = None

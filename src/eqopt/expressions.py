@@ -18,8 +18,9 @@ form, gives the rank, the kept and the dropped rows, the consistency
 check, ``x0 = Q_1 y`` and ``N = Q_2``, and the expression carries them
 all. :func:`build_projector` swaps ``N`` for ``D = N N^T`` and keeps the
 rest. Neither factorizes ``A H``, and both accept redundant rows. The QR
-kernels they use are array kernels in :mod:`eqopt.linalg`, which knows
-no type of this module.
+and its rank decision are one array kernel in :mod:`eqopt.linalg`
+(:func:`~eqopt.linalg._rank_revealing_qr`), which knows no type of this
+module; nothing here cuts R again.
 
 Each input is checked once, where it enters, and then cannot change:
 :class:`EqualityConstraints` checks A and b on construction and holds
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationError, InfeasibleConstraintsError
-from .linalg import EPS, _apply_q, _full_rank_qr, _pivoted_qr, _upper_solve
+from .linalg import EPS, _apply_q, _rank_revealing_qr, _upper_solve
 from .linalg import as_matrix, as_vector, frozen_copy, is_real, overflow_checked
 
 
@@ -127,12 +128,9 @@ def build_nullspace(constraints, eps=EPS):
     is divided by ``max_j |A[i, j]|`` (an all-zero row is left as it is),
     so the units of a constraint decide neither its rank nor its
     consistency. With ``A_s`` the scaled matrix, one QR ``A_s^T P = Q R``
-    (:func:`~eqopt.linalg._pivoted_qr`, or, from n = 150 unknowns on, the
-    unpivoted :func:`~eqopt.linalg._full_rank_qr` with ``P = I`` when it
-    finds A of full row rank) gives every part of the expression:
+    and the rank p it reveals (:func:`~eqopt.linalg._rank_revealing_qr`,
+    which decides p) give every part of the expression:
 
-    * the rank p: the largest k with
-      ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``;
     * ``selected``, the rows ``P[:p]`` kept, and ``dropped``, the
       redundant rows ``P[p:]``;
     * ``x0 = Q [y; 0]`` with ``R_11^T y = b_s[selected]``: the minimum-norm
@@ -167,14 +165,7 @@ def build_nullspace(constraints, eps=EPS):
     scale = np.abs(constraints.a).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
     a, b = constraints.a / scale[:, None], constraints.b / scale
-    found = _full_rank_qr(a, eps)
-    if found is not None:
-        (qr, t), tau, piv, p = found, None, np.arange(m), m
-    else:
-        (qr, piv, tau), t = _pivoted_qr(a.T), None
-        e = np.abs(qr.diagonal())  # non-increasing: the QR pivots on column norms
-        kept = (e > eps * max(m, n) * e[0]).nonzero()[0] if e.size else e
-        p = int(kept[-1]) + 1 if kept.size else 0
+    qr, t, tau, piv, p = _rank_revealing_qr(a, eps)
     r11 = qr[:p, :p]
     # Q [y, 0; 0, I] in one application of the reflectors: x0 and N
     out = np.eye(n, n - p + 1, 1 - p, order="F")

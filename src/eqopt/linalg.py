@@ -1,24 +1,22 @@
 """Dense linear-algebra kernels: array in, array out, no problem types.
 
-The QR kernels factor the transpose of a row-equilibrated constraint
-matrix: :func:`_pivoted_qr` is the column-pivoted LAPACK ``dgeqp3``, and
-from n = 150 unknowns on :func:`_full_rank_qr` tries the unpivoted
-recursive ``dgeqrt`` first and keeps it when a ``dtrcon`` condition
-estimate says A has full row rank. Q stays in Householder form;
+Each decision of the two eliminations is made once, here, by one kernel.
+:func:`_rank_revealing_qr` factors the transpose of a row-equilibrated
+constraint matrix and decides its rank: from n = 150 unknowns on it tries
+the unpivoted recursive ``dgeqrt`` first and keeps it when a ``dtrcon``
+condition estimate says A has full row rank, and otherwise it takes the
+column-pivoted ``dgeqp3`` and cuts its R. Q stays in Householder form;
 :func:`_apply_q` applies all of its reflectors at once (``dormqr``, or
 ``dgemqrt`` after ``dgeqrt``), and :func:`_upper_solve` solves with R.
 One function outside this module calls the QR kernels:
-``eqopt.expressions.build_nullspace``, which decides the rank, checks
-consistency and reads the constrained expression off them. Reduced
-symmetric k-by-k systems are solved by one Cholesky factorization
-(:func:`cholesky`, LAPACK ``dpotrf``/``dpotrs`` on the lower triangle, the
-faster variant at these sizes) when they are positive definite, by one
-Bunch-Kaufman factorization (:func:`bunch_kaufman_solve`, ``dsytrf``,
-``dsycon`` and ``dsytrs``), which also counts their inertia, when they are
-indefinite and well conditioned, and otherwise with one ``eigh``
-(:func:`symmetric_solve`), which gives the minimum-norm solution. The last
-two also return the inertia of the system, and each kernel factors a copy,
-so its input is left intact. No solver computes an SVD. A quadratic
+``eqopt.expressions.build_nullspace``, which checks consistency and reads
+the constrained expression off them. :func:`solve_reduced` solves the
+symmetric k-by-k reduced system and returns its inertia: by one Cholesky
+factorization when it is positive definite, by one Bunch-Kaufman
+factorization when it is indefinite, each only when its condition
+estimate clears one guard, and otherwise by one ``eigh``, which gives the
+minimum-norm solution. Each factorization works on a copy, so its input
+is left intact. No solver computes an SVD. A quadratic
 ``1/2 x^T Q x + c^T x`` is validated once (:func:`quadratic_data`) and
 restricted to ``x = x0 + B g`` by one kernel (:func:`pull_back_quadratic`)
 that the QP eliminations and the registry objectives share.
@@ -28,7 +26,8 @@ constructors and builders and a problem file alike. An array's entries
 must be numbers (:func:`as_float_array`): a string, ``None``, a boolean
 or a complex entry is refused with ValueError rather than read as a
 number or cut to its real part. A scalar setting is a real number that
-is not a bool (:func:`is_real`), within the range its caller states, and
+is not a bool and converts to a float64 (:func:`is_real`: an integer
+beyond the float64 range does not), within the range its caller states, and
 a count, a seed or a dimension is integral as well (:func:`is_integer`):
 ``2.0`` is not. A test fails if another module imports
 :mod:`numbers` or calls ``np.asarray``, but for the finite-difference
@@ -49,7 +48,7 @@ overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 **Block sizes.** Every block size and workspace is stated once, here,
 and no workspace is queried (``lwork=-1``): ``_QRT_BLOCK`` for
 ``dgeqrt``, ``_SYTRF_BLOCK`` = 32 for every ``dsytrf`` call
-(:func:`bunch_kaufman_solve`, the KKT oracle and the self-check's
+(:func:`solve_reduced`, the KKT oracle and the self-check's
 KKT-form Newton), and ``_QR_WORK_BLOCK`` = nb = 32 for the workspaces of
 ``dgeqp3``, ``2 m + (m + 1) nb`` for m columns, and of ``dormqr``,
 ``ncols nb + 65 * 64`` for ncols right-hand columns (the 65 * 64 hold
@@ -169,7 +168,7 @@ def overflow_checked(func):
 
 
 # A constraint set on at least this many unknowns, with _QRT_BLOCK <= m <= n
-# rows, is factored without pivoting first (_full_rank_qr). At one
+# rows, is factored without pivoting first (_rank_revealing_qr). At one
 # BLAS thread that built x0 and N on a full-rank A 15-32 % faster from
 # n = 150 on (and, without the repeated-row screen, 3-29 % faster at
 # n = 100-120 and from 5 % slower to 9 % faster at n = 80), while a
@@ -192,10 +191,18 @@ _QR_WORK_BLOCK = 32
 
 def is_real(x):
     """The scalar number rule: whether ``x`` is a real number (a Python or
-    numpy int or float, any :class:`numbers.Real`) that is not a bool. A
-    string, ``None`` and an array are not; whether it is finite is part of
-    the range each caller states."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    numpy int or float, any :class:`numbers.Real`) that is not a bool and
+    converts to a float64. A string, ``None``, an array and an integer
+    beyond the float64 range (``10**400``, which Python compares with
+    ``inf`` exactly) are not; whether a float is finite is part of the
+    range each caller states."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def is_integer(x):
@@ -382,73 +389,68 @@ def _may_repeat_a_row(a, tol):
     return bool(h[0] <= tol * n or np.min(h[1:] - h[:-1]) <= tol * n)
 
 
-def _full_rank_qr(a, eps):
-    """Unpivoted QR of ``a^T`` for a row-equilibrated m-by-n ``a``
-    estimated to have rank m.
+def _rank_revealing_qr(a, eps):
+    """QR of ``a^T`` for a row-equilibrated m-by-n ``a``, and the rank of ``a``.
 
-    Returns ``(qr, t)`` from LAPACK's recursive compact-WY ``dgeqrt``: R on
-    and above the diagonal of ``qr``, the Householder vectors below it, and
-    the block reflector factors ``t`` that ``dgemqrt`` applies Q with.
-    Returns None without factoring below the size crossover
-    (``_QRT_MIN_COLS``, ``_QRT_BLOCK``) and when ``a`` may repeat a row
-    (:func:`_may_repeat_a_row`), and returns None after factoring when
-    ``dtrcon``'s 1-norm rcond estimate of R is at most
-    ``cut = 10 * m * eps * max(m, n)``.
+    Returns ``(qr, t, tau, piv, rank)``: R on and above the diagonal of
+    ``qr`` and the Householder vectors below it, the factors that
+    :func:`_apply_q` applies Q with (the block reflector factors ``t`` of
+    ``dgeqrt``, or the scalar factors ``tau`` of ``dgeqp3``, the other one
+    None), the 0-based row order ``piv`` of ``a`` (the column order of
+    ``a^T P = Q R``), and the rank p. The rows ``piv[:p]`` are the ones
+    kept. Two paths decide the rank by one rule:
 
-    ``dgeqp3`` updates its column norms with level-2 code (Golub & Van Loan,
-    *Matrix Computations*, §5.4); ``dgeqrt`` is the recursive compact-WY QR
-    (Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000). A kept R stands
-    for the pivoted rank rule ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``
-    with every row kept: if the estimate is at most 10 times the true
-    rcond, every diagonal entry of any QR of ``a^T`` has ``|R[k, k]| >=
-    sigma_min``, the pivoted ``|R[0, 0]|`` (the largest column norm) is at
-    most ``sigma_max``, and ``kappa_2 <= m * kappa_1``, so each of its
-    ratios ``|R[k, k]| / |R[0, 0]| >= rcond_1 / m``. That factor is an
-    assumption about the estimator, not a bound: ``dtrcon`` can
-    underestimate ``||R^-1||_1`` by more (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, §15.3), and then a nearly dependent row is
-    kept and its consistency goes unchecked. On the seeded sweeps in
-    BENCH_17.json the two rules made the same decisions every time.
+    * **Pivoted** (LAPACK ``dgeqp3``): p is the largest k with
+      ``|R[k-1, k-1]| > eps * max(m, n) * |R[0, 0]|``; the diagonal of R
+      is non-increasing, as the QR pivots on column norms. An empty
+      ``a^T``, which LAPACK rejects, has ``piv = 0..m-1``, rank 0 and no
+      reflectors.
+    * **Unpivoted** (recursive compact-WY ``dgeqrt``, Elmroth & Gustavson,
+      IBM J. Res. Dev. 44(4), 2000), tried first from the size crossover
+      on (``_QRT_MIN_COLS`` unknowns, ``_QRT_BLOCK <= m <= n``): its R is
+      kept, with ``P = I`` and p = m, when ``dtrcon``'s 1-norm rcond
+      estimate of R exceeds ``cut = 10 * m * eps * max(m, n)``. If the
+      estimate is at most 10 times the true rcond, every diagonal entry of
+      any QR of ``a^T`` has ``|R[k, k]| >= sigma_min``, the pivoted
+      ``|R[0, 0]|`` (the largest column norm) is at most ``sigma_max``,
+      and ``kappa_2 <= m * kappa_1``, so each pivoted ratio ``|R[k, k]| /
+      |R[0, 0]| >= rcond_1 / m`` clears the pivoted cut and every row is
+      kept there too. That factor is an assumption about the estimator,
+      not a bound: ``dtrcon`` can underestimate ``||R^-1||_1`` by more
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, §15.3),
+      and then a nearly dependent row is kept and its consistency goes
+      unchecked. On the seeded sweeps in BENCH_17.json the two rules made
+      the same decisions every time.
 
-    Tried on a rank-deficient ``a``, this wastes a ``dgeqrt``. A zero row,
-    or two rows equal or opposite to within the cut, is ruled out in O(mn)
-    time first; where it cannot be (rarely, also for a full-rank ``a``),
-    None comes back unfactored. Any other rank-deficient or nearly
-    rank-deficient ``a`` fails the estimate, and the caller factors it
-    again with :func:`_pivoted_qr`: the one case in which A is factored
-    twice.
+    ``dgeqp3`` updates its column norms with level-2 code (Golub & Van
+    Loan, *Matrix Computations*, §5.4), which is why the unpivoted path is
+    faster on a full-rank ``a``. A zero row, or two rows equal or opposite
+    to within the cut (:func:`_may_repeat_a_row`), go straight to
+    ``dgeqp3`` (rarely a full-rank ``a`` does too). Any other
+    rank-deficient or nearly rank-deficient ``a`` fails the estimate and is
+    factored again by ``dgeqp3``: the one case in which A is factored
+    twice. Raises ComputationError if LAPACK reports a bad argument.
     """
     m, n = a.shape
-    if n < _QRT_MIN_COLS or not _QRT_BLOCK <= m <= n:
-        return None
     cut = 10.0 * m * eps * max(m, n)
-    if _may_repeat_a_row(a, cut):
-        return None
-    qr, t, info = lapack.dgeqrt(_QRT_BLOCK, a.T)
-    if info != 0:
-        raise ComputationError(f"QR factorization failed (dgeqrt info={info})")
-    # The wrapper reads an order-n triangle, n taken from the row count: pass R alone.
-    rcond, info = lapack.dtrcon(qr[:m, :m])
-    if info != 0:
-        raise ComputationError(f"condition estimate failed (dtrcon info={info})")
-    return (qr, t) if rcond > cut else None
-
-
-def _pivoted_qr(at):
-    """Column-pivoted QR ``at P = Q R`` (LAPACK ``dgeqp3``) of the n-by-m
-    ``at``, returned as ``(qr, piv, tau)``: R and the Householder vectors in
-    ``qr``, the 0-based column order ``piv``, and the scalar reflector
-    factors ``tau`` that ``dormqr`` applies Q with. An empty ``at``, which
-    LAPACK rejects, has ``piv = 0..m-1`` and no reflectors. Raises
-    ComputationError if LAPACK reports a bad argument.
-    """
-    n, m = at.shape
+    if n >= _QRT_MIN_COLS and _QRT_BLOCK <= m <= n and not _may_repeat_a_row(a, cut):
+        qr, t, info = lapack.dgeqrt(_QRT_BLOCK, a.T)
+        if info != 0:
+            raise ComputationError(f"QR factorization failed (dgeqrt info={info})")
+        # The wrapper reads an order-n triangle, n taken from the row count: pass R alone.
+        rcond, info = lapack.dtrcon(qr[:m, :m])
+        if info != 0:
+            raise ComputationError(f"condition estimate failed (dtrcon info={info})")
+        if rcond > cut:
+            return qr, t, None, np.arange(m), m
     if min(m, n) == 0:
-        return np.zeros((n, m), order="F"), np.arange(m), None
-    qr, jpvt, tau, _, info = lapack.dgeqp3(at, lwork=2 * m + (m + 1) * _QR_WORK_BLOCK)
+        return np.zeros((n, m), order="F"), None, None, np.arange(m), 0
+    qr, jpvt, tau, _, info = lapack.dgeqp3(a.T, lwork=2 * m + (m + 1) * _QR_WORK_BLOCK)
     if info != 0:
         raise ComputationError(f"pivoted QR factorization failed (dgeqp3 info={info})")
-    return qr, jpvt - 1, tau
+    e = np.abs(qr.diagonal())
+    kept = np.flatnonzero(e > eps * max(m, n) * e[0])
+    return qr, None, tau, jpvt - 1, int(kept[-1]) + 1 if kept.size else 0
 
 
 def _apply_q(v, t, tau, c):
@@ -470,96 +472,106 @@ def _apply_q(v, t, tau, c):
     return out
 
 
-def bunch_kaufman_solve(m, rhs, norm_1, min_rcond):
-    """Solve the symmetric, possibly indefinite ``m y = rhs`` and count its
-    inertia, or return None when ``m`` may be too close to singular.
+def solve_reduced(aa, rhs, tol):
+    """Solve the symmetric k-by-k reduced system ``aa y = rhs`` and count
+    the inertia of ``aa``: the one rule of both eliminations, for
+    ``aa = N^T Q N``.
 
-    One Bunch-Kaufman factorization ``P m P^T = L D L^T`` (LAPACK ``dsytrf``
-    at the block size ``_SYTRF_BLOCK``, on a copy of the lower triangle of
-    ``m``, which is left intact) is
-    accepted only when ``dsycon``'s estimate of ``rcond_1(m)``, from the
-    given ``norm_1 = ||m||_1``, exceeds ``min_rcond``; ``dsytrs`` then gives
-    ``y``. ``D`` is congruent to ``m``, so by Sylvester's law of inertia
-    its eigenvalue signs are those of ``m``: each 1x1 pivot counts by its
-    sign, and each 2x2 block (rows i, i + 1 with ``ipiv[i] = ipiv[i + 1] <
-    0``) counts once positive and once negative. Every 2x2 block that
-    ``dsytrf`` takes is indefinite: its pivot test, with ``alpha = (1 +
-    sqrt(17)) / 8``, leaves ``|a e| < alpha^2 c^2`` for the block
-    ``[[a, c], [c, e]]``, so ``det < -(1 - alpha^2) c^2 < 0`` (Bunch &
-    Kaufman, *Math. Comp.* 31, 1977).
+    ``tol`` sets one cut, ``tol k max|eig|``, below which an eigenvalue is
+    neither inverted nor counted as curved. A factorization is accepted
+    only when LAPACK's estimate of ``rcond_1(aa)`` exceeds the guard
+    ``10 k^2 tol``: as ``kappa_2 <= kappa_1`` for a symmetric matrix, every
+    eigenvalue of ``aa`` then clears that cut by a factor of k, provided
+    the estimate is within a factor 10 of the true rcond (an assumption
+    about the estimator, not a bound). Three branches, each tried only
+    when the one before it declines:
 
-    Returns
-    -------
-    None, or ``(y, pos, neg)``: the solution and the numbers of positive
-    and negative eigenvalues of ``m``.
+    1. Cholesky (:func:`cholesky`, ``dpotrf``) with ``dpocon``: ``aa`` is
+       positive definite, with inertia ``(k, 0)``;
+    2. when ``dpotrf`` fails (``aa`` is not positive definite), one
+       Bunch-Kaufman factorization ``P aa P^T = L D L^T`` (``dsytrf`` at
+       the block size ``_SYTRF_BLOCK``) with ``dsycon``, which gives
+       rcond = 0 where ``dsytrf`` met an exactly zero pivot, and its
+       ``dsytrs`` solve. ``D`` is congruent to ``aa``, so by Sylvester's
+       law of inertia its eigenvalue signs are those of ``aa``: each 1x1
+       pivot counts by its sign, and each 2x2 block (rows i, i + 1 with
+       ``ipiv[i] = ipiv[i + 1] < 0``) counts once positive and once
+       negative. Every 2x2 block that ``dsytrf`` takes is indefinite: its
+       pivot test, with ``alpha = (1 + sqrt(17)) / 8``, leaves ``|a e| <
+       alpha^2 c^2`` for the block ``[[a, c], [c, e]]``, so ``det < -(1 -
+       alpha^2) c^2 < 0`` (Bunch & Kaufman, *Math. Comp.* 31, 1977);
+    3. otherwise (a guard refused, so ``aa`` is singular or nearly so at
+       the cut) one ``eigh``: the minimum-norm solution ``aa^+ rhs``, the
+       eigenvalues below the cut (``|w|`` are the singular values, so this
+       is the usual relative cutoff of a pseudo-inverse) neither inverted
+       nor counted.
 
-    Raises
-    ------
-    ComputationError
-        If LAPACK rejects an argument.
-    """
-    k = m.shape[0]
-    # m is symmetric: m.T is its F-ordered view, which the wrapper copies as it is
-    ldu, ipiv, info = lapack.dsytrf(m.T, lower=1, lwork=k * _SYTRF_BLOCK)
-    if info < 0:
-        raise ComputationError(f"Bunch-Kaufman factorization failed (dsytrf info={info})")
-    if info > 0:  # an exactly zero pivot: m is singular
-        return None
-    rcond, info = lapack.dsycon(ldu, ipiv, norm_1, lower=1)
-    if info != 0 or not rcond > min_rcond:
-        return None
-    y, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
-    if info != 0:
-        raise ComputationError(f"Bunch-Kaufman solve failed (dsytrs info={info})")
-    # Python numbers: at these sizes a loop beats a handful of numpy calls
-    pos = neg = 0
-    for d, p in zip(ldu.diagonal().tolist(), ipiv.tolist()):
-        if p > 0:
-            pos += d > 0
-            neg += d < 0
-    blocks = (k - pos - neg) // 2  # a 1x1 pivot is nonzero, else info > 0 above
-    return y, pos + blocks, neg + blocks
+    An indefinite ``aa`` thus costs a ``dpotrf`` that fails partway and one
+    ``dsytrf``; only a refused one pays for ``eigh`` as well.
 
+    When the 1-norm of ``aa`` overflows float range although its entries
+    are finite, ``aa`` and ``rhs`` are both scaled by the power of two
+    ``2^-b``, ``b`` the bit length of k, which brings the norm back into
+    range. The scaling rounds no entry (short of underflow), so the scaled
+    system has the same solution y. Any other ``aa`` is factored as given,
+    and its eigenvalues are bounded by its finite 1-norm.
 
-def symmetric_solve(m, rhs, tol=EPS):
-    """Minimum-norm solution of a symmetric system, and its inertia.
-
-    One ``eigh`` gives both: eigenvalues ``w[i]`` with
-    ``|w[i]| <= tol * k * max|w|`` are treated as zero (``|w|`` are the
-    singular values, so this is the usual relative cutoff of a
-    pseudo-inverse). The eigenvalues kept are inverted, and the same ones
-    are counted by sign; this is the one place the cut is computed.
-
-    Parameters
-    ----------
-    m : (k, k) ndarray
-        Symmetric matrix; only its lower triangle is read.
-    rhs : (k,) ndarray
-    tol : float, optional
-        Relative cutoff. Defaults to machine epsilon.
+    ``dpotrf`` and ``dsytrf`` each factor the lower triangle of a copy
+    that their LAPACK wrapper makes of ``aa``'s F-ordered view (``aa`` is
+    symmetric), so each later branch sees ``aa`` intact, also after a
+    Cholesky factorization that failed partway, and neither ``aa`` nor
+    ``rhs`` is written.
 
     Returns
     -------
-    x : (k,) ndarray
-        ``m^+ rhs``.
+    y : (k,) ndarray
     pos, neg : int
-        The numbers of positive and negative eigenvalues above the cut.
+        The numbers of positive and negative eigenvalues of ``aa`` (above
+        the cut, in the ``eigh`` branch).
 
     Raises
     ------
     ComputationError
-        If the eigendecomposition fails to converge, or an eigenvalue is not
-        finite, which the cut cannot measure.
+        If ``aa`` is not finite, or its 1-norm overflows and ``rhs`` is
+        not finite: a system that no scaling brings into range; if
+        ``eigh`` does not converge; or if LAPACK rejects an argument.
     """
-    k = m.shape[0]
+    k = aa.shape[0]
+    norm_1 = np.abs(aa).sum(axis=0).max()  # np.linalg.norm(aa, 1), without its wrapper
+    if not np.isfinite(norm_1):
+        if not (np.isfinite(aa).all() and np.isfinite(rhs).all()):
+            raise ComputationError("the reduced system N^T Q N y = N^T (Q x0 + c) is not finite")
+        shift = -k.bit_length()
+        aa, rhs = np.ldexp(aa, shift), np.ldexp(rhs, shift)
+        norm_1 = np.abs(aa).sum(axis=0).max()
+    guard = 10.0 * k * k * tol
+    low = cholesky(aa.T)  # aa is symmetric: aa.T is its F-ordered view
+    if low is not None:
+        rcond, info = lapack.dpocon(low, norm_1, uplo="L")
+        if info == 0 and rcond > guard:
+            return cholesky_solve(low, rhs), k, 0
+    else:
+        ldu, ipiv, info = lapack.dsytrf(aa.T, lower=1, lwork=k * _SYTRF_BLOCK)
+        if info < 0:
+            raise ComputationError(f"Bunch-Kaufman factorization failed (dsytrf info={info})")
+        rcond, info = lapack.dsycon(ldu, ipiv, norm_1, lower=1)
+        if info == 0 and rcond > guard:
+            y, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+            if info != 0:
+                raise ComputationError(f"Bunch-Kaufman solve failed (dsytrs info={info})")
+            # Python numbers: at these sizes a loop beats a handful of numpy calls
+            pos = neg = 0
+            for d, p in zip(ldu.diagonal().tolist(), ipiv.tolist()):
+                if p > 0:
+                    pos += d > 0
+                    neg += d < 0
+            blocks = (k - pos - neg) // 2  # rcond > 0: no 1x1 pivot is zero
+            return y, pos + blocks, neg + blocks
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(aa)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigh did not converge for a {k}x{k} matrix") from exc
-    scale = float(np.abs(w).max(initial=0.0))
-    if not np.isfinite(scale):
-        raise ComputationError(f"the eigenvalues of a {k}x{k} symmetric matrix are not finite")
-    keep = np.abs(w) > tol * k * scale
+    keep = np.abs(w) > tol * k * float(np.abs(w).max(initial=0.0))
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     return (v * inv) @ (v.T @ rhs), int((w[keep] > 0.0).sum()), int((w[keep] < 0.0).sum())

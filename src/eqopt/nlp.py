@@ -58,7 +58,9 @@ class ObjectiveOracle:
     Parameters
     ----------
     dim : int
-        Dimension of the ambient space.
+        Dimension of the ambient space: an integer
+        (:func:`~eqopt.linalg.is_integer`), not a bool, a float or a
+        string, and at least 1.
     value : callable
         ``x -> float``. May return ``inf`` outside an effective domain
         (barriers); the line search treats that as "too far".
@@ -84,9 +86,11 @@ class ObjectiveOracle:
     """
 
     def __init__(self, dim, value, gradient, hessian=None, pullback=None, derivatives=None):
-        self.dim = int(dim)
-        if self.dim < 1:
+        if not is_integer(dim):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        if dim < 1:
             raise ValueError("dim must be at least 1")
+        self.dim = int(dim)
         self.value = value
         self.gradient = gradient
         self.hessian = hessian if hessian is not None else self._fd_hessian

@@ -174,6 +174,8 @@ class NlpProblem:
         for key, value in params.items():
             if isinstance(value, (list, tuple, np.ndarray)):
                 value = as_float_array(value, f"{what} '{key}'")
+            elif is_integer(value) and not is_real(value):
+                raise ValueError(f"{what} '{key}' is an integer beyond the float64 range")
             elif not is_real(value):
                 raise ValueError(
                     f"{what} '{key}' has type {type(given[key]).__name__}; "
@@ -410,7 +412,8 @@ class GeneratorSpec:
     :class:`~eqopt.qp.QpProblem` symmetrizes on construction.
     ``rank_deficiency`` appends that many duplicated constraint rows,
     keeping the system consistent. ``n``, ``m``, ``seed`` and
-    ``rank_deficiency`` are integers (:func:`~eqopt.linalg.is_integer`).
+    ``rank_deficiency`` are integers (:func:`~eqopt.linalg.is_integer`),
+    and ``seed`` is nonnegative, as numpy's generators require.
     """
 
     n: int
@@ -425,6 +428,8 @@ class GeneratorSpec:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0 <= self.m < self.n:
             raise ValueError("need 0 <= m < n")
         if self.q_class not in _Q_CLASSES:

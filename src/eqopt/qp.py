@@ -9,7 +9,7 @@ Three independent routes to a stationary point of
   the null-space form, never formed;
 * :func:`solve_nullspace` — null-space reduction to a k-by-k solve with
   one Cholesky factorization, or one Bunch-Kaufman factorization when the
-  reduced Hessian is indefinite;
+  reduced Hessian is indefinite (:func:`~eqopt.linalg.solve_reduced`);
 * :func:`solve_kkt` — the saddle-point (KKT) system, kept strict and
   unreduced so it can serve as an independent verification oracle; one
   Bunch-Kaufman factorization (LAPACK ``dsytrf`` at the block size
@@ -33,20 +33,15 @@ the routes differ only in the basis ``B`` (``D = N N^T`` or ``N``) whose
 stationarity residual they report. Both pull the quadratic back
 through ``N`` and solve the one k-by-k system ``N^T Q N y = N^T (Q x0 + c)``
 (Nocedal & Wright, *Numerical Optimization*, §16.2), so they return the
-same x and classification bit for bit. The reduced solve is decided by
-one rule (:func:`_solve_reduced`), with ``eps`` as the one cut: a
-reduced-Hessian eigenvalue below it is neither inverted nor counted as
-curved. The Cholesky solve certifies a minimum when LAPACK's condition
-estimate clears a margin above that cut. When Cholesky fails, an
-indefinite reduced system is solved by one Bunch-Kaufman factorization
-whose condition estimate clears the same margin, and its block-diagonal
-factor gives the inertia; a singular or ill-conditioned one is solved
-with one ``eigh`` instead, which yields the minimum-norm stationary point.
-Each branch returns its solution with the inertia of the reduced Hessian,
-which labels the point in one place (:func:`_label`); each kernel factors
-a copy, so no caller's array is overwritten. Every solution
-carries the feasibility and stationarity residuals plus a classification
-of the stationary point from reduced-Hessian inertia.
+same x and classification bit for bit. The reduced solve is one kernel,
+:func:`~eqopt.linalg.solve_reduced`, with ``eps`` as the one cut: one
+Cholesky, one Bunch-Kaufman or one ``eigh`` solve, chosen by LAPACK's
+condition estimates, returns the solution with the inertia of the
+reduced Hessian, which labels the point in one place (:func:`_label`).
+No caller's array is overwritten. Every solution carries the
+feasibility and stationarity residuals plus a classification of the
+stationary point from reduced-Hessian inertia. This module calls LAPACK
+only in the KKT oracle, which shares no kernel with the eliminations.
 """
 
 import math
@@ -56,9 +51,8 @@ import numpy as np
 
 from .errors import ComputationError, OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace
-from .linalg import _SYTRF_BLOCK, EPS, as_vector, bunch_kaufman_solve, cholesky, cholesky_solve
-from .linalg import frozen_copy, lapack, overflow_checked, pull_back_quadratic, quadratic_data
-from .linalg import symmetric_solve
+from .linalg import _SYTRF_BLOCK, EPS, as_vector, frozen_copy, lapack, overflow_checked
+from .linalg import pull_back_quadratic, quadratic_data, solve_reduced
 from .objectives import _checked_quadratic
 
 
@@ -159,81 +153,6 @@ def _label(pos, neg, k):
     return "saddle"
 
 
-def _solve_reduced(aa, rhs, tol=EPS):
-    """Solve the k-by-k reduced system ``aa y = rhs`` and classify the point.
-
-    ``aa = N^T Q N`` is symmetric. ``tol`` sets one cut,
-    ``tol k max|eig|``, below which an eigenvalue is neither inverted nor
-    counted as curved. A factorization is accepted only when
-    LAPACK's estimate of ``rcond_1(aa)`` exceeds the guard ``10 k^2 tol``:
-    as ``kappa_2 <= kappa_1`` for a symmetric matrix, every eigenvalue of
-    ``aa`` then clears that cut by a factor of k, provided the estimate is
-    within a factor 10 of the true rcond (an assumption about the
-    estimator, not a bound). Three branches, each tried only when the one
-    before it declines:
-
-    1. Cholesky (``dpotrf``) with ``dpocon``: the point is a minimum;
-    2. when ``dpotrf`` fails (``aa`` is not positive definite), one
-       Bunch-Kaufman ``dsytrf`` with ``dsycon``
-       (:func:`~eqopt.linalg.bunch_kaufman_solve`): its ``dsytrs`` solve,
-       and the inertia of its block-diagonal factor for the label;
-    3. otherwise (a guard refused, so ``aa`` is singular or nearly so at
-       the cut) one ``eigh`` (:func:`~eqopt.linalg.symmetric_solve`): the
-       minimum-norm solution, eigenvalues below the cut neither inverted
-       nor counted.
-
-    Each branch yields ``(y, pos, neg)``, the solution and the inertia of
-    ``aa`` (Cholesky: ``(y, k, 0)``), and :func:`_label` names the point
-    once. An indefinite ``aa`` thus costs a ``dpotrf`` that fails partway
-    and one ``dsytrf``; only a refused one pays for ``eigh`` as well.
-
-    When the 1-norm of ``aa`` overflows float range although its entries
-    are finite, ``aa`` and ``rhs`` are both scaled by the power of two
-    ``2^-b``, ``b`` the bit length of k, which brings the norm back into
-    range. The scaling rounds no entry (short of underflow), so the scaled
-    system has the same solution y. Any other ``aa`` is factored as given.
-
-    ``dpotrf`` and ``dsytrf`` each factor the lower triangle of a copy
-    that their LAPACK wrapper makes of ``aa``'s F-ordered view (``aa`` is
-    symmetric), so each later branch sees ``aa`` intact, also after a
-    Cholesky factorization that failed partway; ``dpocon`` reads the lower
-    Cholesky factor.
-
-    Returns
-    -------
-    y : (k,) ndarray
-    classification : str
-
-    Raises
-    ------
-    ComputationError
-        If ``aa`` is not finite, or its 1-norm overflows and ``rhs`` is
-        not finite: a system that no scaling brings into range; or if
-        ``eigh`` fails or yields an eigenvalue that is not finite.
-    """
-    k = aa.shape[0]
-    norm_1 = np.abs(aa).sum(axis=0).max()  # np.linalg.norm(aa, 1), without its wrapper
-    if not np.isfinite(norm_1):
-        if not (np.isfinite(aa).all() and np.isfinite(rhs).all()):
-            raise ComputationError(
-                "the reduced system N^T Q N y = N^T (Q x0 + c) is not finite"
-            )
-        shift = -k.bit_length()
-        aa, rhs = np.ldexp(aa, shift), np.ldexp(rhs, shift)
-        norm_1 = np.abs(aa).sum(axis=0).max()
-    guard = 10.0 * k * k * tol
-    found = None
-    low = cholesky(aa.T)  # aa is symmetric: aa.T is its F-ordered view
-    if low is not None:
-        rcond, info = lapack.dpocon(low, norm_1, uplo="L")
-        if info == 0 and rcond > guard:
-            found = cholesky_solve(low, rhs), k, 0
-    else:
-        found = bunch_kaufman_solve(aa, rhs, norm_1, guard)
-    y, pos, neg = found if found is not None else symmetric_solve(aa, rhs, tol)
-    return y, _label(pos, neg, k)
-
-
 @overflow_checked
 def _solve_eliminated(problem, method, eps):
     """Stationary point on the expression ``x = x0 + B g``: the body of both
@@ -245,8 +164,9 @@ def _solve_eliminated(problem, method, eps):
     ``k = n - rank(A)``: the quadratic is pulled back through ``N`` once
     with :func:`~eqopt.linalg.pull_back_quadratic`, the kernel the registry
     objectives pull back through too, ``N^T Q N y = N^T (Q x0 + c)`` is
-    solved by :func:`_solve_reduced` (``eps`` is its cut, and the
-    factorization's tolerance) and ``x = x0 - N y``. For ``B = N`` that is
+    solved by :func:`~eqopt.linalg.solve_reduced` (``eps`` is its cut, and
+    the factorization's tolerance), whose inertia :func:`_label` names, and
+    ``x = x0 - N y``. For ``B = N`` that is
     ``g = y``; for ``B = D = N N^T``, ``g = N y`` is the minimum-norm
     solution of ``(D Q D) g = D (Q x0 + c)``, whose pseudo-inverse is
     ``N (N^T Q N)^+ N^T``. The stationarity
@@ -262,7 +182,8 @@ def _solve_eliminated(problem, method, eps):
     else:
         # an overflow here ends in a non-finite reduced system or x; both raise ComputationError
         aa, rhs, _ = pull_back_quadratic(problem.q, problem.c, x0, null)
-        y, sol_class = _solve_reduced(aa, rhs, tol=eps)
+        y, pos, neg = solve_reduced(aa, rhs, eps)
+        sol_class = _label(pos, neg, null.shape[1])
         x = x0 - null @ y
         if not np.isfinite(x).all():
             raise ComputationError("the solution overflows float range (x is not finite)")
@@ -301,12 +222,8 @@ def solve_projector(problem, eps=EPS):
 def solve_nullspace(problem, eps=EPS):
     """Stationary point via the null-space form.
 
-    Solves ``(N^T Q N) g = -(N^T Q x0 + N^T c)`` by :func:`_solve_reduced`:
-    a Cholesky factorization, certifying a minimizer when it succeeds
-    and its condition estimate clears the margin, a Bunch-Kaufman one for
-    indefinite reduced Hessians that clear the same margin, and an
-    eigendecomposition for singular or ill-conditioned ones, where zero
-    modes are dropped pseudo-inverse style.
+    Solves ``(N^T Q N) g = -(N^T Q x0 + N^T c)`` by
+    :func:`~eqopt.linalg.solve_reduced` (:func:`_solve_eliminated`).
     """
     return _solve_eliminated(problem, "nullspace", eps)
 

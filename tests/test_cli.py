@@ -194,6 +194,9 @@ _BARRIER_PARAMS = {"q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "ba
         ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": "2"}, "param 'mu'"),
         ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": True}, "param 'mu'"),
         ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": {"value": 2.0}}, "param 'mu'"),
+        # orjson refuses the 400-digit mu and the standard library parses it
+        ("neg_log_barrier_quadratic", {**_BARRIER_PARAMS, "mu": 10**400},
+         "param 'mu' is an integer beyond the float64 range"),
         ("log_sum_exp", {"a": [[1.0, 0.0], [0.0, 1.0]], "shift": None}, "param 'shift'"),
         ("sum_exp", {"dim": 1_000_000_000_000}, "param 'dim'"),
         ("sum_exp", {"dim": 2.5}, "param 'dim'"),
@@ -207,6 +210,7 @@ _BARRIER_PARAMS = {"q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "ba
         "string-mu",
         "boolean-mu",
         "object-mu",
+        "huge-mu",
         "null-shift",
         "dim-1e12",
         "dim-2.5",
@@ -1331,6 +1335,18 @@ def test_check_passes_a_trial_it_cannot_judge(capsys, monkeypatch, check, target
 def test_check_zero_trials_exit_4(capsys):
     assert cli.main(["check", "--trials", "0"]) == 4
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "check"])
+def test_a_negative_seed_exits_4_before_any_work(tmp_path, capsys, command):
+    # numpy's generators take no negative seed: its bare "expected
+    # non-negative integer" came after the work had begun
+    written = tmp_path / "written.json"
+    argv = {"bench": ["bench", "--sizes", "6:2", "--trials", "1", "--output", str(written)],
+            "check": ["check", "--trials", "1", "--counterexample", str(written)]}[command]
+    assert cli.main([*argv, "--seed", "-1"]) == 4
+    assert capsys.readouterr() == ("", "error: --seed must be nonnegative\n")
+    assert not written.exists()
 
 
 # ---------------------------------------------------------------------------

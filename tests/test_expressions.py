@@ -139,8 +139,10 @@ def test_single_point_feasible_set():
 
 
 class _Calls(ast.NodeVisitor):
-    """``(scope, name)`` of every call in a module: ``name`` the called
-    function's name, ``scope`` the dotted path of the defs around it."""
+    """``(scope, name, owner)`` of every call in a module: ``name`` the
+    called function's name, ``owner`` the name it is an attribute of
+    (``lapack`` in ``lapack.dsytrf(...)``, else None), and ``scope`` the
+    dotted path of the defs around it."""
 
     def __init__(self, module):
         self.scope, self.calls = [module], []
@@ -154,22 +156,30 @@ class _Calls(ast.NodeVisitor):
 
     def visit_Call(self, node):
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        self.calls.append((".".join(self.scope), name))
+        owner = getattr(getattr(node.func, "value", None), "id", None)
+        self.calls.append((".".join(self.scope), name, owner))
         self.generic_visit(node)
 
 
 def test_only_build_nullspace_factors_the_constraints():
     # A x = b is factored in one place: no function but
     # expressions.build_nullspace calls the QR kernels, and linalg, which
-    # holds them, imports nothing of the expressions built on them
-    kernels = {"_full_rank_qr", "_pivoted_qr", "_apply_q"}
-    offenders = []
+    # holds them, imports nothing of the expressions built on them. Each
+    # decision of the eliminations is made in linalg: outside it, LAPACK is
+    # called only by the two independent KKT references.
+    kernels = {"_rank_revealing_qr", "_apply_q"}
+    references = {"qp.solve_kkt", "selfcheck._kkt_newton"}
+    offenders, called = [], set()
     for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         calls = _Calls(path.stem)
         calls.visit(tree)
-        offenders += [f"{scope} calls {name}" for scope, name in calls.calls
+        offenders += [f"{scope} calls {name}" for scope, name, _ in calls.calls
                       if name in kernels and scope != "expressions.build_nullspace"]
+        called |= {name for scope, name, _ in calls.calls if scope == "expressions.build_nullspace"}
+        offenders += [f"{scope} calls lapack.{name}" for scope, name, owner in calls.calls
+                      if owner == "lapack" and path.name != "linalg.py"
+                      and scope not in references]
         if path.name != "linalg.py":
             continue
         for node in ast.walk(tree):
@@ -178,3 +188,4 @@ def test_only_build_nullspace_factors_the_constraints():
                 if any(name.split(".")[-1] == "expressions" for name in names):
                     offenders.append(f"linalg.py:{node.lineno} imports expressions")
     assert offenders == []
+    assert kernels <= called  # the names are the kernels' own

@@ -15,20 +15,20 @@ import eqopt
 from eqopt.errors import ComputationError, InfeasibleConstraintsError
 from eqopt.expressions import EqualityConstraints, build_nullspace
 from eqopt.linalg import (
+    EPS,
     _apply_q,
-    _pivoted_qr,
+    _rank_revealing_qr,
     _upper_solve,
     as_matrix,
     as_vector,
-    bunch_kaufman_solve,
     cholesky,
     cholesky_solve,
     lapack,
     overflow_checked,
     pull_back_quadratic,
     quadratic_data,
+    solve_reduced,
     symmetric_part,
-    symmetric_solve,
 )
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_nullspace, solve_projector
@@ -279,7 +279,8 @@ def test_triangular_solves_match_solve_triangular_and_type_their_failure():
 
 
 _SPD = np.array([[4.0, 1.0], [1.0, 3.0]])
-_INDEFINITE = np.array([[2.0, 1.0], [1.0, -3.0]])  # ||.||_1 = 4
+_INDEFINITE = np.array([[2.0, 1.0], [1.0, -3.0]])
+_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]])  # both factorizations refused: eigh
 _SMALL_A = np.random.default_rng(403).uniform(-1, 1, (2, 4))  # dgeqp3, then dormqr
 _LARGE_A = np.random.default_rng(404).uniform(-1, 1, (40, 160))  # dgeqrt, dtrcon, dgemqrt
 
@@ -288,14 +289,14 @@ _LARGE_A = np.random.default_rng(404).uniform(-1, 1, (40, 160))  # dgeqrt, dtrco
 _CALLS_INTO = {
     "dpotrf": lambda: cholesky(_SPD),
     "dpotrs": lambda: cholesky_solve(_SPD, np.ones(2)),
-    "dsytrf": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
-    "dsytrs": lambda: bunch_kaufman_solve(_INDEFINITE, np.ones(2), 4.0, 0.0),
+    "dsytrf": lambda: solve_reduced(_INDEFINITE, np.ones(2), EPS),
+    "dsytrs": lambda: solve_reduced(_INDEFINITE, np.ones(2), EPS),
     "dgeqp3": lambda: build_nullspace(EqualityConstraints(_SMALL_A, np.ones(2))),
     "dormqr": lambda: build_nullspace(EqualityConstraints(_SMALL_A, np.ones(2))),
     "dgeqrt": lambda: build_nullspace(EqualityConstraints(_LARGE_A, np.ones(40))),
     "dtrcon": lambda: build_nullspace(EqualityConstraints(_LARGE_A, np.ones(40))),
     "dgemqrt": lambda: build_nullspace(EqualityConstraints(_LARGE_A, np.ones(40))),
-    "eigh": lambda: symmetric_solve(_SPD, np.ones(2)),
+    "eigh": lambda: solve_reduced(_SINGULAR, np.ones(2), EPS),
 }
 
 
@@ -335,16 +336,23 @@ def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
     # The inertia read off D equals the eigenvalue sign counts; a 2x2 block
     # read as two 1x1 pivots would count its two diagonal entries instead.
     # Every 2x2 block is counted as one eigenvalue of each sign, so each one
-    # dsytrf takes must have a negative determinant.
-    factors = []
-    dsytrf = lapack.dsytrf
+    # dsytrf takes must have a negative determinant. A Bunch-Kaufman solve
+    # is accepted when its dsytrs runs; else the condition guard sent the
+    # system to eigh.
+    factors, solves = [], []
+    dsytrf, dsytrs = lapack.dsytrf, lapack.dsytrs
 
     def recorded(*args, **kwargs):
         out = dsytrf(*args, **kwargs)
         factors.append(out[:2])
         return out
 
+    def solved(*args, **kwargs):
+        solves.append(args)
+        return dsytrs(*args, **kwargs)
+
     monkeypatch.setattr(lapack, "dsytrf", recorded)
+    monkeypatch.setattr(lapack, "dsytrs", solved)
     eps = np.finfo(float).eps
     rng = np.random.default_rng(1819)
     accepted = 0
@@ -352,13 +360,13 @@ def test_bunch_kaufman_counts_the_eigenvalue_signs(monkeypatch):
         k = m.shape[0]
         before = m.copy()
         rhs = rng.uniform(-1, 1, k)
-        found = bunch_kaufman_solve(m, rhs, np.linalg.norm(m, 1), 10.0 * k * k * eps)
+        solves.clear()
+        y, pos, neg = solve_reduced(m, rhs, eps)
         assert m.tobytes() == before.tobytes()
         w = np.linalg.eigvalsh(m)
-        if found is None:
+        if not solves:
             assert np.min(np.abs(w)) < 1e-6 * np.max(np.abs(w))  # refused only when ill-conditioned
             continue
-        y, pos, neg = found
         accepted += 1
         assert (pos, neg) == (int(np.sum(w > 0)), int(np.sum(w < 0)))
         kappa = np.max(np.abs(w)) / np.min(np.abs(w))
@@ -381,11 +389,13 @@ def _with_eigenvalues(rng, w):
     return 0.5 * (m + m.T), v
 
 
-def test_symmetric_solve_counts_the_eigenvalues_it_keeps():
+def test_solve_reduced_counts_the_eigenvalues_it_keeps(factorizations):
     # (pos, neg) are the sign counts of the eigenvalues outside the cut
     # tol k max|w|, the ones the solve inverts. With tol = 1e-6 one
     # eigenvalue sits at twice the cut and one at half of it, far beyond
-    # rounding from it either way.
+    # rounding from it either way, and the condition guard sends the
+    # system to eigh; at the default cut it is well conditioned, and a
+    # factorization counts it.
     rng = np.random.default_rng(1919)
     for trial in range(40):
         k = int(rng.integers(4, 30))
@@ -396,23 +406,28 @@ def test_symmetric_solve_counts_the_eigenvalues_it_keeps():
             cut = tol * k * 10.0
             w[1:4] = np.sign(w[1:4]) * [2.0 * cut, 0.5 * cut, 0.0]
         m, _ = _with_eigenvalues(rng, w)
-        tol_arg = () if tol is None else (tol,)
-        _, pos, neg = symmetric_solve(m, rng.uniform(-1, 1, k), *tol_arg)
+        factorizations.clear()
+        _, pos, neg = solve_reduced(m, rng.uniform(-1, 1, k), tol or EPS)
+        assert ("numpy.linalg.eigh" in factorizations) == bool(tol), trial
         e = np.linalg.eigvalsh(m)
         cut = (tol or np.finfo(float).eps) * k * np.max(np.abs(e))
         assert (pos, neg) == (int(np.sum(e > cut)), int(np.sum(e < -cut))), trial
         kept = np.abs(w) > (tol or 0.0) * k * 10.0
         assert (pos, neg) == (int(np.sum(w[kept] > 0)), int(np.sum(w[kept] < 0))), trial
     # the zero matrix: nothing is kept, and x = 0
-    x, pos, neg = symmetric_solve(np.zeros((3, 3)), np.ones(3))
+    x, pos, neg = solve_reduced(np.zeros((3, 3)), np.ones(3), EPS)
     assert (pos, neg) == (0, 0)
     assert not x.any()
-    # finite entries whose eigenvalues, +-1.7e308 sqrt(2), overflow
-    with pytest.raises(ComputationError, match="not finite"):
-        symmetric_solve(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]), np.ones(2))
+    # finite entries whose eigenvalues, +-1.7e308 sqrt(2), overflow: the
+    # system is scaled by 2^-2 first, and its inertia counted there (the
+    # 1-norm overflows, as a solve's error state lets it)
+    with np.errstate(over="ignore"):
+        _, pos, neg = solve_reduced(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]),
+                                    np.ones(2), EPS)
+    assert (pos, neg) == (1, 1)
 
 
-def test_symmetric_solve_is_the_minimum_norm_solution():
+def test_solve_reduced_is_the_minimum_norm_solution(factorizations):
     # x has no component along the dropped eigenvectors and solves the
     # kept part of the system, both within rounding
     eps = np.finfo(float).eps
@@ -424,18 +439,22 @@ def test_symmetric_solve_is_the_minimum_norm_solution():
         w[dropped] *= 1e-20 if trial % 2 else 0.0  # far below the cut
         m, v = _with_eigenvalues(rng, w)
         rhs = rng.uniform(-1, 1, k)
-        x, pos, neg = symmetric_solve(m, rhs)
+        factorizations.clear()
+        x, pos, neg = solve_reduced(m, rhs, EPS)
+        assert "numpy.linalg.eigh" in factorizations, trial
         assert pos + neg == k - np.sum(dropped), trial
         rounding = 100 * k * eps * 10.0 * np.max(np.abs(x))
         assert np.max(np.abs(v[:, dropped].T @ x)) <= rounding, trial
         assert np.max(np.abs(v[:, ~dropped].T @ (m @ x - rhs))) <= 10.0 * rounding, trial
 
 
-def test_no_kernel_writes_into_its_input():
+def test_no_kernel_writes_into_its_input(factorizations):
     # Each kernel factors a copy that its LAPACK wrapper makes: C- and
     # F-ordered inputs, including ones a factorization fails on partway,
-    # stay byte for byte what they were.
-    eps = np.finfo(float).eps
+    # stay byte for byte what they were. The three matrices take the
+    # three branches of solve_reduced: Cholesky, Bunch-Kaufman and eigh.
+    last = {"spd": "scipy.linalg.lapack.dpotrf", "indefinite": "scipy.linalg.lapack.dsytrf",
+            "singular": "numpy.linalg.eigh"}
     rng = np.random.default_rng(1921)
     k = 12
     r = rng.uniform(-1, 1, (k, k))
@@ -448,14 +467,14 @@ def test_no_kernel_writes_into_its_input():
             rhs = rng.uniform(-1, 1, k)
             calls = {
                 "cholesky": lambda: cholesky(m),
-                "bunch_kaufman_solve": lambda: bunch_kaufman_solve(
-                    m, rhs, np.linalg.norm(m, 1), 10.0 * k * k * eps),
-                "symmetric_solve": lambda: symmetric_solve(m, rhs),
+                "solve_reduced": lambda: solve_reduced(m, rhs, EPS),
             }
             for kernel, call in calls.items():
                 before = m.copy(order="A"), rhs.copy()
+                factorizations.clear()
                 call()
                 where = (name, order, kernel)
+                assert kernel == "cholesky" or factorizations[-1] == last[name], where
                 assert m.flags.f_contiguous == (order == "F"), where
                 assert m.tobytes(order="A") == before[0].tobytes(order="A"), where
                 assert rhs.tobytes() == before[1].tobytes(), where
@@ -676,11 +695,13 @@ def test_no_module_queries_a_lapack_workspace():
 
 
 def test_the_stated_qr_workspaces_cover_the_queries(monkeypatch):
-    # _pivoted_qr and _apply_q pass dgeqp3 and dormqr the workspaces the
-    # module docstring states; one below the query's would make them shrink
-    # their blocks, and so round otherwise than at the queried size
+    # _rank_revealing_qr and _apply_q pass dgeqp3 and dormqr the workspaces
+    # the module docstring states; one below the query's would make them
+    # shrink their blocks, and so round otherwise than at the queried size.
+    # Every shape takes dgeqp3, also above the size crossover.
     real = {name: getattr(lapack, name) for name in ("dgeqp3", "dormqr")}
     passed = {}
+    monkeypatch.setattr(eqopt.linalg, "_QRT_MIN_COLS", np.inf)
 
     def recording(*args, _name, **kwargs):
         passed[_name] = kwargs["lwork"]
@@ -693,7 +714,7 @@ def test_the_stated_qr_workspaces_cover_the_queries(monkeypatch):
         for m in sorted({*range(1, n + 6, max(1, n // 6)), n - 1, n, n + 1, n + 5} - {0}):
             at = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, m)))
             query = real["dgeqp3"](at, lwork=-1)[3][0]
-            qr, _, tau = _pivoted_qr(at)
+            qr, _, tau, _, _ = _rank_revealing_qr(at.T, EPS)
             assert passed["dgeqp3"] >= query, (n, m)
             v = qr[:, : min(m, n)]
             for cols in sorted({1, 2, n // 2 + 1, n}):

@@ -60,6 +60,10 @@ def test_objective_oracle_fd_hessian_fallback():
     assert_allclose(oracle.hessian(x), expected, rtol=1e-6, atol=1e-6)
     with pytest.raises(ValueError, match="dim must be at least 1"):
         ObjectiveOracle(0, value, gradient)
+    # an integer: int() read 2.5 as 2, True as 1 and "3" as 3
+    for not_an_integer in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="^dim must be an integer, got "):
+            ObjectiveOracle(not_an_integer, value, gradient)
 
 
 def test_reduced_objective_chain_rule():
@@ -233,6 +237,8 @@ def test_newton_config_validation():
         ({"epsilon": "1e-8"}, "epsilon must be finite and positive"),
         ({"alpha": "0.3"}, r"alpha must lie in \(0, 1/2\)"),
         ({"beta": np.True_}, r"beta must lie in \(0, 1\)"),
+        # Python compares an int beyond the float64 range with inf exactly
+        ({"epsilon": 10**400}, "epsilon must be finite and positive"),
     ):
         with pytest.raises(ValueError, match=refusal):
             NewtonConfig(**setting)
@@ -396,7 +402,7 @@ def test_constants_validation():
     # iteration_bound and raise a bare ZeroDivisionError there
     finite = dict(m_strong=1.0, m_upper=2.0, lipschitz=1.0)
     for name in finite:
-        for bad in (math.inf, math.nan):
+        for bad in (math.inf, math.nan, 10**400):  # 10**400 < inf holds in Python
             with pytest.raises(ValueError, match=name):
                 ConvergenceConstants(**{**finite, name: bad})
     # a bool is not a constant, and a string is not a number (True was read as 1.0)

@@ -445,6 +445,7 @@ _BARRIER = {"q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "barrier_b
         ("neg_log_barrier_quadratic", {**_BARRIER, "mu": "2"}),
         ("neg_log_barrier_quadratic", {**_BARRIER, "mu": True}),
         ("neg_log_barrier_quadratic", {**_BARRIER, "mu": {"value": 2.0}}),
+        ("neg_log_barrier_quadratic", {**_BARRIER, "mu": 10**400}),
         ("log_sum_exp", {"a": [[1.0, 0.0], [0.0, 1.0]], "shift": None}),
         ("sum_exp", {"dim": 1_000_000_000_000}),
         ("sum_exp", {"dim": 2.0}),
@@ -452,7 +453,7 @@ _BARRIER = {"q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "barrier_b
         ("sum_exp", {"dim": [2]}),
     ],
     ids=["string-entry", "huge-entry", "boolean-entry", "string-mu", "boolean-mu",
-         "object-mu", "null-shift", "dim-1e12", "dim-2.0", "dim-true", "dim-list"],
+         "object-mu", "huge-mu", "null-shift", "dim-1e12", "dim-2.0", "dim-true", "dim-list"],
 )
 def test_a_nonlinear_problem_refuses_the_params_load_refuses(tmp_path, monkeypatch, name, params):
     # the constructor states the file's number rule, so save cannot write
@@ -709,6 +710,9 @@ def test_generator_spec_validation():
         GeneratorSpec(n=3, m=1, rank_deficiency=-1)
     with pytest.raises(ValueError):
         GeneratorSpec(n=3, m=0, rank_deficiency=1)
+    # generate raised numpy's bare "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        GeneratorSpec(n=3, m=1, seed=-1)
     # integers, not floats or bools: generate raised a bare numpy TypeError
     for spec, name in (
         (dict(n=2.5, m=1), "n"),

@@ -473,12 +473,12 @@ def test_projector_solves_the_nullspace_system_and_nothing_larger(monkeypatch):
     # system of the null-space form, so both return the same x bit for bit
     # and the projector factorizes no n-by-n matrix.
     shapes = []
-    for name in ("cholesky", "bunch_kaufman_solve", "symmetric_solve"):
-        def recorded(m, *args, _fn=getattr(qp, name), **kwargs):
-            shapes.append(m.shape)
-            return _fn(m, *args, **kwargs)
 
-        monkeypatch.setattr(qp, name, recorded)
+    def recorded(aa, *args, _fn=qp.solve_reduced):
+        shapes.append(aa.shape)
+        return _fn(aa, *args)
+
+    monkeypatch.setattr(qp, "solve_reduced", recorded)
     rng = np.random.default_rng(49)
     labels = set()
     for q_class in (*_Q_CLASSES, "symmetric_indefinite"):  # indefinite twice: more saddles
@@ -569,7 +569,8 @@ def test_bunch_kaufman_makes_the_eigh_decisions(monkeypatch, factorizations):
                         sol = solve(problem, *tol_arg)
                         took_dsytrf += "scipy.linalg.lapack.dsytrf" in factorizations
                         with monkeypatch.context() as refused:
-                            refused.setattr(qp, "bunch_kaufman_solve", lambda *args: None)
+                            # dsycon's rcond 0 refuses the Bunch-Kaufman factor
+                            refused.setattr(lapack, "dsycon", lambda *args, **kwargs: (0.0, 0))
                             ref = solve(problem, *tol_arg)
                         assert sol.classification == ref.classification, where
                         expr = build_nullspace(problem.constraints, *tol_arg)
@@ -600,9 +601,11 @@ def test_a_reduced_hessian_beyond_float_range_is_scaled_not_called_flat():
         assert_allclose(sol.x, [x1, 0.9 * x1, 1.0], rtol=1e-14)
     # a reduced system that is not finite itself has no such rescue
     with pytest.raises(ComputationError, match="not finite"):
-        qp._solve_reduced(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
-    with pytest.raises(ComputationError, match="not finite"):
-        linalg.symmetric_solve(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]), np.ones(2))
+        linalg.solve_reduced(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), linalg.EPS)
+    # nor does an infinite right-hand side beside a 1-norm that overflows
+    with np.errstate(over="ignore"), pytest.raises(ComputationError, match="not finite"):
+        linalg.solve_reduced(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]),
+                             np.array([np.inf, 1.0]), linalg.EPS)
 
 
 def _nearly_dependent_rows_problem(seed, n=10, m=4):
