@@ -47,15 +47,15 @@ overwritten (``solve_kkt``'s saddle matrix, the right-hand sides of
 
 **Block sizes.** Every block size and workspace is stated once, here,
 and no workspace is queried (``lwork=-1``): ``_QRT_BLOCK`` for
-``dgeqrt``, ``_SYTRF_BLOCK`` = 32 for every ``dsytrf`` call
-(:func:`solve_reduced`, the KKT oracle and the self-check's
-KKT-form Newton), and ``_QR_WORK_BLOCK`` = nb = 32 for the workspaces of
-``dgeqp3``, ``2 m + (m + 1) nb`` for m columns, and of ``dormqr``,
-``ncols nb + 65 * 64`` for ncols right-hand columns (the 65 * 64 hold
-its block reflector); ``dgeqp3``'s wrapper defaults to ``3 (m + 1)``,
-which would run it unblocked. The two formulas are LAPACK's own, at the
-block size ``ilaenv`` gives both routines, so they are the sizes the
-queries return (1562 and 5152 at n:m = 60:45, 1052 and 6432 at 100:30);
+``dgeqrt``, ``_SYTRF_BLOCK`` = 32 for both ``dsytrf`` calls
+(:func:`solve_reduced` and the KKT oracle, which the self-check's
+KKT-form Newton steps through), and ``_QR_WORK_BLOCK`` = nb = 32 for
+the workspaces of ``dgeqp3``, ``2 m + (m + 1) nb`` for m columns, and
+of ``dormqr``, ``ncols nb + 65 * 64`` for ncols right-hand columns (the
+65 * 64 hold its block reflector); ``dgeqp3``'s wrapper defaults to
+``3 (m + 1)``, which would run it unblocked. The two formulas are
+LAPACK's own, at the block size ``ilaenv`` gives both routines, so they
+are the sizes the queries return (1562 and 5152 at n:m = 60:45, 1052 and 6432 at 100:30);
 a test checks that no query returns more, over a sweep of shapes.
 ``dsytrf``'s workspace query asks for block size 64, but its panel
 routine ``dlasyf`` does level-2 work in proportion to the block size,
@@ -110,6 +110,7 @@ overflow warnings are not shown there either.
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import numbers
 import os
 import sys
@@ -176,12 +177,13 @@ def overflow_checked(func):
 # times as long: the crossover tables in BENCH_17.json.
 _QRT_MIN_COLS = 150
 _QRT_BLOCK = 32  # dgeqrt's block size nb; it must not exceed m
-# dsytrf's block size nb, passed as lwork = order * nb (the module docstring
-# says why not the query's 64). At one BLAS thread, on seeded KKT systems,
-# nb = 32 against 64 took dsytrf 9-25 % less time from order 140 to 560
-# (1.28 to 1.06 ms at n:m = 200:120) and was within 3 % at order 96; 24-32
-# were the fastest sizes at every order from 140 on, and every size from 8
-# to 64 took the same pivots: the sweep in BENCH_35.json.
+# dsytrf's block size nb in solve_reduced and qp.solve_kkt, passed as
+# lwork = order * nb (the module docstring says why not the query's 64). At
+# one BLAS thread, on seeded KKT systems, nb = 32 against 64 took dsytrf
+# 9-25 % less time from order 140 to 560 (1.28 to 1.06 ms at n:m =
+# 200:120) and was within 3 % at order 96; 24-32 were the fastest sizes at
+# every order from 140 on, and every size from 8 to 64 took the same
+# pivots: the sweep in BENCH_35.json.
 _SYTRF_BLOCK = 32
 # The block size nb of the dgeqp3 and dormqr workspaces (the module docstring
 # gives both formulas). A workspace below the query's makes either routine
@@ -192,17 +194,19 @@ _QR_WORK_BLOCK = 32
 def is_real(x):
     """The scalar number rule: whether ``x`` is a real number (a Python or
     numpy int or float, any :class:`numbers.Real`) that is not a bool and
-    converts to a float64. A string, ``None``, an array and an integer
-    beyond the float64 range (``10**400``, which Python compares with
-    ``inf`` exactly) are not; whether a float is finite is part of the
-    range each caller states."""
+    converts to a float64. A string, ``None``, an array and a finite number
+    beyond the float64 range are not: an integer such as ``10**400``,
+    which Python compares with ``inf`` exactly, and a wider float such as
+    ``np.longdouble('1e400')``, which ``float`` turns into ``inf`` without
+    a word. Whether a float is finite is part of the range each caller
+    states, so NaN and +-inf are real numbers here."""
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         return False
     try:
-        float(x)
+        f = float(x)
     except OverflowError:
         return False
-    return True
+    return not math.isinf(f) or f == x
 
 
 def is_integer(x):

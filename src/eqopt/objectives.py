@@ -18,11 +18,15 @@ Newton step's gradient and Hessian:
 * :func:`neg_log_barrier_quadratic` is ``phi(z) = -mu sum_i log(-z_i)`` on
   ``z = barrier_a x - barrier_b`` plus its quadratic.
 
-With ``hess phi(z) = diag(w^2) - p p^T`` (``p`` only for log-sum-exp,
-where it is the slope ``phi'(z)``, the softmax) and ``W = diag(w) C``, the
-Hessian is formed once as ``W^T W - (C^T p)(C^T p)^T + Q``, exactly
-symmetric; ``derivatives`` takes its ``C^T p`` from the gradient's
-``C^T phi'(z)``. phi's reductions are array methods (``z.max()``,
+phi is ``(value, slope, weight, rank_one)``: ``slope(z)`` is
+``phi'(z)`` and ``hess phi(z) = diag(w^2) - p p^T`` with
+``w = weight(z, phi'(z))``; ``rank_one`` says whether the ``p p^T`` term
+is there, and only log-sum-exp sets it, because its ``p`` is the slope
+``phi'(z)`` itself, the softmax. With ``W = diag(w) C`` the Hessian is
+formed in one place, ``derivatives``, as
+``W^T W - (C^T phi'(z))(C^T phi'(z))^T + Q``, exactly symmetric, from
+the gradient's own ``C^T phi'(z)``; the oracle's ``hessian`` is that
+body's second half. phi's reductions are array methods (``z.max()``,
 ``w.sum()``), and the rank-one term a broadcast product: the same ufunc
 loops as ``np.max``, ``np.sum`` and ``np.outer`` without their
 Python-level dispatch. Restricted to
@@ -45,20 +49,19 @@ from .nlp import ObjectiveOracle
 def _composite(phi, cmat, s, quad=None):
     """The oracle of ``f(x) = phi(C x + s) + 1/2 x^T Q x + c^T x + const``.
 
-    ``phi = (value, slope, curvature)`` acts on ``z = C x + s``: ``slope(z)``
-    is ``phi'(z)`` and ``curvature(z, dz)`` is ``(w, p)`` with
-    ``hess phi(z) = diag(w^2) - p p^T``, ``p`` None when that term is absent;
-    ``dz`` is ``slope(z)`` when the caller already has it, else None.
+    ``phi = (value, slope, weight, rank_one)`` acts on ``z = C x + s``:
+    ``slope(z)`` is ``phi'(z)``, and ``weight(z, dz)``, given that slope
+    ``dz``, is the ``w`` of ``hess phi(z) = diag(w^2) - p p^T``, where the
+    rank-one term, present when ``rank_one`` is true, has ``p = dz``.
     ``quad`` is ``(Q, c, const)`` with Q symmetric, or None for no quadratic
-    part. ``derivatives`` forms z, ``phi'(z)`` and ``C^T phi'(z)`` once for
-    both the gradient and the Hessian, bit for bit the two separate
-    callbacks: the Hessian's rank-one term reuses that product when ``p``
-    is the slope itself (log-sum-exp), where ``hessian`` alone forms
-    ``C^T p``. The pull-back through ``x = x0 + B g`` is this body again;
-    it raises ComputationError when the quadratic part at x0, its
-    constant, overflows float range.
+    part. ``derivatives`` is the one body that forms the Hessian: it forms
+    z, ``phi'(z)`` and ``C^T phi'(z)`` once for both the gradient and the
+    Hessian's rank-one term, and ``hessian(x)`` is ``derivatives(x)[1]``.
+    The pull-back through ``x = x0 + B g`` is this body again; it raises
+    ComputationError when the quadratic part at x0, its constant, overflows
+    float range.
     """
-    phi_value, slope, curvature = phi
+    phi_value, slope, weight, rank_one = phi
 
     def value(x):
         v = phi_value(cmat @ x + s)
@@ -67,34 +70,23 @@ def _composite(phi, cmat, s, quad=None):
         q, c, const = quad
         return float(0.5 * x @ q @ x + c @ x + const + v)
 
-    def gradient_from(x, cdz):  # cdz = C^T phi'(z)
-        if quad is None:
-            return cdz
-        q, c, _ = quad
-        return q @ x + c + cdz
-
-    def hessian_from(z, dz, cdz):
-        w, p = curvature(z, dz)
-        wc = w[:, None] * cmat
-        h = wc.T @ wc
-        if p is not None:
-            cp = cdz if p is dz else cmat.T @ p
-            h -= cp[:, None] * cp
-        if quad is not None:
-            h += quad[0]
-        return h
-
     def gradient(x):
-        return gradient_from(x, cmat.T @ slope(cmat @ x + s))
-
-    def hessian(x):
-        return hessian_from(cmat @ x + s, None, None)
+        cdz = cmat.T @ slope(cmat @ x + s)
+        return cdz if quad is None else quad[0] @ x + quad[1] + cdz
 
     def derivatives(x):
         z = cmat @ x + s
         dz = slope(z)
-        cdz = cmat.T @ dz
-        return gradient_from(x, cdz), hessian_from(z, dz, cdz)
+        cdz = cmat.T @ dz  # C^T phi'(z)
+        wc = weight(z, dz)[:, None] * cmat
+        h = wc.T @ wc
+        if rank_one:
+            h -= cdz[:, None] * cdz
+        if quad is None:
+            return cdz, h
+        q, c, _ = quad
+        h += q
+        return q @ x + c + cdz, h
 
     def pullback(x0, basis):
         pulled = None
@@ -113,17 +105,13 @@ def _composite(phi, cmat, s, quad=None):
         dim=cmat.shape[1],
         value=value,
         gradient=gradient,
-        hessian=hessian,
+        hessian=lambda x: derivatives(x)[1],
         pullback=pullback,
         derivatives=derivatives,
     )
 
 
-_SUM_EXP = (
-    lambda z: float(np.exp(z).sum()),
-    np.exp,
-    lambda z, dz: (np.exp(0.5 * z), None),
-)
+_SUM_EXP = (lambda z: float(np.exp(z).sum()), np.exp, lambda z, dz: np.exp(0.5 * z), False)
 
 
 def _log_sum_exp_value(z):
@@ -136,23 +124,18 @@ def _softmax(z):
     return w / w.sum()
 
 
-def _log_sum_exp_curvature(z, p):
-    if p is None:  # else p is the slope, softmax(z)
-        p = _softmax(z)
-    return np.sqrt(p), p
-
-
-_LOG_SUM_EXP = (_log_sum_exp_value, _softmax, _log_sum_exp_curvature)
+# hess phi(z) = diag(p) - p p^T with p the slope, softmax(z)
+_LOG_SUM_EXP = (_log_sum_exp_value, _softmax, lambda z, p: np.sqrt(p), True)
 
 
 def _neg_log(mu):
     """``phi(z) = -mu sum_i log(-z_i)``. Unless every ``z_i < 0`` its value is
-    ``+inf`` and its slope and curvature raise ValueError; the curvature
-    does not check z again when it is given the slope, which checked it."""
+    ``+inf`` and its slope raises ValueError; the weight, given the slope,
+    does not check z again."""
 
-    def inside(z, part):
+    def inside(z):
         if z.max(initial=-np.inf) >= 0.0:
-            raise ValueError(f"{part} requested outside the barrier domain")
+            raise ValueError("derivatives requested outside the barrier domain")
         return z
 
     def value(z):
@@ -161,11 +144,7 @@ def _neg_log(mu):
         return -mu * float(np.log(-z).sum())
 
     root_mu = math.sqrt(mu)
-
-    def curvature(z, dz):
-        return root_mu / -(z if dz is not None else inside(z, "hessian")), None
-
-    return value, lambda z: -mu / inside(z, "gradient"), curvature
+    return value, lambda z: -mu / inside(z), lambda z, dz: root_mu / -z, False
 
 
 def _checked_quadratic(q, c):

@@ -413,7 +413,10 @@ class GeneratorSpec:
     ``rank_deficiency`` appends that many duplicated constraint rows,
     keeping the system consistent. ``n``, ``m``, ``seed`` and
     ``rank_deficiency`` are integers (:func:`~eqopt.linalg.is_integer`),
-    and ``seed`` is nonnegative, as numpy's generators require.
+    and ``seed`` is nonnegative, as numpy's generators require. Neither
+    float64 array, Q (n x n) nor A ((m + rank_deficiency) x n), may exceed
+    numpy's limit of ``np.iinfo(np.intp).max`` bytes; a spec within it can
+    still exceed the memory at hand.
     """
 
     n: int
@@ -431,7 +434,7 @@ class GeneratorSpec:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0 <= self.m < self.n:
-            raise ValueError("need 0 <= m < n")
+            raise ValueError(f"need 0 <= m < n, got n={self.n}, m={self.m}")
         if self.q_class not in _Q_CLASSES:
             raise ValueError(
                 f"unknown q_class {self.q_class!r}; choose from {_Q_CLASSES}"
@@ -440,6 +443,13 @@ class GeneratorSpec:
             raise ValueError("rank_deficiency must be nonnegative")
         if self.rank_deficiency > 0 and self.m == 0:
             raise ValueError("rank_deficiency needs at least one constraint row")
+        limit = np.iinfo(np.intp).max
+        for name, rows in (("Q", self.n), ("A", self.m + self.rank_deficiency)):
+            if 8 * rows * self.n > limit:
+                raise ValueError(
+                    f"{name} would be a {rows} x {self.n} float64 array, "
+                    f"beyond numpy's limit of {limit} bytes"
+                )
 
 
 def generate(spec):

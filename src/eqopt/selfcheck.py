@@ -8,7 +8,9 @@ the trials on the stream ``(seed, salt)`` and stops at the first
 counterexample. :data:`_SUITES` is the one place the suites are named: the
 ``invariants`` (linear-algebra and expression identities), ``oracle``
 (agreement of the three QP routes, and of Newton on the reduced objective
-with Newton in KKT form) and ``convergence`` (Newton certificates) suites.
+with Newton in KKT form, whose steps :func:`~eqopt.qp.solve_kkt` solves,
+so this module calls no LAPACK routine itself) and ``convergence``
+(Newton certificates) suites.
 The invariants ``rrqr_rank`` and ``null_basis`` read the expression that
 :func:`~eqopt.expressions.build_nullspace` returns: its rank against
 numpy's, its x0 against the minimum-norm solution of the caller's rows
@@ -24,10 +26,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import objectives
-from .errors import ComputationError, EqoptError, InfeasibleConstraintsError
+from .errors import EqoptError, InfeasibleConstraintsError
 from .errors import OracleUnavailableError
 from .expressions import EqualityConstraints, build_nullspace, build_projector
-from .linalg import _QRT_BLOCK, _QRT_MIN_COLS, _SYTRF_BLOCK, lapack
+from .linalg import _QRT_BLOCK, _QRT_MIN_COLS
 from .nlp import (
     NewtonConfig,
     estimate_convergence_constants,
@@ -38,7 +40,7 @@ from .nlp import (
     suboptimality_bound,
 )
 from .problems import GeneratorSpec, generate, solve
-from .qp import solve_kkt, solve_nullspace, solve_projector
+from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
 
 
 def _rel_gap(x, y):
@@ -263,32 +265,25 @@ def _kkt_newton(oracle, a, x, config):
     """Damped Newton on ``min f(x)`` s.t. ``A x = b`` in KKT form, from the
     feasible ``x`` (Boyd & Vandenberghe, *Convex Optimization*, §10.2).
 
-    Each step solves ``[[hess f, A^T], [A, 0]] [dx; w] = [-grad f; 0]``
-    with ``dsytrf``/``dsytrs`` from the full-space oracle's own ``value``,
-    ``gradient`` and ``hessian``, takes ``lambda^2 = dx^T (hess f) dx``, and
-    applies :func:`~eqopt.nlp.newton_solve`'s Armijo rule and stop with
-    ``config``. It calls neither ``pullback`` nor ``restrict`` and builds no
-    null-space basis, so it shares with ``newton_solve`` only the
-    objective's callbacks and the start. Returns ``(steps, x, lambda^2)``:
+    Each step's model, ``min 1/2 dx^T (hess f) dx + grad f^T dx`` s.t.
+    ``A dx = 0``, is a QP, and :func:`~eqopt.qp.solve_kkt` solves it from
+    the full-space oracle's own ``gradient`` and ``hessian``: its saddle
+    system ``[[hess f, A^T], [A, 0]] [dx; w] = [-grad f; 0]``. The step
+    then takes ``lambda^2 = dx^T (hess f) dx`` and applies
+    :func:`~eqopt.nlp.newton_solve`'s Armijo rule and stop with ``config``.
+    It calls neither ``pullback`` nor ``restrict`` and builds no null-space
+    basis, so it shares with ``newton_solve`` only the objective's
+    callbacks and the start. Returns ``(steps, x, lambda^2)``:
     ``(x, lambda^2)`` at the start of each step taken, then the last
     iterate and its decrement.
     """
-    m, n = a.shape
-    kkt = np.zeros((n + m, n + m))
-    kkt[n:, :n] = a  # dsytrf reads the lower triangle
-    rhs = np.zeros(n + m)
+    tangent = EqualityConstraints(a, np.zeros(a.shape[0]))
     h = float(oracle.value(x))
     steps = []
     while True:
-        kkt[:n, :n] = oracle.hessian(x)
-        rhs[:n] = -oracle.gradient(x)
-        ldu, ipiv, info = lapack.dsytrf(kkt, lower=1, lwork=(n + m) * _SYTRF_BLOCK)
-        if info == 0:
-            dxw, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
-        if info != 0:
-            raise ComputationError(f"the KKT-form Newton system failed (info={info})")
-        dx = dxw[:n]
-        dec_sq = float(dx @ kkt[:n, :n] @ dx)
+        hess = oracle.hessian(x)
+        dx = solve_kkt(QpProblem(hess, oracle.gradient(x), tangent)).x
+        dec_sq = float(dx @ hess @ dx)
         if dec_sq / 2.0 <= config.epsilon or len(steps) >= config.max_iter:
             return steps, x, dec_sq
         steps.append((x, dec_sq))
@@ -329,7 +324,7 @@ def _check_newton_agreement(rng):
     steps. They must agree on the number of steps, on every iterate's x
     within 1e-8 (:func:`_rel_gap`) and on every squared decrement d within
     ``1e-7 (1e-8 + d)``. Over 10,000 trials (seeds 0-199, 40,000 solves)
-    the counts always agreed, x to 4.1e-11 and d to 3.7e-10 of that scale.
+    the counts always agreed, x to 1.1e-10 and d to 6.9e-10 of that scale.
     b is drawn as ``A x`` with ``|x_i| <= 1``: a b drawn on its own put
     sum_exp's optimum where its Hessian spans e^+-50, and there the KKT
     form itself lost every digit of its decrement. The start x0 must first

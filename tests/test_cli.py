@@ -987,6 +987,17 @@ def test_bench_bad_sizes_exit_4(tmp_path, capsys):
         )
         assert code == 4, bad
     assert "error:" in capsys.readouterr().err
+    # a size numpy cannot address is refused with eqopt's message before the
+    # first solve (it exited 4 with numpy's bare "Maximum allowed dimension
+    # exceeded"), also when it comes after a good size
+    report = tmp_path / "huge.json"
+    for sizes in ("1000000000000000000000:1", "6:2,1000000000000000000000:1"):
+        argv = ["bench", "--sizes", sizes, "--trials", "1", "--output", str(report)]
+        assert cli.main(argv) == 4, sizes
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Q would be a 10") and "beyond numpy's limit" in err
+        assert not report.exists()
 
 
 def test_bench_bad_method_exit_4(tmp_path, capsys):

@@ -166,9 +166,10 @@ def test_only_build_nullspace_factors_the_constraints():
     # expressions.build_nullspace calls the QR kernels, and linalg, which
     # holds them, imports nothing of the expressions built on them. Each
     # decision of the eliminations is made in linalg: outside it, LAPACK is
-    # called only by the two independent KKT references.
+    # called only by the independent KKT oracle, through which the
+    # self-check's KKT-form Newton reference also takes its steps.
     kernels = {"_rank_revealing_qr", "_apply_q"}
-    references = {"qp.solve_kkt", "selfcheck._kkt_newton"}
+    references = {"qp.solve_kkt"}
     offenders, called = [], set()
     for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

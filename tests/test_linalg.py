@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from eqopt.linalg import (
     as_vector,
     cholesky,
     cholesky_solve,
+    is_real,
     lapack,
     overflow_checked,
     pull_back_quadratic,
@@ -517,6 +519,17 @@ def test_as_matrix_and_as_vector():
     assert as_matrix(held) is held
     assert as_vector(np.array([1, 2], dtype=np.int32)).tolist() == [1.0, 2.0]
     assert as_vector([10**20, 1]).tolist() == [1e20, 1.0]
+
+
+def test_is_real_is_what_converts_to_a_float64():
+    reals = [0, np.int64(3), 1.5, np.float32(2.0), math.inf, -math.inf, math.nan]
+    others = [True, np.True_, "1.0", None, [1.0], np.array([1.0]), 10**400, -(10**400)]
+    if np.finfo(np.longdouble).max > np.finfo(np.float64).max:
+        # float() turns a longdouble beyond the float64 range into inf silently
+        reals += [np.longdouble("1.5"), np.longdouble("inf"), np.longdouble("nan")]
+        others += [np.longdouble("1e400"), np.longdouble("-1e400")]
+    assert [is_real(x) for x in reals] == [True] * len(reals)
+    assert [is_real(x) for x in others] == [False] * len(others)
 
 
 def test_a_solution_that_overflows_is_a_computation_error():

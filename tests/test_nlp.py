@@ -242,6 +242,12 @@ def test_newton_config_validation():
     ):
         with pytest.raises(ValueError, match=refusal):
             NewtonConfig(**setting)
+    # a wider float beyond the float64 range: float() made it inf silently
+    # and NewtonConfig held epsilon 1e+400
+    if np.finfo(np.longdouble).max > np.finfo(np.float64).max:
+        for epsilon in (np.longdouble("1e400"), np.longdouble("-1e400")):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                NewtonConfig(epsilon=epsilon)
     assert NewtonConfig(alpha=np.float64(0.3), epsilon=1).epsilon == 1
     # a step count, not a float (2.5 would run 3 steps) nor a bool (True 1)
     for not_an_integer in (2.5, 3.0, True, np.True_):

@@ -724,6 +724,15 @@ def test_generator_spec_validation():
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             GeneratorSpec(**spec)
     assert generate(GeneratorSpec(n=np.int64(3), m=1, seed=np.uint64(5))).constraints.n == 3
+    # sizes whose float64 Q or A numpy cannot address: generate raised numpy's
+    # bare "array is too big" or "Maximum allowed dimension exceeded"
+    for spec, refusal in (
+        (dict(n=2**40, m=1), r"^Q would be a 1099511627776 x 1099511627776 float64 array"),
+        (dict(n=10**21, m=1), r"^Q would be a 10{21} x 10{21} float64 array"),
+        (dict(n=3, m=1, rank_deficiency=10**20), r"^A would be a 10{19}1 x 3 float64 array"),
+    ):
+        with pytest.raises(ValueError, match=refusal + ", beyond numpy's limit of "):
+            GeneratorSpec(**spec)
 
 
 # ---------------------------------------------------------------------------
