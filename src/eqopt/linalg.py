@@ -37,7 +37,8 @@ from outside by this rule, and :func:`frozen_copy` gives the frozen
 input types the read-only copy they hold, so a checked array neither
 changes with the caller's nor takes a write. The checks do not copy a
 float64 array: a registry objective keeps the caller's arrays, as a
-copy would double the memory they hold, and
+copy would double the memory they hold (:func:`quadratic_data` returns
+a Q equal to its symmetric part as given, not marked read-only), and
 :class:`~eqopt.problems.NlpProblem` hands its builder the float64
 arrays it converted, once, from its own read-only copies of the params.
 The kernels check no argument again.
@@ -307,13 +308,16 @@ def symmetric_part(m):
 
 def quadratic_data(q, c=None):
     """Validate ``(Q, c)`` (c defaults to zeros); returns ``(Q + Q^T) / 2``,
-    the only part of Q a quadratic form senses, and c. The Q returned is
-    the new array of :func:`symmetric_part`, marked read-only, not a copy."""
+    the only part of Q a quadratic form senses, and c. A checked float64 Q
+    equal bit for bit to its symmetric part (so a -0.0 opposite a +0.0
+    counts as asymmetric) is returned as given; any other Q as the new
+    array of :func:`symmetric_part`. Neither is marked read-only."""
     q = as_matrix(q, "Q")
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
-    q = symmetric_part(q)
-    q.flags.writeable = False
+    sym = symmetric_part(q)
+    if not np.array_equal(sym.view(np.int64), q.view(np.int64)):
+        q = sym
     n = q.shape[0]
     c = np.zeros(n) if c is None else as_vector(c, "c", n)
     return q, c

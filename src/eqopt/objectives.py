@@ -157,7 +157,12 @@ def _checked_quadratic(q, c):
 
 
 def quadratic(q, c=None):
-    """``f(x) = 1/2 x^T Q x + c^T x`` (Q symmetrized)."""
+    """``f(x) = 1/2 x^T Q x + c^T x`` (Q symmetrized).
+
+    A float64 Q equal to its symmetric part is kept as given
+    (:func:`~eqopt.linalg.quadratic_data`), not copied, so a later write
+    to it reaches the objective.
+    """
     return _checked_quadratic(*quadratic_data(q, c))
 
 
@@ -197,7 +202,7 @@ def log_sum_exp(a, shift=None):
     k = a.shape[0]
     if k < 1:
         raise ValueError("a needs at least one row")
-    s = np.zeros(k) if shift is None else as_vector(shift, "shift", k)
+    s = 0.0 if shift is None else as_vector(shift, "shift", k)  # C x + 0.0 rounds as C x + 0
     return _composite(_LOG_SUM_EXP, a, s)
 
 
@@ -206,7 +211,9 @@ def neg_log_barrier_quadratic(q, c=None, barrier_a=None, barrier_b=None, mu=1.0)
 
     The value is ``+inf`` outside the open domain ``barrier_a x < barrier_b``,
     which makes backtracking reject infeasible trial points; gradient and
-    Hessian require a strictly interior point.
+    Hessian require a strictly interior point. A symmetric float64 Q is
+    kept as given, as ``barrier_a`` is, so a later write to either
+    reaches the objective.
     """
     q, c = quadratic_data(q, c)
     n = q.shape[0]

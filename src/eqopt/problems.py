@@ -416,7 +416,8 @@ class GeneratorSpec:
     and ``seed`` is nonnegative, as numpy's generators require. Neither
     float64 array, Q (n x n) nor A ((m + rank_deficiency) x n), may exceed
     numpy's limit of ``np.iinfo(np.intp).max`` bytes; a spec within it can
-    still exceed the memory at hand.
+    still exceed the memory at hand, and :func:`generate` then raises
+    ValueError.
     """
 
     n: int
@@ -457,7 +458,9 @@ def generate(spec):
 
     Entries are drawn uniformly from [-1, 1] with a PCG64 stream seeded
     by ``spec.seed``; the draw order is fixed (Q material, c, A, b,
-    duplication choices) so results are reproducible bit for bit.
+    duplication choices) so results are reproducible bit for bit. A size
+    the machine cannot hold raises ValueError naming the shapes and bytes
+    of Q and A, not numpy's bare MemoryError.
     """
     rng = np.random.default_rng(spec.seed)
     n, m = spec.n, spec.m
@@ -465,14 +468,21 @@ def generate(spec):
     def u(*shape):
         return rng.uniform(-1.0, 1.0, shape)
 
-    q = u(n, n)
-    if spec.q_class == "spd":
-        q = q.T @ q + 1e-3 * n * np.eye(n)
-    c = u(n)
-    a = u(m, n)
-    b = u(m)
-    if spec.rank_deficiency > 0:
-        picks = rng.integers(0, m, size=spec.rank_deficiency)
-        a = np.vstack([a, a[picks]])
-        b = np.concatenate([b, b[picks]])
-    return QpProblem(q=q, c=c, constraints=EqualityConstraints(a, b))
+    try:
+        q = u(n, n)
+        if spec.q_class == "spd":
+            q = q.T @ q + 1e-3 * n * np.eye(n)
+        c = u(n)
+        a = u(m, n)
+        b = u(m)
+        if spec.rank_deficiency > 0:
+            picks = rng.integers(0, m, size=spec.rank_deficiency)
+            a = np.vstack([a, a[picks]])
+            b = np.concatenate([b, b[picks]])
+        return QpProblem(q=q, c=c, constraints=EqualityConstraints(a, b))
+    except MemoryError:
+        rows = m + spec.rank_deficiency
+        raise ValueError(
+            f"Q ({n} x {n}, {8 * n * n} bytes) and A ({rows} x {n}, {8 * rows * n} bytes) "
+            f"float64 arrays do not fit in the memory at hand"
+        ) from None

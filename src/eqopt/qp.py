@@ -62,7 +62,8 @@ class QpProblem:
 
     Q is symmetrized on construction (:func:`~eqopt.linalg.quadratic_data`):
     the quadratic form only senses ``(Q + Q^T) / 2``. Q and c are checked
-    once, here, and held read-only, as the constraints hold A and b.
+    once, here, and each held as a read-only copy, as the constraints hold
+    A and b.
     """
 
     q: np.ndarray
@@ -71,7 +72,7 @@ class QpProblem:
 
     def __post_init__(self):
         q, c = quadratic_data(self.q, self.c)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", frozen_copy(q))
         object.__setattr__(self, "c", frozen_copy(c))
         if self.constraints.n != self.n:
             raise ValueError(f"A has {self.constraints.n} columns, expected {self.n}")

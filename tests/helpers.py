@@ -3,8 +3,11 @@
 The finite-difference oracles are deliberately independent of the
 library's own finite-difference fallback: central differences with a
 per-coordinate relative step. :func:`full_saddle_solve` is the dense
-saddle-point solve on the full matrix.
+saddle-point solve on the full matrix. :func:`short_of_memory` makes
+large random draws fail as on a machine that cannot hold them.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg.lapack
@@ -59,3 +62,31 @@ def full_saddle_solve(problem):
     z, info = scipy.linalg.lapack.dsytrs(ldu, ipiv, rhs, lower=1)
     assert info == 0
     return z[:n], z[n:], kkt, kkt @ z - rhs
+
+
+class _ShortOfMemoryGenerator:
+    """A numpy generator whose ``uniform`` refuses more than ``entries``
+    entries with MemoryError, before allocating anything; every other draw
+    is the real generator's."""
+
+    def __init__(self, rng, entries):
+        self._rng, self._entries = rng, entries
+
+    def uniform(self, low, high, size):
+        if math.prod(size) > self._entries:
+            raise MemoryError(f"cannot allocate {math.prod(size)} float64 entries")
+        return self._rng.uniform(low, high, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def short_of_memory(monkeypatch, entries=10**6):
+    """Patch ``np.random.default_rng``, which :func:`eqopt.problems.generate`
+    calls, to return generators whose ``uniform`` draws of more than
+    ``entries`` entries raise MemoryError, so a size the machine cannot
+    hold is tested without trying to allocate it."""
+    real = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a: _ShortOfMemoryGenerator(real(*a), entries)
+    )

@@ -36,6 +36,14 @@ def _qp_problem():
     return problem, ("c", np.zeros(3)), [problem.q, problem.c, cons.a], [q, c, a, b]
 
 
+def _asymmetric_qp_problem():
+    # QpProblem holds a read-only copy of (Q + Q^T) / 2, as it does of c
+    cons, a, b = _constraints()
+    q, c = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), np.ones(3)
+    problem = eqopt.QpProblem(q, c, cons)
+    return problem, ("q", np.eye(3)), [problem.q, problem.c, cons.a], [q, c, a, b]
+
+
 def _newton_config():
     g0 = np.zeros(2)
     config = eqopt.NewtonConfig(g0=g0)
@@ -81,6 +89,7 @@ def _reduced_objective():
     [
         _equality_constraints,
         _qp_problem,
+        _asymmetric_qp_problem,
         _newton_config,
         _convergence_constants,
         _generator_spec,

@@ -28,6 +28,7 @@ from eqopt.errors import (
 )
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonTrace
+from helpers import short_of_memory
 
 
 def _write_doc(path, doc):
@@ -998,6 +999,18 @@ def test_bench_bad_sizes_exit_4(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: Q would be a 10") and "beyond numpy's limit" in err
         assert not report.exists()
+
+
+def test_bench_a_size_beyond_memory_exits_4(tmp_path, capsys, monkeypatch):
+    # the huge size's Q draw raised a bare MemoryError: a traceback and exit 1
+    short_of_memory(monkeypatch)
+    report = tmp_path / "r.json"
+    argv = ["bench", "--sizes", "6:2,1000000000:1", "--trials", "1", "--output", str(report)]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Q (1000000000 x 1000000000, 8000000000000000000 bytes)")
+    assert not report.exists()
 
 
 def test_bench_bad_method_exit_4(tmp_path, capsys):

@@ -599,6 +599,26 @@ def test_symmetrizing_halves_first():
     assert np.array_equal(pull_back_quadratic(big, np.zeros(2), np.zeros(2), np.eye(2))[0], big)
 
 
+def test_quadratic_data_keeps_a_q_equal_to_its_symmetric_part():
+    # it returned a read-only symmetrized copy of every Q
+    q = np.array([[2.0, 1.0], [1.0, 3.0]])
+    held = quadratic_data(q)[0]
+    assert held is q and held.flags.writeable
+    # a Q whose symmetric part differs in any bit comes back as that part, in
+    # a new writeable array: an asymmetric Q, an odd subnormal that halves to
+    # 0, and a -0.0 opposite a +0.0, which == alone would call symmetric
+    for q in (
+        np.array([[2.0, 1.0], [0.0, 3.0]]),
+        np.array([[2.0, 5e-324], [5e-324, -5e-324]]),
+        np.array([[1.0, -0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [-0.0, 1.0]]).T,  # the same as a transposed view
+    ):
+        held = quadratic_data(q)[0]
+        assert held is not q and held.flags.writeable
+        assert held.tobytes() == symmetric_part(q).tobytes()
+    assert not np.signbit(held).any()  # the -0.0 is gone
+
+
 # ---------------------------------------------------------------------------
 # how LAPACK is reached
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eqopt.errors import ComputationError, UnknownObjectiveError
+from eqopt.expressions import EqualityConstraints
 from eqopt.objectives import (
     log_sum_exp,
     neg_log_barrier_quadratic,
@@ -13,6 +15,7 @@ from eqopt.objectives import (
     quadratic,
     sum_exp,
 )
+from eqopt.qp import QpProblem
 from helpers import chain_rule_oracle, fd_gradient, fd_hessian
 
 
@@ -259,3 +262,41 @@ def test_pull_back_composes():
         assert abs(twice.value(g) - once.value(g)) <= 1e-12 * max(1.0, abs(once.value(g))), name
         assert_allclose(twice.gradient(g), once.gradient(g), rtol=1e-12, atol=1e-12)
         assert_allclose(twice.hessian(g), once.hessian(g), rtol=1e-12, atol=1e-12)
+
+
+def test_a_symmetric_q_is_held_as_given():
+    # each objective held a symmetrized copy of an already symmetric Q:
+    # 100 % of q.nbytes traced
+    rng = np.random.default_rng(35)
+    r = rng.uniform(-1, 1, (300, 300))
+    q = r + r.T  # exactly symmetric
+    c, ba, bb = np.zeros(300), rng.uniform(-1, 1, (5, 300)), np.ones(5)
+    for build in (lambda: quadratic(q), lambda: neg_log_barrier_quadratic(q, c, ba, bb)):
+        tracemalloc.start()
+        try:
+            oracle = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.05 * q.nbytes, held
+        assert oracle.dim == 300
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        [[2.0, 1.0, 0.5], [-1.0, 3.0, 0.0], [0.25, 2.0, 4.0]],
+        [[2.0, 5e-324, 0.0], [5e-324, -5e-324, 0.0], [0.0, 0.0, 1.0]],  # 5e-324 halves to 0
+        [[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # -0.0 opposite +0.0
+    ],
+    ids=["asymmetric", "subnormal", "signed_zero"],
+)
+def test_a_quadratic_objective_agrees_with_its_qp_bit_for_bit(q):
+    q, c = np.array(q), np.array([0.5, -1.0, 0.0])
+    ours = quadratic(q, c)
+    qps = QpProblem(q, c, EqualityConstraints(np.ones((1, 3)), np.ones(1))).oracle
+    for x in ([0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [-0.0, 1e-300, 3.0]):
+        x = np.array(x)
+        assert np.array(ours.value(x)).tobytes() == np.array(qps.value(x)).tobytes()
+        for part in ("gradient", "hessian"):
+            assert getattr(ours, part)(x).tobytes() == getattr(qps, part)(x).tobytes(), part

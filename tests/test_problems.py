@@ -29,6 +29,7 @@ from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
 from eqopt.problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save, solve
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
+from helpers import short_of_memory
 
 
 def _write(path, doc):
@@ -733,6 +734,23 @@ def test_generator_spec_validation():
     ):
         with pytest.raises(ValueError, match=refusal + ", beyond numpy's limit of "):
             GeneratorSpec(**spec)
+
+
+def test_generate_refuses_a_size_the_machine_cannot_hold(monkeypatch):
+    # numpy can address an 8e18-byte Q, so the spec passes; generate raised
+    # numpy's bare MemoryError. The draw is refused before it allocates.
+    small = GeneratorSpec(n=6, m=2, seed=3)
+    expected = generate(small).q
+    short_of_memory(monkeypatch)
+    spec = GeneratorSpec(n=10**9, m=1, rank_deficiency=2)
+    refusal = (
+        r"^Q \(1000000000 x 1000000000, 8000000000000000000 bytes\) and "
+        r"A \(3 x 1000000000, 24000000000 bytes\) float64 arrays do not fit"
+    )
+    with pytest.raises(ValueError, match=refusal):
+        generate(spec)
+    # a size that fits draws the same problem as before
+    assert_array_equal(generate(small).q, expected)
 
 
 # ---------------------------------------------------------------------------
