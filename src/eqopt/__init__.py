@@ -52,7 +52,7 @@ from .objectives import (
     sum_exp,
 )
 from .problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save, solve
-from .qp import QpProblem, QpSolution, solve_kkt, solve_nullspace, solve_projector
+from .qp import QpProblem, Solution, solve_kkt, solve_nullspace, solve_projector
 
 __version__ = "0.1.0"
 
@@ -80,8 +80,8 @@ __all__ = [
     "ProblemParseError",
     "ProblemSchemaError",
     "QpProblem",
-    "QpSolution",
     "ReducedObjective",
+    "Solution",
     "UnknownObjectiveError",
     "build_nullspace",
     "build_projector",

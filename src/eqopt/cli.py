@@ -8,7 +8,11 @@ suites that :data:`eqopt.selfcheck._SUITES` names.
 ``solve`` and ``bench`` reach every method through
 :func:`eqopt.problems.solve`, and take their method choices from its
 tables; this module builds the documents and notes and maps errors to
-exit codes. ``solve`` builds one :class:`~eqopt.nlp.NewtonConfig` from
+exit codes. Every answer is written by one function, ``_solution_doc``;
+a Newton answer adds its trace's ``converged``, ``iterations``,
+``gradNorm`` and ``decrementSq``, and one out of iterations exits 3 (in
+``bench``, a ``non_converged`` failure). ``solve`` builds one
+:class:`~eqopt.nlp.NewtonConfig` from
 ``--alpha``, ``--beta`` and ``--max-iter`` under every method, so an
 invalid value exits 4 even where it goes unused; ``--tol`` joins it only
 under ``newton`` and ``sqp`` and is the cutoff ``eps`` otherwise. The
@@ -60,6 +64,7 @@ EXIT_INPUT = 4
 EXIT_INFEASIBLE_START = 5
 
 DEFAULT_SIZES = "10:2,10:4,10:8,20:4,20:8,20:16,40:8,40:16,40:32,80:16,80:32,80:64"
+_METHODS = (*_QP_SOLVERS, *_NEWTON_SOLVERS)
 
 # The failure contract, stated once: each error a solve raises, with the
 # exit code ``eqopt solve`` returns for it and the kind ``eqopt bench``
@@ -100,7 +105,7 @@ def _build_parser():
     p_solve.add_argument(
         "--method",
         default="nullspace",
-        choices=[*_QP_SOLVERS, *_NEWTON_SOLVERS],
+        choices=list(_METHODS),
     )
     p_solve.add_argument(
         "--tol",
@@ -129,7 +134,7 @@ def _build_parser():
     p_bench.add_argument(
         "--methods",
         default=",".join(_QP_SOLVERS),
-        help="comma list out of %(default)s",
+        help=f"comma list out of {','.join(_METHODS)} (default %(default)s)",
     )
     p_bench.add_argument(
         "--q-class",
@@ -161,8 +166,8 @@ def _build_parser():
 # solve
 
 
-def _qp_solution_doc(sol):
-    return {
+def _solution_doc(sol):
+    doc = {
         "formatVersion": 1,
         "method": sol.method,
         "x": sol.x,
@@ -173,6 +178,12 @@ def _qp_solution_doc(sol):
         "degenerate": sol.degenerate,
         "lagrangeMultipliers": sol.lagrange_multipliers,
     }
+    if sol.trace is not None:
+        doc["converged"] = sol.trace.converged
+        doc["iterations"] = len(sol.trace.iterations)
+        doc["gradNorm"] = sol.trace.final_grad_norm
+        doc["decrementSq"] = sol.trace.final_decrement_sq
+    return doc
 
 
 def _trace_doc(trace, method):
@@ -217,25 +228,11 @@ def cmd_solve(args):
     if args.method == "kkt" and args.tol is not None:
         print("note: the kkt oracle takes no tolerance; ignoring --tol", file=sys.stderr)
     eps = {"eps": args.tol} if not newton and args.tol is not None else {}
-    result = solve(problem, args.method, config=config, **eps)
-    if not newton:
-        write_json(_qp_solution_doc(result), args.output)
-        return EXIT_OK
-    if args.trace is not None:  # first, so an unwritable path prints no solution
-        write_json(_trace_doc(result, args.method), args.trace)
-    doc = {
-        "formatVersion": 1,
-        "method": args.method,
-        "converged": result.converged,
-        "iterations": len(result.iterations),
-        "x": result.final_x,
-        "objective": result.final_h,
-        "constraintResidual": problem.constraints.residual(result.final_x),
-        "gradNorm": result.final_grad_norm,
-        "decrementSq": result.final_decrement_sq,
-    }
-    write_json(doc, args.output)
-    if not result.converged:
+    sol = solve(problem, args.method, config=config, **eps)
+    if newton and args.trace is not None:  # first, so an unwritable path prints no solution
+        write_json(_trace_doc(sol.trace, args.method), args.trace)
+    write_json(_solution_doc(sol), args.output)
+    if newton and not sol.trace.converged:
         print(
             f"error: {args.method} did not converge within {args.max_iter} iterations",
             file=sys.stderr,
@@ -267,8 +264,8 @@ def _parse_methods(text):
     """Method names in first-seen order, each once."""
     methods = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
     for name in methods:
-        if name not in _QP_SOLVERS:
-            raise ValueError(f"unknown method {name!r}; choose from {','.join(_QP_SOLVERS)}")
+        if name not in _METHODS:
+            raise ValueError(f"unknown method {name!r}; choose from {','.join(_METHODS)}")
     if not methods:
         raise ValueError("no methods given")
     return methods
@@ -365,8 +362,11 @@ def cmd_bench(args):
                 t0 = time.perf_counter()
                 try:
                     sol = solve(problem, name)
+                    # a Newton run out of iterations fails as one that diverged
+                    kind = None if sol.trace is None or sol.trace.converged else "non_converged"
                 except tuple(_FAILURES) as exc:
                     kind = _failure(exc)[1]
+                if kind is not None:
                     failures[name][kind] = failures[name].get(kind, 0) + 1
                     continue
                 times[name].append(time.perf_counter() - t0)

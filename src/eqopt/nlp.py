@@ -150,14 +150,16 @@ class ReducedObjective:
     full-space oracle's own analytic Hessian does. Its callbacks check
     nothing, like those of any :class:`ObjectiveOracle`, and the Newton loop
     calls them on its own iterates. ``expr.embed`` maps ``g`` back to the
-    full space. The fields cannot be reassigned.
+    full space. With k = 0 the feasible set is the one point ``expr.x0``
+    and ``oracle`` is None: there is nothing to restrict, and the Newton
+    loop refuses it. The fields cannot be reassigned.
     """
 
     expr: ConstrainedExpression  # basis N
-    oracle: ObjectiveOracle  # of h, on R^k
+    oracle: ObjectiveOracle | None  # of h, on R^k
 
     def __post_init__(self):  # the full-space oracle fails here, not in numpy
-        if self.oracle.dim != self.free_dim:
+        if self.oracle is not None and self.oracle.dim != self.free_dim:
             raise ValueError(f"oracle dimension {self.oracle.dim} != free_dim {self.free_dim}")
 
     @property
@@ -177,18 +179,15 @@ def reduce_problem(oracle, constraints):
     :class:`ReducedObjective` holds that restricted oracle: a registry
     objective pulls its data back through ``N`` here, and raises
     ComputationError when its quadratic part overflows float range at
-    ``x0``.
+    ``x0``. Where the feasible set is one point (k = 0) nothing is
+    restricted, and the reduced objective holds no oracle.
     """
     if oracle.dim != constraints.n:
         raise ValueError(
             f"objective dimension {oracle.dim} != constraint columns {constraints.n}"
         )
     expr = build_nullspace(constraints)
-    if expr.free_dim == 0:
-        raise ValueError(
-            "the feasible set is a single point; nothing to optimize"
-        )
-    return ReducedObjective(expr, oracle.restrict(expr.x0, expr.basis))
+    return ReducedObjective(expr, oracle.restrict(expr.x0, expr.basis) if expr.free_dim else None)
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,8 @@ class NewtonTrace:
 
     ``iterations`` holds one entry per executed step (pre-step state plus
     the accepted step size); the ``final_*`` fields describe the last
-    iterate, where no further step was taken.
+    iterate, where no further step was taken: ``final_gradient`` is the
+    reduced gradient E there.
     """
 
     iterations: list = field(default_factory=list)
@@ -267,6 +267,7 @@ class NewtonTrace:
     final_h: float = math.nan
     final_grad_norm: float = math.nan
     final_decrement_sq: float = math.nan
+    final_gradient: np.ndarray | None = None
 
     def h_values(self):
         """Objective at every visited iterate, final included."""
@@ -276,11 +277,12 @@ class NewtonTrace:
         """||E||_2 at every visited iterate, final included."""
         return [it.grad_norm for it in self.iterations] + [self.final_grad_norm]
 
-    def _finish(self, expr, g, h, grad_norm, decrement_sq):
+    def _finish(self, expr, g, h, gradient, grad_norm, decrement_sq):
         """Record ``g`` as the last iterate and return the trace."""
         self.final_g = g
         self.final_x = expr.x0 + expr.basis @ g
         self.final_h = h
+        self.final_gradient = gradient
         self.final_grad_norm = grad_norm
         self.final_decrement_sq = decrement_sq
         return self
@@ -370,6 +372,13 @@ def _norm(v):
     return out if out < math.inf else 2.0**600 * float(np.linalg.norm(v * 2.0**-600))
 
 
+def _free_oracle(reduced):
+    """``reduced.oracle``; ValueError where the feasible set is one point."""
+    if reduced.oracle is None:
+        raise ValueError("the feasible set is a single point; nothing to optimize")
+    return reduced.oracle
+
+
 @overflow_checked
 def _newton_loop(reduced, config, damped):
     """The Newton iteration behind :func:`newton_solve` and :func:`sqp_iterate`.
@@ -381,7 +390,7 @@ def _newton_loop(reduced, config, damped):
     objective's domain. Only ``config.g0`` comes from outside, and
     :class:`NewtonConfig` checked all but its length.
     """
-    oracle, expr, tol = reduced.oracle, reduced.expr, config.epsilon
+    oracle, expr, tol = _free_oracle(reduced), reduced.expr, config.epsilon
     g = np.zeros(expr.free_dim) if config.g0 is None else config.g0.copy()
     if g.shape[0] != expr.free_dim:
         raise ValueError(f"g0 has length {g.shape[0]}, expected {expr.free_dim}")
@@ -401,7 +410,7 @@ def _newton_loop(reduced, config, damped):
                 raise DivergenceError(
                     "pure Newton increased the objective three times in a row; "
                     "use the damped newton_solve instead",
-                    trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
+                    trace=trace._finish(expr, g, h_g, e, grad_norm, dec_sq),
                 )
             done = arrived or grad_norm < tol
         trace.converged = done
@@ -416,7 +425,7 @@ def _newton_loop(reduced, config, damped):
                 raise DivergenceError(
                     f"the full Newton step of iteration {len(trace.iterations)} left the "
                     f"objective's domain (h = {h_next}); use the damped newton_solve instead",
-                    trace=trace._finish(expr, g, h_g, grad_norm, dec_sq),
+                    trace=trace._finish(expr, g, h_g, e, grad_norm, dec_sq),
                 )
             arrived = _norm(step) < tol  # record the arrival point, then stop
         trace.iterations.append(
@@ -430,7 +439,7 @@ def _newton_loop(reduced, config, damped):
             )
         )
         g, h_g = g_next, h_next
-    return trace._finish(expr, g, h_g, grad_norm, dec_sq)
+    return trace._finish(expr, g, h_g, e, grad_norm, dec_sq)
 
 
 def newton_solve(reduced, config=NewtonConfig()):
@@ -455,6 +464,8 @@ def newton_solve(reduced, config=NewtonConfig()):
         If a reduced Hessian fails its Cholesky factorization.
     LineSearchError
         If backtracking underflows (gradient/value inconsistency).
+    ValueError
+        If the feasible set is one point, so ``reduced`` holds no oracle.
     """
     return _newton_loop(reduced, config, damped=True)
 
@@ -475,7 +486,8 @@ def sqp_iterate(reduced, config=NewtonConfig()):
     :class:`InfeasibleStartError`; an objective that overflows there (also
     to NaN or ``-inf``), a non-finite gradient or Hessian, or a Newton
     step or decrement that overflows float range raises
-    :class:`ComputationError`.
+    :class:`ComputationError`; a ``reduced`` without an oracle (a one-point
+    feasible set), ValueError.
     """
     return _newton_loop(reduced, config, damped=False)
 
@@ -622,7 +634,7 @@ def estimate_convergence_constants(reduced, points):
     m_hi = -math.inf
     hessians = []
     for i, g in enumerate(points):
-        f = reduced.oracle.hessian(g)
+        f = _free_oracle(reduced).hessian(g)
         if not np.isfinite(f).all():
             raise ComputationError(f"the oracle returned a non-finite Hessian at sample {i}")
         w = np.linalg.eigvalsh(f)

@@ -2,7 +2,8 @@
 for solving.
 
 :func:`solve` runs a problem by method name: it is the one place that
-decides which routine runs for which method and problem kind. The names
+decides which routine runs for which method and problem kind, and every
+method's answer is one :class:`~eqopt.qp.Solution`. The names
 are stated once, in :data:`_QP_SOLVERS` and :data:`_NEWTON_SOLVERS`, and
 ``eqopt solve``, ``eqopt bench`` and the self-checks that pick a method
 by name all go through it. Both problem kinds carry an ``oracle`` and
@@ -64,9 +65,9 @@ import orjson
 from . import objectives
 from .errors import ProblemParseError, ProblemSchemaError
 from .expressions import EqualityConstraints
-from .linalg import EPS, as_float_array, frozen_copy, is_integer, is_real
-from .nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
-from .qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
+from .linalg import EPS, as_float_array, frozen_copy, is_integer, is_real, overflow_checked
+from .nlp import NewtonConfig, NewtonTrace, _start_value, newton_solve, reduce_problem, sqp_iterate
+from .qp import QpProblem, Solution, solve_kkt, solve_nullspace, solve_projector
 
 FORMAT_VERSION = 1
 
@@ -332,30 +333,51 @@ def load(path):
     return _schema_checked(NlpProblem, where, constraints, name, params)
 
 
+@overflow_checked
 def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):
     """Solve ``problem`` by ``method``, a key of :data:`_QP_SOLVERS` or
-    :data:`_NEWTON_SOLVERS`.
+    :data:`_NEWTON_SOLVERS`, and return its :class:`~eqopt.qp.Solution`.
 
-    A QP method takes a :class:`~eqopt.qp.QpProblem` and returns its
-    :class:`~eqopt.qp.QpSolution`; ``projector`` and ``nullspace`` take
-    ``eps``, and the ``kkt`` oracle takes neither ``eps`` nor ``config``.
-    ``newton`` and ``sqp`` take either kind of problem: they restrict its
-    ``oracle`` to its ``constraints`` (:func:`~eqopt.nlp.reduce_problem`)
-    and return the :class:`~eqopt.nlp.NewtonTrace` of the run under
-    ``config``. An unknown method, or a QP method on an
-    :class:`NlpProblem`, raises ValueError.
+    A QP method takes a :class:`~eqopt.qp.QpProblem`; ``projector`` and
+    ``nullspace`` take ``eps``, and the ``kkt`` oracle takes neither
+    ``eps`` nor ``config``. ``newton`` and ``sqp`` take either kind of
+    problem: they restrict its ``oracle`` to its ``constraints``
+    (:func:`~eqopt.nlp.reduce_problem`, the one factorization of A) and
+    run under ``config``. Their answer holds the run's trace, its last
+    iterate and value, the inf-norm of its last reduced gradient as the
+    stationarity residual, and ``min``, as the last step's Cholesky
+    succeeded. On a one-point feasible set no step is run: x0 is the
+    answer, a ``point`` with an empty converged trace, and its value
+    passes Newton's start-point rule. An unknown method, or a QP method on
+    an :class:`NlpProblem`, raises ValueError.
     """
-    if method in _NEWTON_SOLVERS:
-        return _NEWTON_SOLVERS[method](reduce_problem(problem.oracle, problem.constraints), config)
-    if method not in _QP_SOLVERS:
+    if method in _QP_SOLVERS:
+        if not isinstance(problem, QpProblem):
+            raise ValueError(
+                f"method {method!r} requires a quadratic problem; "
+                f"only {' and '.join(_NEWTON_SOLVERS)} take an NlpProblem"
+            )
+        solver = _QP_SOLVERS[method]
+        return solver(problem) if method == "kkt" else solver(problem, eps)
+    if method not in _NEWTON_SOLVERS:
         raise ValueError(f"unknown method {method!r}")
-    if not isinstance(problem, QpProblem):
-        raise ValueError(
-            f"method {method!r} requires a quadratic problem; "
-            f"only {' and '.join(_NEWTON_SOLVERS)} take an NlpProblem"
-        )
-    solver = _QP_SOLVERS[method]
-    return solver(problem) if method == "kkt" else solver(problem, eps)
+    oracle = problem.oracle
+    reduced = reduce_problem(oracle, problem.constraints)
+    if reduced.free_dim:
+        trace = _NEWTON_SOLVERS[method](reduced, config)
+    else:  # one feasible point: no step, and x0 valued by Newton's start-point rule
+        g = np.zeros(0)  # also the empty reduced gradient
+        h = _start_value(oracle, reduced.expr.x0)
+        trace = NewtonTrace(converged=True)._finish(reduced.expr, g, h, g, 0.0, 0.0)
+    return Solution(
+        x=trace.final_x,
+        objective=trace.final_h,
+        method=method,
+        constraint_residual=problem.constraints._residual(trace.final_x),
+        stationarity_residual=float(np.abs(trace.final_gradient).max(initial=0.0)),
+        classification="min" if reduced.free_dim else "point",
+        trace=trace,
+    )
 
 
 def _jsonable(value):

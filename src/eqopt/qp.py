@@ -105,9 +105,9 @@ class QpProblem:
         return value
 
 
-@dataclass
-class QpSolution:
-    """A stationary point with its certificates.
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """A stationary point with its certificates: the answer of every method.
 
     ``classification`` is one of ``"min"``, ``"max"``, ``"saddle"``,
     ``"non_unique"`` (flat directions exist) or ``"point"`` (the feasible
@@ -117,6 +117,9 @@ class QpSolution:
     in the infinity norm. Both residuals and the multipliers must be
     finite: a solution whose reported numbers overflow float range raises
     ComputationError here, the one check of them for every route.
+    ``trace`` is the :class:`~eqopt.nlp.NewtonTrace` of a ``newton`` or
+    ``sqp`` run and None for the QP routes. The fields cannot be
+    reassigned.
     """
 
     x: np.ndarray
@@ -126,6 +129,7 @@ class QpSolution:
     stationarity_residual: float
     classification: str
     lagrange_multipliers: np.ndarray | None = None
+    trace: object = None  # NewtonTrace
 
     def __post_init__(self):
         residuals = (self.constraint_residual, self.stationarity_residual)
@@ -190,7 +194,7 @@ def _solve_eliminated(problem, method, eps):
             raise ComputationError("the solution overflows float range (x is not finite)")
     grad = problem.q @ x + problem.c
     basis = null @ null.T if method == "projector" else null
-    return QpSolution(
+    return Solution(
         x=x,
         objective=problem._objective_value(x),
         method=method,
@@ -342,7 +346,7 @@ def solve_kkt(problem):
     Returns the Lagrange multipliers alongside the point; the
     stationarity residual is ``||Q x + c + A^T lam||_inf``. Multipliers or
     residuals that overflow float range on their way back to the problem's
-    units are refused by :class:`QpSolution` (ComputationError).
+    units are refused by :class:`Solution` (ComputationError).
     """
     q, c = problem.q, problem.c
     a, b = problem.constraints.a, problem.constraints.b
@@ -415,7 +419,7 @@ def solve_kkt(problem):
     else:
         sol_class = "saddle"
 
-    return QpSolution(
+    return Solution(
         x=x,
         objective=problem._objective_value(x),
         method="kkt",

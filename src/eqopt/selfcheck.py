@@ -15,7 +15,8 @@ The invariants ``rrqr_rank`` and ``null_basis`` read the expression that
 :func:`~eqopt.expressions.build_nullspace` returns: its rank against
 numpy's, its x0 against the minimum-norm solution of the caller's rows
 ``A[selected] x = b[selected]``, its verdict on a perturbed b, and its N.
-A check that picks a method by name (``redundant_rows``) calls
+A check that picks a method by name (``redundant_rows``, which compares
+both eliminations and both Newton methods) calls
 :func:`~eqopt.problems.solve`, and Newton on a QP runs on its
 :attr:`~eqopt.qp.QpProblem.oracle`, so the checks exercise the dispatch
 ``eqopt solve`` uses; the checks that compare routes call them directly.
@@ -251,7 +252,7 @@ def _check_indefinite_agreement(rng):
 def _check_redundant_rows(rng):
     spec = _random_spec(rng, 3, 40)
     base = generate(spec)
-    refs = {name: solve(base, name).x for name in ("projector", "nullspace")}
+    refs = {name: solve(base, name).x for name in ("projector", "nullspace", "newton", "sqp")}
     for k in (1, 2, 4):
         padded = generate(replace(spec, rank_deficiency=k))
         for name, ref in refs.items():

@@ -28,6 +28,7 @@ from eqopt.errors import (
 )
 from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonTrace
+from eqopt.problems import solve
 from helpers import short_of_memory
 
 
@@ -357,6 +358,63 @@ def test_solve_barrier_start_outside_the_domain_exits_5(tmp_path, capsys):
         assert "start point" in capsys.readouterr().err
 
 
+# a one-point feasible set: A = I2 leaves only x = b = (1, 2)
+_ONE_POINT = {"n": 2, "m": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 2.0]}
+
+
+def _one_point_nlp(tmp_path, name, params):
+    doc = {"formatVersion": 1, "kind": "nlp", **_ONE_POINT,
+           "objective": {"name": name, "params": params}}
+    return _write_doc(tmp_path / f"{name}.json", doc)
+
+
+def test_solve_a_one_point_qp_is_a_point_under_every_method(tmp_path, capsys):
+    path = _qp_file(tmp_path, **_ONE_POINT, Q=[[1.0, 0.0], [0.0, 1.0]], c=[1.0, 1.0])
+    for method in cli._METHODS:
+        assert cli.main(["solve", "--input", path, "--method", method]) == 0, method
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["x"] == [1.0, 2.0] and doc["classification"] == "point", method
+        assert doc["degenerate"] is True and doc["objective"] == 5.5, method
+    problem = problems.load(path)
+    for method in cli._METHODS:
+        solution = solve(problem, method)
+        assert solution.x.tolist() == [1.0, 2.0] and solution.classification == "point", method
+    assert solution.trace.converged and solution.trace.iterations == []
+
+
+def test_solve_a_one_point_nonlinear_problem_is_a_point(tmp_path, capsys):
+    path = _one_point_nlp(tmp_path, "sum_exp", {"dim": 2})
+    for method in cli._NEWTON_SOLVERS:
+        trace = tmp_path / "trace.json"
+        argv = ["solve", "--input", path, "--method", method, "--trace", str(trace)]
+        assert cli.main(argv) == 0, method
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["x"] == [1.0, 2.0] and doc["classification"] == "point", method
+        assert (doc["converged"], doc["iterations"]) == (True, 0)
+        assert doc["objective"] == math.exp(1.0) + math.exp(2.0)
+        assert json.loads(trace.read_text())["iterations"] == []
+
+
+def test_solve_a_one_point_start_outside_the_domain_or_overflowing(tmp_path, capsys):
+    # x = (1, 2) violates the barrier x1 < 0.5 (exit 5, as at any start), and
+    # sum_exp overflows at (1000, 2) (exit 3); neither passes as a point
+    barrier = _one_point_nlp(tmp_path, "neg_log_barrier_quadratic", {
+        "q": [[1.0, 0.0], [0.0, 1.0]], "barrier_a": [[1.0, 0.0]], "barrier_b": [0.5],
+    })
+    doc = {"formatVersion": 1, "kind": "nlp", **_ONE_POINT, "b": [1000.0, 2.0],
+           "objective": {"name": "sum_exp", "params": {"dim": 2}}}
+    overflowing = _write_doc(tmp_path / "overflow.json", doc)
+    for path, code, message in ((barrier, 5, "outside its domain"),
+                                (overflowing, 3, "overflows float range at the start point")):
+        for method in cli._NEWTON_SOLVERS:
+            for action in ("default", "error"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action)
+                    assert cli.main(["solve", "--input", path, "--method", method]) == code
+                captured = capsys.readouterr()
+                assert captured.out == "" and message in captured.err, (method, action)
+
+
 def test_solve_sqp_step_out_of_the_barrier_domain_exits_3(tmp_path, capsys):
     # the full Newton step from (0, 0) leaves the barrier's domain x1 < 1
     doc = {
@@ -557,7 +615,8 @@ def test_solve_a_newton_decrement_that_overflows_exits_3(tmp_path, capsys):
 
 def test_solve_newton_on_a_qp_file_checks_each_input_once(tmp_path, capsys, input_checks):
     # load checks A, b, Q and c; Newton builds its oracle from the checked
-    # Q and c, and the solve checks only its own x, for the residual
+    # Q and c, and its answer's residual, like a QP route's, checks nothing
+    # again: x is the solve's own
     path = _qp_file(tmp_path)
     for method in ("newton", "sqp"):
         input_checks.clear()
@@ -567,7 +626,6 @@ def test_solve_newton_on_a_qp_file_checks_each_input_once(tmp_path, capsys, inpu
             ("as_vector", "b", 1),
             ("as_matrix", "Q"),
             ("as_vector", "c", 2),
-            ("as_vector", "x", 2),
         ], method
 
 
@@ -645,7 +703,7 @@ def _problem(rng):
     return problems.NlpProblem(constraints, kind, params)
 
 
-# the residuals a QP (the first two) or Newton (the first and the last two) document reports
+# the residuals a document reports: every method the first two, newton and sqp also the last two
 _RESIDUAL_KEYS = ("constraintResidual", "stationarityResidual", "gradNorm", "decrementSq")
 
 
@@ -823,6 +881,27 @@ def test_solve_out_of_iterations_exits_3(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["converged"] is False
     assert doc["iterations"] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_solve_newton_documents_hold_every_key_of_the_nullspace_document(
+    tmp_path, capsys, seed
+):
+    problem = problems.generate(problems.GeneratorSpec(n=12, m=5, seed=seed))
+    path = tmp_path / "spd.json"
+    problems.save(path, problem)
+    docs = {}
+    for method in ("nullspace", "newton", "sqp"):
+        assert cli.main(["solve", "--input", str(path), "--method", method]) == 0, method
+        docs[method] = json.loads(capsys.readouterr().out)
+    ref = docs.pop("nullspace")
+    for method, doc in docs.items():
+        assert set(ref) <= set(doc), method
+        assert doc["classification"] == "min" and doc["method"] == method
+        assert selfcheck._rel_gap(np.array(doc["x"]), np.array(ref["x"])) <= 1e-8, method
+        scale = 1.0 + float(np.abs(problem.c).max())
+        assert doc["stationarityResidual"] <= 1e-8 * scale, method
+        assert doc["lagrangeMultipliers"] is None and doc["degenerate"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -1022,13 +1101,13 @@ def test_bench_bad_method_exit_4(tmp_path, capsys):
             "--trials",
             "1",
             "--methods",
-            "newton",
+            "simplex",
             "--output",
             str(tmp_path / "r.json"),
         ]
     )
     assert code == 4
-    assert "unknown method" in capsys.readouterr().err
+    assert "unknown method 'simplex'" in capsys.readouterr().err
     argv = ["bench", "--sizes", "6:2", "--methods", "", "--output", str(tmp_path / "r.json")]
     assert cli.main(argv) == 4
     assert "no methods given" in capsys.readouterr().err
@@ -1053,6 +1132,33 @@ def test_bench_counts_the_failures_of_a_method(tmp_path, capsys, monkeypatch):
         line = next(ln for ln in capsys.readouterr().out.splitlines() if " kkt " in ln)
         assert line.split()[5:8] == ["-", "-", "-"]  # mean, median and ratio
         assert line.endswith(f"{kind}:3"), error
+
+
+def test_bench_times_newton_beside_the_qp_routes(tmp_path):
+    report_path = tmp_path / "report.json"
+    argv = ["bench", "--sizes", "6:2", "--trials", "3", "--methods", "nullspace,newton,sqp"]
+    assert cli.main(argv + ["--output", str(report_path)]) == 0
+    rows = json.loads(report_path.read_text())["rows"]
+    assert [row["method"] for row in rows] == ["newton", "nullspace", "sqp"]
+    for row in rows:
+        assert row["solved"] == 3 and row["failures"] == {}, row["method"]
+        assert row["maxCrossMethodDisagreement"] < 1e-8
+
+
+def test_bench_counts_a_newton_run_out_of_iterations_as_non_converged(tmp_path, monkeypatch):
+    def stalled(reduced, config):
+        return NewtonTrace(converged=False)._finish(
+            reduced.expr, np.zeros(reduced.free_dim), 0.0, np.zeros(reduced.free_dim), 0.0, 0.0
+        )
+
+    monkeypatch.setitem(problems._NEWTON_SOLVERS, "newton", stalled)
+    report_path = tmp_path / "report.json"
+    argv = ["bench", "--sizes", "6:2", "--trials", "3", "--methods", "nullspace,newton"]
+    assert cli.main(argv + ["--output", str(report_path)]) == 0
+    rows = {row["method"]: row for row in json.loads(report_path.read_text())["rows"]}
+    assert rows["newton"]["solved"] == 0
+    assert rows["newton"]["failures"] == {"non_converged": 3}
+    assert rows["nullspace"]["solved"] == 3 and rows["nullspace"]["failures"] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1255,6 +1361,21 @@ def _refuses_the_start(real):
     return refuse
 
 
+def _moved_under(broken_method):
+    """Break solve under one method: x moves with the number of rows."""
+
+    def wrap(real):
+        def broken(problem, method):
+            sol = real(problem, method)
+            if method != broken_method:
+                return sol
+            return replace(sol, x=sol.x + problem.constraints.m)
+
+        return broken
+
+    return wrap
+
+
 # further breaks, each reaching a report the check's first break does not:
 # case -> (check, library call, how it is broken); a call outside selfcheck
 # is named by (module, attribute)
@@ -1295,6 +1416,9 @@ _FURTHER_BREAKS = {
         "newton_solve",
         _edited(converged=lambda c: False),
     ),
+    # Newton under duplicated rows is compared too, each method on its own
+    "redundant_rows_newton": ("redundant_rows", "solve", _moved_under("newton")),
+    "redundant_rows_sqp": ("redundant_rows", "solve", _moved_under("sqp")),
 }
 
 

@@ -80,9 +80,12 @@ def test_reduce_problem_validation():
     oracle = sum_exp(dim=3)
     with pytest.raises(ValueError):
         reduce_problem(oracle, EqualityConstraints([[1.0, 0.0]], [1.0]))
-    with pytest.raises(ValueError):
-        # single feasible point leaves nothing to optimize
-        reduce_problem(sum_exp(dim=2), EqualityConstraints(np.eye(2), [0.0, 0.0]))
+    # a single feasible point leaves nothing to restrict, and nothing to optimize
+    point = reduce_problem(sum_exp(dim=2), EqualityConstraints(np.eye(2), [0.0, 0.0]))
+    assert point.free_dim == 0 and point.oracle is None
+    for run in (newton_solve, sqp_iterate, lambda r: estimate_convergence_constants(r, [[]])):
+        with pytest.raises(ValueError, match="the feasible set is a single point"):
+            run(point)
 
 
 def test_reduced_objective_refuses_an_oracle_of_the_wrong_dimension():

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import warnings
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -521,7 +521,7 @@ def test_a_nonlinear_problem_solves_the_objective_it_saves(tmp_path):
         back = load(tmp_path / "p.json")
         assert_allclose(problem.oracle.value(x), expected, rtol=1e-15)
         assert problem.oracle.value(x) == back.oracle.value(x)
-        assert solve(problem, "newton").final_h == solve(back, "newton").final_h
+        assert solve(problem, "newton").objective == solve(back, "newton").objective
 
 
 def test_load_objective_params_must_be_an_object(tmp_path):
@@ -837,9 +837,22 @@ def test_solve_returns_what_the_method_returns(method):
             assert _same(solve(problem, method), _DIRECT[method](problem)), method
         return
     lse = _lse_problem()
-    assert _same(solve(lse, method), _DIRECT[method](lse, lse.oracle))
+    solution = solve(lse, method)
+    assert _same(solution.trace, _DIRECT[method](lse, lse.oracle))
+    assert solution.x is solution.trace.final_x and solution.objective == solution.trace.final_h
     direct = _DIRECT[method](spd, objectives.quadratic(spd.q, spd.c))
-    assert direct.converged and _same(solve(spd, method), direct)
+    assert direct.converged and _same(solve(spd, method).trace, direct)
+
+
+@pytest.mark.parametrize("method", [*problems._QP_SOLVERS, *problems._NEWTON_SOLVERS])
+def test_solve_returns_one_frozen_answer_type(method):
+    solution = solve(generate(GeneratorSpec(n=8, m=3, seed=2)), method)
+    assert type(solution) is eqopt.Solution and solution.method == method
+    assert (solution.trace is None) == (method in problems._QP_SOLVERS)
+    for name, value in (("x", np.zeros(8)), ("classification", "max"), ("trace", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(solution, name, value)
+    assert not hasattr(eqopt, "QpSolution")
 
 
 def test_solve_passes_eps_to_the_eliminations_and_neither_setting_to_kkt(monkeypatch):
@@ -872,7 +885,7 @@ def test_solve_runs_newton_under_the_config():
     for problem in (generate(GeneratorSpec(n=6, m=2, seed=1)), _lse_problem()):
         for method in problems._NEWTON_SOLVERS:
             g0 = np.full(problem.constraints.n - problem.constraints.m, 0.5)
-            trace = solve(problem, method, config=NewtonConfig(max_iter=1, g0=g0))
+            trace = solve(problem, method, config=NewtonConfig(max_iter=1, g0=g0)).trace
             assert len(trace.iterations) == 1, method
             assert_array_equal(trace.iterations[0].g, g0)
 
