@@ -23,7 +23,10 @@ Cholesky factorization; a line-search trial costs one value. Damped Newton
 phases of one Newton iteration and run the same loop, which differs only
 in its step rule (Armijo backtracking or the full step) and its stop rule
 (the Newton decrement or the gradient and step norms); every setting of
-that loop enters through one :class:`NewtonConfig`. On top of it this
+that loop enters through one :class:`NewtonConfig`. The loop never writes
+an iterate in place, and it builds its record, a frozen
+:class:`NewtonTrace` of frozen :class:`NewtonIteration` steps with
+read-only arrays, once, when it exits. On top of it this
 module provides the a-priori convergence certificates: the gradient-based
 suboptimality bound, the damped/pure phase constants and the iteration
 cap they imply, and the quadratic contraction factor of the pure phase
@@ -34,7 +37,7 @@ alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,7 +211,8 @@ class NewtonConfig:
     ``g0`` defaults to the zero free vector (i.e. the minimum-norm
     feasible point); it is checked to be finite and 1-D here and held as a
     read-only copy, and its length is checked when the solve starts, the
-    first time that length is known. The fields are checked once, on
+    first time that length is known (it is 0 on a one-point feasible set,
+    where no step is run). The fields are checked once, on
     construction, and cannot be reassigned.
     """
 
@@ -232,10 +236,21 @@ class NewtonConfig:
         if self.g0 is not None:
             object.__setattr__(self, "g0", frozen_copy(as_vector(self.g0, "g0")))
 
+    def _start(self, free_dim):
+        """The first iterate of a solve with ``free_dim`` free coordinates:
+        ``g0``, checked to be that long, or the zero vector."""
+        g = np.zeros(free_dim) if self.g0 is None else self.g0
+        if g.shape[0] != free_dim:
+            raise ValueError(f"g0 has length {g.shape[0]}, expected {free_dim}")
+        return g
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class NewtonIteration:
-    """State at the start of one executed Newton step."""
+    """State at the start of one executed Newton step.
+
+    Its arrays are read-only: it is handed them new and marks them so.
+    """
 
     g: np.ndarray
     x: np.ndarray
@@ -244,30 +259,40 @@ class NewtonIteration:
     decrement_sq: float  # squared Newton decrement E^T F^{-1} E
     step_size: float  # accepted t
 
+    def __post_init__(self):
+        for array in (self.g, self.x):
+            array.flags.writeable = False
+
     @property
     def phase(self):
         """``"pure"`` for a full step (t = 1), else ``"damped"``."""
         return "pure" if self.step_size == 1.0 else "damped"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NewtonTrace:
-    """Full record of a Newton run.
+    """Full record of a Newton run, built once, when the run ends.
 
-    ``iterations`` holds one entry per executed step (pre-step state plus
-    the accepted step size); the ``final_*`` fields describe the last
-    iterate, where no further step was taken: ``final_gradient`` is the
-    reduced gradient E there.
+    ``iterations`` is a tuple with one entry per executed step (pre-step
+    state plus the accepted step size); the ``final_*`` fields describe the
+    last iterate, where no further step was taken: ``final_gradient`` is
+    the reduced gradient E there. Like :class:`NewtonIteration` it is
+    handed its arrays new and marks them read-only, so neither the fields
+    nor the arrays can change.
     """
 
-    iterations: list = field(default_factory=list)
-    converged: bool = False
-    final_g: np.ndarray | None = None
-    final_x: np.ndarray | None = None
-    final_h: float = math.nan
-    final_grad_norm: float = math.nan
-    final_decrement_sq: float = math.nan
-    final_gradient: np.ndarray | None = None
+    iterations: tuple
+    converged: bool
+    final_g: np.ndarray
+    final_x: np.ndarray
+    final_h: float
+    final_grad_norm: float
+    final_decrement_sq: float
+    final_gradient: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.final_g, self.final_x, self.final_gradient):
+            array.flags.writeable = False
 
     def h_values(self):
         """Objective at every visited iterate, final included."""
@@ -276,16 +301,6 @@ class NewtonTrace:
     def grad_norms(self):
         """||E||_2 at every visited iterate, final included."""
         return [it.grad_norm for it in self.iterations] + [self.final_grad_norm]
-
-    def _finish(self, expr, g, h, gradient, grad_norm, decrement_sq):
-        """Record ``g`` as the last iterate and return the trace."""
-        self.final_g = g
-        self.final_x = expr.x0 + expr.basis @ g
-        self.final_h = h
-        self.final_gradient = gradient
-        self.final_grad_norm = grad_norm
-        self.final_decrement_sq = decrement_sq
-        return self
 
 
 def _newton_step(oracle, g, iteration):
@@ -305,7 +320,7 @@ def _newton_step(oracle, g, iteration):
     if low is None:
         raise NonConvexError(
             f"reduced Hessian is not positive definite at iteration {iteration}",
-            g=g.copy(),
+            g=g,
             iteration=iteration,
         )
     step = -cholesky_solve(low, e)
@@ -388,33 +403,27 @@ def _newton_loop(reduced, config, damped):
     last step is shorter than ``config.epsilon``, and raise
     :class:`DivergenceError` on three rises in a row or a step out of the
     objective's domain. Only ``config.g0`` comes from outside, and
-    :class:`NewtonConfig` checked all but its length.
+    :class:`NewtonConfig` checked all but its length. Each iterate is a
+    new array the loop never writes; the trace is built once, at the exit.
     """
     oracle, expr, tol = _free_oracle(reduced), reduced.expr, config.epsilon
-    g = np.zeros(expr.free_dim) if config.g0 is None else config.g0.copy()
-    if g.shape[0] != expr.free_dim:
-        raise ValueError(f"g0 has length {g.shape[0]}, expected {expr.free_dim}")
-    trace = NewtonTrace()
+    g = config._start(expr.free_dim)
     h_g = _start_value(oracle, g)
-    rises = 0
-    arrived = False
+    steps, rises, arrived, failure = [], 0, False, None
     while True:
-        e, step, dec_sq = _newton_step(oracle, g, iteration=len(trace.iterations))
+        g.flags.writeable = False  # so a NonConvexError holds it read-only too
+        e, step, dec_sq = _newton_step(oracle, g, iteration=len(steps))
         grad_norm = _norm(e)
         if damped:
             done = dec_sq / 2.0 <= tol
         else:
-            rose = trace.iterations and not h_g <= trace.iterations[-1].h_value
+            rose = steps and not h_g <= steps[-1].h_value
             rises = rises + 1 if rose else 0
             if rises >= 3:
-                raise DivergenceError(
-                    "pure Newton increased the objective three times in a row; "
-                    "use the damped newton_solve instead",
-                    trace=trace._finish(expr, g, h_g, e, grad_norm, dec_sq),
-                )
+                failure = "pure Newton increased the objective three times in a row"
+                break
             done = arrived or grad_norm < tol
-        trace.converged = done
-        if done or len(trace.iterations) >= config.max_iter:
+        if done or len(steps) >= config.max_iter:
             break
         if damped:
             t, h_next, g_next = _armijo(oracle, g, step, h_g, -dec_sq, config)
@@ -422,24 +431,17 @@ def _newton_loop(reduced, config, damped):
             g_next = g + step
             t, h_next = 1.0, float(oracle.value(g_next))
             if not math.isfinite(h_next):
-                raise DivergenceError(
-                    f"the full Newton step of iteration {len(trace.iterations)} left the "
-                    f"objective's domain (h = {h_next}); use the damped newton_solve instead",
-                    trace=trace._finish(expr, g, h_g, e, grad_norm, dec_sq),
-                )
+                failure = (f"the full Newton step of iteration {len(steps)} left the "
+                           f"objective's domain (h = {h_next})")
+                break
             arrived = _norm(step) < tol  # record the arrival point, then stop
-        trace.iterations.append(
-            NewtonIteration(
-                g=g.copy(),
-                x=expr.x0 + expr.basis @ g,
-                h_value=h_g,
-                grad_norm=grad_norm,
-                decrement_sq=dec_sq,
-                step_size=t,
-            )
-        )
+        steps.append(NewtonIteration(g, expr.x0 + expr.basis @ g, h_g, grad_norm, dec_sq, t))
         g, h_g = g_next, h_next
-    return trace._finish(expr, g, h_g, e, grad_norm, dec_sq)
+    trace = NewtonTrace(tuple(steps), failure is None and done, g, expr.x0 + expr.basis @ g,
+                        h_g, grad_norm, dec_sq, frozen_copy(e))  # e is the oracle's own array
+    if failure is not None:
+        raise DivergenceError(f"{failure}; use the damped newton_solve instead", trace=trace)
+    return trace
 
 
 def newton_solve(reduced, config=NewtonConfig()):
@@ -519,7 +521,7 @@ class ConvergenceConstants:
             raise ValueError("lipschitz must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationBound:
     """Certificate constants produced by :func:`iteration_bound`.
 

@@ -366,9 +366,9 @@ def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):
     if reduced.free_dim:
         trace = _NEWTON_SOLVERS[method](reduced, config)
     else:  # one feasible point: no step, and x0 valued by Newton's start-point rule
-        g = np.zeros(0)  # also the empty reduced gradient
+        g = config._start(0)  # also the empty reduced gradient
         h = _start_value(oracle, reduced.expr.x0)
-        trace = NewtonTrace(converged=True)._finish(reduced.expr, g, h, g, 0.0, 0.0)
+        trace = NewtonTrace((), True, g, reduced.expr.x0 + reduced.expr.basis @ g, h, 0.0, 0.0, g)
     return Solution(
         x=trace.final_x,
         objective=trace.final_h,

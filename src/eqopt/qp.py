@@ -119,7 +119,7 @@ class Solution:
     ComputationError here, the one check of them for every route.
     ``trace`` is the :class:`~eqopt.nlp.NewtonTrace` of a ``newton`` or
     ``sqp`` run and None for the QP routes. The fields cannot be
-    reassigned.
+    reassigned, and ``x`` and the multipliers are read-only.
     """
 
     x: np.ndarray
@@ -137,6 +137,9 @@ class Solution:
         finite = math.isfinite(residuals[0]) and math.isfinite(residuals[1])
         if not (finite and (lam is None or np.isfinite(lam).all())):
             raise ComputationError(f"residuals {residuals} or multipliers overflow float range")
+        self.x.flags.writeable = False  # handed new by its method: marked, not copied
+        if lam is not None:
+            lam.flags.writeable = False
 
     @property
     def degenerate(self):

@@ -10,7 +10,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import is_dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +379,7 @@ def test_solve_a_one_point_qp_is_a_point_under_every_method(tmp_path, capsys):
     for method in cli._METHODS:
         solution = solve(problem, method)
         assert solution.x.tolist() == [1.0, 2.0] and solution.classification == "point", method
-    assert solution.trace.converged and solution.trace.iterations == []
+    assert solution.trace.converged and solution.trace.iterations == ()
 
 
 def test_solve_a_one_point_nonlinear_problem_is_a_point(tmp_path, capsys):
@@ -1147,9 +1147,8 @@ def test_bench_times_newton_beside_the_qp_routes(tmp_path):
 
 def test_bench_counts_a_newton_run_out_of_iterations_as_non_converged(tmp_path, monkeypatch):
     def stalled(reduced, config):
-        return NewtonTrace(converged=False)._finish(
-            reduced.expr, np.zeros(reduced.free_dim), 0.0, np.zeros(reduced.free_dim), 0.0, 0.0
-        )
+        g = np.zeros(reduced.free_dim)  # also the last reduced gradient
+        return NewtonTrace((), False, g, reduced.expr.embed(g), 0.0, 0.0, 0.0, g)
 
     monkeypatch.setitem(problems._NEWTON_SOLVERS, "newton", stalled)
     report_path = tmp_path / "report.json"
@@ -1291,13 +1290,8 @@ def _edited(**edits):
 
     def wrap(real):
         def broken(*args, **kwargs):
-            out = real(*args, **kwargs)
-            edited = {name: edit(getattr(out, name)) for name, edit in edits.items()}
-            if is_dataclass(out):  # a frozen one takes no assignment
-                return replace(out, **edited)
-            for name, value in edited.items():
-                setattr(out, name, value)
-            return out
+            out = real(*args, **kwargs)  # a frozen dataclass
+            return replace(out, **{name: edit(getattr(out, name)) for name, edit in edits.items()})
 
         return broken
 
@@ -1335,8 +1329,7 @@ def _ends_above_start(real):
 
     def broken(*args, **kwargs):
         trace = real(*args, **kwargs)
-        trace.final_h = trace.h_values()[0] + 1.0
-        return trace
+        return replace(trace, final_h=trace.h_values()[0] + 1.0)
 
     return broken
 
@@ -1463,7 +1456,8 @@ def _raise_unavailable(real):
         # the oracle certifies no problem, so there is nothing to compare
         ("indefinite_agreement", "solve_kkt", _raise_unavailable),
         # Newton starts at the optimum, so there is no step to check
-        ("quadratic_one_step", "newton_solve", lambda real: lambda reduced: NewtonTrace()),
+        ("quadratic_one_step", "newton_solve",
+         lambda real: lambda reduced: replace(real(reduced), iterations=())),
     ],
 )
 def test_check_passes_a_trial_it_cannot_judge(capsys, monkeypatch, check, target, breaker):

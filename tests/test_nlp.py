@@ -219,7 +219,7 @@ def test_newton_nonconvex_raises_with_iterate():
     with pytest.raises(NonConvexError) as info:
         newton_solve(reduced)
     assert info.value.iteration == 0
-    assert info.value.g.shape == (2,)
+    assert info.value.g.shape == (2,) and not info.value.g.flags.writeable
 
 
 def test_newton_config_validation():

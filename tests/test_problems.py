@@ -806,8 +806,8 @@ def _same(a, b):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
         )
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
     return type(a) is type(b) and np.array_equal(a, b)
 
 
@@ -888,6 +888,17 @@ def test_solve_runs_newton_under_the_config():
             trace = solve(problem, method, config=NewtonConfig(max_iter=1, g0=g0)).trace
             assert len(trace.iterations) == 1, method
             assert_array_equal(trace.iterations[0].g, g0)
+
+
+@pytest.mark.parametrize("method", problems._NEWTON_SOLVERS)
+def test_solve_checks_the_length_of_g0_on_a_one_point_set_too(method):
+    # with no free direction a g0 of any length went unchecked: `point`
+    three = NewtonConfig(g0=[5.0, 7.0, 9.0])
+    for a, b in (([[1.0, 0.0]], [1.0]), (np.eye(2), [1.0, 2.0])):
+        problem = QpProblem(np.eye(2), np.ones(2), EqualityConstraints(a, b))
+        with pytest.raises(ValueError, match=f"g0 has length 3, expected {2 - len(b)}$"):
+            solve(problem, method, config=three)
+    assert solve(problem, method, config=NewtonConfig(g0=[])).classification == "point"
 
 
 def test_solve_refuses_an_unknown_method_and_a_qp_method_on_a_nonlinear_problem():
