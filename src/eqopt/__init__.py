@@ -8,6 +8,9 @@ smooth convex objectives are handled by damped or pure Newton iterations
 with a-priori convergence certificates.
 """
 
+from types import ModuleType as _ModuleType
+
+# every name imported below is public: __all__ is read off the module's globals
 from .errors import (
     ComputationError,
     DivergenceError,
@@ -56,52 +59,7 @@ from .qp import QpProblem, Solution, solve_kkt, solve_nullspace, solve_projector
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComputationError",
-    "ConstrainedExpression",
-    "ConvergenceConstants",
-    "DivergenceError",
-    "EqoptError",
-    "EqualityConstraints",
-    "FORMAT_VERSION",
-    "GeneratorSpec",
-    "InfeasibleConstraintsError",
-    "InfeasibleStartError",
-    "IterationBound",
-    "LineSearchError",
-    "NewtonConfig",
-    "NewtonIteration",
-    "NewtonTrace",
-    "NlpProblem",
-    "NonConvexError",
-    "ObjectiveOracle",
-    "OracleUnavailableError",
-    "ProblemFormatError",
-    "ProblemParseError",
-    "ProblemSchemaError",
-    "QpProblem",
-    "ReducedObjective",
-    "Solution",
-    "UnknownObjectiveError",
-    "build_nullspace",
-    "build_projector",
-    "estimate_convergence_constants",
-    "generate",
-    "iteration_bound",
-    "load",
-    "log_sum_exp",
-    "neg_log_barrier_quadratic",
-    "newton_solve",
-    "objective_names",
-    "objective_registry",
-    "quadratic",
-    "reduce_problem",
-    "save",
-    "solve",
-    "solve_kkt",
-    "solve_nullspace",
-    "solve_projector",
-    "sqp_iterate",
-    "suboptimality_bound",
-    "sum_exp",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

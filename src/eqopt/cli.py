@@ -44,13 +44,12 @@ from . import selfcheck
 from .errors import (
     ComputationError,
     DivergenceError,
+    EqoptError,
     InfeasibleConstraintsError,
     InfeasibleStartError,
     LineSearchError,
     NonConvexError,
     OracleUnavailableError,
-    ProblemFormatError,
-    UnknownObjectiveError,
 )
 from .nlp import NewtonConfig
 from .problems import _NEWTON_SOLVERS, _Q_CLASSES, _QP_SOLVERS, GeneratorSpec, generate, load
@@ -459,7 +458,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (*_FAILURES, ProblemFormatError, UnknownObjectiveError, ValueError, OSError) as exc:
+    except (EqoptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _failure(exc)[0]
 

@@ -105,7 +105,7 @@ class ConstrainedExpression:
 
     def __post_init__(self):
         for array in (self.x0, self.basis, self.selected, self.dropped):
-            array.flags.writeable = False
+            array.setflags(write=False)
 
     @property
     def rank(self):

@@ -30,9 +30,8 @@ is not a bool and converts to a float64 (:func:`is_real`: an integer
 beyond the float64 range does not), within the range its caller states, and
 a count, a seed or a dimension is integral as well (:func:`is_integer`):
 ``2.0`` is not. A test fails if another module imports
-:mod:`numbers` or calls ``np.asarray``, but for the finite-difference
-Hessian of an :class:`~eqopt.nlp.ObjectiveOracle`, which converts its
-own iterate. :func:`as_matrix` and :func:`as_vector` check an array
+:mod:`numbers`, calls ``np.asarray`` or tests for a bool itself.
+:func:`as_matrix` and :func:`as_vector` check an array
 from outside by this rule, and :func:`frozen_copy` gives the frozen
 input types the read-only copy they hold, so a checked array neither
 changes with the caller's nor takes a write. The checks do not copy a
@@ -291,7 +290,7 @@ def frozen_copy(a):
     to hold: neither a later write to ``a`` nor one through the holder can
     change it."""
     out = a.copy()
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 

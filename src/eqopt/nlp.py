@@ -104,7 +104,6 @@ class ObjectiveOracle:
         return self.gradient(x), self.hessian(x)
 
     def _fd_hessian(self, x):
-        x = np.asarray(x, dtype=np.float64)
         out = np.empty((self.dim, self.dim))
         for i in range(self.dim):
             step = _FD_STEP * (1.0 + abs(x[i]))
@@ -261,7 +260,7 @@ class NewtonIteration:
 
     def __post_init__(self):
         for array in (self.g, self.x):
-            array.flags.writeable = False
+            array.setflags(write=False)
 
     @property
     def phase(self):
@@ -292,7 +291,7 @@ class NewtonTrace:
 
     def __post_init__(self):
         for array in (self.final_g, self.final_x, self.final_gradient):
-            array.flags.writeable = False
+            array.setflags(write=False)
 
     def h_values(self):
         """Objective at every visited iterate, final included."""
@@ -411,7 +410,7 @@ def _newton_loop(reduced, config, damped):
     h_g = _start_value(oracle, g)
     steps, rises, arrived, failure = [], 0, False, None
     while True:
-        g.flags.writeable = False  # so a NonConvexError holds it read-only too
+        g.setflags(write=False)  # so a NonConvexError holds it read-only too
         e, step, dec_sq = _newton_step(oracle, g, iteration=len(steps))
         grad_norm = _norm(e)
         if damped:

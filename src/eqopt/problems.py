@@ -292,7 +292,7 @@ def load(path):
         raise ProblemSchemaError(f"{where}: top level must be an object")
 
     version = _require(doc, "formatVersion", int, where)
-    if isinstance(version, bool) or version != FORMAT_VERSION:
+    if not is_integer(version) or version != FORMAT_VERSION:
         raise ProblemSchemaError(
             f"{where}: unsupported formatVersion {version} (expected {FORMAT_VERSION})"
         )
@@ -301,7 +301,7 @@ def load(path):
         raise ProblemSchemaError(f"{where}: unknown kind {kind!r} (expected 'qp' or 'nlp')")
     n = _require(doc, "n", int, where)
     m = _require(doc, "m", int, where)
-    if isinstance(n, bool) or isinstance(m, bool) or n < 1 or m < 0:
+    if not (is_integer(n) and is_integer(m)) or n < 1 or m < 0:
         raise ProblemSchemaError(f"{where}: need n >= 1 and m >= 0, got n={n}, m={m}")
 
     a = _array_field(doc, "A", (m, n), where)
@@ -368,7 +368,7 @@ def solve(problem, method="nullspace", *, eps=EPS, config=NewtonConfig()):
     else:  # one feasible point: no step, and x0 valued by Newton's start-point rule
         g = config._start(0)  # also the empty reduced gradient
         h = _start_value(oracle, reduced.expr.x0)
-        trace = NewtonTrace((), True, g, reduced.expr.x0 + reduced.expr.basis @ g, h, 0.0, 0.0, g)
+        trace = NewtonTrace((), True, g, reduced.expr.x0, h, 0.0, 0.0, g)
     return Solution(
         x=trace.final_x,
         objective=trace.final_h,

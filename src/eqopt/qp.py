@@ -137,9 +137,9 @@ class Solution:
         finite = math.isfinite(residuals[0]) and math.isfinite(residuals[1])
         if not (finite and (lam is None or np.isfinite(lam).all())):
             raise ComputationError(f"residuals {residuals} or multipliers overflow float range")
-        self.x.flags.writeable = False  # handed new by its method: marked, not copied
+        self.x.setflags(write=False)  # handed new by its method: marked, not copied
         if lam is not None:
-            lam.flags.writeable = False
+            lam.setflags(write=False)
 
     @property
     def degenerate(self):

@@ -5,14 +5,28 @@ library's own finite-difference fallback: central differences with a
 per-coordinate relative step. :func:`full_saddle_solve` is the dense
 saddle-point solve on the full matrix. :func:`short_of_memory` makes
 large random draws fail as on a machine that cannot hold them.
+:func:`package_modules` is the one parsed source the AST guards read.
 """
 
+import ast
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg.lapack
 
+import eqopt
 from eqopt.nlp import ObjectiveOracle
+
+
+@functools.cache
+def package_modules():
+    """``(path, tree)`` for every module of ``src/eqopt``, in name order,
+    each parsed once per session. The guards only read the trees."""
+    package = Path(eqopt.__file__).parent
+    return tuple((path, ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(package.glob("*.py")))
 
 
 def chain_rule_oracle(oracle):

@@ -1,13 +1,14 @@
 import ast
 import dataclasses
+import types
 from collections.abc import Mapping
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eqopt
+from helpers import package_modules
 
 
 def test_public_names_resolve():
@@ -17,6 +18,17 @@ def test_public_names_resolve():
 
 def test_public_names_sorted_and_unique():
     assert eqopt.__all__ == sorted(set(eqopt.__all__))
+
+
+def test_the_public_names_are_what_the_package_imports():
+    # __all__ is read off the package's globals: a star import binds exactly
+    # it, and it names no module and nothing private
+    namespace = {}
+    exec("from eqopt import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == eqopt.__all__
+    assert not [name for name in eqopt.__all__
+                if name.startswith("_") or isinstance(getattr(eqopt, name), types.ModuleType)]
 
 
 # each case builds one frozen type from the caller's own arrays and returns
@@ -258,10 +270,8 @@ def test_every_dataclass_is_frozen():
     # inputs are checked once and answers built once, so no type eqopt
     # defines can change after it is built
     found, offenders = [], []
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
-        classes = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                   if isinstance(n, ast.ClassDef)]
-        for node in classes:
+    for path, tree in package_modules():
+        for node in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
             for deco in node.decorator_list:
                 call = deco if isinstance(deco, ast.Call) else None
                 target = call.func if call else deco

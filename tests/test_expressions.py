@@ -1,12 +1,11 @@
 import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import eqopt
 from eqopt.expressions import EqualityConstraints, build_nullspace, build_projector
+from helpers import package_modules
 
 
 def test_constraints_validation():
@@ -171,8 +170,7 @@ def test_only_build_nullspace_factors_the_constraints():
     kernels = {"_rank_revealing_qr", "_apply_q"}
     references = {"qp.solve_kkt"}
     offenders, called = [], set()
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in package_modules():
         calls = _Calls(path.stem)
         calls.visit(tree)
         offenders += [f"{scope} calls {name}" for scope, name, _ in calls.calls

@@ -34,6 +34,7 @@ from eqopt.linalg import (
 )
 from eqopt.problems import GeneratorSpec, generate
 from eqopt.qp import QpProblem, solve_nullspace, solve_projector
+from helpers import package_modules
 
 
 def factored(a, b):
@@ -632,34 +633,33 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
 
 
+def _tests_for_bool(node):
+    """Whether ``node`` is ``isinstance(x, bool)``, bool also in a tuple."""
+    if not (isinstance(node, ast.Call) and _dotted(node.func) == "isinstance"):
+        return False
+    kinds = node.args[-1].elts if isinstance(node.args[-1], ast.Tuple) else node.args[-1:]
+    return any(_dotted(kind) == "bool" for kind in kinds)
+
+
 def test_only_linalg_states_what_a_number_is():
-    # one number rule for every input: no other module imports numbers or
-    # converts an array itself; ObjectiveOracle._fd_hessian converts only
-    # the iterate it differences
+    # one number rule for every input and no exception to it: no other
+    # module imports numbers, converts an array or tests for a bool itself
     offenders = []
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+    for path, tree in package_modules():
         if path.name == "linalg.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        exempt = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "ObjectiveOracle"
-            for fn in cls.body
-            if getattr(fn, "name", None) == "_fd_hessian"
-            for node in ast.walk(fn)
-        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or "", *(f"{node.module}.{a.name}" for a in node.names)]
-            elif isinstance(node, ast.Call) and id(node) not in exempt:
+            elif isinstance(node, ast.Call):
                 names = [_dotted(node.func) or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "numbers" or n in ("np.asarray", "numpy.asarray")
-                   for n in names):
+            if _tests_for_bool(node) or any(
+                    n.split(".")[0] == "numbers" or n in ("np.asarray", "numpy.asarray")
+                    for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
@@ -668,8 +668,8 @@ def test_no_module_imports_scipy_linalg():
     # importing the scipy.linalg package doubles the cold start of
     # `eqopt solve`; every LAPACK routine is reached through linalg.lapack
     offenders = []
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in package_modules():
+        for node in ast.walk(tree):
             names = []
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
@@ -690,8 +690,8 @@ def test_every_dsytrf_call_takes_its_block_size_from_one_constant():
     # dsytrf's block size is stated once, as linalg._SYTRF_BLOCK: no module
     # queries the workspace, and every call passes an lwork that names it
     offenders, callers = [], set()
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in package_modules():
+        for node in ast.walk(tree):
             if "dsytrf_lwork" in (getattr(node, "attr", None), getattr(node, "id", None),
                                   getattr(node, "value", None)):
                 offenders.append(f"{path.name}:{node.lineno} names dsytrf_lwork")
@@ -716,8 +716,8 @@ def test_no_module_queries_a_lapack_workspace():
             return False
 
     offenders = []
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in package_modules():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             on_lapack = (_dotted(node.func) or "").startswith("lapack.")

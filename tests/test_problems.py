@@ -29,7 +29,7 @@ from eqopt.expressions import EqualityConstraints
 from eqopt.nlp import NewtonConfig, newton_solve, reduce_problem, sqp_iterate
 from eqopt.problems import FORMAT_VERSION, GeneratorSpec, NlpProblem, generate, load, save, solve
 from eqopt.qp import QpProblem, solve_kkt, solve_nullspace, solve_projector
-from helpers import short_of_memory
+from helpers import package_modules, short_of_memory
 
 
 def _write(path, doc):
@@ -762,10 +762,10 @@ def test_only_the_problems_module_writes_json():
     # float format and the numpy conversion live in one place
     writers = {"dump", "dumps"}
     offenders = []
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+    for path, tree in package_modules():
         if path.name == "problems.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             called = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             if called and node.func.attr in writers and getattr(node.func.value, "id", None) == "json":
                 offenders.append(f"{path.name}:{node.lineno}")
@@ -779,10 +779,10 @@ def test_only_the_linalg_module_silences_numpy():
     # linalg.overflow_checked; a module that ignored overflow on its own
     # would state a second policy
     offenders = []
-    for path in sorted(Path(eqopt.__file__).parent.glob("*.py")):
+    for path, tree in package_modules():
         if path.name == "linalg.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             func = getattr(node, "func", None)  # only a call has one
             called = getattr(func, "attr", getattr(func, "id", None)) == "errstate"
             values = [k.value for k in node.keywords] + list(node.args) if called else []
@@ -901,6 +901,15 @@ def test_solve_checks_the_length_of_g0_on_a_one_point_set_too(method):
     assert solve(problem, method, config=NewtonConfig(g0=[])).classification == "point"
 
 
+def test_a_one_point_answer_is_the_same_bytes_under_the_eliminations_and_newton():
+    # the one feasible point is x0 itself under every method built on it:
+    # Newton added an empty B g to it, which turned its -0.0 into +0.0
+    problem = QpProblem(np.eye(2), np.zeros(2), EqualityConstraints(np.eye(2), [-0.0, 1.0]))
+    answers = [solve(problem, method) for method in ("projector", "nullspace", *problems._NEWTON_SOLVERS)]
+    assert {(a.x.tobytes(), np.float64(a.objective).tobytes()) for a in answers} == {
+        (np.array([-0.0, 1.0]).tobytes(), np.float64(0.5).tobytes())}
+
+
 def test_solve_refuses_an_unknown_method_and_a_qp_method_on_a_nonlinear_problem():
     with pytest.raises(ValueError, match="unknown method 'simplex'"):
         solve(generate(GeneratorSpec(n=3, m=1)), "simplex")
@@ -919,10 +928,10 @@ def test_the_oracle_of_a_qp_is_its_quadratic():
         assert_array_equal(oracle.hessian(x), ref.hessian(x))
 
 
-def _referenced_names(path):
+def _referenced_names(tree):
     """``(line, name)`` for every name, attribute, imported name and part of
-    an imported module's path in the module at ``path``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    an imported module's path in the module ``tree``."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names = (node.module or "").split(".")
         elif isinstance(node, ast.alias):
@@ -932,12 +941,12 @@ def _referenced_names(path):
         yield from ((node.lineno, name) for name in names if name)
 
 
-def _class_lines(path, name):
-    """The line numbers of the class ``name`` in the module at ``path``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _class_lines(tree, name):
+    """The line numbers of the class ``name`` in the module ``tree``."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == name:
             return range(node.lineno, node.end_lineno + 1)
-    raise AssertionError(f"no class {name} in {path.name}")
+    raise AssertionError(f"no class {name}")
 
 
 def test_the_cli_reaches_the_solvers_only_through_solve():
@@ -949,12 +958,12 @@ def test_the_cli_reaches_the_solvers_only_through_solve():
     # re-exports it)
     solvers = {"solve_projector", "solve_nullspace", "solve_kkt", "newton_solve", "sqp_iterate",
                "reduce_problem", "objectives"}
-    package = Path(eqopt.__file__).parent
+    trees = {path.name: tree for path, tree in package_modules()}
     offenders = [f"cli.py:{line} names {name}"
-                 for line, name in _referenced_names(package / "cli.py") if name in solvers]
-    nlp_problem = _class_lines(package / "problems.py", "NlpProblem")
-    for path in sorted(package.glob("*.py")):
-        for line, name in _referenced_names(path):
+                 for line, name in _referenced_names(trees["cli.py"]) if name in solvers]
+    nlp_problem = _class_lines(trees["problems.py"], "NlpProblem")
+    for path, tree in package_modules():
+        for line, name in _referenced_names(tree):
             if name == "_checked_quadratic" and path.name not in ("objectives.py", "qp.py"):
                 offenders.append(f"{path.name}:{line} names {name}")
             if name == "objective_registry" and path.name not in ("objectives.py", "__init__.py"):
